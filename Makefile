@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # reports are byte-identical to a sequential run; see docs/PERF.md).
 JOBS ?= 4
 
-.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity audit-adaptive bench bench-paper
+.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity audit-adaptive bench bench-paper ledger ledger-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -80,3 +80,14 @@ bench:
 # jitter, ...) under pytest-benchmark.
 bench-paper:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+
+# The repo benchmark (BENCHMARK.json, bench/README.md): four seeded
+# workloads, the end-to-end pass plus the traced per-layer pass; results
+# land in bench/out/.  Compare two runs with `python3 -m bench compare`.
+ledger:
+	python3 -m bench run --seed 1 --trace 1
+
+# The benchmark's own smoke test (every workload at scale 0.02, both
+# passes, compare); not part of tier-1.
+ledger-smoke:
+	python3 -m pytest bench -q

@@ -82,6 +82,15 @@ def leaf_rows(image: dict) -> list[tuple[Hashable, tuple[Version, ...]]]:
     return rows
 
 
+def leaf_row_count(image: dict) -> int:
+    """Number of rows in a leaf image, without building or sorting them."""
+    return sum(
+        1
+        for image_key in image
+        if isinstance(image_key, tuple) and image_key[0] == "k"
+    )
+
+
 def empty_leaf(next_block: int | None = None) -> dict:
     return {"type": "leaf", "next": next_block}
 
@@ -183,7 +192,7 @@ class BTree:
         new_image = self.io.stage_change(
             mtr, leaf, BlockPut(entries=((row_key(key), new_versions),))
         )
-        if len(leaf_rows(new_image)) > self.max_leaf_rows:
+        if leaf_row_count(new_image) > self.max_leaf_rows:
             yield from self._split_leaf(mtr, meta, path, leaf, new_image)
         return prior
 

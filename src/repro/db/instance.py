@@ -30,7 +30,7 @@ from typing import Callable
 from repro.core.consistency import MinReadPointTracker, PGFrontierHistory
 from repro.core.epochs import EpochStamp
 from repro.core.lsn import NULL_LSN, LSNAllocator, TruncationRange
-from repro.core.records import CommitPayload, LogRecord, RecordKind
+from repro.core.records import BlockPut, CommitPayload, LogRecord, RecordKind
 from repro.core.recovery import SegmentRecoveryResponse, recover_volume_state
 from repro.db.btree import BlockIO, BTree, leaf_rows
 from repro.db.buffer_cache import BufferCache
@@ -46,7 +46,11 @@ from repro.db.mvcc import (
 )
 from repro.db.replication import ReplicationPublisher
 from repro.db.txn import Transaction, TransactionManager
-from repro.errors import CommitUncertainError, InstanceStateError
+from repro.errors import (
+    CommitUncertainError,
+    InstanceStateError,
+    TransactionError,
+)
 from repro.sim.events import Future
 from repro.sim.network import Actor, Message
 from repro.sim.process import Mutex, Process
@@ -59,6 +63,13 @@ from repro.storage.messages import (
 )
 from repro.storage.metadata import StorageMetadataService
 from repro.storage.volume import VolumeGeometry
+
+
+#: Transactions per transaction-status page.  Transaction ``t``'s commit
+#: status lives in page ``t // TXNS_PER_PAGE``, so every status image a
+#: commit copies or a layer retains (writer cache, segment version chains,
+#: backups) is bounded by this constant instead of by the commit history.
+TXNS_PER_PAGE = 128
 
 
 class InstanceState(enum.Enum):
@@ -74,7 +85,6 @@ class InstanceConfig:
     """Tunable behaviour of a database instance."""
 
     cache_capacity: int = 100_000
-    txn_table_blocks: int = 4
     max_leaf_rows: int = 16
     max_internal_keys: int = 16
     driver: DriverConfig = field(default_factory=DriverConfig)
@@ -105,9 +115,12 @@ class InstanceStats:
 class WriterInstance(Actor, BlockIO):
     """The writer: SQL endpoint, transaction engine, and storage client."""
 
-    #: Block 0 holds the B-tree meta; blocks 1..txn_table_blocks hold the
-    #: transaction table; the root leaf and data blocks follow.
+    #: Block 0 holds the B-tree meta and the transaction-status page
+    #: directory (``"txn_pages": (block0, block1, ...)``); block 1 is the
+    #: root leaf.  Data blocks and status pages follow, both handed out by
+    #: the ordinary block allocator.
     META_BLOCK = 0
+    root_leaf_block = 1
 
     def __init__(
         self,
@@ -138,6 +151,11 @@ class WriterInstance(Actor, BlockIO):
         self.logical = LogicalPublisher()
         self.btree: BTree | None = None
         self._write_mutex: Mutex | None = None
+        #: In-memory mirror of META's ``"txn_pages"`` directory (ephemeral;
+        #: recovery reloads it).  Grown only under the write mutex, after
+        #: the MTR that allocates the new pages is sealed, so ``commit``
+        #: can place its record without reading a block.
+        self._txn_pages: tuple[int, ...] = ()
         self._gc_floor_tick_scheduled = False
         #: Commit futures not yet resolved, by txn id.  On crash, fence, or
         #: close these resolve with :class:`CommitUncertainError` -- the
@@ -174,13 +192,6 @@ class WriterInstance(Actor, BlockIO):
 
     def pg_of_block(self, block: int) -> int:
         return self.geometry.pg_of_block(block)
-
-    def txn_table_block(self, txn_id: int) -> int:
-        return 1 + (txn_id % self.config.txn_table_blocks)
-
-    @property
-    def root_leaf_block(self) -> int:
-        return 1 + self.config.txn_table_blocks
 
     def start(self) -> None:
         """Wire the driver and background ticks (after network attach)."""
@@ -274,13 +285,29 @@ class WriterInstance(Actor, BlockIO):
         # Cache miss: the WAL invariant guarantees every evicted block is
         # fully durable, so the latest durable version *is* the latest.
         read_point = self.vdl
+        if not self.frontiers.knows(read_point):
+            # A commit ack resumed this client from inside the driver's
+            # ack handler, after the VDL advanced but before the
+            # ``on_vdl_advance`` callbacks folded it into the frontier
+            # history.  Fold now; the callback's fold is then a no-op.
+            self.frontiers.advance_vdl(read_point)
         pg_index = self.pg_of_block(block)
         pg_point = self.frontiers.pg_read_point(pg_index, read_point)
         if pg_point == NULL_LSN:
             return {}  # no durable writes to this PG yet
-        image, version_lsn = yield self.driver.read_block(
-            block, pg_index, pg_point
-        )
+        # Pin the read point while the request is in flight: a write-path
+        # read runs under no read view, and the PGMRPL riding the very next
+        # write batch would otherwise let storage collect past it and
+        # refuse the read.  (The tracker is held by reference because a
+        # crash swaps in a fresh one.)
+        min_read = self.min_read
+        min_read.register(read_point)
+        try:
+            image, version_lsn = yield self.driver.read_block(
+                block, pg_index, pg_point
+            )
+        finally:
+            min_read.release(read_point)
         self.cache.install(block, dict(image), version_lsn, self.vdl)
         return dict(image)
 
@@ -295,8 +322,6 @@ class WriterInstance(Actor, BlockIO):
         return dict(new_image)
 
     def allocate_block(self, mtr: MTRBuilder):
-        from repro.core.records import BlockPut
-
         meta = yield from self.read_image(self.META_BLOCK, mtr)
         new_block = meta["next_block"]
         # Growing past the current geometry requires adding protection
@@ -403,11 +428,15 @@ class WriterInstance(Actor, BlockIO):
             txn.require_active()
             self.stats.writes += 1
             mtr = MTRBuilder(txn_id=txn.txn_id)
+            pages = self._txn_pages
+            if txn.txn_id // TXNS_PER_PAGE >= len(pages):
+                pages = yield from self._grow_txn_pages(mtr, txn.txn_id)
             prior = yield from self.btree.put(mtr, txn.txn_id, key, value)
             txn.record_undo(
                 block=-1, key=key, prior_versions=tuple(prior)
             )
             self._apply_mtr(mtr)
+            self._txn_pages = pages
             if value == TOMBSTONE:
                 self.logical.stage(
                     txn.txn_id, RowChange(ChangeKind.DELETE, key)
@@ -418,6 +447,23 @@ class WriterInstance(Actor, BlockIO):
                 )
         finally:
             self._write_mutex.release()
+
+    def _grow_txn_pages(self, mtr: MTRBuilder, txn_id: int):
+        """Generator: stage the status-page directory grown to cover
+        ``txn_id`` and return it.
+
+        Allocates every missing page up to the needed one (a later-begun
+        transaction may write first), so the directory stays dense and a
+        page's index is always ``txn_id // TXNS_PER_PAGE``.  The caller
+        holds the write mutex and adopts the result once the MTR is sealed.
+        """
+        pages = self._txn_pages
+        while len(pages) <= txn_id // TXNS_PER_PAGE:
+            pages += ((yield from self.allocate_block(mtr)),)
+        self.stage_change(
+            mtr, self.META_BLOCK, BlockPut(entries=(("txn_pages", pages),))
+        )
+        return pages
 
     def put_many(self, txn: Transaction, items: list[tuple]):
         """Generator: write several keys in deterministic lock order."""
@@ -442,8 +488,16 @@ class WriterInstance(Actor, BlockIO):
             self.txns.mark_committing(txn, scn=self.vdl)
             self._finish_commit(txn, future, started=self.loop.now)
             return future
+        page = txn.txn_id // TXNS_PER_PAGE
+        if page >= len(self._txn_pages):
+            # Only a handle from a crashed writer generation can have
+            # written without its page being in the recovered directory.
+            raise TransactionError(
+                f"transaction {txn.txn_id} has no status page; its writer "
+                "generation crashed"
+            )
         scn = self.allocator.allocate_one()
-        block = self.txn_table_block(txn.txn_id)
+        block = self._txn_pages[page]
         pg_index = self.pg_of_block(block)
         prev_volume, prev_pg, prev_block = self.chains.thread(
             scn, pg_index, block
@@ -618,6 +672,7 @@ class WriterInstance(Actor, BlockIO):
         if was_open:
             self._notify_writer_close()
         self.cache.drop_all()
+        self._txn_pages = ()
         self.locks.clear()
         self.txns.clear()
         self.views.clear()
@@ -763,11 +818,15 @@ class WriterInstance(Actor, BlockIO):
             tracker = self.driver.pg_trackers[pg_index]
             self.driver.volume.on_pgcl(pg_index, tracker.pgcl)
 
-        # 5. Reload durable transaction statuses from the txn-table blocks.
+        # 5. Reload durable transaction statuses: META lists the status
+        #    pages, each page holds its range's ``{txn_id: scn}`` entries.
+        #    A page allocated but never committed to reads back empty.
         self.state = InstanceState.OPEN
         self._notify_writer_open()
         self._schedule_gc_floor_tick()
-        for block in range(1, self.config.txn_table_blocks + 1):
+        meta = yield from self.read_image(self.META_BLOCK)
+        self._txn_pages = tuple(meta.get("txn_pages", ()))
+        for block in self._txn_pages:
             image = yield from self.read_image(block)
             self.registry.load_txn_table_image(image)
         max_txn = max(self.registry.known_commits(), default=0)
@@ -775,7 +834,6 @@ class WriterInstance(Actor, BlockIO):
 
         # If the crash predated bootstrap durability the recovered volume
         # is empty; re-create the (empty) tree so the instance is usable.
-        meta = yield from self.read_image(self.META_BLOCK)
         if "root" not in meta:
             mtr = MTRBuilder(txn_id=0)
             self.btree.bootstrap(

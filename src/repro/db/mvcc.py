@@ -18,7 +18,8 @@ transaction id with each record"; our per-key version chains follow that
 style.)
 
 Commit status is durable volume state: commit records materialize
-``{txn_id: scn}`` into transaction-table blocks, so replicas and recovered
+``{txn_id: scn}`` into range-paged transaction-status blocks (see
+:data:`repro.db.instance.TXNS_PER_PAGE`), so replicas and recovered
 writers resolve visibility without any consensus on transaction outcome.
 :class:`TransactionStatusRegistry` is the in-memory cache of that state.
 """
@@ -58,7 +59,7 @@ class TransactionStatusRegistry:
 
     Absence means "not known committed": either still active, aborted, or
     committed so long ago that the caller must consult the durable
-    transaction-table blocks (the registry is loaded from them lazily).
+    transaction-status pages (recovery loads the registry from them).
     """
 
     def __init__(self) -> None:
@@ -92,7 +93,7 @@ class TransactionStatusRegistry:
         return txn_id in self._aborted
 
     def load_txn_table_image(self, image: dict[Any, Any]) -> int:
-        """Absorb a durable transaction-table block image; returns entries."""
+        """Absorb a durable transaction-status page image; returns entries."""
         loaded = 0
         for txn_id, scn in image.items():
             if isinstance(txn_id, int) and isinstance(scn, int):

@@ -15,9 +15,9 @@ the physical replication stream and enforces the paper's three invariants:
    uncached blocks from storage at exactly ``f(pg, v)``.
 
 Redo for uncached blocks is discarded ("Redo records for uncached blocks
-can be discarded, as they can be read from the shared storage volume") --
-except transaction-table blocks, which every instance keeps warm because
-visibility depends on them.
+can be discarded, as they can be read from the shared storage volume"),
+transaction-status pages included: a replica learns outcomes from commit
+notices, never from those blocks.
 
 Commit visibility comes from :class:`CommitNotice` messages ("we ship
 commit notifications and maintain transaction commit history").
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.core.consistency import MinReadPointTracker, PGFrontierHistory
 from repro.core.lsn import NULL_LSN
-from repro.core.records import LogRecord
+from repro.core.records import BlockReplace, LogRecord
 from repro.db.btree import BlockIO, BTree
 from repro.db.buffer_cache import BufferCache
 from repro.db.driver import DriverConfig, StorageDriver
@@ -58,7 +58,6 @@ from repro.storage.metadata import StorageMetadataService
 @dataclass
 class ReplicaConfig:
     cache_capacity: int = 100_000
-    txn_table_blocks: int = 4
     max_leaf_rows: int = 16
     max_internal_keys: int = 16
     driver: DriverConfig = field(default_factory=DriverConfig)
@@ -74,6 +73,8 @@ class ReplicaStats:
     #: Storage-read images not cached because a discarded record postdated
     #: their read point (the install-vs-discard race).
     stale_installs_declined: int = 0
+    #: B-tree reads re-run because a split was applied underneath them.
+    traversals_retried: int = 0
     commit_notices: int = 0
     reads: int = 0
     #: Samples of (writer_vdl_seen - applied_vdl) at each VDL update.
@@ -112,6 +113,13 @@ class ReplicaInstance(Actor, BlockIO):
         #: record (later redo applies on top of the stale base).  The
         #: install path consults this frontier and declines to cache.
         self._discard_frontier: dict[int, int] = {}
+        #: Bumped by every applied chunk that rewrites whole block images
+        #: (a B-tree split or root growth).  Each block of a traversal is
+        #: read at the then-current applied VDL, so a traversal that waited
+        #: on storage across such a chunk may pair a pre-split parent with
+        #: a post-split child and miss a row that moved to the new
+        #: sibling; reads re-run when this moved underneath them.
+        self._structure_epoch = 0
         self._next_expected_lsn = NULL_LSN + 1
         self._writer_vdl_seen = NULL_LSN
         self._applied_vdl = NULL_LSN
@@ -256,6 +264,10 @@ class ReplicaInstance(Actor, BlockIO):
     def _apply_chunk(self, chunk: MTRChunk) -> None:
         self.stats.chunks_applied += 1
         last_lsn = chunk.records[-1].lsn
+        if len(chunk.records) > 1 and any(
+            type(record.payload) is BlockReplace for record in chunk.records
+        ):
+            self._structure_epoch += 1
         for record in chunk.records:
             self.frontiers.record(record.lsn, record.pg_index)
             self._apply_record(record)
@@ -275,7 +287,7 @@ class ReplicaInstance(Actor, BlockIO):
         cached = self.cache.peek(record.block)
         if cached is None:
             # Uncached: discard; storage serves it on demand.  This must
-            # hold even for the hot txn-table blocks: fabricating an
+            # hold even for the hot txn-status pages: fabricating an
             # empty base image and applying only this record is correct
             # only for a replica that has seen the block's entire
             # history, and a replica attached mid-life (failover
@@ -351,6 +363,16 @@ class ReplicaInstance(Actor, BlockIO):
         self.views.close(view)
         self.min_read.release(view.read_point)
 
+    def _structurally_stable(self, traverse):
+        """Generator: run the B-tree read ``traverse()`` again until no
+        structural chunk was applied while it waited on storage."""
+        while True:
+            epoch = self._structure_epoch
+            result = yield from traverse()
+            if epoch == self._structure_epoch:
+                return result
+            self.stats.traversals_retried += 1
+
     def get(self, key):
         """Generator: visible value of ``key`` at this replica's snapshot."""
         if not self.online:
@@ -358,7 +380,9 @@ class ReplicaInstance(Actor, BlockIO):
         self.stats.reads += 1
         view = self.open_view()
         try:
-            found, value = yield from self.btree.get(view, key)
+            found, value = yield from self._structurally_stable(
+                lambda: self.btree.get(view, key)
+            )
         finally:
             self.close_view(view)
         return value if found else None
@@ -370,7 +394,9 @@ class ReplicaInstance(Actor, BlockIO):
         self.stats.reads += 1
         view = self.open_view()
         try:
-            results = yield from self.btree.scan(view, low, high)
+            results = yield from self._structurally_stable(
+                lambda: self.btree.scan(view, low, high)
+            )
         finally:
             self.close_view(view)
         return results

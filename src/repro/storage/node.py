@@ -56,7 +56,6 @@ from repro.storage.messages import (
     WriteBatch,
 )
 from repro.storage.metadata import StorageMetadataService
-from repro.storage.page import BlockVersionChain
 from repro.storage.segment import Segment, SegmentKind
 
 
@@ -1027,10 +1026,7 @@ class StorageNode(Actor):
         """Hydrate this node's segment from a peer's baseline response."""
         if self.segment.kind is not SegmentKind.TAIL:
             for block, version_lsn, image in response.blocks:
-                chain = self.segment.blocks.get(block)
-                if chain is None:
-                    chain = BlockVersionChain(block)
-                    self.segment.blocks[block] = chain
+                chain = self.segment.chain_for(block)
                 if version_lsn > chain.latest_lsn:
                     chain.append(version_lsn, dict(image))
             self.segment.coalesced_upto = max(

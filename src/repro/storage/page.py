@@ -102,9 +102,16 @@ _EMPTY_IMAGE: Mapping[str, Any] = {}
 class BlockVersionChain:
     """All retained versions of one block, ordered by ascending LSN."""
 
-    def __init__(self, block: int) -> None:
+    def __init__(
+        self, block: int, multi_version: set[int] | None = None
+    ) -> None:
         self.block = block
         self._versions: list[BlockVersion] = []
+        #: The owning segment's set of blocks whose chains hold more than
+        #: one retained version -- the only chains garbage collection can
+        #: shrink.  Every growth path reports here, so the segment's GC
+        #: tick never has to visit single-version chains.
+        self._multi_version = multi_version
 
     @property
     def versions(self) -> list[BlockVersion]:
@@ -116,11 +123,7 @@ class BlockVersionChain:
 
     def append(self, lsn: int, image: Mapping[str, Any]) -> BlockVersion:
         """Add a new version; LSNs must strictly increase."""
-        if self._versions and lsn <= self._versions[-1].lsn:
-            raise ReadPointError(lsn, self._versions[-1].lsn + 1, 2**63)
-        version = BlockVersion.of(lsn, image)
-        self._versions.append(version)
-        return version
+        return self.append_owned(lsn, dict(image))
 
     def append_owned(self, lsn: int, image: dict[str, Any]) -> BlockVersion:
         """Append a version taking ownership of ``image`` (no defensive copy).
@@ -129,10 +132,14 @@ class BlockVersionChain:
         append doubled the allocation cost of the coalesce hot loop.  Callers
         must not mutate ``image`` after handing it over.
         """
-        if self._versions and lsn <= self._versions[-1].lsn:
-            raise ReadPointError(lsn, self._versions[-1].lsn + 1, 2**63)
+        versions = self._versions
+        if versions:
+            if lsn <= versions[-1].lsn:
+                raise ReadPointError(lsn, versions[-1].lsn + 1, 2**63)
+            if self._multi_version is not None:
+                self._multi_version.add(self.block)
         version = BlockVersion.of_owned(lsn, image)
-        self._versions.append(version)
+        versions.append(version)
         return version
 
     def latest_image(self) -> dict[str, Any]:
@@ -151,18 +158,22 @@ class BlockVersionChain:
             return _EMPTY_IMAGE
         return self._versions[-1].image
 
-    def version_at(self, read_point: int) -> BlockVersion | None:
-        """Latest version with ``lsn <= read_point`` (binary search)."""
-        lo, hi = 0, len(self._versions)
+    def _count_at_or_below(self, lsn: int) -> int:
+        """Number of versions with ``version.lsn <= lsn`` (binary search)."""
+        versions = self._versions
+        lo, hi = 0, len(versions)
         while lo < hi:
             mid = (lo + hi) // 2
-            if self._versions[mid].lsn <= read_point:
+            if versions[mid].lsn <= lsn:
                 lo = mid + 1
             else:
                 hi = mid
-        if lo == 0:
-            return None
-        return self._versions[lo - 1]
+        return lo
+
+    def version_at(self, read_point: int) -> BlockVersion | None:
+        """Latest version with ``lsn <= read_point``."""
+        count = self._count_at_or_below(read_point)
+        return self._versions[count - 1] if count else None
 
     def image_at(self, read_point: int) -> dict[str, Any]:
         version = self.version_at(read_point)
@@ -172,14 +183,12 @@ class BlockVersionChain:
         """Drop versions no reader can need; returns the number removed.
 
         Retains every version with ``lsn >= floor`` plus the single newest
-        version below the floor (the base image for reads at the floor).
+        version at or below the floor (the base image for reads at the
+        floor).
         """
-        keep_from = 0
-        for i, version in enumerate(self._versions):
-            if version.lsn <= floor:
-                keep_from = i
-        removed = keep_from
-        self._versions = self._versions[keep_from:]
+        removed = max(0, self._count_at_or_below(floor) - 1)
+        if removed:
+            del self._versions[:removed]
         return removed
 
     def truncate_above(self, lsn: int, last: int | None = None) -> int:
@@ -217,6 +226,8 @@ class BlockVersionChain:
         if lo < len(self._versions) and self._versions[lo].lsn == lsn:
             raise ReadPointError(lsn, lsn + 1, 2**63)
         self._versions.insert(lo, version)
+        if self._multi_version is not None and len(self._versions) > 1:
+            self._multi_version.add(self.block)
         return version
 
     def remove_version(self, lsn: int) -> bool:

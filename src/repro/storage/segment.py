@@ -80,6 +80,10 @@ class Segment:
         self._digests: list[int] = []
         #: Materialized block version chains (full segments only).
         self.blocks: dict[int, BlockVersionChain] = {}
+        #: Blocks whose chain holds more than one retained version, kept
+        #: current by the chains themselves; the only ones a GC tick
+        #: visits (a single-version chain has nothing to drop).
+        self._multi_version_blocks: set[int] = set()
         #: Highest LSN whose redo has been applied to blocks.
         self.coalesced_upto = NULL_LSN
         #: Highest LSN included in a completed backup.
@@ -222,8 +226,7 @@ class Segment:
             if block != NO_BLOCK:
                 chain = blocks.get(block)
                 if chain is None:
-                    chain = BlockVersionChain(block)
-                    blocks[block] = chain
+                    chain = self.chain_for(block)
                 if chain.latest_lsn < record.lsn:
                     # Payloads are pure: apply against the stored image view
                     # and hand ownership of the fresh image to the chain.
@@ -236,17 +239,13 @@ class Segment:
         self.stats["coalesce_applications"] += applied
         return applied
 
-    def _apply_record(self, record: LogRecord) -> None:
-        if record.block == NO_BLOCK:
-            return  # pure control records change no block
-        chain = self.blocks.get(record.block)
+    def chain_for(self, block: int) -> BlockVersionChain:
+        """The version chain of ``block``, created empty on first use."""
+        chain = self.blocks.get(block)
         if chain is None:
-            chain = BlockVersionChain(record.block)
-            self.blocks[record.block] = chain
-        if chain.latest_lsn >= record.lsn:
-            return  # already applied (idempotence)
-        new_image = record.payload.apply(chain.latest_image_view())
-        chain.append_owned(record.lsn, new_image)
+            chain = BlockVersionChain(block, self._multi_version_blocks)
+            self.blocks[block] = chain
+        return chain
 
     # ------------------------------------------------------------------
     # Reads
@@ -425,12 +424,12 @@ class Segment:
         self.record_digests.clear()
         self._corrupt_record_lsns.clear()
         self.blocks = {}
+        self._multi_version_blocks.clear()
         if self.kind is SegmentKind.FULL:
             for block, image in payload["blocks"].items():
-                chain = BlockVersionChain(block)
+                chain = self.chain_for(block)
                 if image or snapshot_scl > NULL_LSN:
-                    chain.append(snapshot_scl, dict(image))
-                self.blocks[block] = chain
+                    chain.append(snapshot_scl, image)
         self.chain.rebase(snapshot_scl)
         # A log segment restores no block baseline, so it must not claim
         # materialization through the snapshot point; the read_block guard
@@ -480,8 +479,12 @@ class Segment:
         del self._records[:cut]
         del self._digests[:cut]
         versions_dropped = 0
-        for chain in self.blocks.values():
+        multi_version = self._multi_version_blocks
+        for block in list(multi_version):
+            chain = self.blocks[block]
             versions_dropped += chain.gc_below(self.gc_floor)
+            if len(chain) <= 1:
+                multi_version.discard(block)
         self.stats["gc_records_dropped"] += len(doomed)
         self.stats["gc_versions_dropped"] += versions_dropped
         return (len(doomed), versions_dropped)
@@ -709,10 +712,7 @@ class Segment:
         place (clearing quarantine) or insert it mid-chain (lost write)."""
         if any(t.contains(lsn) for t in self.truncations):
             return False
-        chain = self.blocks.get(block)
-        if chain is None:
-            chain = BlockVersionChain(block)
-            self.blocks[block] = chain
+        chain = self.chain_for(block)
         version = chain.version_at(lsn)
         if version is not None and version.lsn == lsn:
             version.image = dict(image)
@@ -820,9 +820,7 @@ class Segment:
         ):
             source.coalesce()
             for block, chain in source.blocks.items():
-                if block not in self.blocks:
-                    self.blocks[block] = BlockVersionChain(block)
-                ours = self.blocks[block]
+                ours = self.chain_for(block)
                 for version in chain.versions:
                     if version.lsn > ours.latest_lsn:
                         ours.append(version.lsn, version.image)

@@ -111,7 +111,8 @@ class TestEpochFencing:
         zombie_lsn = cluster.writer.allocator.next_lsn + 500
         zombie_record = LogRecord(
             lsn=zombie_lsn, prev_volume_lsn=0, prev_pg_lsn=0,
-            prev_block_lsn=0, block=5, pg_index=0, kind=RecordKind.DATA,
+            prev_block_lsn=0, block=cluster.writer.root_leaf_block,
+            pg_index=0, kind=RecordKind.DATA,
             payload=BlockPut(entries=(("zombie", True),)),
         )
         target = cluster.nodes["pg0-a"]

@@ -1,6 +1,8 @@
 """Integration tests for the writer instance: transactions, snapshot
 isolation, locking, and the asynchronous commit pipeline."""
 
+import random
+
 import pytest
 
 from repro import AuroraCluster, ClusterConfig
@@ -10,6 +12,7 @@ from repro.errors import (
     LockConflictError,
     TransactionError,
 )
+from repro.sim.process import Process
 
 
 @pytest.fixture
@@ -223,6 +226,47 @@ class TestCacheMissReads:
             db.write(key, i)
             expected[key] = i
         for key, value in expected.items():
+            assert db.get(key) == value
+
+
+    def test_concurrent_writers_with_cold_cache(self):
+        """Two races a lone client never hits.  A client resumed by its
+        commit ack, inside the driver's ack handler, reads at the new VDL
+        before the ``on_vdl_advance`` callbacks have folded it into the
+        frontier history ("no frontier recorded for read point").  And a
+        write-path read runs under no read view, so the PGMRPL on the next
+        write batch let storage collect past it mid-flight ("no full
+        segment durable through LSN")."""
+        config = ClusterConfig(seed=31)
+        config.instance.cache_capacity = 64
+        cluster = AuroraCluster.build(config)
+        writer = cluster.writer
+        rng = random.Random(31)
+        keys = [f"key{i:04d}" for i in range(5_000)]
+        db = cluster.session()
+        for start in range(0, len(keys), 250):
+            db.write_many({key: 0 for key in keys[start:start + 250]})
+        reads_before = writer.driver.stats.reads_issued
+        last_acked = {}
+
+        def client(txns):
+            for _ in range(txns):
+                txn = writer.begin()
+                key = rng.choice(keys)
+                try:
+                    yield from writer.put(txn, key, txn.txn_id)
+                except LockConflictError:
+                    yield from writer.rollback(txn)
+                    continue
+                yield writer.commit(txn)
+                last_acked[key] = txn.txn_id
+
+        clients = [Process(cluster.loop, client(300)) for _ in range(4)]
+        for process in clients:
+            db.drive(process.completion)  # re-raises what killed a client
+        assert writer.driver.stats.reads_issued - reads_before > 1_000
+        assert writer.stats.commits_acknowledged >= 20 + 4 * 290
+        for key, value in last_acked.items():
             assert db.get(key) == value
 
 

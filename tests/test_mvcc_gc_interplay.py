@@ -117,7 +117,7 @@ class TestReadViewsPinGC:
             "pg0-a",
             ReadBlockRequest(
                 pg_index=0,
-                block=5,
+                block=cluster.writer.root_leaf_block,
                 read_point=max(0, node.segment.gc_floor - 1),
                 epochs=EpochStamp(),
             ),

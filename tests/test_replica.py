@@ -122,6 +122,36 @@ class TestReplicationStream:
         assert rs.get("k7") == 7
         assert replica.cache.peek(replica.META_BLOCK) is not None
 
+    def test_read_reruns_when_a_split_lands_mid_traversal(self, cluster):
+        """Regression for the traversal-vs-split race (first seen as a
+        proxy read-your-writes violation): each block of a replica
+        traversal is read at the then-current applied VDL, so a read that
+        waits on storage while a split chunk applies pairs the pre-split
+        parent with the post-split leaf and misses a row that moved to the
+        new sibling."""
+        db = cluster.session()
+        rows = cluster.writer.config.max_leaf_rows
+        for i in range(rows):  # exactly fills the root leaf
+            db.write(f"k{i:02d}", i)
+        cluster.run_for(20)
+        replica = cluster.add_replica("cold")  # empty cache: reads go out
+        moved = f"k{rows - 1:02d}"  # lands in the right half of the split
+        read = replica.get(moved)
+        pending = next(read)  # META requested at the pre-split point
+        cluster.run_for(5)
+        assert pending.done
+        db.write(f"k{rows:02d}", rows)  # splits the root leaf
+        cluster.run_for(20)
+        assert replica._structure_epoch == 1
+        try:
+            while True:  # resume the reader holding its pre-split META
+                pending = read.send(pending.result())
+                cluster.run_for(5)
+        except StopIteration as stop:
+            value = stop.value
+        assert value == rows - 1
+        assert replica.stats.traversals_retried == 1
+
     def test_writer_path_latency_unaffected_by_replicas(self):
         """'There is little latency added to the write path ... since
         replication is asynchronous': commit latency with 3 replicas is

@@ -1,0 +1,208 @@
+"""The range-paged transaction-status table (DESIGN.md section 3).
+
+Transaction ``t``'s commit status lives in page ``t // TXNS_PER_PAGE``;
+the page directory is META's ``"txn_pages"`` tuple.  These tests are
+count-based: they bound what a commit copies and what storage retains by
+the page constant, never by wall clock.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro import AuroraCluster, ClusterConfig
+from repro.db.instance import TXNS_PER_PAGE, WriterInstance
+from repro.db.session import Session
+from repro.errors import TransactionError
+
+
+def build(backend: str = "aurora", seed: int = 7, **node) -> AuroraCluster:
+    config = ClusterConfig(seed=seed, backend=backend)
+    for name, value in node.items():
+        setattr(config.node, name, value)
+    return AuroraCluster.build(config)
+
+
+def commit_writes(db: Session, count: int, tag: str = "v") -> None:
+    """``count`` writing transactions, one commit each, churning 50 keys."""
+    for i in range(count):
+        db.write(f"k{i % 50:02d}", f"{tag}{i}")
+
+
+def durable_directory(cluster) -> tuple[int, ...]:
+    """The page directory as META records it in the writer's cache."""
+    meta = cluster.writer.cache.peek(WriterInstance.META_BLOCK).image
+    return meta.get("txn_pages", ())
+
+
+def crash_and_recover(cluster) -> Session:
+    cluster.crash_writer()
+    db = Session(cluster.writer)
+    db.drive(cluster.recover_writer())
+    return db
+
+
+def retained_status_entries(segment, pages) -> int:
+    """Entries held across every retained version of the status pages."""
+    return sum(
+        len(version.image)
+        for block in pages
+        if block in segment.blocks
+        for version in segment.blocks[block].versions
+    )
+
+
+class TestPagedLayout:
+    def test_root_leaf_follows_meta_and_no_page_before_first_write(
+        self, cluster
+    ):
+        assert cluster.writer.root_leaf_block == 1
+        assert durable_directory(cluster) == ()
+        db = cluster.session()
+        assert db.get("missing") is None  # read-only commits need no page
+        assert durable_directory(cluster) == ()
+        db.write("a", 1)
+        assert len(durable_directory(cluster)) == 1
+
+    def test_every_status_image_is_bounded_by_the_page_constant(
+        self, backend
+    ):
+        # GC off: every materialized version is retained, the worst case.
+        cluster = build(backend, gc_interval=1e9)
+        db = Session(cluster.writer)
+        commits = 3 * TXNS_PER_PAGE + 5
+        commit_writes(db, commits)
+        cluster.run_for(100)  # let the last records coalesce
+        pages = durable_directory(cluster)
+        assert pages == cluster.writer._txn_pages
+        assert len(pages) == commits // TXNS_PER_PAGE + 1
+        assert len(set(pages)) == len(pages)
+        # Writer cache: one bounded image per page, together the history.
+        cached = [cluster.writer.cache.peek(block).image for block in pages]
+        assert all(len(image) <= TXNS_PER_PAGE for image in cached)
+        assert sum(len(image) for image in cached) == commits
+        for page, image in enumerate(cached):
+            assert all(txn_id // TXNS_PER_PAGE == page for txn_id in image)
+        # Storage: every retained version of every page, on every segment.
+        materialized = 0
+        for node in cluster.nodes.values():
+            for block in pages:
+                chain = node.segment.blocks.get(block)
+                if chain is None:
+                    continue
+                materialized += len(chain)
+                assert all(
+                    len(version.image) <= TXNS_PER_PAGE
+                    for version in chain.versions
+                )
+        assert materialized >= commits
+
+    def test_retained_status_entries_grow_linearly(self):
+        """Doubling the commits doubles what one segment retains for the
+        status pages (GC off); the striped table quadrupled it."""
+        cluster = build(gc_interval=1e9)
+        db = Session(cluster.writer)
+        segment = cluster.nodes["pg0-a"].segment
+        commit_writes(db, 3 * TXNS_PER_PAGE)
+        cluster.run_for(100)
+        first = retained_status_entries(segment, durable_directory(cluster))
+        commit_writes(db, 3 * TXNS_PER_PAGE, tag="w")
+        cluster.run_for(100)
+        second = retained_status_entries(segment, durable_directory(cluster))
+        per_page = TXNS_PER_PAGE * (TXNS_PER_PAGE + 1) // 2
+        assert 2 * per_page < first <= 3 * per_page
+        assert second <= 2.2 * first
+        assert second <= 6 * per_page
+
+    def test_later_begun_transaction_writes_first_at_a_page_boundary(
+        self, cluster
+    ):
+        db = cluster.session()
+        writer = cluster.writer
+        handles = [writer.begin() for _ in range(2 * TXNS_PER_PAGE + 1)]
+        early, late = handles[0], handles[-1]
+        assert late.txn_id // TXNS_PER_PAGE == 2
+        # The page-2 transaction writes first: pages 0..2 appear together.
+        db.drive(writer.put(late, "late", "L"))
+        pages = durable_directory(cluster)
+        assert len(pages) == 3
+        db.drive(writer.put(early, "early", "E"))
+        assert durable_directory(cluster) == pages  # page 0 already there
+        db.commit(late)
+        db.commit(early)
+        assert late.txn_id in writer.cache.peek(pages[2]).image
+        assert early.txn_id in writer.cache.peek(pages[0]).image
+        assert writer.cache.peek(pages[1]) is None  # allocated, untouched
+        db = crash_and_recover(cluster)
+        assert db.get("late") == "L"
+        assert db.get("early") == "E"
+
+
+class TestPagedRecovery:
+    def test_recovery_spanning_three_pages_restores_every_status(
+        self, backend
+    ):
+        cluster = build(backend)
+        db = Session(cluster.writer)
+        commits = 3 * TXNS_PER_PAGE + 10
+        for i in range(20):
+            db.write(f"page0-{i}", i)  # statuses all in page 0
+        commit_writes(db, commits - 20)
+        before = cluster.writer.registry.known_commits()
+        assert len(before) == commits
+        assert len(durable_directory(cluster)) >= 3
+        db = crash_and_recover(cluster)
+        writer = cluster.writer
+        assert writer.registry.known_commits() == before
+        assert writer._txn_pages == durable_directory(cluster)
+        # Rows whose only version was committed in page 0 stay visible.
+        for i in range(20):
+            assert db.get(f"page0-{i}") == i
+        assert db.get("k00") == f"v{commits - 20 - (commits - 20) % 50}"
+        # New ids seed above every recovered one and land in a real page.
+        txn = writer.begin()
+        assert txn.txn_id > max(before)
+        db.drive(writer.put(txn, "after", "x"))
+        db.commit(txn)
+        assert db.get("after") == "x"
+        assert writer.stats.orphan_versions_purged == 0
+
+    def test_crash_between_page_allocation_and_first_commit(self, backend):
+        cluster = build(backend)
+        db = Session(cluster.writer)
+        writer = cluster.writer
+        db.write("kept", 1)
+        pending = writer.begin()
+        db.drive(writer.put(pending, "orphan", 2))
+        # Skip ahead so the next transaction opens a fresh page.
+        while (writer.begin().txn_id + 1) % TXNS_PER_PAGE:
+            pass
+        opener = writer.begin()
+        db.drive(writer.put(opener, "opener", 3))
+        pages = durable_directory(cluster)
+        assert len(pages) == opener.txn_id // TXNS_PER_PAGE + 1
+        cluster.run_for(50)  # the allocating MTR becomes durable
+        db = crash_and_recover(cluster)
+        writer = cluster.writer
+        # The directory survived with its never-committed-to last page.
+        assert writer._txn_pages == pages
+        assert db.get("kept") == 1
+        assert db.get("orphan") is None and db.get("opener") is None
+        assert writer.stats.orphan_versions_purged >= 2
+        db.write("next", 4)  # the empty page is simply used
+        assert db.get("next") == 4
+        assert writer._txn_pages == pages
+
+    def test_handle_from_a_crashed_generation_cannot_commit(self, cluster):
+        db = cluster.session()
+        writer = cluster.writer
+        zombie = writer.begin()
+        db.drive(writer.put(zombie, "z", 1))
+        cluster.crash_writer()  # before the allocating MTR is durable
+        db = Session(cluster.writer)
+        db.drive(cluster.recover_writer())
+        assert cluster.writer._txn_pages == ()
+        with pytest.raises(TransactionError):
+            cluster.writer.commit(zombie)
+        db.write("fresh", 2)
+        assert db.get("fresh") == 2 and db.get("z") is None
