@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # reports are byte-identical to a sequential run; see docs/PERF.md).
 JOBS ?= 4
 
-.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity audit-adaptive bench bench-paper ledger ledger-smoke
+.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity audit-adaptive bench bench-paper ledger ledger-smoke ledger-pairs
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -91,3 +91,13 @@ ledger:
 # passes, compare); not part of tier-1.
 ledger-smoke:
 	python3 -m pytest bench -q
+
+# Before/after for a perf claim: PAIRS alternating runs of one workload at
+# BASE (checked out into a temporary git worktree) and in this checkout,
+# with each side's median and quartiles, pairs won, and the
+# choosing-metrics verdict per end-to-end metric (tools/ledger_pairs.py).
+#   make ledger-pairs BASE=HEAD~1 WORKLOAD=commit_burst
+PAIRS ?= 10
+SEED ?= 1
+ledger-pairs:
+	python3 tools/ledger_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)

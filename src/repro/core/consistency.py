@@ -78,6 +78,28 @@ class SegmentChainTracker:
             self.audit_probe.on_scl(self.audit_owner, old, self._scl, "chain")
         return advanced
 
+    def offer_run(self, first_prev_pg_lsn: int, last_lsn: int) -> bool:
+        """Register a whole chain-contiguous run in one step, if it can be.
+
+        The caller vouches that the run is linked record to record and lies
+        above everything received so far.  When it also attaches exactly at
+        the SCL and nothing is pending, offering its records one by one
+        would walk the SCL to ``last_lsn`` and leave nothing behind, so the
+        tracker jumps there (one ``on_scl`` probe for the whole advance) and
+        returns True.  Otherwise it changes nothing and returns False: the
+        caller links the records through :meth:`offer`.  No run is ever
+        *stored* -- ``_pending`` keeps one link per record, which is what
+        lets :meth:`truncate` and :meth:`rebase` clip it member by member.
+        """
+        if self._pending or first_prev_pg_lsn != self._scl:
+            return False
+        old = self._scl
+        self._scl = last_lsn
+        self._max_received = max(self._max_received, last_lsn)
+        if self.audit_probe is not None:
+            self.audit_probe.on_scl(self.audit_owner, old, last_lsn, "chain")
+        return True
+
     def _advance(self) -> bool:
         advanced = False
         while self._scl in self._pending:

@@ -17,12 +17,19 @@ Records carry a :class:`RedoPayload` describing a pure transformation of a
 block image.  Block images are plain ``dict`` objects; payloads never mutate
 them, they return new images -- storage keeps every version non-destructively
 until garbage collection below PGMRPL (section 3.4).
+
+Block images are **immutable once built and shared across copies**: the
+writer's cache, a replica's cache and the six segments of a protection group
+may all hold the *same* image object for a block version (see
+:func:`apply_redo`).  Whoever needs a different image replaces the reference
+it holds; nobody edits an image in place (DESIGN.md section 8).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Mapping
 
 from repro.core.lsn import NULL_LSN
@@ -158,6 +165,12 @@ class ElidedPayload(RedoPayload):
 #: Block number used by records that touch no real block (commit / control).
 NO_BLOCK = -1
 
+#: The image of a never-written block.  One read-only object for the whole
+#: process, so the image lineages the writer, the replicas and the segments
+#: each build for a block start from the same base and :func:`apply_redo`
+#: can hand all of them the same results.
+EMPTY_IMAGE: Mapping[Any, Any] = MappingProxyType({})
+
 
 @dataclass(frozen=True)
 class LogRecord:
@@ -260,6 +273,29 @@ def record_digest(record: LogRecord) -> int:
     digest = _compute_record_digest(record)
     object.__setattr__(record, "_digest", digest)
     return digest
+
+
+def apply_redo(record: LogRecord, base: Mapping[Any, Any]) -> dict[Any, Any]:
+    """The image ``record``'s redo produces from ``base``, computed once.
+
+    Every copy of a protection group receives the same immutable record
+    objects and applies the same pure payloads to the same bases, so the
+    result is memoised on the record (like ``_digest``) together with the
+    base it was computed from.  The memo hits only when ``base`` **is** the
+    memoised base -- the same object, held by reference so its identity can
+    never be recycled -- which makes a hit the value the payload would
+    have returned anyway.  It cannot mask divergence: a corrupted record is
+    a new object (``dataclasses.replace`` drops the memo) and a corrupted or
+    repaired image is a new object (mutators replace ``version.image``), so
+    either one misses and the payload runs against what is really there.
+    The returned image is shared; callers must not mutate it.
+    """
+    memo = getattr(record, "_applied", None)
+    if memo is not None and memo[0] is base:
+        return memo[1]
+    image = record.payload.apply(base)
+    object.__setattr__(record, "_applied", (base, image))
+    return image
 
 
 def _compute_record_digest(record: LogRecord) -> int:

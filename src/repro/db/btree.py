@@ -50,7 +50,38 @@ class BlockIO:
     applies a payload to the overlay image and registers it in the MTR.
     ``allocate_block`` hands out a fresh block number, durably bumping the
     meta block's ``next_block`` inside the same MTR.
+
+    The host also owns the other half of the read contract: a read that is
+    not serialised against structural changes runs through
+    :meth:`_structurally_stable`, and the host reports every MTR it makes
+    visible to its readers to :meth:`_note_structure_change`.  (``stats``
+    is the host's stats object; it counts ``traversals_retried``.)
     """
+
+    #: Bumped by every MTR made visible that rewrites whole block images
+    #: together with other blocks (a B-tree split or root growth).  Each
+    #: block of a traversal is fetched when the traversal gets to it, so a
+    #: traversal that waited on storage across such an MTR may pair a
+    #: pre-split parent with a post-split child and miss a row that moved
+    #: to the new sibling; reads re-run when this moved underneath them.
+    _structure_epoch = 0
+
+    def _note_structure_change(self, records) -> None:
+        """``records`` (one whole MTR) just became visible to readers."""
+        if len(records) > 1 and any(
+            type(record.payload) is BlockReplace for record in records
+        ):
+            self._structure_epoch += 1
+
+    def _structurally_stable(self, traverse):
+        """Generator: run the B-tree read ``traverse()`` again until no
+        structural MTR became visible while it waited on storage."""
+        while True:
+            epoch = self._structure_epoch
+            result = yield from traverse()
+            if epoch == self._structure_epoch:
+                return result
+            self.stats.traversals_retried += 1
 
     def read_image(
         self, block: int, mtr: MTRBuilder | None = None

@@ -30,7 +30,14 @@ from typing import Callable
 from repro.core.consistency import MinReadPointTracker, PGFrontierHistory
 from repro.core.epochs import EpochStamp
 from repro.core.lsn import NULL_LSN, LSNAllocator, TruncationRange
-from repro.core.records import BlockPut, CommitPayload, LogRecord, RecordKind
+from repro.core.records import (
+    EMPTY_IMAGE,
+    BlockPut,
+    CommitPayload,
+    LogRecord,
+    RecordKind,
+    apply_redo,
+)
 from repro.core.recovery import SegmentRecoveryResponse, recover_volume_state
 from repro.db.btree import BlockIO, BTree, leaf_rows
 from repro.db.buffer_cache import BufferCache
@@ -106,6 +113,8 @@ class InstanceStats:
     recoveries: int = 0
     recovery_durations: list[float] = field(default_factory=list)
     orphan_versions_purged: int = 0
+    #: B-tree reads re-run because a split was absorbed underneath them.
+    traversals_retried: int = 0
     #: Simulated time of the most recent commit acknowledgement, or None.
     #: The geo auditor compares this against the secondary's promotion
     #: time to prove a fenced stale primary never acked afterwards.
@@ -340,6 +349,7 @@ class WriterInstance(Actor, BlockIO):
     def _apply_mtr(self, mtr: MTRBuilder) -> list[LogRecord]:
         """Seal an MTR: allocate LSNs, absorb into cache, ship to storage."""
         records = mtr.seal(self.allocator, self.chains)
+        self._note_structure_change(records)
         for record in records:
             self._absorb_record(record)
         self.driver.submit(records)
@@ -353,10 +363,14 @@ class WriterInstance(Actor, BlockIO):
             return
         cached = self.cache.peek(record.block)
         if cached is None:
-            self.cache.install(record.block, {}, NULL_LSN, self.vdl)
-            cached = self.cache.peek(record.block)
-        new_image = record.payload.apply(cached.image)
-        self.cache.apply_change(record.block, new_image, record.lsn)
+            cached = self.cache.install(
+                record.block, EMPTY_IMAGE, NULL_LSN, self.vdl
+            )
+        # The image is the one the segments will hold for this version:
+        # they apply the same record to the same base and share the result.
+        self.cache.apply_change(
+            record.block, apply_redo(record, cached.image), record.lsn
+        )
 
     # ------------------------------------------------------------------
     # Read views
@@ -393,7 +407,11 @@ class WriterInstance(Actor, BlockIO):
         self.stats.reads += 1
         view, owned = self._view_for(txn)
         try:
-            found, value = yield from self.btree.get(view, key)
+            # Reads take no write mutex, and a cache miss waits on storage:
+            # a split absorbed meanwhile must not be half-seen.
+            found, value = yield from self._structurally_stable(
+                lambda: self.btree.get(view, key)
+            )
         finally:
             if owned:
                 self.close_view(view)
@@ -405,7 +423,9 @@ class WriterInstance(Actor, BlockIO):
         self.stats.reads += 1
         view, owned = self._view_for(txn)
         try:
-            results = yield from self.btree.scan(view, low, high)
+            results = yield from self._structurally_stable(
+                lambda: self.btree.scan(view, low, high)
+            )
         finally:
             if owned:
                 self.close_view(view)

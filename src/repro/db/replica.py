@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.core.consistency import MinReadPointTracker, PGFrontierHistory
 from repro.core.lsn import NULL_LSN
-from repro.core.records import BlockReplace, LogRecord
+from repro.core.records import LogRecord, apply_redo
 from repro.db.btree import BlockIO, BTree
 from repro.db.buffer_cache import BufferCache
 from repro.db.driver import DriverConfig, StorageDriver
@@ -113,13 +113,6 @@ class ReplicaInstance(Actor, BlockIO):
         #: record (later redo applies on top of the stale base).  The
         #: install path consults this frontier and declines to cache.
         self._discard_frontier: dict[int, int] = {}
-        #: Bumped by every applied chunk that rewrites whole block images
-        #: (a B-tree split or root growth).  Each block of a traversal is
-        #: read at the then-current applied VDL, so a traversal that waited
-        #: on storage across such a chunk may pair a pre-split parent with
-        #: a post-split child and miss a row that moved to the new
-        #: sibling; reads re-run when this moved underneath them.
-        self._structure_epoch = 0
         self._next_expected_lsn = NULL_LSN + 1
         self._writer_vdl_seen = NULL_LSN
         self._applied_vdl = NULL_LSN
@@ -264,10 +257,7 @@ class ReplicaInstance(Actor, BlockIO):
     def _apply_chunk(self, chunk: MTRChunk) -> None:
         self.stats.chunks_applied += 1
         last_lsn = chunk.records[-1].lsn
-        if len(chunk.records) > 1 and any(
-            type(record.payload) is BlockReplace for record in chunk.records
-        ):
-            self._structure_epoch += 1
+        self._note_structure_change(chunk.records)
         for record in chunk.records:
             self.frontiers.record(record.lsn, record.pg_index)
             self._apply_record(record)
@@ -300,8 +290,9 @@ class ReplicaInstance(Actor, BlockIO):
             return
         if record.lsn <= cached.latest_lsn:
             return
-        new_image = record.payload.apply(cached.image)
-        self.cache.apply_change(record.block, new_image, record.lsn)
+        self.cache.apply_change(
+            record.block, apply_redo(record, cached.image), record.lsn
+        )
         self.stats.records_applied += 1
 
     # ------------------------------------------------------------------
@@ -362,16 +353,6 @@ class ReplicaInstance(Actor, BlockIO):
             return
         self.views.close(view)
         self.min_read.release(view.read_point)
-
-    def _structurally_stable(self, traverse):
-        """Generator: run the B-tree read ``traverse()`` again until no
-        structural chunk was applied while it waited on storage."""
-        while True:
-            epoch = self._structure_epoch
-            result = yield from traverse()
-            if epoch == self._structure_epoch:
-                return result
-            self.stats.traversals_retried += 1
 
     def get(self, key):
         """Generator: visible value of ``key`` at this replica's snapshot."""

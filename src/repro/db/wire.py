@@ -57,6 +57,16 @@ _ALL = object()
 
 def value_bytes(value: object) -> int:
     """Deterministic modelled size of one payload value."""
+    # Nearly every value is exactly a tuple, an int or a str (row keys,
+    # version chains, LSNs); those skip the ladder, which still sizes
+    # everything else -- subclasses and ``bool`` (before ``int``) included.
+    kind = type(value)
+    if kind is tuple:
+        return 8 + sum(map(value_bytes, value))
+    if kind is int:
+        return 8
+    if kind is str:
+        return len(value) + 1
     if value is None or isinstance(value, bool):
         return 1
     if isinstance(value, (int, float)):

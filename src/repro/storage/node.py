@@ -312,8 +312,7 @@ class StorageNode(Actor):
             )
             return
         self.counters["write_batches"] += 1
-        for record in batch.records:
-            self.segment.receive(record)
+        self.segment.receive_batch(batch.records)
         self._adopt_read_floor(batch.instance_id, batch.pgmrpl)
         # The ACK leaves after the local durable write completes.
         disk_delay = self.config.disk.sample(self.rng)
@@ -457,8 +456,7 @@ class StorageNode(Actor):
         if not isinstance(response, GossipResponse):
             return  # rejected: our epochs were stale; we learn via writes
         scl_before = self.segment.scl
-        for record in response.records:
-            self.segment.receive(record, via_gossip=True)
+        self.segment.receive_batch(response.records, via_gossip=True)
         self.counters["gossip_records_pulled"] += len(response.records)
         for instance_id in response.known_instances:
             self._instance_read_floors.setdefault(instance_id, 0)
@@ -1042,8 +1040,5 @@ class StorageNode(Actor):
         self.segment.gc_horizon = max(
             self.segment.gc_horizon, response.gc_horizon
         )
-        copied = 0
-        for record in response.records:
-            self.segment.receive(record, via_gossip=True)
-            copied += 1
-        return copied
+        self.segment.receive_batch(response.records, via_gossip=True)
+        return len(response.records)

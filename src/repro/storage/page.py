@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.core.lsn import NULL_LSN
+from repro.core.records import EMPTY_IMAGE
 from repro.errors import ReadPointError
 
 
@@ -95,10 +96,6 @@ class BlockVersion:
         return f"<BlockVersion lsn={self.lsn} keys={len(self.image)}>"
 
 
-#: Shared empty image returned by :meth:`BlockVersionChain.latest_image_view`.
-_EMPTY_IMAGE: Mapping[str, Any] = {}
-
-
 class BlockVersionChain:
     """All retained versions of one block, ordered by ascending LSN."""
 
@@ -126,11 +123,11 @@ class BlockVersionChain:
         return self.append_owned(lsn, dict(image))
 
     def append_owned(self, lsn: int, image: dict[str, Any]) -> BlockVersion:
-        """Append a version taking ownership of ``image`` (no defensive copy).
+        """Append a version holding ``image`` itself (no defensive copy).
 
-        Redo application builds a fresh image per record; copying it again on
-        append doubled the allocation cost of the coalesce hot loop.  Callers
-        must not mutate ``image`` after handing it over.
+        Images are immutable and shared (``apply_redo`` hands the same
+        object to every copy of the protection group); neither the caller
+        nor the chain may mutate ``image`` afterwards.
         """
         versions = self._versions
         if versions:
@@ -149,13 +146,11 @@ class BlockVersionChain:
         return dict(self._versions[-1].image)
 
     def latest_image_view(self) -> Mapping[str, Any]:
-        """Read-only view of the newest image (no copy; do not mutate).
-
-        Redo payloads are pure (they never mutate their input), so the
-        coalesce hot loop can apply them directly against the stored image.
-        """
+        """The newest image itself (no copy; do not mutate), or the one
+        shared :data:`~repro.core.records.EMPTY_IMAGE` for a never-written
+        block -- the base the next redo record applies to."""
         if not self._versions:
-            return _EMPTY_IMAGE
+            return EMPTY_IMAGE
         return self._versions[-1].image
 
     def _count_at_or_below(self, lsn: int) -> int:
@@ -245,10 +240,12 @@ class BlockVersionChain:
         valid_checksum: bool = False,
         image: Mapping[str, Any] | None = None,
     ) -> int | None:
-        """Injector API: silently damage a stored version in place.
+        """Injector API: silently damage this chain's copy of a version.
 
-        ``lsn=None`` targets the newest version.  With
-        ``valid_checksum=False`` the image is mutated *under* its recorded
+        The damaged image is a new object swapped into the version (images
+        are shared with the other copies of the protection group and never
+        edited in place).  ``lsn=None`` targets the newest version.  With
+        ``valid_checksum=False`` the image changes *under* its recorded
         checksum (disk bit-rot -- local verification catches it).  With
         ``valid_checksum=True`` the image (``image`` or a marker) replaces
         the stored one and the checksum is recomputed, modelling a

@@ -8,8 +8,8 @@ amplification from 6x to roughly 3x.
 
 The segment implements the storage half of Figure 2:
 
-- activity 1/2: :meth:`receive` -- append to the hot log (update queue) and
-  advance the SCL chain tracker,
+- activity 1/2: :meth:`receive` / :meth:`receive_batch` -- append to the hot
+  log (update queue) and advance the SCL chain tracker,
 - activity 3/5: :meth:`coalesce` -- sort/group hot-log records by block and
   apply redo to materialize block versions (full segments only; also done
   on demand by :meth:`read_block`),
@@ -27,11 +27,17 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.consistency import SegmentChainTracker
 from repro.core.lsn import NULL_LSN, TruncationRange
-from repro.core.records import NO_BLOCK, ChainDigest, LogRecord, record_digest
+from repro.core.records import (
+    NO_BLOCK,
+    ChainDigest,
+    LogRecord,
+    apply_redo,
+    record_digest,
+)
 from repro.errors import ConfigurationError, CorruptVersionError, ReadPointError
 from repro.storage.page import BlockVersionChain, image_checksum
 
@@ -75,7 +81,10 @@ class Segment:
         #: ``_digests[i]`` its ingest digest.  The coalesce / gossip /
         #: recovery / GC loops walk these flat arrays instead of doing a
         #: dict probe per record; every mutation site (receive, truncate,
-        #: GC, restore, lose, corrupt) keeps all three aligned.
+        #: GC, restore, lose, corrupt) keeps all three aligned.  The digests
+        #: are what the scrubber, the coalescer and the gossip ship path
+        #: re-derive against to catch bit-rot on a stored record before its
+        #: redo is ever applied or propagated.
         self._records: list[LogRecord] = []
         self._digests: list[int] = []
         #: Materialized block version chains (full segments only).
@@ -99,10 +108,6 @@ class Segment:
         #: ("even if in-flight asynchronous operations complete during the
         #: process of crash recovery, they are ignored").
         self.truncations: list[TruncationRange] = []
-        #: Content digest of every hot-log record, captured at ingest.  The
-        #: scrubber and the coalescer re-derive digests to detect bit-rot
-        #: on stored records before their redo is ever applied.
-        self.record_digests: dict[int, int] = {}
         #: Hot-log LSNs whose stored record failed digest verification;
         #: coalescing stops below the lowest one until peer repair replaces
         #: the record.
@@ -173,11 +178,66 @@ class Segment:
             index.insert(pos, lsn)
             self._records.insert(pos, record)
             self._digests.insert(pos, digest)
-        self.record_digests[lsn] = digest
         self.stats["records_received"] += 1
         if via_gossip:
             self.stats["records_gossiped_in"] += 1
         return self.chain.offer(record.lsn, record.prev_pg_lsn)
+
+    def receive_batch(
+        self, records: Sequence[LogRecord], via_gossip: bool = False
+    ) -> bool:
+        """Store ``records`` in order; returns True if the SCL advanced.
+
+        Equivalent to calling :meth:`receive` on each record, which stays
+        the general path and the reference this one is tested against.  A
+        boxcar is normally one chain-contiguous run that lies above
+        everything already stored; such a run (with no truncation
+        installed, so nothing in it can be annulled) is appended to the hot
+        log and its mirrors in bulk, and when it also attaches at the SCL
+        the chain tracker takes it in one step.  A run behind a gap is
+        still appended in bulk but linked record by record; anything else
+        -- out of order, overlapping what is stored, internally gapped,
+        after a recovery truncation -- goes through :meth:`receive`.
+        """
+        lsns = self._appendable_run(records)
+        if lsns is None:
+            # (Lists, not generators: ``any`` must not stop at the first.)
+            return any([self.receive(r, via_gossip) for r in records])
+        self.hot_log.update(zip(lsns, records))
+        self._lsn_index.extend(lsns)
+        self._records.extend(records)
+        self._digests.extend(map(record_digest, records))
+        self.stats["records_received"] += len(lsns)
+        if via_gossip:
+            self.stats["records_gossiped_in"] += len(lsns)
+        chain = self.chain
+        if chain.offer_run(records[0].prev_pg_lsn, lsns[-1]):
+            return True
+        return any([chain.offer(r.lsn, r.prev_pg_lsn) for r in records])
+
+    def _appendable_run(self, records: Sequence[LogRecord]) -> list[int] | None:
+        """The LSNs of ``records`` if they can be appended in bulk, else None.
+
+        That takes a non-empty run of this PG's records, each linked to the
+        one before it (so strictly ascending), that starts above the SCL and
+        above every stored record (so none is a duplicate), with no
+        truncation installed (so none is annulled).
+        """
+        if not records or self.truncations:
+            return None
+        first = records[0]
+        index = self._lsn_index
+        if first.lsn <= self.chain.scl or (index and first.lsn <= index[-1]):
+            return None
+        pg_index = self.pg_index
+        prev = first.prev_pg_lsn  # whatever the run hangs from
+        lsns = []
+        for record in records:
+            if record.prev_pg_lsn != prev or record.pg_index != pg_index:
+                return None
+            prev = record.lsn
+            lsns.append(prev)
+        return lsns
 
     # ------------------------------------------------------------------
     # Background: sort/group + coalesce
@@ -228,11 +288,12 @@ class Segment:
                 if chain is None:
                     chain = self.chain_for(block)
                 if chain.latest_lsn < record.lsn:
-                    # Payloads are pure: apply against the stored image view
-                    # and hand ownership of the fresh image to the chain.
+                    # The same record applied to the same base image yields
+                    # the same image on every copy of the PG: the first
+                    # copy to get here computes it, the others share it.
                     chain.append_owned(
                         record.lsn,
-                        record.payload.apply(chain.latest_image_view()),
+                        apply_redo(record, chain.latest_image_view()),
                     )
             applied += 1
         self.coalesced_upto = limit
@@ -373,7 +434,6 @@ class Segment:
         doomed = index[lo:hi]
         for lsn in doomed:
             del self.hot_log[lsn]
-            self.record_digests.pop(lsn, None)
             self._corrupt_record_lsns.discard(lsn)
         del self._lsn_index[lo:hi]
         del self._records[lo:hi]
@@ -421,7 +481,6 @@ class Segment:
         self._lsn_index.clear()
         self._records.clear()
         self._digests.clear()
-        self.record_digests.clear()
         self._corrupt_record_lsns.clear()
         self.blocks = {}
         self._multi_version_blocks.clear()
@@ -473,7 +532,6 @@ class Segment:
         doomed = index[:cut]
         for lsn in doomed:
             del self.hot_log[lsn]
-            self.record_digests.pop(lsn, None)
             self._corrupt_record_lsns.discard(lsn)
         del self._lsn_index[:cut]
         del self._records[:cut]
@@ -696,13 +754,13 @@ class Segment:
                     entries.append((version.lsn, version.checksum, image))
             reply_blocks.append((block, cover_lo, cover_hi, tuple(entries)))
         records = []
+        index = self._lsn_index
         for lsn in sorted(want_records):
-            record = self.hot_log.get(lsn)
-            if (
-                record is not None
-                and record_digest(record) == self.record_digests.get(lsn)
-            ):
-                records.append(record)
+            pos = bisect_left(index, lsn)
+            if pos < len(index) and index[pos] == lsn:
+                record = self._records[pos]
+                if record_digest(record) == self._digests[pos]:
+                    records.append(record)
         return tuple(reply_blocks), tuple(records)
 
     def repair_version(
@@ -751,7 +809,6 @@ class Segment:
             self._lsn_index.insert(pos, record.lsn)
             self._records.insert(pos, record)
             self._digests.insert(pos, digest)
-        self.record_digests[record.lsn] = digest
         self._corrupt_record_lsns.discard(record.lsn)
         return True
 
@@ -796,7 +853,6 @@ class Segment:
             del index[pos]
             del self._records[pos]
             del self._digests[pos]
-        self.record_digests.pop(lsn, None)
         self._corrupt_record_lsns.discard(lsn)
         chain = self.blocks.get(record.block)
         if chain is not None:
@@ -813,7 +869,6 @@ class Segment:
         using our SCL to determine and fill in the gaps"; full repair also
         copies the materialized block baseline.
         """
-        copied = 0
         if (
             self.kind is not SegmentKind.TAIL
             and source.kind is not SegmentKind.TAIL
@@ -838,10 +893,9 @@ class Segment:
         self.granular_floor = max(
             self.granular_floor, source.granular_floor, source.gc_horizon
         )
-        for record in source.records_after(self.scl, limit=10**9):
-            self.receive(record, via_gossip=True)
-            copied += 1
-        return copied
+        records = source.records_after(self.scl, limit=10**9)
+        self.receive_batch(records, via_gossip=True)
+        return len(records)
 
     @property
     def hot_log_size(self) -> int:

@@ -269,6 +269,37 @@ class TestCacheMissReads:
         for key, value in last_acked.items():
             assert db.get(key) == value
 
+    def test_cold_read_reruns_when_a_split_lands_mid_traversal(self, cluster):
+        """The writer's side of the traversal-vs-split race (the replica's
+        is in tests/test_replica.py): reads take no write mutex and fetch
+        each B-tree level when they get to it, so a cache-miss read that
+        waits on storage while another client's split MTR is absorbed
+        pairs the pre-split parent with the post-split leaf and misses a
+        row that moved to the new sibling."""
+        db = cluster.session()
+        writer = cluster.writer
+        rows = writer.config.max_leaf_rows
+        for i in range(rows):  # exactly fills the root leaf
+            db.write(f"k{i:02d}", i)
+        cluster.run_for(20)
+        writer.cache.drop_all()  # everything is durable: reads go out
+        moved = f"k{rows - 1:02d}"  # lands in the right half of the split
+        epoch = writer._structure_epoch
+        read = writer.get(moved)
+        pending = next(read)  # META requested at the pre-split point
+        cluster.run_for(5)
+        assert pending.done
+        db.write(f"k{rows:02d}", rows)  # splits the root leaf
+        assert writer._structure_epoch == epoch + 1
+        try:
+            while True:  # resume the reader holding its pre-split META
+                pending = read.send(pending.result())
+                cluster.run_for(5)
+        except StopIteration as stop:
+            value = stop.value
+        assert value == rows - 1
+        assert writer.stats.traversals_retried == 1
+
 
 class TestInstanceStateGuards:
     def test_crashed_instance_refuses_operations(self, cluster):

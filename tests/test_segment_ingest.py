@@ -1,0 +1,240 @@
+"""``Segment.receive_batch`` against its reference, per-record ``receive``.
+
+The batch path appends chain-contiguous runs in bulk and lets the chain
+tracker take a run that attaches at the SCL in one step; everything else
+falls back to ``receive``.  Whatever the delivery order, the two must leave
+a segment in the same state.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.lsn import TruncationRange
+from repro.core.records import BlockPut, LogRecord, RecordKind
+from repro.storage.segment import Segment, SegmentKind
+
+
+def chain_records(rng, prev, first_lsn, count):
+    """``count`` linked records of PG 0 starting at ``first_lsn`` behind
+    ``prev``; LSNs stride 1-3 (the volume's LSN space is shared)."""
+    records = []
+    lsn = first_lsn
+    for _ in range(count):
+        records.append(
+            LogRecord(
+                lsn=lsn,
+                prev_volume_lsn=lsn - 1,
+                prev_pg_lsn=prev,
+                prev_block_lsn=0,
+                block=rng.randrange(4),
+                pg_index=0,
+                kind=RecordKind.DATA,
+                payload=BlockPut(entries=((rng.randrange(6), lsn),)),
+            )
+        )
+        prev = lsn
+        lsn += rng.randint(1, 3)
+    return records
+
+
+def cut(rng, records):
+    """Contiguous runs of 1-8 records (boxcars)."""
+    batches = []
+    while records:
+        size = rng.randint(1, 8)
+        batches.append(records[:size])
+        records = records[size:]
+    return batches
+
+
+def scenario(rng):
+    """Operations in delivery order: boxcars of two writer generations,
+    a place or two out of order and a fifth of them twice, gossip answers
+    with holes, coalesce ticks, one recovery truncation and one rebase."""
+    first = chain_records(rng, 0, 1, rng.randint(20, 60))
+    pg_point = rng.choice(first[len(first) // 3:]).lsn
+    truncation = TruncationRange(pg_point + 1, first[-1].lsn + 50)
+    second = chain_records(
+        rng, pg_point, truncation.last + 1, rng.randint(5, 25)
+    )
+    timeline = []  # (when, operation)
+    boxcars = cut(rng, first)
+    end = len(boxcars) + 4.0
+    for i, batch in enumerate(boxcars):
+        when = i + rng.uniform(0, 1.5)
+        timeline.append((when, ("batch", batch)))
+        if rng.random() < 0.2:  # a resubmission
+            timeline.append((when + rng.uniform(0.5, 6), ("batch", batch)))
+    # Every ingest after the truncation takes the general path; the new
+    # generation's first boxcars may overtake it (a late TruncateRequest).
+    truncated_at = rng.uniform(end / 3, end)
+    timeline.append((truncated_at, ("truncate", pg_point, truncation)))
+    when = truncated_at - 1
+    for batch in cut(rng, second):
+        when += rng.uniform(0.3, 1.0)
+        timeline.append((when + rng.uniform(0, 1.5), ("batch", batch)))
+    # A gossip answer: what a peer holds above some LSN, up to a limit --
+    # half the time from a peer just ahead of what has arrived by then.
+    for _ in range(rng.randint(1, 4)):
+        when = rng.uniform(0, end)
+        above = rng.choice(first).lsn
+        if rng.random() < 0.5:
+            ahead = min(int(when) + rng.randint(0, 2), len(boxcars) - 1)
+            above = boxcars[ahead][0].lsn - 1
+        held = [
+            r for r in first + second
+            if r.lsn > above and rng.random() < 0.8
+        ]
+        timeline.append((when, ("gossip", held[:12])))
+    for _ in range(rng.randint(1, 3)):
+        timeline.append((rng.uniform(0, end), ("coalesce",)))
+    baseline = rng.randint(1, second[-1].lsn)
+    timeline.append((rng.uniform(0, end), ("rebase", baseline)))
+    timeline.sort(key=lambda entry: entry[0])
+    return [op for _when, op in timeline]
+
+
+def coalesce(segment):
+    if segment.kind is SegmentKind.LOG:
+        return segment.coalesce(upto=segment.scl)
+    return segment.coalesce()
+
+
+def play(segment, ops, ingest):
+    results = []
+    for op in ops:
+        if op[0] == "batch":
+            results.append(ingest(segment, op[1], False))
+        elif op[0] == "gossip":
+            results.append(ingest(segment, op[1], True))
+        elif op[0] == "truncate":
+            results.append(segment.truncate(op[1], op[2]))
+        elif op[0] == "rebase":
+            results.append(segment.chain.rebase(op[1]))
+        else:
+            results.append(coalesce(segment))
+    coalesce(segment)
+    return results
+
+
+def per_record(segment, records, via_gossip):
+    advanced = False
+    for record in records:
+        if segment.receive(record, via_gossip):
+            advanced = True
+    return advanced
+
+
+def batched(segment, records, via_gossip):
+    return segment.receive_batch(records, via_gossip)
+
+
+def state(segment):
+    chain = segment.chain
+    return {
+        "hot_log": segment.hot_log,
+        "lsn_index": segment._lsn_index,
+        "records": segment._records,
+        "digests": segment._digests,
+        "scl": segment.scl,
+        "has_gap": chain.has_gap,
+        "pending": chain._pending,
+        "max_received": chain.max_received,
+        "coalesced_upto": segment.coalesced_upto,
+        "versions": {
+            block: [(v.lsn, dict(v.image)) for v in versions.versions]
+            for block, versions in segment.blocks.items()
+        },
+        "stats": segment.stats,
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    kind=st.sampled_from([SegmentKind.FULL, SegmentKind.LOG]),
+)
+def test_batch_ingest_matches_per_record_ingest(rng, kind):
+    ops = scenario(rng)
+    reference = Segment("reference", 0, kind)
+    subject = Segment("subject", 0, kind)
+    assert play(subject, ops, batched) == play(reference, ops, per_record)
+    assert state(subject) == state(reference)
+
+
+class CountingProbe:
+    def __init__(self):
+        self.scl_events = []
+
+    def on_scl(self, owner, old, new, reason):
+        self.scl_events.append((old, new, reason))
+
+    def on_scl_truncate(self, *args):
+        pass
+
+
+def probed_segment():
+    segment = Segment("s", 0)
+    segment.chain.audit_probe = CountingProbe()
+    return segment
+
+
+def linked(first_lsn, prev, count):
+    return chain_records(random.Random(0), prev, first_lsn, count)
+
+
+class TestBulkPaths:
+    def test_run_at_the_scl_is_one_chain_step(self):
+        segment = probed_segment()
+        run = linked(1, 0, 6)
+        assert segment.receive_batch(run) is True
+        assert segment.scl == run[-1].lsn
+        assert not segment.chain.has_gap
+        assert segment.chain.audit_probe.scl_events == [
+            (0, run[-1].lsn, "chain")
+        ]
+        assert segment._records == run
+        assert segment.stats["records_received"] == 6
+
+    def test_run_behind_a_gap_is_stored_and_links_when_the_gap_fills(self):
+        segment = probed_segment()
+        run = linked(1, 0, 9)
+        head, tail = run[:3], run[3:]
+        assert segment.receive_batch(tail, via_gossip=True) is False
+        assert segment.scl == 0 and segment.chain.has_gap
+        assert segment.chain.pending_count() == len(tail)
+        assert segment.stats["records_gossiped_in"] == len(tail)
+        # The filling run arrives below stored records: the general path.
+        assert segment.receive_batch(head) is True
+        assert segment.scl == run[-1].lsn
+        assert segment._lsn_index == [r.lsn for r in run]
+
+    def test_overlap_with_stored_records_takes_the_general_path(self):
+        segment = probed_segment()
+        run = linked(1, 0, 6)
+        segment.receive_batch(run[:4])
+        assert segment.receive_batch(run[2:]) is True
+        assert segment.stats["duplicates"] == 2
+        assert segment._records == run
+
+    def test_an_installed_truncation_annuls_inside_a_run(self):
+        segment = probed_segment()
+        run = linked(1, 0, 6)
+        segment.truncate(run[2].lsn, TruncationRange(run[2].lsn + 1, 10_000))
+        segment.receive_batch(run)
+        assert segment.scl == run[2].lsn
+        assert segment.stats["annulled_refused"] == 3
+        assert segment._records == run[:3]
+
+    def test_an_internal_gap_is_not_a_run(self):
+        segment = probed_segment()
+        run = linked(1, 0, 6)
+        holed = run[:2] + run[3:]
+        assert segment.receive_batch(holed) is True
+        assert segment.scl == run[1].lsn and segment.chain.has_gap
+        assert segment._records == holed
+
+    def test_empty_batch(self):
+        assert Segment("s", 0).receive_batch(()) is False
