@@ -92,11 +92,13 @@ ledger:
 ledger-smoke:
 	python3 -m pytest bench -q
 
-# Before/after for a perf claim: PAIRS alternating runs of one workload at
+# Before/after for a perf claim: PAIRS alternating runs of a workload at
 # BASE (checked out into a temporary git worktree) and in this checkout,
 # with each side's median and quartiles, pairs won, and the
 # choosing-metrics verdict per end-to-end metric (tools/ledger_pairs.py).
+# WORKLOAD takes one name, a comma list, or `all`: one table per workload.
 #   make ledger-pairs BASE=HEAD~1 WORKLOAD=commit_burst
+#   make ledger-pairs BASE=HEAD~1 WORKLOAD=all PAIRS=4
 PAIRS ?= 10
 SEED ?= 1
 ledger-pairs:

@@ -298,6 +298,21 @@ def apply_redo(record: LogRecord, base: Mapping[Any, Any]) -> dict[Any, Any]:
     return image
 
 
+def seed_redo(
+    record: LogRecord, base: Mapping[Any, Any], image: Mapping[Any, Any]
+) -> None:
+    """Tell :func:`apply_redo` that ``record``'s payload applied to ``base``
+    gave ``image``.
+
+    The writer already ran the payload when it staged the change the record
+    was sealed from; seeding the memo with that ``(base, image)`` pair lets
+    every copy whose base **is** the staged base share the staged image.
+    The caller must pass the very objects ``record.payload.apply`` consumed
+    and returned, so a hit still returns what the payload would have.
+    """
+    object.__setattr__(record, "_applied", (base, image))
+
+
 def _compute_record_digest(record: LogRecord) -> int:
     try:
         payload_hash = hash(record.payload)

@@ -28,9 +28,14 @@ reads transparently hit the buffer cache or go to storage.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from typing import Any, Generator, Hashable, Iterable
+from typing import Any, Generator, Hashable, Iterable, Mapping
 
-from repro.core.records import BlockPut, BlockReplace, RedoPayload
+from repro.core.records import (
+    EMPTY_IMAGE,
+    BlockPut,
+    BlockReplace,
+    RedoPayload,
+)
 from repro.db.mtr import MTRBuilder
 from repro.db.mvcc import (
     ReadView,
@@ -45,11 +50,19 @@ from repro.errors import ConfigurationError
 class BlockIO:
     """What the tree needs from its host instance.
 
-    ``read_image`` is a generator producing the block's current image (MTR
-    overlay first, then buffer cache, then storage).  ``stage_change``
-    applies a payload to the overlay image and registers it in the MTR.
-    ``allocate_block`` hands out a fresh block number, durably bumping the
-    meta block's ``next_block`` inside the same MTR.
+    A block's current image comes from the MTR overlay first, then the
+    buffer cache, then storage.  ``cached_image`` answers synchronously
+    from the first two (``None`` on a cache miss, which it counts);
+    ``fetch_image`` is the generator that then reads storage, and
+    ``read_image`` is the two together.  ``stage_change`` applies a payload
+    to the image the caller read (or to what the MTR already staged for
+    the block) and registers the change in the MTR.  ``allocate_block``
+    hands out a fresh block number, durably bumping the meta block's
+    ``next_block`` inside the same MTR.
+
+    Every image handed out or staged is the shared, immutable object the
+    cache and the storage copies hold (DESIGN.md section 8): nobody edits
+    one in place.
 
     The host also owns the other half of the read contract: a read that is
     not serialised against structural changes runs through
@@ -83,14 +96,25 @@ class BlockIO:
                 return result
             self.stats.traversals_retried += 1
 
-    def read_image(
+    def cached_image(
         self, block: int, mtr: MTRBuilder | None = None
-    ) -> Generator[Any, Any, dict]:
+    ) -> Mapping | None:
         raise NotImplementedError
 
+    def fetch_image(self, block: int) -> Generator[Any, Any, Mapping]:
+        raise NotImplementedError
+
+    def read_image(
+        self, block: int, mtr: MTRBuilder | None = None
+    ) -> Generator[Any, Any, Mapping]:
+        image = self.cached_image(block, mtr)
+        if image is None:
+            image = yield from self.fetch_image(block)
+        return image
+
     def stage_change(
-        self, mtr: MTRBuilder, block: int, payload: RedoPayload
-    ) -> dict:
+        self, mtr: MTRBuilder, block: int, base: Mapping, payload: RedoPayload
+    ) -> Mapping:
         raise NotImplementedError
 
     def allocate_block(self, mtr: MTRBuilder) -> Generator[Any, Any, int]:
@@ -113,17 +137,17 @@ def leaf_rows(image: dict) -> list[tuple[Hashable, tuple[Version, ...]]]:
     return rows
 
 
-def leaf_row_count(image: dict) -> int:
-    """Number of rows in a leaf image, without building or sorting them."""
-    return sum(
-        1
-        for image_key in image
-        if isinstance(image_key, tuple) and image_key[0] == "k"
-    )
-
-
 def empty_leaf(next_block: int | None = None) -> dict:
     return {"type": "leaf", "next": next_block}
+
+
+#: A leaf image is its header fields plus one entry per row.
+_LEAF_HEADER_FIELDS = len(empty_leaf())
+
+
+def leaf_row_count(image: Mapping) -> int:
+    """Number of rows in a leaf image, without building or sorting them."""
+    return len(image) - _LEAF_HEADER_FIELDS
 
 
 class BTree:
@@ -155,6 +179,7 @@ class BTree:
         self.io.stage_change(
             mtr,
             self.meta_block,
+            EMPTY_IMAGE,
             BlockReplace.of(
                 {
                     "root": root_block,
@@ -164,7 +189,7 @@ class BTree:
             ),
         )
         self.io.stage_change(
-            mtr, root_block, BlockReplace.of(empty_leaf())
+            mtr, root_block, EMPTY_IMAGE, BlockReplace.of(empty_leaf())
         )
 
     # ------------------------------------------------------------------
@@ -176,20 +201,28 @@ class BTree:
         Returns ``(meta_image, path, leaf_block, leaf_image)`` where
         ``path`` is a list of ``(block, image, child_index)`` internal
         steps from the root down.  When ``mtr`` is given, reads see that
-        MTR's staged-but-unsealed images (and nobody else's).
+        MTR's staged-but-unsealed images (and nobody else's).  Cached
+        blocks are stepped through synchronously; only a miss waits.
         """
-        meta = yield from self.io.read_image(self.meta_block, mtr)
+        cached_image = self.io.cached_image
+        fetch_image = self.io.fetch_image
+        meta = cached_image(self.meta_block, mtr)
+        if meta is None:
+            meta = yield from fetch_image(self.meta_block)
         if "root" not in meta:
             raise ConfigurationError("B-tree is not bootstrapped")
         node = meta["root"]
-        path: list[tuple[int, dict, int]] = []
+        path: list[tuple[int, Mapping, int]] = []
         for _level in range(meta["height"]):
-            image = yield from self.io.read_image(node, mtr)
-            keys = image["keys"]
-            child_index = bisect_right(keys, key)
+            image = cached_image(node, mtr)
+            if image is None:
+                image = yield from fetch_image(node)
+            child_index = bisect_right(image["keys"], key)
             path.append((node, image, child_index))
             node = image["children"][child_index]
-        leaf_image = yield from self.io.read_image(node, mtr)
+        leaf_image = cached_image(node, mtr)
+        if leaf_image is None:
+            leaf_image = yield from fetch_image(node)
         return meta, path, node, leaf_image
 
     # ------------------------------------------------------------------
@@ -221,7 +254,7 @@ class BTree:
         prior = image.get(row_key(key), ())
         new_versions = prior + ((txn_id, value),)
         new_image = self.io.stage_change(
-            mtr, leaf, BlockPut(entries=((row_key(key), new_versions),))
+            mtr, leaf, image, BlockPut(entries=((row_key(key), new_versions),))
         )
         if leaf_row_count(new_image) > self.max_leaf_rows:
             yield from self._split_leaf(mtr, meta, path, leaf, new_image)
@@ -234,9 +267,9 @@ class BTree:
         versions: tuple[Version, ...],
     ):
         """Overwrite ``key``'s version chain (rollback / purge paths)."""
-        _meta, _path, leaf, _image = yield from self._find_leaf(key, mtr)
+        _meta, _path, leaf, image = yield from self._find_leaf(key, mtr)
         self.io.stage_change(
-            mtr, leaf, BlockPut(entries=((row_key(key), versions),))
+            mtr, leaf, image, BlockPut(entries=((row_key(key), versions),))
         )
 
     # ------------------------------------------------------------------
@@ -259,7 +292,9 @@ class BTree:
             if next_block is None:
                 return results
             leaf = next_block
-            image = yield from self.io.read_image(leaf)
+            image = self.io.cached_image(leaf)
+            if image is None:
+                image = yield from self.io.fetch_image(leaf)
 
     def iterate_leaves(self):
         """Yield every ``(leaf_block, image)`` left to right (maintenance)."""
@@ -282,11 +317,15 @@ class BTree:
         self,
         mtr: MTRBuilder,
         leaf_block: int,
-        image: dict,
+        image: Mapping,
         purge_point: int,
         doomed_txns: frozenset[int],
     ) -> int:
-        """Prune one leaf's version chains; returns rows changed."""
+        """Prune one leaf's version chains; returns rows changed.
+
+        ``image`` is the leaf as the caller read it; it is the base of the
+        first change even if the block has left the cache since.
+        """
         changed = 0
         for key, versions in leaf_rows(image):
             pruned = prune_versions(
@@ -296,6 +335,7 @@ class BTree:
                 self.io.stage_change(
                     mtr,
                     leaf_block,
+                    image,
                     BlockPut(entries=((row_key(key), pruned),)),
                 )
                 changed += 1
@@ -316,8 +356,12 @@ class BTree:
         left_image = empty_leaf(next_block=right_block)
         for key, versions in left_rows:
             left_image[row_key(key)] = versions
-        self.io.stage_change(mtr, right_block, BlockReplace.of(right_image))
-        self.io.stage_change(mtr, leaf_block, BlockReplace.of(left_image))
+        self.io.stage_change(
+            mtr, right_block, EMPTY_IMAGE, BlockReplace.of(right_image)
+        )
+        self.io.stage_change(
+            mtr, leaf_block, image, BlockReplace.of(left_image)
+        )
         yield from self._insert_into_parent(
             mtr, meta, path, leaf_block, separator, right_block
         )
@@ -339,6 +383,7 @@ class BTree:
             self.io.stage_change(
                 mtr,
                 node,
+                image,
                 BlockReplace.of(
                     {
                         "type": "internal",
@@ -355,6 +400,7 @@ class BTree:
         self.io.stage_change(
             mtr,
             node,
+            image,
             BlockReplace.of(
                 {
                     "type": "internal",
@@ -366,6 +412,7 @@ class BTree:
         self.io.stage_change(
             mtr,
             right_node,
+            EMPTY_IMAGE,
             BlockReplace.of(
                 {
                     "type": "internal",
@@ -383,6 +430,7 @@ class BTree:
         self.io.stage_change(
             mtr,
             new_root,
+            EMPTY_IMAGE,
             BlockReplace.of(
                 {
                     "type": "internal",
@@ -394,6 +442,7 @@ class BTree:
         self.io.stage_change(
             mtr,
             self.meta_block,
+            meta,
             BlockPut(
                 entries=(
                     ("root", new_root),

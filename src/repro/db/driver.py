@@ -357,9 +357,12 @@ class StorageDriver:
         tracking and shards them into per-PG write buffers)."""
         now = self.loop.now
         adaptive = self.config.group_commit == "adaptive"
+        buffers = self._buffers
         for record in records:
             self.volume.register(record.lsn, record.pg_index, record.mtr_end)
-            buffer = self._buffers.setdefault(record.pg_index, _PGWriteBuffer())
+            buffer = buffers.get(record.pg_index)
+            if buffer is None:
+                buffer = buffers[record.pg_index] = _PGWriteBuffer()
             buffer.records.append((record, now))
             if adaptive:
                 self._observe_arrival(buffer, now)

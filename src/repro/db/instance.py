@@ -284,15 +284,22 @@ class WriterInstance(Actor, BlockIO):
     # ------------------------------------------------------------------
     # BlockIO: reads, staged changes, block allocation
     # ------------------------------------------------------------------
-    def read_image(self, block: int, mtr: MTRBuilder | None = None):
-        """Current image of a block: MTR overlay, cache, or storage."""
-        if mtr is not None and block in mtr.staged_images:
-            return dict(mtr.staged_images[block])
+    def cached_image(self, block: int, mtr: MTRBuilder | None = None):
+        """Current image of a block from the MTR overlay or the cache;
+        ``None`` on a cache miss (follow with :meth:`fetch_image`)."""
+        if mtr is not None:
+            staged = mtr.staged_images.get(block)
+            if staged is not None:
+                return staged
         cached = self.cache.lookup(block)
-        if cached is not None:
-            return dict(cached.image)
-        # Cache miss: the WAL invariant guarantees every evicted block is
-        # fully durable, so the latest durable version *is* the latest.
+        return cached.image if cached is not None else None
+
+    def fetch_image(self, block: int):
+        """Generator: read a block the cache missed from storage.
+
+        The WAL invariant guarantees every evicted block is fully durable,
+        so the latest durable version *is* the latest.
+        """
         read_point = self.vdl
         if not self.frontiers.knows(read_point):
             # A commit ack resumed this client from inside the driver's
@@ -303,7 +310,7 @@ class WriterInstance(Actor, BlockIO):
         pg_index = self.pg_of_block(block)
         pg_point = self.frontiers.pg_read_point(pg_index, read_point)
         if pg_point == NULL_LSN:
-            return {}  # no durable writes to this PG yet
+            return EMPTY_IMAGE  # no durable writes to this PG yet
         # Pin the read point while the request is in flight: a write-path
         # read runs under no read view, and the PGMRPL riding the very next
         # write batch would otherwise let storage collect past it and
@@ -317,18 +324,22 @@ class WriterInstance(Actor, BlockIO):
             )
         finally:
             min_read.release(read_point)
-        self.cache.install(block, dict(image), version_lsn, self.vdl)
-        return dict(image)
+        self.cache.install(block, image, version_lsn, self.vdl)
+        return image
 
-    def stage_change(self, mtr: MTRBuilder, block: int, payload) -> dict:
-        base = mtr.staged_images.get(block)
-        if base is None:
-            cached = self.cache.peek(block)
-            base = dict(cached.image) if cached is not None else {}
-        new_image = payload.apply(base)
-        mtr.staged_images[block] = new_image
-        mtr.change(block, self.pg_of_block(block), payload)
-        return dict(new_image)
+    def stage_change(self, mtr: MTRBuilder, block: int, base, payload):
+        """Apply ``payload`` on top of ``base`` -- the image the caller read
+        for ``block``, superseded by what this MTR already staged for it --
+        and log the change.  Returns the staged image (shared from here on:
+        the cache and every storage copy will hold this very object)."""
+        staged = mtr.staged_images
+        base = staged.get(block, base)
+        image = payload.apply(base)
+        staged[block] = image
+        mtr.change(
+            block, self.pg_of_block(block), payload, base=base, image=image
+        )
+        return image
 
     def allocate_block(self, mtr: MTRBuilder):
         meta = yield from self.read_image(self.META_BLOCK, mtr)
@@ -341,36 +352,42 @@ class WriterInstance(Actor, BlockIO):
         self.stage_change(
             mtr,
             self.META_BLOCK,
+            meta,
             BlockPut(entries=(("next_block", new_block + 1),)),
         )
-        mtr.staged_images.setdefault(new_block, {})
+        mtr.staged_images.setdefault(new_block, EMPTY_IMAGE)
         return new_block
 
     def _apply_mtr(self, mtr: MTRBuilder) -> list[LogRecord]:
         """Seal an MTR: allocate LSNs, absorb into cache, ship to storage."""
         records = mtr.seal(self.allocator, self.chains)
         self._note_structure_change(records)
-        for record in records:
-            self._absorb_record(record)
+        for record, change in zip(records, mtr.changes):
+            self._absorb_record(record, change.image)
         self.driver.submit(records)
         if self.publisher is not None:
             self.publisher.publish_mtr(records)
         return records
 
-    def _absorb_record(self, record: LogRecord) -> None:
+    def _absorb_record(self, record: LogRecord, image=None) -> None:
+        """Make ``record`` visible on the writer.  ``image`` is its block
+        after the record as staging computed it -- the one the segments
+        will hold for this version (they apply the same record to the same
+        base and share the result).  A commit record is not staged: its
+        redo runs here, on the cached status page.
+        """
         self.frontiers.record(record.lsn, record.pg_index)
-        if record.block < 0:
-            return
         cached = self.cache.peek(record.block)
-        if cached is None:
-            cached = self.cache.install(
-                record.block, EMPTY_IMAGE, NULL_LSN, self.vdl
+        if image is None:
+            # A status page is cached from its first commit on; nothing
+            # reads it back but recovery, which starts from an empty cache.
+            image = apply_redo(
+                record, cached.image if cached is not None else EMPTY_IMAGE
             )
-        # The image is the one the segments will hold for this version:
-        # they apply the same record to the same base and share the result.
-        self.cache.apply_change(
-            record.block, apply_redo(record, cached.image), record.lsn
-        )
+        if cached is None:
+            self.cache.install(record.block, image, record.lsn, self.vdl)
+        else:
+            self.cache.apply_change(record.block, image, record.lsn)
 
     # ------------------------------------------------------------------
     # Read views
@@ -481,7 +498,10 @@ class WriterInstance(Actor, BlockIO):
         while len(pages) <= txn_id // TXNS_PER_PAGE:
             pages += ((yield from self.allocate_block(mtr)),)
         self.stage_change(
-            mtr, self.META_BLOCK, BlockPut(entries=(("txn_pages", pages),))
+            mtr,
+            self.META_BLOCK,
+            mtr.staged_images[self.META_BLOCK],  # allocate_block staged it
+            BlockPut(entries=(("txn_pages", pages),)),
         )
         return pages
 

@@ -18,9 +18,16 @@ lives in :class:`ChainState`, owned by the writer and rebuilt at recovery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Mapping
 
 from repro.core.lsn import NULL_LSN, LSNAllocator
-from repro.core.records import NO_BLOCK, LogRecord, RecordKind, RedoPayload
+from repro.core.records import (
+    NO_BLOCK,
+    LogRecord,
+    RecordKind,
+    RedoPayload,
+    seed_redo,
+)
 from repro.errors import ConfigurationError
 
 
@@ -66,6 +73,10 @@ class BlockChange:
     pg_index: int
     payload: RedoPayload
     kind: RecordKind = RecordKind.DATA
+    #: What staging computed: ``payload`` applied to ``base`` gave
+    #: ``image`` (both ``None`` for a change logged without staging).
+    base: Mapping[Any, Any] | None = None
+    image: Mapping[Any, Any] | None = None
 
 
 class MTRBuilder:
@@ -86,7 +97,9 @@ class MTRBuilder:
         self.changes: list[BlockChange] = []
         #: Overlay of block images as staged by this MTR (visible only to
         #: reads performed on behalf of this MTR -- the latch analogue).
-        self.staged_images: dict[int, dict] = {}
+        #: The images are the ones sealing hands on, so they are never
+        #: edited: a further change to the block stages a new image.
+        self.staged_images: dict[int, Mapping[Any, Any]] = {}
         self._sealed = False
 
     def change(
@@ -95,11 +108,15 @@ class MTRBuilder:
         pg_index: int,
         payload: RedoPayload,
         kind: RecordKind = RecordKind.DATA,
+        base: Mapping[Any, Any] | None = None,
+        image: Mapping[Any, Any] | None = None,
     ) -> None:
+        """Log a change; ``base``/``image`` when the caller staged it
+        (``image`` is what ``payload.apply(base)`` returned)."""
         if self._sealed:
             raise ConfigurationError("MTR already sealed")
         self.changes.append(
-            BlockChange(block=block, pg_index=pg_index, payload=payload, kind=kind)
+            BlockChange(block, pg_index, payload, kind, base, image)
         )
 
     def seal(
@@ -108,7 +125,9 @@ class MTRBuilder:
         """Allocate contiguous LSNs and emit the record batch.
 
         The final record carries ``mtr_end=True``; all earlier records carry
-        ``mtr_end=False`` so the VDL can never land mid-MTR.
+        ``mtr_end=False`` so the VDL can never land mid-MTR.  A staged
+        change's record starts life knowing its redo result, so no copy of
+        the volume that applies it to the staged base runs the payload again.
         """
         if self._sealed:
             raise ConfigurationError("MTR already sealed")
@@ -121,21 +140,22 @@ class MTRBuilder:
             prev_volume, prev_pg, prev_block = chains.thread(
                 lsn, change.pg_index, change.block
             )
-            records.append(
-                LogRecord(
-                    lsn=lsn,
-                    prev_volume_lsn=prev_volume,
-                    prev_pg_lsn=prev_pg,
-                    prev_block_lsn=prev_block,
-                    block=change.block,
-                    pg_index=change.pg_index,
-                    kind=change.kind,
-                    payload=change.payload,
-                    txn_id=self.txn_id,
-                    mtr_id=self.mtr_id,
-                    mtr_end=(offset == len(self.changes) - 1),
-                )
+            record = LogRecord(
+                lsn=lsn,
+                prev_volume_lsn=prev_volume,
+                prev_pg_lsn=prev_pg,
+                prev_block_lsn=prev_block,
+                block=change.block,
+                pg_index=change.pg_index,
+                kind=change.kind,
+                payload=change.payload,
+                txn_id=self.txn_id,
+                mtr_id=self.mtr_id,
+                mtr_end=(offset == len(self.changes) - 1),
             )
+            if change.image is not None:
+                seed_redo(record, change.base, change.image)
+            records.append(record)
         return records
 
     def __len__(self) -> int:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.core.consistency import MinReadPointTracker, PGFrontierHistory
 from repro.core.lsn import NULL_LSN
-from repro.core.records import LogRecord, apply_redo
+from repro.core.records import EMPTY_IMAGE, LogRecord, apply_redo
 from repro.db.btree import BlockIO, BTree
 from repro.db.buffer_cache import BufferCache
 from repro.db.driver import DriverConfig, StorageDriver
@@ -298,16 +298,17 @@ class ReplicaInstance(Actor, BlockIO):
     # ------------------------------------------------------------------
     # BlockIO (read-only)
     # ------------------------------------------------------------------
-    def read_image(self, block: int, mtr: MTRBuilder | None = None):
+    def cached_image(self, block: int, mtr: MTRBuilder | None = None):
         if mtr is not None:
             raise InstanceStateError("replicas are read-only")
         cached = self.cache.lookup(block)
-        if cached is not None:
-            return dict(cached.image)
+        return cached.image if cached is not None else None
+
+    def fetch_image(self, block: int):
         pg_index = self.pg_of_block(block)
         pg_point = self.frontiers.pg_read_point(pg_index, self._applied_vdl)
         if pg_point == NULL_LSN:
-            return {}
+            return EMPTY_IMAGE
         image, version_lsn = yield self.driver.read_block(
             block, pg_index, pg_point
         )
@@ -319,14 +320,12 @@ class ReplicaInstance(Actor, BlockIO):
         # of the gap, permanently diverging this replica.  Decline to
         # cache; a later read at a fresh point will warm the block.
         if self._discard_frontier.get(block, NULL_LSN) <= pg_point:
-            self.cache.install(
-                block, dict(image), version_lsn, self._applied_vdl
-            )
+            self.cache.install(block, image, version_lsn, self._applied_vdl)
         else:
             self.stats.stale_installs_declined += 1
-        return dict(image)
+        return image
 
-    def stage_change(self, mtr, block, payload):
+    def stage_change(self, mtr, block, base, payload):
         raise InstanceStateError("replicas are read-only")
 
     def allocate_block(self, mtr):

@@ -252,11 +252,7 @@ class IntegrityLog:
                     closed += 1
                 continue
             chain = seg.blocks.get(record.block)
-            version = None
-            if chain is not None:
-                at = chain.version_at(record.lsn)
-                if at is not None and at.lsn == record.lsn:
-                    version = at
+            version = chain.version(record.lsn) if chain is not None else None
             if record.kind in ("lost_write", "misdirected_write_hole"):
                 # Absence IS the damage: closed when the version came
                 # back, when condensation rebuilt the history below it,
@@ -270,10 +266,8 @@ class IntegrityLog:
                     self._close(record)
                     closed += 1
                     continue
-                floor = seg.gc_floor
-                if chain is not None and any(
-                    record.lsn < v.lsn <= floor
-                    for v in chain._versions  # noqa: SLF001 - audit path
+                if chain is not None and chain.versions_in(
+                    record.lsn, seg.gc_floor
                 ):
                     self._close(record)
                     closed += 1
@@ -560,15 +554,15 @@ class FailureInjector:
         victims = [
             (block, version.lsn)
             for block, chain in sorted(seg.blocks.items())
-            for version in chain.versions
-            if version.lsn > lo and not version.quarantined
+            for version in chain.versions_in(lo)
+            if not version.quarantined
         ]
         if not victims:
             return None
         block, lsn = self.rng.choice(victims)
         chain = seg.blocks[block]
         chain.corrupt_version(lsn)
-        damaged = next(v for v in chain.versions if v.lsn == lsn)
+        damaged = chain.version(lsn)
         self.log.append((self.loop.now, "bit_rot_version", node.name))
         return self.integrity.inject(
             "bit_rot", node.name, block, lsn,
@@ -664,9 +658,8 @@ class FailureInjector:
         sources = [
             (block, version.lsn)
             for block, chain in sorted(seg.blocks.items())
-            for version in chain.versions
-            if lo < version.lsn < chain.latest_lsn
-            and not version.quarantined
+            for version in chain.versions_in(lo, chain.latest_lsn - 1)
+            if not version.quarantined
         ]
         self.rng.shuffle(sources)
         for block_a, lsn in sources[:8]:
@@ -675,14 +668,15 @@ class FailureInjector:
                 for block, chain in sorted(seg.blocks.items())
                 if block != block_a
                 and chain.latest_lsn > lsn
-                and all(v.lsn != lsn for v in chain.versions)
+                and chain.version(lsn) is None
             ]
             if not targets:
                 continue
             block_b = self.rng.choice(targets)
             chain_a = seg.blocks[block_a]
-            version = next(v for v in chain_a.versions if v.lsn == lsn)
-            bogus = seg.blocks[block_b].insert(lsn, dict(version.image))
+            bogus = seg.blocks[block_b].insert(
+                lsn, dict(chain_a.version(lsn).image)
+            )
             chain_a.remove_version(lsn)
             self.log.append((self.loop.now, "misdirected_write", name))
             injected = self.integrity.inject(

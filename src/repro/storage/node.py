@@ -724,9 +724,8 @@ class StorageNode(Actor):
             chain = segment.blocks.get(block)
             if chain is None:
                 continue
-            for version in chain.versions:
-                if my_lo < version.lsn <= my_hi:
-                    candidates.add((block, version.lsn))
+            for version in chain.versions_in(my_lo, my_hi):
+                candidates.add((block, version.lsn))
         repairs = 0
         for block, lsn in sorted(candidates):
             votes: list[object] = []
@@ -749,9 +748,7 @@ class StorageNode(Actor):
             if not my_lo < lsn <= my_hi:
                 continue  # outside my comparable window
             chain = segment.blocks.get(block)
-            mine = chain.version_at(lsn) if chain is not None else None
-            if mine is not None and mine.lsn != lsn:
-                mine = None
+            mine = chain.version(lsn) if chain is not None else None
             total = len(votes) + 1
             if mine is None:
                 votes.append(absent)

@@ -13,14 +13,23 @@ above the floor may still need).
 Each version carries a checksum so the scrubber (Figure 2, activity 8) can
 "periodically scrub data to ensure checksums continue to match the data on
 disk"; tests inject corruption to exercise it.
+
+The chain is struct-of-arrays: two parallel lists (LSNs, images) hold the
+versions, and the per-copy verification state lives in sparse maps keyed by
+LSN that only reads, votes, the scrubber and the corruption injectors ever
+populate.  Materializing a version is two list appends; lookups and
+trimming are ``bisect`` plus slices.  A :class:`BlockVersion` is a
+short-lived ``(chain, lsn)`` handle made on demand for the code that
+inspects or repairs one version.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Mapping
 
 from repro.core.lsn import NULL_LSN
-from repro.core.records import EMPTY_IMAGE
+from repro.core.records import EMPTY_IMAGE, LogRecord, apply_redo
 from repro.errors import ReadPointError
 
 
@@ -41,7 +50,12 @@ def image_checksum(image: Mapping[str, Any]) -> int:
 
 
 class BlockVersion:
-    """One materialized version of a block.
+    """Handle on one retained version of a block: ``(chain, lsn)``.
+
+    It owns no state.  Every attribute resolves by LSN against the chain
+    when it is used, so a handle taken before a GC pass still names the
+    same version afterwards, and raises :class:`KeyError` once the chain
+    no longer retains that LSN.
 
     ``quarantined`` marks a version the read path caught failing
     verification: it must never be served or vouched for in a repair vote
@@ -49,130 +63,199 @@ class BlockVersion:
 
     The checksum is captured lazily: the vast majority of versions written
     during a simulation are never individually read, voted on, or scrubbed,
-    so the checksum of the just-applied image is only materialized on first
-    access.  Corruption injectors force-capture it *before* mutating the
-    image (bit-rot damages data under an already-recorded checksum), which
-    keeps detection semantics identical to eager capture.
+    so the checksum of the just-applied image is only recorded on first
+    access.  Corruption injectors force-capture it *before* swapping in the
+    damaged image (bit-rot damages data under an already-recorded
+    checksum), which keeps detection semantics identical to eager capture.
     """
 
-    __slots__ = ("lsn", "image", "_checksum", "quarantined")
+    __slots__ = ("chain", "lsn")
 
-    def __init__(
-        self,
-        lsn: int,
-        image: dict[str, Any],
-        checksum: int | None = None,
-        quarantined: bool = False,
-    ) -> None:
+    def __init__(self, chain: "BlockVersionChain", lsn: int) -> None:
+        self.chain = chain
         self.lsn = lsn
-        self.image = image
-        self._checksum = checksum
-        self.quarantined = quarantined
+
+    @property
+    def image(self) -> Mapping[str, Any]:
+        """The stored image itself (immutable and shared; do not mutate)."""
+        chain = self.chain
+        return chain._images[chain._index_of(self.lsn)]
+
+    @image.setter
+    def image(self, image: Mapping[str, Any]) -> None:
+        """Swap this copy's image for another object (repair, injectors)."""
+        chain = self.chain
+        chain._images[chain._index_of(self.lsn)] = image
 
     @property
     def checksum(self) -> int:
         """Recorded checksum, captured from the image on first access."""
-        if self._checksum is None:
-            self._checksum = image_checksum(self.image)
-        return self._checksum
+        checksums = self.chain._checksums
+        checksum = checksums.get(self.lsn)
+        if checksum is None:
+            checksum = checksums[self.lsn] = image_checksum(self.image)
+        return checksum
 
     @checksum.setter
     def checksum(self, value: int) -> None:
-        self._checksum = value
+        self.chain._index_of(self.lsn)
+        self.chain._checksums[self.lsn] = value
 
-    @staticmethod
-    def of(lsn: int, image: Mapping[str, Any]) -> "BlockVersion":
-        return BlockVersion(lsn=lsn, image=dict(image))
+    @property
+    def quarantined(self) -> bool:
+        return self.lsn in self.chain._quarantined
 
-    @staticmethod
-    def of_owned(lsn: int, image: dict[str, Any]) -> "BlockVersion":
-        """Like :meth:`of` but takes ownership of ``image`` (no copy)."""
-        return BlockVersion(lsn=lsn, image=image)
+    @quarantined.setter
+    def quarantined(self, value: bool) -> None:
+        self.chain._index_of(self.lsn)
+        if value:
+            self.chain._quarantined.add(self.lsn)
+        else:
+            self.chain._quarantined.discard(self.lsn)
 
     def verify(self) -> bool:
-        return not self.quarantined and self.checksum == image_checksum(self.image)
+        return self.chain._verify(self.lsn, self.image)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<BlockVersion lsn={self.lsn} keys={len(self.image)}>"
+        return f"<BlockVersion block={self.chain.block} lsn={self.lsn}>"
 
 
 class BlockVersionChain:
     """All retained versions of one block, ordered by ascending LSN."""
 
+    __slots__ = (
+        "block", "_lsns", "_images", "_checksums", "_quarantined",
+        "_multi_version",
+    )
+
     def __init__(
         self, block: int, multi_version: set[int] | None = None
     ) -> None:
         self.block = block
-        self._versions: list[BlockVersion] = []
+        #: ``_images[i]`` is the image of the version at ``_lsns[i]``.
+        self._lsns: list[int] = []
+        self._images: list[Mapping[str, Any]] = []
+        #: Verification state of this copy, by LSN; an entry exists only
+        #: for a version something has looked at (see :class:`BlockVersion`)
+        #: and goes when the version does.
+        self._checksums: dict[int, int] = {}
+        self._quarantined: set[int] = set()
         #: The owning segment's set of blocks whose chains hold more than
         #: one retained version -- the only chains garbage collection can
         #: shrink.  Every growth path reports here, so the segment's GC
         #: tick never has to visit single-version chains.
         self._multi_version = multi_version
 
+    def _position(self, lsn: int) -> int:
+        """Index of the version at exactly ``lsn``, or -1."""
+        lsns = self._lsns
+        index = bisect_left(lsns, lsn)
+        return index if index < len(lsns) and lsns[index] == lsn else -1
+
+    def _index_of(self, lsn: int) -> int:
+        index = self._position(lsn)
+        if index < 0:
+            raise KeyError(f"block {self.block} retains no version at {lsn}")
+        return index
+
+    def _forget(self, lo: int, hi: int) -> None:
+        """Drop the verification state of the versions at ``[lo:hi]``,
+        which are about to leave the chain."""
+        if self._checksums or self._quarantined:
+            for lsn in self._lsns[lo:hi]:
+                self._checksums.pop(lsn, None)
+                self._quarantined.discard(lsn)
+
+    def _verify(self, lsn: int, image: Mapping[str, Any]) -> bool:
+        """Does the retained version ``(lsn, image)`` pass verification?"""
+        if lsn in self._quarantined:
+            return False
+        recorded = self._checksums.get(lsn)
+        if recorded is None:
+            # First look at this version: what is stored is what gets
+            # recorded, so it verifies by construction.
+            self._checksums[lsn] = image_checksum(image)
+            return True
+        return recorded == image_checksum(image)
+
     @property
     def versions(self) -> list[BlockVersion]:
-        return list(self._versions)
+        return [BlockVersion(self, lsn) for lsn in self._lsns]
+
+    def versions_in(self, lo: int, hi: int | None = None) -> list[BlockVersion]:
+        """Handles on the versions with ``lo < lsn <= hi`` (``hi=None``:
+        no upper bound), ascending."""
+        lsns = self._lsns
+        stop = len(lsns) if hi is None else bisect_right(lsns, hi)
+        return [
+            BlockVersion(self, lsn)
+            for lsn in lsns[bisect_right(lsns, lo):stop]
+        ]
+
+    def version(self, lsn: int) -> BlockVersion | None:
+        """The version at exactly ``lsn``, if retained."""
+        return BlockVersion(self, lsn) if self._position(lsn) >= 0 else None
 
     @property
     def latest_lsn(self) -> int:
-        return self._versions[-1].lsn if self._versions else NULL_LSN
+        return self._lsns[-1] if self._lsns else NULL_LSN
 
-    def append(self, lsn: int, image: Mapping[str, Any]) -> BlockVersion:
-        """Add a new version; LSNs must strictly increase."""
-        return self.append_owned(lsn, dict(image))
+    def _grew(self) -> None:
+        if self._multi_version is not None and len(self._lsns) > 1:
+            self._multi_version.add(self.block)
 
-    def append_owned(self, lsn: int, image: dict[str, Any]) -> BlockVersion:
-        """Append a version holding ``image`` itself (no defensive copy).
+    def append(self, lsn: int, image: Mapping[str, Any]) -> None:
+        """Add a new version holding ``image`` itself; LSNs must strictly
+        increase.
 
         Images are immutable and shared (``apply_redo`` hands the same
         object to every copy of the protection group); neither the caller
         nor the chain may mutate ``image`` afterwards.
         """
-        versions = self._versions
-        if versions:
-            if lsn <= versions[-1].lsn:
-                raise ReadPointError(lsn, versions[-1].lsn + 1, 2**63)
-            if self._multi_version is not None:
+        lsns = self._lsns
+        if lsns and lsn <= lsns[-1]:
+            raise ReadPointError(lsn, lsns[-1] + 1, 2**63)
+        lsns.append(lsn)
+        self._images.append(image)
+        self._grew()
+
+    def materialize(self, record: LogRecord) -> None:
+        """Apply ``record``'s redo on top of the newest version (coalesce).
+
+        A record at or below the newest version is already reflected here
+        and is skipped.  The same record applied to the same base image
+        yields the same image on every copy of the PG: the first copy to
+        get here computes it (or the writer did, at staging), the others
+        share it.
+        """
+        lsns = self._lsns
+        lsn = record.lsn
+        if lsns:
+            if lsn <= lsns[-1]:
+                return
+            image = apply_redo(record, self._images[-1])
+            if len(lsns) == 1 and self._multi_version is not None:
                 self._multi_version.add(self.block)
-        version = BlockVersion.of_owned(lsn, image)
-        versions.append(version)
-        return version
+        else:
+            image = apply_redo(record, EMPTY_IMAGE)
+        lsns.append(lsn)
+        self._images.append(image)
 
-    def latest_image(self) -> dict[str, Any]:
-        """The newest image (empty dict for a never-written block)."""
-        if not self._versions:
-            return {}
-        return dict(self._versions[-1].image)
-
-    def latest_image_view(self) -> Mapping[str, Any]:
+    def latest_image(self) -> Mapping[str, Any]:
         """The newest image itself (no copy; do not mutate), or the one
         shared :data:`~repro.core.records.EMPTY_IMAGE` for a never-written
         block -- the base the next redo record applies to."""
-        if not self._versions:
-            return EMPTY_IMAGE
-        return self._versions[-1].image
-
-    def _count_at_or_below(self, lsn: int) -> int:
-        """Number of versions with ``version.lsn <= lsn`` (binary search)."""
-        versions = self._versions
-        lo, hi = 0, len(versions)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if versions[mid].lsn <= lsn:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return self._images[-1] if self._images else EMPTY_IMAGE
 
     def version_at(self, read_point: int) -> BlockVersion | None:
         """Latest version with ``lsn <= read_point``."""
-        count = self._count_at_or_below(read_point)
-        return self._versions[count - 1] if count else None
+        count = bisect_right(self._lsns, read_point)
+        return BlockVersion(self, self._lsns[count - 1]) if count else None
 
-    def image_at(self, read_point: int) -> dict[str, Any]:
-        version = self.version_at(read_point)
-        return dict(version.image) if version is not None else {}
+    def image_at(self, read_point: int) -> Mapping[str, Any]:
+        """The image :meth:`version_at` names (shared; do not mutate)."""
+        count = bisect_right(self._lsns, read_point)
+        return self._images[count - 1] if count else EMPTY_IMAGE
 
     def gc_below(self, floor: int) -> int:
         """Drop versions no reader can need; returns the number removed.
@@ -181,9 +264,12 @@ class BlockVersionChain:
         version at or below the floor (the base image for reads at the
         floor).
         """
-        removed = max(0, self._count_at_or_below(floor) - 1)
-        if removed:
-            del self._versions[:removed]
+        removed = bisect_right(self._lsns, floor) - 1
+        if removed <= 0:
+            return 0
+        self._forget(0, removed)
+        del self._lsns[:removed]
+        del self._images[:removed]
         return removed
 
     def truncate_above(self, lsn: int, last: int | None = None) -> int:
@@ -194,44 +280,39 @@ class BlockVersionChain:
         ``last=None`` discards everything above ``lsn``.  Returns the
         number of versions removed.
         """
-        kept = [
-            v
-            for v in self._versions
-            if v.lsn <= lsn or (last is not None and v.lsn > last)
-        ]
-        removed = len(self._versions) - len(kept)
-        self._versions = kept
-        return removed
+        lsns = self._lsns
+        lo = bisect_right(lsns, lsn)
+        hi = len(lsns) if last is None else max(lo, bisect_right(lsns, last))
+        self._forget(lo, hi)
+        del lsns[lo:hi]
+        del self._images[lo:hi]
+        return hi - lo
 
     def insert(self, lsn: int, image: Mapping[str, Any]) -> BlockVersion:
         """Insert a version at an arbitrary chain position (repair adopt).
 
         Unlike :meth:`append` this accepts mid-chain LSNs -- peer repair of
         a lost write restores a version *between* existing ones.  The LSN
-        must not collide with a retained version.
+        must not collide with a retained version.  Holds ``image`` itself.
         """
-        version = BlockVersion.of(lsn, image)
-        lo, hi = 0, len(self._versions)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._versions[mid].lsn < lsn:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self._versions) and self._versions[lo].lsn == lsn:
+        lsns = self._lsns
+        index = bisect_left(lsns, lsn)
+        if index < len(lsns) and lsns[index] == lsn:
             raise ReadPointError(lsn, lsn + 1, 2**63)
-        self._versions.insert(lo, version)
-        if self._multi_version is not None and len(self._versions) > 1:
-            self._multi_version.add(self.block)
-        return version
+        lsns.insert(index, lsn)
+        self._images.insert(index, image)
+        self._grew()
+        return BlockVersion(self, lsn)
 
     def remove_version(self, lsn: int) -> bool:
         """Drop the version at exactly ``lsn`` (misdirected-write cleanup)."""
-        for i, version in enumerate(self._versions):
-            if version.lsn == lsn:
-                del self._versions[i]
-                return True
-        return False
+        index = self._position(lsn)
+        if index < 0:
+            return False
+        self._forget(index, index + 1)
+        del self._lsns[index]
+        del self._images[index]
+        return True
 
     def corrupt_version(
         self,
@@ -253,14 +334,9 @@ class BlockVersionChain:
         can catch it.  Returns the damaged LSN, or ``None`` if no version
         matched.
         """
-        if not self._versions:
+        if not self._lsns:
             return None
-        victim = self._versions[-1] if lsn is None else None
-        if victim is None:
-            for version in self._versions:
-                if version.lsn == lsn:
-                    victim = version
-                    break
+        victim = self.version(self._lsns[-1] if lsn is None else lsn)
         if victim is None:
             return None
         # Capture the checksum of the *good* image before damaging it: bit
@@ -281,7 +357,11 @@ class BlockVersionChain:
 
     def scrub(self) -> list[int]:
         """Return the LSNs of versions whose checksum no longer matches."""
-        return [v.lsn for v in self._versions if not v.verify()]
+        return [
+            lsn
+            for lsn, image in zip(self._lsns, self._images)
+            if not self._verify(lsn, image)
+        ]
 
     def __len__(self) -> int:
-        return len(self._versions)
+        return len(self._lsns)

@@ -27,15 +27,15 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.consistency import SegmentChainTracker
 from repro.core.lsn import NULL_LSN, TruncationRange
 from repro.core.records import (
+    EMPTY_IMAGE,
     NO_BLOCK,
     ChainDigest,
     LogRecord,
-    apply_redo,
     record_digest,
 )
 from repro.errors import ConfigurationError, CorruptVersionError, ReadPointError
@@ -287,14 +287,7 @@ class Segment:
                 chain = blocks.get(block)
                 if chain is None:
                     chain = self.chain_for(block)
-                if chain.latest_lsn < record.lsn:
-                    # The same record applied to the same base image yields
-                    # the same image on every copy of the PG: the first
-                    # copy to get here computes it, the others share it.
-                    chain.append_owned(
-                        record.lsn,
-                        apply_redo(record, chain.latest_image_view()),
-                    )
+                chain.materialize(record)
             applied += 1
         self.coalesced_upto = limit
         self.stats["coalesce_applications"] += applied
@@ -311,8 +304,9 @@ class Segment:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def read_block(self, block: int, read_point: int) -> dict:
-        """Serve the latest durable version of ``block`` at ``read_point``.
+    def read_block(self, block: int, read_point: int) -> Mapping:
+        """Serve the latest durable version of ``block`` at ``read_point``
+        (the stored image itself: shared, do not mutate).
 
         Materializes on demand ("materializing blocks in background or
         on-demand to satisfy a read request").  Raises
@@ -322,11 +316,11 @@ class Segment:
         verification.
         """
         version = self.read_version(block, read_point)
-        return dict(version.image) if version is not None else {}
+        return version.image if version is not None else EMPTY_IMAGE
 
     def read_version(self, block: int, read_point: int):
-        """Guarded, verified read returning the served :class:`BlockVersion`
-        (``None`` for a never-written block).
+        """Guarded, verified read returning a :class:`BlockVersion` handle
+        on the served version (``None`` for a never-written block).
 
         Every read verifies the served version's checksum (DESIGN.md §12):
         raises :class:`CorruptVersionError` when it fails verification --
@@ -570,8 +564,8 @@ class Segment:
             chain = self.blocks.get(block)
             if chain is None:
                 continue
-            version = chain.version_at(lsn)
-            if version is None or version.lsn != lsn or not version.verify():
+            version = chain.version(lsn)
+            if version is None or not version.verify():
                 continue
             out.append((
                 block,
@@ -589,13 +583,11 @@ class Segment:
         repaired = 0
         for block, lsn, image in versions:
             chain = self.blocks.get(block)
-            if chain is None:
-                continue
-            for version in chain._versions:  # noqa: SLF001 - repair path
-                if version.lsn == lsn:
-                    version.image = dict(image)
-                    version.checksum = image_checksum(version.image)
-                    repaired += 1
+            version = chain.version(lsn) if chain is not None else None
+            if version is not None:
+                version.image = dict(image)
+                version.checksum = image_checksum(version.image)
+                repaired += 1
         return repaired
 
     def repair_scrub_failures(
@@ -682,14 +674,13 @@ class Segment:
             chain = self.blocks.get(block)
             pairs = []
             if chain is not None:
-                for version in chain._versions:  # noqa: SLF001 - scrub path
-                    if lo < version.lsn <= hi:
-                        pairs.append(
-                            (
-                                version.lsn,
-                                version.checksum if version.verify() else 0,
-                            )
+                for version in chain.versions_in(lo, hi):
+                    pairs.append(
+                        (
+                            version.lsn,
+                            version.checksum if version.verify() else 0,
                         )
+                    )
             out.append((block, lo, hi, tuple(pairs)))
         return tuple(out)
 
@@ -737,9 +728,7 @@ class Segment:
             chain = self.blocks.get(block)
             entries = []
             if chain is not None:
-                for version in chain._versions:  # noqa: SLF001 - scrub path
-                    if not cover_lo < version.lsn <= cover_hi:
-                        continue
+                for version in chain.versions_in(cover_lo, cover_hi):
                     if not version.verify():
                         continue
                     image = None
@@ -771,8 +760,8 @@ class Segment:
         if any(t.contains(lsn) for t in self.truncations):
             return False
         chain = self.chain_for(block)
-        version = chain.version_at(lsn)
-        if version is not None and version.lsn == lsn:
+        version = chain.version(lsn)
+        if version is not None:
             version.image = dict(image)
             version.checksum = image_checksum(version.image)
             version.quarantined = False
@@ -876,9 +865,8 @@ class Segment:
             source.coalesce()
             for block, chain in source.blocks.items():
                 ours = self.chain_for(block)
-                for version in chain.versions:
-                    if version.lsn > ours.latest_lsn:
-                        ours.append(version.lsn, version.image)
+                for version in chain.versions_in(ours.latest_lsn):
+                    ours.append(version.lsn, version.image)
             self.coalesced_upto = max(
                 self.coalesced_upto, source.coalesced_upto
             )

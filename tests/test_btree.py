@@ -24,20 +24,21 @@ class MemoryIO(BlockIO):
         self.allocator = LSNAllocator()
         self.chains = ChainState()
 
-    def read_image(self, block, mtr=None):
+    def cached_image(self, block, mtr=None):
         if mtr is not None and block in mtr.staged_images:
-            return dict(mtr.staged_images[block])
-        return dict(self.blocks.get(block, {}))
+            return mtr.staged_images[block]
+        return self.blocks.get(block)
+
+    def fetch_image(self, block):
+        return {}  # only a never-written block misses
         yield  # pragma: no cover - makes this a generator
 
-    def stage_change(self, mtr, block, payload):
-        base = mtr.staged_images.get(block)
-        if base is None:
-            base = dict(self.blocks.get(block, {}))
+    def stage_change(self, mtr, block, base, payload):
+        base = mtr.staged_images.get(block, base)
         new_image = payload.apply(base)
         mtr.staged_images[block] = new_image
-        mtr.change(block, 0, payload)
-        return dict(new_image)
+        mtr.change(block, 0, payload, base=base, image=new_image)
+        return new_image
 
     def allocate_block(self, mtr):
         meta = yield from self.read_image(0, mtr)
@@ -45,7 +46,7 @@ class MemoryIO(BlockIO):
 
         new_block = meta["next_block"]
         self.stage_change(
-            mtr, 0, BlockPut(entries=(("next_block", new_block + 1),))
+            mtr, 0, meta, BlockPut(entries=(("next_block", new_block + 1),))
         )
         mtr.staged_images.setdefault(new_block, {})
         return new_block

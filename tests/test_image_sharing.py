@@ -1,32 +1,41 @@
 """Block images are immutable and shared across copies (DESIGN.md section 8).
 
-``apply_redo`` computes a record's redo once and hands the same image to
-the writer's cache and to every segment of the protection group.  These
-tests pin that the sharing actually happens, that nothing anywhere edits a
-shared image in place, and that damage or repair on one copy stays on that
-copy.
+A record's redo runs once -- when the writer stages the change -- and the
+same image goes to the writer's cache and, through ``apply_redo``, to every
+segment of the protection group.  These tests pin that the sharing actually
+happens, that nothing anywhere edits a shared image in place, and that
+damage or repair on one copy stays on that copy.
 """
 
 from types import MappingProxyType
 
 import pytest
 
-import repro.db.instance
-import repro.db.replica
-import repro.storage.segment
 from repro import AuroraCluster, ClusterConfig
 from repro.audit.runner import AuditRunConfig, run_audit
+from repro.core.lsn import LSNAllocator
 from repro.core.records import (
     EMPTY_IMAGE,
+    BlockDelete,
     BlockPut,
+    BlockReplace,
     CommitPayload,
+    ControlPayload,
+    ElidedPayload,
     LogRecord,
     RecordKind,
     apply_redo,
+    seed_redo,
 )
+from repro.db.mtr import ChainState, MTRBuilder
+from repro.storage.messages import ReadBlockResponse
+from repro.storage.page import BlockVersion, BlockVersionChain
 from repro.storage.segment import Segment
 
-CALL_SITES = (repro.storage.segment, repro.db.instance, repro.db.replica)
+PAYLOAD_TYPES = (
+    BlockPut, BlockDelete, BlockReplace, CommitPayload, ControlPayload,
+    ElidedPayload,
+)
 
 
 class TestApplyRedoMemo:
@@ -72,41 +81,50 @@ class TestApplyRedoMemo:
         with pytest.raises(TypeError):
             EMPTY_IMAGE["k"] = 1
         chain = Segment("s", 0).chain_for(3)
-        assert chain.latest_image_view() is EMPTY_IMAGE
+        assert chain.latest_image() is EMPTY_IMAGE
+
+    def test_a_seeded_memo_is_what_the_payload_returned(self):
+        record = self.record()
+        base = {"a": 0}
+        image = record.payload.apply(base)
+        seed_redo(record, base, image)
+        assert apply_redo(record, base) is image
+        assert apply_redo(record, {"a": 0}) is not image
+
+    def test_sealing_seeds_every_staged_change(self):
+        mtr = MTRBuilder(txn_id=1)
+        payload = BlockPut(entries=(("k", 1),))
+        base = {"a": 0}
+        image = payload.apply(base)
+        mtr.change(1, 0, payload, base=base, image=image)
+        mtr.change(2, 0, payload)  # logged without staging: no memo
+        staged, plain = mtr.seal(LSNAllocator(), ChainState())
+        assert apply_redo(staged, base) is image
+        assert getattr(plain, "_applied", None) is None
 
 
 class TestSharingIsOn:
     def test_one_application_per_record_and_one_image_for_six_copies(
         self, cluster, monkeypatch
     ):
-        """After a 200-transaction burst every redo record was applied by
-        ``apply_redo`` exactly once -- counted on the payloads themselves
-        -- and the six segments and the writer hold one image object for
-        the hot block's newest version."""
-        inside = []
+        """After a 200-transaction burst every payload ran exactly once in
+        the whole system -- at the writer's staging (commit records: at
+        ``commit``) -- and the six segments and the writer hold one image
+        object for the hot block's newest version."""
         applied = {}
 
         def counted(original):
             def apply(payload, image):
-                if inside:
-                    applied[id(payload)] = applied.get(id(payload), 0) + 1
+                applied[id(payload)] = applied.get(id(payload), 0) + 1
                 return original(payload, image)
             return apply
 
-        def flagged(record, base):
-            inside.append(record)
-            try:
-                return apply_redo(record, base)
-            finally:
-                inside.pop()
-
-        for payload_type in (BlockPut, CommitPayload):
+        for payload_type in PAYLOAD_TYPES:
             monkeypatch.setattr(
                 payload_type, "apply", counted(payload_type.apply)
             )
-        for module in CALL_SITES:
-            monkeypatch.setattr(module, "apply_redo", flagged)
 
+        bootstrap = cluster.writer.chains.last_volume_lsn
         db = cluster.session()
         for i in range(200):
             db.write(f"k{i % 8}", i)  # eight keys: no split, one hot leaf
@@ -117,36 +135,83 @@ class TestSharingIsOn:
         assert len(segments) == 6
         for segment in segments:
             segment.coalesce()
-        records = [
-            r for r in segments[0]._records
-            if type(r.payload) in (BlockPut, CommitPayload)
-        ]
+        records = [r for r in segments[0]._records if r.lsn > bootstrap]
         assert len(records) >= 400
         assert {applied.get(id(r.payload)) for r in records} == {1}
-        newest = {id(s.blocks[hot].versions[-1].image) for s in segments}
+        assert sum(applied.values()) == len(records)
+        newest = {id(s.blocks[hot].latest_image()) for s in segments}
         assert len(newest) == 1
         assert cluster.writer.cache.peek(hot).image is (
-            segments[0].blocks[hot].versions[-1].image
+            segments[0].blocks[hot].latest_image()
         )
+
+    def test_coalesce_builds_no_version_objects(self, cluster, monkeypatch):
+        db = cluster.session()
+        for i in range(50):
+            db.write(f"k{i % 8}", i)
+        cluster.run_for(50)
+        built = []
+        original = BlockVersion.__init__
+
+        def counting(self, chain, lsn):
+            built.append(lsn)
+            original(self, chain, lsn)
+
+        monkeypatch.setattr(BlockVersion, "__init__", counting)
+        for i in range(50):
+            db.write(f"k{i % 8}", i)
+        cluster.run_for(50)
+        for node in cluster.nodes.values():
+            assert node.segment.coalesce() == 0  # the ticks got there first
+            assert node.segment.stats["coalesce_applications"] >= 200
+        assert built == []
+
+
+def read_only(image):
+    return image if type(image) is MappingProxyType else MappingProxyType(image)
 
 
 @pytest.fixture
 def read_only_images(monkeypatch):
-    """Every image ``apply_redo`` returns is a ``MappingProxyType``: an
-    in-place edit of a shared image, anywhere, raises ``TypeError``.  One
-    proxy per image keeps the identity the memo and the sharing rely on."""
-    proxies = {}
+    """Every image that can end up shared is a ``MappingProxyType``: what a
+    payload returns (so everything staged in an MTR, cached, or coalesced),
+    what a storage read hands ``read_image``, and whatever else is put into
+    a version chain (baselines, repairs, injected damage).  An in-place
+    edit of any of them, anywhere, raises ``TypeError``.  Returns the
+    number of images wrapped so far, by source."""
+    wrapped = {"redo": 0, "read": 0, "chain": 0}
 
-    def proxied(record, base):
-        image = apply_redo(record, base)
-        held = proxies.get(id(image))
-        if held is None or held[0] is not image:
-            held = proxies[id(image)] = (image, MappingProxyType(image))
-        return held[1]
+    def wrapping(original, source, image_arg=None):
+        def wrapper(*args):
+            if image_arg is None:
+                wrapped[source] += 1
+                return read_only(original(*args))
+            args = list(args)
+            if type(args[image_arg]) is not MappingProxyType:
+                wrapped[source] += 1
+                args[image_arg] = MappingProxyType(args[image_arg])
+            return original(*args)
+        return wrapper
 
-    for module in CALL_SITES:
-        monkeypatch.setattr(module, "apply_redo", proxied)
-    return proxies
+    for payload_type in PAYLOAD_TYPES:
+        monkeypatch.setattr(
+            payload_type, "apply", wrapping(payload_type.apply, "redo")
+        )
+    monkeypatch.setattr(
+        ReadBlockResponse, "image_dict",
+        wrapping(ReadBlockResponse.image_dict, "read"),
+    )
+    for name in ("append", "insert"):
+        monkeypatch.setattr(
+            BlockVersionChain, name,
+            wrapping(getattr(BlockVersionChain, name), "chain", image_arg=2),
+        )
+    image = BlockVersion.image
+    monkeypatch.setattr(
+        BlockVersion, "image",
+        image.setter(wrapping(image.fset, "chain", image_arg=1)),
+    )
+    return wrapped
 
 
 class TestSharingIsSafe:
@@ -157,12 +222,24 @@ class TestSharingIsSafe:
         config = AuditRunConfig(seed=3, steps=400, backend=backend)
         report = run_audit(config.as_integrity())
         assert report.ok, report.render()
-        assert read_only_images
+        assert all(read_only_images.values()), read_only_images
 
     def test_chaos_audit_never_edits_an_image_in_place(self, read_only_images):
         report = run_audit(AuditRunConfig(seed=2, steps=500))
         assert report.ok, report.render()
-        assert read_only_images
+        assert all(read_only_images.values()), read_only_images
+
+    def test_the_fixture_does_catch_an_in_place_edit(self, read_only_images):
+        cluster = AuroraCluster.build(ClusterConfig(seed=11))
+        db = cluster.session()
+        db.write("k", 1)
+        cluster.run_for(50)
+        writer = cluster.writer
+        with pytest.raises(TypeError):
+            writer.cache.peek(writer.root_leaf_block).image["k"] = "edit"
+        segment = next(iter(cluster.nodes.values())).segment
+        with pytest.raises(TypeError):
+            segment.blocks[writer.root_leaf_block].latest_image()["k"] = 1
 
 
 class TestDamageStaysOnOneCopy:

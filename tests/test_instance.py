@@ -229,6 +229,32 @@ class TestCacheMissReads:
             assert db.get(key) == value
 
 
+    def test_buffer_cache_accounting_over_a_fixed_traversal_script(self):
+        """Descending through cached blocks without a generator per level
+        must touch the buffer cache exactly as the per-level ``read_image``
+        generators did: the hit, miss and eviction counts and the final LRU
+        order below were recorded from this script at the commit before
+        the synchronous cache-hit accessor went in."""
+        config = ClusterConfig(seed=41)
+        config.instance.cache_capacity = 12
+        cluster = AuroraCluster.build(config)
+        db = cluster.session()
+        keys = [f"key{i:03d}" for i in range(240)]
+        for start in range(0, len(keys), 40):
+            db.write_many({key: start for key in keys[start:start + 40]})
+        cluster.run_for(50)
+        for key in keys[::-7]:
+            assert db.get(key) is not None
+        assert len(db.scan("key050", "key120")) == 71
+        for key in keys[5::31]:
+            db.write(key, "again")
+        cluster.run_for(50)
+        cache = cluster.writer.cache
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.evictions) == (968, 43, 67)
+        assert stats.eviction_blocked == 0
+        assert cache.blocks() == [4, 11, 15, 21, 19, 25, 28, 0, 22, 32, 33, 2]
+
     def test_concurrent_writers_with_cold_cache(self):
         """Two races a lone client never hits.  A client resumed by its
         commit ack, inside the driver's ack handler, reads at the new VDL
@@ -323,3 +349,29 @@ class TestVersionPurge:
         purged = db.drive(cluster.writer.purge_old_versions())
         assert purged >= 1
         assert db.get("hot") == 4  # latest survives
+
+    def test_purge_with_cache_smaller_than_the_tree(self):
+        """The purge reads every leaf before it rewrites any, so with a
+        cache smaller than the tree the early leaves are evicted again by
+        the time their rows are pruned.  The rewrite's base is the leaf as
+        it was read, not whatever the cache still holds: a one-row delta on
+        a fabricated empty base would drop the leaf's header and every row
+        the purge did not touch from the writer's cache."""
+        config = ClusterConfig(seed=31)
+        config.instance.cache_capacity = 64
+        cluster = AuroraCluster.build(config)
+        db = cluster.session()
+        keys = [f"key{i:04d}" for i in range(3_000)]
+        for start in range(0, len(keys), 250):
+            db.write_many({key: 0 for key in keys[start:start + 250]})
+        for start in range(0, len(keys), 500):
+            db.write_many({key: 1 for key in keys[start:start + 500:2]})
+        cluster.run_for(200)
+        purged = db.drive(cluster.writer.purge_old_versions())
+        assert purged >= len(keys) // 2
+        lost = [
+            key for i, key in reversed(list(enumerate(keys)))
+            if db.get(key) != (i + 1) % 2
+        ]
+        assert lost == []
+        assert db.drive(cluster.writer.btree.check_structure()) > 64

@@ -173,7 +173,7 @@ class TestReplicationStream:
     def test_replicas_are_read_only(self, replicated_cluster):
         replica = replicated_cluster.replicas["r1"]
         with pytest.raises(InstanceStateError):
-            replica.stage_change(None, 0, None)
+            replica.stage_change(None, 0, None, None)
 
 
 class TestSnapshotAnchoring:

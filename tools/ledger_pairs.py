@@ -1,6 +1,6 @@
-"""Alternating parent/change pairs of one benchmark workload.
+"""Alternating parent/change pairs of benchmark workloads.
 
-``make ledger-pairs BASE=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1]``
+``make ledger-pairs BASE=<rev> WORKLOAD=<name|a,b|all> [PAIRS=10] [SEED=1]``
 
 Host time on a small box drifts by tens of percent over minutes, so one
 before/after pair proves nothing (bench/README.md "The speed gauge").  This
@@ -21,6 +21,11 @@ choosing-metrics rule:
   the metric's bound;
 - ``unresolved`` the base's own runs spread wider than the bound;
 - ``no worse``   none of the above.
+
+``WORKLOAD`` may be a comma-separated list, or ``all`` for every workload
+of BENCHMARK.json: each gets its own pairs and its own table, so a claim on
+one workload and the what-must-not-move evidence for the others come from
+one command.
 
 ``BASE`` may also be a directory that already holds a checkout (a clone
 made elsewhere); it is then used as it is and left alone.
@@ -107,15 +112,46 @@ def report(spec: dict, base_runs: list[dict], change_runs: list[dict]) -> None:
         )
 
 
+def run_pairs(
+    spec: dict, base: str, base_tree: Path, workload: str, pairs: int, seed: int
+) -> None:
+    """``pairs`` alternating runs of ``workload`` on each side, then its table."""
+    base_runs: list[dict] = []
+    change_runs: list[dict] = []
+    for pair in range(pairs):
+        sides = [("base", base_tree, base_runs),
+                 ("change", REPO_ROOT, change_runs)]
+        if pair % 2:
+            sides.reverse()
+        for _label, tree, runs in sides:
+            runs.append(run_once(tree, workload, seed))
+        print(
+            f"{workload} pair {pair + 1:>2}/{pairs} "
+            f"({sides[0][0]} first): host_us_per_op "
+            f"base {base_runs[-1]['host_us_per_op']:.1f}  "
+            f"change {change_runs[-1]['host_us_per_op']:.1f}",
+            flush=True,
+        )
+    print(f"\n{workload}, seed {seed}, {pairs} alternating pairs, base {base}")
+    report(spec, base_runs, change_runs)
+    print(flush=True)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True,
                         help="revision (or checkout directory) to compare to")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload, a comma-separated list, or 'all'")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = known if args.workload == "all" else args.workload.split(",")
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        parser.error(f"unknown workload {unknown}; BENCHMARK.json has {known}")
 
     worktree = None
     if Path(args.base).is_dir():
@@ -127,22 +163,10 @@ def main(argv: list[str] | None = None) -> int:
             cwd=REPO_ROOT, check=True, capture_output=True,
         )
         base_tree = worktree
-    base_runs: list[dict] = []
-    change_runs: list[dict] = []
     try:
-        for pair in range(args.pairs):
-            sides = [("base", base_tree, base_runs),
-                     ("change", REPO_ROOT, change_runs)]
-            if pair % 2:
-                sides.reverse()
-            for _label, tree, runs in sides:
-                runs.append(run_once(tree, args.workload, args.seed))
-            print(
-                f"pair {pair + 1:>2}/{args.pairs} "
-                f"({sides[0][0]} first): host_us_per_op "
-                f"base {base_runs[-1]['host_us_per_op']:.1f}  "
-                f"change {change_runs[-1]['host_us_per_op']:.1f}",
-                flush=True,
+        for workload in workloads:
+            run_pairs(
+                spec, args.base, base_tree, workload, args.pairs, args.seed
             )
     finally:
         if worktree is not None:
@@ -150,9 +174,6 @@ def main(argv: list[str] | None = None) -> int:
                 ["git", "worktree", "remove", "--force", str(worktree)],
                 cwd=REPO_ROOT, check=False, capture_output=True,
             )
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} alternating "
-          f"pairs, base {args.base}")
-    report(spec, base_runs, change_runs)
     return 0
 
 
