@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # reports are byte-identical to a sequential run; see docs/PERF.md).
 JOBS ?= 4
 
-.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity audit-adaptive bench bench-paper ledger ledger-smoke ledger-pairs
+.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity audit-adaptive bench bench-paper ledger ledger-smoke ledger-pairs ledger-events
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -103,3 +103,13 @@ PAIRS ?= 10
 SEED ?= 1
 ledger-pairs:
 	python3 tools/ledger_pairs.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
+
+# Where a workload's host time goes, event by event: ROUNDS rounds of
+# WORKLOAD with a counting EventLoop.step, one row per kind of callback
+# (deliveries split by payload type) with events per op, host us per event
+# and share of the timed window (tools/event_mix.py).  For ranking what to
+# look at next; claims go through ledger-pairs.
+#   make ledger-events WORKLOAD=chaos_audit
+ROUNDS ?= 2
+ledger-events:
+	python3 tools/event_mix.py --workload $(WORKLOAD) --seed $(SEED) --rounds $(ROUNDS)

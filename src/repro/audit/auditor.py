@@ -142,7 +142,10 @@ class Auditor:
     def __init__(self, tail_size: int = 64) -> None:
         self.violations: list[AuditViolation] = []
         self.events_seen = 0
-        self._tail: deque[str] = deque(maxlen=tail_size)
+        #: The last ``tail_size`` protocol events as ``(time, text)``;
+        #: rendered by :attr:`event_tail`, which only a violation or a
+        #: report reads.
+        self._tail: deque[tuple[float, str]] = deque(maxlen=tail_size)
         self._loop: EventLoop | None = None
         # Watermarks.  Per-owner state is cleared when that owner crashes
         # (a fresh writer generation restarts its trackers); the durable
@@ -185,14 +188,14 @@ class Auditor:
 
     @property
     def event_tail(self) -> list[str]:
-        return list(self._tail)
+        return [f"[t={at:.3f}] {text}" for at, text in self._tail]
 
     def assert_clean(self) -> None:
         if self.violations:
             lines = [f"{len(self.violations)} invariant violation(s):"]
             lines += [f"  {v}" for v in self.violations]
             lines.append("event tail:")
-            lines += [f"  {e}" for e in self._tail]
+            lines += [f"  {e}" for e in self.event_tail]
             raise AuditError("\n".join(lines))
 
     def flag(self, invariant: str, subject: str, detail: str) -> None:
@@ -203,7 +206,7 @@ class Auditor:
             subject=subject,
             detail=detail,
             at=self._now(),
-            tail=tuple(self._tail),
+            tail=tuple(self.event_tail),
         )
         self.violations.append(violation)
         self._record(f"VIOLATION {invariant} {subject}: {detail}")
@@ -213,7 +216,7 @@ class Auditor:
 
     def _record(self, text: str) -> None:
         self.events_seen += 1
-        self._tail.append(f"[t={self._now():.3f}] {text}")
+        self._tail.append((self._now(), text))
 
     # ------------------------------------------------------------------
     # Hook: segment chains (SCL)

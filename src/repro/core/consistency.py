@@ -246,26 +246,36 @@ class PGConsistencyTracker:
             for m, scl in self._member_scls.items()
             if m in tracked_members
         }
-        self._recompute()
+        # A new configuration can change the verdict on every candidate.
+        self._advance_pgcl(
+            self._pgcl, max(self._member_scls.values(), default=NULL_LSN)
+        )
 
     def record_ack(self, member: str, scl: int) -> bool:
         """Record an acknowledged SCL; return True if PGCL advanced."""
-        if member not in self._member_scls:
-            return False  # ack from an evicted member; ignore
-        if scl > self._member_scls[member]:
-            self._member_scls[member] = scl
-            return self._recompute()
-        return False
+        scls = self._member_scls
+        old = scls.get(member)
+        if old is None or scl <= old:
+            return False  # evicted member, or nothing new
+        scls[member] = scl
+        pgcl = self._pgcl
+        if scl <= pgcl:
+            return False  # a straggler catching up below the durable point
+        # The ack moved ``member`` into the durable set of the candidates in
+        # (old, scl] and of no others, so only those can have just turned
+        # durable; every other candidate above PGCL failed with this same
+        # set the last time it was evaluated.
+        return self._advance_pgcl(old if old > pgcl else pgcl, scl)
 
-    def _recompute(self) -> bool:
-        """PGCL := max L such that {members with SCL >= L} is a write quorum."""
+    def _advance_pgcl(self, above: int, upto: int) -> bool:
+        """PGCL := the highest acked SCL ``L`` in ``(above, upto]`` such
+        that {members with SCL >= L} is a write quorum, if there is one."""
         best = self._pgcl
-        for candidate in set(self._member_scls.values()):
-            if candidate <= best:
+        scls = self._member_scls
+        for candidate in set(scls.values()):
+            if not above < candidate <= upto or candidate <= best:
                 continue
-            durable_at = {
-                m for m, scl in self._member_scls.items() if scl >= candidate
-            }
+            durable_at = {m for m, scl in scls.items() if scl >= candidate}
             if self._config.write_satisfied(durable_at):
                 best = candidate
         if best > self._pgcl:

@@ -89,8 +89,12 @@ class EpochRegistry:
 
         Raises :class:`StaleEpochError` if any component of ``presented`` is
         behind this node's view; otherwise adopts any newer components.
+        Nearly every request carries the stamp the node already holds, and
+        that costs one comparison and builds nothing.
         """
         current = self._current
+        if presented is current or presented == current:
+            return
         for kind in ("volume", "membership", "geometry"):
             have = getattr(current, kind)
             got = getattr(presented, kind)
@@ -101,16 +105,20 @@ class EpochRegistry:
                         self.audit_owner, kind, got, have, rejected=True
                     )
                 raise StaleEpochError(kind, presented=got, current=have)
-        self._current = current.merge(presented)
-        if self._current != current and self.audit_probe is not None:
+        # No component behind and not equal: ``presented`` is the
+        # component-wise maximum itself.
+        self._current = presented
+        if self.audit_probe is not None:
             self.audit_probe.on_epoch_change(
-                self.audit_owner, current, self._current
+                self.audit_owner, current, presented
             )
 
     def advance(self, target: EpochStamp) -> None:
         """Directly install newer epochs (used when applying an epoch-bump
         write that itself carried the new stamp)."""
         current = self._current
+        if target is current or target == current:
+            return
         self._current = current.merge(target)
         if self._current != current and self.audit_probe is not None:
             self.audit_probe.on_epoch_change(

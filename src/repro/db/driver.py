@@ -269,6 +269,8 @@ class StorageDriver:
             hedge_multiplier=self.config.hedge_multiplier,
         )
         self._buffers: dict[int, _PGWriteBuffer] = {}
+        #: pg_index -> (membership state, sorted write targets under it).
+        self._write_fanout: dict[int, tuple[object, tuple[str, ...]]] = {}
         self._outstanding_reads: list[_OutstandingRead] = []
         self._hedge_sweep_scheduled = False
         #: Called with the new VCL after each advance.
@@ -485,14 +487,7 @@ class StorageDriver:
             wire_bytes=wire_bytes,
             logical_bytes=logical_bytes,
         )
-        # The synchronous write fan-out is backend policy: Aurora ships to
-        # all six members; Taurus ships only to the log stores (page
-        # stores drain the log asynchronously via gossip).
-        targets = self.metadata.write_targets_of_pg(pg_index)
-        members = (
-            self.members_of(pg_index) if targets is None else sorted(targets)
-        )
-        for member in members:
+        for member in self._write_members(pg_index):
             self._send(member, batch)
             self.stats.batches_sent += 1
             self.stats.records_sent += len(records)
@@ -502,6 +497,26 @@ class StorageDriver:
                     queue = deque(maxlen=self.config.unacked_retain)
                     self._unacked[member] = queue
                 queue.append(batch)
+
+    def _write_members(self, pg_index: int) -> tuple[str, ...]:
+        """The PG's synchronous write fan-out, in send order.
+
+        Backend policy: Aurora ships to all six members; Taurus ships only
+        to the log stores (page stores drain the log asynchronously via
+        gossip).  Derived from the PG's membership state, which is
+        immutable and replaced whole by a membership change, so the sorted
+        tuple is rebuilt when the metadata service holds a different state
+        object and not per flush.
+        """
+        state = self.metadata.membership(pg_index)
+        cached = self._write_fanout.get(pg_index)
+        if cached is None or cached[0] is not state:
+            targets = self.metadata.write_targets_of_pg(pg_index)
+            members = state.members if targets is None else targets
+            cached = self._write_fanout[pg_index] = (
+                state, tuple(sorted(members))
+            )
+        return cached[1]
 
     def flush_all(self) -> None:
         """Force every buffer out (used at commit in TIMEOUT ablations)."""
@@ -767,6 +782,8 @@ class StorageDriver:
 
     def _inspect_outstanding_reads(self) -> None:
         """Hedge any overdue read (called on every completed I/O)."""
+        if not self._outstanding_reads:
+            return
         now = self.loop.now
         for outstanding in list(self._outstanding_reads):
             if outstanding.future.done or outstanding.is_hedge:

@@ -56,21 +56,26 @@ class Session:
         seconds is several orders of magnitude beyond any healthy
         operation in this library.
         """
+        # Resolved once per call, never kept: ``self.loop`` is two property
+        # hops, and ``step`` must be looked up when the drive starts so a
+        # wrapper installed on ``EventLoop.step`` sees every event.
+        loop = self.loop
+        step = loop.step
         if isinstance(awaitable, Generator):
-            awaitable = Process(self.loop, awaitable)
+            awaitable = Process(loop, awaitable)
         future = (
             awaitable.completion
             if isinstance(awaitable, Process)
             else awaitable
         )
-        deadline = self.loop.now + max_ms
+        deadline = loop.now + max_ms
         while not future.done:
-            if not self.loop.step():
+            if not step():
                 raise SimulationError(
                     "event loop drained before the operation completed "
                     "(lost quorum or unreachable storage?)"
                 )
-            if self.loop.now > deadline:
+            if loop.now > deadline:
                 raise SimulationError(
                     f"operation did not complete within {max_ms} ms of "
                     "simulated time (lost quorum or unreachable storage?)"

@@ -111,7 +111,8 @@ class LogNormalLatency(LatencyModel):
         self._mu = math.log(median)
 
     def sample(self, rng: random.Random) -> float:
-        return rng.lognormvariate(self._mu, self.sigma)
+        # What ``rng.lognormvariate`` is, minus its stack frame.
+        return math.exp(rng.normalvariate(self._mu, self.sigma))
 
     def mean(self) -> float:
         return math.exp(self._mu + self.sigma**2 / 2.0)

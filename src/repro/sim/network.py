@@ -92,6 +92,30 @@ class _NodeState:
     latency_scale: float = 1.0
 
 
+@dataclass(slots=True)
+class _Route:
+    """What the fabric knows about one ordered ``(src, dst)`` pair.
+
+    Everything here is derived from control-plane state (AZ placement,
+    latency overrides and scales, WAN links, partitions, quarantines) and is
+    recomputed only after one of those changes; see
+    :meth:`Network._drop_routes`.  The two endpoints are held by reference,
+    so ``up`` and ``actor`` -- which crash, restore and ``set_actor`` flip
+    without telling the table -- are always read live.
+    """
+
+    src_node: _NodeState
+    dst_node: _NodeState
+    #: The link's latency distribution: override, local, intra- or cross-AZ.
+    model: LatencyModel
+    #: ``src.latency_scale * dst.latency_scale``.
+    scale: float
+    #: The :class:`repro.sim.wan.WanLink` the pair crosses, if any.
+    wan: Any
+    #: Partitioned or quarantined: dropped at delivery time.
+    blocked: bool
+
+
 @dataclass
 class NetworkStats:
     """Counters exposed for benchmarks and assertions.
@@ -151,13 +175,6 @@ class Network:
         self.intra_az = intra_az if intra_az is not None else intra_az_link()
         self.cross_az = cross_az if cross_az is not None else cross_az_link()
         self.local = local if local is not None else FixedLatency(0.01)
-        # Local (self-to-self) delivery fast path: a fixed-latency local
-        # link needs no rng sample, so the constant is read directly on the
-        # hot path.  ``FixedLatency.sample`` ignores the rng, so this is
-        # bit-identical to the slow path.
-        self._local_fixed: float | None = (
-            self.local.value if isinstance(self.local, FixedLatency) else None
-        )
         self.stats = NetworkStats()
         self._nodes: dict[str, _NodeState] = {}
         self._link_overrides: dict[tuple[str, str], LatencyModel] = {}
@@ -176,9 +193,12 @@ class Network:
         self._taps: list[Callable[[Message], None]] = []
         # WAN policies per unordered pair (see repro.sim.wan.WanLink):
         # the link decides loss and latency for every message crossing
-        # the pair, from its own rng.  Empty for purely intra-region
-        # simulations, so the hot path pays one falsy check.
+        # the pair, from its own rng.  Resolved into the pair's route.
         self._wan_links: dict[frozenset[str], Any] = {}
+        # Route table, filled lazily per ordered (src, dst) pair and dropped
+        # whole by every mutator of what a route caches.  A message compares
+        # nothing but this one entry on its way out and on its way in.
+        self._routes: dict[tuple[str, str], _Route] = {}
 
     # ------------------------------------------------------------------
     # Topology
@@ -210,6 +230,7 @@ class Network:
     def set_link_latency(self, a: str, b: str, model: LatencyModel) -> None:
         """Override latency for the (unordered) pair ``a``-``b``."""
         self._link_overrides[self._pair(a, b)] = model
+        self._drop_routes()
 
     def set_wan_link(self, a: str, b: str, wan: Any) -> None:
         """Route the (unordered) pair ``a``-``b`` over a lossy WAN.
@@ -221,6 +242,7 @@ class Network:
         time on top of the WAN's own loss.
         """
         self._wan_links[self._pair(a, b)] = wan
+        self._drop_routes()
 
     def wan_link_between(self, a: str, b: str) -> Any | None:
         return self._wan_links.get(self._pair(a, b))
@@ -250,6 +272,7 @@ class Network:
         if factor <= 0:
             raise ConfigurationError(f"factor must be > 0, got {factor}")
         self._node(name).latency_scale = factor
+        self._drop_routes()
 
     def partition(self, group_a: set[str], group_b: set[str]) -> None:
         """Drop all traffic between ``group_a`` and ``group_b``."""
@@ -257,6 +280,7 @@ class Network:
             for b in group_b:
                 pair = self._pair(a, b)
                 self._partitions[pair] = self._partitions.get(pair, 0) + 1
+        self._drop_routes()
 
     def heal_partition(self, group_a: set[str], group_b: set[str]) -> None:
         for a in group_a:
@@ -267,9 +291,11 @@ class Network:
                     self._partitions[pair] = count - 1
                 elif count == 1:
                     del self._partitions[pair]
+        self._drop_routes()
 
     def heal_all_partitions(self) -> None:
         self._partitions.clear()
+        self._drop_routes()
 
     def is_partitioned(self, a: str, b: str) -> bool:
         return self._pair(a, b) in self._partitions
@@ -283,9 +309,11 @@ class Network:
         :meth:`partition` against a snapshot of current nodes cannot.
         """
         self._quarantines[name] = frozenset(allow)
+        self._drop_routes()
 
     def lift_quarantine(self, name: str) -> None:
         self._quarantines.pop(name, None)
+        self._drop_routes()
 
     def is_quarantined(self, a: str, b: str) -> bool:
         if a == b:
@@ -351,29 +379,42 @@ class Network:
         """Toggle per-payload-type accounting (lite mode when ``False``)."""
         self.stats.detailed = detailed
 
-    def _latency_between(self, src: str, dst: str) -> float:
-        if self._link_overrides:
-            override = self._link_overrides.get(self._pair(src, dst))
-        else:
-            override = None
-        if override is not None:
-            base = override.sample(self.rng)
-        elif src == dst:
-            if self._local_fixed is not None:
-                base = self._local_fixed
+    def _drop_routes(self) -> None:
+        """Forget every resolved route; called by each mutator of what a
+        route caches, and by nothing else."""
+        self._routes.clear()
+
+    def _resolve_route(self, src: str, dst: str) -> _Route:
+        """Derive the route of ``(src, dst)`` from the control-plane state
+        and remember it until the next mutator runs.
+
+        Resolution is lazy, so a pair is first looked at when a message
+        crosses it: a quarantine installed before a node existed covers
+        that node like any other, with nothing to invalidate in
+        :meth:`add_node`.
+        """
+        src_node = self._node(src)
+        dst_node = self._node(dst)
+        pair = self._pair(src, dst)
+        model = self._link_overrides.get(pair)
+        if model is None:
+            if src == dst:
+                model = self.local
+            elif src_node.az is not None and src_node.az == dst_node.az:
+                model = self.intra_az
             else:
-                base = self.local.sample(self.rng)
-        else:
-            src_az = self._nodes[src].az
-            dst_az = self._nodes[dst].az
-            if src_az is not None and src_az == dst_az:
-                base = self.intra_az.sample(self.rng)
-            else:
-                base = self.cross_az.sample(self.rng)
-        scale = (
-            self._nodes[src].latency_scale * self._nodes[dst].latency_scale
+                model = self.cross_az
+        route = self._routes[(src, dst)] = _Route(
+            src_node=src_node,
+            dst_node=dst_node,
+            model=model,
+            scale=src_node.latency_scale * dst_node.latency_scale,
+            wan=self._wan_links.get(pair),
+            blocked=(
+                self.is_partitioned(src, dst) or self.is_quarantined(src, dst)
+            ),
         )
-        return base * scale
+        return route
 
     def _transmit(
         self,
@@ -383,11 +424,9 @@ class Network:
         request_id: int | None,
         is_reply: bool,
     ) -> None:
-        nodes = self._nodes
-        if src not in nodes:
-            raise ConfigurationError(f"unknown node {src!r}")
-        if dst not in nodes:
-            raise ConfigurationError(f"unknown node {dst!r}")
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._resolve_route(src, dst)
         stats = self.stats
         stats.messages_sent += 1
         if stats.detailed:
@@ -399,41 +438,42 @@ class Network:
                 if wire:
                     stats.wire_bytes_sent += wire
                     stats.logical_bytes_sent += payload.logical_bytes
-        if not nodes[src].up:
-            stats.messages_dropped += 1
-            return
-        if self._wan_links:
-            wan = self._wan_links.get(self._pair(src, dst))
-        else:
-            wan = None
-        if wan is not None:
-            verdict = wan.plan(src, payload, self.loop.now)
-            if verdict is None:
-                stats.messages_dropped += 1
-                return
-            latency = verdict
-        else:
-            latency = self._latency_between(src, dst)
         now = self.loop.now
-        message = Message(
-            src=src,
-            dst=dst,
-            payload=payload,
-            send_time=now,
-            deliver_time=now + latency,
-            request_id=request_id,
-            is_reply=is_reply,
+        if not route.src_node.up:
+            self._drop(request_id)
+            return
+        if route.wan is not None:
+            latency = route.wan.plan(src, payload, now)
+            if latency is None:
+                self._drop(request_id)
+                return
+        else:
+            latency = route.model.sample(self.rng) * route.scale
+        deliver_time = now + latency
+        self.loop.schedule_at(
+            deliver_time,
+            self._deliver,
+            Message(
+                src, dst, payload, now, deliver_time, request_id, is_reply
+            ),
         )
-        self.loop.schedule_at(now + latency, self._deliver, message)
+
+    def _drop(self, request_id: int | None) -> None:
+        """The fabric lost a message.  If it was an RPC request or reply,
+        nothing can resolve that RPC's future any more, so stop tracking it
+        (the caller's future stays pending: hedging and retries are the
+        caller's business)."""
+        self.stats.messages_dropped += 1
+        if request_id is not None:
+            self._pending_rpcs.pop(request_id, None)
 
     def _deliver(self, message: Message) -> None:
-        node = self._nodes[message.dst]
-        if (
-            not node.up
-            or self.is_partitioned(message.src, message.dst)
-            or self.is_quarantined(message.src, message.dst)
-        ):
-            self.stats.messages_dropped += 1
+        route = self._routes.get((message.src, message.dst))
+        if route is None:
+            route = self._resolve_route(message.src, message.dst)
+        node = route.dst_node
+        if not node.up or route.blocked:
+            self._drop(message.request_id)
             return
         self.stats.messages_delivered += 1
         for tap in self._taps:

@@ -220,22 +220,26 @@ class StorageNode(Actor):
             self._started = True
             return
         self._started = True
-        self._schedule_tick(self.config.gossip_interval, self._gossip_tick)
-        self._schedule_tick(self.config.coalesce_interval, self._coalesce_tick)
-        self._schedule_tick(self.config.backup_interval, self._backup_tick)
-        self._schedule_tick(self.config.gc_interval, self._gc_tick)
-        self._schedule_tick(self.config.scrub_interval, self._scrub_tick)
+        self._arm_tick(self.config.gossip_interval, self._gossip_tick)
+        self._arm_tick(self.config.coalesce_interval, self._coalesce_tick)
+        self._arm_tick(self.config.backup_interval, self._backup_tick)
+        self._arm_tick(self.config.gc_interval, self._gc_tick)
+        self._arm_tick(self.config.scrub_interval, self._scrub_tick)
 
-    def _schedule_tick(self, interval: float, tick) -> None:
-        """Reschedule ``tick`` forever with +/-20% jitter (avoids lockstep)."""
-        delay = interval * self.rng.uniform(0.8, 1.2)
+    def _arm_tick(self, interval: float, tick) -> None:
+        """Schedule ``tick`` one ``interval`` out, +/-20% jitter (avoids
+        lockstep)."""
+        self.loop.schedule(
+            interval * self.rng.uniform(0.8, 1.2),
+            self._run_tick, interval, tick,
+        )
 
-        def _fire() -> None:
-            if self.network is not None and self.network.is_up(self.name):
-                tick()
-            self._schedule_tick(interval, tick)
-
-        self.loop.schedule(delay, _fire)
+    def _run_tick(self, interval: float, tick) -> None:
+        """A periodic tick fired: run it if this node is up, re-arm it
+        forever either way."""
+        if self.network is not None and self.network.is_up(self.name):
+            tick()
+        self._arm_tick(interval, tick)
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -541,13 +545,18 @@ class StorageNode(Actor):
         self._adopt_read_floor(update.instance_id, update.pgmrpl)
 
     def _adopt_read_floor(self, instance_id: str, pgmrpl: int) -> None:
-        previous = self._instance_read_floors.get(instance_id, 0)
-        self._instance_read_floors[instance_id] = max(previous, pgmrpl)
-        self.segment.advance_gc_floor(min(self._instance_read_floors.values()))
+        floors = self._instance_read_floors
+        if pgmrpl > floors.setdefault(instance_id, 0):
+            # The minimum over instances moves only when one of them rises
+            # (or leaves: see forget_instance).
+            floors[instance_id] = pgmrpl
+            self.segment.advance_gc_floor(min(floors.values()))
 
     def forget_instance(self, instance_id: str) -> None:
         """Drop a closed instance from GC-floor accounting."""
-        self._instance_read_floors.pop(instance_id, None)
+        floors = self._instance_read_floors
+        if floors.pop(instance_id, None) is not None and floors:
+            self.segment.advance_gc_floor(min(floors.values()))
 
     # ------------------------------------------------------------------
     # Background: scrub (activity 8)

@@ -108,6 +108,11 @@ class Segment:
         #: ("even if in-flight asynchronous operations complete during the
         #: process of crash recovery, they are ignored").
         self.truncations: list[TruncationRange] = []
+        #: ``max(t.last)`` over ``truncations``: no LSN above it can be
+        #: annulled.  A post-recovery writer allocates above every range it
+        #: installed (``LSNAllocator.apply_truncation``), so live ingest
+        #: compares against this scalar and never walks the ranges.
+        self._annulled_upto = NULL_LSN
         #: Hot-log LSNs whose stored record failed digest verification;
         #: coalescing stops below the lowest one until peer repair replaces
         #: the record.
@@ -154,12 +159,12 @@ class Segment:
                 f"record for PG {record.pg_index} routed to segment "
                 f"{self.segment_id} of PG {self.pg_index}"
             )
-        if self.truncations and any(
-            t.contains(record.lsn) for t in self.truncations
+        lsn = record.lsn
+        if lsn <= self._annulled_upto and any(
+            t.contains(lsn) for t in self.truncations
         ):
             self.stats["annulled_refused"] += 1
             return False
-        lsn = record.lsn
         if lsn in self.hot_log or lsn <= self.chain.scl:
             self.stats["duplicates"] += 1
             return False
@@ -191,13 +196,14 @@ class Segment:
         Equivalent to calling :meth:`receive` on each record, which stays
         the general path and the reference this one is tested against.  A
         boxcar is normally one chain-contiguous run that lies above
-        everything already stored; such a run (with no truncation
-        installed, so nothing in it can be annulled) is appended to the hot
-        log and its mirrors in bulk, and when it also attaches at the SCL
-        the chain tracker takes it in one step.  A run behind a gap is
-        still appended in bulk but linked record by record; anything else
-        -- out of order, overlapping what is stored, internally gapped,
-        after a recovery truncation -- goes through :meth:`receive`.
+        everything already stored; such a run (above every installed
+        truncation range, so nothing in it can be annulled) is appended to
+        the hot log and its mirrors in bulk, and when it also attaches at
+        the SCL the chain tracker takes it in one step.  A run behind a gap
+        is still appended in bulk but linked record by record; anything
+        else -- out of order, overlapping what is stored, internally
+        gapped, reaching into or below an annulled range -- goes through
+        :meth:`receive`.
         """
         lsns = self._appendable_run(records)
         if lsns is None:
@@ -220,14 +226,18 @@ class Segment:
 
         That takes a non-empty run of this PG's records, each linked to the
         one before it (so strictly ascending), that starts above the SCL and
-        above every stored record (so none is a duplicate), with no
-        truncation installed (so none is annulled).
+        above every stored record (so none is a duplicate) and above every
+        installed truncation range (so none is annulled).
         """
-        if not records or self.truncations:
+        if not records:
             return None
         first = records[0]
         index = self._lsn_index
-        if first.lsn <= self.chain.scl or (index and first.lsn <= index[-1]):
+        if (
+            first.lsn <= self.chain.scl
+            or first.lsn <= self._annulled_upto
+            or (index and first.lsn <= index[-1])
+        ):
             return None
         pg_index = self.pg_index
         prev = first.prev_pg_lsn  # whatever the run hangs from
@@ -417,6 +427,7 @@ class Segment:
         chain is clamped there so post-recovery records re-link cleanly.
         """
         self.truncations.append(truncation)
+        self._annulled_upto = max(self._annulled_upto, truncation.last)
         # Annul only the window (pg_point, truncation.last].  LSNs above the
         # range belong to post-recovery writer generations (the allocator
         # jumps above it): a TruncateRequest delivered late, to a segment

@@ -121,7 +121,7 @@ def test_truncation_at_durable_point_is_clean(auditor):
 class BuggyPGTracker(PGConsistencyTracker):
     """Bug: recompute forgets the PGCL floor when the config is swapped."""
 
-    def _recompute(self):
+    def _advance_pgcl(self, above, upto):
         best = NULL_LSN
         for candidate in set(self._member_scls.values()):
             durable_at = {
@@ -398,3 +398,27 @@ def test_violation_carries_event_tail(auditor):
     auditor.flag("scl-monotonic", "seg-a", "synthetic")
     assert any("scl seg-a 0->3" in line for line in
                auditor.violations[0].tail)
+
+
+def test_event_tail_is_stamped_with_the_time_of_the_event():
+    """Events are stored as (time, text) and rendered when read; the
+    rendering shows when each happened, not when it was read."""
+    from repro.sim.events import EventLoop
+
+    loop = EventLoop()
+    probe = Auditor(tail_size=2)
+    probe.bind_loop(loop)
+    for at, new in ((1.5, 1), (2.25, 2), (9.0, 3)):
+        loop.schedule_at(at, probe.on_scl, "seg-a", new - 1, new, "chain")
+    loop.run()
+    loop.run(until=50.0)
+    assert probe.event_tail == [
+        "[t=2.250] scl seg-a 1->2 (chain)",
+        "[t=9.000] scl seg-a 2->3 (chain)",
+    ]
+    before = tuple(probe.event_tail)
+    probe.flag("scl-monotonic", "seg-a", "synthetic")
+    assert probe.violations[0].tail == before
+    assert probe.event_tail[-1] == (
+        "[t=50.000] VIOLATION scl-monotonic seg-a: synthetic"
+    )

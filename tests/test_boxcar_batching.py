@@ -231,6 +231,53 @@ class TestElideSuperseded:
         assert batch_wire_bytes(records) < logical
 
 
+class TestPayloadSizeMemo:
+    """A payload's value tree is walked once per payload object: a flush
+    sizes each record for the logical total and again for the wire total,
+    and a resubmitted boxcar would size it a third time."""
+
+    def _counted(self, monkeypatch):
+        from repro.db import wire
+
+        walks = []
+        value_bytes = wire.value_bytes
+
+        def counting(value):
+            walks.append(value)
+            return value_bytes(value)
+
+        monkeypatch.setattr(wire, "value_bytes", counting)
+        return walks
+
+    def test_second_and_later_passes_walk_nothing(self, monkeypatch):
+        walks = self._counted(monkeypatch)
+        chain = tuple((scn, f"v{scn}") for scn in range(40))
+        records = tuple(
+            _rec(lsn, payload=BlockPut(entries=((("k", lsn), chain),)))
+            for lsn in range(10, 16)
+        )
+        logical = batch_logical_bytes(records)
+        first_pass = len(walks)
+        assert first_pass > 6 * 40
+        wire_bytes = batch_wire_bytes(records)
+        assert batch_logical_bytes(records) == logical
+        assert batch_wire_bytes(records) == wire_bytes
+        assert len(walks) == first_pass
+
+    def test_a_replaced_payload_is_sized_afresh(self, monkeypatch):
+        from dataclasses import replace
+
+        from repro.db.wire import payload_bytes
+
+        payload = BlockPut(entries=(("row", "abc"),))
+        size = payload_bytes(payload)
+        walks = self._counted(monkeypatch)
+        longer = replace(payload, entries=(("row", "abcdefgh"),))
+        assert payload_bytes(longer) == size + 5
+        assert walks  # the copy did not inherit the memo
+        assert payload_bytes(payload) == size
+
+
 class TestCompressedWireEndToEnd:
     def _compressing_cluster(self, seed=73):
         config = ClusterConfig(seed=seed)

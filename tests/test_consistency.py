@@ -176,6 +176,100 @@ class TestPGConsistencyTracker:
         assert tracker.durable_members_at(10) == {members[0], members[1]}
 
 
+class TestNarrowedPGCLRecompute:
+    """``record_ack`` evaluates the quorum expression only for the SCL
+    candidates its ack can have made durable.  After every step the result
+    must equal evaluating every candidate (what ``set_config`` still does)."""
+
+    MEMBERS = [f"s{i}" for i in range(6)]
+    SPARE = "g"
+
+    @classmethod
+    def configs(cls):
+        from repro.core.quorum import full_tail_config, transition_config
+
+        m = cls.MEMBERS
+        return {
+            "4/6": v6_config(m),
+            # Membership transition: 4/6 of the old group AND of the new.
+            "and": transition_config([m, m[:5] + [cls.SPARE]]),
+            # Full/tail: 4/6 of everyone OR 3/3 of the fulls.
+            "or": full_tail_config(m[:3], m[3:]),
+        }
+
+    @staticmethod
+    def full_recompute(pgcl, scls, config):
+        passing = [
+            candidate
+            for candidate in set(scls.values())
+            if candidate > pgcl
+            and config.write_satisfied(
+                {m for m, scl in scls.items() if scl >= candidate}
+            )
+        ]
+        return max(passing, default=pgcl)
+
+    @given(
+        first=st.sampled_from(["4/6", "and", "or"]),
+        steps=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("ack"), st.integers(0, 6), st.integers(0, 12)
+                ),
+                st.tuples(
+                    st.just("config"), st.sampled_from(["4/6", "and", "or"])
+                ),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_full_recompute_after_every_step(self, first, steps):
+        configs = self.configs()
+        everyone = self.MEMBERS + [self.SPARE]
+        config = configs[first]
+        tracker = PGConsistencyTracker(0, config)
+        model_pgcl = NULL_LSN
+        for step in steps:
+            if step[0] == "ack":
+                before = tracker.pgcl
+                advanced = tracker.record_ack(everyone[step[1]], step[2])
+                assert advanced == (tracker.pgcl > before)
+            else:
+                config = configs[step[1]]
+                tracker.set_config(config)
+            model_pgcl = self.full_recompute(
+                model_pgcl, tracker.member_scls, config
+            )
+            assert tracker.pgcl == model_pgcl
+
+    def test_only_candidates_the_ack_can_have_changed_are_evaluated(self):
+        evaluated = []
+
+        class Spy:
+            members = frozenset(self.MEMBERS)
+
+            def write_satisfied(self, durable):
+                evaluated.append(len(durable))
+                return len(durable) >= 4
+
+        tracker = PGConsistencyTracker(0, Spy())
+        for member, scl in zip(self.MEMBERS, [30, 25, 20, 15, 10, 5]):
+            tracker.record_ack(member, scl)
+        assert tracker.pgcl == 15
+        del evaluated[:]
+        # s5: 5 -> 12.  Candidates in (max(pgcl, 5), 12] = none but 12
+        # itself, which is below PGCL: nothing to evaluate.
+        assert not tracker.record_ack("s5", 12)
+        assert evaluated == []
+        # s4: 10 -> 22.  Candidates in (15, 22] are 20 and 22; 30 and 25
+        # were failing before and this ack cannot have changed that.
+        assert tracker.record_ack("s4", 22)
+        assert tracker.pgcl == 20
+        assert sorted(evaluated) == [3, 4]
+
+
 class TestVolumeConsistencyTracker:
     def test_figure_3_scenario(self):
         """Reproduce Figure 3 exactly: odd records -> PG1, even -> PG2;

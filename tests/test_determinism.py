@@ -126,3 +126,60 @@ class TestDeterminism:
             )
 
         assert run() == run()
+
+    def test_audit_run_is_pinned_to_recorded_values(self):
+        """A change that only makes the simulator cheaper to run must leave
+        the simulated universe alone.  Recorded at commit a529a73 (PR 14),
+        before the write round trip's per-message derivations were replaced
+        by version compares: ``run_audit(seed=7, steps=300)`` executes the
+        same events, commits with the same latencies and renders the same
+        report.  One line is re-recorded: ``protocol events`` counts auditor
+        hook calls, and a post-recovery boxcar appended in bulk reports its
+        SCL advance once instead of once per record (2363 before)."""
+        import hashlib
+        from unittest import mock
+
+        from repro.audit import AuditRunConfig, run_audit
+
+        clusters = []
+        build = AuroraCluster.build
+
+        def capture(*args, **kwargs):
+            clusters.append(build(*args, **kwargs))
+            return clusters[-1]
+
+        with mock.patch.object(AuroraCluster, "build", capture):
+            report = run_audit(AuditRunConfig(seed=7, steps=300))
+        assert report.events_executed == 9944
+        (cluster,) = clusters
+        latencies = list(cluster.writer.stats.commit_latencies)
+        assert len(latencies) == 142
+        assert latencies[:3] == [
+            1.9756605575732387, 1.5446190037609, 2.555738326432607
+        ]
+        assert hashlib.sha256(repr(latencies).encode()).hexdigest() == (
+            "60f3ca800fa475832929cbf8ef416599"
+            "fc119e085297c09920bb3b86328cf4f2"
+        )
+        assert report.render() == "\n".join([
+            "audit run: seed=7 steps=300 sim_time=2714ms",
+            "  chaos events:        12",
+            "  commit acks:         142",
+            "  writer recoveries:   1",
+            "  availability errors: 0",
+            "  protocol events:     1912",
+            "  violations:          0",
+            "  repairs confirmed:   2 (replaced=1 rolled_back=1 aborted=0 "
+            "stalled=0 active=0)",
+            "  concurrent repairs:  1 peak (distinct PGs)",
+            "  detection latency:   mean=792ms p50=596ms p95=987ms "
+            "max=987ms (n=2)",
+            "  MTTR (replaced):     mean=1017ms p50=1017ms p95=1017ms "
+            "max=1017ms (n=1)",
+            "  resolution (all):    mean=847ms p50=676ms p95=1017ms "
+            "max=1017ms (n=2)",
+            "  health verdicts:     suspected=12 confirmed=2 false_pos=1",
+            "  planted false pos:   rollback ok",
+        ])
+        # Every RPC the fabric dropped was forgotten with the message.
+        assert len(cluster.network._pending_rpcs) == 0

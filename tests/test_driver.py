@@ -197,3 +197,31 @@ class TestQuorumRPC:
             cluster.failures.crash_node(name)
         with pytest.raises(SegmentUnavailableError):
             db.drive(cluster.writer.driver.scan_pg(0))
+
+
+class TestWriteFanOut:
+    def test_fan_out_follows_the_membership_state_not_the_flush(self):
+        """The sorted write-target tuple is derived once per membership
+        state.  A replacement installs new state objects, and the very
+        next flush ships to whoever is a member then -- whether or not
+        anybody told this driver (a superseded writer is never told)."""
+        cluster = build()
+        db = cluster.session()
+        db.write("before", 1)
+        driver = cluster.writer.driver
+        metadata = cluster.metadata
+        steady = driver._write_members(0)
+        assert steady == tuple(sorted(metadata.membership(0).members))
+        assert driver._write_members(0) is steady  # same state: same tuple
+        candidate = db.drive(cluster.replace_segment(0, "pg0-f"))
+        during = driver._write_members(0)
+        assert set(during) == metadata.membership(0).members
+        assert during is not steady
+        sent = []
+        send = driver._send
+        driver._send = lambda member, batch: (
+            sent.append(member), send(member, batch)
+        )
+        db.write("after", 2)
+        assert sorted(set(sent)) == list(during)
+        assert candidate in during and "pg0-f" not in during

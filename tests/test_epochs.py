@@ -84,3 +84,89 @@ class TestEpochRegistry:
         with pytest.raises(StaleEpochError):
             node.check_and_learn(old_instance_stamp)  # zombie boxed out
         node.check_and_learn(recovered_stamp)  # new instance proceeds
+
+
+class RecordingProbe:
+    def __init__(self):
+        self.changes = []
+        self.stale = []
+
+    def on_epoch_change(self, owner, old, new):
+        self.changes.append((owner, old, new))
+
+    def on_stale_epoch(self, owner, kind, presented, current, rejected=True):
+        self.stale.append((owner, kind, presented, current, rejected))
+
+
+@pytest.fixture
+def stamps_built(monkeypatch):
+    """Counts every ``EpochStamp`` constructed while the test runs."""
+    built = []
+    validate = EpochStamp.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(EpochStamp, "__post_init__", counting)
+    return built
+
+
+class TestCompareAVersion:
+    """The data plane compares the stamp; only an epoch change derives."""
+
+    def _registry(self):
+        current = EpochStamp(volume=3, membership=2)
+        registry = EpochRegistry(current)
+        registry.audit_probe = RecordingProbe()
+        registry.audit_owner = "seg0"
+        return registry, current
+
+    def test_identical_and_equal_stamps_build_and_report_nothing(
+        self, stamps_built
+    ):
+        registry, current = self._registry()
+        equal = EpochStamp(volume=3, membership=2)
+        del stamps_built[:]
+        for _ in range(100):
+            registry.check_and_learn(current)
+            registry.check_and_learn(equal)
+            registry.advance(current)
+            registry.advance(equal)
+        assert stamps_built == []
+        assert registry.audit_probe.changes == []
+        assert registry.current is current
+        assert registry.rejections == 0
+
+    def test_a_newer_stamp_is_adopted_with_exactly_one_report(
+        self, stamps_built
+    ):
+        registry, current = self._registry()
+        newer = EpochStamp(volume=4, membership=2)
+        del stamps_built[:]
+        registry.check_and_learn(newer)
+        registry.check_and_learn(newer)
+        assert stamps_built == []
+        assert registry.current is newer
+        assert registry.audit_probe.changes == [("seg0", current, newer)]
+
+    def test_a_stale_stamp_still_raises_counts_and_reports(self):
+        registry, current = self._registry()
+        with pytest.raises(StaleEpochError):
+            registry.check_and_learn(EpochStamp(volume=3, membership=1))
+        assert registry.rejections == 1
+        assert registry.current is current
+        assert registry.audit_probe.changes == []
+        assert registry.audit_probe.stale == [
+            ("seg0", "membership", 1, 2, True)
+        ]
+
+    def test_advance_reports_only_a_real_change(self):
+        registry, current = self._registry()
+        registry.advance(EpochStamp(volume=1, membership=1))  # all behind
+        assert registry.current == current
+        assert registry.audit_probe.changes == []
+        registry.advance(EpochStamp(volume=1, membership=5))
+        merged = EpochStamp(volume=3, membership=5)
+        assert registry.current == merged
+        assert registry.audit_probe.changes == [("seg0", current, merged)]

@@ -8,7 +8,8 @@ a segment in the same state.
 
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.core.lsn import TruncationRange
@@ -49,48 +50,55 @@ def cut(rng, records):
     return batches
 
 
-def scenario(rng):
-    """Operations in delivery order: boxcars of two writer generations,
-    a place or two out of order and a fifth of them twice, gossip answers
-    with holes, coalesce ticks, one recovery truncation and one rebase."""
-    first = chain_records(rng, 0, 1, rng.randint(20, 60))
-    pg_point = rng.choice(first[len(first) // 3:]).lsn
-    truncation = TruncationRange(pg_point + 1, first[-1].lsn + 50)
-    second = chain_records(
-        rng, pg_point, truncation.last + 1, rng.randint(5, 25)
-    )
+def scenario(rng, recoveries=1):
+    """Operations in delivery order: boxcars of ``recoveries + 1`` writer
+    generations, a place or two out of order and a fifth of them twice,
+    one recovery truncation between generations, late pre-recovery runs
+    that start inside or below a range already annulled, gossip answers
+    with holes, coalesce ticks and one rebase."""
     timeline = []  # (when, operation)
-    boxcars = cut(rng, first)
-    end = len(boxcars) + 4.0
-    for i, batch in enumerate(boxcars):
-        when = i + rng.uniform(0, 1.5)
-        timeline.append((when, ("batch", batch)))
-        if rng.random() < 0.2:  # a resubmission
-            timeline.append((when + rng.uniform(0.5, 6), ("batch", batch)))
-    # Every ingest after the truncation takes the general path; the new
-    # generation's first boxcars may overtake it (a late TruncateRequest).
-    truncated_at = rng.uniform(end / 3, end)
-    timeline.append((truncated_at, ("truncate", pg_point, truncation)))
-    when = truncated_at - 1
-    for batch in cut(rng, second):
-        when += rng.uniform(0.3, 1.0)
-        timeline.append((when + rng.uniform(0, 1.5), ("batch", batch)))
-    # A gossip answer: what a peer holds above some LSN, up to a limit --
-    # half the time from a peer just ahead of what has arrived by then.
+    everything = []
+    prev, first_lsn, start = 0, 1, 0.0
+    for generation in range(recoveries + 1):
+        records = chain_records(rng, prev, first_lsn, rng.randint(8, 40))
+        everything += records
+        boxcars = cut(rng, records)
+        for i, batch in enumerate(boxcars):
+            when = start + i + rng.uniform(0, 1.5)
+            timeline.append((when, ("batch", batch)))
+            if rng.random() < 0.2:  # a resubmission
+                timeline.append((when + rng.uniform(0.5, 6), ("batch", batch)))
+        end = start + len(boxcars) + 4.0
+        if generation == recoveries:
+            break
+        pg_point = rng.choice(records[len(records) // 3:]).lsn
+        truncation = TruncationRange(pg_point + 1, records[-1].lsn + 50)
+        # The next generation's first boxcars may overtake the truncation
+        # (a late TruncateRequest); once it is installed they start above
+        # everything annulled and are appended in bulk again.
+        truncated_at = rng.uniform(start + (end - start) / 3, end)
+        timeline.append((truncated_at, ("truncate", pg_point, truncation)))
+        # In-flight writes of the dead generation that land afterwards:
+        # runs that start below the surviving point, at it, or inside the
+        # annulled range.
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(records))
+            stale = records[at:at + rng.randint(1, 8)]
+            timeline.append(
+                (truncated_at + rng.uniform(0, 4), ("batch", stale))
+            )
+        prev, first_lsn, start = pg_point, truncation.last + 1, truncated_at - 1
+    first = everything[:len(everything) // 2]
+    # A gossip answer: what a peer holds above some LSN, up to a limit.
     for _ in range(rng.randint(1, 4)):
-        when = rng.uniform(0, end)
         above = rng.choice(first).lsn
-        if rng.random() < 0.5:
-            ahead = min(int(when) + rng.randint(0, 2), len(boxcars) - 1)
-            above = boxcars[ahead][0].lsn - 1
         held = [
-            r for r in first + second
-            if r.lsn > above and rng.random() < 0.8
+            r for r in everything if r.lsn > above and rng.random() < 0.8
         ]
-        timeline.append((when, ("gossip", held[:12])))
+        timeline.append((rng.uniform(0, end), ("gossip", held[:12])))
     for _ in range(rng.randint(1, 3)):
         timeline.append((rng.uniform(0, end), ("coalesce",)))
-    baseline = rng.randint(1, second[-1].lsn)
+    baseline = rng.randint(1, everything[-1].lsn)
     timeline.append((rng.uniform(0, end), ("rebase", baseline)))
     timeline.sort(key=lambda entry: entry[0])
     return [op for _when, op in timeline]
@@ -148,20 +156,64 @@ def state(segment):
             for block, versions in segment.blocks.items()
         },
         "stats": segment.stats,
+        "truncations": segment.truncations,
+        "annulled_upto": segment._annulled_upto,
     }
+
+
+def assert_same_outcome(ops, kind, subject_class=Segment):
+    reference = Segment("reference", 0, kind)
+    subject = subject_class("subject", 0, kind)
+    assert play(subject, ops, batched) == play(reference, ops, per_record)
+    assert state(subject) == state(reference)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     rng=st.randoms(use_true_random=False),
     kind=st.sampled_from([SegmentKind.FULL, SegmentKind.LOG]),
+    recoveries=st.sampled_from([1, 3]),
 )
-def test_batch_ingest_matches_per_record_ingest(rng, kind):
-    ops = scenario(rng)
-    reference = Segment("reference", 0, kind)
-    subject = Segment("subject", 0, kind)
-    assert play(subject, ops, batched) == play(reference, ops, per_record)
-    assert state(subject) == state(reference)
+def test_batch_ingest_matches_per_record_ingest(rng, kind, recoveries):
+    assert_same_outcome(scenario(rng, recoveries), kind)
+
+
+class AcceptsAnnulledRuns(Segment):
+    """Planted bug: the bulk path forgets the installed truncations."""
+
+    def _appendable_run(self, records):
+        upto, self._annulled_upto = self._annulled_upto, 0
+        try:
+            return super()._appendable_run(records)
+        finally:
+            self._annulled_upto = upto
+
+
+def test_a_bulk_path_that_accepts_annulled_runs_is_caught():
+    run = linked(1, 0, 9)
+    survivor = run[3].lsn
+    ops = [
+        ("batch", run[:5]),
+        ("truncate", survivor, TruncationRange(survivor + 1, 10_000)),
+        ("batch", run[5:]),  # in flight when the writer died: annulled
+    ]
+    assert_same_outcome(ops, SegmentKind.FULL)
+    with pytest.raises(AssertionError):
+        assert_same_outcome(ops, SegmentKind.FULL, AcceptsAnnulledRuns)
+    # The differential finds it unaided, too (no shrinking: any
+    # counterexample will do).
+    searched = settings(
+        max_examples=200, deadline=None, database=None,
+        phases=[Phase.generate], report_multiple_bugs=False,
+    )(
+        given(rng=st.randoms(use_true_random=False))(
+            lambda rng: assert_same_outcome(
+                scenario(rng, 3), SegmentKind.FULL, AcceptsAnnulledRuns
+            )
+        )
+    )
+    with pytest.raises(AssertionError):
+        searched()
 
 
 class CountingProbe:
@@ -227,6 +279,21 @@ class TestBulkPaths:
         assert segment.scl == run[2].lsn
         assert segment.stats["annulled_refused"] == 3
         assert segment._records == run[:3]
+
+    def test_a_post_recovery_run_is_one_chain_step_again(self):
+        segment = probed_segment()
+        old = linked(1, 0, 6)
+        segment.receive_batch(old)
+        survivor = old[3].lsn
+        for last in (500, 900):  # two recoveries, the second one empty
+            segment.truncate(survivor, TruncationRange(survivor + 1, last))
+        events = segment.chain.audit_probe.scl_events
+        del events[:]
+        fresh = linked(901, survivor, 5)
+        assert segment.receive_batch(fresh) is True
+        assert events == [(survivor, fresh[-1].lsn, "chain")]
+        assert segment._records == old[:4] + fresh
+        assert segment.stats["annulled_refused"] == 0
 
     def test_an_internal_gap_is_not_a_run(self):
         segment = probed_segment()

@@ -291,3 +291,52 @@ class TestQuarantine:
         network.send("a", "a", "self")
         loop.run()
         assert [m.payload for m in a.received] == ["self"]
+
+
+def test_dropped_rpcs_do_not_accumulate(net):
+    """An RPC whose request or reply the fabric itself drops can never
+    resolve, so the network stops tracking it; one that was delivered and
+    is merely unanswered is still in flight."""
+    loop, network = net
+    caller = Recorder("caller")
+    echo = Recorder("echo", reply_with="pong")
+    mute = Recorder("mute")
+    for actor in (caller, echo, mute):
+        network.attach(actor, az="az1")
+    # Request dropped at delivery: destination down, partitioned, quarantined.
+    network.fail_node("echo")
+    down = network.rpc("caller", "echo", "ping")
+    loop.run()
+    network.restore_node("echo")
+    network.partition({"caller"}, {"echo"})
+    partitioned = network.rpc("caller", "echo", "ping")
+    loop.run()
+    network.heal_all_partitions()
+    network.quarantine("echo")
+    quarantined = network.rpc("caller", "echo", "ping")
+    loop.run()
+    network.lift_quarantine("echo")
+    # Reply dropped: the caller is gone by the time the answer arrives.
+    reply_lost = network.rpc("caller", "echo", "ping")
+    loop.run(until=loop.now + 0.3)  # request delivered, reply in flight
+    assert len(echo.received) == 1
+    network.fail_node("caller")
+    loop.run()
+    # Source down at transmit time.
+    source_down = network.rpc("caller", "echo", "ping")
+    loop.run()
+    network.restore_node("caller")
+    dropped = (down, partitioned, quarantined, reply_lost, source_down)
+    assert not any(future.done for future in dropped)
+    assert network.stats.messages_dropped == 5
+    assert network._pending_rpcs == {}
+    # Delivered and never answered: still waiting, still tracked.
+    waiting = network.rpc("caller", "mute", "anyone?")
+    answered = network.rpc("caller", "echo", "ping")
+    loop.run()
+    assert answered.result() == "pong"
+    assert list(network._pending_rpcs.values()) == [waiting]
+    network.reply(mute.received[0], "here")
+    loop.run()
+    assert waiting.result() == "here"
+    assert network._pending_rpcs == {}

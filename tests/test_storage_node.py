@@ -151,6 +151,38 @@ class TestWritePath:
         assert node.segment.gc_floor == 10  # monotonic; min governs future
         node.forget_instance("inst-b")
 
+    def test_forgetting_the_lowest_instance_releases_the_floor(self):
+        loop, network, _m, nodes, _i = build_fleet()
+        node = nodes["seg0"]
+        stamp = EpochStamp()
+        for instance_id, pgmrpl in (("inst-a", 3), ("inst-b", 9)):
+            network.send("db", "seg0",
+                         GCFloorUpdate(instance_id, 0, pgmrpl, stamp))
+        loop.run()
+        assert node.segment.gc_floor == 3
+        node.forget_instance("inst-a")
+        assert node.segment.gc_floor == 9
+        node.forget_instance("inst-b")  # nobody left: the floor stays
+        node.forget_instance("never-seen")
+        assert node.segment.gc_floor == 9
+
+    def test_an_unchanged_read_floor_recomputes_nothing(self):
+        loop, network, _m, nodes, _i = build_fleet()
+        node = nodes["seg0"]
+        advances = []
+        advance = node.segment.advance_gc_floor
+        node.segment.advance_gc_floor = lambda floor: (
+            advances.append(floor), advance(floor)
+        )
+        stamp = EpochStamp()
+        for pgmrpl in (0, 5, 5, 4, 5, 7):
+            network.send("db", "seg0",
+                         GCFloorUpdate("inst-a", 0, pgmrpl, stamp))
+        loop.run()
+        assert advances == [5, 7]
+        assert node.segment.gc_floor == 7
+        assert node._instance_read_floors == {"inst-a": 7}
+
 
 class TestReadPath:
     def _written_fleet(self):
@@ -295,6 +327,23 @@ class TestBackgroundMaintenance:
         assert node.segment.backed_up_upto == 3
         assert node.counters["gc_runs"] >= 1
         assert node.segment.hot_log_size == 0  # fully GC'd
+
+    def test_ticks_rearm_while_down_and_resume_after_restore(self):
+        """Five periodic timers per node, each re-armed forever through one
+        bound method: a crashed node skips the work but keeps the timers,
+        so it ticks again as soon as it is restored."""
+        loop, network, _m, nodes, _i = build_fleet(background=True)
+        node = nodes["seg0"]
+        assert loop.pending == 5 * len(nodes)
+        loop.run(until=1_000.0)
+        ran = node.counters["gc_runs"]
+        assert ran >= 3
+        network.fail_node("seg0")
+        loop.run(until=2_000.0)
+        assert node.counters["gc_runs"] == ran
+        network.restore_node("seg0")
+        loop.run(until=3_000.0)
+        assert node.counters["gc_runs"] >= ran + 3
 
     def test_scrub_repairs_injected_corruption(self):
         loop, network, _m, nodes, _i = build_fleet(background=True)
