@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # reports are byte-identical to a sequential run; see docs/PERF.md).
 JOBS ?= 4
 
-.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity audit-adaptive bench bench-paper ledger ledger-smoke ledger-pairs ledger-events
+.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity audit-adaptive gates-diff bench bench-paper ledger ledger-smoke ledger-pairs ledger-events
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -69,6 +69,17 @@ audit-adaptive:
 	$(PYTHON) -m repro audit-run --seed 0 --steps 400 --geo --group-commit adaptive
 	$(PYTHON) -m repro audit-run --seed 0 --steps 300 --proxy --proxy-sessions 20000 --group-commit adaptive
 	$(PYTHON) -m repro audit-run --seed 0 --steps 400 --integrity --backend aurora --group-commit adaptive
+
+# Behaviour-preservation check: every gate above rendered in BASE (a rev,
+# checked out into a temporary git worktree, or a checkout directory) and
+# in this checkout for the same SWEEP seeds, compared seed by seed
+# (tools/gates_diff.py).  Exits nonzero on any difference outside the
+# EXPECT seeds -- the ones a bug fix is known to change.
+#   make gates-diff BASE=HEAD~1
+#   make gates-diff BASE=HEAD~1 SWEEP=24 EXPECT=5,19
+SWEEP ?= 20
+gates-diff:
+	python3 tools/gates_diff.py --base $(BASE) --sweep $(SWEEP) --jobs $(JOBS) $(if $(EXPECT),--expect $(EXPECT))
 
 # Engine perf harness: batched fast path vs an unbatched baseline of the
 # same seeded workload, recorded in BENCH_engine.json; --check exits

@@ -96,7 +96,7 @@ def quorum_read_policy(cluster, db):
                 if isinstance(f.result(), ReadBlockResponse) and not future.done:
                     latencies.append(cluster.loop.now - start)
                     future.set_result(
-                        (f.result().image_dict(), f.result().version_lsn)
+                        (f.result().image, f.result().version_lsn)
                     )
 
             rpc.add_done_callback(_first)

@@ -288,16 +288,16 @@ class PGConsistencyTracker:
             return True
         return False
 
-    def durable_members_at(self, lsn: int) -> frozenset[str]:
-        """Members known (via acks) to hold every record up to ``lsn``.
+    def durable_members_at(self, lsn: int, among) -> list[str]:
+        """Those of ``among``, in the order given, known (via acks) to hold
+        every record up to ``lsn``.
 
         This is the bookkeeping that lets Aurora avoid quorum reads
         (section 3.1): the instance "knows which segments have the last
         durable version of a data block and can request it directly".
         """
-        return frozenset(
-            m for m, scl in self._member_scls.items() if scl >= lsn
-        )
+        scls = self._member_scls
+        return [m for m in among if scls.get(m, NULL_LSN - 1) >= lsn]
 
 
 @dataclass(frozen=True)

@@ -50,12 +50,13 @@ class RedoPayload:
     """Interface for the change carried by a DATA record.
 
     Implementations must be pure: ``apply`` consumes an immutable view of the
-    prior block image and returns a fresh image.  This is what lets Aurora
+    prior block image and returns the image after the change (a new object,
+    or ``image`` itself when nothing changes).  This is what lets Aurora
     run "redo log application code ... within the storage nodes" (section
     2.2) and lets repeated application be idempotent at a given version.
     """
 
-    def apply(self, image: Mapping[str, Any]) -> dict[str, Any]:
+    def apply(self, image: Mapping[str, Any]) -> Mapping[str, Any]:
         raise NotImplementedError
 
 
@@ -131,8 +132,8 @@ class ControlPayload(RedoPayload):
 
     note: str = ""
 
-    def apply(self, image: Mapping[str, Any]) -> dict[str, Any]:
-        return dict(image)
+    def apply(self, image: Mapping[str, Any]) -> Mapping[str, Any]:
+        return image
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,8 @@ class ElidedPayload(RedoPayload):
     #: record's write set.
     covered_by: int = 0
 
-    def apply(self, image: Mapping[str, Any]) -> dict[str, Any]:
-        return dict(image)
+    def apply(self, image: Mapping[str, Any]) -> Mapping[str, Any]:
+        return image
 
 
 #: Block number used by records that touch no real block (commit / control).
@@ -275,7 +276,7 @@ def record_digest(record: LogRecord) -> int:
     return digest
 
 
-def apply_redo(record: LogRecord, base: Mapping[Any, Any]) -> dict[Any, Any]:
+def apply_redo(record: LogRecord, base: Mapping[Any, Any]) -> Mapping[Any, Any]:
     """The image ``record``'s redo produces from ``base``, computed once.
 
     Every copy of a protection group receives the same immutable record
@@ -288,12 +289,18 @@ def apply_redo(record: LogRecord, base: Mapping[Any, Any]) -> dict[Any, Any]:
     a new object (``dataclasses.replace`` drops the memo) and a corrupted or
     repaired image is a new object (mutators replace ``version.image``), so
     either one misses and the payload runs against what is really there.
+    Only after it has run, and only if its result equals the memoised image
+    by value, is the memoised object returned instead: a forked lineage (a
+    stand-in shipped for the staged payload) re-converges at the next equal
+    image, and an unequal result -- real divergence -- is kept and stamped.
     The returned image is shared; callers must not mutate it.
     """
     memo = getattr(record, "_applied", None)
     if memo is not None and memo[0] is base:
         return memo[1]
     image = record.payload.apply(base)
+    if memo is not None and memo[1] == image:
+        image = memo[1]
     object.__setattr__(record, "_applied", (base, image))
     return image
 

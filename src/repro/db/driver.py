@@ -197,7 +197,7 @@ class _PGWriteBuffer:
         return len(self.records)
 
 
-@dataclass
+@dataclass(eq=False)  # identity: the list is searched for *this* read
 class _OutstandingRead:
     block: int
     pg_index: int
@@ -207,7 +207,6 @@ class _OutstandingRead:
     plan: ReadPlan
     future: Future
     is_hedge: bool = False
-    settled: bool = False
     exclude: frozenset[str] = frozenset()
 
 
@@ -269,8 +268,6 @@ class StorageDriver:
             hedge_multiplier=self.config.hedge_multiplier,
         )
         self._buffers: dict[int, _PGWriteBuffer] = {}
-        #: pg_index -> (membership state, sorted write targets under it).
-        self._write_fanout: dict[int, tuple[object, tuple[str, ...]]] = {}
         self._outstanding_reads: list[_OutstandingRead] = []
         self._hedge_sweep_scheduled = False
         #: Called with the new VCL after each advance.
@@ -343,13 +340,8 @@ class StorageDriver:
     def vdl(self) -> int:
         return self.volume.vdl
 
-    def members_of(self, pg_index: int) -> list[str]:
-        return sorted(self.metadata.membership(pg_index).members)
-
-    def _full_members_of(self, pg_index: int) -> set[str]:
-        return {
-            p.segment_id for p in self.metadata.full_segments_of_pg(pg_index)
-        }
+    def members_of(self, pg_index: int) -> tuple[str, ...]:
+        return self.metadata.routes_of_pg(pg_index).members
 
     # ------------------------------------------------------------------
     # Write path
@@ -487,7 +479,7 @@ class StorageDriver:
             wire_bytes=wire_bytes,
             logical_bytes=logical_bytes,
         )
-        for member in self._write_members(pg_index):
+        for member in self.metadata.routes_of_pg(pg_index).write_members:
             self._send(member, batch)
             self.stats.batches_sent += 1
             self.stats.records_sent += len(records)
@@ -497,26 +489,6 @@ class StorageDriver:
                     queue = deque(maxlen=self.config.unacked_retain)
                     self._unacked[member] = queue
                 queue.append(batch)
-
-    def _write_members(self, pg_index: int) -> tuple[str, ...]:
-        """The PG's synchronous write fan-out, in send order.
-
-        Backend policy: Aurora ships to all six members; Taurus ships only
-        to the log stores (page stores drain the log asynchronously via
-        gossip).  Derived from the PG's membership state, which is
-        immutable and replaced whole by a membership change, so the sorted
-        tuple is rebuilt when the metadata service holds a different state
-        object and not per flush.
-        """
-        state = self.metadata.membership(pg_index)
-        cached = self._write_fanout.get(pg_index)
-        if cached is None or cached[0] is not state:
-            targets = self.metadata.write_targets_of_pg(pg_index)
-            members = state.members if targets is None else targets
-            cached = self._write_fanout[pg_index] = (
-                state, tuple(sorted(members))
-            )
-        return cached[1]
 
     def flush_all(self) -> None:
         """Force every buffer out (used at commit in TIMEOUT ablations)."""
@@ -644,7 +616,8 @@ class StorageDriver:
         self, block: int, pg_index: int, read_point: int
     ) -> Future:
         """Read one block at ``read_point``; resolves with
-        ``(image_dict, version_lsn)``.
+        ``(image, version_lsn)`` -- the image object the serving segment's
+        chain holds (shared; do not mutate).
 
         Candidates are the full segments known, from ack bookkeeping, to be
         durable through ``read_point`` -- no quorum read.
@@ -658,26 +631,35 @@ class StorageDriver:
     def _read_candidates(
         self, pg_index: int, read_point: int, exclude: frozenset[str]
     ) -> list[str]:
-        fulls = self._full_members_of(pg_index)
+        """Sorted segments to read ``read_point`` from: one pass over the
+        PG's full members against this driver's ack bookkeeping."""
+        routes = self.metadata.routes_of_pg(pg_index)
         tracker = self.pg_trackers.get(pg_index)
-        durable: frozenset[str] = frozenset()
-        if tracker is not None:
-            durable = tracker.durable_members_at(read_point)
-        candidates = durable & fulls
-        if len(candidates - exclude) < 2:
+
+        def durable(among: tuple[str, ...]) -> list[str]:
+            if tracker is None:
+                return []
+            return tracker.durable_members_at(read_point, among)
+
+        known = durable(routes.full_members)
+        candidates = [m for m in known if m not in exclude]
+        if len(candidates) < 2 and routes.read_fallback:
             # Backend read fallback (the Taurus log tail): when fewer than
             # two full copies are caught up and reachable, log stores that
             # can materialize the read point on demand join the candidate
             # set, so hedging has somewhere to escalate.  Empty for Aurora.
-            fallback = self.metadata.read_fallback_members_of_pg(pg_index)
-            candidates |= durable & fallback
-        if not candidates and self.optimistic_reads:
-            candidates = frozenset(fulls)
-            if not candidates - exclude:
-                candidates |= self.metadata.read_fallback_members_of_pg(
-                    pg_index
-                )
-        return sorted(candidates - exclude)
+            fallback = durable(routes.read_fallback)
+            known += fallback
+            candidates = sorted(
+                {*candidates, *(m for m in fallback if m not in exclude)}
+            )
+        if not known and self.optimistic_reads:
+            candidates = [m for m in routes.full_members if m not in exclude]
+            if not candidates:
+                candidates = [
+                    m for m in routes.read_fallback if m not in exclude
+                ]
+        return candidates
 
     def _issue_read(
         self,
@@ -750,10 +732,10 @@ class StorageDriver:
         response = rpc_future.result()
         latency = self.loop.now - outstanding.issued_at
         self.latency_tracker.record(outstanding.segment, latency)
-        outstanding.settled = True
-        self._outstanding_reads = [
-            r for r in self._outstanding_reads if not r.settled
-        ]
+        try:
+            self._outstanding_reads.remove(outstanding)
+        except ValueError:
+            pass  # a sweep or a crash already dropped it
         if self.health_probe is not None and not isinstance(
             response, RequestRejected
         ):
@@ -776,7 +758,7 @@ class StorageDriver:
             self.stats.reads_completed += 1
             self.stats.read_latencies.append(latency)
             outstanding.future.set_result(
-                (response.image_dict(), response.version_lsn)
+                (response.image, response.version_lsn)
             )
         self._inspect_outstanding_reads()
 

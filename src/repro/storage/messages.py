@@ -10,11 +10,16 @@ All payloads are frozen dataclasses: messages in flight are immutable, so a
 buggy actor cannot mutate another's state through a shared reference.  They
 are also slotted -- write-path payloads are allocated once per wire message
 on the simulator's hottest loop.
+
+A block image travels **by reference**: a read reply, a baseline, a scrub
+repair and a vote answer carry the very ``Mapping`` the sender's version
+chain holds, for the receiver to keep (immutable: DESIGN.md section 8).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Mapping
 
 from repro.core.epochs import EpochStamp
 from repro.core.lsn import TruncationRange
@@ -95,12 +100,9 @@ class ReadBlockRequest:
 class ReadBlockResponse:
     segment_id: str
     block: int
-    #: Immutable view of the block image at the read point.
-    image: tuple[tuple[str, object], ...]
+    #: The served version's image object (``EMPTY_IMAGE`` if never written).
+    image: Mapping[Any, Any]
     version_lsn: int
-
-    def image_dict(self) -> dict:
-        return dict(self.image)
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +223,7 @@ class ScrubRepairResponse:
 
     segment_id: str
     pg_index: int
-    versions: tuple[tuple[int, int, tuple[tuple[str, object], ...]], ...]
+    versions: tuple[tuple[int, int, Mapping[Any, Any]], ...]
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +284,7 @@ class BaselineResponse:
     segment_id: str
     pg_index: int
     #: (block, version_lsn, image) triples for the materialized baseline.
-    blocks: tuple[tuple[int, int, tuple[tuple[str, object], ...]], ...]
+    blocks: tuple[tuple[int, int, Mapping[Any, Any]], ...]
     coalesced_upto: int
     gc_horizon: int
     scl: int

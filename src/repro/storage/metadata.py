@@ -35,6 +35,49 @@ class SegmentPlacement:
     kind: SegmentKind
 
 
+class PGRoutes:
+    """The lists the data plane routes one PG by, derived once per
+    membership state and set of placements (DESIGN.md D8) so that a read, a
+    flush or a gossip tick looks a tuple up; each is sorted by segment id."""
+
+    __slots__ = (
+        "members", "placements", "placed", "full_members", "write_members",
+        "read_fallback", "peers",
+    )
+
+    def __init__(self, metadata: "StorageMetadataService", pg_index: int):
+        #: Every current member, candidates in flight included.
+        self.members = tuple(sorted(metadata.membership(pg_index).members))
+        #: The placements of those that have one (a node to talk to).
+        self.placements = tuple(
+            metadata._placements[m]
+            for m in self.members
+            if m in metadata._placements
+        )
+        self.placed = tuple(p.segment_id for p in self.placements)
+        #: Who serves reads: the placed members that materialize blocks.
+        self.full_members = tuple(
+            p.segment_id
+            for p in self.placements
+            if p.kind is SegmentKind.FULL
+        )
+        targets = metadata.backend.write_targets(metadata, pg_index)
+        #: The synchronous write fan-out, in send order (backend policy:
+        #: Aurora ships to every member, Taurus only to the log stores).
+        self.write_members = (
+            self.members if targets is None else tuple(sorted(targets))
+        )
+        #: Who can serve a read when fewer than two full copies can (the
+        #: Taurus log tail; empty for Aurora).
+        self.read_fallback = tuple(
+            sorted(metadata.backend.read_fallback_members(metadata, pg_index))
+        )
+        #: Gossip targets of each placed member: the others.
+        self.peers = {
+            m: tuple(p for p in self.placed if p != m) for m in self.placed
+        }
+
+
 class StorageMetadataService:
     """Directory of volume geometry, membership, placement, and epochs."""
 
@@ -49,6 +92,9 @@ class StorageMetadataService:
         self.geometry = geometry
         self._memberships: dict[int, MembershipState] = {}
         self._placements: dict[str, SegmentPlacement] = {}
+        #: pg_index -> its routes; filled on first use, dropped by the two
+        #: mutators of their inputs (``set_membership``, ``place_segment``).
+        self._routes: dict[int, PGRoutes] = {}
         self._epochs = EpochStamp()
         #: Per-PG quorum-model overrides (section 4.1: the geometry epoch
         #: "can also be used to change the quorum model itself, for
@@ -78,6 +124,7 @@ class StorageMetadataService:
                 f"{state.epoch}"
             )
         self._memberships[pg_index] = state
+        self._routes.pop(pg_index, None)
 
     def membership(self, pg_index: int) -> MembershipState:
         try:
@@ -119,6 +166,13 @@ class StorageMetadataService:
     # ------------------------------------------------------------------
     def place_segment(self, placement: SegmentPlacement) -> None:
         self._placements[placement.segment_id] = placement
+        self._routes.pop(placement.pg_index, None)
+
+    def routes_of_pg(self, pg_index: int) -> PGRoutes:
+        routes = self._routes.get(pg_index)
+        if routes is None:
+            routes = self._routes[pg_index] = PGRoutes(self, pg_index)
+        return routes
 
     def placement(self, segment_id: str) -> SegmentPlacement:
         try:
@@ -130,12 +184,7 @@ class StorageMetadataService:
 
     def segments_of_pg(self, pg_index: int) -> list[SegmentPlacement]:
         """Placements for every *current* member of the PG."""
-        members = self.membership(pg_index).members
-        return [
-            self._placements[segment_id]
-            for segment_id in sorted(members)
-            if segment_id in self._placements
-        ]
+        return list(self.routes_of_pg(pg_index).placements)
 
     def full_segments_of_pg(self, pg_index: int) -> list[SegmentPlacement]:
         return [
@@ -144,24 +193,10 @@ class StorageMetadataService:
             if p.kind is SegmentKind.FULL
         ]
 
-    def log_segments_of_pg(self, pg_index: int) -> list[SegmentPlacement]:
-        return [
-            p
-            for p in self.segments_of_pg(pg_index)
-            if p.kind is SegmentKind.LOG
-        ]
-
     # ------------------------------------------------------------------
     # Backend policy pass-throughs (the driver and repair planner ask the
     # metadata service, which owns the backend reference)
     # ------------------------------------------------------------------
-    def write_targets_of_pg(self, pg_index: int):
-        """Members on the synchronous write path, or ``None`` for all."""
-        return self.backend.write_targets(self, pg_index)
-
-    def read_fallback_members_of_pg(self, pg_index: int) -> frozenset[str]:
-        return self.backend.read_fallback_members(self, pg_index)
-
     def tracked_members_of_pg(self, pg_index: int):
         return self.backend.tracked_members(self, pg_index)
 
@@ -181,11 +216,8 @@ class StorageMetadataService:
             return False
         return segment_id in self.membership(pg_index).members
 
-    def peers_of(self, segment_id: str) -> list[str]:
-        """Other current members of the same PG (gossip targets)."""
-        placement = self.placement(segment_id)
-        return [
-            p.segment_id
-            for p in self.segments_of_pg(placement.pg_index)
-            if p.segment_id != segment_id
-        ]
+    def peers_of(self, segment_id: str) -> tuple[str, ...]:
+        """Other current members of the same PG (gossip targets); all of
+        them for a segment that is no longer one."""
+        routes = self.routes_of_pg(self.placement(segment_id).pg_index)
+        return routes.peers.get(segment_id, routes.placed)

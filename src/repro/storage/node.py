@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from repro.core.epochs import EpochRegistry
 from repro.core.lsn import NULL_LSN
+from repro.core.records import EMPTY_IMAGE
 from repro.core.retry import Backoff, RetryPolicy
 from repro.errors import CorruptVersionError, ReadPointError, StaleEpochError
 from repro.sim.latency import LatencyModel, disk_service
@@ -392,12 +393,10 @@ class StorageNode(Actor):
             return
         self.counters["reads_answered"] += 1
         if version is None:
-            image_items: tuple = ()
+            image = EMPTY_IMAGE
             version_lsn = NULL_LSN
         else:
-            image_items = tuple(
-                sorted(version.image.items(), key=lambda kv: repr(kv[0]))
-            )
+            image = version.image
             version_lsn = version.lsn
             if self.integrity_probe is not None:
                 self.integrity_probe.on_read_served(
@@ -408,7 +407,7 @@ class StorageNode(Actor):
             ReadBlockResponse(
                 segment_id=self.name,
                 block=request.block,
-                image=image_items,
+                image=image,
                 version_lsn=version_lsn,
             ),
         )
@@ -628,14 +627,11 @@ class StorageNode(Actor):
     # ------------------------------------------------------------------
     def _vote_peers(self) -> list[str]:
         """Chain-capable current peers (full + log stores): the voters."""
-        pg = self.segment.pg_index
-        placements = (
-            self.metadata.full_segments_of_pg(pg)
-            + self.metadata.log_segments_of_pg(pg)
-        )
-        return sorted(
-            p.segment_id for p in placements if p.segment_id != self.name
-        )
+        routes = self.metadata.routes_of_pg(self.segment.pg_index)
+        return [
+            p.segment_id for p in routes.placements
+            if p.kind is not SegmentKind.TAIL and p.segment_id != self.name
+        ]
 
     def _start_vote(self, blocks, record_lsns, on_done) -> bool:
         """Open one vote round; returns False when no quorum is possible.
@@ -900,11 +896,8 @@ class StorageNode(Actor):
         """Single-peer repair fallback when no vote quorum is reachable."""
         if not failures:
             return
-        peers = sorted(
-            p.segment_id
-            for p in self.metadata.full_segments_of_pg(self.segment.pg_index)
-            if p.segment_id != self.name
-        )
+        routes = self.metadata.routes_of_pg(self.segment.pg_index)
+        peers = [m for m in routes.full_members if m != self.name]
         if not peers:
             return
         peer = self.rng.choice(peers)
@@ -994,12 +987,7 @@ class StorageNode(Actor):
             return
         self.segment.coalesce()
         blocks = tuple(
-            (
-                block,
-                chain.latest_lsn,
-                tuple(sorted(chain.latest_image().items(),
-                             key=lambda kv: repr(kv[0]))),
-            )
+            (block, chain.latest_lsn, chain.latest_image())
             for block, chain in sorted(self.segment.blocks.items())
         )
         self.network.reply(
@@ -1032,7 +1020,7 @@ class StorageNode(Actor):
             for block, version_lsn, image in response.blocks:
                 chain = self.segment.chain_for(block)
                 if version_lsn > chain.latest_lsn:
-                    chain.append(version_lsn, dict(image))
+                    chain.append(version_lsn, image)
             self.segment.coalesced_upto = max(
                 self.segment.coalesced_upto, response.coalesced_upto
             )

@@ -563,7 +563,7 @@ class Segment:
 
     def collect_scrub_versions(
         self, failures: Iterable[tuple[int, int]]
-    ) -> tuple[tuple[int, int, tuple[tuple[str, object], ...]], ...]:
+    ) -> tuple[tuple[int, int, Mapping], ...]:
         """Clean copies of the requested ``(block, lsn)`` versions, for a
         peer's :class:`~repro.storage.messages.ScrubRepairResponse`.
 
@@ -578,26 +578,21 @@ class Segment:
             version = chain.version(lsn)
             if version is None or not version.verify():
                 continue
-            out.append((
-                block,
-                lsn,
-                tuple(sorted(version.image.items(), key=lambda kv: repr(kv[0]))),
-            ))
+            out.append((block, lsn, version.image))
         return tuple(out)
 
     def apply_scrub_versions(
-        self,
-        versions: Iterable[tuple[int, int, Iterable[tuple[str, object]]]],
+        self, versions: Iterable[tuple[int, int, Mapping]]
     ) -> int:
-        """Overwrite local corrupt versions with a peer's clean images;
-        returns the number of versions repaired."""
+        """Replace local corrupt versions' images with a peer's clean ones
+        (the peer's objects themselves); returns the number repaired."""
         repaired = 0
         for block, lsn, image in versions:
             chain = self.blocks.get(block)
             version = chain.version(lsn) if chain is not None else None
             if version is not None:
-                version.image = dict(image)
-                version.checksum = image_checksum(version.image)
+                version.image = image
+                version.checksum = image_checksum(image)
                 repaired += 1
         return repaired
 
@@ -744,12 +739,7 @@ class Segment:
                         continue
                     image = None
                     if theirs.get(version.lsn) != version.checksum:
-                        image = tuple(
-                            sorted(
-                                version.image.items(),
-                                key=lambda kv: repr(kv[0]),
-                            )
-                        )
+                        image = version.image
                         want_records.add(version.lsn)
                     entries.append((version.lsn, version.checksum, image))
             reply_blocks.append((block, cover_lo, cover_hi, tuple(entries)))
@@ -763,21 +753,20 @@ class Segment:
                     records.append(record)
         return tuple(reply_blocks), tuple(records)
 
-    def repair_version(
-        self, block: int, lsn: int, image: Iterable[tuple[str, object]]
-    ) -> bool:
-        """Adopt a majority-agreed image: overwrite the local version in
-        place (clearing quarantine) or insert it mid-chain (lost write)."""
+    def repair_version(self, block: int, lsn: int, image: Mapping) -> bool:
+        """Adopt a majority-agreed image (the voter's object itself): swap
+        it into the local version (clearing quarantine) or insert it
+        mid-chain (lost write)."""
         if any(t.contains(lsn) for t in self.truncations):
             return False
         chain = self.chain_for(block)
         version = chain.version(lsn)
         if version is not None:
-            version.image = dict(image)
-            version.checksum = image_checksum(version.image)
+            version.image = image
+            version.checksum = image_checksum(image)
             version.quarantined = False
             return True
-        chain.insert(lsn, dict(image))
+        chain.insert(lsn, image)
         return True
 
     def drop_version(self, block: int, lsn: int) -> bool:

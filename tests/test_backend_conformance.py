@@ -36,10 +36,7 @@ def build(backend: str, seed: int = 42, **overrides) -> AuroraCluster:
 
 def sync_members(cluster, pg_index: int = 0) -> list[str]:
     """Members on the synchronous write path (all members for Aurora)."""
-    targets = cluster.metadata.write_targets_of_pg(pg_index)
-    if targets is None:
-        return sorted(cluster.metadata.membership(pg_index).members)
-    return sorted(targets)
+    return list(cluster.metadata.routes_of_pg(pg_index).write_members)
 
 
 def test_registry_covers_fixture():

@@ -172,8 +172,12 @@ class TestPGConsistencyTracker:
         members = sorted(tracker.config.members)
         tracker.record_ack(members[0], 20)
         tracker.record_ack(members[1], 10)
-        assert tracker.durable_members_at(15) == {members[0]}
-        assert tracker.durable_members_at(10) == {members[0], members[1]}
+        assert tracker.durable_members_at(15, members) == [members[0]]
+        assert tracker.durable_members_at(10, members) == members[:2]
+        # In the order asked, and only of those asked about (or tracked).
+        asked = [members[1], "stranger", members[0]]
+        assert tracker.durable_members_at(10, asked) == [members[1], members[0]]
+        assert tracker.durable_members_at(0, ["stranger"]) == []
 
 
 class TestNarrowedPGCLRecompute:

@@ -1,10 +1,20 @@
 """Integration tests for the storage driver: boxcar modes, acknowledgement
 processing, hedged reads, and quorum RPC."""
 
+import random
+
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from repro import AuroraCluster, ClusterConfig
-from repro.db.driver import BoxcarMode
+from repro.core.membership import MembershipState
+from repro.db.driver import BoxcarMode, StorageDriver
+from repro.sim.events import EventLoop
+from repro.storage.backend import AuroraBackend, TaurusBackend
+from repro.storage.metadata import SegmentPlacement, StorageMetadataService
+from repro.storage.segment import SegmentKind
+from repro.storage.volume import VolumeGeometry
 
 
 def build(boxcar_mode=BoxcarMode.AURORA, seed=31, **driver_overrides):
@@ -202,19 +212,24 @@ class TestQuorumRPC:
 class TestWriteFanOut:
     def test_fan_out_follows_the_membership_state_not_the_flush(self):
         """The sorted write-target tuple is derived once per membership
-        state.  A replacement installs new state objects, and the very
-        next flush ships to whoever is a member then -- whether or not
-        anybody told this driver (a superseded writer is never told)."""
+        state (by the metadata service).  A replacement installs new state
+        objects, and the very next flush ships to whoever is a member then
+        -- whether or not anybody told this driver (a superseded writer is
+        never told)."""
         cluster = build()
         db = cluster.session()
         db.write("before", 1)
         driver = cluster.writer.driver
         metadata = cluster.metadata
-        steady = driver._write_members(0)
+
+        def write_members():
+            return metadata.routes_of_pg(0).write_members
+
+        steady = write_members()
         assert steady == tuple(sorted(metadata.membership(0).members))
-        assert driver._write_members(0) is steady  # same state: same tuple
+        assert write_members() is steady  # same state: same tuple
         candidate = db.drive(cluster.replace_segment(0, "pg0-f"))
-        during = driver._write_members(0)
+        during = write_members()
         assert set(during) == metadata.membership(0).members
         assert during is not steady
         sent = []
@@ -225,3 +240,236 @@ class TestWriteFanOut:
         db.write("after", 2)
         assert sorted(set(sent)) == list(during)
         assert candidate in during and "pg0-f" not in during
+
+
+# ----------------------------------------------------------------------
+# Read routing from ack bookkeeping: the one-pass ``_read_candidates`` and
+# the metadata service's derived lists, against the set algebra they
+# replaced, over random interleavings of acks and membership changes.
+# ----------------------------------------------------------------------
+LAYOUTS = {
+    "aurora": lambda: AuroraBackend(),
+    "full_tail": lambda: AuroraBackend(full_tail=True),
+    "taurus": lambda: TaurusBackend(),
+}
+
+
+def reference_candidates(world, read_point, exclude):
+    """What the parent commit computed, per read, from first principles."""
+    metadata, tracker = world.metadata, world.driver.pg_trackers.get(0)
+    members = metadata.membership(0).members
+    fulls = {
+        m for m in members & set(world.placed)
+        if world.placed[m] is SegmentKind.FULL
+    }
+    durable = set()
+    if tracker is not None:
+        durable = {
+            m for m, scl in tracker.member_scls.items() if scl >= read_point
+        }
+    fallback = metadata.backend.read_fallback_members(metadata, 0)
+    candidates = durable & fulls
+    if len(candidates - exclude) < 2:
+        candidates |= durable & fallback
+    if not candidates and world.driver.optimistic_reads:
+        candidates = set(fulls)
+        if not candidates - exclude:
+            candidates |= fallback
+    return sorted(candidates - exclude)
+
+
+def reference_lists(world):
+    """(members, write fan-out, peers of every placed segment)."""
+    metadata = world.metadata
+    members = sorted(metadata.membership(0).members)
+    targets = metadata.backend.write_targets(metadata, 0)
+    placed = [m for m in members if m in world.placed]
+    return (
+        tuple(members),
+        tuple(members if targets is None else sorted(targets)),
+        {s: tuple(m for m in placed if m != s) for s in world.placed},
+    )
+
+
+class RoutingWorld:
+    """One PG's metadata and a driver over it; nothing is ever sent."""
+
+    def __init__(
+        self, layout, optimistic,
+        metadata_class=StorageMetadataService, driver_class=StorageDriver,
+    ):
+        backend = LAYOUTS[layout]()
+        slots = backend.segment_layout()
+        self.metadata = metadata_class(
+            VolumeGeometry(
+                blocks_per_pg=64, pg_count=1, copies_per_pg=len(slots)
+            ),
+            backend=backend,
+        )
+        #: segment id -> kind, for everything placed so far.
+        self.placed = {}
+        self.kinds = {}
+        names = [f"s{i}" for i in range(len(slots))]
+        for name, spec in zip(names, slots):
+            self.kinds[name] = spec.kind
+            self.place(name)
+        self.metadata.set_membership(
+            0, MembershipState.initial(names, slot_count=len(slots))
+        )
+        self.driver = driver_class(
+            "db", EventLoop(), send=None, rpc=None, metadata=self.metadata,
+            rng=random.Random(0), optimistic_reads=optimistic,
+        )
+        self.driver.configure_pg(0)
+        self.candidates = 0
+
+    def place(self, name):
+        self.placed[name] = self.kinds[name]
+        self.metadata.place_segment(
+            SegmentPlacement(name, 0, name, "az1", self.kinds[name])
+        )
+
+    def install(self, state):
+        self.metadata.set_membership(0, state)
+        self.driver.configure_pg(0)
+
+    def apply(self, op, rng):
+        state = self.metadata.membership(0)
+        if op == "ack":
+            # Mostly current members; now and then someone long gone.
+            names = sorted(self.kinds)
+            self.driver.pg_trackers[0].record_ack(
+                rng.choice(names), rng.randint(1, 40)
+            )
+        elif op in ("begin", "begin_unplaced"):
+            stable = [s[0] for s in state.slots if len(s) == 1]
+            if len(stable) <= len(state.slots) - 2:
+                return  # two replacements already in flight
+            incumbent = rng.choice(stable)
+            self.candidates += 1
+            candidate = f"c{self.candidates}"
+            self.kinds[candidate] = self.kinds[incumbent]
+            if op == "begin":
+                self.place(candidate)
+            self.install(state.begin_replacement(incumbent, candidate))
+        elif op == "place":
+            for name in sorted(state.members - set(self.placed)):
+                self.place(name)
+        else:  # commit / rollback
+            pending = [i for i, s in enumerate(state.slots) if len(s) == 2]
+            if not pending:
+                return
+            slot = rng.choice(pending)
+            if op == "commit" and state.slots[slot][1] not in self.placed:
+                return  # nobody finalizes onto a node that does not exist
+            self.install(
+                state.commit_replacement(slot) if op == "commit"
+                else state.rollback_replacement(slot)
+            )
+
+    def check(self, rng):
+        members, write_members, peers = reference_lists(self)
+        assert self.driver.members_of(0) == members
+        assert self.metadata.routes_of_pg(0).write_members == write_members
+        for segment, expected in peers.items():
+            assert self.metadata.peers_of(segment) == expected
+        everyone = sorted(self.kinds)
+        for read_point in (rng.randint(1, 40), rng.randint(1, 40)):
+            exclude = frozenset(
+                rng.sample(everyone, rng.randint(0, min(3, len(everyone))))
+            )
+            assert self.driver._read_candidates(
+                0, read_point, exclude
+            ) == reference_candidates(self, read_point, exclude)
+
+
+ROUTING_OPS = (
+    "ack", "ack", "ack", "ack", "begin", "begin_unplaced", "place",
+    "commit", "rollback",
+)
+
+
+def play_routing(rng, layout, optimistic, **classes):
+    world = RoutingWorld(layout, optimistic, **classes)
+    world.check(rng)
+    for _ in range(rng.randint(5, 40)):
+        world.apply(rng.choice(ROUTING_OPS), rng)
+        world.check(rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    layout=st.sampled_from(sorted(LAYOUTS)),
+    optimistic=st.booleans(),
+)
+def test_read_routing_matches_the_per_read_derivation(rng, layout, optimistic):
+    play_routing(rng, layout, optimistic)
+
+
+class KeepsRoutesAcrossMembership(StorageMetadataService):
+    """Planted bug: ``set_membership`` forgets to refresh the lists."""
+
+    def set_membership(self, pg_index, state):
+        kept = dict(self._routes)
+        super().set_membership(pg_index, state)
+        self._routes.update(kept)
+
+
+class KeepsRoutesAcrossPlacement(StorageMetadataService):
+    """Planted bug: ``place_segment`` forgets to refresh the lists."""
+
+    def place_segment(self, placement):
+        kept = dict(self._routes)
+        super().place_segment(placement)
+        self._routes.update(kept)
+
+
+class IgnoresExclude(StorageDriver):
+    """Planted bug: a segment that just refused the read is asked again."""
+
+    def _read_candidates(self, pg_index, read_point, exclude):
+        return super()._read_candidates(pg_index, read_point, frozenset())
+
+
+class SkipsTheFallback(StorageDriver):
+    """Planted bug: fewer than two caught-up full copies, and the log
+    stores that could serve the read point are not asked."""
+
+    def _read_candidates(self, pg_index, read_point, exclude):
+        tracker = self.pg_trackers[pg_index]
+        fallback = self.metadata.routes_of_pg(pg_index).read_fallback
+        ask = tracker.durable_members_at
+        tracker.durable_members_at = lambda lsn, among: (
+            [] if among is fallback else ask(lsn, among)
+        )
+        try:
+            return super()._read_candidates(pg_index, read_point, exclude)
+        finally:
+            del tracker.durable_members_at
+
+
+@pytest.mark.parametrize(
+    "layout, planted",
+    [
+        ("aurora", {"metadata_class": KeepsRoutesAcrossMembership}),
+        ("aurora", {"metadata_class": KeepsRoutesAcrossPlacement}),
+        ("aurora", {"driver_class": IgnoresExclude}),
+        ("taurus", {"driver_class": SkipsTheFallback}),
+    ],
+    ids=lambda value: next(iter(value.values())).__name__
+    if isinstance(value, dict) else value,
+)
+def test_a_planted_routing_bug_is_caught(layout, planted):
+    """The differential finds each mutant unaided (no shrinking: any
+    counterexample will do)."""
+    searched = settings(
+        max_examples=300, deadline=None, database=None,
+        phases=[Phase.generate], report_multiple_bugs=False,
+    )(
+        given(rng=st.randoms(use_true_random=False))(
+            lambda rng: play_routing(rng, layout, False, **planted)
+        )
+    )
+    with pytest.raises(AssertionError):
+        searched()

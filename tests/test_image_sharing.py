@@ -2,9 +2,12 @@
 
 A record's redo runs once -- when the writer stages the change -- and the
 same image goes to the writer's cache and, through ``apply_redo``, to every
-segment of the protection group.  These tests pin that the sharing actually
-happens, that nothing anywhere edits a shared image in place, and that
-damage or repair on one copy stays on that copy.
+segment of the protection group; from there it moves by reference -- in a
+read reply to a replica's or a reloading writer's cache, in a baseline, a
+scrub repair or a vote answer to another copy's chain -- and is never
+re-derived.  These tests pin that the sharing actually happens, that
+nothing anywhere edits a shared image in place, and that damage or repair
+on one copy stays on that copy.
 """
 
 from types import MappingProxyType
@@ -28,7 +31,7 @@ from repro.core.records import (
     seed_redo,
 )
 from repro.db.mtr import ChainState, MTRBuilder
-from repro.storage.messages import ReadBlockResponse
+from repro.storage import node as node_module
 from repro.storage.page import BlockVersion, BlockVersionChain
 from repro.storage.segment import Segment
 
@@ -53,11 +56,41 @@ class TestApplyRedoMemo:
         assert image == {"a": 0, "k": 1}
         assert apply_redo(record, base) is image
 
+    def counting_record(self):
+        """A record whose payload counts its own executions."""
+        runs = []
+
+        class CountingPut(BlockPut):
+            def apply(self, image):
+                runs.append(image)
+                return super().apply(image)
+
+        return self.record(CountingPut(entries=(("k", 1),))), runs
+
     def test_an_equal_but_distinct_base_is_recomputed(self):
-        record = self.record()
+        """...and re-converges: the payload *runs* on the distinct base (a
+        miss is never answered from the memo), and because its result
+        equals the memoised image, the memoised object is what comes
+        back -- a fork costs one application, not one per record forever.
+        """
+        record, runs = self.counting_record()
         first = apply_redo(record, {"a": 0})
-        second = apply_redo(record, {"a": 0})
-        assert first == second and first is not second
+        distinct = {"a": 0}
+        second = apply_redo(record, distinct)
+        assert len(runs) == 2 and runs[1] is distinct
+        assert second is first
+        # The memo follows the latest base, so that copy now hits.
+        assert apply_redo(record, distinct) is first and len(runs) == 2
+
+    def test_a_base_that_differs_by_value_keeps_its_own_image(self):
+        """The converse: the payload ran on what the copy really holds, and
+        an unequal result is kept and stamped -- never the memoised one."""
+        record, runs = self.counting_record()
+        clean = apply_redo(record, {"a": 0})
+        rotten = apply_redo(record, {"a": "rot"})
+        assert len(runs) == 2
+        assert rotten == {"a": "rot", "k": 1} and rotten is not clean
+        assert record._applied[1] is rotten
 
     def test_a_diverged_base_never_hits(self):
         record = self.record()
@@ -89,7 +122,14 @@ class TestApplyRedoMemo:
         image = record.payload.apply(base)
         seed_redo(record, base, image)
         assert apply_redo(record, base) is image
-        assert apply_redo(record, {"a": 0}) is not image
+        # An equal base that is another object: the payload runs on it
+        # (the seed is not taken on trust) and, the results being equal,
+        # the seeded image is the one handed back.
+        record, runs = self.counting_record()
+        image = record.payload.apply(base)
+        seed_redo(record, base, image)
+        assert apply_redo(record, {"a": 0}) is image
+        assert len(runs) == 2
 
     def test_sealing_seeds_every_staged_change(self):
         mtr = MTRBuilder(txn_id=1)
@@ -167,19 +207,341 @@ class TestSharingIsOn:
         assert built == []
 
 
+class TestReconvergenceCannotMaskDivergence:
+    """By-value re-convergence adopts the memoised image only after the
+    payload has run on what the copy really holds and produced an equal
+    result.  A copy whose base really differs keeps its own, different
+    image, and the integrity vote sees and repairs it as before."""
+
+    def damaged_then_written(self, monkeypatch, redo=None):
+        """One copy takes a misdirected write (valid checksum, so local
+        verification passes) on the hot leaf, then every copy coalesces
+        more redo on top.  Returns (cluster, victim, peers, hot, lsn)."""
+        from repro.storage import page as page_module
+
+        if redo is not None:
+            monkeypatch.setattr(page_module, "apply_redo", redo)
+        cluster = AuroraCluster.build(ClusterConfig(seed=11))
+        # An open view pins the GC floor, so what follows stays inside the
+        # window the cross-peer vote can arbitrate.
+        cluster.writer.open_view()
+        db = cluster.session()
+        for i in range(20):
+            db.write(f"k{i % 8}", i)
+        cluster.run_for(50)
+        segments = [node.segment for node in cluster.nodes.values()]
+        for segment in segments:
+            segment.coalesce()
+        hot = cluster.writer.root_leaf_block
+        victim, peers = segments[0], segments[1:]
+        lsn = victim.blocks[hot].corrupt_version(valid_checksum=True)
+        assert victim.scrub() == []  # self-consistent: only a vote can tell
+        for i in range(20, 30):
+            db.write(f"k{i % 8}", i)
+        cluster.run_for(50)
+        for segment in segments:
+            segment.coalesce()
+        return cluster, victim, peers, hot, lsn
+
+    def test_a_really_different_base_keeps_its_own_image(self, monkeypatch):
+        cluster, victim, peers, hot, lsn = self.damaged_then_written(
+            monkeypatch
+        )
+        newest = victim.blocks[hot].latest_image()
+        assert newest.get("__corrupted__") is True
+        clean = cluster.writer.cache.peek(hot).image
+        for peer in peers:
+            assert peer.blocks[hot].latest_image() == clean != newest
+        # ...and the cross-peer content vote repairs every version the
+        # damage reached, with a voter's own object each time.
+        cluster.run_for(12_000)
+        assert cluster.nodes[victim.segment_id].counters["vote_repairs"] >= 1
+        damaged = victim.blocks[hot].versions_in(lsn - 1)
+        assert len(damaged) >= 2
+        for version in damaged:
+            assert any(
+                version.image is peer.blocks[hot].version(version.lsn).image
+                for peer in peers
+            )
+
+    def test_adopting_the_memo_without_comparing_is_caught(self, monkeypatch):
+        def adopt_blindly(record, base):
+            memo = getattr(record, "_applied", None)
+            return memo[1] if memo is not None else apply_redo(record, base)
+
+        _cluster, victim, peers, hot, _lsn = self.damaged_then_written(
+            monkeypatch, redo=adopt_blindly
+        )
+        # The mutant papers over the damaged base: the copy's newer
+        # versions look clean, which is what the test above forbids.
+        newest = victim.blocks[hot].latest_image()
+        assert "__corrupted__" not in newest
+        assert newest is peers[0].blocks[hot].latest_image()
+
+
+class TestReadsCarryReferences:
+    """A ``replica_read``-shaped run: writers with multi-put transactions
+    beside replica readers whose 64-block caches keep missing, then one
+    writer cache reload.  Every image that reaches a cache from a storage
+    read is the object a segment's chain holds, so redo applied on top of
+    it hits the memo like everybody else's, and no payload runs outside the
+    writer -- except across a shipped stand-in, until the lineage
+    re-converges at the end of that write batch."""
+
+    KEYS = [f"key{i:04d}" for i in range(800)]
+
+    def run(self, monkeypatch, wire_compression):
+        from collections import Counter
+
+        from repro.db import driver as driver_module
+        from repro.db.driver import StorageDriver
+        from repro.db.instance import WriterInstance
+        from repro.db.replica import ReplicaInstance
+        from repro.sim.process import Process
+
+        where = ["segments"]
+        ran = Counter()      # where -> payload executions
+        outside = []         # LSNs whose payload ran outside the writer
+        current = [None]     # the record apply_redo is working on
+
+        def counted(original):
+            def apply(payload, image):
+                ran[where[0]] += 1
+                if where[0] != "writer":
+                    outside.append(current[0])
+                return original(payload, image)
+            return apply
+
+        for payload_type in PAYLOAD_TYPES:
+            monkeypatch.setattr(
+                payload_type, "apply", counted(payload_type.apply)
+            )
+
+        def at(owner, name, label):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                previous, where[0] = where[0], label
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    where[0] = previous
+            monkeypatch.setattr(owner, name, wrapper)
+
+        sealed = []
+        absorb = WriterInstance._absorb_record
+        monkeypatch.setattr(
+            WriterInstance, "_absorb_record",
+            lambda self, record, image=None: (
+                sealed.append(record.lsn), absorb(self, record, image)
+            )[1],
+        )
+        at(WriterInstance, "stage_change", "writer")
+        at(WriterInstance, "_absorb_record", "writer")
+        at(ReplicaInstance, "_apply_record", "replica")
+
+        # Which record a payload execution belongs to: the modules call
+        # ``apply_redo`` through their own globals.
+        from repro.db import instance as instance_module
+        from repro.db import replica as replica_module
+        from repro.storage import page as page_module
+
+        def noting(original):
+            def redo(record, base):
+                current[0] = record.lsn
+                return original(record, base)
+            return redo
+
+        for module in (instance_module, replica_module, page_module):
+            monkeypatch.setattr(
+                module, "apply_redo", noting(module.apply_redo)
+            )
+
+        # A stand-in forks its block's lineage on the segments until the
+        # covering records of the same batch have been applied.
+        forked = set()
+        elide = driver_module.elide_superseded
+
+        def eliding(records):
+            shipped, elided = elide(records)
+            if elided:
+                blocks = set()
+                for record in shipped:
+                    if isinstance(record.payload, ElidedPayload):
+                        blocks.add(record.block)
+                    if record.block in blocks:
+                        forked.add(record.lsn)
+            return shipped, elided
+
+        monkeypatch.setattr(driver_module, "elide_superseded", eliding)
+
+        # Every storage read reply, as the driver resolved it.
+        reads = []
+        read_block = StorageDriver.read_block
+
+        def recording(driver, block, pg_index, read_point):
+            future = read_block(driver, block, pg_index, read_point)
+            future.add_done_callback(
+                lambda f: f.exception() is None and reads.append(
+                    (driver.instance_id, block, *f.result())
+                )
+            )
+            return future
+
+        monkeypatch.setattr(StorageDriver, "read_block", recording)
+
+        config = ClusterConfig(seed=23)
+        config.replica.cache_capacity = 64
+        config.instance.driver.wire_compression = wire_compression
+        cluster = AuroraCluster.build(config)
+        replicas = [cluster.add_replica(), cluster.add_replica()]
+        segments = [node.segment for node in cluster.nodes.values()]
+
+        def holders(block, lsn):
+            """The image objects the copies hold for ``block`` at ``lsn``."""
+            found = []
+            for segment in segments:
+                chain = segment.blocks.get(block)
+                version = chain.version(lsn) if chain is not None else None
+                if version is not None:
+                    found.append(version.image)
+            return found
+
+        db = cluster.session()
+        for low in range(0, len(self.KEYS), 40):
+            txn = db.begin()
+            for key in self.KEYS[low:low + 40]:
+                db.put(txn, key, f"init-{key}")
+            db.commit(txn)
+        cluster.run_for(100.0)
+
+        writer = cluster.writer
+
+        def writing(keys, rounds):
+            for i in range(rounds):
+                txn = writer.begin()
+                first = keys[(7 * i) % len(keys)]
+                second = keys[(7 * i + 3) % len(keys)]
+                # The same row twice in one transaction: the first put is
+                # superseded inside the batch and ships as a stand-in.
+                yield from writer.put(txn, first, f"a{i}")
+                yield from writer.put(txn, second, f"b{i}")
+                yield from writer.put(txn, first, f"c{i}")
+                yield writer.commit(txn)
+
+        def reading(replica, offset, rounds):
+            for i in range(rounds):
+                key = self.KEYS[(offset + 37 * i) % len(self.KEYS)]
+                assert (yield from replica.get(key)) is not None
+
+        clients = [
+            Process(cluster.loop, writing(self.KEYS[:300], 120)),
+            Process(cluster.loop, writing(self.KEYS[500:], 120)),
+            *(
+                Process(cluster.loop, reading(replica, offset, 200))
+                for offset, replica in enumerate(replicas * 2)
+            ),
+        ]
+        for client in clients:
+            db.drive(client.completion)
+        cluster.run_for(100.0)
+        for segment in segments:
+            segment.coalesce()
+
+        # One writer cache reload: evict a leaf, read through it, write on.
+        leaf = next(
+            block for block in writer.cache.blocks()
+            if writer.cache.peek(block).image.get("type") == "leaf"
+        )
+        (row_key,) = [k for k in writer.cache.peek(leaf).image if k[0] == "k"][:1]
+        assert writer.cache.evict(leaf, writer.vdl)
+        outside_before_reload = len(outside)
+        assert db.get(row_key[1]) is not None
+        reloaded = writer.cache.peek(leaf)
+        assert reloaded is not None
+        assert any(
+            reloaded.image is image
+            for image in holders(leaf, reloaded.latest_lsn)
+        )
+        db.write(row_key[1], "after-reload")
+        cluster.run_for(100.0)
+        for segment in segments:
+            segment.coalesce()
+        assert len(outside) == outside_before_reload
+
+        return {
+            "cluster": cluster, "replicas": replicas, "holders": holders,
+            "reads": reads, "ran": ran, "outside": outside,
+            "sealed": sealed, "forked": forked,
+        }
+
+    def assert_references(self, run):
+        # Every read reply carried the object a chain holds at that LSN...
+        assert len(run["reads"]) > 100
+        sources = {name for name, *_ in run["reads"]}
+        assert sources == {"writer-1", "replica-1", "replica-2"}, sources
+        for _name, block, image, version_lsn in run["reads"]:
+            if version_lsn == 0:
+                assert image is EMPTY_IMAGE
+        # ...and what a cache holds now -- installed from a read or brought
+        # forward by redo -- is still the segments' object for its LSN.
+        cluster = run["cluster"]
+        checked = 0
+        for instance in (cluster.writer, *run["replicas"]):
+            for block in instance.cache.blocks():
+                cached = instance.cache.peek(block)
+                for image in run["holders"](block, cached.latest_lsn):
+                    assert cached.image is image, (instance.name, block)
+                    checked += 1
+        assert checked > 500
+
+    def test_without_stand_ins_no_payload_runs_outside_the_writer(
+        self, monkeypatch
+    ):
+        run = self.run(monkeypatch, wire_compression=False)
+        self.assert_references(run)
+        assert run["outside"] == []
+        assert run["ran"]["writer"] == len(run["sealed"])
+
+    def test_with_stand_ins_a_fork_ends_with_its_batch(self, monkeypatch):
+        run = self.run(monkeypatch, wire_compression=True)
+        self.assert_references(run)
+        elided = run["cluster"].writer.driver.stats.records_elided
+        assert elided >= 100
+        assert run["ran"]["writer"] == len(run["sealed"])
+        # Outside the writer a payload ran only on a record that rode in a
+        # batch behind a stand-in for its block (the fork ends with the
+        # batch) -- in this run no more often than once per stand-in and
+        # once per covering record.
+        assert run["outside"]
+        assert set(run["outside"]) <= run["forked"]
+        assert len(run["outside"]) <= 2 * elided
+
+
 def read_only(image):
     return image if type(image) is MappingProxyType else MappingProxyType(image)
+
+
+#: The replies that carry images, and the field that holds them.
+IMAGE_REPLIES = {
+    "read": ("ReadBlockResponse", "image"),
+    "baseline": ("BaselineResponse", "blocks"),
+    "scrub": ("ScrubRepairResponse", "versions"),
+    "vote": ("IntegrityVoteResponse", "blocks"),
+}
 
 
 @pytest.fixture
 def read_only_images(monkeypatch):
     """Every image that can end up shared is a ``MappingProxyType``: what a
     payload returns (so everything staged in an MTR, cached, or coalesced),
-    what a storage read hands ``read_image``, and whatever else is put into
-    a version chain (baselines, repairs, injected damage).  An in-place
-    edit of any of them, anywhere, raises ``TypeError``.  Returns the
-    number of images wrapped so far, by source."""
-    wrapped = {"redo": 0, "read": 0, "chain": 0}
+    what a storage node puts into a read reply, a baseline, a scrub repair
+    or a vote answer (the hand-off by reference: from there it reaches a
+    cache or another copy's chain as it is), and whatever else is put into
+    a version chain (snapshots, injected damage).  An in-place edit of any
+    of them, anywhere, raises ``TypeError``.  Returns the number of images
+    wrapped so far, by source."""
+    wrapped = {"redo": 0, "chain": 0, **dict.fromkeys(IMAGE_REPLIES, 0)}
 
     def wrapping(original, source, image_arg=None):
         def wrapper(*args):
@@ -197,10 +559,32 @@ def read_only_images(monkeypatch):
         monkeypatch.setattr(
             payload_type, "apply", wrapping(payload_type.apply, "redo")
         )
-    monkeypatch.setattr(
-        ReadBlockResponse, "image_dict",
-        wrapping(ReadBlockResponse.image_dict, "read"),
-    )
+
+    def images_read_only(value, source):
+        """``value`` with every image in it -- at any tuple depth --
+        wrapped (anything that is not a tuple or an image stays)."""
+        if isinstance(value, tuple):
+            return tuple(images_read_only(v, source) for v in value)
+        if isinstance(value, (dict, MappingProxyType)):
+            wrapped[source] += 1
+            return read_only(value)
+        return value
+
+    def replying(reply_type, source, field):
+        class Reply(reply_type):  # a subclass: ``isinstance`` still holds
+            __slots__ = ()
+
+            def __init__(self, **fields):
+                fields[field] = images_read_only(fields[field], source)
+                super().__init__(**fields)
+
+        return Reply
+
+    for source, (name, field) in IMAGE_REPLIES.items():
+        monkeypatch.setattr(
+            node_module, name,
+            replying(getattr(node_module, name), source, field),
+        )
     for name in ("append", "insert"):
         monkeypatch.setattr(
             BlockVersionChain, name,
@@ -215,19 +599,30 @@ def read_only_images(monkeypatch):
 
 
 class TestSharingIsSafe:
+    #: Per backend, a seed whose run ships images in votes *and* in a
+    #: single-peer scrub repair (most integrity runs repair records only).
+    INTEGRITY_SEEDS = {"aurora": 9, "taurus": 17}
+
+    @staticmethod
+    def assert_wrapped(wrapped, *sources):
+        """Non-vacuity: the run did hand images over at these points."""
+        assert all(wrapped[s] for s in ("redo", "read", *sources)), wrapped
+
     @pytest.mark.parametrize("backend", ["aurora", "taurus"])
     def test_integrity_audit_never_edits_an_image_in_place(
         self, read_only_images, backend
     ):
-        config = AuditRunConfig(seed=3, steps=400, backend=backend)
+        config = AuditRunConfig(
+            seed=self.INTEGRITY_SEEDS[backend], steps=400, backend=backend
+        )
         report = run_audit(config.as_integrity())
         assert report.ok, report.render()
-        assert all(read_only_images.values()), read_only_images
+        self.assert_wrapped(read_only_images, "chain", "scrub", "vote")
 
     def test_chaos_audit_never_edits_an_image_in_place(self, read_only_images):
         report = run_audit(AuditRunConfig(seed=2, steps=500))
         assert report.ok, report.render()
-        assert all(read_only_images.values()), read_only_images
+        self.assert_wrapped(read_only_images, "baseline")
 
     def test_the_fixture_does_catch_an_in_place_edit(self, read_only_images):
         cluster = AuroraCluster.build(ClusterConfig(seed=11))
@@ -277,13 +672,32 @@ class TestDamageStaysOnOneCopy:
         assert victim.scrub() == [(hot, lsn)]
         self.assert_others_clean(segments, hot, before)
         clean = segments[1].blocks[hot].version_at(lsn).image
-        assert victim.repair_version(hot, lsn, clean.items())
+        assert victim.repair_version(hot, lsn, clean)
         assert victim.scrub() == []
         assert self.images(victim, hot) == before
-        # Repair installed a copy, not the peer's object: nothing a later
-        # fault does to this copy can reach the shared one.
+        # Repair put the copy back on the shared lineage: it holds the
+        # peer's object, so the next record's redo hits on it again...
+        assert victim.blocks[hot].version_at(lsn).image is clean
+        # ...and the next fault on this copy still cannot reach the shared
+        # one, because damage swaps in a new object too.
+        assert victim.blocks[hot].corrupt_version(lsn) == lsn
         assert victim.blocks[hot].version_at(lsn).image is not clean
         self.assert_others_clean(segments, hot, before)
+
+    def test_hydration_shares_the_donor_images(self, copies):
+        segments, hot = copies
+        donor = segments[1]
+        before = self.images(donor, hot)
+        fresh = Segment("fresh", donor.pg_index)
+        fresh.hydrate_from(donor)
+        fresh.coalesce()
+        for lsn, _image in before:
+            assert fresh.blocks[hot].version(lsn).image is (
+                donor.blocks[hot].version(lsn).image
+            )
+        fresh.blocks[hot].corrupt_version()
+        assert fresh.scrub() != []
+        self.assert_others_clean(segments, hot, self.images(segments[0], hot))
 
     def test_corrupt_record_then_restore(self, copies):
         segments, hot = copies
@@ -312,7 +726,7 @@ class TestDamageStaysOnOneCopy:
         peer = segments[1]
         assert victim.restore_record(peer.hot_log[lost])
         assert victim.repair_version(
-            hot, lost, peer.blocks[hot].version_at(lost).image.items()
+            hot, lost, peer.blocks[hot].version_at(lost).image
         )
         assert self.images(victim, hot) == before
         assert victim._lsn_index == peer._lsn_index

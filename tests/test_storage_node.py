@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.epochs import EpochStamp
 from repro.core.lsn import TruncationRange
-from repro.core.records import BlockPut, LogRecord, RecordKind
+from repro.core.records import EMPTY_IMAGE, BlockPut, LogRecord, RecordKind
 from repro.sim.events import EventLoop
 from repro.sim.latency import FixedLatency
 from repro.sim.network import Actor, Network
@@ -202,8 +202,22 @@ class TestReadPath:
         loop.run()
         response = future.result()
         assert isinstance(response, ReadBlockResponse)
-        assert response.image_dict() == {"k": 2}
+        assert response.image == {"k": 2}
         assert response.version_lsn == 2
+        # The reply carries the chain's image object, not a copy of it.
+        assert response.image is nodes["seg0"].segment.blocks[0].latest_image()
+
+    def test_a_never_written_block_reads_as_the_shared_empty_image(self):
+        loop, network, nodes, _i = self._written_fleet()
+        future = network.rpc(
+            "db", "seg0",
+            ReadBlockRequest(pg_index=0, block=7, read_point=2,
+                             epochs=EpochStamp()),
+        )
+        loop.run()
+        response = future.result()
+        assert response.image is EMPTY_IMAGE
+        assert response.version_lsn == 0
 
     def test_read_outside_window_rejected(self):
         loop, network, nodes, _i = self._written_fleet()
@@ -312,7 +326,14 @@ class TestControlPlane:
         assert isinstance(response, BaselineResponse)
         assert response.scl == 2
         assert len(response.records) == 2
-        assert response.blocks[0][0] == 0  # block number
+        block, version_lsn, image = response.blocks[0]
+        assert (block, version_lsn) == (0, 2)
+        donor = nodes["seg0"].segment.blocks[0]
+        assert image is donor.latest_image()
+        # A hydrated copy holds the donor's object too.
+        fresh = nodes["seg1"]
+        fresh.apply_baseline(response)
+        assert fresh.segment.blocks[0].latest_image() is donor.latest_image()
 
 
 class TestBackgroundMaintenance:
@@ -357,3 +378,7 @@ class TestBackgroundMaintenance:
         loop.run(until=6_000.0)
         assert node.counters["scrub_repairs"] >= 1
         assert node.segment.scrub() == []
+        # The repaired version is a peer's image object, not a rebuilt one.
+        assert node.segment.blocks[0].latest_image() is (
+            nodes["seg1"].segment.blocks[0].latest_image()
+        )

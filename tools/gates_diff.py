@@ -1,0 +1,165 @@
+"""Every audit gate's rendered report, this checkout against a base.
+
+``make gates-diff BASE=<rev> [SWEEP=20] [EXPECT=seed,seed] [JOBS=4]``
+
+A change that only speeds the simulator up, or only reshapes code, must
+leave every gate's report byte-identical for the same seeds (ROADMAP aim
+2).  This runs the ``audit-run`` commands behind ``make audit``,
+``audit-fleet``, ``audit-failover``, ``audit-geo``, ``audit-proxy``,
+``audit-integrity`` (both backends) and ``audit-adaptive`` -- read from this
+checkout's Makefile with ``make -n``, so the gates are defined in one place
+-- in ``BASE`` (a revision, checked out into a temporary ``git worktree``,
+or a directory that already holds a checkout) and in this checkout, and
+compares what they print, seed by seed:
+
+- a command that sweeps gets ``--sweep SWEEP`` on both sides; one that runs
+  a single seed (``audit-adaptive``'s profiles) runs as the Makefile has it;
+- lines that mention wall-clock time are dropped before comparing;
+- per gate it prints ``identical``, or the seeds that differ with the lines
+  that do (``footer`` is the telemetry a sweep prints after its seeds).
+
+Seeds named in ``--expect`` may differ (a bug fix changes the runs that hit
+the bug); the footer of a sweep may differ when one of its expected seeds
+did.  Any other difference, and a gate that exits differently on the two
+sides, makes the exit status 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from ledger_pairs import REPO_ROOT, base_tree
+
+GATES = (
+    "audit", "audit-fleet", "audit-failover", "audit-geo", "audit-proxy",
+    "audit-integrity", "audit-adaptive",
+)
+SEED_HEADER = re.compile(r"^audit run: seed=(\d+) ")
+FOOTER = "footer"
+
+
+def gate_commands(gate: str) -> list[list[str]]:
+    """The ``audit-run`` argument lists ``make <gate>`` would execute."""
+    listed = subprocess.run(
+        ["make", "-n", "--no-print-directory", gate],
+        cwd=REPO_ROOT, check=True, capture_output=True, text=True,
+    ).stdout
+    commands = []
+    for line in listed.splitlines():
+        words = line.split()
+        if "audit-run" in words:
+            commands.append(words[words.index("audit-run") + 1:])
+    if not commands:
+        raise SystemExit(f"make -n {gate} lists no audit-run command")
+    return commands
+
+
+def with_sweep(arguments: list[str], sweep: int, jobs: int) -> list[str]:
+    """``arguments`` sweeping ``sweep`` seeds (if it sweeps at all) over
+    ``jobs`` worker processes."""
+    out = list(arguments)
+    if "--jobs" in out:
+        at = out.index("--jobs")
+        del out[at:at + 2]
+    if "--sweep" in out:
+        out[out.index("--sweep") + 1] = str(sweep)
+    return [*out, "--jobs", str(jobs)]
+
+
+def render(tree: Path, arguments: list[str]) -> dict[str, list[str]]:
+    """Run one command in ``tree``; its output by seed, plus the footer
+    (which also records the exit status)."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "audit-run", *arguments],
+        cwd=tree, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": "src"},
+    )
+    blocks: dict[str, list[str]] = {FOOTER: []}
+    current = blocks[FOOTER]
+    for line in done.stdout.splitlines():
+        header = SEED_HEADER.match(line)
+        if header:
+            current = blocks.setdefault(header.group(1), [])
+        elif line.startswith("sweep: "):
+            current = blocks[FOOTER]
+        if line.strip() and "wall" not in line.lower():
+            current.append(line)
+    blocks[FOOTER].append(f"exit status {done.returncode}")
+    if done.returncode not in (0, 1):  # 1 is a gate that found something
+        blocks[FOOTER] += done.stderr.splitlines()[-5:]
+    return blocks
+
+
+def differing(base: dict, change: dict) -> dict[str, list[str]]:
+    """block name -> the lines that differ, for every block that does."""
+    out = {}
+    names = sorted(
+        set(base) | set(change),
+        key=lambda name: (name == FOOTER, int(name) if name != FOOTER else 0),
+    )
+    for name in names:
+        before, after = base.get(name, []), change.get(name, [])
+        if before != after:
+            out[name] = [
+                line for line in difflib.ndiff(before, after)
+                if line[:1] in "+-"
+            ]
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True,
+                        help="revision (or checkout directory) to compare to")
+    parser.add_argument("--sweep", type=int, default=20,
+                        help="seeds per sweeping gate command")
+    parser.add_argument("--jobs", type=int, default=4)
+    parser.add_argument("--expect", default="",
+                        help="comma-separated seeds that are allowed to differ")
+    args = parser.parse_args(argv)
+    expected = {seed for seed in args.expect.split(",") if seed}
+
+    unexpected = 0
+    with base_tree(args.base) as tree:
+        for gate in GATES:
+            for arguments in gate_commands(gate):
+                arguments = with_sweep(arguments, args.sweep, args.jobs)
+                diffs = differing(
+                    render(tree, arguments), render(REPO_ROOT, arguments)
+                )
+                # A sweep's footer aggregates its seeds: it may move when
+                # an expected seed did, never on its own.
+                allowed = set(expected)
+                if allowed & set(diffs):
+                    allowed.add(FOOTER)
+                label = f"{gate:<16}{' '.join(arguments)}"
+                if not diffs:
+                    print(f"{label}\n    identical", flush=True)
+                    continue
+                surprising = sorted(set(diffs) - allowed)
+                unexpected += len(surprising)
+                print(f"{label}\n    DIFFERS: " + ", ".join(
+                    f"{'seed ' if name != FOOTER else ''}{name}"
+                    f"{'' if name in surprising else ' (expected)'}"
+                    for name in diffs
+                ))
+                for name, lines in diffs.items():
+                    print(f"    -- {name} (- base, + change)")
+                    for line in lines:
+                        print(f"    {line}")
+                sys.stdout.flush()
+    if unexpected:
+        print(f"\n{unexpected} unexpected difference(s) against {args.base}")
+        return 1
+    print(f"\nno unexpected difference against {args.base}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -39,9 +39,32 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@contextmanager
+def base_tree(base: str):
+    """The tree to compare against: ``base`` itself when it is a directory
+    (used as it is and left alone), else that revision checked out into a
+    temporary ``git worktree`` that is removed afterwards."""
+    if Path(base).is_dir():
+        yield Path(base).resolve()
+        return
+    worktree = Path(tempfile.mkdtemp(prefix="base-tree-"))
+    subprocess.run(
+        ["git", "worktree", "add", "--detach", str(worktree), base],
+        cwd=REPO_ROOT, check=True, capture_output=True,
+    )
+    try:
+        yield worktree
+    finally:
+        subprocess.run(
+            ["git", "worktree", "remove", "--force", str(worktree)],
+            cwd=REPO_ROOT, check=False, capture_output=True,
+        )
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -153,27 +176,9 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown workload {unknown}; BENCHMARK.json has {known}")
 
-    worktree = None
-    if Path(args.base).is_dir():
-        base_tree = Path(args.base).resolve()
-    else:
-        worktree = Path(tempfile.mkdtemp(prefix="ledger-pairs-"))
-        subprocess.run(
-            ["git", "worktree", "add", "--detach", str(worktree), args.base],
-            cwd=REPO_ROOT, check=True, capture_output=True,
-        )
-        base_tree = worktree
-    try:
+    with base_tree(args.base) as tree:
         for workload in workloads:
-            run_pairs(
-                spec, args.base, base_tree, workload, args.pairs, args.seed
-            )
-    finally:
-        if worktree is not None:
-            subprocess.run(
-                ["git", "worktree", "remove", "--force", str(worktree)],
-                cwd=REPO_ROOT, check=False, capture_output=True,
-            )
+            run_pairs(spec, args.base, tree, workload, args.pairs, args.seed)
     return 0
 
 
