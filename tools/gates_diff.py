@@ -14,6 +14,9 @@ compares what they print, seed by seed:
 
 - a command that sweeps gets ``--sweep SWEEP`` on both sides; one that runs
   a single seed (``audit-adaptive``'s profiles) runs as the Makefile has it;
+- both sides run under ``PYTHONHASHSEED=0``: a run whose event order leans
+  on string-hash order (``audit-failover`` seed 16 does, at this writing)
+  otherwise differs between two processes of the *same* tree;
 - lines that mention wall-clock time are dropped before comparing;
 - per gate it prints ``identical``, or the seeds that differ with the lines
   that do (``footer`` is the telemetry a sweep prints after its seeds).
@@ -78,7 +81,7 @@ def render(tree: Path, arguments: list[str]) -> dict[str, list[str]]:
     done = subprocess.run(
         [sys.executable, "-m", "repro", "audit-run", *arguments],
         cwd=tree, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": "src"},
+        env={**os.environ, "PYTHONPATH": "src", "PYTHONHASHSEED": "0"},
     )
     blocks: dict[str, list[str]] = {FOOTER: []}
     current = blocks[FOOTER]
