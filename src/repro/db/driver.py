@@ -204,9 +204,12 @@ class _OutstandingRead:
     read_point: int
     segment: str
     issued_at: float
+    #: ``hedge_candidates``: where this RPC's hedge, and that hedge's own,
+    #: may still go.
     plan: ReadPlan
     future: Future
-    is_hedge: bool = False
+    #: A hedge has been issued for this RPC (each is hedged at most once).
+    hedged: bool = False
     exclude: frozenset[str] = frozenset()
 
 
@@ -712,7 +715,6 @@ class StorageDriver:
             issued_at=self.loop.now,
             plan=plan,
             future=future,
-            is_hedge=is_hedge,
             exclude=exclude,
         )
         self._outstanding_reads.append(outstanding)
@@ -763,12 +765,19 @@ class StorageDriver:
         self._inspect_outstanding_reads()
 
     def _inspect_outstanding_reads(self) -> None:
-        """Hedge any overdue read (called on every completed I/O)."""
+        """Hedge any overdue read (called on every completed I/O).
+
+        "Issue a read to another storage node and accept whichever one
+        returns first" (section 3.1): an overdue RPC is hedged once, to the
+        fastest candidate of its plan not tried yet, and the hedge inherits
+        the rest -- so a hedge that is itself overdue (its target crashed
+        or partitioned away too) escalates to the next copy.
+        """
         if not self._outstanding_reads:
             return
         now = self.loop.now
         for outstanding in list(self._outstanding_reads):
-            if outstanding.future.done or outstanding.is_hedge:
+            if outstanding.future.done or outstanding.hedged:
                 continue
             elapsed = now - outstanding.issued_at
             if not self.router.should_hedge(outstanding.segment, elapsed):
@@ -776,18 +785,50 @@ class StorageDriver:
             target = self.router.hedge_target(outstanding.plan)
             if target is None or target == outstanding.segment:
                 continue
-            # Mark so we hedge each slow read at most once.
-            outstanding.is_hedge = True
+            outstanding.hedged = True
             if self.health_probe is not None:
                 self.health_probe.note_hedge(outstanding.segment)
+            untried = [
+                s for s in outstanding.plan.hedge_candidates if s != target
+            ]
             self._dispatch_read(
                 outstanding.block,
                 outstanding.pg_index,
                 outstanding.read_point,
                 target,
-                ReadPlan(primary=target, hedge_candidates=[]),
+                ReadPlan(primary=target, hedge_candidates=untried),
                 outstanding.future,
                 is_hedge=True,
+            )
+
+    def _fail_exhausted_reads(self) -> None:
+        """Fail, diagnosed, the reads that have nowhere left to go.
+
+        A request lost in the fabric never resolves.  Once every RPC of a
+        read has been hedged or has no candidate left, and the newest has
+        gone ``quorum_deadline`` unanswered, the caller gets the error --
+        and releases its read point -- instead of waiting forever.
+        """
+        reads = self._outstanding_reads
+        deadline = self.config.quorum_deadline
+        now = self.loop.now
+        if now - reads[0].issued_at <= deadline:
+            return  # issue order: nothing can be older than the first
+        by_future: dict[int, list[_OutstandingRead]] = {}
+        for outstanding in reads:
+            by_future.setdefault(id(outstanding.future), []).append(outstanding)
+        for rpcs in by_future.values():
+            if now - rpcs[-1].issued_at <= deadline or any(
+                not r.hedged and r.plan.hedge_candidates for r in rpcs
+            ):
+                continue
+            tried = {r.segment for r in rpcs}.union(*(r.exclude for r in rpcs))
+            rpcs[0].future.set_exception(
+                SegmentUnavailableError(
+                    f"block {rpcs[0].block} at read point "
+                    f"{rpcs[0].read_point} in PG {rpcs[0].pg_index}: no "
+                    f"reply from {sorted(tried)} within {deadline:g} ms"
+                )
             )
 
     def _ensure_hedge_sweep(self) -> None:
@@ -804,6 +845,7 @@ class StorageDriver:
         if not self._outstanding_reads:
             return
         self._inspect_outstanding_reads()
+        self._fail_exhausted_reads()
         self._ensure_hedge_sweep()
 
     # ------------------------------------------------------------------

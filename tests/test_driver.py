@@ -175,6 +175,89 @@ class TestHedgedReads:
         for i in range(0, 200, 7):
             assert db.get(f"key{i:03d}") == i
 
+    def test_a_lost_hedge_escalates_to_a_third_copy(self):
+        """Primary *and* its hedge target are gone (requests to a crashed
+        node are dropped, never answered): the overdue hedge is hedged in
+        turn, and the read completes from the next copy of the plan."""
+        cluster, db = self._cold_cache_cluster(
+            hedge_sweep_interval=0.5, explore_probability=0.0
+        )
+        driver = cluster.writer.driver
+        fastest = driver.latency_tracker.ranked(
+            [f"pg0-{c}" for c in "abcdef"]
+        )[:2]
+        for victim in fastest:
+            cluster.failures.crash_node(victim)
+        hedges_before = driver.stats.hedges_issued
+        assert db.get("key000") == 0
+        assert driver.stats.hedges_issued - hedges_before >= 2
+        cluster.run_for(5)
+        assert driver._outstanding_reads == []
+        assert not driver._hedge_sweep_scheduled
+        for i in range(7, 200, 7):
+            assert db.get(f"key{i:03d}") == i
+
+    def test_a_read_nobody_answers_fails_diagnosed_at_the_deadline(self):
+        """Every copy is unreachable: the replica's read walks the whole
+        plan, then fails ``quorum_deadline`` after its last request with an
+        error naming what it tried -- and the read view is released, so the
+        replica's PGMRPL (and storage GC behind it) is not pinned."""
+        from repro.db.session import Session
+        from repro.errors import SegmentUnavailableError
+
+        cluster, db = self._cold_cache_cluster(hedge_sweep_interval=0.5)
+        replica = cluster.add_replica()
+        db.write("key000", "fresh")
+        cluster.run_for(50)
+        for name in sorted(cluster.nodes):
+            cluster.failures.crash_node(name)
+        started = cluster.loop.now
+        with pytest.raises(SegmentUnavailableError) as failure:
+            Session(replica).get("key000")
+        message = str(failure.value)
+        assert "block " in message and "read point " in message
+        for name in cluster.nodes:
+            assert name in message
+        deadline = replica.driver.config.quorum_deadline
+        assert deadline < cluster.loop.now - started < 2 * deadline
+        cluster.run_for(5)
+        assert replica.driver._outstanding_reads == []
+        assert not replica.driver._hedge_sweep_scheduled
+        assert replica.min_read._active == {}
+        assert replica.views.active_count == 0
+
+    def test_no_read_is_left_hanging_at_the_end_of_a_chaos_run(
+        self, monkeypatch
+    ):
+        """End-of-run census of the audit run that found the bug: at the
+        parent, seed 5 ended with five reads on ``replica-1`` outstanding
+        for 7-12 simulated seconds (primary and its one hedge both lost)
+        and two read points pinned in ``min_read`` for the rest of the run.
+        """
+        from repro.audit.runner import AuditRunConfig, run_audit
+
+        clusters = []
+        build = vars(AuroraCluster)["build"].__func__
+
+        def capturing(cls, *args, **kwargs):
+            clusters.append(build(cls, *args, **kwargs))
+            return clusters[-1]
+
+        monkeypatch.setattr(AuroraCluster, "build", classmethod(capturing))
+        report = run_audit(AuditRunConfig(seed=5, steps=3000))
+        assert report.ok, report.render()
+        (cluster,) = clusters
+        now = cluster.loop.now
+        for instance in (cluster.writer, *cluster.replicas.values()):
+            driver = instance.driver
+            slack = 2 * driver.config.quorum_deadline
+            overdue = [
+                (r.block, r.read_point, r.segment, now - r.issued_at)
+                for r in driver._outstanding_reads
+                if not r.future.done and now - r.issued_at > slack
+            ]
+            assert overdue == [], (instance.name, overdue)
+
     def test_exploration_refreshes_latency_stats(self):
         cluster, db = self._cold_cache_cluster(explore_probability=0.5)
         for i in range(0, 200, 2):
