@@ -165,6 +165,9 @@ class WriterInstance(Actor, BlockIO):
         #: the MTR that allocates the new pages is sealed, so ``commit``
         #: can place its record without reading a block.
         self._txn_pages: tuple[int, ...] = ()
+        #: Status pages this generation allocated and has not committed to
+        #: yet: the only uncached pages whose image (empty) is known here.
+        self._unwritten_txn_pages: set[int] = set()
         self._gc_floor_tick_scheduled = False
         #: Commit futures not yet resolved, by txn id.  On crash, fence, or
         #: close these resolve with :class:`CommitUncertainError` -- the
@@ -374,16 +377,23 @@ class WriterInstance(Actor, BlockIO):
         after the record as staging computed it -- the one the segments
         will hold for this version (they apply the same record to the same
         base and share the result).  A commit record is not staged: its
-        redo runs here, on the cached status page.
+        redo runs here, on the cached status page.  A status page that is
+        not cached stays uncached -- nothing reads it back but recovery,
+        from storage -- unless it is one this generation allocated and has
+        not written yet, whose image is known to be empty: the cache only
+        ever holds an image some copy of the volume holds, or will.
         """
         self.frontiers.record(record.lsn, record.pg_index)
         cached = self.cache.peek(record.block)
         if image is None:
-            # A status page is cached from its first commit on; nothing
-            # reads it back but recovery, which starts from an empty cache.
-            image = apply_redo(
-                record, cached.image if cached is not None else EMPTY_IMAGE
-            )
+            if cached is not None:
+                base = cached.image
+            elif record.block in self._unwritten_txn_pages:
+                base = EMPTY_IMAGE
+            else:
+                return
+            self._unwritten_txn_pages.discard(record.block)
+            image = apply_redo(record, base)
         if cached is None:
             self.cache.install(record.block, image, record.lsn, self.vdl)
         else:
@@ -473,7 +483,9 @@ class WriterInstance(Actor, BlockIO):
                 block=-1, key=key, prior_versions=tuple(prior)
             )
             self._apply_mtr(mtr)
-            self._txn_pages = pages
+            if pages is not self._txn_pages:
+                self._unwritten_txn_pages.update(pages[len(self._txn_pages):])
+                self._txn_pages = pages
             if value == TOMBSTONE:
                 self.logical.stage(
                     txn.txn_id, RowChange(ChangeKind.DELETE, key)
@@ -713,6 +725,7 @@ class WriterInstance(Actor, BlockIO):
             self._notify_writer_close()
         self.cache.drop_all()
         self._txn_pages = ()
+        self._unwritten_txn_pages.clear()
         self.locks.clear()
         self.txns.clear()
         self.views.clear()

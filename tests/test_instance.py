@@ -234,7 +234,10 @@ class TestCacheMissReads:
         must touch the buffer cache exactly as the per-level ``read_image``
         generators did: the hit, miss and eviction counts and the final LRU
         order below were recorded from this script at the commit before
-        the synchronous cache-hit accessor went in."""
+        the synchronous cache-hit accessor went in.  (Re-recorded once,
+        deliberately: the last commits used to re-install the evicted
+        status page, block 2, from a fabricated base -- the 67th eviction.
+        Hits and misses did not move.)"""
         config = ClusterConfig(seed=41)
         config.instance.cache_capacity = 12
         cluster = AuroraCluster.build(config)
@@ -251,9 +254,9 @@ class TestCacheMissReads:
         cluster.run_for(50)
         cache = cluster.writer.cache
         stats = cache.stats
-        assert (stats.hits, stats.misses, stats.evictions) == (968, 43, 67)
+        assert (stats.hits, stats.misses, stats.evictions) == (968, 43, 66)
         assert stats.eviction_blocked == 0
-        assert cache.blocks() == [4, 11, 15, 21, 19, 25, 28, 0, 22, 32, 33, 2]
+        assert cache.blocks() == [7, 4, 11, 15, 21, 19, 25, 28, 0, 22, 32, 33]
 
     def test_concurrent_writers_with_cold_cache(self):
         """Two races a lone client never hits.  A client resumed by its

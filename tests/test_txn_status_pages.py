@@ -206,3 +206,85 @@ class TestPagedRecovery:
             cluster.writer.commit(zombie)
         db.write("fresh", 2)
         assert db.get("fresh") == 2 and db.get("z") is None
+
+
+# ----------------------------------------------------------------------
+# Status pages under cache pressure.  A writer-cached image is a segment's
+# object or one this writer staged -- never one it made up.  A commit whose
+# status page had been evicted used to run its redo on a fabricated empty
+# base and *install* the result: the one image in the system no copy of the
+# volume held.
+# ----------------------------------------------------------------------
+def tiny_cache_cluster() -> AuroraCluster:
+    config = ClusterConfig(seed=7)
+    config.instance.cache_capacity = 8
+    return AuroraCluster.build(config)
+
+
+def assert_cache_matches_storage(cluster) -> int:
+    """Every image in the writer's cache equals the storage image at its
+    cached LSN; returns how many status pages were among them."""
+    cluster.run_for(50)
+    writer = cluster.writer
+    segment = cluster.nodes["pg0-a"].segment
+    segment.coalesce()
+    assert len(writer.cache) > 0
+    for block in writer.cache.blocks():
+        cached = writer.cache.peek(block)
+        stored = segment.blocks[block].version_at(cached.latest_lsn)
+        assert stored is not None and stored.lsn == cached.latest_lsn
+        assert cached.image == stored.image, block
+    return len(set(writer.cache.blocks()) & set(writer._txn_pages))
+
+
+def late_commit(cluster, db) -> None:
+    """Begin A and put one key, commit 380 other transactions (evicting
+    A's status page many times over), then commit A."""
+    writer = cluster.writer
+    late = writer.begin()
+    db.drive(writer.put(late, "late", "A"))
+    commit_writes(db, 380)
+    page = writer._txn_pages[late.txn_id // TXNS_PER_PAGE]
+    assert writer.cache.peek(page) is None
+    db.commit(late)
+    assert db.get("late") == "A"
+    cached = writer.cache.peek(page)
+    segment = cluster.nodes["pg0-a"].segment
+    cluster.run_for(50)
+    segment.coalesce()
+    stored = segment.blocks[page].latest_image()
+    assert len(stored) >= TXNS_PER_PAGE - 1
+    assert cached is None or cached.image == stored
+
+
+def test_late_commit_on_an_evicted_status_page():
+    cluster = tiny_cache_cluster()
+    db = Session(cluster.writer)
+    late_commit(cluster, db)
+    assert_cache_matches_storage(cluster)
+    # A page this generation allocates and has not written starts from the
+    # empty image, which is real: its first commit installs it.
+    writer = cluster.writer
+    while (writer.begin().txn_id + 1) % TXNS_PER_PAGE:
+        pass
+    opener = writer.begin()
+    db.drive(writer.put(opener, "opener", 1))
+    page = writer._txn_pages[opener.txn_id // TXNS_PER_PAGE]
+    assert page in writer._unwritten_txn_pages
+    db.commit(opener)
+    assert writer.cache.peek(page).image == {opener.txn_id: opener.scn}
+    assert page not in writer._unwritten_txn_pages
+    assert assert_cache_matches_storage(cluster) >= 1
+
+
+def test_late_commit_on_an_evicted_status_page_after_recovery():
+    cluster = tiny_cache_cluster()
+    db = Session(cluster.writer)
+    commit_writes(db, 200)
+    cluster.run_for(50)
+    db = crash_and_recover(cluster)
+    # The recovery walk installs the pages it reads (real images).
+    assert_cache_matches_storage(cluster)
+    late_commit(cluster, db)
+    assert_cache_matches_storage(cluster)
+    assert cluster.writer.registry.commit_scn(1) is not None
