@@ -638,24 +638,24 @@ class StorageDriver:
         PG's full members against this driver's ack bookkeeping."""
         routes = self.metadata.routes_of_pg(pg_index)
         tracker = self.pg_trackers.get(pg_index)
-
-        def durable(among: tuple[str, ...]) -> list[str]:
-            if tracker is None:
-                return []
-            return tracker.durable_members_at(read_point, among)
-
-        known = durable(routes.full_members)
-        candidates = [m for m in known if m not in exclude]
-        if len(candidates) < 2 and routes.read_fallback:
-            # Backend read fallback (the Taurus log tail): when fewer than
-            # two full copies are caught up and reachable, log stores that
-            # can materialize the read point on demand join the candidate
-            # set, so hedging has somewhere to escalate.  Empty for Aurora.
-            fallback = durable(routes.read_fallback)
-            known += fallback
-            candidates = sorted(
-                {*candidates, *(m for m in fallback if m not in exclude)}
-            )
+        known: list[str] = []
+        candidates: list[str] = []
+        if tracker is not None:
+            known = tracker.durable_members_at(read_point, routes.full_members)
+            candidates = [m for m in known if m not in exclude]
+            if len(candidates) < 2 and routes.read_fallback:
+                # Backend read fallback (the Taurus log tail): when fewer
+                # than two full copies are caught up and reachable, log
+                # stores that can materialize the read point on demand join
+                # the candidate set, so hedging has somewhere to escalate.
+                # Empty for Aurora.
+                fallback = tracker.durable_members_at(
+                    read_point, routes.read_fallback
+                )
+                known += fallback
+                candidates = sorted(
+                    {*candidates, *(m for m in fallback if m not in exclude)}
+                )
         if not known and self.optimistic_reads:
             candidates = [m for m in routes.full_members if m not in exclude]
             if not candidates:

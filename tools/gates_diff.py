@@ -116,6 +116,31 @@ def differing(base: dict, change: dict) -> dict[str, list[str]]:
     return out
 
 
+def compare(tree: Path, gate: str, arguments: list[str], expected: set) -> int:
+    """Run one gate command on both sides and print the verdict; returns
+    the number of differing blocks nobody expected."""
+    label = f"{gate:<16}{' '.join(arguments)}"
+    diffs = differing(render(tree, arguments), render(REPO_ROOT, arguments))
+    if not diffs:
+        print(f"{label}\n    identical", flush=True)
+        return 0
+    # A sweep's footer aggregates its seeds: it may move when an expected
+    # seed did, never on its own.
+    allowed = expected | {FOOTER} if expected & set(diffs) else expected
+    surprising = set(diffs) - allowed
+    print(f"{label}\n    DIFFERS: " + ", ".join(
+        f"{'' if name == FOOTER else 'seed '}{name}"
+        f"{'' if name in surprising else ' (expected)'}"
+        for name in diffs
+    ))
+    for name, lines in diffs.items():
+        print(f"    -- {name} (- base, + change)")
+        for line in lines:
+            print(f"    {line}")
+    sys.stdout.flush()
+    return len(surprising)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True,
@@ -127,36 +152,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated seeds that are allowed to differ")
     args = parser.parse_args(argv)
     expected = {seed for seed in args.expect.split(",") if seed}
-
-    unexpected = 0
     with base_tree(args.base) as tree:
-        for gate in GATES:
-            for arguments in gate_commands(gate):
-                arguments = with_sweep(arguments, args.sweep, args.jobs)
-                diffs = differing(
-                    render(tree, arguments), render(REPO_ROOT, arguments)
-                )
-                # A sweep's footer aggregates its seeds: it may move when
-                # an expected seed did, never on its own.
-                allowed = set(expected)
-                if allowed & set(diffs):
-                    allowed.add(FOOTER)
-                label = f"{gate:<16}{' '.join(arguments)}"
-                if not diffs:
-                    print(f"{label}\n    identical", flush=True)
-                    continue
-                surprising = sorted(set(diffs) - allowed)
-                unexpected += len(surprising)
-                print(f"{label}\n    DIFFERS: " + ", ".join(
-                    f"{'seed ' if name != FOOTER else ''}{name}"
-                    f"{'' if name in surprising else ' (expected)'}"
-                    for name in diffs
-                ))
-                for name, lines in diffs.items():
-                    print(f"    -- {name} (- base, + change)")
-                    for line in lines:
-                        print(f"    {line}")
-                sys.stdout.flush()
+        unexpected = sum(
+            compare(
+                tree, gate, with_sweep(arguments, args.sweep, args.jobs),
+                expected,
+            )
+            for gate in GATES
+            for arguments in gate_commands(gate)
+        )
     if unexpected:
         print(f"\n{unexpected} unexpected difference(s) against {args.base}")
         return 1
