@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # reports are byte-identical to a sequential run; see docs/PERF.md).
 JOBS ?= 4
 
-.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity audit-adaptive gates-diff bench bench-paper ledger ledger-smoke ledger-pairs ledger-events
+.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity audit-adaptive gates-diff bench-paper ledger ledger-smoke ledger-pairs ledger-events
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -61,14 +61,16 @@ audit-integrity:
 # Adaptive group-commit smoke: one reduced run of every audit profile
 # with group_commit=adaptive forced, so the load-derived boxcar window
 # is exercised under chaos, failover, geo, proxy, and integrity schedules
-# -- not just the benchmarks (see docs/PERF.md "Adaptive boxcar").
+# -- not just the benchmarks (see docs/PERF.md "Adaptive boxcar").  One
+# word per profile: the steps, then the profile's flags (":" for a space).
+ADAPTIVE_PROFILES := 500 300:--fleet 500:--failover 400:--geo \
+	300:--proxy:--proxy-sessions:20000 400:--integrity:--backend:aurora
+define NEWLINE
+
+
+endef
 audit-adaptive:
-	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --group-commit adaptive
-	$(PYTHON) -m repro audit-run --seed 0 --steps 300 --fleet --group-commit adaptive
-	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --failover --group-commit adaptive
-	$(PYTHON) -m repro audit-run --seed 0 --steps 400 --geo --group-commit adaptive
-	$(PYTHON) -m repro audit-run --seed 0 --steps 300 --proxy --proxy-sessions 20000 --group-commit adaptive
-	$(PYTHON) -m repro audit-run --seed 0 --steps 400 --integrity --backend aurora --group-commit adaptive
+	$(subst $(NEWLINE) ,$(NEWLINE),$(foreach run,$(ADAPTIVE_PROFILES),$(PYTHON) -m repro audit-run --seed 0 --steps $(subst :, ,$(run)) --group-commit adaptive$(NEWLINE)))
 
 # Behaviour-preservation check: every gate above rendered in BASE (a rev,
 # checked out into a temporary git worktree, or a checkout directory) and
@@ -80,12 +82,6 @@ audit-adaptive:
 SWEEP ?= 20
 gates-diff:
 	python3 tools/gates_diff.py --base $(BASE) --sweep $(SWEEP) --jobs $(JOBS) $(if $(EXPECT),--expect $(EXPECT))
-
-# Engine perf harness: batched fast path vs an unbatched baseline of the
-# same seeded workload, recorded in BENCH_engine.json; --check exits
-# nonzero on a >25% throughput regression (see docs/PERF.md).
-bench:
-	$(PYTHON) -m repro bench-engine --jobs $(JOBS) --check
 
 # The paper-shaped latency benchmarks (C1 commit latency, C2 boxcar
 # jitter, ...) under pytest-benchmark.

@@ -30,9 +30,11 @@ or, end to end::
 """
 
 from repro.audit.auditor import AuditViolation, Auditor
+from repro.audit.profiles import PROFILES
 from repro.audit.runner import (
     AuditReport,
     AuditRunConfig,
+    profile_of,
     run_audit,
     run_audit_sweep,
 )
@@ -42,6 +44,8 @@ __all__ = [
     "AuditRunConfig",
     "AuditViolation",
     "Auditor",
+    "PROFILES",
+    "profile_of",
     "run_audit",
     "run_audit_sweep",
 ]

@@ -1,0 +1,666 @@
+"""The audit profiles: six rows of data over one spine.
+
+A :class:`Profile` says what :func:`repro.audit.runner.run_audit` builds,
+arms, drives, settles and judges -- as field overrides on
+:class:`~repro.audit.runner.AuditRunConfig`, a few numbers, and references
+to the phase functions in this module.  Adding a scenario is adding a row.
+A phase never asks which profile it runs under: what differs between
+profiles is in the row, and what differs between runs is in the config.
+The phase functions' docstrings are the profile's documentation: the
+"Profiles" table of docs/AUDIT.md and the switches' ``--help`` are
+rendered from them (:func:`profiles_table`, :meth:`Profile.describe`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable
+
+from repro.audit.auditor import Auditor
+from repro.audit.clients import (
+    ClusterClient,
+    GeoClient,
+    ProxyClient,
+    spin_until,
+)
+from repro.db.cluster import AuroraCluster, ClusterConfig
+from repro.db.instance import InstanceState
+from repro.repair import RepairConfig
+from repro.repair.failover import FailoverSummary
+from repro.repair.health import SegmentHealth
+from repro.repair.metrics import ACTIVE, STALLED, RepairSummary
+from repro.sim.chaos import (
+    ChaosConfig,
+    geo_chaos_config,
+    integrity_chaos_config,
+)
+from repro.storage.node import StorageNodeConfig
+
+
+@dataclass
+class Run:
+    """One scenario in flight: what the phases hand each other."""
+
+    cfg: object
+    #: An ``AuroraCluster`` or a ``GeoCluster``: anything with ``loop``,
+    #: ``network``, ``failures`` and ``run_for``.
+    world: object
+    #: The storage nodes the chaos schedule may hit.
+    nodes: dict
+    auditors: list = field(default_factory=list)
+    horizon_ms: float = 0.0
+    #: Absolute sim time the chaos horizon ends at.
+    chaos_end_ms: float = 0.0
+    chaos_events: int = 0
+
+
+# ----------------------------------------------------------------------
+# Build world
+# ----------------------------------------------------------------------
+def _cluster_world(cfg, profile: Profile) -> Run:
+    """One cluster on the chosen `--backend`."""
+    cluster_cfg = ClusterConfig(
+        seed=cfg.seed,
+        pg_count=cfg.pg_count,
+        backend=cfg.backend,
+        node=StorageNodeConfig(**profile.node_settings),
+    )
+    cluster_cfg.instance.driver.group_commit = cfg.group_commit
+    cluster = AuroraCluster.build(config=cluster_cfg, seed=cfg.seed)
+    return Run(cfg, cluster, cluster.nodes)
+
+
+def _geo_world(cfg, profile: Profile) -> Run:
+    """A two-region Global Database over a lossy WAN; sync ack mode on
+    even seeds, async on odd (`--geo-ack` pins one), so a sweep covers
+    both RPO regimes."""
+    from repro.geo import SYNC, GeoCluster, GeoConfig
+
+    ack_mode = cfg.geo_ack_mode
+    if ack_mode == "auto":
+        ack_mode = SYNC if cfg.seed % 2 == 0 else "async"
+    geo = GeoCluster.build(
+        GeoConfig(
+            seed=cfg.seed,
+            pg_count=cfg.pg_count,
+            backend=cfg.backend,
+            ack_mode=ack_mode,
+            group_commit=cfg.group_commit,
+        )
+    )
+    return Run(cfg, geo, geo.primary.nodes)
+
+
+# ----------------------------------------------------------------------
+# Arm
+# ----------------------------------------------------------------------
+def _arm_cluster(run: Run) -> None:
+    """One auditor on every protocol component; the self-healing plane
+    (`heal`), `replicas` read replicas and the database-tier failover
+    plane (`failover`) as the config asks."""
+    cfg, cluster = run.cfg, run.world
+    run.auditors.append(Auditor(tail_size=cfg.tail_size))
+    cluster.arm_auditor(run.auditors[0])
+    if cfg.heal:
+        cluster.arm_healer(
+            repair_config=RepairConfig(
+                baseline_transfer_ms=cfg.repair_transfer_ms
+            )
+        )
+    for _ in range(cfg.replicas):
+        cluster.add_replica()
+    if cfg.failover:
+        cluster.arm_failover()
+
+
+def _arm_integrity(run: Run) -> None:
+    """The cluster's planes, plus the corruption ledger that registers
+    every injection the instant it lands, over a fast scrub rotation."""
+    _arm_cluster(run)
+    failures = run.world.failures
+    failures.integrity.bind_auditor(run.auditors[0])
+    failures.attach_storage(run.nodes.values())
+    # GC, truncation, and restores can destroy corrupt bytes without the
+    # repair hooks firing; the periodic reconcile closes those entries so
+    # the unrepaired gate only counts damage that is actually still live.
+    failures.start_integrity_reconcile()
+
+
+def _arm_geo(run: Run) -> None:
+    """One auditor per volume, plus the DR plane."""
+    tail_size = run.cfg.tail_size
+    run.auditors += [Auditor(tail_size=tail_size), Auditor(tail_size=tail_size)]
+    run.world.arm_auditors(*run.auditors)
+    run.world.arm_geo_failover()
+
+
+# ----------------------------------------------------------------------
+# Settle
+# ----------------------------------------------------------------------
+def _run_out_chaos(run: Run) -> None:
+    """Advance to the end of the chaos horizon: the workload usually
+    finishes in simulated time well before the last scheduled event, and
+    a gate must not pass for never having met its disaster."""
+    while run.world.loop.now < run.chaos_end_ms:
+        run.world.run_for(50.0)
+
+
+def _await_failover_drained(cluster) -> None:
+    """Until the failover plane is idle and a writer is open again."""
+
+    def drained() -> bool:
+        writer = cluster.writer
+        return (
+            cluster.failover.idle
+            and not cluster.failover_in_progress
+            and writer is not None
+            and writer.state is InstanceState.OPEN
+        )
+
+    spin_until(cluster, drained)
+
+
+def _member_health(cluster) -> list:
+    """The monitor's verdict on every current member of every PG."""
+    metadata = cluster.metadata
+    return [
+        cluster.health.state_of(member)
+        for pg_index in metadata.pg_indexes()
+        for member in metadata.membership(pg_index).members
+    ]
+
+
+def _settle_cluster(run: Run, client: ClusterClient) -> None:
+    cluster = run.world
+    if run.cfg.failover:
+        _run_out_chaos(run)
+        _await_failover_drained(cluster)
+        client.settled()
+    if run.cfg.heal:
+        # Keep the simulation rolling until the healer drains: background
+        # faults all heal (chaos durations are bounded, the background
+        # renewal process stops at its horizon), so every outstanding
+        # repair converges given time.  A member merely *suspected* still
+        # counts -- a failure near the end of the horizon is inside its
+        # confirmation window when settling starts, and breaking out then
+        # would strand its repair mid-flight.
+        spin_until(
+            cluster,
+            lambda: cluster.healer.idle and all(
+                state is SegmentHealth.HEALTHY
+                for state in _member_health(cluster)
+            ),
+            keepalive=client.keepalive,
+        )
+        client.settled()
+
+
+def _settle_integrity(run: Run, client: ClusterClient) -> None:
+    cluster = run.world
+    failures = cluster.failures
+    ledger = failures.integrity
+    _run_out_chaos(run)
+    if not ledger.by_kind():
+        # Non-vacuity backstop: a schedule whose draws all missed (no
+        # eligible victim at fire time -- a caught-up fleet has nothing
+        # above its GC floors) would let the gate pass without exercising
+        # anything.  Write fresh records, then land one corruption
+        # deterministically before settling.
+        injectors = (
+            failures.bit_rot_any,
+            failures.lost_write_any,
+            failures.misdirected_write_any,
+        )
+        for attempt in range(30):
+            # Inject right after the write lands, before the next PGMRPL
+            # update hoists the GC floor over the fresh records and
+            # closes the eligibility window again.
+            client.keepalive(attempt)
+            landed = injectors[attempt % len(injectors)]() is not None
+            cluster.run_for(60.0)
+            if landed:
+                break
+    # Keep the fleet scrubbing -- with light keepalive traffic so SCLs and
+    # gossip keep advancing -- until every open corruption closes.
+    spin_until(
+        cluster, lambda: ledger.open_count() == 0, keepalive=client.keepalive
+    )
+    client.settled()
+    ledger.audit_unrepaired(run.cfg.integrity_repair_budget_ms)
+
+
+def _settle_proxy(run: Run, client: ProxyClient) -> None:
+    _await_failover_drained(run.world)
+    run.world.run_for(200.0)
+    client.workload.reconcile()
+
+
+def _settle_geo(run: Run, client: GeoClient) -> None:
+    geo = run.world
+    _run_out_chaos(run)  # the region event may fire late
+    spin_until(
+        geo, lambda: geo.promoted and geo.geo_failover.idle, spins=2000
+    )
+    geo.run_for(500.0)
+    client.maybe_reconcile()
+    geo.check_fencing(run.auditors[0])
+
+
+# ----------------------------------------------------------------------
+# Judge: each returns its section of the AuditReport
+# ----------------------------------------------------------------------
+def _judge_cluster(run: Run, client: ClusterClient) -> dict:
+    """Zero violations; nothing confirmed dead left unrepaired; the
+    planted transition rolled back; under `failover`, every failover
+    resolved with its write-unavailability window inside the 30 s budget;
+    with `min_concurrent_repairs`, that many repairs in flight at once.
+    The sweep footer reports detection/MTTR and failover-window
+    distributions and durability vs the paper's C7 window."""
+    cfg, cluster = run.cfg, run.world
+    section = dict(
+        planted_rollback_ok=client.planted_rollback_ok,
+        fleet_kills=len(client.fleet_killed),
+        writer_kills=client.writer_kills,
+    )
+    if cfg.failover:
+        section["failovers"] = cluster.failover.summary()
+        section["failover_ok"] = all(
+            record.outcome not in (ACTIVE, STALLED)
+            and (record.unavailability_ms or 0.0) <= cfg.failover_budget_ms
+            for record in cluster.failover.records
+        )
+    if cfg.heal:
+        repairs = section["repairs"] = cluster.healer.summary()
+        section["health_counters"] = dict(cluster.health.counters)
+        # Records still in flight, PGs parked in a dual membership, and
+        # members the monitor still holds confirmed-dead.  (A ``stalled``
+        # record alone does not count: its retry covers the same segment.)
+        section["unrepaired"] = (
+            sum(1 for r in cluster.healer.records if r.outcome == ACTIVE)
+            + sum(
+                1
+                for pg_index in cluster.metadata.pg_indexes()
+                if not cluster.metadata.membership(pg_index).is_stable
+            )
+            + _member_health(cluster).count(SegmentHealth.DEAD)
+        )
+        if cfg.min_concurrent_repairs > 0:
+            section["concurrency_ok"] = (
+                repairs.peak_concurrent >= cfg.min_concurrent_repairs
+            )
+    return section
+
+
+def _judge_integrity(run: Run, client: ClusterClient) -> dict:
+    """At least one corruption injected (a seed whose draws all missed
+    gets a deterministic backstop, so the gate cannot pass vacuously);
+    zero corrupt reads served; no repair sourced from a corrupt copy;
+    every corruption repaired inside the 12 s exposure budget; zero
+    violations underneath.  The sweep footer merges MTTD/MTTR/exposure
+    (`--integrity-json` writes it)."""
+    from repro.analysis.integrity import integrity_report
+
+    cfg, ledger = run.cfg, run.world.failures.integrity
+    nodes = run.nodes.values()
+
+    def summed(counter: str) -> int:
+        return sum(n.counters[counter] for n in nodes)
+
+    report = integrity_report(
+        backend=cfg.backend,
+        by_kind=ledger.by_kind(),
+        mttd_samples_ms=ledger.mttd_samples(),
+        mttr_samples_ms=ledger.mttr_samples(),
+        exposure_samples_ms=ledger.exposure_samples(),
+        reads_intercepted=summed("reads_intercepted"),
+        versions_quarantined=sum(
+            n.segment.stats["versions_quarantined"] for n in nodes
+        ),
+        ingest_rejects=summed("ingest_rejects"),
+        vote_rounds=summed("vote_rounds"),
+        vote_repairs=summed("vote_repairs"),
+        scrub_runs=summed("scrub_runs"),
+        corrupt_reads_served=ledger.corrupt_reads_served,
+        repair_budget_ms=cfg.integrity_repair_budget_ms,
+    )
+    return dict(
+        integrity=report,
+        backend=cfg.backend,
+        integrity_ok=report.ok
+        and report.injected >= 1
+        and not run.auditors[0].violations,
+    )
+
+
+def _judge_proxy(run: Run, client: ProxyClient) -> dict:
+    """The kill happened, produced exactly one promotion and was observed
+    at the client edge (else the recovery gate would pass vacuously); zero
+    acked-write loss on the post-settle re-read and zero read-your-writes
+    violations; every session outage inside the 5 s budget; steady-state
+    replica time-lag p95 inside the 10 ms SLO.  The sweep footer merges
+    the serving reports."""
+    from repro.analysis.serving import serving_report
+
+    cfg = run.cfg
+    stats, edge = client.workload.stats, client.proxy.stats
+    serving = serving_report(
+        sessions=cfg.proxy_sessions,
+        ops=stats.ops_completed,
+        recovery_samples_ms=edge.recovery_samples,
+        lag_samples_ms=client.proxy.lag.samples,
+        replica_reads=edge.replica_reads,
+        writer_reads=edge.writer_reads,
+        floor_exclusions=edge.floor_exclusions,
+        pool_waits=edge.pool_waits,
+        ryw_violations=stats.ryw_violations,
+        lost_acked_writes=stats.lost_acked_writes,
+        recovery_budget_s=cfg.proxy_recovery_budget_ms / 1000.0,
+        lag_slo_ms=cfg.proxy_lag_slo_ms,
+    )
+    return dict(
+        chaos_events=client.writer_kills,
+        writer_kills=client.writer_kills,
+        failovers=run.world.failover.summary(),
+        serving=serving,
+        proxy_ok=serving.ok
+        and client.writer_kills == 1
+        and client.recoveries == 1
+        and len(edge.recovery_samples) > 0
+        and not run.auditors[0].violations,
+    )
+
+
+def _judge_geo(run: Run, client: GeoClient) -> dict:
+    """Promoted exactly once inside the 30 s RTO budget; every region
+    record terminal (false-positive standdowns roll back cleanly); the
+    acked-commit log reconciled against the promoted region with zero
+    sync-acked loss and async loss only beyond the applied frontier; the
+    deposed primary provably fenced; zero violations on either volume.
+    The sweep footer merges the RPO/RTO distributions."""
+    from repro.analysis.rpo_rto import rpo_rto_from_records
+    from repro.errors import ConfigurationError
+    from repro.geo import GEO_TERMINAL, PROMOTED
+
+    geo, budget_ms = run.world, run.cfg.geo_rto_budget_ms
+    records = geo.geo_failover.records
+    promoted = [r for r in records if r.outcome == PROMOTED]
+    try:
+        rpo_rto = rpo_rto_from_records(
+            records, rto_budget_s=budget_ms / 1000.0
+        )
+    except ConfigurationError:
+        rpo_rto = None  # nothing promoted; the gate is already False
+    return dict(
+        writer_recoveries=sum(r.promotion_attempts for r in records),
+        geo_records=list(records),
+        geo_ack_mode=geo.config.ack_mode,
+        geo_rpo_rto=rpo_rto,
+        geo_ok=geo.promoted
+        and len(promoted) == 1
+        and all(r.outcome in GEO_TERMINAL for r in records)
+        and all(
+            r.rto_ms is not None and r.rto_ms <= budget_ms for r in promoted
+        )
+        and client.reconciled,
+    )
+
+
+# ----------------------------------------------------------------------
+# Sweep footers: the per-seed telemetry merged across a sweep
+# ----------------------------------------------------------------------
+def _fail_stop_footer(reports: list) -> list[str]:
+    from repro.analysis import failover_availability, fleet_durability
+
+    lines = []
+    repairs, failovers = RepairSummary(), FailoverSummary()
+    for report in reports:
+        if report.repairs is not None:
+            repairs.merge(report.repairs)
+        if report.failovers is not None:
+            failovers.merge(report.failovers)
+    if repairs.resolution.count:
+        lines.append(
+            f"fleet repair telemetry across {len(reports)} seeds "
+            f"(peak {repairs.peak_concurrent} concurrent PG repairs):"
+        )
+        # Every terminal outcome counts: judging the window only by
+        # finalized repairs would be survivorship-biased.
+        lines += fleet_durability(
+            repairs.resolution.samples,
+            detection_samples_ms=repairs.detection.samples,
+        ).render_lines()
+    if failovers.unavailability.samples:
+        lines.append(
+            f"fleet failover telemetry across {len(reports)} seeds "
+            f"({failovers.confirmed} writer failovers):"
+        )
+        lines += failover_availability(
+            failovers.unavailability.samples,
+            detection_samples_ms=failovers.detection.samples,
+            promotion_samples_ms=failovers.promotion.samples,
+        ).render_lines()
+    return lines
+
+
+def _proxy_footer(reports: list) -> list[str]:
+    from repro.analysis import merge_serving_reports
+
+    merged = merge_serving_reports([r.serving for r in reports])
+    return [
+        *_fail_stop_footer(reports),
+        f"serving-tier telemetry across {len(reports)} seeds:",
+        *merged.render_lines(),
+    ]
+
+
+def _geo_footer(reports: list) -> list[str]:
+    from repro.analysis import rpo_rto_from_records
+    from repro.errors import ConfigurationError
+    from repro.geo import summarize_geo_failovers
+
+    records = [r for report in reports for r in report.geo_records]
+    if not records:
+        return []
+    try:
+        rpo_rto = rpo_rto_from_records(records).render_lines()
+    except ConfigurationError:
+        rpo_rto = ["  (no promoted recovery to report RPO/RTO on)"]
+    return [
+        f"geo disaster-recovery telemetry across {len(reports)} seeds:",
+        *summarize_geo_failovers(records).render_lines(),
+        *rpo_rto,
+    ]
+
+
+def _integrity_footer(reports: list) -> list[str]:
+    from repro.analysis import merge_integrity_reports
+
+    merged = merge_integrity_reports([r.integrity for r in reports])
+    return [
+        f"integrity telemetry across {len(reports)} seeds "
+        f"({merged.backend}):",
+        *merged.render_lines(),
+    ]
+
+
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class AtLeast:
+    """An override that only ever raises a field: ``max(field, floor)``."""
+
+    floor: float
+
+
+@dataclass(frozen=True)
+class Profile:
+    """One row.  The phase defaults are the fail-stop scenario's."""
+
+    name: str
+    #: The ``audit-run`` switch that selects it (None: the default).
+    switch: str | None = None
+    #: ``AuditRunConfig`` field -> value, or an :class:`AtLeast` floor.
+    overrides: dict = field(default_factory=dict)
+    #: ``StorageNodeConfig`` fields the world is built with.
+    node_settings: dict = field(default_factory=dict)
+    world: Callable = _cluster_world
+    arm: Callable = _arm_cluster
+    #: Simulated ms between arming and the chaos schedule's start.
+    settle_ms: float = 10.0
+    #: ``(floor ms, ms per step)``: how long the chaos schedule runs.
+    horizon: tuple[float, float] = (4000.0, 4.0)
+    #: Makes the schedule's ``ChaosConfig`` (the config's ``az_bursts`` and
+    #: writer-chaos periods are applied on top); None: no schedule, the
+    #: client brings its own disaster.
+    chaos_config: Callable | None = ChaosConfig
+    client: Callable = ClusterClient
+    settle: Callable = _settle_cluster
+    judge: Callable = _judge_cluster
+    #: ``reports -> lines`` printed under a sweep's ``sweep:`` line.
+    footer: Callable = _fail_stop_footer
+
+    def configure(self, cfg):
+        """Apply this row's overrides to ``cfg`` (and return it)."""
+        for name, value in self.overrides.items():
+            if isinstance(value, AtLeast):
+                value = max(getattr(cfg, name), value.floor)
+            setattr(cfg, name, value)
+        return cfg
+
+    def describe(self) -> tuple[str, str, str, str]:
+        """(overrides, what is armed, what the chaos and the client are,
+        what is judged): the row's data, then its functions' own words."""
+        overrides = ", ".join(
+            f"{name}>={value.floor:g}" if isinstance(value, AtLeast)
+            else f"{name}={value}"
+            for name, value in self.overrides.items()
+        )
+        chaos = ""
+        if self.chaos_config is not None:
+            floor_ms, ms_per_step = self.horizon
+            chaos = (
+                self.chaos_config.__doc__.split("\n\n")[0]
+                + f" Over max({floor_ms / 1000:g} s, {ms_per_step:g} ms x"
+                " steps). "
+            )
+        return (
+            overrides,
+            " ".join(f"{self.world.__doc__} {self.arm.__doc__}".split()),
+            " ".join(f"{chaos}Client: {self.client.__doc__}".split()),
+            " ".join(self.judge.__doc__.split()),
+        )
+
+
+#: The fail-stop control planes, planted scenarios and storms stay off in
+#: the profiles that answer another kind of disaster: each has its own
+#: gate, and a profile judges one thing.
+_QUIET = dict(
+    heal=False,
+    membership_change=False,
+    plant_false_positive=False,
+    background_failures=False,
+    fleet_kills=0,
+    fleet_double_fault=False,
+    az_bursts=False,
+)
+#: The failover plane under a writer-kill / writer-grey cadence.
+_WRITER_CHAOS = dict(
+    failover=True,
+    replicas=AtLeast(2),
+    writer_kill_period_ms=AtLeast(6000.0),
+    writer_grey_period_ms=AtLeast(5000.0),
+)
+
+PROFILES: dict[str, Profile] = {
+    profile.name: profile
+    for profile in (
+        Profile("chaos"),
+        # A 10-PG volume, a 9-PG kill storm with a same-PG double fault,
+        # and a modeled bulk copy per repair so the repairs overlap.
+        Profile(
+            "fleet",
+            "--fleet",
+            overrides=dict(
+                pg_count=AtLeast(10),
+                fleet_kills=AtLeast(9),
+                fleet_double_fault=True,
+                az_bursts=True,
+                min_concurrent_repairs=AtLeast(8),
+                repair_transfer_ms=AtLeast(750.0),
+                **_WRITER_CHAOS,
+            ),
+        ),
+        Profile("failover", "--failover", overrides=_WRITER_CHAOS),
+        Profile(
+            "geo",
+            "--geo",
+            overrides=dict(_QUIET, geo=True, failover=False, replicas=0),
+            world=_geo_world,
+            arm=_arm_geo,
+            horizon=(24_000.0, 8.0),
+            chaos_config=geo_chaos_config,
+            client=GeoClient,
+            settle=_settle_geo,
+            judge=_judge_geo,
+            footer=_geo_footer,
+        ),
+        # The single kill is the disaster under test; the replica fleet
+        # and the failover coordinator are what the proxy rides on.
+        Profile(
+            "proxy",
+            "--proxy",
+            overrides=dict(
+                _QUIET, proxy=True, geo=False, failover=True,
+                replicas=AtLeast(3),
+            ),
+            settle_ms=200.0,  # replicas attach and catch up
+            horizon=(12_000.0, 40.0),
+            chaos_config=None,
+            client=ProxyClient,
+            settle=_settle_proxy,
+            judge=_judge_proxy,
+            footer=_proxy_footer,
+        ),
+        # Operator writer crash cycles are pushed out past the horizon so
+        # torn-write restarts are the only instance churn; the scrub
+        # rotation is fast because the horizon is seconds, not hours (the
+        # repair budget assumes about two rotations of detection latency).
+        Profile(
+            "integrity",
+            "--integrity",
+            overrides=dict(
+                _QUIET, integrity=True, geo=False, proxy=False,
+                failover=False, writer_crash_every=10**9,
+            ),
+            node_settings={"scrub_interval": 400.0},
+            arm=_arm_integrity,
+            horizon=(6000.0, 4.0),
+            chaos_config=integrity_chaos_config,
+            settle=_settle_integrity,
+            judge=_judge_integrity,
+            footer=_integrity_footer,
+        ),
+    )
+}
+
+
+def profiles_table() -> str:
+    """The "Profiles" table of docs/AUDIT.md, rendered from the rows."""
+    rows = [
+        "| Profile | Overrides on `AuditRunConfig` | World and planes "
+        "| Chaos | Judged |",
+        "|---|---|---|---|---|",
+    ]
+    default = PROFILES["chaos"].describe()
+    for profile in PROFILES.values():
+        name = f"`{profile.name}`"
+        cells = profile.describe()
+        if profile.switch:
+            name += f" (`{profile.switch}`)"
+            cells = [
+                "as `chaos`" if cell == shared else cell
+                for cell, shared in zip(cells, default)
+            ]
+        rows.append(" | ".join(["| " + name, *cells]) + " |")
+    return "\n".join(rows)

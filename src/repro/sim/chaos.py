@@ -86,8 +86,13 @@ class ChaosEvent:
 
 @dataclass
 class ChaosConfig:
-    """Intensity knobs for schedule generation (rates are per-millisecond
-    expectations scaled by the horizon)."""
+    """The default schedule: independent node crashes, whole-AZ outages
+    (at most one in flight), grey (slow) nodes and one-node partitions,
+    every fault healing after a bounded duration.
+
+    The fields are intensity knobs for schedule generation (rates are
+    per-millisecond expectations scaled by the horizon).
+    """
 
     node_crash_period_ms: float = 700.0
     az_outage_period_ms: float = 2500.0

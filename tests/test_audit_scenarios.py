@@ -1,0 +1,389 @@
+"""The scenario harness: six profiles over one spine (docs/AUDIT.md).
+
+PR 18 replaced four bespoke audit runners, four ``as_*`` config mutators
+and a hand-written ``audit-run`` parser by a profile table.  What the old
+form did is recorded here as literals -- the config each gate command
+built, the flags ``--help`` listed, one small report per profile -- so
+the table is held to it, and planted mutants of the table must be caught.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro import cli
+from repro.audit import PROFILES, AuditRunConfig, profile_of, run_audit
+from repro.audit.profiles import AtLeast, profiles_table
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+GATES = (
+    "audit", "audit-fleet", "audit-failover", "audit-geo", "audit-proxy",
+    "audit-integrity", "audit-adaptive",
+)
+
+#: ``dataclasses.asdict(AuditRunConfig())`` at the parent commit, less the
+#: dead ``boxcar`` field.
+HEAD_DEFAULTS = {
+    "seed": 7, "steps": 1000, "replicas": 1, "keys": 24, "tail_size": 48,
+    "op_timeout_ms": 2500.0, "writer_crash_every": 0,
+    "membership_change": True, "heal": True, "background_failures": True,
+    "background_mttf_ms": 3500.0, "background_mttr_ms": 150.0,
+    "plant_false_positive": True, "pg_count": 1, "fleet_kills": 0,
+    "fleet_double_fault": False, "az_bursts": False,
+    "min_concurrent_repairs": 0, "repair_transfer_ms": 0.0,
+    "failover": False, "writer_kill_period_ms": 0.0,
+    "writer_grey_period_ms": 0.0, "failover_budget_ms": 30000.0,
+    "detailed_stats": False, "group_commit": "fixed", "geo": False,
+    "geo_ack_mode": "auto", "geo_rto_budget_ms": 30000.0, "proxy": False,
+    "proxy_sessions": 100000, "proxy_pool": 128,
+    "proxy_recovery_budget_ms": 5000.0, "proxy_lag_slo_ms": 10.0,
+    "integrity": False, "backend": "aurora",
+    "integrity_repair_budget_ms": 12000.0,
+}
+
+# What the parent's ``_audit_config`` + ``as_fleet`` / ``as_geo`` /
+# ``as_proxy`` / ``as_integrity`` set away from the defaults.
+_WRITER_CHAOS = {
+    "replicas": 2, "failover": True, "writer_kill_period_ms": 6000.0,
+    "writer_grey_period_ms": 5000.0,
+}
+_FLEET = {
+    **_WRITER_CHAOS, "pg_count": 10, "fleet_kills": 9,
+    "fleet_double_fault": True, "az_bursts": True,
+    "min_concurrent_repairs": 8, "repair_transfer_ms": 750.0,
+}
+_QUIET = {
+    "membership_change": False, "heal": False, "background_failures": False,
+    "plant_false_positive": False,
+}
+_GEO = {**_QUIET, "replicas": 0, "geo": True}
+_PROXY = {**_QUIET, "replicas": 3, "failover": True, "proxy": True}
+_INTEGRITY = {**_QUIET, "writer_crash_every": 10**9, "integrity": True}
+_ADAPTIVE = {"group_commit": "adaptive"}
+
+#: arguments (less ``--seed 0``, ``--sweep N``, ``--jobs K``) -> the fields
+#: the parent built away from ``HEAD_DEFAULTS`` (``seed`` is 0 throughout).
+#: The first thirteen are every command ``make -n`` lists for the gates.
+HEAD_CONFIGS = {
+    "--steps 500": {"steps": 500},
+    "--steps 500 --fleet": {"steps": 500, **_FLEET},
+    "--steps 500 --failover": {"steps": 500, **_WRITER_CHAOS},
+    "--steps 400 --geo": {"steps": 400, **_GEO},
+    "--steps 400 --proxy": {"steps": 400, **_PROXY},
+    "--steps 500 --integrity --backend aurora": {"steps": 500, **_INTEGRITY},
+    "--steps 500 --integrity --backend taurus":
+        {"steps": 500, **_INTEGRITY, "backend": "taurus"},
+    "--steps 500 --group-commit adaptive": {"steps": 500, **_ADAPTIVE},
+    "--steps 300 --fleet --group-commit adaptive":
+        {"steps": 300, **_FLEET, **_ADAPTIVE},
+    "--steps 500 --failover --group-commit adaptive":
+        {"steps": 500, **_WRITER_CHAOS, **_ADAPTIVE},
+    "--steps 400 --geo --group-commit adaptive":
+        {"steps": 400, **_GEO, **_ADAPTIVE},
+    "--steps 300 --proxy --proxy-sessions 20000 --group-commit adaptive":
+        {"steps": 300, **_PROXY, **_ADAPTIVE, "proxy_sessions": 20000},
+    "--steps 400 --integrity --backend aurora --group-commit adaptive":
+        {"steps": 400, **_INTEGRITY, **_ADAPTIVE},
+    # Combinations no gate runs: switches stack in table order, floors
+    # keep a larger request, ``--pgs`` overrides the profile.
+    "--steps 300 --fleet --failover": {"steps": 300, **_FLEET},
+    "--steps 300 --fleet --pgs 4": {"steps": 300, **_FLEET, "pg_count": 4},
+    "--steps 300 --pgs 3 --replicas 4 --failover":
+        {"steps": 300, **_WRITER_CHAOS, "pg_count": 3, "replicas": 4},
+    "--fleet --replicas 1 --no-heal --no-background --mttf 900 --mttr 50 "
+    "--tail 8": {
+        "steps": 2000, **_FLEET, "tail_size": 8, "heal": False,
+        "background_failures": False, "background_mttf_ms": 900.0,
+        "background_mttr_ms": 50.0,
+    },
+    "--steps 200 --geo --geo-ack sync --pgs 2":
+        {"steps": 200, **_GEO, "pg_count": 2, "geo_ack_mode": "sync"},
+    "--steps 200 --proxy --replicas 5 --proxy-pool 16":
+        {"steps": 200, **_PROXY, "replicas": 5, "proxy_pool": 16},
+}
+
+#: The flags ``audit-run --help`` listed at the parent (21, plus the
+#: ``--seed`` every subcommand shares).
+HEAD_FLAGS = {
+    "--backend", "--failover", "--fleet", "--geo", "--geo-ack",
+    "--group-commit", "--integrity", "--integrity-json", "--jobs", "--mttf",
+    "--mttr", "--no-background", "--no-heal", "--pgs", "--proxy",
+    "--proxy-pool", "--proxy-sessions", "--replicas", "--steps", "--sweep",
+    "--tail", "--seed",
+}
+
+
+def built_config(arguments: str) -> dict:
+    args = cli._build_parser().parse_args(
+        ["audit-run", "--seed", "0", *arguments.split()]
+    )
+    return dataclasses.asdict(cli._audit_config(args, args.sub_seed))
+
+
+def differences() -> list[str]:
+    """Every field, over every recorded command, where the config the CLI
+    builds now is not the one the parent built."""
+    out = []
+    for arguments, changed in HEAD_CONFIGS.items():
+        expected = {**HEAD_DEFAULTS, "seed": 0, **changed}
+        built = built_config(arguments)
+        out += [
+            f"{arguments}: {name}={built.get(name)!r}, parent built "
+            f"{expected.get(name)!r}"
+            for name in sorted(set(expected) | set(built))
+            if built.get(name, "missing") != expected.get(name, "missing")
+        ]
+    return out
+
+
+class TestProfilesBuildTheParentsConfigs:
+    def test_every_gate_command_is_recorded(self):
+        listed = subprocess.run(
+            ["make", "-n", "--no-print-directory", *GATES],
+            cwd=REPO_ROOT, check=True, capture_output=True, text=True,
+        ).stdout
+        commands = [
+            re.sub(r" --(seed|sweep|jobs) \d+", "", line.split("audit-run")[1])
+            for line in listed.splitlines()
+            if "audit-run" in line
+        ]
+        assert len(commands) == 13
+        assert [c.strip() for c in commands] == list(HEAD_CONFIGS)[:13]
+
+    def test_field_by_field(self):
+        assert differences() == []
+
+    def test_at_most_the_parents_fields(self):
+        fields = {f.name for f in dataclasses.fields(AuditRunConfig)}
+        assert fields == set(HEAD_DEFAULTS)
+
+    @staticmethod
+    def plant(monkeypatch, name, **changes):
+        row = PROFILES[name]
+        overrides = {**row.overrides, **changes}
+        for field, value in changes.items():
+            if value is None:
+                del overrides[field]
+        mutant = dataclasses.replace(row, overrides=overrides)
+        monkeypatch.setattr(
+            cli, "AUDIT_PROFILES", {**PROFILES, name: mutant}
+        )
+
+    @pytest.mark.parametrize("name, forgotten", [
+        ("fleet", "az_bursts"), ("fleet", "writer_grey_period_ms"),
+        ("failover", "failover"), ("geo", "replicas"),
+        ("geo", "plant_false_positive"), ("proxy", "heal"),
+        ("integrity", "writer_crash_every"),
+    ])
+    def test_a_row_that_forgets_an_override_is_caught(
+        self, monkeypatch, name, forgotten
+    ):
+        self.plant(monkeypatch, name, **{forgotten: None})
+        assert any(f" {forgotten}=" in line for line in differences())
+
+    @pytest.mark.parametrize("name, field", [
+        ("failover", "replicas"), ("proxy", "replicas"),
+    ])
+    def test_a_floor_applied_as_an_assignment_is_caught(
+        self, monkeypatch, name, field
+    ):
+        floor = PROFILES[name].overrides[field]
+        assert isinstance(floor, AtLeast)
+        self.plant(monkeypatch, name, **{field: floor.floor})
+        assert any(f" {field}=" in line for line in differences())
+
+    def test_help_lists_the_parents_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["audit-run", "--help"])
+        listed = set(re.findall(r"(?m)^  (--[a-z-]+)", capsys.readouterr().out))
+        assert listed == HEAD_FLAGS
+
+    def test_the_docs_table_is_the_rendered_one(self):
+        assert profiles_table() in (REPO_ROOT / "docs/AUDIT.md").read_text()
+
+
+#: ``audit-run --seed 3 --steps 150 <switch>`` at the parent (the proxy
+#: with ``--proxy-sessions 2000``), as printed.
+HEAD_REPORTS = {
+    "chaos": """\
+audit run: seed=3 steps=150 sim_time=1132ms
+  chaos events:        12
+  commit acks:         83
+  writer recoveries:   0
+  availability errors: 0
+  protocol events:     983
+  violations:          0
+  repairs confirmed:   0 (replaced=0 rolled_back=0 aborted=0 stalled=0 active=0)
+  health verdicts:     suspected=3 confirmed=0 false_pos=0""",
+    "fleet": """\
+audit run: seed=3 steps=150 sim_time=5521ms
+  chaos events:        15
+  commit acks:         86
+  writer recoveries:   0
+  availability errors: 0
+  protocol events:     2783
+  violations:          0
+  repairs confirmed:   14 (replaced=12 rolled_back=2 aborted=0 stalled=0 active=0)
+  concurrent repairs:  9 peak (distinct PGs)
+  detection latency:   mean=546ms p50=585ms p95=619ms max=619ms (n=14)
+  MTTR (replaced):     mean=1428ms p50=1369ms p95=2082ms max=2082ms (n=12)
+  resolution (all):    mean=1273ms p50=1365ms p95=2082ms max=2082ms (n=14)
+  health verdicts:     suspected=86 confirmed=14 false_pos=2
+  fleet storm:         10 segments killed across distinct PGs
+  concurrency gate:    ok (peak 9)
+  writer kills:        1
+  failovers confirmed: 1 (promoted=1 restarted=0 rolled_back=0 aborted=0 stalled=0 active=0)
+  failover detection:  mean=851ms p50=851ms p95=851ms max=851ms (n=1)
+  promotion time:      mean=1050ms p50=1050ms p95=1050ms max=1050ms (n=1)
+  write unavailability: mean=1906ms p50=1906ms p95=1906ms max=1906ms (n=1)
+  failover gate:       ok""",
+    "failover": """\
+audit run: seed=3 steps=150 sim_time=4436ms
+  chaos events:        14
+  commit acks:         84
+  writer recoveries:   0
+  availability errors: 1
+  protocol events:     1306
+  violations:          0
+  repairs confirmed:   0 (replaced=0 rolled_back=0 aborted=0 stalled=0 active=0)
+  health verdicts:     suspected=12 confirmed=0 false_pos=0
+  writer kills:        1
+  failovers confirmed: 1 (promoted=1 restarted=0 rolled_back=0 aborted=0 stalled=0 active=0)
+  failover detection:  mean=871ms p50=871ms p95=871ms max=871ms (n=1)
+  promotion time:      mean=15ms p50=15ms p95=15ms max=15ms (n=1)
+  write unavailability: mean=891ms p50=891ms p95=891ms max=891ms (n=1)
+  failover gate:       ok""",
+    "geo": """\
+audit run: seed=3 steps=150 sim_time=26350ms
+  chaos events:        18
+  commit acks:         94
+  writer recoveries:   1
+  availability errors: 0
+  protocol events:     1207
+  violations:          0
+  geo ack mode:        async
+  region failovers:    1 (promoted=1 rolled_back=0 stalled=0 active=0)
+  region detection:    mean=860ms p50=860ms p95=860ms max=860ms (n=1)
+  promotion time:      mean=30ms p50=30ms p95=30ms max=30ms (n=1)
+  RTO:                 mean=3280ms p50=3280ms p95=3280ms max=3280ms (n=1)
+  RPO:                 mean=868ms p50=868ms p95=868ms max=868ms (n=1) (4 acked commit(s) lost, async mode)
+  region-loss detection: mean=860ms p50=860ms p95=860ms max=860ms (n=1)
+  secondary promotion:   mean=30ms p50=30ms p95=30ms max=30ms (n=1)
+  RTO:                   mean=3280ms p50=3280ms p95=3280ms max=3280ms (n=1)
+  RTO budget (30s):       met; worst recovery used 10.9% of budget
+  RPO (async, 1 runs, 4 commits): mean=868ms p50=868ms p95=868ms max=868ms (n=1)
+  geo DR gate:         ok""",
+    "proxy": """\
+audit run: seed=3 steps=150 sim_time=12403ms
+  chaos events:        1
+  commit acks:         120
+  writer recoveries:   1
+  availability errors: 0
+  protocol events:     3601
+  violations:          0
+  writer kills:        1
+  failovers confirmed: 1 (promoted=1 restarted=0 rolled_back=0 aborted=0 stalled=0 active=0)
+  failover detection:  mean=876ms p50=876ms p95=876ms max=876ms (n=1)
+  promotion time:      mean=15ms p50=15ms p95=15ms max=15ms (n=1)
+  write unavailability: mean=896ms p50=896ms p95=896ms max=896ms (n=1)
+  sessions:            2000 (331 ops)
+  session recovery:    mean=430ms p50=400ms p95=835ms max=835ms (n=13)
+  recovery budget (5s): met; worst outage used 16.7% of budget
+  replica time lag:    mean=0ms p50=0ms p95=0ms max=5ms (n=6811)
+  lag SLO (p95 < 10ms): met
+  read routing:        292 replica / 0 writer (100.0% offloaded), 0 RYW floor exclusions, 0 pool waits
+  proxy gate:          ok""",
+    "integrity": """\
+audit run: seed=3 steps=150 sim_time=6259ms
+  chaos events:        16
+  commit acks:         83
+  writer recoveries:   0
+  availability errors: 0
+  protocol events:     1027
+  violations:          0
+  storage backend:     aurora
+  corruption injected: 2 (kind=inj/det/rep: bit_rot=1/1/1, lost_write=1/1/1)
+  detection (MTTD):    mean=201ms p50=154ms p95=248ms max=248ms (n=2)
+  repair (MTTR):       mean=0ms p50=0ms p95=0ms max=0ms (n=2)
+  exposure window:     mean=201ms p50=154ms p95=248ms max=248ms (n=2)
+  repair budget (12s):  met
+  C7 @ measured exposure: read-quorum-loss p=1.797e-24 per window (window = mean exposure)
+  read path:           0 intercepted, 0 quarantined, 0 corrupt served
+  repair path:         91 vote rounds, 0 vote repairs, 91 scrub runs, 0 ingest rejects
+  integrity gate:      ok""",
+}
+
+
+def profile_config(name: str, **fields) -> AuditRunConfig:
+    return PROFILES[name].configure(AuditRunConfig(**fields))
+
+
+class TestEveryProfileRunsThroughTheSpine:
+    @pytest.mark.parametrize("name", list(HEAD_REPORTS))
+    def test_report_is_the_parents(self, name):
+        config = profile_config(name, seed=3, steps=150, proxy_sessions=2000)
+        assert run_audit(config).render() == HEAD_REPORTS[name]
+
+    def test_fleet_and_failover_are_chaos_under_other_values(self):
+        for name, row in PROFILES.items():
+            ran = profile_of(row.configure(AuditRunConfig()))
+            assert ran.name == {"fleet": "chaos", "failover": "chaos"}.get(
+                name, name
+            )
+            assert (ran.world, ran.client, ran.judge, ran.footer) == (
+                row.world, row.client, row.judge, row.footer
+            )
+
+    def test_importing_the_package_loads_no_profile_specific_module(self):
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.audit; print(*sorted(sys.modules))"],
+            check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        ).stdout.split()
+        lazy = ("repro.geo", "repro.workloads.sessions", "repro.analysis")
+        assert [m for m in loaded if m.startswith(lazy)] == []
+        assert "repro.audit.profiles" in loaded
+
+
+class TestBackendReachesEveryWorld:
+    """``--backend`` used to reach the integrity runner only and was
+    dropped, silently, by the other five profiles."""
+
+    @pytest.fixture
+    def built_on(self, monkeypatch):
+        from repro.db.cluster import AuroraCluster
+
+        backends = []
+        build = AuroraCluster.build.__func__
+
+        def capture(cls, config=None, **kwargs):
+            cluster = build(cls, config, **kwargs)
+            backends.append(type(cluster.backend).__name__)
+            return cluster
+
+        monkeypatch.setattr(AuroraCluster, "build", classmethod(capture))
+        return backends
+
+    def test_chaos_on_taurus(self, built_on):
+        report = run_audit(AuditRunConfig(seed=1, steps=300, backend="taurus"))
+        assert report.ok, report.render()
+        assert built_on == ["TaurusBackend"]
+        assert report.repairs.replaced >= 1
+
+    def test_every_switch_builds_the_config_with_the_backend(self):
+        for row in PROFILES.values():
+            built = built_config(f"{row.switch or ''} --backend taurus")
+            assert built["backend"] == "taurus"
+
+    def test_geo_builds_both_regions_on_it(self, built_on):
+        config = profile_config("geo", seed=2, steps=60, backend="taurus")
+        assert run_audit(config).violations == []
+        assert built_on == ["TaurusBackend", "RegionBackend"]

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.audit.runner import AuditRunConfig, run_audit
+from repro.audit import PROFILES, AuditRunConfig, run_audit
 from repro.db.instance import InstanceState
 from repro.errors import (
     ConfigurationError,
@@ -367,7 +367,7 @@ def test_rpo_rto_from_records_splits_modes():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1])  # even = sync, odd = async
 def test_geo_audit_run_passes_dr_gates(seed):
-    config = AuditRunConfig(seed=seed, steps=150).as_geo()
+    config = PROFILES["geo"].configure(AuditRunConfig(seed=seed, steps=150))
     report = run_audit(config)
     assert report.violations == []
     assert report.geo_ok is True

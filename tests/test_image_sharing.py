@@ -15,7 +15,7 @@ from types import MappingProxyType
 import pytest
 
 from repro import AuroraCluster, ClusterConfig
-from repro.audit.runner import AuditRunConfig, run_audit
+from repro.audit import PROFILES, AuditRunConfig, run_audit
 from repro.core.lsn import LSNAllocator
 from repro.core.records import (
     EMPTY_IMAGE,
@@ -615,7 +615,7 @@ class TestSharingIsSafe:
         config = AuditRunConfig(
             seed=self.INTEGRITY_SEEDS[backend], steps=400, backend=backend
         )
-        report = run_audit(config.as_integrity())
+        report = run_audit(PROFILES["integrity"].configure(config))
         assert report.ok, report.render()
         self.assert_wrapped(read_only_images, "chain", "scrub", "vote")
 
