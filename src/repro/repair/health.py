@@ -404,7 +404,10 @@ class HealthMonitor:
             self._track_membership(pg_index, members, now)
             freshest = max(self._last_alive[m] for m in members)
             pg_active = self._pg_active(pg_index, freshest, now)
-            for segment_id in members:
+            # In name order, not the frozenset's: two members confirmed
+            # dead in one tick queue their repairs in the order judged, and
+            # string-hash order differs from process to process.
+            for segment_id in sorted(members):
                 self._judge(segment_id, freshest, now, pg_active)
         self.loop.schedule(cfg.tick_interval_ms, self._tick)
 

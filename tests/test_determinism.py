@@ -183,3 +183,32 @@ class TestDeterminism:
         ])
         # Every RPC the fabric dropped was forgotten with the message.
         assert len(cluster.network._pending_rpcs) == 0
+
+    def test_audit_run_does_not_depend_on_string_hash_order(self):
+        """The same seed is the same run in every process.  At PR 17 the
+        health monitor judged a PG's members in ``frozenset`` order, so two
+        members confirmed dead in one tick queued their repairs in
+        string-hash order: this command printed ``sim_time=4791ms``, 293
+        acks, ``replaced=2 ... aborted=1`` under ``PYTHONHASHSEED=0`` and
+        ``sim_time=4818ms``, 291 acks, ``replaced=3 ... aborted=0`` under
+        ``PYTHONHASHSEED=2`` (first differing event: the candidate named at
+        t = 1103.9 ms, ``pg0-e.1`` against ``pg0-b.1``)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        source = Path(__file__).resolve().parent.parent / "src"
+
+        def report(hash_seed):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", "audit-run", "--seed", "16",
+                 "--steps", "500", "--failover"],
+                check=True, capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(source),
+                     "PYTHONHASHSEED": hash_seed},
+            ).stdout
+
+        first = report("0")
+        assert "sim_time=4818ms" in first and "replaced=3" in first
+        assert report("2") == first
