@@ -143,6 +143,9 @@ class WriterInstance(Actor, BlockIO):
         self.rng = rng
         self.config = config if config is not None else InstanceConfig()
         self.state = InstanceState.NEW
+        #: False from a recovery's open until it has seeded the transaction
+        #: ids above the durable ones (see :meth:`begin`).
+        self._txn_ids_seeded = True
         self.stats = InstanceStats()
         # Protocol state (all ephemeral; rebuilt by recovery).
         self.allocator = LSNAllocator()
@@ -426,6 +429,14 @@ class WriterInstance(Actor, BlockIO):
     # ------------------------------------------------------------------
     def begin(self) -> Transaction:
         self._require(InstanceState.OPEN)
+        if not self._txn_ids_seeded:
+            # Recovery opens the instance before its status-page walk,
+            # which waits on storage reads: an id drawn in that window
+            # could be at or below a durable one.
+            raise InstanceStateError(
+                f"instance {self.name} is still reloading durable "
+                "transaction statuses; retry once recovery completes"
+            )
         return self.txns.begin(now=self.loop.now)
 
     def get(self, key, txn: Transaction | None = None):
@@ -874,6 +885,7 @@ class WriterInstance(Actor, BlockIO):
         # 5. Reload durable transaction statuses: META lists the status
         #    pages, each page holds its range's ``{txn_id: scn}`` entries.
         #    A page allocated but never committed to reads back empty.
+        self._txn_ids_seeded = False
         self.state = InstanceState.OPEN
         self._notify_writer_open()
         self._schedule_gc_floor_tick()
@@ -884,6 +896,7 @@ class WriterInstance(Actor, BlockIO):
             self.registry.load_txn_table_image(image)
         max_txn = max(self.registry.known_commits(), default=0)
         self.txns.seed_above(max_txn)
+        self._txn_ids_seeded = True
 
         # If the crash predated bootstrap durability the recovered volume
         # is empty; re-create the (empty) tree so the instance is usable.

@@ -212,6 +212,34 @@ class TestDurabilityProperty:
             assert db.get(key) == value
 
 
+class TestRecoveryWindow:
+    def test_begin_is_refused_until_transaction_ids_are_seeded(self, cluster):
+        """Recovery reports OPEN before it has walked the durable status
+        pages (which waits on storage reads) and seeded the transaction ids
+        above them.  ``begin()`` in that window used to hand out an id at
+        or below a durable one; now it refuses."""
+        from repro.db.instance import InstanceState
+        from repro.errors import InstanceStateError
+
+        db = cluster.session()
+        for i in range(12):
+            db.write(f"k{i}", i)
+        writer = cluster.writer
+        durable = set(writer.registry.known_commits())
+        assert len(durable) >= 12
+        cluster.crash_writer()
+        process = cluster.recover_writer()
+        while writer.state is not InstanceState.OPEN:
+            assert cluster.loop.step()
+        # The first event after the writer reports OPEN.
+        assert not process.completion.done
+        with pytest.raises(InstanceStateError, match="reloading"):
+            writer.begin()
+        Session(writer).drive(process)
+        assert set(writer.registry.known_commits()) == durable
+        assert writer.begin().txn_id > max(durable)
+
+
 class TestMultiPGRecovery:
     def test_recovery_across_protection_groups(self, multi_pg_cluster):
         cluster = multi_pg_cluster
