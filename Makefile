@@ -17,43 +17,22 @@ test:
 audit: test
 	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 20 --jobs $(JOBS)
 
-# Fleet-scale repair campaign: a 10-PG volume per seed, a 9-PG permanent
-# kill storm with a same-PG double fault, correlated AZ failure bursts,
-# and the >=8 concurrent-repair gate.  The sweep footer reports the
-# detection/MTTR *distributions* and the achieved durability versus the
-# paper's 10-second C7 window (see docs/REPAIR.md).
+# The other gates are the same command under another profile switch; what
+# each profile arms, injects and judges, and what its sweep footer
+# reports, is the "Profiles" table of docs/AUDIT.md (rendered from
+# repro.audit.PROFILES).  audit-integrity runs both storage backends.
 audit-fleet:
 	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 20 --fleet --jobs $(JOBS)
 
-# Writer-failover smoke: database-tier health monitoring + autonomous
-# replica promotion under chaos writer kills and grey failures, gated on
-# zero acked-commit loss and the ~30s write-unavailability budget
-# (see docs/REPAIR.md "Database-tier failover").
 audit-failover:
 	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 3 --failover --jobs $(JOBS)
 
-# Geo disaster-recovery gate: a two-region Global Database per seed over
-# a lossy WAN, one terminal region event (region loss or split-brain
-# partition) plus WAN brownouts and stream stalls, gated on zero
-# sync-acked commit loss, lag-bounded async RPO, provable stale-primary
-# fencing, and the 30 s RTO budget.  Even seeds run sync ack mode, odd
-# seeds async (see docs/AUDIT.md "Geo disaster recovery").
 audit-geo:
 	$(PYTHON) -m repro audit-run --seed 0 --steps 400 --sweep 20 --geo --jobs $(JOBS)
 
-# Serving-tier gate: per seed, a lag-aware connection-multiplexing proxy
-# fronts 100k logical sessions through one writer kill, gated on zero
-# acked-commit loss, zero read-your-writes violations, every session
-# outage inside the 5 s recovery budget, and steady-state replica
-# time-lag p95 inside the 10 ms SLO (see docs/AUDIT.md "Serving tier").
 audit-proxy:
 	$(PYTHON) -m repro audit-run --seed 0 --steps 400 --sweep 20 --proxy --jobs $(JOBS)
 
-# Silent-corruption gate: seeded bit-rot / torn / lost / misdirected
-# writes against the storage fleet with read-time verification, record
-# scrub, and quorum-vote repair armed -- on both storage backends.
-# Gated on zero corrupt reads served and every corruption repaired
-# inside the exposure budget (see docs/AUDIT.md "End-to-end integrity").
 audit-integrity:
 	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 20 --integrity --backend aurora --jobs $(JOBS)
 	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 20 --integrity --backend taurus --jobs $(JOBS)

@@ -15,7 +15,7 @@ compares what they print, seed by seed:
 - a command that sweeps gets ``--sweep SWEEP`` on both sides; one that runs
   a single seed (``audit-adaptive``'s profiles) runs as the Makefile has it;
 - both sides run under ``PYTHONHASHSEED=0``: a run whose event order leans
-  on string-hash order (``audit-failover`` seed 16 does, at this writing)
+  on string-hash order (``audit-failover`` seed 16 did, until PR 18)
   otherwise differs between two processes of the *same* tree;
 - lines that mention wall-clock time are dropped before comparing;
 - per gate it prints ``identical``, or the seeds that differ with the lines
