@@ -55,7 +55,6 @@ class _ClientModel:
     the set of values each key may legitimately hold."""
 
     def __init__(self, run) -> None:
-        self.scenario = run
         self.cfg = run.cfg
         self.auditor = run.auditors[0]
         self.rng = random.Random(run.cfg.seed * 7919 + 13)
@@ -124,7 +123,7 @@ class ClusterClient(_ClientModel):
         cfg = self.cfg
         crash_every = cfg.writer_crash_every or max(150, cfg.steps // 4)
         # step -> what the operator (or the scenario) does before its op;
-        # the planted scenarios are skipped on tiny runs.
+        # the membership change and the plant are skipped on tiny runs.
         plan: dict[int, list] = {}
         if cfg.membership_change and cfg.steps >= 300:
             plan.setdefault(cfg.steps // 2, []).append(self._membership_change)
@@ -554,6 +553,7 @@ class GeoClient(_ClientModel):
     def __init__(self, run) -> None:
         super().__init__(run)
         self.geo = run.world
+        self.chaos_end_ms = run.chaos_end_ms
         self.db = self.geo.session()
         self.reconciled = False
         #: key -> [(acked_at, scn, value)] for every acknowledged
@@ -576,7 +576,7 @@ class GeoClient(_ClientModel):
         # Pace the workload across the chaos horizon so writes are in
         # flight when the region event fires (ops themselves also burn
         # simulated time -- a sync commit costs a WAN round trip).
-        remaining_ms = self.scenario.chaos_end_ms - self.geo.loop.now
+        remaining_ms = self.chaos_end_ms - self.geo.loop.now
         pace = max(1.0, remaining_ms) / max(1, cfg.steps)
         for step in range(cfg.steps):
             self.maybe_reconcile()
@@ -731,6 +731,8 @@ class ProxyClient:
         self.run = self.workload.run
         self.writer_kills = 0
         rng = random.Random(cfg.seed * 104_729 + 7)
+        # (now + x) - now is not x in floating point: the kill keeps the
+        # instant every recorded report has it at.
         kill_at = cluster.loop.now + horizon_ms * (0.35 + 0.3 * rng.random())
         cluster.loop.schedule(kill_at - cluster.loop.now, self._kill_writer)
 
@@ -743,7 +745,4 @@ class ProxyClient:
 
     @property
     def recoveries(self) -> int:
-        from repro.repair import PROMOTED
-
-        records = self.cluster.failover.records
-        return sum(1 for r in records if r.outcome == PROMOTED)
+        return self.cluster.failover.summary().promoted

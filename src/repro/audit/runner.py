@@ -163,8 +163,8 @@ class AuditRunConfig:
     integrity_repair_budget_ms: float = 12_000.0
 
 
-def _gate(label: str, ok: bool, note: str = "") -> str:
-    return f"  {label:<21}{'ok' if ok else 'FAILED'}{note}"
+def _gate(label: str, ok: bool, what: str = "", note: str = "") -> str:
+    return f"  {label:<21}{what}{'ok' if ok else 'FAILED'}{note}"
 
 
 @dataclass
@@ -253,8 +253,8 @@ class AuditReport:
                 lines.append(f"  UNREPAIRED segments: {self.unrepaired}")
             if self.planted_rollback_ok is not None:
                 lines.append(_gate(
-                    "planted false pos:   rollback ",
-                    self.planted_rollback_ok,
+                    "planted false pos:", self.planted_rollback_ok,
+                    what="rollback ",
                 ))
             if self.fleet_kills:
                 lines.append(
@@ -264,7 +264,7 @@ class AuditReport:
             if self.concurrency_ok is not None:
                 peak = f" (peak {self.repairs.peak_concurrent})"
                 lines.append(
-                    _gate("concurrency gate:", self.concurrency_ok, peak)
+                    _gate("concurrency gate:", self.concurrency_ok, note=peak)
                 )
         if self.failovers is not None:
             lines.append(f"  writer kills:        {self.writer_kills}")

@@ -211,6 +211,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The ``AuditRunConfig`` fields that name an ``audit-run`` flag.
+_AUDIT_FLAGS = [
+    spec for spec in dataclasses.fields(AuditRunConfig)
+    if "flag" in spec.metadata
+]
+
+
 def _add_audit_arguments(audit: argparse.ArgumentParser) -> None:
     """``audit-run``'s arguments, derived: one switch per profile row, one
     flag per ``AuditRunConfig`` field that names one in its metadata, and
@@ -223,9 +230,7 @@ def _add_audit_arguments(audit: argparse.ArgumentParser) -> None:
                 help=f"run the {profile.name} profile (docs/AUDIT.md "
                      f"\"Profiles\"): {overrides}.  Judged: {judged}",
             )
-    for spec in dataclasses.fields(AuditRunConfig):
-        if "flag" not in spec.metadata:
-            continue
+    for spec in _AUDIT_FLAGS:
         argument = dict(spec.metadata, dest=spec.name)
         flag = argument.pop("flag")
         argument.pop("over_profile", None)
@@ -255,14 +260,10 @@ def _audit_config(args: argparse.Namespace, seed: int) -> AuditRunConfig:
     """The AuditRunConfig for one sweep seed: the flags, then the rows of
     the selected profiles in table order, then the flags that override a
     profile (given only when nonzero)."""
-    given = {
-        spec.name: getattr(args, spec.name)
-        for spec in dataclasses.fields(AuditRunConfig)
-        if "flag" in spec.metadata
-    }
+    given = {spec.name: getattr(args, spec.name) for spec in _AUDIT_FLAGS}
     late = {
         spec.name: given.pop(spec.name)
-        for spec in dataclasses.fields(AuditRunConfig)
+        for spec in _AUDIT_FLAGS
         if spec.metadata.get("over_profile")
     }
     config = AuditRunConfig(seed=seed, **given)
