@@ -259,14 +259,17 @@ class HealthMonitor:
             entry.timeouts.append(self.loop.now)
 
     def _alive(self, segment_id: str) -> None:
-        if segment_id in self._retired:
-            return  # late gossip from a dismantled node: not evidence
-        now = self.loop.now
-        last = self._last_alive.get(segment_id)
-        self._last_alive[segment_id] = now
         entry = self._states.get(segment_id)
         if entry is None:
+            # Not (or no longer) tracked -- a replaced member still
+            # gossiping, a retired node, a member the sweep has not met
+            # yet: not evidence.  Last-heard entries exist for tracked
+            # segments only, so ``freshest_signal`` cannot be advanced by
+            # a segment nobody judges.
             return
+        now = self.loop.now
+        last = self._last_alive[segment_id]
+        self._last_alive[segment_id] = now
         self._observe_cadence(entry, last, now)
         if entry.state is SegmentHealth.SUSPECT:
             # A liveness signal only refutes *silence*.  While a hedge or
@@ -419,7 +422,7 @@ class HealthMonitor:
             if segment_id not in self._states:
                 # Grace period: a newly tracked member (bootstrap, or a
                 # candidate mid-hydration) starts provisionally alive.
-                self._last_alive.setdefault(segment_id, now)
+                self._last_alive[segment_id] = now
                 entry = _SegmentState(
                     pg_index=pg_index,
                     confirm_ms=self.config.confirm_after_ms,
@@ -431,8 +434,10 @@ class HealthMonitor:
             if s not in members
             and self.metadata.placement(s).pg_index == pg_index
         ]:
-            # Replaced (or rolled-back candidate): stop judging it.
+            # Replaced (or rolled-back candidate): stop judging it, and
+            # forget when it was last heard along with its state.
             del self._states[segment_id]
+            del self._last_alive[segment_id]
 
     def _prune(self, times: deque, now: float) -> int:
         horizon = now - self.config.burst_window_ms

@@ -302,6 +302,40 @@ class TestSelfHealing:
 
 
 # ----------------------------------------------------------------------
+# End-of-run census: last-heard entries are held for tracked segments only
+# ----------------------------------------------------------------------
+def test_last_heard_census_after_an_audit_run(monkeypatch):
+    """At the parent a replaced member's state was dropped but never its
+    last-heard entry (75 entries for 60 tracked segments after the fleet
+    profile's seed 3 at 1500 steps, one more per repair), and a segment
+    nobody tracked could add one by gossiping -- all of it input to
+    ``freshest_signal``, the db and geo tiers' proof that the observer is
+    alive."""
+    from repro.audit.runner import AuditRunConfig, run_audit
+
+    monitors = []
+    arm_healer = AuroraCluster.arm_healer
+
+    def capturing(self, *args, **kwargs):
+        monitors.append(arm_healer(self, *args, **kwargs)[0])
+        return monitors[-1], self.healer
+
+    monkeypatch.setattr(AuroraCluster, "arm_healer", capturing)
+    report = run_audit(AuditRunConfig(seed=7, steps=300))
+    assert report.ok and report.repairs.replaced >= 1, report.render()
+    (monitor,) = monitors
+    metadata = monitor.metadata
+    members = {
+        m
+        for pg_index in metadata.pg_indexes()
+        for m in metadata.membership(pg_index).members
+    }
+    monitor._tick()  # one more sweep: tracking follows membership
+    assert set(monitor._states) == members
+    assert set(monitor._last_alive) == members
+
+
+# ----------------------------------------------------------------------
 # Repair metrics
 # ----------------------------------------------------------------------
 class TestRepairMetrics:
