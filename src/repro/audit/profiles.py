@@ -26,9 +26,9 @@ from repro.audit.clients import (
 from repro.db.cluster import AuroraCluster, ClusterConfig
 from repro.db.instance import InstanceState
 from repro.repair import RepairConfig
+from repro.repair.detector import Health
 from repro.repair.failover import FailoverSummary
-from repro.repair.health import SegmentHealth
-from repro.repair.metrics import ACTIVE, STALLED, RepairSummary
+from repro.repair.metrics import ACTIVE, STALLED, RepairSummary, summarize
 from repro.sim.chaos import (
     ChaosConfig,
     geo_chaos_config,
@@ -187,7 +187,7 @@ def _settle_cluster(run: Run, client: ClusterClient) -> None:
         spin_until(
             cluster,
             lambda: cluster.healer.idle and all(
-                state is SegmentHealth.HEALTHY
+                state is Health.HEALTHY
                 for state in _member_health(cluster)
             ),
             keepalive=client.keepalive,
@@ -282,7 +282,7 @@ def _judge_cluster(run: Run, client: ClusterClient) -> dict:
                 for pg_index in cluster.metadata.pg_indexes()
                 if not cluster.metadata.membership(pg_index).is_stable
             )
-            + _member_health(cluster).count(SegmentHealth.DEAD)
+            + _member_health(cluster).count(Health.DEAD)
         )
         if cfg.min_concurrent_repairs > 0:
             section["concurrency_ok"] = (
@@ -379,7 +379,7 @@ def _judge_geo(run: Run, client: GeoClient) -> dict:
     The sweep footer merges the RPO/RTO distributions."""
     from repro.analysis.rpo_rto import rpo_rto_from_records
     from repro.errors import ConfigurationError
-    from repro.geo import GEO_TERMINAL, PROMOTED
+    from repro.geo import PROMOTED, GeoFailoverSummary
 
     geo, budget_ms = run.world, run.cfg.geo_rto_budget_ms
     records = geo.geo_failover.records
@@ -397,7 +397,7 @@ def _judge_geo(run: Run, client: GeoClient) -> dict:
         geo_rpo_rto=rpo_rto,
         geo_ok=geo.promoted
         and len(promoted) == 1
-        and all(r.outcome in GEO_TERMINAL for r in records)
+        and all(r.outcome in GeoFailoverSummary.OUTCOMES for r in records)
         and all(
             r.rto_ms is not None and r.rto_ms <= budget_ms for r in promoted
         )
@@ -456,7 +456,7 @@ def _proxy_footer(reports: list) -> list[str]:
 def _geo_footer(reports: list) -> list[str]:
     from repro.analysis import rpo_rto_from_records
     from repro.errors import ConfigurationError
-    from repro.geo import summarize_geo_failovers
+    from repro.geo import GeoFailoverSummary
 
     records = [r for report in reports for r in report.geo_records]
     if not records:
@@ -467,7 +467,7 @@ def _geo_footer(reports: list) -> list[str]:
         rpo_rto = ["  (no promoted recovery to report RPO/RTO on)"]
     return [
         f"geo disaster-recovery telemetry across {len(reports)} seeds:",
-        *summarize_geo_failovers(records).render_lines(),
+        *summarize(records, GeoFailoverSummary).render_lines(),
         *rpo_rto,
     ]
 

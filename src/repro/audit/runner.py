@@ -23,7 +23,7 @@ from repro.audit.auditor import AuditViolation
 from repro.audit.profiles import PROFILES, Profile
 from repro.db.driver import GROUP_COMMIT_POLICIES
 from repro.repair.failover import FailoverSummary
-from repro.repair.metrics import RepairSummary
+from repro.repair.metrics import RepairSummary, summarize
 from repro.sim.chaos import ChaosSchedule, fleet_chaos_config
 
 
@@ -272,10 +272,12 @@ class AuditReport:
             if self.failover_ok is not None:
                 lines.append(_gate("failover gate:", self.failover_ok))
         if self.geo_ok is not None:
-            from repro.geo import summarize_geo_failovers
+            from repro.geo import GeoFailoverSummary
 
             lines.append(f"  geo ack mode:        {self.geo_ack_mode}")
-            lines += summarize_geo_failovers(self.geo_records).render_lines()
+            lines += summarize(
+                self.geo_records, GeoFailoverSummary
+            ).render_lines()
             if self.geo_rpo_rto is not None:
                 lines += self.geo_rpo_rto.render_lines()
             lines.append(_gate("geo DR gate:", self.geo_ok))

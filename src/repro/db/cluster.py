@@ -281,13 +281,11 @@ class AuroraCluster:
         if self.health is not None:
             writer.driver.health_probe = self.health
         if self.db_health is not None and not self.failover_in_progress:
-            # During a coordinated failover the successor is registered by
-            # the coordinator once promotion succeeds -- registering it
+            # During a coordinated failover the successor is tracked by
+            # the coordinator once promotion succeeds -- tracking it
             # here, mid-recovery, would let its (legitimate) silence be
             # judged as a death.
-            from repro.repair import WRITER
-
-            self.db_health.register_instance(writer.name, WRITER)
+            self.db_health.track(writer.name)
         if bootstrap:
             writer.bootstrap()
             # The volume is only usable once the bootstrap MTR is durable
@@ -322,21 +320,27 @@ class AuroraCluster:
     # ------------------------------------------------------------------
     # Self-healing (failure detection + autonomous Figure 5 repairs)
     # ------------------------------------------------------------------
-    def arm_healer(
-        self, health_config=None, repair_config=None
-    ) -> tuple:
+    def arm_healer(self, repair_config=None) -> tuple:
         """Attach the self-healing control plane.
 
-        Wires a :class:`repro.repair.HealthMonitor` as the health probe of
-        the writer's driver and every storage node (components created
-        later -- candidates, promoted writers -- are wired automatically),
-        starts its sweep, and subscribes a
-        :class:`repro.repair.RepairPlanner` that drives Figure 5 for every
-        confirmed-dead segment.  Returns ``(monitor, planner)``.
+        Wires the storage tier's :class:`repro.repair.FailureDetector` as
+        the health probe of the writer's driver and every storage node
+        (components created later -- candidates, promoted writers -- are
+        wired automatically), starts its sweep over every PG's members,
+        and subscribes a :class:`repro.repair.RepairPlanner` that drives
+        Figure 5 for every confirmed-dead segment.  Returns
+        ``(monitor, planner)``.
         """
-        from repro.repair import HealthMonitor, RepairPlanner
+        from repro.repair import (
+            STORAGE,
+            FailureDetector,
+            RepairPlanner,
+            pg_groups,
+        )
 
-        monitor = HealthMonitor(self.loop, self.metadata, health_config)
+        monitor = FailureDetector(
+            self.loop, STORAGE, membership=pg_groups(self.metadata)
+        )
         self.health = monitor
         if self.writer is not None:
             self.writer.driver.health_probe = monitor
@@ -349,41 +353,35 @@ class AuroraCluster:
     # ------------------------------------------------------------------
     # Database-tier failover (autonomous writer promotion)
     # ------------------------------------------------------------------
-    def arm_failover(
-        self, db_health_config=None, failover_config=None
-    ) -> tuple:
+    def arm_failover(self, failover_config=None) -> tuple:
         """Attach the database-tier failover plane.
 
-        Wires a :class:`repro.repair.DbHealthMonitor` as the db-health
-        probe of every storage node and replica (so the passive signals
-        they already receive -- write batches, GC-floor heartbeats, the
-        redo stream -- double as liveness evidence), registers the current
-        writer and replicas, and subscribes a
+        Wires the database tier's :class:`repro.repair.FailureDetector` as
+        the db-health probe of every storage node and replica (so the
+        passive signals they already receive -- write batches, GC-floor
+        heartbeats, the redo stream -- double as liveness evidence),
+        tracks the current writer and replicas as one group judged
+        against the storage tier's frontier, and subscribes a
         :class:`repro.repair.FailoverCoordinator` that answers a confirmed
         writer death with a fenced replica promotion.  Returns
         ``(monitor, coordinator)``.
         """
-        from repro.repair import (
-            REPLICA,
-            WRITER,
-            DbHealthMonitor,
-            FailoverCoordinator,
-        )
+        from repro.repair import DB, FailoverCoordinator, FailureDetector
 
         reference = (
             self.health.freshest_signal if self.health is not None else None
         )
-        monitor = DbHealthMonitor(
-            self.loop, db_health_config, reference_frontier=reference
+        monitor = FailureDetector(
+            self.loop, DB, reference_frontier=reference
         )
         self.db_health = monitor
         for node in self.nodes.values():
             node.db_health_probe = monitor
         for name, replica in self.replicas.items():
             replica.db_health_probe = monitor
-            monitor.register_instance(name, REPLICA)
+            monitor.track(name)
         if self.writer is not None:
-            monitor.register_instance(self.writer.name, WRITER)
+            monitor.track(self.writer.name)
         monitor.start()
         self.failover = FailoverCoordinator(self, monitor, failover_config)
         return monitor, self.failover
@@ -451,10 +449,8 @@ class AuroraCluster:
             replica.audit_probe = self.auditor
             replica.driver.attach_audit_probe(self.auditor)
         if self.db_health is not None:
-            from repro.repair import REPLICA
-
             replica.db_health_probe = self.db_health
-            self.db_health.register_instance(name, REPLICA)
+            self.db_health.track(name)
         writer = self.writer
         replica.attach(
             next_expected_lsn=writer.allocator.next_lsn,
@@ -472,7 +468,7 @@ class AuroraCluster:
         if self.writer is not None:
             self.writer.publisher.detach_replica(name)
         if self.db_health is not None:
-            self.db_health.deregister_instance(name)
+            self.db_health.untrack(name)
 
     # ------------------------------------------------------------------
     # Writer crash / recovery / promotion
@@ -519,7 +515,7 @@ class AuroraCluster:
         for node in self.nodes.values():
             node.forget_instance(old_writer.name)
         if self.db_health is not None:
-            self.db_health.deregister_instance(old_writer.name)
+            self.db_health.untrack(old_writer.name)
 
     def reattach_replicas(self) -> None:
         """Re-subscribe surviving replicas to the (new) writer's stream."""

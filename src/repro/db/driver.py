@@ -248,7 +248,7 @@ class StorageDriver:
         #: it (rather than the trackers alone) because crash handling
         #: replaces the trackers wholesale; see :meth:`attach_audit_probe`.
         self.audit_probe = None
-        #: Optional :class:`repro.repair.HealthMonitor` observer: acks,
+        #: Optional :class:`repro.repair.FailureDetector` observer: acks,
         #: rejections, read replies, and hedge escalations feed its passive
         #: per-segment liveness signals (``None`` = one attribute load).
         self.health_probe = None
@@ -504,7 +504,7 @@ class StorageDriver:
     def on_write_ack(self, ack: WriteAck) -> None:
         self.stats.acks_received += 1
         if self.health_probe is not None:
-            self.health_probe.note_ack(ack.segment_id)
+            self.health_probe.heard(ack.segment_id)
         if self.config.group_commit == "quorum-piggyback":
             # A completed round-trip for this PG carries the pending buffer
             # out "for free" -- the backstop timer (if armed) is cancelled
@@ -546,7 +546,7 @@ class StorageDriver:
         if self.health_probe is not None:
             # A rejection is negative protocol evidence but *positive*
             # liveness evidence: the segment is up and talking.
-            self.health_probe.note_rejection(rejection.segment_id)
+            self.health_probe.heard(rejection.segment_id)
         before = self.epochs
         self.adopt_epochs(rejection.current_epochs)
         if self.epochs.volume > before.volume:
@@ -741,7 +741,7 @@ class StorageDriver:
         if self.health_probe is not None and not isinstance(
             response, RequestRejected
         ):
-            self.health_probe.note_alive(outstanding.segment)
+            self.health_probe.heard(outstanding.segment)
         if isinstance(response, RequestRejected):
             self.on_rejection(response)
             if not outstanding.future.done:
@@ -787,7 +787,7 @@ class StorageDriver:
                 continue
             outstanding.hedged = True
             if self.health_probe is not None:
-                self.health_probe.note_hedge(outstanding.segment)
+                self.health_probe.burst(outstanding.segment, "hedge")
             untried = [
                 s for s in outstanding.plan.hedge_candidates if s != target
             ]

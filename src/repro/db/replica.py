@@ -121,7 +121,7 @@ class ReplicaInstance(Actor, BlockIO):
         #: Optional :class:`repro.audit.Auditor` observer (zero-cost when
         #: unattached).
         self.audit_probe = None
-        #: Optional :class:`repro.repair.DbHealthMonitor` observer: the
+        #: Optional database-tier :class:`repro.repair.FailureDetector`: the
         #: ``writer_id`` on every replication message this replica hears
         #: is writer-liveness evidence.
         self.db_health_probe = None
@@ -198,7 +198,7 @@ class ReplicaInstance(Actor, BlockIO):
             if writer_id is not None:
                 # Redo chunks, VDL heartbeats and commit notices all prove
                 # the writer alive.
-                self.db_health_probe.note_signal(writer_id)
+                self.db_health_probe.heard(writer_id)
         if isinstance(payload, ReplicationFrame):
             for item in payload.items:
                 self._on_stream_item(item)

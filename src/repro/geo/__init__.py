@@ -16,13 +16,11 @@ See :mod:`repro.geo.cluster` for the one-call entry point::
 
 from repro.geo.cluster import GeoCluster, GeoConfig, RegionBackend
 from repro.geo.failover import (
-    GEO_TERMINAL,
     PROMOTED,
     GeoFailoverConfig,
     GeoFailoverCoordinator,
     GeoFailoverRecord,
     GeoFailoverSummary,
-    summarize_geo_failovers,
 )
 from repro.geo.replicator import (
     ASYNC,
@@ -34,7 +32,6 @@ from repro.geo.replicator import (
 
 __all__ = [
     "ASYNC",
-    "GEO_TERMINAL",
     "PROMOTED",
     "SYNC",
     "GeoApplier",
@@ -47,5 +44,4 @@ __all__ = [
     "GeoSender",
     "GeoSenderConfig",
     "RegionBackend",
-    "summarize_geo_failovers",
 ]

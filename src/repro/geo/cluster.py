@@ -14,9 +14,9 @@ loop and network:
   :class:`~repro.geo.replicator.GeoSender` /
   :class:`~repro.geo.replicator.GeoApplier` endpoints on top;
 - the disaster-recovery plane (:meth:`arm_geo_failover`): a secondary
-  -region :class:`~repro.repair.HealthMonitor` whose gossip-fed
+  -region storage :class:`~repro.repair.FailureDetector` whose gossip-fed
   ``freshest_signal`` serves as the observer-liveness frontier for a
-  :class:`~repro.repair.DbHealthMonitor` watching the primary, plus the
+  second one watching the primary, plus the
   :class:`~repro.geo.failover.GeoFailoverCoordinator`.
 
 The facade duck-types the surface
@@ -303,40 +303,39 @@ class GeoCluster:
         self.applier.audit_probe = secondary_auditor
 
     def arm_geo_failover(
-        self,
-        db_health_config=None,
-        failover_config: GeoFailoverConfig | None = None,
+        self, failover_config: GeoFailoverConfig | None = None
     ):
         """Attach the disaster-recovery plane; returns
         ``(monitor, coordinator)``.
 
-        Detection is the adaptive :class:`~repro.repair.DbHealthMonitor`
-        machinery with one twist: the only database-tier signal source is
-        the primary itself (via the WAN stream the applier observes), so
-        the observer-liveness frontier MUST come from somewhere else or
+        Detection is the database tier's
+        :class:`~repro.repair.FailureDetector` row with one twist: the
+        group is the primary alone and its only signal source is the
+        primary itself (via the WAN stream the applier observes), so the
+        observer-liveness frontier MUST come from somewhere else or
         silence would never accrue.  The secondary region's storage
-        gossip provides it: a :class:`~repro.repair.HealthMonitor` over
-        the secondary fleet keeps a continuously advancing
-        ``freshest_signal`` with zero extra traffic, proving the
-        *observer's* side of the world alive while the primary is quiet.
+        gossip provides it: a storage-tier detector over the secondary
+        fleet keeps a continuously advancing ``freshest_signal`` with zero
+        extra traffic, proving the *observer's* side of the world alive
+        while the primary is quiet.
         """
-        from repro.repair import WRITER, DbHealthMonitor, HealthMonitor
+        from repro.repair import DB, STORAGE, FailureDetector, pg_groups
 
-        monitor_ref = HealthMonitor(self.loop, self.secondary.metadata)
+        monitor_ref = FailureDetector(
+            self.loop, STORAGE, membership=pg_groups(self.secondary.metadata)
+        )
         self.secondary_health = monitor_ref
         self.applier.driver.health_probe = monitor_ref
         for node in self.secondary.nodes.values():
             node.health_probe = monitor_ref
         monitor_ref.start()
-        monitor = DbHealthMonitor(
-            self.loop,
-            db_health_config,
-            reference_frontier=monitor_ref.freshest_signal,
+        monitor = FailureDetector(
+            self.loop, DB, reference_frontier=monitor_ref.freshest_signal
         )
         self.geo_health = monitor
-        monitor.register_instance(self.primary_writer_id, WRITER)
+        monitor.track(self.primary_writer_id)
         self.applier.on_signal = (
-            lambda: monitor.note_signal(self.primary_writer_id)
+            lambda: monitor.heard(self.primary_writer_id)
         )
         monitor.start()
         self.geo_failover = GeoFailoverCoordinator(
@@ -351,7 +350,7 @@ class GeoCluster:
         self.promoted_record = record
         self.region_unavailable = False
         if self.geo_health is not None:
-            self.geo_health.deregister_instance(self.primary_writer_id)
+            self.geo_health.untrack(self.primary_writer_id)
             # One terminal region event per deployment: the monitor's
             # job is done (and the old primary must never be re-judged).
             self.geo_health.stop()

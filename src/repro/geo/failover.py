@@ -15,10 +15,10 @@ philosophy the paper applies to I/Os and membership):
    as uncertain.  No commit is ever acknowledged by a primary that the
    secondary might already have replaced.
 2. **The secondary out-waits the lease before promoting.**  After the
-   geo health monitor confirms primary silence, the coordinator waits
-   ``lease_ms + lease_margin_ms`` past the *last observed primary
-   signal* before recovering the secondary writer.  By that point a
-   merely-partitioned primary has provably stepped down.
+   region tier's failure detector confirms primary silence, the
+   coordinator waits ``lease_ms + lease_margin_ms`` past the *last
+   observed primary signal* before recovering the secondary writer.  By
+   that point a merely-partitioned primary has provably stepped down.
 
 Promotion itself is the paper's stateless crash recovery run against the
 secondary volume: merge the freshest primary epochs the applier saw,
@@ -35,18 +35,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.db.instance import InstanceState
-from repro.repair.metrics import ACTIVE, ROLLED_BACK, STALLED, LatencyStats
+from repro.repair.failover import recover_until_open
+from repro.repair.metrics import (
+    ACTIVE,
+    ROLLED_BACK,
+    STALLED,
+    LatencyStats,
+    OutcomeSummary,
+    summarize,
+)
 from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.geo.cluster import GeoCluster
-    from repro.repair.db_health import DbHealthMonitor
+    from repro.repair.detector import FailureDetector
 
 #: Terminal outcome: the secondary region's writer is open for business.
 PROMOTED = "promoted"
-
-GEO_TERMINAL = frozenset({PROMOTED, ROLLED_BACK, STALLED})
 
 
 @dataclass
@@ -114,6 +119,12 @@ class GeoFailoverRecord:
             return None
         return self.promoted_at - self.failed_at
 
+    @property
+    def promoted_rpo_ms(self) -> float | None:
+        """The data-loss window, once a promotion exists to measure it
+        at (None for a record that stood down or stalled)."""
+        return self.rpo_ms if self.promoted_at is not None else None
+
     def __str__(self) -> str:
         rto = f" rto={self.rto_ms:.0f}ms" if self.rto_ms is not None else ""
         return (
@@ -124,83 +135,34 @@ class GeoFailoverRecord:
 
 
 @dataclass
-class GeoFailoverSummary:
+class GeoFailoverSummary(OutcomeSummary):
     """Aggregated disaster-recovery statistics (one run or a sweep)."""
 
-    confirmed: int = 0
+    HEADLINE = "  region failovers:    "
+    OUTCOMES = (PROMOTED, ROLLED_BACK, STALLED)
+    LATENCIES = (
+        ("  region detection:    {}", "detection", "detection_ms"),
+        ("  promotion time:      {}", "promotion", "promotion_ms"),
+        ("  RTO:                 {}", "rto", "rto_ms"),
+        (
+            "  RPO:                 {} "
+            "({summary.lost_commits} acked commit(s) lost, async mode)",
+            "rpo",
+            "promoted_rpo_ms",
+        ),
+    )
+
     promoted: int = 0
     rolled_back: int = 0
     stalled: int = 0
-    active: int = 0
-    sync_runs: int = 0
-    async_runs: int = 0
     lost_commits: int = 0
-    detection: LatencyStats = field(default_factory=LatencyStats)
     promotion: LatencyStats = field(default_factory=LatencyStats)
     rto: LatencyStats = field(default_factory=LatencyStats)
     rpo: LatencyStats = field(default_factory=LatencyStats)
 
-    def merge(self, other: "GeoFailoverSummary") -> None:
-        self.confirmed += other.confirmed
-        self.promoted += other.promoted
-        self.rolled_back += other.rolled_back
-        self.stalled += other.stalled
-        self.active += other.active
-        self.sync_runs += other.sync_runs
-        self.async_runs += other.async_runs
-        self.lost_commits += other.lost_commits
-        self.detection.merge(other.detection)
-        self.promotion.merge(other.promotion)
-        self.rto.merge(other.rto)
-        self.rpo.merge(other.rpo)
-
-    def render_lines(self) -> list[str]:
-        lines = [
-            f"  region failovers:    {self.confirmed} "
-            f"(promoted={self.promoted} rolled_back={self.rolled_back} "
-            f"stalled={self.stalled} active={self.active})",
-        ]
-        if self.detection.count:
-            lines.append(f"  region detection:    {self.detection.describe()}")
-        if self.promotion.count:
-            lines.append(f"  promotion time:      {self.promotion.describe()}")
-        if self.rto.count:
-            lines.append(f"  RTO:                 {self.rto.describe()}")
-        if self.rpo.count:
-            lines.append(
-                f"  RPO:                 {self.rpo.describe()} "
-                f"({self.lost_commits} acked commit(s) lost, async mode)"
-            )
-        return lines
-
-
-def summarize_geo_failovers(
-    records: list[GeoFailoverRecord],
-) -> GeoFailoverSummary:
-    from repro.geo.replicator import SYNC
-
-    summary = GeoFailoverSummary(confirmed=len(records))
-    for record in records:
-        if record.outcome == PROMOTED:
-            summary.promoted += 1
-        elif record.outcome == ROLLED_BACK:
-            summary.rolled_back += 1
-        elif record.outcome == STALLED:
-            summary.stalled += 1
-        else:
-            summary.active += 1
-        if record.ack_mode == SYNC:
-            summary.sync_runs += 1
-        else:
-            summary.async_runs += 1
-        summary.lost_commits += record.lost_commits
-        summary.detection.samples.append(record.detection_ms)
-        if record.promotion_ms is not None:
-            summary.promotion.samples.append(record.promotion_ms)
-        if record.rto_ms is not None:
-            summary.rto.samples.append(record.rto_ms)
-            summary.rpo.samples.append(record.rpo_ms)
-    return summary
+    def add(self, record: GeoFailoverRecord) -> None:
+        super().add(record)
+        self.lost_commits += record.lost_commits
 
 
 class GeoFailoverCoordinator:
@@ -209,7 +171,7 @@ class GeoFailoverCoordinator:
     def __init__(
         self,
         geo: "GeoCluster",
-        monitor: "DbHealthMonitor",
+        monitor: "FailureDetector",
         config: GeoFailoverConfig | None = None,
     ) -> None:
         self.geo = geo
@@ -226,7 +188,7 @@ class GeoFailoverCoordinator:
         return self._active is None
 
     def summary(self) -> GeoFailoverSummary:
-        return summarize_geo_failovers(self.records)
+        return summarize(self.records, GeoFailoverSummary)
 
     # ------------------------------------------------------------------
     def _on_confirmed_dead(
@@ -293,26 +255,15 @@ class GeoFailoverCoordinator:
             record.began_at = loop.now
             writer = geo.secondary.writer
             deadline = record.confirmed_at + cfg.max_promotion_ms
-            process = writer.recover()
-            while True:
-                record.promotion_attempts += 1
-                while not process.finished and loop.now < deadline:
-                    yield cfg.poll_ms
-                if (
-                    process.finished
-                    and process.completion.exception() is None
-                    and writer.state is InstanceState.OPEN
-                ):
-                    break
-                if loop.now >= deadline:
-                    record.notes.append(
-                        f"promotion exceeded {cfg.max_promotion_ms:.0f}ms"
-                    )
-                    self._finish(record, STALLED)
-                    return
-                writer.state = InstanceState.CRASHED
-                yield cfg.retry_wait_ms
-                process = writer.recover()
+            opened = yield from recover_until_open(
+                writer, writer.recover(), record, deadline, cfg
+            )
+            if not opened:
+                record.notes.append(
+                    f"promotion exceeded {cfg.max_promotion_ms:.0f}ms"
+                )
+                self._finish(record, STALLED)
+                return
             record.promoted_at = loop.now
             record.recovered_vdl = writer.vdl
             self._check_epoch_dominance(record, writer)

@@ -314,8 +314,8 @@ class GeoApplier(Actor):
         self.records_applied = 0
         #: Redo chunks received in order but beyond ``primary_vdl``.
         self._pending: deque = deque()
-        #: Liveness hook: called on every primary signal (the geo health
-        #: monitor's ``note_signal`` for the primary writer).
+        #: Liveness hook: called on every primary signal (the region
+        #: detector's ``heard`` for the primary writer).
         self.on_signal: Callable[[], None] | None = None
         #: Optional :class:`repro.audit.Auditor` for the geo invariants.
         self.audit_probe = None

@@ -4,77 +4,73 @@ The paper treats membership changes as routine: "the most common reason
 for a quorum membership change is a suspected failed segment" and the
 Figure 5 machinery makes the change "reversible until the point it is
 finalized".  This package closes the loop the paper leaves to the
-operator: a :class:`HealthMonitor` turns passive signals into
-suspect/confirmed-dead verdicts, and a :class:`RepairPlanner` drives the
-Figure 5 flow autonomously -- including the rollback path when a suspect
-turns out to have been merely slow.
-
-The same machinery runs one tier up: a :class:`DbHealthMonitor` infers
-writer/replica liveness from passive database-tier signals, and a
-:class:`FailoverCoordinator` answers a confirmed writer death with a
-fenced replica promotion (section 6's "changing the locks on the door",
-driven autonomously).
+operator, as a detect-confirm-act control plane whose tiers are rows: one
+:class:`FailureDetector` turns passive signals into suspect/confirmed-dead
+verdicts (:data:`STORAGE` segments, :data:`DB` instances, the primary
+region), and each tier's acting half answers a confirmed death with a
+change the protocol makes reversible or safe -- the :class:`RepairPlanner`
+drives the Figure 5 flow, including the rollback path when a suspect turns
+out to have been merely slow; the :class:`FailoverCoordinator` answers a
+confirmed writer death with a fenced replica promotion (section 6's
+"changing the locks on the door", driven autonomously).  What they did is
+recorded per verdict and rolled up by one :func:`summarize`.
 """
 
-from repro.repair.db_health import (
-    REPLICA,
-    WRITER,
-    DbHealthConfig,
-    DbHealthMonitor,
+from repro.repair.detector import (
+    DB,
+    STORAGE,
+    FailureDetector,
+    Health,
+    Tier,
+    pg_groups,
 )
 from repro.repair.failover import (
-    FAILOVER_TERMINAL,
     PROMOTED,
     RESTARTED,
     FailoverConfig,
     FailoverCoordinator,
     FailoverRecord,
     FailoverSummary,
-    summarize_failovers,
 )
-from repro.repair.health import HealthConfig, HealthMonitor, SegmentHealth
 from repro.repair.metrics import (
     ABORTED,
     ACTIVE,
     REPLACED,
     ROLLED_BACK,
     STALLED,
-    TERMINAL_OUTCOMES,
     LatencyStats,
+    OutcomeSummary,
     RepairRecord,
     RepairSummary,
     percentile,
-    summarize_repairs,
+    summarize,
 )
 from repro.repair.planner import RepairConfig, RepairPlanner
 
 __all__ = [
     "ABORTED",
     "ACTIVE",
-    "FAILOVER_TERMINAL",
+    "DB",
     "PROMOTED",
     "REPLACED",
-    "REPLICA",
     "RESTARTED",
     "ROLLED_BACK",
     "STALLED",
-    "TERMINAL_OUTCOMES",
-    "WRITER",
-    "DbHealthConfig",
-    "DbHealthMonitor",
+    "STORAGE",
     "FailoverConfig",
     "FailoverCoordinator",
     "FailoverRecord",
     "FailoverSummary",
-    "HealthConfig",
-    "HealthMonitor",
+    "FailureDetector",
+    "Health",
     "LatencyStats",
+    "OutcomeSummary",
     "RepairConfig",
     "RepairPlanner",
     "RepairRecord",
     "RepairSummary",
-    "SegmentHealth",
+    "Tier",
     "percentile",
-    "summarize_failovers",
-    "summarize_repairs",
+    "pg_groups",
+    "summarize",
 ]

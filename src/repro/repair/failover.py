@@ -7,8 +7,8 @@ The :class:`FailoverCoordinator` closes that loop at the database tier,
 the same way :class:`~repro.repair.planner.RepairPlanner` closes it for
 storage segments:
 
-- the :class:`~repro.repair.db_health.DbHealthMonitor` confirms the
-  writer dead from passive signals;
+- the database tier's :class:`~repro.repair.detector.FailureDetector`
+  confirms the writer dead from passive signals;
 - the coordinator selects the most-caught-up healthy replica (highest
   applied VDL, preferring a different AZ than the failed writer) and
   promotes it via :meth:`~repro.db.cluster.AuroraCluster.promote_replica`;
@@ -37,28 +37,26 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.db.instance import InstanceState
-from repro.repair.db_health import WRITER
+from repro.repair.detector import Health
 from repro.repair.metrics import (
     ABORTED,
     ACTIVE,
     ROLLED_BACK,
     STALLED,
     LatencyStats,
+    OutcomeSummary,
+    summarize,
 )
 from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.cluster import AuroraCluster
-    from repro.repair.db_health import DbHealthMonitor
+    from repro.repair.detector import FailureDetector
 
 #: Failover-specific terminal outcomes (alongside the shared repair
 #: outcome vocabulary: ``rolled_back``, ``aborted``, ``stalled``).
 PROMOTED = "promoted"  #: a replica was promoted and opened as the writer
 RESTARTED = "restarted"  #: no candidate; the incumbent was restarted in place
-
-FAILOVER_TERMINAL = frozenset(
-    {PROMOTED, RESTARTED, ROLLED_BACK, ABORTED, STALLED}
-)
 
 
 @dataclass
@@ -72,9 +70,6 @@ class FailoverConfig:
     #: Pause between failed promotion-recovery attempts (a read quorum
     #: can be transiently unreachable mid-chaos).
     retry_wait_ms: float = 250.0
-    #: Attach a replacement replica after a successful promotion, keeping
-    #: the read fleet (and the next failover's candidate pool) sized.
-    replenish_replicas: bool = True
 
 
 @dataclass
@@ -133,75 +128,49 @@ class FailoverRecord:
 
 
 @dataclass
-class FailoverSummary:
+class FailoverSummary(OutcomeSummary):
     """Aggregated failover statistics for one run (or one sweep seed)."""
 
-    confirmed: int = 0
+    HEADLINE = "  failovers confirmed: "
+    OUTCOMES = (PROMOTED, RESTARTED, ROLLED_BACK, ABORTED, STALLED)
+    LATENCIES = (
+        ("  failover detection:  {}", "detection", "detection_ms"),
+        ("  promotion time:      {}", "promotion", "promotion_ms"),
+        ("  write unavailability: {}", "unavailability", "unavailability_ms"),
+    )
+
     promoted: int = 0
     restarted: int = 0
     rolled_back: int = 0
     aborted: int = 0
     stalled: int = 0
-    active: int = 0
-    detection: LatencyStats = field(default_factory=LatencyStats)
     promotion: LatencyStats = field(default_factory=LatencyStats)
     unavailability: LatencyStats = field(default_factory=LatencyStats)
 
-    def merge(self, other: "FailoverSummary") -> None:
-        self.confirmed += other.confirmed
-        self.promoted += other.promoted
-        self.restarted += other.restarted
-        self.rolled_back += other.rolled_back
-        self.aborted += other.aborted
-        self.stalled += other.stalled
-        self.active += other.active
-        self.detection.merge(other.detection)
-        self.promotion.merge(other.promotion)
-        self.unavailability.merge(other.unavailability)
 
-    def render_lines(self) -> list[str]:
-        lines = [
-            f"  failovers confirmed: {self.confirmed} "
-            f"(promoted={self.promoted} restarted={self.restarted} "
-            f"rolled_back={self.rolled_back} aborted={self.aborted} "
-            f"stalled={self.stalled} active={self.active})",
-        ]
-        if self.detection.count:
-            lines.append(
-                f"  failover detection:  {self.detection.describe()}"
-            )
-        if self.promotion.count:
-            lines.append(
-                f"  promotion time:      {self.promotion.describe()}"
-            )
-        if self.unavailability.count:
-            lines.append(
-                f"  write unavailability: {self.unavailability.describe()}"
-            )
-        return lines
-
-
-def summarize_failovers(records: list[FailoverRecord]) -> FailoverSummary:
-    summary = FailoverSummary(confirmed=len(records))
-    for record in records:
-        if record.outcome == PROMOTED:
-            summary.promoted += 1
-        elif record.outcome == RESTARTED:
-            summary.restarted += 1
-        elif record.outcome == ROLLED_BACK:
-            summary.rolled_back += 1
-        elif record.outcome == ABORTED:
-            summary.aborted += 1
-        elif record.outcome == STALLED:
-            summary.stalled += 1
-        else:
-            summary.active += 1
-        summary.detection.samples.append(record.detection_ms)
-        if record.promotion_ms is not None:
-            summary.promotion.samples.append(record.promotion_ms)
-        if record.unavailability_ms is not None:
-            summary.unavailability.samples.append(record.unavailability_ms)
-    return summary
+def recover_until_open(writer, process, record, deadline: float, cfg):
+    """Drive ``writer``'s crash recovery -- ``process``, already started --
+    until it is open for business, counting attempts on ``record`` and
+    pacing by the coordinator config's ``poll_ms`` / ``retry_wait_ms``.
+    Returns (to ``yield from``) whether it opened before ``deadline``."""
+    loop = writer.loop
+    while True:
+        record.promotion_attempts += 1
+        while not process.finished and loop.now < deadline:
+            yield cfg.poll_ms
+        if (
+            process.finished
+            and process.completion.exception() is None
+            and writer.state is InstanceState.OPEN
+        ):
+            return True
+        if loop.now >= deadline:
+            return False
+        # Recovery failed (read quorum unreachable mid-chaos): wait for
+        # faults to heal and retry on the same successor.
+        writer.state = InstanceState.CRASHED
+        yield cfg.retry_wait_ms
+        process = writer.recover()
 
 
 class FailoverCoordinator:
@@ -217,7 +186,7 @@ class FailoverCoordinator:
     def __init__(
         self,
         cluster: "AuroraCluster",
-        monitor: "DbHealthMonitor",
+        monitor: "FailureDetector",
         config: FailoverConfig | None = None,
     ) -> None:
         self.cluster = cluster
@@ -237,7 +206,7 @@ class FailoverCoordinator:
         return self._active is None
 
     def summary(self) -> FailoverSummary:
-        return summarize_failovers(self.records)
+        return summarize(self.records, FailoverSummary)
 
     # ------------------------------------------------------------------
     # Monitor callbacks
@@ -245,11 +214,11 @@ class FailoverCoordinator:
     def _on_confirmed_dead(
         self, instance_id: str, failed_at: float, confirmed_at: float
     ) -> None:
-        if self.monitor.role_of(instance_id) != WRITER:
-            return  # dead replica: read capacity lost, not availability
         writer = self.cluster.writer
         if writer is None or writer.name != instance_id:
-            return  # stale verdict about an already-replaced writer
+            # A dead replica (read capacity lost, not availability), or a
+            # stale verdict about an already-replaced writer.
+            return
         if self._active is not None:
             return  # a failover is already in flight
         self._returned.discard(instance_id)
@@ -276,8 +245,6 @@ class FailoverCoordinator:
         monitor holds confirmed-dead, or whose node is down, are skipped
         -- promoting an unreachable replica helps nobody.
         """
-        from repro.repair.health import SegmentHealth
-
         network = self.cluster.network
         failed_az = network.az_of(failed_writer)
         best: tuple | None = None
@@ -286,7 +253,7 @@ class FailoverCoordinator:
             replica = self.cluster.replicas[name]
             if not replica.online or not network.is_up(name):
                 continue
-            if self.monitor.state_of(name) is SegmentHealth.DEAD:
+            if self.monitor.state_of(name) is Health.DEAD:
                 continue
             diverse = 1 if network.az_of(name) != failed_az else 0
             rank = (replica.applied_vdl, diverse)
@@ -326,37 +293,24 @@ class FailoverCoordinator:
             record.began_at = loop.now
             candidate_vdl = cluster.replicas[candidate].applied_vdl
             new_writer, process = cluster.promote_replica(candidate)
-            while True:
-                record.promotion_attempts += 1
-                while not process.finished and loop.now < deadline:
-                    yield cfg.poll_ms
-                if (
-                    process.finished
-                    and process.completion.exception() is None
-                    and new_writer.state is InstanceState.OPEN
-                ):
-                    break
-                if loop.now >= deadline:
-                    record.notes.append(
-                        f"promotion exceeded {cfg.max_failover_ms:.0f}ms"
-                    )
-                    self._finish(record, STALLED)
-                    return
-                # Recovery failed (read quorum unreachable mid-chaos):
-                # wait for faults to heal and retry on the same successor.
-                new_writer.state = InstanceState.CRASHED
-                yield cfg.retry_wait_ms
-                process = new_writer.recover()
+            opened = yield from recover_until_open(
+                new_writer, process, record, deadline, cfg
+            )
+            if not opened:
+                record.notes.append(
+                    f"promotion exceeded {cfg.max_failover_ms:.0f}ms"
+                )
+                self._finish(record, STALLED)
+                return
             record.promoted_at = loop.now
             self._check_read_view(record, new_writer, candidate_vdl)
             if self.cluster.db_health is not None:
-                self.cluster.db_health.register_instance(
-                    new_writer.name, WRITER
-                )
+                self.cluster.db_health.track(new_writer.name)
             cluster.reattach_replicas()
-            if cfg.replenish_replicas:
-                self._replenished += 1
-                cluster.add_replica(f"failover-replica-{self._replenished}")
+            # Attach a replacement replica, keeping the read fleet (and
+            # the next failover's candidate pool) sized.
+            self._replenished += 1
+            cluster.add_replica(f"failover-replica-{self._replenished}")
             self._finish(record, PROMOTED)
         finally:
             cluster.failover_in_progress = False
@@ -384,23 +338,12 @@ class FailoverCoordinator:
             # restart discards its dead-generation in-memory state (and
             # resolves any in-flight commits as uncertain).
             writer.crash()
-        process = writer.recover()
-        while True:
-            record.promotion_attempts += 1
-            while not process.finished and loop.now < deadline:
-                yield cfg.poll_ms
-            if (
-                process.finished
-                and process.completion.exception() is None
-                and writer.state is InstanceState.OPEN
-            ):
-                break
-            if loop.now >= deadline:
-                self._finish(record, STALLED)
-                return
-            writer.state = InstanceState.CRASHED
-            yield cfg.retry_wait_ms
-            process = writer.recover()
+        opened = yield from recover_until_open(
+            writer, writer.recover(), record, deadline, cfg
+        )
+        if not opened:
+            self._finish(record, STALLED)
+            return
         record.promoted_at = loop.now
         if cluster.replicas:
             cluster.reattach_replicas()

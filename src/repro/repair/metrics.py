@@ -21,7 +21,8 @@ are exactly the ones that left the quorum exposed longest -- every
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 
 #: Repair outcomes (``RepairRecord.outcome``).
@@ -30,9 +31,6 @@ REPLACED = "replaced"  #: Figure 5 ran to finalize; candidate is the member
 ROLLED_BACK = "rolled_back"  #: incumbent returned first; transition reversed
 ABORTED = "aborted"  #: preconditions vanished before begin (no transition)
 STALLED = "stalled"  #: budget exhausted mid-transition (dual quorum stays)
-
-#: Outcomes that end a record's journey (everything except ``active``).
-TERMINAL_OUTCOMES = frozenset({REPLACED, ROLLED_BACK, ABORTED, STALLED})
 
 
 def percentile(samples: list[float], q: float) -> float | None:
@@ -128,7 +126,7 @@ class RepairRecord:
         achieved repair window look better than it was (survivorship
         bias).  None while the record is still ``active``.
         """
-        if self.outcome not in TERMINAL_OUTCOMES or self.finished_at is None:
+        if self.outcome == ACTIVE or self.finished_at is None:
             return None
         return self.finished_at - self.failed_at
 
@@ -144,81 +142,99 @@ class RepairRecord:
 
 
 @dataclass
-class RepairSummary:
-    """Aggregated repair statistics for one run (or one sweep seed)."""
+class OutcomeSummary:
+    """What one tier's acting half made of its confirmed verdicts, for one
+    run or -- merged -- a sweep.
+
+    A tier is a row: the label of the headline, the terminal outcomes it
+    counts (each one a field named as the records spell it, in print
+    order), and one ``(line, field, record property)`` per latency
+    distribution, sampled from every record whose property is not None
+    and printed once it has a sample.  The labels are literal: a report
+    reads the same whichever tier renders it.
+    """
+
+    HEADLINE: ClassVar[str]
+    OUTCOMES: ClassVar[tuple[str, ...]]
+    LATENCIES: ClassVar[tuple[tuple[str, str, str], ...]]
+    #: Label of the peak-concurrency line, for a tier that can have more
+    #: than one record in flight.
+    CONCURRENT: ClassVar[str | None] = None
 
     confirmed: int = 0
+    active: int = 0
+    #: Most records simultaneously in flight (for repairs: distinct PGs;
+    #: per-PG serialization keeps same-PG records from ever overlapping).
+    peak_concurrent: int = 0
+    #: Last liveness signal -> confirmed dead: the detector's reaction
+    #: time, which every tier measures (under its own label).
+    detection: LatencyStats = field(default_factory=LatencyStats)
+
+    def add(self, record) -> None:
+        self.confirmed += 1
+        outcome = record.outcome
+        if outcome not in self.OUTCOMES:
+            outcome = ACTIVE
+        setattr(self, outcome, getattr(self, outcome) + 1)
+        for _label, name, source in self.LATENCIES:
+            sample = getattr(record, source)
+            if sample is not None:
+                getattr(self, name).samples.append(sample)
+
+    def merge(self, other: "OutcomeSummary") -> None:
+        """Fold another seed's summary in (sweep aggregation): counts add,
+        distributions pool their samples, the peak is the highest seen."""
+        peak = max(self.peak_concurrent, other.peak_concurrent)
+        for spec in fields(self):
+            mine, theirs = getattr(self, spec.name), getattr(other, spec.name)
+            if isinstance(mine, LatencyStats):
+                mine.merge(theirs)
+            else:
+                setattr(self, spec.name, mine + theirs)
+        self.peak_concurrent = peak
+
+    def render_lines(self) -> list[str]:
+        counts = " ".join(
+            f"{name}={getattr(self, name)}"
+            for name in (*self.OUTCOMES, ACTIVE)
+        )
+        lines = [f"{self.HEADLINE}{self.confirmed} ({counts})"]
+        if self.CONCURRENT and self.peak_concurrent:
+            lines.append(self.CONCURRENT.format(self.peak_concurrent))
+        for label, name, _source in self.LATENCIES:
+            stats = getattr(self, name)
+            if stats.count:
+                lines.append(label.format(stats.describe(), summary=self))
+        return lines
+
+
+@dataclass
+class RepairSummary(OutcomeSummary):
+    """Aggregated repair statistics for one run (or one sweep seed)."""
+
+    HEADLINE = "  repairs confirmed:   "
+    OUTCOMES = (REPLACED, ROLLED_BACK, ABORTED, STALLED)
+    CONCURRENT = "  concurrent repairs:  {} peak (distinct PGs)"
+    LATENCIES = (
+        ("  detection latency:   {}", "detection", "detection_ms"),
+        ("  MTTR (replaced):     {}", "mttr", "mttr_ms"),
+        ("  resolution (all):    {}", "resolution", "resolution_ms"),
+    )
+
     replaced: int = 0
     rolled_back: int = 0
     aborted: int = 0
     stalled: int = 0
-    active: int = 0
-    #: Most repairs simultaneously in flight (distinct PGs; per-PG
-    #: serialization keeps same-PG records from ever overlapping).
-    peak_concurrent: int = 0
-    detection: LatencyStats = field(default_factory=LatencyStats)
     mttr: LatencyStats = field(default_factory=LatencyStats)
     #: Failure -> terminal outcome for every resolved record, including
     #: stalled and rolled-back attempts (no survivorship bias).
     resolution: LatencyStats = field(default_factory=LatencyStats)
 
-    # Backward-compatible scalar views.
-    @property
-    def mean_detection_ms(self) -> float | None:
-        return self.detection.mean
 
-    @property
-    def mean_mttr_ms(self) -> float | None:
-        return self.mttr.mean
+def _peak_concurrent(records: list) -> int:
+    """Max number of simultaneously in-flight records.
 
-    @property
-    def max_mttr_ms(self) -> float | None:
-        return self.mttr.max
-
-    def merge(self, other: "RepairSummary") -> None:
-        """Fold another seed's summary in (fleet sweep aggregation)."""
-        self.confirmed += other.confirmed
-        self.replaced += other.replaced
-        self.rolled_back += other.rolled_back
-        self.aborted += other.aborted
-        self.stalled += other.stalled
-        self.active += other.active
-        self.peak_concurrent = max(
-            self.peak_concurrent, other.peak_concurrent
-        )
-        self.detection.merge(other.detection)
-        self.mttr.merge(other.mttr)
-        self.resolution.merge(other.resolution)
-
-    def render_lines(self) -> list[str]:
-        lines = [
-            f"  repairs confirmed:   {self.confirmed} "
-            f"(replaced={self.replaced} rolled_back={self.rolled_back} "
-            f"aborted={self.aborted} stalled={self.stalled} "
-            f"active={self.active})",
-        ]
-        if self.peak_concurrent:
-            lines.append(
-                f"  concurrent repairs:  {self.peak_concurrent} peak "
-                f"(distinct PGs)"
-            )
-        if self.detection.count:
-            lines.append(
-                f"  detection latency:   {self.detection.describe()}"
-            )
-        if self.mttr.count:
-            lines.append(f"  MTTR (replaced):     {self.mttr.describe()}")
-        if self.resolution.count:
-            lines.append(
-                f"  resolution (all):    {self.resolution.describe()}"
-            )
-        return lines
-
-
-def _peak_concurrent(records: list[RepairRecord]) -> int:
-    """Max number of simultaneously in-flight repairs.
-
-    A repair occupies ``[began_at, finished_at)``; an unfinished record
+    A record occupies ``[began_at, finished_at)``; an unfinished record
     stays open to the end.  Departures sort before arrivals at equal
     times: a repair that starts the instant another ends did not overlap
     it.
@@ -238,24 +254,10 @@ def _peak_concurrent(records: list[RepairRecord]) -> int:
     return peak
 
 
-def summarize_repairs(records: list[RepairRecord]) -> RepairSummary:
-    """Roll a run's :class:`RepairRecord` list up into a summary."""
-    summary = RepairSummary(confirmed=len(records))
+def summarize(records: list, kind: type[OutcomeSummary]):
+    """Roll one tier's records up into its ``kind`` of summary."""
+    summary = kind()
     for record in records:
-        if record.outcome == REPLACED:
-            summary.replaced += 1
-        elif record.outcome == ROLLED_BACK:
-            summary.rolled_back += 1
-        elif record.outcome == ABORTED:
-            summary.aborted += 1
-        elif record.outcome == STALLED:
-            summary.stalled += 1
-        else:
-            summary.active += 1
-        summary.detection.samples.append(record.detection_ms)
-        if record.mttr_ms is not None:
-            summary.mttr.samples.append(record.mttr_ms)
-        if record.resolution_ms is not None:
-            summary.resolution.samples.append(record.resolution_ms)
+        summary.add(record)
     summary.peak_concurrent = _peak_concurrent(records)
     return summary

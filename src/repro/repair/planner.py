@@ -1,8 +1,8 @@
 """Quorum-set repair orchestration: Figure 5, driven end to end.
 
-When the :class:`~repro.repair.health.HealthMonitor` confirms a segment
-dead, the planner runs the paper's membership-change protocol over the
-simulated message layer:
+When the storage tier's :class:`~repro.repair.detector.FailureDetector`
+confirms a segment dead, the planner runs the paper's membership-change
+protocol over the simulated message layer:
 
 1. **begin** -- add a candidate next to the suspect (the cluster picks a
    node in the incumbent's AZ, preserving the two-per-AZ spread the AZ+1
@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.retry import Backoff, RetryPolicy
 from repro.errors import MembershipError
+from repro.repair.detector import Health
 from repro.repair.metrics import (
     ABORTED,
     REPLACED,
@@ -52,7 +53,7 @@ from repro.repair.metrics import (
     STALLED,
     RepairRecord,
     RepairSummary,
-    summarize_repairs,
+    summarize,
 )
 from repro.sim.process import Process
 from repro.storage.messages import (
@@ -63,7 +64,7 @@ from repro.storage.messages import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.cluster import AuroraCluster
-    from repro.repair.health import HealthMonitor
+    from repro.repair.detector import FailureDetector
 
 
 @dataclass
@@ -95,12 +96,12 @@ class RepairConfig:
 
 
 class RepairPlanner:
-    """Subscribes to the health monitor and drives Figure 5 repairs."""
+    """Subscribes to the storage detector and drives Figure 5 repairs."""
 
     def __init__(
         self,
         cluster: "AuroraCluster",
-        monitor: "HealthMonitor",
+        monitor: "FailureDetector",
         config: RepairConfig | None = None,
     ) -> None:
         self.cluster = cluster
@@ -136,7 +137,7 @@ class RepairPlanner:
         return self._active.get(pg_index)
 
     def summary(self) -> RepairSummary:
-        return summarize_repairs(self.records)
+        return summarize(self.records, RepairSummary)
 
     # ------------------------------------------------------------------
     # Monitor callbacks
@@ -187,11 +188,9 @@ class RepairPlanner:
             # would otherwise stay dead forever.  Requeue it while it is
             # still a confirmed-dead member; a retry resumes any
             # in-flight dual membership.
-            from repro.repair.health import SegmentHealth
-
             if self.monitor.state_of(
                 record.segment_id
-            ) is SegmentHealth.DEAD and self.cluster.metadata.is_current_member(
+            ) is Health.DEAD and self.cluster.metadata.is_current_member(
                 record.segment_id
             ):
                 retry = RepairRecord(
@@ -223,7 +222,6 @@ class RepairPlanner:
         cfg = self.config
         pg_index = record.pg_index
         segment_id = record.segment_id
-        from repro.repair.health import SegmentHealth
 
         # Preconditions may have vanished between confirmation and start
         # (a queued record's subject can recover, or another flow may
@@ -232,7 +230,7 @@ class RepairPlanner:
             record.notes.append("no longer a member at start")
             self._finish(record, ABORTED)
             return
-        if self.monitor.state_of(segment_id) is not SegmentHealth.DEAD:
+        if self.monitor.state_of(segment_id) is not Health.DEAD:
             record.notes.append("recovered before repair began")
             self._finish(record, ABORTED)
             return

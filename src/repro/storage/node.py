@@ -166,12 +166,12 @@ class StorageNode(Actor):
         #: too -- back-to-back boxcars share one ACK instead of each
         #: paying for their own wire message.
         self._pending_ack_time: dict[str, float] = {}
-        #: Optional :class:`repro.repair.HealthMonitor` observer.  Peer
-        #: liveness evidence from gossip (replies, queries, timeouts) is
-        #: reported here; ``None`` costs one attribute load, exactly like
+        #: Optional storage-tier :class:`repro.repair.FailureDetector`:
+        #: peer liveness evidence from gossip (replies, queries, timeouts)
+        #: is reported here; ``None`` costs one attribute load, exactly like
         #: ``audit_probe``.
         self.health_probe = None
-        #: Optional :class:`repro.repair.DbHealthMonitor` observer: the
+        #: Optional database-tier :class:`repro.repair.FailureDetector`: the
         #: sending instance on every write batch and GC-floor update is
         #: database-tier liveness evidence.
         self.db_health_probe = None
@@ -294,7 +294,7 @@ class StorageNode(Actor):
         if self.db_health_probe is not None:
             # Redo-stream advance: proof the sending instance is alive,
             # whether or not its epochs are current.
-            self.db_health_probe.note_signal(batch.instance_id)
+            self.db_health_probe.heard(batch.instance_id)
         if not self._check_epochs(message, batch.epochs):
             return
         if self._ingest_corruptions > 0:
@@ -447,7 +447,7 @@ class StorageNode(Actor):
 
     def _report_gossip_timeout(self, peer: str, future) -> None:
         if not future.done and self.health_probe is not None:
-            self.health_probe.note_peer_timeout(peer)
+            self.health_probe.burst(peer, "timeout")
 
     def _on_gossip_reply(self, future) -> None:
         response = future.result()
@@ -455,7 +455,7 @@ class StorageNode(Actor):
             # Any reply -- including a rejection -- proves the peer alive.
             segment_id = getattr(response, "segment_id", None)
             if segment_id is not None:
-                self.health_probe.note_peer_alive(segment_id)
+                self.health_probe.heard(segment_id)
         if not isinstance(response, GossipResponse):
             return  # rejected: our epochs were stale; we learn via writes
         scl_before = self.segment.scl
@@ -483,8 +483,9 @@ class StorageNode(Actor):
 
     def _on_gossip_query(self, message: Message, query: GossipQuery) -> None:
         if self.health_probe is not None:
-            # A query reaching us proves the querier alive, member or not.
-            self.health_probe.note_peer_alive(query.from_segment)
+            # A query reaching us proves the querier alive (the detector
+            # ignores one that is no member).
+            self.health_probe.heard(query.from_segment)
         if not self._check_epochs(message, query.epochs):
             return
         records = self.segment.records_after(
@@ -536,7 +537,7 @@ class StorageNode(Actor):
             # The GC-floor tick is the database tier's steady passive
             # heartbeat: writer and replicas advertise on a fixed interval
             # even when the workload is idle.
-            self.db_health_probe.note_signal(update.instance_id)
+            self.db_health_probe.heard(update.instance_id)
         try:
             self.epochs.check_and_learn(update.epochs)
         except StaleEpochError:

@@ -2,8 +2,9 @@
 
 Covers the database-tier failover plane end to end:
 
-- :class:`repro.repair.DbHealthMonitor` inferring writer liveness from
-  passive signals (no dedicated heartbeats), riding out grey failures;
+- the database tier's :class:`repro.repair.FailureDetector` inferring
+  writer liveness from passive signals (no dedicated heartbeats), riding
+  out grey failures;
 - :class:`repro.repair.FailoverCoordinator` promoting the most-caught-up
   healthy replica, rolling back on a false positive, and retiring the
   incumbent so nothing can resurrect it;
@@ -31,12 +32,7 @@ from repro.errors import (
     InstanceStateError,
     SimulationError,
 )
-from repro.repair import (
-    PROMOTED,
-    WRITER,
-    FailoverConfig,
-    SegmentHealth,
-)
+from repro.repair import PROMOTED, FailoverConfig, Health
 from repro.repair.metrics import ACTIVE, ROLLED_BACK
 
 
@@ -98,19 +94,19 @@ class TestDbHealthDetection:
         cluster, _auditor, _committed = _build()
         monitor = cluster.db_health
         name = cluster.writer.name
-        assert monitor.role_of(name) == WRITER
-        before = monitor.last_alive(name)
+        assert name in monitor.tracked()
+        before = monitor.last_heard(name)
         cluster.run_for(300.0)
-        assert monitor.state_of(name) is SegmentHealth.HEALTHY
+        assert monitor.state_of(name) is Health.HEALTHY
         # The GC-floor tick keeps evidence flowing even with no workload.
-        assert monitor.last_alive(name) > before
+        assert monitor.last_heard(name) > before
 
     def test_replicas_are_tracked_with_continuous_signals(self):
         cluster, _auditor, _committed = _build()
         monitor = cluster.db_health
         cluster.run_for(300.0)
         for name in cluster.replicas:
-            assert monitor.state_of(name) is SegmentHealth.HEALTHY
+            assert monitor.state_of(name) is Health.HEALTHY
 
     def test_grey_writer_is_never_confirmed_dead(self):
         cluster, auditor, _committed = _build()
@@ -316,7 +312,7 @@ class TestRetirement:
         assert not cluster.network.is_up(old_name)
         # And the monitor no longer tracks the retired identity, so late
         # gossip about it cannot re-enter the tracked set.
-        assert cluster.db_health.role_of(old_name) is None
+        assert old_name not in cluster.db_health.tracked()
 
     def test_storage_nodes_forget_the_old_writer(self):
         cluster, _auditor, _committed = _build()

@@ -2,9 +2,9 @@
 
 Covers the flap-storm fixes and the fleet harness:
 
-- the sparse-traffic regression: the adaptive monitor must cut the
-  suspect/recover transition count by >= 10x versus the legacy
-  fixed-constant monitor on the same replay;
+- the sparse-traffic regression: a keepalive-starved round-robin replay
+  (the shape that made a fixed-constant monitor flap hundreds of times)
+  costs fewer than 10 suspect/recover transitions;
 - adaptive thresholds tracking observed cadence (floor under dense
   traffic, stretched under sparse, clamped at the ceiling);
 - PG-wide quiet suppresses both suspicion and confirmation (workload
@@ -26,50 +26,31 @@ from repro import AuroraCluster
 from repro.audit import Auditor
 from repro.db.cluster import ClusterConfig
 from repro.repair import (
+    DB,
     REPLACED,
     ROLLED_BACK,
     STALLED,
-    HealthConfig,
-    HealthMonitor,
+    STORAGE,
+    FailureDetector,
+    Health,
     LatencyStats,
     RepairConfig,
-    SegmentHealth,
+    RepairRecord,
+    RepairSummary,
     percentile,
+    summarize,
 )
-from repro.repair.metrics import RepairRecord, RepairSummary, summarize_repairs
+from repro.repair import detector as detector_module
 from repro.sim.events import EventLoop
 
 MEMBERS = [f"pg0-{c}" for c in "abcdef"]
+TIERS = (STORAGE, DB)
 
 
-class _FakeMembership:
-    def __init__(self, members):
-        self.members = frozenset(members)
-
-
-class _FakePlacement:
-    def __init__(self, pg_index):
-        self.pg_index = pg_index
-
-
-class _FakeMetadata:
-    def __init__(self, members):
-        self._members = list(members)
-
-    def pg_indexes(self):
-        return [0]
-
-    def membership(self, pg_index):
-        return _FakeMembership(self._members)
-
-    def placement(self, segment_id):
-        return _FakePlacement(0)
-
-
-def _monitor(**overrides):
+def _monitor(tier=STORAGE):
     loop = EventLoop()
-    monitor = HealthMonitor(
-        loop, _FakeMetadata(MEMBERS), HealthConfig(**overrides)
+    monitor = FailureDetector(
+        loop, tier, membership=lambda: [(0, frozenset(MEMBERS))]
     )
     monitor.start()
     return loop, monitor
@@ -82,7 +63,7 @@ def _sparse_round_robin(loop, monitor, until, period_ms=100.0):
     i = 0
     while loop.now < until:
         loop.run(until=loop.now + period_ms)
-        monitor.note_ack(MEMBERS[i % len(MEMBERS)])
+        monitor.heard(MEMBERS[i % len(MEMBERS)])
         i += 1
 
 
@@ -98,100 +79,93 @@ def _transitions(monitor) -> int:
 # ----------------------------------------------------------------------
 class TestSparseTrafficRegression:
     def test_flap_storm_suppressed_10x(self):
-        # Same sparse replay against both monitors.  The legacy
-        # fixed-constant monitor flaps every member once per rotation
-        # (hundreds of transitions); the adaptive one must stay quiet.
-        legacy_loop, legacy = _monitor(adaptive=False)
-        _sparse_round_robin(legacy_loop, legacy, until=30_000.0)
-        adaptive_loop, adaptive = _monitor()
-        _sparse_round_robin(adaptive_loop, adaptive, until=30_000.0)
-
-        assert _transitions(legacy) >= 100, (
-            f"replay no longer reproduces the storm: {legacy.counters}"
-        )
-        assert _transitions(adaptive) < 10, adaptive.counters
-        assert _transitions(adaptive) * 10 <= _transitions(legacy)
-        # And neither monitor killed anyone: every member kept speaking.
-        assert legacy.counters["confirmed_dead"] == 0
-        assert adaptive.counters["confirmed_dead"] == 0
+        # A fixed 150 ms threshold flaps every member once per rotation
+        # of this replay (hundreds of transitions); thresholds derived
+        # from the observed cadence must stay quiet.
+        for tier in TIERS:
+            loop, monitor = _monitor(tier)
+            _sparse_round_robin(loop, monitor, until=30_000.0)
+            assert _transitions(monitor) < 10, monitor.counters
+            # And nobody was killed: every member kept speaking.
+            assert monitor.counters["confirmed_dead"] == 0
 
     def test_adaptive_threshold_tracks_cadence(self):
-        loop, monitor = _monitor()
-        cfg = monitor.config
-        # Dense traffic: every member acked every 25 ms -> thresholds sit
-        # at their floors, detection stays as fast as the legacy monitor.
-        t = 0.0
-        while t < 1_000.0:
-            t += 25.0
-            loop.run(until=t)
-            for member in MEMBERS:
-                monitor.note_ack(member)
-        assert monitor.suspect_threshold_ms("pg0-a") == pytest.approx(
-            cfg.suspect_silence_ms
-        )
-        assert monitor.confirm_window_ms("pg0-a") == pytest.approx(
-            cfg.confirm_after_ms
-        )
-        # Sparse traffic stretches both, up to the configured ceilings.
-        _sparse_round_robin(loop, monitor, until=10_000.0, period_ms=200.0)
-        assert (
-            monitor.suspect_threshold_ms("pg0-a") > cfg.suspect_silence_ms
-        )
-        assert monitor.confirm_window_ms("pg0-a") > cfg.confirm_after_ms
-        assert (
-            monitor.suspect_threshold_ms("pg0-a")
-            <= cfg.max_suspect_silence_ms
-        )
-        assert monitor.confirm_window_ms("pg0-a") <= cfg.max_confirm_ms
+        for tier in TIERS:
+            loop, monitor = _monitor(tier)
+            # Dense traffic: every member acked every 25 ms -> thresholds
+            # sit at their floors, detection stays fast.
+            t = 0.0
+            while t < 1_000.0:
+                t += 25.0
+                loop.run(until=t)
+                for member in MEMBERS:
+                    monitor.heard(member)
+            assert monitor.suspect_threshold_ms("pg0-a") == pytest.approx(
+                tier.suspect_floor_ms
+            )
+            assert monitor.confirm_window_ms("pg0-a") == pytest.approx(
+                tier.confirm_floor_ms
+            )
+            # Sparse traffic stretches both, up to the ceilings.
+            _sparse_round_robin(
+                loop, monitor, until=10_000.0, period_ms=200.0
+            )
+            assert (
+                tier.suspect_floor_ms
+                < monitor.suspect_threshold_ms("pg0-a")
+                <= detector_module.MAX_SUSPECT_SILENCE_MS
+            )
+            assert (
+                tier.confirm_floor_ms
+                < monitor.confirm_window_ms("pg0-a")
+                <= detector_module.MAX_CONFIRM_MS
+            )
 
     def test_quiet_pg_suspends_confirmation(self):
         # A member goes silent long enough to be suspected, then the
         # *whole* PG goes quiet (workload idle).  The frontier is stale:
         # confirming the suspect would be judging the observer, not the
-        # segment.  The legacy monitor kills it; adaptive must not.
-        outcomes = {}
-        for adaptive in (False, True):
-            loop, monitor = _monitor(adaptive=adaptive)
+        # segment.
+        for tier in TIERS:
+            loop, monitor = _monitor(tier)
             peers = [m for m in MEMBERS if m != "pg0-f"]
             t = 0.0
             while t < 500.0:  # everyone healthy, dense
                 t += 25.0
                 loop.run(until=t)
                 for member in MEMBERS:
-                    monitor.note_ack(member)
-            while t < 800.0:  # pg0-f silent while peers are heard
+                    monitor.heard(member)
+            while t < 650.0 + tier.suspect_floor_ms:  # pg0-f alone silent
                 t += 25.0
                 loop.run(until=t)
                 for member in peers:
-                    monitor.note_ack(member)
-            assert monitor.state_of("pg0-f") is SegmentHealth.SUSPECT
+                    monitor.heard(member)
+            assert monitor.state_of("pg0-f") is Health.SUSPECT
             loop.run(until=t + 10_000.0)  # total silence: workload idle
-            outcomes[adaptive] = monitor.counters["confirmed_dead"]
-            if adaptive:
-                assert monitor.state_of("pg0-f") is SegmentHealth.SUSPECT
-        assert outcomes[False] == 1  # the bug this PR fixes
-        assert outcomes[True] == 0
+            assert monitor.counters["confirmed_dead"] == 0
+            assert monitor.state_of("pg0-f") is Health.SUSPECT
 
     def test_dead_segment_still_detected_under_sparse_traffic(self):
         # Adaptive hysteresis must not turn into blindness: a member that
         # stops speaking while its peers keep the sparse cadence is still
         # confirmed dead -- later than under dense traffic, but surely.
-        loop, monitor = _monitor()
-        deaths = []
-        monitor.on_confirmed_dead.append(
-            lambda seg, failed_at, now: deaths.append(seg)
-        )
-        _sparse_round_robin(loop, monitor, until=5_000.0)
-        peers = [m for m in MEMBERS if m != "pg0-f"]
-        i = 0
-        while loop.now < 40_000.0 and not deaths:
-            loop.run(until=loop.now + 100.0)
-            monitor.note_ack(peers[i % len(peers)])
-            i += 1
-        assert deaths == ["pg0-f"]
-        assert monitor.state_of("pg0-f") is SegmentHealth.DEAD
-        for peer in peers:
-            assert monitor.state_of(peer) is not SegmentHealth.DEAD
+        for tier in TIERS:
+            loop, monitor = _monitor(tier)
+            deaths = []
+            monitor.on_confirmed_dead.append(
+                lambda seg, failed_at, now: deaths.append(seg)
+            )
+            _sparse_round_robin(loop, monitor, until=5_000.0)
+            peers = [m for m in MEMBERS if m != "pg0-f"]
+            i = 0
+            while loop.now < 40_000.0 and not deaths:
+                loop.run(until=loop.now + 100.0)
+                monitor.heard(peers[i % len(peers)])
+                i += 1
+            assert deaths == ["pg0-f"]
+            assert monitor.state_of("pg0-f") is Health.DEAD
+            for peer in peers:
+                assert monitor.state_of(peer) is not Health.DEAD
 
 
 # ----------------------------------------------------------------------
@@ -201,21 +175,21 @@ class TestBoundedBurstHistory:
     def test_hedge_and_timeout_history_pruned_on_intake(self):
         loop, monitor = _monitor()
         loop.run(until=50.0)  # let the first tick create segment states
-        entry = monitor._states["pg0-f"]
-        window = monitor.config.burst_window_ms
+        bursts = monitor._states["pg0-f"].bursts
+        window = detector_module.BURST_WINDOW_MS
         monitor.stop()  # no more sweeps: intake must prune by itself
         t = loop.now
         for _ in range(400):
             t += 50.0
             loop.run(until=t)
-            monitor.note_hedge("pg0-f")
-            monitor.note_peer_timeout("pg0-f")
+            monitor.burst("pg0-f", "hedge")
+            monitor.burst("pg0-f", "timeout")
             bound = window / 50.0 + 1
-            assert len(entry.hedges) <= bound
-            assert len(entry.timeouts) <= bound
+            assert len(bursts["hedge"]) <= bound
+            assert len(bursts["timeout"]) <= bound
         # 400 signals went in; only the burst window's worth remains.
-        assert len(entry.hedges) <= window / 50.0 + 1
-        assert entry.hedges[0] >= loop.now - window
+        assert len(bursts["hedge"]) <= window / 50.0 + 1
+        assert bursts["hedge"][0] >= loop.now - window
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +210,7 @@ class TestResolutionDistributions:
         replaced = self._record("pg0-a", REPLACED, 1_100.0)
         rolled = self._record("pg0-b", ROLLED_BACK, 2_100.0)
         stalled = self._record("pg0-c", STALLED, 20_100.0)
-        summary = summarize_repairs([replaced, rolled, stalled])
+        summary = summarize([replaced, rolled, stalled], RepairSummary)
         # MTTR stays replacement-only...
         assert summary.mttr.samples == [1_000.0]
         # ...but resolution sees every terminal outcome: the stalled
@@ -255,7 +229,7 @@ class TestResolutionDistributions:
             confirmed_at=600.0,
         )
         assert active.resolution_ms is None
-        summary = summarize_repairs([active])
+        summary = summarize([active], RepairSummary)
         assert summary.resolution.count == 0
         assert summary.active == 1
 
@@ -271,11 +245,11 @@ class TestResolutionDistributions:
         assert stats.max == pytest.approx(500.0)
 
     def test_summary_merge_aggregates_fleet(self):
-        a = summarize_repairs(
-            [self._record("pg0-a", REPLACED, 1_100.0)]
+        a = summarize(
+            [self._record("pg0-a", REPLACED, 1_100.0)], RepairSummary
         )
-        b = summarize_repairs(
-            [self._record("pg0-b", STALLED, 9_100.0)]
+        b = summarize(
+            [self._record("pg0-b", STALLED, 9_100.0)], RepairSummary
         )
         fleet = RepairSummary()
         fleet.merge(a)
@@ -292,7 +266,7 @@ class TestResolutionDistributions:
         b = self._record("pg0-b", REPLACED, 1_500.0)
         c = self._record("pg0-c", REPLACED, 2_000.0)
         a.began_at, b.began_at, c.began_at = 600.0, 900.0, 1_000.0
-        summary = summarize_repairs([a, b, c])
+        summary = summarize([a, b, c], RepairSummary)
         assert summary.peak_concurrent == 2
 
 

@@ -25,12 +25,11 @@ from repro.analysis.rpo_rto import (
 )
 from repro.geo import ASYNC, SYNC, GeoCluster, GeoConfig
 from repro.geo.failover import (
-    GEO_TERMINAL,
     PROMOTED,
     GeoFailoverRecord,
-    summarize_geo_failovers,
+    GeoFailoverSummary,
 )
-from repro.repair import HealthMonitor
+from repro.repair import STORAGE, FailureDetector, pg_groups, summarize
 from repro.sim.chaos import (
     REGION_LOSS,
     REGION_PARTITION,
@@ -172,7 +171,10 @@ def test_stream_stall_and_brownout_do_not_promote():
     geo.run_for(1000.0)
     assert geo.applier.lag == 0
     # Any failover the monitor did start must have stood down.
-    assert all(r.outcome in GEO_TERMINAL for r in geo.geo_failover.records)
+    assert all(
+        r.outcome in GeoFailoverSummary.OUTCOMES
+        for r in geo.geo_failover.records
+    )
     assert not any(r.outcome == PROMOTED for r in geo.geo_failover.records)
 
 
@@ -197,11 +199,13 @@ def test_replication_lag_error_is_session_retryable():
 
 
 # ----------------------------------------------------------------------
-# HealthMonitor.retire: teardown is permanent, not a death judgment
+# FailureDetector.retire: teardown is permanent, not a death judgment
 # ----------------------------------------------------------------------
 def test_retired_segment_never_resurrected_or_judged():
     geo = GeoCluster.build(GeoConfig(seed=5))
-    monitor = HealthMonitor(geo.loop, geo.primary.metadata)
+    monitor = FailureDetector(
+        geo.loop, STORAGE, membership=pg_groups(geo.primary.metadata)
+    )
     for node in geo.primary.nodes.values():
         node.health_probe = monitor
     monitor.start()
@@ -210,18 +214,17 @@ def test_retired_segment_never_resurrected_or_judged():
         db.write(f"k{i}", f"v{i}")
     geo.run_for(2000.0)
     victim = sorted(geo.primary.nodes)[0]
-    assert monitor.last_alive(victim) is not None
+    assert monitor.last_heard(victim) is not None
     monitor.retire(victim)
-    assert monitor.is_retired(victim)
-    assert monitor.last_alive(victim) is None
+    assert monitor.last_heard(victim) is None
     # The node keeps gossiping (teardown, not death) -- late signals
     # must be ignored, and metadata still listing it must not re-track
     # it on the sweep's membership re-scan.
     for i in range(5):
         db.write(f"r{i}", f"v{i}")
         geo.run_for(1000.0)
-    assert monitor.last_alive(victim) is None
-    assert victim not in monitor._states
+    assert monitor.last_heard(victim) is None
+    assert victim not in monitor.tracked()
     # And silence from it is never judged: no ghost confirmations.
     assert not any(victim == target for _, _, target in monitor.events)
     assert monitor.counters["confirmed_dead"] == 0
@@ -358,7 +361,7 @@ def test_rpo_rto_from_records_splits_modes():
     assert report.rpo is not None
     assert report.rpo.max_ms == pytest.approx(800.0)
     assert report.ok
-    summary = summarize_geo_failovers(records)
+    summary = summarize(records, GeoFailoverSummary)
     assert summary.confirmed == 3
 
 

@@ -2,9 +2,8 @@
 
 Covers the three layers separately and end to end:
 
-- :class:`repro.repair.HealthMonitor` unit behaviour against a fake
-  metadata service (relative silence, grey failures, false-positive
-  backoff);
+- :class:`repro.repair.FailureDetector` unit behaviour on both tier rows
+  (relative silence, grey failures, false-positive backoff);
 - :class:`repro.repair.RepairPlanner` driving Figure 5 on a live cluster
   (replacement of a genuinely dead segment, rollback when the incumbent
   returns, per-PG serialization under a double fault);
@@ -22,52 +21,34 @@ from repro import AuroraCluster
 from repro.audit import Auditor
 from repro.audit.auditor import AuditError
 from repro.repair import (
+    DB,
     REPLACED,
     ROLLED_BACK,
-    HealthConfig,
-    HealthMonitor,
-    SegmentHealth,
+    STORAGE,
+    FailureDetector,
+    Health,
+    RepairSummary,
+    summarize,
 )
-from repro.repair.metrics import ACTIVE, RepairRecord, summarize_repairs
+from repro.repair import detector as detector_module
+from repro.repair.metrics import ACTIVE, RepairRecord
 from repro.sim.events import EventLoop
 
 MEMBERS = [f"pg0-{c}" for c in "abcdef"]
+#: The verdict machine is one class; every behaviour below holds on each
+#: tier row (tests/test_detector.py pins the exact transitions per row).
+TIERS = (STORAGE, DB)
 
 
 # ----------------------------------------------------------------------
-# Health monitor (unit, against a fake metadata service)
+# Failure detector (unit, one group of six behind a fixed membership)
 # ----------------------------------------------------------------------
-class _FakeMembership:
-    def __init__(self, members):
-        self.members = frozenset(members)
-
-
-class _FakePlacement:
-    def __init__(self, pg_index):
-        self.pg_index = pg_index
-
-
-class _FakeMetadata:
-    """Just enough of StorageMetadataService for the monitor."""
-
-    def __init__(self, members):
-        self._members = list(members)
-
-    def pg_indexes(self):
-        return [0]
-
-    def membership(self, pg_index):
-        return _FakeMembership(self._members)
-
-    def placement(self, segment_id):
-        return _FakePlacement(0)
-
-
 class TestHealthMonitor:
-    def _monitor(self, **overrides):
+    def _monitor(self, tier):
         loop = EventLoop()
-        config = HealthConfig(**overrides)
-        monitor = HealthMonitor(loop, _FakeMetadata(MEMBERS), config)
+        monitor = FailureDetector(
+            loop, tier, membership=lambda: [(0, frozenset(MEMBERS))]
+        )
         monitor.start()
         return loop, monitor
 
@@ -78,85 +59,95 @@ class TestHealthMonitor:
             t = min(t + every, until)
             loop.run(until=t)
             for segment in alive:
-                monitor.note_ack(segment)
+                monitor.heard(segment)
 
     def test_mass_silence_suspects_nobody(self):
         # Writer crash / total partition: every segment goes quiet at
         # once.  Relative silence never accrues, so no churn.
-        loop, monitor = self._monitor()
-        self._pump(loop, monitor, until=100.0, alive=MEMBERS)
-        self._pump(loop, monitor, until=5_000.0, alive=())
-        assert all(
-            monitor.state_of(m) is SegmentHealth.HEALTHY for m in MEMBERS
-        )
-        assert monitor.counters["suspected"] == 0
+        for tier in TIERS:
+            loop, monitor = self._monitor(tier)
+            self._pump(loop, monitor, until=100.0, alive=MEMBERS)
+            self._pump(loop, monitor, until=5_000.0, alive=())
+            assert all(
+                monitor.state_of(m) is Health.HEALTHY for m in MEMBERS
+            )
+            assert monitor.counters["suspected"] == 0
 
     def test_silent_segment_confirmed_dead(self):
-        loop, monitor = self._monitor()
-        deaths = []
-        monitor.on_confirmed_dead.append(
-            lambda seg, failed_at, now: deaths.append((seg, failed_at, now))
-        )
-        peers = [m for m in MEMBERS if m != "pg0-f"]
-        self._pump(loop, monitor, until=100.0, alive=MEMBERS)
-        self._pump(loop, monitor, until=2_000.0, alive=peers)
-        assert monitor.state_of("pg0-f") is SegmentHealth.DEAD
-        assert [d[0] for d in deaths] == ["pg0-f"]
-        seg, failed_at, confirmed_at = deaths[0]
-        assert failed_at <= 100.0 < confirmed_at
-        # Everyone else stayed healthy throughout.
-        assert all(
-            monitor.state_of(m) is SegmentHealth.HEALTHY for m in peers
-        )
+        for tier in TIERS:
+            loop, monitor = self._monitor(tier)
+            deaths = []
+            monitor.on_confirmed_dead.append(
+                lambda seg, failed_at, now: deaths.append(
+                    (seg, failed_at, now)
+                )
+            )
+            peers = [m for m in MEMBERS if m != "pg0-f"]
+            self._pump(loop, monitor, until=100.0, alive=MEMBERS)
+            self._pump(loop, monitor, until=2_000.0, alive=peers)
+            assert monitor.state_of("pg0-f") is Health.DEAD
+            assert [d[0] for d in deaths] == ["pg0-f"]
+            seg, failed_at, confirmed_at = deaths[0]
+            assert failed_at <= 100.0 < confirmed_at
+            # Everyone else stayed healthy throughout.
+            assert all(
+                monitor.state_of(m) is Health.HEALTHY for m in peers
+            )
 
     def test_signal_revives_suspect(self):
-        loop, monitor = self._monitor()
-        peers = [m for m in MEMBERS if m != "pg0-f"]
-        self._pump(loop, monitor, until=100.0, alive=MEMBERS)
-        # Long enough to suspect, short enough not to confirm.
-        self._pump(loop, monitor, until=400.0, alive=peers)
-        assert monitor.state_of("pg0-f") is SegmentHealth.SUSPECT
-        monitor.note_ack("pg0-f")
-        assert monitor.state_of("pg0-f") is SegmentHealth.HEALTHY
-        assert monitor.counters["recovered_suspects"] >= 1
-        assert monitor.counters["confirmed_dead"] == 0
+        for tier in TIERS:
+            loop, monitor = self._monitor(tier)
+            peers = [m for m in MEMBERS if m != "pg0-f"]
+            self._pump(loop, monitor, until=100.0, alive=MEMBERS)
+            # Long enough to suspect, short enough not to confirm.
+            self._pump(
+                loop, monitor, until=250.0 + tier.suspect_floor_ms,
+                alive=peers,
+            )
+            assert monitor.state_of("pg0-f") is Health.SUSPECT
+            monitor.heard("pg0-f")
+            assert monitor.state_of("pg0-f") is Health.HEALTHY
+            assert monitor.counters["recovered_suspects"] >= 1
+            assert monitor.counters["confirmed_dead"] == 0
 
     def test_grey_segment_never_graduates_past_suspect(self):
         # Hedge bursts make a segment SUSPECT, but confirmation demands
         # *ack* silence: a slow-but-acknowledging segment is never DEAD.
-        loop, monitor = self._monitor()
-        self._pump(loop, monitor, until=100.0, alive=MEMBERS)
-        t = loop.now
-        while t < 4_000.0:
-            t += 50.0
-            loop.run(until=t)
-            for segment in MEMBERS:
-                monitor.note_ack(segment)
-            for _ in range(2):
-                monitor.note_hedge("pg0-f")
-        assert monitor.counters["suspected"] >= 1
-        assert monitor.state_of("pg0-f") is not SegmentHealth.DEAD
-        assert monitor.counters["confirmed_dead"] == 0
+        for tier in TIERS:
+            loop, monitor = self._monitor(tier)
+            self._pump(loop, monitor, until=100.0, alive=MEMBERS)
+            t = loop.now
+            while t < 4_000.0:
+                t += 50.0
+                loop.run(until=t)
+                for segment in MEMBERS:
+                    monitor.heard(segment)
+                for _ in range(2):
+                    monitor.burst("pg0-f", "hedge")
+            assert monitor.counters["suspected"] >= 1
+            assert monitor.state_of("pg0-f") is not Health.DEAD
+            assert monitor.counters["confirmed_dead"] == 0
 
     def test_false_positive_backs_off_confirmation(self):
-        loop, monitor = self._monitor()
-        peers = [m for m in MEMBERS if m != "pg0-f"]
-        self._pump(loop, monitor, until=100.0, alive=MEMBERS)
-        self._pump(loop, monitor, until=2_000.0, alive=peers)
-        assert monitor.state_of("pg0-f") is SegmentHealth.DEAD
-        base_confirm = monitor.config.confirm_after_ms
-        monitor.note_ack("pg0-f")  # the "dead" segment speaks
-        assert monitor.state_of("pg0-f") is SegmentHealth.HEALTHY
-        assert monitor.counters["false_positives"] == 1
-        entry = monitor._states["pg0-f"]
-        assert entry.confirm_ms == pytest.approx(
-            base_confirm * monitor.config.false_positive_backoff
-        )
-        # And the backoff is capped.
-        for _ in range(20):
-            entry.state = SegmentHealth.DEAD
-            monitor.note_ack("pg0-f")
-        assert entry.confirm_ms <= monitor.config.max_confirm_ms
+        for tier in TIERS:
+            loop, monitor = self._monitor(tier)
+            peers = [m for m in MEMBERS if m != "pg0-f"]
+            self._pump(loop, monitor, until=100.0, alive=MEMBERS)
+            self._pump(loop, monitor, until=2_000.0, alive=peers)
+            assert monitor.state_of("pg0-f") is Health.DEAD
+            monitor.heard("pg0-f")  # the "dead" segment speaks
+            assert monitor.state_of("pg0-f") is Health.HEALTHY
+            assert monitor.counters["false_positives"] == 1
+            entry = monitor._states["pg0-f"]
+            assert entry.confirm_ms == pytest.approx(
+                tier.confirm_floor_ms
+                * detector_module.FALSE_POSITIVE_BACKOFF
+            )
+            # And the backoff is capped.
+            for _ in range(20):
+                entry.state = Health.DEAD
+                monitor.heard("pg0-f")
+            assert entry.confirm_ms <= detector_module.MAX_CONFIRM_MS
 
 
 # ----------------------------------------------------------------------
@@ -302,40 +293,6 @@ class TestSelfHealing:
 
 
 # ----------------------------------------------------------------------
-# End-of-run census: last-heard entries are held for tracked segments only
-# ----------------------------------------------------------------------
-def test_last_heard_census_after_an_audit_run(monkeypatch):
-    """At the parent a replaced member's state was dropped but never its
-    last-heard entry (75 entries for 60 tracked segments after the fleet
-    profile's seed 3 at 1500 steps, one more per repair), and a segment
-    nobody tracked could add one by gossiping -- all of it input to
-    ``freshest_signal``, the db and geo tiers' proof that the observer is
-    alive."""
-    from repro.audit.runner import AuditRunConfig, run_audit
-
-    monitors = []
-    arm_healer = AuroraCluster.arm_healer
-
-    def capturing(self, *args, **kwargs):
-        monitors.append(arm_healer(self, *args, **kwargs)[0])
-        return monitors[-1], self.healer
-
-    monkeypatch.setattr(AuroraCluster, "arm_healer", capturing)
-    report = run_audit(AuditRunConfig(seed=7, steps=300))
-    assert report.ok and report.repairs.replaced >= 1, report.render()
-    (monitor,) = monitors
-    metadata = monitor.metadata
-    members = {
-        m
-        for pg_index in metadata.pg_indexes()
-        for m in metadata.membership(pg_index).members
-    }
-    monitor._tick()  # one more sweep: tracking follows membership
-    assert set(monitor._states) == members
-    assert set(monitor._last_alive) == members
-
-
-# ----------------------------------------------------------------------
 # Repair metrics
 # ----------------------------------------------------------------------
 class TestRepairMetrics:
@@ -357,11 +314,11 @@ class TestRepairMetrics:
         assert replaced.detection_ms == pytest.approx(600.0)
         assert rolled.mttr_ms is None
 
-        summary = summarize_repairs([replaced, rolled])
+        summary = summarize([replaced, rolled], RepairSummary)
         assert summary.confirmed == 2
         assert summary.replaced == 1
         assert summary.rolled_back == 1
-        assert summary.mean_mttr_ms == pytest.approx(800.0)
+        assert summary.mttr.mean == pytest.approx(800.0)
         assert any("MTTR" in line for line in summary.render_lines())
 
 
@@ -467,7 +424,7 @@ class TestRejectionResubmit:
         _pump(cluster, session, steps=40)
         # The rejecting segment was never suspected dead, and no repair
         # was started against it.
-        assert monitor.state_of("pg0-a") is not SegmentHealth.DEAD
+        assert monitor.state_of("pg0-a") is not Health.DEAD
         assert not any(r.segment_id == "pg0-a" for r in planner.records)
 
 
