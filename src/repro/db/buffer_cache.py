@@ -106,7 +106,12 @@ class BufferCache:
     def apply_change(
         self, block: int, image: dict[Any, Any], lsn: int
     ) -> CachedBlock:
-        """Update a cached block in place with a new redo application."""
+        """Update a cached block in place with a new redo application.
+
+        Redo apply is not a reference: the block keeps its LRU position
+        (on a replica the writer's writes would otherwise renew blocks no
+        reader of the replica asked for).
+        """
         cached = self._blocks.get(block)
         if cached is None:
             raise ConfigurationError(
@@ -119,7 +124,6 @@ class BufferCache:
             )
         cached.image = image
         cached.latest_lsn = lsn
-        self._blocks.move_to_end(block)
         return cached
 
     def pin(self, block: int) -> None:
@@ -134,20 +138,22 @@ class BufferCache:
             raise ConfigurationError(f"unbalanced unpin of block {block}")
         cached.pinned -= 1
 
+    def _evict_one(self, vdl: int) -> bool:
+        """Discard the least recently used evictable block, if there is one."""
+        for block, cached in self._blocks.items():
+            if cached.is_evictable(vdl):
+                del self._blocks[block]
+                self.stats.evictions += 1
+                return True
+        return False
+
     def _make_room(self, vdl: int) -> None:
         while len(self._blocks) >= self.capacity:
-            victim = None
-            for block, cached in self._blocks.items():
-                if cached.is_evictable(vdl):
-                    victim = block
-                    break
-            if victim is None:
+            if not self._evict_one(vdl):
                 # Nothing evictable: every block is pinned or ahead of the
                 # VDL.  Over-fill rather than violate the WAL invariant.
                 self.stats.eviction_blocked += 1
                 return
-            del self._blocks[victim]
-            self.stats.evictions += 1
 
     def shrink(self, vdl: int) -> int:
         """Re-enforce capacity after a WAL-blocked over-fill.
@@ -157,16 +163,7 @@ class BufferCache:
         evicted.
         """
         evicted = 0
-        while len(self._blocks) > self.capacity:
-            victim = None
-            for block, cached in self._blocks.items():
-                if cached.is_evictable(vdl):
-                    victim = block
-                    break
-            if victim is None:
-                return evicted
-            del self._blocks[victim]
-            self.stats.evictions += 1
+        while len(self._blocks) > self.capacity and self._evict_one(vdl):
             evicted += 1
         return evicted
 
