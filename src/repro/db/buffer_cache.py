@@ -16,7 +16,7 @@ definition -- storage can regenerate it -- so eviction is a pure discard.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.lsn import NULL_LSN
@@ -31,10 +31,9 @@ class CachedBlock:
     image: dict[Any, Any]
     #: LSN of the newest redo applied to this cached image.
     latest_lsn: int = NULL_LSN
-    pinned: int = 0
 
     def is_evictable(self, vdl: int) -> bool:
-        return self.pinned == 0 and self.latest_lsn <= vdl
+        return self.latest_lsn <= vdl
 
 
 @dataclass
@@ -43,7 +42,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     eviction_blocked: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def hit_rate(self) -> float:
@@ -126,18 +124,6 @@ class BufferCache:
         cached.latest_lsn = lsn
         return cached
 
-    def pin(self, block: int) -> None:
-        cached = self._blocks.get(block)
-        if cached is None:
-            raise ConfigurationError(f"cannot pin uncached block {block}")
-        cached.pinned += 1
-
-    def unpin(self, block: int) -> None:
-        cached = self._blocks.get(block)
-        if cached is None or cached.pinned == 0:
-            raise ConfigurationError(f"unbalanced unpin of block {block}")
-        cached.pinned -= 1
-
     def _evict_one(self, vdl: int) -> bool:
         """Discard the least recently used evictable block, if there is one."""
         for block, cached in self._blocks.items():
@@ -150,8 +136,8 @@ class BufferCache:
     def _make_room(self, vdl: int) -> None:
         while len(self._blocks) >= self.capacity:
             if not self._evict_one(vdl):
-                # Nothing evictable: every block is pinned or ahead of the
-                # VDL.  Over-fill rather than violate the WAL invariant.
+                # Nothing evictable: every block is ahead of the VDL.
+                # Over-fill rather than violate the WAL invariant.
                 self.stats.eviction_blocked += 1
                 return
 

@@ -113,20 +113,6 @@ class TestBufferCache:
         assert cache.evict(1, vdl=10)
         assert 1 not in cache
 
-    def test_pinned_blocks_never_evict(self):
-        cache = BufferCache(capacity=4)
-        cache.install(1, {}, latest_lsn=1, vdl=10)
-        cache.pin(1)
-        assert not cache.evict(1, vdl=10)
-        cache.unpin(1)
-        assert cache.evict(1, vdl=10)
-
-    def test_unbalanced_unpin_rejected(self):
-        cache = BufferCache()
-        cache.install(1, {}, 1, 10)
-        with pytest.raises(ConfigurationError):
-            cache.unpin(1)
-
     def test_apply_change_moves_block_forward_only(self):
         cache = BufferCache()
         cache.install(1, {"v": 0}, latest_lsn=5, vdl=5)
