@@ -97,14 +97,16 @@ class TestBufferCache:
         assert cache.stats.eviction_blocked == 1
         assert len(cache) == 2
 
-    def test_clean_blocks_evict_lru_first(self):
-        cache = BufferCache(capacity=2)
-        cache.install(1, {}, latest_lsn=1, vdl=10)
-        cache.install(2, {}, latest_lsn=2, vdl=10)
-        cache.lookup(1)  # touch 1: now 2 is LRU
-        cache.install(3, {}, latest_lsn=3, vdl=10)
-        assert 2 not in cache
-        assert 1 in cache and 3 in cache
+    def test_probation_goes_first_oldest_first(self):
+        cache = BufferCache(capacity=4)
+        for block in (1, 2, 3, 4):
+            cache.install(block, {}, latest_lsn=block, vdl=10)
+        cache.lookup(2)  # read again: 2 is protected
+        for newcomer, victim in ((5, 1), (6, 3), (7, 4)):
+            assert cache.lookup(newcomer) is None
+            cache.install(newcomer, {}, latest_lsn=newcomer, vdl=10)
+            assert victim not in cache
+        assert cache.blocks() == [5, 6, 7, 2]
 
     def test_explicit_evict_respects_invariant(self):
         cache = BufferCache(capacity=4)
