@@ -141,7 +141,7 @@ class BufferCache:
         not kept: it is clean, so storage can serve it again, and it has
         been read no more often than the block it would push out.
         """
-        cached = self.peek(block)
+        cached = self._protected.get(block) or self._probation.get(block)
         if cached is not None:
             if latest_lsn >= cached.latest_lsn:
                 cached.image = image
@@ -174,7 +174,7 @@ class BufferCache:
         segment (on a replica the writer's writes would otherwise renew
         blocks no reader of the replica asked for).
         """
-        cached = self.peek(block)
+        cached = self._protected.get(block) or self._probation.get(block)
         if cached is None:
             raise ConfigurationError(
                 f"block {block} must be cached before modification"
@@ -217,7 +217,11 @@ class BufferCache:
         evicted.
         """
         evicted = 0
-        while len(self) > self.capacity and self._evict_one(vdl):
+        capacity = self.capacity  # every VDL advance comes through here
+        while (
+            len(self._probation) + len(self._protected) > capacity
+            and self._evict_one(vdl)
+        ):
             evicted += 1
         return evicted
 

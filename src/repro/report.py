@@ -13,6 +13,38 @@ from typing import Any
 from repro.db.cluster import AuroraCluster
 
 
+def _pool_report(instance) -> dict[str, Any]:
+    """One instance's buffer pool and the storage reads its misses cost."""
+    cache, reads = instance.cache, instance.driver.stats
+    probation, protected = cache.segment_sizes()
+    return {
+        "cache": {
+            "blocks": len(cache),
+            "probation": probation,
+            "protected": protected,
+            "hit_rate": round(cache.stats.hit_rate, 4),
+            "evictions": cache.stats.evictions,
+            "declined": cache.stats.declined,
+        },
+        "reads": {
+            "issued": reads.reads_issued,
+            "completed": reads.reads_completed,
+            "hedges": reads.hedges_issued,
+        },
+    }
+
+
+def _format_pool(instance: dict[str, Any]) -> str:
+    cache, reads = instance["cache"], instance["reads"]
+    return (
+        f"cache: {cache['blocks']} blocks ({cache['probation']} probation / "
+        f"{cache['protected']} protected), hit rate {cache['hit_rate']:.1%}, "
+        f"{cache['evictions']} evictions, {cache['declined']} declined | "
+        f"storage reads: {reads['completed']}/{reads['issued']} "
+        f"({reads['hedges']} hedged)"
+    )
+
+
 def cluster_report(cluster: AuroraCluster) -> dict[str, Any]:
     """Structured snapshot of a cluster's observable state."""
     writer = cluster.writer
@@ -74,22 +106,14 @@ def cluster_report(cluster: AuroraCluster) -> dict[str, Any]:
                 "acknowledged": writer.stats.commits_acknowledged,
                 "queue_depth": driver.commit_queue.depth,
             },
-            "cache": {
-                "blocks": len(writer.cache),
-                "hit_rate": round(writer.cache.stats.hit_rate, 4),
-                "evictions": writer.cache.stats.evictions,
-            },
-            "reads": {
-                "issued": driver.stats.reads_issued,
-                "completed": driver.stats.reads_completed,
-                "hedges": driver.stats.hedges_issued,
-            },
+            **_pool_report(writer),
         },
         "replicas": {
             name: {
                 "applied_vdl": replica.applied_vdl,
                 "lag": replica.replica_lag,
                 "chunks_applied": replica.stats.chunks_applied,
+                **_pool_report(replica),
             }
             for name, replica in cluster.replicas.items()
         },
@@ -128,14 +152,7 @@ def format_report(report: dict[str, Any]) -> str:
         f"acked, queue depth {commits['queue_depth']}; "
         f"active txns {writer['active_txns']}"
     )
-    cache = writer["cache"]
-    reads = writer["reads"]
-    lines.append(
-        f"  cache: {cache['blocks']} blocks, hit rate "
-        f"{cache['hit_rate']:.1%}, {cache['evictions']} evictions | "
-        f"storage reads: {reads['completed']}/{reads['issued']} "
-        f"({reads['hedges']} hedged)"
-    )
+    lines.append(f"  {_format_pool(writer)}")
     for pg_index, pg in report["protection_groups"].items():
         override = " [quorum override]" if pg["quorum_override"] else ""
         lines.append(
@@ -158,6 +175,7 @@ def format_report(report: dict[str, Any]) -> str:
                 f"    {name}: applied_vdl={replica['applied_vdl']} "
                 f"lag={replica['lag']} chunks={replica['chunks_applied']}"
             )
+            lines.append(f"      {_format_pool(replica)}")
     network = report["network"]
     lines.append(
         f"  network: {network['sent']} sent / {network['delivered']} "

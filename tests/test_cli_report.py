@@ -43,6 +43,38 @@ class TestClusterReport:
         assert "pg0-a" in text
         assert "network:" in text
 
+    def test_every_instance_reports_its_own_pool(self):
+        """A replica whose pool is smaller than the index re-reads it from
+        storage; that shows on the replica's line, not the writer's."""
+        from repro import AuroraCluster, ClusterConfig
+
+        config = ClusterConfig(seed=3)
+        config.replica.cache_capacity = 4
+        cluster = AuroraCluster.build(config)
+        cluster.add_replica("r1")
+        db = cluster.session()
+        db.write_many({f"key{i:03d}": i for i in range(120)})
+        cluster.run_for(30)
+        reader = cluster.replica_session("r1")
+        for i in range(0, 120, 3):
+            assert reader.get(f"key{i:03d}") == i
+        report = cluster_report(cluster)
+        pool = report["replicas"]["r1"]["cache"]
+        stats = cluster.replicas["r1"].cache.stats
+        assert pool["blocks"] == pool["probation"] + pool["protected"] == 4
+        assert pool["declined"] == stats.declined > 0
+        assert report["replicas"]["r1"]["reads"]["issued"] >= stats.misses > 0
+        assert report["writer"]["cache"]["declined"] == 0
+        lines = format_report(report).splitlines()
+        (writer_line,) = [l for l in lines if l.startswith("  cache:")]
+        (replica_line,) = [l for l in lines if l.startswith("      cache:")]
+        assert "0 declined" in writer_line
+        assert f"{stats.declined} declined" in replica_line
+        assert (
+            f"({pool['probation']} probation / {pool['protected']} protected)"
+            in replica_line
+        )
+
     def test_report_is_json_serializable(self, cluster):
         import json
 
