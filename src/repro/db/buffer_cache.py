@@ -126,7 +126,9 @@ class BufferCache:
             }
 
     def peek(self, block: int) -> CachedBlock | None:
-        """Fetch without touching stats, order or frequency."""
+        """Fetch without touching stats, order or frequency.  (``install``
+        and ``apply_change`` run per redo record and repeat this line
+        rather than pay for the call.)"""
         return self._protected.get(block) or self._probation.get(block)
 
     def install(

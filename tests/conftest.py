@@ -49,6 +49,22 @@ def cluster() -> AuroraCluster:
 
 
 @pytest.fixture
+def built_clusters(monkeypatch) -> list:
+    """Every cluster ``AuroraCluster.build`` returns during the test, for
+    code that builds its own and does not hand it back (``run_audit``, the
+    ledger's workloads)."""
+    clusters: list[AuroraCluster] = []
+    build = vars(AuroraCluster)["build"].__func__
+
+    def capturing(cls, *args, **kwargs):
+        clusters.append(build(cls, *args, **kwargs))
+        return clusters[-1]
+
+    monkeypatch.setattr(AuroraCluster, "build", classmethod(capturing))
+    return clusters
+
+
+@pytest.fixture
 def multi_pg_cluster() -> AuroraCluster:
     """Three protection groups, 16 blocks each (forces cross-PG spread)."""
     config = ClusterConfig(pg_count=3, blocks_per_pg=16, seed=77)

@@ -433,23 +433,15 @@ def test_point_reads_beside_splitting_writers_with_a_pool_under_the_index():
     "name", ["commit_burst", "commit_trickle", "chaos_audit"]
 )
 def test_a_ledger_workload_whose_pools_never_fill_sees_no_policy(
-    name, monkeypatch
+    name, built_clusters
 ):
     """The three ledger workloads that must not move run on pools far
     larger than their trees: nothing is evicted, nothing is declined and
     no lookup is ever counted, so the policy cannot have touched them."""
     workloads = pytest.importorskip("bench.workloads")
-    clusters = []
-    build = vars(AuroraCluster)["build"].__func__
-
-    def capturing(cls, *args, **kwargs):
-        clusters.append(build(cls, *args, **kwargs))
-        return clusters[-1]
-
-    monkeypatch.setattr(AuroraCluster, "build", classmethod(capturing))
     result = workloads.WORKLOADS[name].run_round(1, scale=0.05)
     assert result.ops > 0 and not result.check_errors
-    (cluster,) = clusters
+    (cluster,) = built_clusters
     assert cluster.writer.cache.stats.hits > 0
     for instance in (cluster.writer, *cluster.replicas.values()):
         cache = instance.cache

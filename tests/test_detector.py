@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-from repro import AuroraCluster
 from repro.repair import DB, REPLACED, STORAGE, FailureDetector, Health
 from repro.repair import detector as detector_module
 from repro.sim.events import EventLoop
@@ -489,7 +488,7 @@ def test_planted_mutant_is_caught(mutant, tier_name, monkeypatch):
 # ----------------------------------------------------------------------
 # End-of-run census: only tracked subjects have a last-heard time
 # ----------------------------------------------------------------------
-def test_last_heard_census_after_an_audit_run(monkeypatch):
+def test_last_heard_census_after_an_audit_run(built_clusters):
     """At PR 18 a replaced member's state was dropped but never its
     last-heard entry (75 entries for 60 tracked segments after the fleet
     profile's seed 3 at 1500 steps, one more per repair), and a segment
@@ -500,17 +499,9 @@ def test_last_heard_census_after_an_audit_run(monkeypatch):
     and a replaced member answers ``None``."""
     from repro.audit.runner import AuditRunConfig, run_audit
 
-    clusters = []
-    build = vars(AuroraCluster)["build"].__func__
-
-    def capturing(cls, *args, **kwargs):
-        clusters.append(build(cls, *args, **kwargs))
-        return clusters[-1]
-
-    monkeypatch.setattr(AuroraCluster, "build", classmethod(capturing))
     report = run_audit(AuditRunConfig(seed=7, steps=300))
     assert report.ok, report.render()
-    (cluster,) = clusters
+    (cluster,) = built_clusters
     replaced = [
         r.segment_id for r in cluster.healer.records if r.outcome == REPLACED
     ]

@@ -227,7 +227,7 @@ class TestHedgedReads:
         assert replica.views.active_count == 0
 
     def test_no_read_is_left_hanging_at_the_end_of_a_chaos_run(
-        self, monkeypatch
+        self, built_clusters
     ):
         """End-of-run census of the audit run that found the bug: at the
         parent, seed 5 ended with five reads on ``replica-1`` outstanding
@@ -236,17 +236,9 @@ class TestHedgedReads:
         """
         from repro.audit.runner import AuditRunConfig, run_audit
 
-        clusters = []
-        build = vars(AuroraCluster)["build"].__func__
-
-        def capturing(cls, *args, **kwargs):
-            clusters.append(build(cls, *args, **kwargs))
-            return clusters[-1]
-
-        monkeypatch.setattr(AuroraCluster, "build", classmethod(capturing))
         report = run_audit(AuditRunConfig(seed=5, steps=3000))
         assert report.ok, report.render()
-        (cluster,) = clusters
+        (cluster,) = built_clusters
         now = cluster.loop.now
         for instance in (cluster.writer, *cluster.replicas.values()):
             driver = instance.driver
