@@ -49,6 +49,8 @@ class CachedBlock:
     image: dict[Any, Any]
     #: LSN of the newest redo applied to this cached image.
     latest_lsn: int = NULL_LSN
+    #: Which segment orders it: earned by a second read, lost by overflow.
+    protected: bool = False
 
     def is_evictable(self, vdl: int) -> bool:
         return self.latest_lsn <= vdl
@@ -78,7 +80,10 @@ class BufferCache:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._protected_capacity = int(capacity * PROTECTED_SHARE)
-        #: Each segment runs from its next victim to its most recent block.
+        #: Residency is one dict, as under LRU: redo apply and ``peek`` run
+        #: per record and must not pay for the policy.  Replacement order
+        #: is two more, each from its next victim to its most recent block.
+        self._blocks: dict[int, CachedBlock] = {}
         self._probation: OrderedDict[int, CachedBlock] = OrderedDict()
         self._protected: OrderedDict[int, CachedBlock] = OrderedDict()
         #: Lookups per block, resident or not, since the pool first filled.
@@ -88,30 +93,36 @@ class BufferCache:
         self.stats = CacheStats()
 
     def __contains__(self, block: int) -> bool:
-        return block in self._protected or block in self._probation
+        return block in self._blocks
 
     def __len__(self) -> int:
-        return len(self._probation) + len(self._protected)
+        return len(self._blocks)
 
     def lookup(self, block: int) -> CachedBlock | None:
         """Fetch from cache (counts hit/miss; a hit is a reference)."""
         if self._filled:
             self._count(block)
-        protected = self._protected
-        cached = protected.get(block)
-        if cached is not None:
-            protected.move_to_end(block)
-        else:
-            cached = self._probation.pop(block, None)
-            if cached is None:
-                self.stats.misses += 1
-                return None
-            protected[block] = cached
-            if len(protected) > self._protected_capacity:
-                demoted, entry = protected.popitem(last=False)
-                self._probation[demoted] = entry
+        cached = self._blocks.get(block)
+        if cached is None:
+            self.stats.misses += 1
+            return None
         self.stats.hits += 1
+        if cached.protected:
+            self._protected.move_to_end(block)
+        else:
+            self._promote(cached)
         return cached
+
+    def _promote(self, cached: CachedBlock) -> None:
+        """The second read; overflow demotes protected's oldest block."""
+        protected = self._protected
+        del self._probation[cached.block]
+        protected[cached.block] = cached
+        cached.protected = True
+        if len(protected) > self._protected_capacity:
+            _, demoted = protected.popitem(last=False)
+            demoted.protected = False
+            self._probation[demoted.block] = demoted
 
     def _count(self, block: int) -> None:
         frequency = self._frequency
@@ -126,10 +137,8 @@ class BufferCache:
             }
 
     def peek(self, block: int) -> CachedBlock | None:
-        """Fetch without touching stats, order or frequency.  (``install``
-        and ``apply_change`` run per redo record and repeat this line
-        rather than pay for the call.)"""
-        return self._protected.get(block) or self._probation.get(block)
+        """Fetch without touching stats, order or frequency."""
+        return self._blocks.get(block)
 
     def install(
         self, block: int, image: dict[Any, Any], latest_lsn: int, vdl: int
@@ -143,27 +152,27 @@ class BufferCache:
         not kept: it is clean, so storage can serve it again, and it has
         been read no more often than the block it would push out.
         """
-        cached = self._protected.get(block) or self._probation.get(block)
+        cached = self._blocks.get(block)
         if cached is not None:
             if latest_lsn >= cached.latest_lsn:
                 cached.image = image
                 cached.latest_lsn = latest_lsn
             return cached
-        if len(self) >= self.capacity:
+        if len(self._blocks) >= self.capacity:
             victim = self._victim(vdl) if latest_lsn <= vdl else None
             frequency = self._frequency.get
             if victim and frequency(block, 0) <= frequency(victim.block, 0):
                 self.stats.declined += 1
                 return None
-            while len(self) >= self.capacity:
+            while len(self._blocks) >= self.capacity:
                 if not self._evict_one(vdl):
                     # Nothing evictable: every block is ahead of the VDL.
                     # Over-fill rather than violate the WAL invariant.
                     self.stats.eviction_blocked += 1
                     break
         cached = CachedBlock(block=block, image=image, latest_lsn=latest_lsn)
-        self._probation[block] = cached
-        if len(self) >= self.capacity:
+        self._blocks[block] = self._probation[block] = cached
+        if len(self._blocks) >= self.capacity:
             self._filled = True
         return cached
 
@@ -176,7 +185,7 @@ class BufferCache:
         segment (on a replica the writer's writes would otherwise renew
         blocks no reader of the replica asked for).
         """
-        cached = self._protected.get(block) or self._probation.get(block)
+        cached = self._blocks.get(block)
         if cached is None:
             raise ConfigurationError(
                 f"block {block} must be cached before modification"
@@ -203,12 +212,13 @@ class BufferCache:
         victim = self._victim(vdl)
         if victim is None:
             return False
-        self._discard(victim.block)
+        self._discard(victim)
         return True
 
-    def _discard(self, block: int) -> None:
-        if self._probation.pop(block, None) is None:
-            del self._protected[block]
+    def _discard(self, cached: CachedBlock) -> None:
+        del self._blocks[cached.block]
+        segment = self._protected if cached.protected else self._probation
+        del segment[cached.block]
         self.stats.evictions += 1
 
     def shrink(self, vdl: int) -> int:
@@ -219,27 +229,24 @@ class BufferCache:
         evicted.
         """
         evicted = 0
-        capacity = self.capacity  # every VDL advance comes through here
-        while (
-            len(self._probation) + len(self._protected) > capacity
-            and self._evict_one(vdl)
-        ):
+        while len(self._blocks) > self.capacity and self._evict_one(vdl):
             evicted += 1
         return evicted
 
     def evict(self, block: int, vdl: int) -> bool:
         """Explicitly evict one block if the invariant allows it."""
-        cached = self.peek(block)
+        cached = self._blocks.get(block)
         if cached is None:
             return False
         if not cached.is_evictable(vdl):
             self.stats.eviction_blocked += 1
             return False
-        self._discard(block)
+        self._discard(cached)
         return True
 
     def drop_all(self) -> None:
         """Crash: instance memory is ephemeral."""
+        self._blocks.clear()
         self._probation.clear()
         self._protected.clear()
         self._frequency = {}
@@ -248,7 +255,7 @@ class BufferCache:
 
     def dirty_blocks(self, vdl: int) -> list[int]:
         """Blocks whose newest redo is not yet durable."""
-        return [b for b in self.blocks() if self.peek(b).latest_lsn > vdl]
+        return [b for b, c in self._blocks.items() if c.latest_lsn > vdl]
 
     def blocks(self) -> list[int]:
         """Resident blocks in eviction order."""

@@ -243,12 +243,8 @@ def test_protected_blocks_go_only_when_probation_has_nothing_to_give():
 # Planted mutants
 # ----------------------------------------------------------------------
 def promote(pool, block):
-    cached = pool._probation.pop(block, None)
-    if cached is not None:
-        pool._protected[block] = cached
-        if len(pool._protected) > pool._protected_capacity:
-            demoted, entry = pool._protected.popitem(last=False)
-            pool._probation[demoted] = entry
+    if block in pool._probation:
+        pool._promote(pool.peek(block))
 
 
 class DeclinesDirty(BufferCache):
