@@ -134,10 +134,19 @@ class MembershipState:
         transition config (backends install their own policy on top via
         :meth:`StorageBackend.membership_quorum_config`).
         """
-        groups = self.member_groups()
-        if len(self.slots) == SLOT_COUNT:
-            return transition_config(groups)
-        return group_transition_config(groups)
+        # The state is frozen and the proof is a 2^n sweep, so derive once
+        # (D8: the data plane asks per RPC; only a membership change, which
+        # makes a new state, re-derives).  Not a field: equality, hash and
+        # repr stay those of (epoch, slots).
+        config = self.__dict__.get("_quorum_config")
+        if config is None:
+            groups = self.member_groups()
+            if len(self.slots) == SLOT_COUNT:
+                config = transition_config(groups)
+            else:
+                config = group_transition_config(groups)
+            object.__setattr__(self, "_quorum_config", config)
+        return config
 
     # ------------------------------------------------------------------
     # Transitions (each returns a new state with epoch + 1)

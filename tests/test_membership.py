@@ -116,6 +116,21 @@ class TestMembershipState:
         quad = dual.begin_replacement("E", "H")
         quad.quorum_config().prove()
 
+    def test_quorum_config_is_derived_once_per_state(self):
+        """The proof is a 2^n sweep and the state is frozen: a second ask
+        returns the same proved object, a transition derives its own, and
+        the memo is not part of the state's value."""
+        state = MembershipState.initial(SIX)
+        twin = MembershipState.initial(SIX)
+        config = state.quorum_config()
+        assert state.quorum_config() is config and config.is_proven
+        assert state == twin and hash(state) == hash(twin)
+        assert repr(state) == repr(twin)
+        dual = state.begin_replacement("F", "G")
+        assert dual.quorum_config() is not config
+        assert dual.quorum_config().members == frozenset(SIX) | {"G"}
+        assert state.quorum_config() is config
+
 
 class TestTransitionSafety:
     def test_figure_5_sequence_is_safe(self):
