@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # reports are byte-identical to a sequential run; see docs/PERF.md).
 JOBS ?= 4
 
-.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity audit-adaptive gates-diff knobs bench-paper ledger ledger-smoke ledger-pairs ledger-events
+.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity gates-diff knobs bench-paper ledger ledger-smoke ledger-pairs ledger-events
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -36,20 +36,6 @@ audit-proxy:
 audit-integrity:
 	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 20 --integrity --backend aurora --jobs $(JOBS)
 	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 20 --integrity --backend taurus --jobs $(JOBS)
-
-# Adaptive group-commit smoke: one reduced run of every audit profile
-# with group_commit=adaptive forced, so the load-derived boxcar window
-# is exercised under chaos, failover, geo, proxy, and integrity schedules
-# -- not just the benchmarks (see docs/PERF.md "Adaptive boxcar").  One
-# word per profile: the steps, then the profile's flags (":" for a space).
-ADAPTIVE_PROFILES := 500 300:--fleet 500:--failover 400:--geo \
-	300:--proxy:--proxy-sessions:20000 400:--integrity:--backend:aurora
-define NEWLINE
-
-
-endef
-audit-adaptive:
-	$(subst $(NEWLINE) ,$(NEWLINE),$(foreach run,$(ADAPTIVE_PROFILES),$(PYTHON) -m repro audit-run --seed 0 --steps $(subst :, ,$(run)) --group-commit adaptive$(NEWLINE)))
 
 # Behaviour-preservation check: every gate above rendered in BASE (a rev,
 # checked out into a temporary git worktree, or a checkout directory) and

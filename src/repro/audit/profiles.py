@@ -65,7 +65,6 @@ def _cluster_world(cfg, profile: Profile) -> Run:
         backend=cfg.backend,
         node=StorageNodeConfig(**profile.node_settings),
     )
-    cluster_cfg.instance.driver.group_commit = cfg.group_commit
     cluster = AuroraCluster.build(config=cluster_cfg, seed=cfg.seed)
     return Run(cfg, cluster, cluster.nodes)
 
@@ -85,7 +84,6 @@ def _geo_world(cfg, profile: Profile) -> Run:
             pg_count=cfg.pg_count,
             backend=cfg.backend,
             ack_mode=ack_mode,
-            group_commit=cfg.group_commit,
         )
     )
     return Run(cfg, geo, geo.primary.nodes)

@@ -21,7 +21,6 @@ from typing import Iterable
 
 from repro.audit.auditor import AuditViolation
 from repro.audit.profiles import PROFILES, Profile
-from repro.db.driver import GROUP_COMMIT_POLICIES
 from repro.repair.failover import FailoverSummary
 from repro.repair.metrics import RepairSummary, summarize
 from repro.sim.chaos import ChaosSchedule, fleet_chaos_config
@@ -121,14 +120,6 @@ class AuditRunConfig:
     #: Arm per-payload-type network accounting (a Counter update per
     #: simulated message; sweeps only need the aggregate counters).
     detailed_stats: bool = False
-    group_commit: str = _flag(
-        "fixed", "--group-commit",
-        "writer group-commit policy on every instance: 'adaptive' derives "
-        "the boxcar window from observed load (EWMA of arrival gaps), "
-        "'quorum-piggyback' rides flushes on ack round-trips, 'immediate' "
-        "flushes per record",
-        choices=GROUP_COMMIT_POLICIES,
-    )
     #: The profile markers: which world and client run (docs/AUDIT.md
     #: "Profiles").  Read by :func:`profile_of` and nowhere else.
     geo: bool = False

@@ -39,7 +39,6 @@ from repro.core.commit import CommitQueue
 from repro.core.epochs import EpochStamp
 from repro.core.read_routing import LatencyTracker, ReadPlan, ReadRouter
 from repro.core.records import LogRecord
-from repro.core.retry import Backoff, RetryPolicy
 from repro.db.wire import (
     batch_logical_bytes,
     batch_wire_bytes,
@@ -75,77 +74,35 @@ class BoxcarMode(enum.Enum):
     IMMEDIATE = "immediate"
 
 
-#: Legal :attr:`DriverConfig.group_commit` policies.
-GROUP_COMMIT_POLICIES = ("fixed", "immediate", "adaptive", "quorum-piggyback")
+#: AURORA mode: delay until the issued async network op executes (ms) --
+#: the only thing a commit waits for that is not protocol.  Every
+#: alternative tried (a load-derived window, flush-on-ack, no window, send
+#: on an idle sender) lost to it on the ledger: docs/PERF.md "One flush
+#: policy".  The writer's replication frames share it (db/instance.py).
+SUBMIT_DELAY_MS = 0.05
+#: Grace period to collect straggler responses past quorum (ms).
+QUORUM_GRACE_MS = 5.0
+#: Hard deadline for a quorum RPC, and for a read nobody answers;
+#: unreachable quorum fails here (ms).
+QUORUM_DEADLINE_MS = 200.0
+#: Unacknowledged batches retained per segment for resubmission.
+UNACKED_RETAIN = 64
 
 
 @dataclass
 class DriverConfig:
     boxcar_mode: BoxcarMode = BoxcarMode.AURORA
-    #: AURORA mode: delay until the issued async network op executes (ms).
-    submit_delay: float = 0.05
-    #: TIMEOUT mode parameters.
+    #: TIMEOUT mode's timer; both boxcar modes leave at once when full.
     boxcar_timeout: float = 4.0
     boxcar_max_records: int = 32
-    #: Group-commit policy governing the AURORA-mode window:
-    #:
-    #: - ``"fixed"``: the window is ``submit_delay``, always (PR 5
-    #:   behaviour; the default).
-    #: - ``"immediate"``: flush on every record (ablation; like
-    #:   ``BoxcarMode.IMMEDIATE`` but switchable per policy).
-    #: - ``"adaptive"``: the window is derived from observed load -- an
-    #:   EWMA of inter-record arrival gaps per PG, scaled by
-    #:   ``adaptive_gain`` and clamped to ``[0, boxcar_timeout]``.  A gap
-    #:   of ``adaptive_idle_gap`` or more resets the estimate, so the
-    #:   first record after an idle period flushes with a ~zero window
-    #:   (no sticky wide window after a burst).
-    #: - ``"quorum-piggyback"``: hold the buffer until the next WriteAck
-    #:   arrives for that PG (piggyback the flush on quorum round-trip
-    #:   completions), with ``boxcar_timeout`` as the backstop timer.
-    group_commit: str = "fixed"
-    #: Adaptive window = ``adaptive_gain`` x EWMA(inter-arrival gap).
-    adaptive_gain: float = 16.0
-    #: EWMA smoothing factor for arrival gaps (0 < alpha <= 1).
-    adaptive_alpha: float = 0.2
-    #: An arrival gap at or above this (ms) marks an idle boundary and
-    #: resets the EWMA, collapsing the window for the next record.
-    adaptive_idle_gap: float = 2.0
-    #: Gap samples required since the last idle reset before the window
-    #: opens at all.  One or two closely spaced records are not load
-    #: evidence -- a lone transaction's put->commit gap must not buy its
-    #: own commit record a wait (the low-load latency guardrail in C1).
-    adaptive_min_samples: int = 4
     #: Compress redo payloads on the wire: delta-encode consecutive LSNs
     #: and elide same-transaction superseded payloads inside each batch
     #: (see :mod:`repro.db.wire`).
     wire_compression: bool = True
     #: Hedged-read fallback sweep period when no other I/O fires (ms).
     hedge_sweep_interval: float = 1.0
-    #: Grace period to collect straggler responses past quorum (ms).
-    quorum_grace: float = 5.0
-    #: Hard deadline for a quorum RPC; unreachable quorum fails here (ms).
-    quorum_deadline: float = 200.0
     explore_probability: float = 0.02
     hedge_multiplier: float = 3.0
-    #: Resubmit rejected write batches under the adopted epochs, so a
-    #: single stale-epoch race costs one extra request instead of
-    #: stranding records until gossip refills them (section 4.1).
-    resubmit_on_rejection: bool = True
-    #: Unacknowledged batches retained per segment for resubmission.
-    unacked_retain: int = 64
-    #: Pacing between successive resubmissions to the *same* segment, via
-    #: the shared :mod:`repro.core.retry` policy.  The default is the
-    #: paper's behaviour -- "just one additional request past the one
-    #: rejected", no wait -- while repeated rejections from a flapping
-    #: segment can be damped by a non-zero policy.
-    resubmit_policy: RetryPolicy = field(default_factory=RetryPolicy.immediate)
-
-    def __post_init__(self) -> None:
-        if self.group_commit not in GROUP_COMMIT_POLICIES:
-            raise ValueError(
-                f"unknown group_commit policy {self.group_commit!r}; "
-                f"expected one of {GROUP_COMMIT_POLICIES}"
-            )
 
 
 @dataclass
@@ -169,29 +126,16 @@ class DriverStats:
     #: fan-out target) versus the uncompressed bytes of the same records.
     wire_bytes: int = 0
     logical_bytes: int = 0
-    #: Adaptive group commit: windows actually used at flush-arm time.
-    adaptive_window_max: float = 0.0
-    adaptive_window_sum: float = 0.0
-    adaptive_windows_armed: int = 0
 
 
 class _PGWriteBuffer:
     """Pending records for one protection group."""
 
-    __slots__ = (
-        "records", "flush_event", "last_arrival", "ewma_gap", "ewma_samples"
-    )
+    __slots__ = ("records", "flush_event")
 
     def __init__(self) -> None:
         self.records: list[tuple[LogRecord, float]] = []
         self.flush_event = None  # scheduled Event or None
-        #: Adaptive group commit: when the last record arrived, the EWMA
-        #: of inter-arrival gaps (None until two arrivals land close
-        #: enough together to estimate load), and how many gap samples
-        #: fed it since the last idle reset.
-        self.last_arrival: float | None = None
-        self.ewma_gap: float | None = None
-        self.ewma_samples: int = 0
 
     def __len__(self) -> int:
         return len(self.records)
@@ -257,12 +201,11 @@ class StorageDriver:
         #: us (section 6's "changing the locks on the door").  The owning
         #: instance subscribes to stop issuing I/O.
         self.on_fenced: list[Callable[[], None]] = []
-        #: Per-segment ring of recently sent, not-yet-acknowledged batches
-        #: (fuel for resubmission after a stale-epoch rejection).
+        #: Per-segment ring of recently sent, not-yet-acknowledged batches:
+        #: fuel for resubmitting a rejected batch under the adopted epochs,
+        #: so a single stale-epoch race costs one extra request instead of
+        #: stranding records until gossip refills them (section 4.1).
         self._unacked: dict[str, deque[WriteBatch]] = {}
-        #: Per-segment backoff cursor over ``config.resubmit_policy``;
-        #: reset whenever the segment acks (progress).
-        self._resubmit_backoff: dict[str, Backoff] = {}
         self.latency_tracker = LatencyTracker()
         self.router = ReadRouter(
             self.latency_tracker,
@@ -353,7 +296,6 @@ class StorageDriver:
         """Hand sealed MTR records to the driver (registers them for VCL
         tracking and shards them into per-PG write buffers)."""
         now = self.loop.now
-        adaptive = self.config.group_commit == "adaptive"
         buffers = self._buffers
         for record in records:
             self.volume.register(record.lsn, record.pg_index, record.mtr_end)
@@ -361,94 +303,30 @@ class StorageDriver:
             if buffer is None:
                 buffer = buffers[record.pg_index] = _PGWriteBuffer()
             buffer.records.append((record, now))
-            if adaptive:
-                self._observe_arrival(buffer, now)
             self._arm_flush(record.pg_index, buffer)
-
-    def _observe_arrival(self, buffer: _PGWriteBuffer, now: float) -> None:
-        """Feed the per-PG inter-arrival EWMA (adaptive group commit).
-
-        Records submitted at the same instant are one arrival event; a gap
-        at or above ``adaptive_idle_gap`` is an idle boundary and resets
-        the estimate so a burst's wide window never outlives the burst.
-        """
-        last = buffer.last_arrival
-        if last is None:
-            buffer.last_arrival = now
-            return
-        gap = now - last
-        if gap <= 0.0:
-            return
-        buffer.last_arrival = now
-        config = self.config
-        if gap >= config.adaptive_idle_gap:
-            buffer.ewma_gap = None
-            buffer.ewma_samples = 0
-        elif buffer.ewma_gap is None:
-            buffer.ewma_gap = gap
-            buffer.ewma_samples = 1
-        else:
-            buffer.ewma_gap += config.adaptive_alpha * (gap - buffer.ewma_gap)
-            buffer.ewma_samples += 1
-
-    def adaptive_window(self, pg_index: int) -> float:
-        """The AURORA-mode window the adaptive policy would use right now."""
-        buffer = self._buffers.get(pg_index)
-        if (
-            buffer is None
-            or buffer.ewma_gap is None
-            or buffer.ewma_samples < self.config.adaptive_min_samples
-        ):
-            return 0.0
-        window = self.config.adaptive_gain * buffer.ewma_gap
-        if window > self.config.boxcar_timeout:
-            return self.config.boxcar_timeout
-        return window
 
     def _arm_flush(self, pg_index: int, buffer: _PGWriteBuffer) -> None:
         config = self.config
         mode = config.boxcar_mode
-        if mode is BoxcarMode.IMMEDIATE or config.group_commit == "immediate":
+        if mode is BoxcarMode.IMMEDIATE:
             self._flush(pg_index)
-            return
-        if mode is BoxcarMode.AURORA:
+        elif len(buffer) >= config.boxcar_max_records:
             # Size bound: a full boxcar goes out immediately -- the async
-            # send "executes" once the wire buffer is full.  The time bound
-            # (the group-commit window) otherwise caps how long the first
-            # record waits.
-            if len(buffer) >= config.boxcar_max_records:
-                if buffer.flush_event is not None:
-                    buffer.flush_event.cancel()
-                    buffer.flush_event = None
-                self._flush(pg_index)
-            elif buffer.flush_event is None:
-                policy = config.group_commit
-                if policy == "adaptive":
-                    window = self.adaptive_window(pg_index)
-                    stats = self.stats
-                    stats.adaptive_windows_armed += 1
-                    stats.adaptive_window_sum += window
-                    if window > stats.adaptive_window_max:
-                        stats.adaptive_window_max = window
-                elif policy == "quorum-piggyback":
-                    # Wait for the next ack round-trip to carry the flush;
-                    # the boxcar timeout backstops a quiet ack path.
-                    window = config.boxcar_timeout
-                else:
-                    window = config.submit_delay
-                buffer.flush_event = self.loop.schedule(
-                    window, self._flush, pg_index
-                )
-            return
-        # TIMEOUT mode: flush when full, else wait out the boxcar timer.
-        if len(buffer) >= config.boxcar_max_records:
+            # send "executes" once the wire buffer is full.
             if buffer.flush_event is not None:
                 buffer.flush_event.cancel()
                 buffer.flush_event = None
             self._flush(pg_index)
         elif buffer.flush_event is None:
+            # Time bound: the first record arms the send and the boxcar
+            # keeps filling until it executes (AURORA), or waits out the
+            # classic boxcar timer (TIMEOUT).
             buffer.flush_event = self.loop.schedule(
-                config.boxcar_timeout, self._flush, pg_index
+                SUBMIT_DELAY_MS
+                if mode is BoxcarMode.AURORA
+                else config.boxcar_timeout,
+                self._flush,
+                pg_index,
             )
 
     def _flush(self, pg_index: int) -> None:
@@ -486,12 +364,10 @@ class StorageDriver:
             self._send(member, batch)
             self.stats.batches_sent += 1
             self.stats.records_sent += len(records)
-            if self.config.resubmit_on_rejection:
-                queue = self._unacked.get(member)
-                if queue is None:
-                    queue = deque(maxlen=self.config.unacked_retain)
-                    self._unacked[member] = queue
-                queue.append(batch)
+            queue = self._unacked.get(member)
+            if queue is None:
+                queue = self._unacked[member] = deque(maxlen=UNACKED_RETAIN)
+            queue.append(batch)
 
     def flush_all(self) -> None:
         """Force every buffer out (used at commit in TIMEOUT ablations)."""
@@ -505,19 +381,6 @@ class StorageDriver:
         self.stats.acks_received += 1
         if self.health_probe is not None:
             self.health_probe.heard(ack.segment_id)
-        if self.config.group_commit == "quorum-piggyback":
-            # A completed round-trip for this PG carries the pending buffer
-            # out "for free" -- the backstop timer (if armed) is cancelled
-            # by _flush clearing flush_event below.
-            buffer = self._buffers.get(ack.pg_index)
-            if buffer is not None and buffer.records:
-                if buffer.flush_event is not None:
-                    buffer.flush_event.cancel()
-                    buffer.flush_event = None
-                self._flush(ack.pg_index)
-        backoff = self._resubmit_backoff.get(ack.segment_id)
-        if backoff is not None:
-            backoff.reset()
         queue = self._unacked.get(ack.segment_id)
         if queue:
             # Everything at or below the acked SCL is durable on that
@@ -559,41 +422,25 @@ class StorageDriver:
             for callback in list(self.on_fenced):
                 callback()
             return
-        if (
-            self.config.resubmit_on_rejection
-            and rejection.reason == CORRUPT_PAYLOAD
-        ):
+        if rejection.reason == CORRUPT_PAYLOAD:
             # The segment's ingest verification caught the payload damaged
             # in flight; the retained copy here is clean, so resubmit it
             # even though no epoch advanced (DESIGN.md §12).
             self.stats.corrupt_rejections_seen += 1
-            self._schedule_resubmit(rejection.segment_id)
+            self._resubmit_segment(rejection.segment_id)
             return
-        if not self.config.resubmit_on_rejection or self.epochs == before:
+        if self.epochs == before:
             # Nothing newer was adopted (e.g. a read-window rejection):
             # resending the same stamp would only bounce again.
             return
-        self._schedule_resubmit(rejection.segment_id)
-
-    def _schedule_resubmit(self, segment_id: str) -> None:
-        queue = self._unacked.get(segment_id)
-        if not queue:
-            return
-        backoff = self._resubmit_backoff.get(segment_id)
-        if backoff is None:
-            backoff = Backoff(self.config.resubmit_policy, rng=self.rng)
-            self._resubmit_backoff[segment_id] = backoff
-        delay = backoff.next_delay()
-        if delay <= 0.0:
-            self._resubmit_segment(segment_id)
-        else:
-            self.loop.schedule(delay, self._resubmit_segment, segment_id)
+        self._resubmit_segment(rejection.segment_id)
 
     def _resubmit_segment(self, segment_id: str) -> None:
         """"Updates of stale state ... requiring just one additional
-        request past the one rejected": re-stamp the retained batches with
-        the adopted epochs and resend.  Segment receive is idempotent, so a
-        batch that actually landed before the epoch bump is harmless."""
+        request past the one rejected", no wait: re-stamp the retained
+        batches with the adopted epochs and resend.  Segment receive is
+        idempotent, so a batch that actually landed before the epoch bump
+        is harmless."""
         queue = self._unacked.get(segment_id)
         if not queue:
             return
@@ -806,11 +653,11 @@ class StorageDriver:
 
         A request lost in the fabric never resolves.  Once every RPC of a
         read has been hedged or has no candidate left, and the newest has
-        gone ``quorum_deadline`` unanswered, the caller gets the error --
+        gone ``QUORUM_DEADLINE_MS`` unanswered, the caller gets the error --
         and releases its read point -- instead of waiting forever.
         """
         reads = self._outstanding_reads
-        deadline = self.config.quorum_deadline
+        deadline = QUORUM_DEADLINE_MS
         now = self.loop.now
         if now - reads[0].issued_at <= deadline:
             return  # issue order: nothing can be older than the first
@@ -897,11 +744,9 @@ class StorageDriver:
                 return
             if satisfied and not state["resolve_scheduled"]:
                 state["resolve_scheduled"] = True
-                self.loop.schedule(
-                    self.config.quorum_grace, _maybe_resolve, True
-                )
+                self.loop.schedule(QUORUM_GRACE_MS, _maybe_resolve, True)
 
-        self.loop.schedule(self.config.quorum_deadline, _maybe_resolve, True)
+        self.loop.schedule(QUORUM_DEADLINE_MS, _maybe_resolve, True)
 
         for member in members:
             future = self._rpc(member, payload_factory(member))
@@ -968,7 +813,6 @@ class StorageDriver:
         self._buffers.clear()
         self._outstanding_reads.clear()
         self._unacked.clear()
-        self._resubmit_backoff.clear()
         self.pg_trackers.clear()
         self.volume = VolumeConsistencyTracker()
         self.commit_queue = CommitQueue()

@@ -41,7 +41,12 @@ from repro.core.records import (
 from repro.core.recovery import SegmentRecoveryResponse, recover_volume_state
 from repro.db.btree import BlockIO, BTree, leaf_rows
 from repro.db.buffer_cache import BufferCache
-from repro.db.driver import BoxcarMode, DriverConfig, StorageDriver
+from repro.db.driver import (
+    SUBMIT_DELAY_MS,
+    BoxcarMode,
+    DriverConfig,
+    StorageDriver,
+)
 from repro.db.locks import LockManager, lock_keys_for
 from repro.db.logical_replication import ChangeKind, LogicalPublisher, RowChange
 from repro.db.mtr import ChainState, MTRBuilder
@@ -77,6 +82,9 @@ from repro.storage.volume import VolumeGeometry
 #: commit copies or a layer retains (writer cache, segment version chains,
 #: backups) is bounded by this constant instead of by the commit history.
 TXNS_PER_PAGE = 128
+#: LSN headroom added above the highest observed LSN when computing a
+#: recovery truncation ceiling; must exceed any in-flight allocation.
+RECOVERY_MARGIN = 1_000_000
 
 
 class InstanceState(enum.Enum):
@@ -97,9 +105,6 @@ class InstanceConfig:
     driver: DriverConfig = field(default_factory=DriverConfig)
     #: Period between GC-floor (PGMRPL) advertisements to storage (ms).
     gc_floor_interval: float = 50.0
-    #: LSN headroom added above the highest observed LSN when computing a
-    #: recovery truncation ceiling; must exceed any in-flight allocation.
-    recovery_margin: int = 1_000_000
 
 
 @dataclass
@@ -232,7 +237,7 @@ class WriterInstance(Actor, BlockIO):
                 if self.config.driver.boxcar_mode is BoxcarMode.IMMEDIATE
                 else self.loop
             ),
-            frame_window=self.config.driver.submit_delay,
+            frame_window=SUBMIT_DELAY_MS,
         )
         self.btree = BTree(
             io=self,
@@ -850,7 +855,7 @@ class WriterInstance(Actor, BlockIO):
         result = recover_volume_state(
             pg_configs=pg_configs,
             responses_by_pg=responses_by_pg,
-            highest_possible_lsn=highest_seen + self.config.recovery_margin,
+            highest_possible_lsn=highest_seen + RECOVERY_MARGIN,
         )
 
         # 3. Snip the ragged edge under the already-established epoch.
@@ -858,7 +863,7 @@ class WriterInstance(Actor, BlockIO):
         if truncation is None:
             truncation = TruncationRange(
                 first=result.vcl + 1,
-                last=result.vcl + self.config.recovery_margin,
+                last=result.vcl + RECOVERY_MARGIN,
             )
         for pg_index in pg_indexes:
             acks: dict[str, TruncateAck] = yield self.driver.truncate_pg(

@@ -49,6 +49,13 @@ from repro.errors import (
 from repro.sim.events import Future
 
 
+#: Pacing of an operation's retry loop while the backend is away; jittered
+#: so the sessions a failover strands do not come back in lockstep.
+RETRY = RetryPolicy(base_ms=10.0, cap_ms=250.0, multiplier=2.0, jitter=0.5)
+#: Sampling cadence of the replica time-lag tracker (ms).
+LAG_SAMPLE_INTERVAL_MS = 5.0
+
+
 @dataclass(frozen=True)
 class ProxyConfig:
     """Shape of the serving tier.
@@ -61,22 +68,15 @@ class ProxyConfig:
 
     pool_size: int = 256
     op_budget_ms: float = 30_000.0
-    retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            base_ms=10.0, cap_ms=250.0, multiplier=2.0, jitter=0.5
-        )
-    )
     #: Replica time-lag SLO (the "sub-10ms replica lag" envelope).
     lag_slo_ms: float = 10.0
     #: Session recovery budget (the "sub-5s application recovery" envelope).
     recovery_budget_ms: float = 5_000.0
-    #: Sampling cadence of the time-lag tracker.
-    lag_sample_interval_ms: float = 5.0
 
     def __post_init__(self) -> None:
         if self.pool_size < 1:
             raise ConfigurationError("pool_size must be >= 1")
-        if self.op_budget_ms <= 0 or self.lag_sample_interval_ms <= 0:
+        if self.op_budget_ms <= 0:
             raise ConfigurationError("proxy time bounds must be > 0")
 
 
@@ -292,9 +292,7 @@ class ConnectionProxy:
         self.config = config or ProxyConfig()
         self.stats = ProxyStats()
         self.balancer = ReplicaLagBalancer(cluster)
-        self.lag = LagTracker(
-            cluster, interval_ms=self.config.lag_sample_interval_ms
-        )
+        self.lag = LagTracker(cluster, interval_ms=LAG_SAMPLE_INTERVAL_MS)
         self._free = self.config.pool_size
         self._in_flight = 0
         self._waiters: deque = deque()
@@ -440,7 +438,7 @@ class ConnectionProxy:
         loop = self.cluster.loop
         started = loop.now
         deadline = started + self.config.op_budget_ms
-        backoff = Backoff(self.config.retry, rng=self._rng)
+        backoff = Backoff(RETRY, rng=self._rng)
         while True:
             name, replica = self.balancer.pick(
                 session.last_commit_scn, self.stats
@@ -475,7 +473,7 @@ class ConnectionProxy:
         loop = self.cluster.loop
         started = loop.now
         deadline = started + self.config.op_budget_ms
-        backoff = Backoff(self.config.retry, rng=self._rng)
+        backoff = Backoff(RETRY, rng=self._rng)
         while True:
             try:
                 writer = yield from self._await_writer(session, deadline)

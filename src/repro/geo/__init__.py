@@ -17,7 +17,6 @@ See :mod:`repro.geo.cluster` for the one-call entry point::
 from repro.geo.cluster import GeoCluster, GeoConfig, RegionBackend
 from repro.geo.failover import (
     PROMOTED,
-    GeoFailoverConfig,
     GeoFailoverCoordinator,
     GeoFailoverRecord,
     GeoFailoverSummary,
@@ -27,7 +26,6 @@ from repro.geo.replicator import (
     SYNC,
     GeoApplier,
     GeoSender,
-    GeoSenderConfig,
 )
 
 __all__ = [
@@ -37,11 +35,9 @@ __all__ = [
     "GeoApplier",
     "GeoCluster",
     "GeoConfig",
-    "GeoFailoverConfig",
     "GeoFailoverCoordinator",
     "GeoFailoverRecord",
     "GeoFailoverSummary",
     "GeoSender",
-    "GeoSenderConfig",
     "RegionBackend",
 ]

@@ -37,14 +37,17 @@ from dataclasses import dataclass, field
 from repro.db.cluster import AuroraCluster, ClusterConfig
 from repro.db.instance import InstanceState, WriterInstance
 from repro.db.session import ClusterSession
-from repro.errors import ConfigurationError
-from repro.geo.failover import GeoFailoverConfig, GeoFailoverCoordinator
-from repro.geo.replicator import ASYNC, GeoApplier, GeoSender, GeoSenderConfig
+from repro.geo.failover import GeoFailoverCoordinator
+from repro.geo.replicator import ASYNC, GeoApplier, GeoSender
 from repro.sim.events import EventLoop
 from repro.sim.failures import FailureInjector
 from repro.sim.network import Network
 from repro.sim.wan import WanConfig, WanLink
 from repro.storage.backend import SlotSpec, StorageBackend, resolve_backend
+
+
+#: Name prefix / AZ prefix for the secondary region.
+SECONDARY_REGION = "geo"
 
 
 class RegionBackend(StorageBackend):
@@ -96,20 +99,9 @@ class GeoConfig:
     #: gets it wrapped in a :class:`RegionBackend`.
     backend: object = "aurora"
     #: ``"sync"`` or ``"async"`` commit acknowledgement (see
-    #: :class:`~repro.geo.replicator.GeoSenderConfig`).
+    #: :mod:`repro.geo.replicator`).
     ack_mode: str = ASYNC
     wan: WanConfig = field(default_factory=WanConfig)
-    #: Full sender config; built from ``ack_mode`` when ``None``.
-    sender: GeoSenderConfig | None = None
-    #: Name prefix / AZ prefix for the secondary region.
-    secondary_region: str = "geo"
-    #: Group-commit policy for both regions' writers (see
-    #: :data:`repro.db.driver.GROUP_COMMIT_POLICIES`).
-    group_commit: str = "fixed"
-
-    def __post_init__(self) -> None:
-        if not self.secondary_region:
-            raise ConfigurationError("secondary_region must be non-empty")
 
 
 class GeoCluster:
@@ -162,28 +154,22 @@ class GeoCluster:
         network = Network(loop, rng)
         failures = FailureInjector(loop, network, rng)
         shared = (loop, network, failures, rng)
-        primary_cfg = ClusterConfig(
-            seed=config.seed,
-            pg_count=config.pg_count,
-            backend=config.backend,
-        )
-        primary_cfg.instance.driver.group_commit = config.group_commit
         primary = AuroraCluster.build(
-            primary_cfg,
+            ClusterConfig(
+                seed=config.seed,
+                pg_count=config.pg_count,
+                backend=config.backend,
+            ),
             shared=shared,
             bootstrap=False,
         )
-        secondary_cfg = ClusterConfig(
-            seed=config.seed,
-            pg_count=config.pg_count,
-            backend=RegionBackend(
-                config.backend, config.secondary_region
-            ),
-            name_prefix=f"{config.secondary_region}-",
-        )
-        secondary_cfg.instance.driver.group_commit = config.group_commit
         secondary = AuroraCluster.build(
-            secondary_cfg,
+            ClusterConfig(
+                seed=config.seed,
+                pg_count=config.pg_count,
+                backend=RegionBackend(config.backend, SECONDARY_REGION),
+                name_prefix=f"{SECONDARY_REGION}-",
+            ),
             shared=shared,
             bootstrap=False,
         )
@@ -193,23 +179,18 @@ class GeoCluster:
         return geo
 
     def _wire(self) -> None:
-        region = self.config.secondary_region
+        region = SECONDARY_REGION
         network = self.network
         self.applier = GeoApplier(
             f"{region}-rx", self.secondary, peer=f"{region}-tx"
         )
         network.attach(self.applier, az=f"{region}-az1")
         self.applier.start()
-        sender_config = (
-            self.config.sender
-            if self.config.sender is not None
-            else GeoSenderConfig(ack_mode=self.config.ack_mode)
-        )
         self.sender = GeoSender(
             f"{region}-tx",
             self.primary.writer,
             peer=self.applier.name,
-            config=sender_config,
+            ack_mode=self.config.ack_mode,
         )
         network.attach(self.sender, az="az1")
         self.sender.start()
@@ -249,15 +230,7 @@ class GeoCluster:
 
     @property
     def ack_mode(self) -> str:
-        return (
-            self.sender.config.ack_mode
-            if self.sender is not None
-            else self.config.ack_mode
-        )
-
-    @property
-    def lease_ms(self) -> float:
-        return self.sender.config.lease_ms if self.sender is not None else 0.0
+        return self.config.ack_mode
 
     @property
     def writer(self) -> WriterInstance | None:
@@ -302,9 +275,7 @@ class GeoCluster:
         self.secondary.arm_auditor(secondary_auditor)
         self.applier.audit_probe = secondary_auditor
 
-    def arm_geo_failover(
-        self, failover_config: GeoFailoverConfig | None = None
-    ):
+    def arm_geo_failover(self):
         """Attach the disaster-recovery plane; returns
         ``(monitor, coordinator)``.
 
@@ -338,9 +309,7 @@ class GeoCluster:
             lambda: monitor.heard(self.primary_writer_id)
         )
         monitor.start()
-        self.geo_failover = GeoFailoverCoordinator(
-            self, monitor, failover_config
-        )
+        self.geo_failover = GeoFailoverCoordinator(self, monitor)
         return monitor, self.geo_failover
 
     def on_promoted(self, record) -> None:

@@ -10,13 +10,13 @@ pairs two unilateral, consensus-free rules (the same avoid-coordination
 philosophy the paper applies to I/Os and membership):
 
 1. **The primary self-fences on lease expiry.**  A writer that has heard
-   no WAN ack for ``lease_ms`` closes itself (see
+   no WAN ack for ``LEASE_MS`` closes itself (see
    :class:`~repro.geo.replicator.GeoSender`), resolving in-flight commits
    as uncertain.  No commit is ever acknowledged by a primary that the
    secondary might already have replaced.
 2. **The secondary out-waits the lease before promoting.**  After the
    region tier's failure detector confirms primary silence, the
-   coordinator waits ``lease_ms + lease_margin_ms`` past the *last
+   coordinator waits ``LEASE_MS + LEASE_MARGIN_MS`` past the *last
    observed primary signal* before recovering the secondary writer.  By
    that point a merely-partitioned primary has provably stepped down.
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.geo.replicator import LEASE_MS
 from repro.repair.failover import recover_until_open
 from repro.repair.metrics import (
     ACTIVE,
@@ -54,23 +55,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PROMOTED = "promoted"
 
 
-@dataclass
-class GeoFailoverConfig:
-    """Coordinator knobs (times in simulated ms)."""
-
-    #: Poll slice while waiting out the lease / promotion recovery.
-    poll_ms: float = 10.0
-    #: Extra silence required beyond the primary's self-fence lease
-    #: before promotion may begin.  Covers the gap between the two
-    #: sides' reference points: the coordinator waits from the applier's
-    #: last *received* signal, while the primary's lease runs from its
-    #: last *received* ack -- one (possibly brownout-inflated) WAN flight
-    #: later -- plus both sides' poll granularity.
-    lease_margin_ms: float = 750.0
-    #: Budget for promotion recovery; exceeding it stamps ``stalled``.
-    max_promotion_ms: float = 20_000.0
-    #: Pause between failed promotion-recovery attempts.
-    retry_wait_ms: float = 250.0
+#: Poll slice while waiting out the lease / promotion recovery (times in
+#: simulated ms).
+POLL_MS = 10.0
+#: Extra silence required beyond the primary's self-fence lease before
+#: promotion may begin.  Covers the gap between the two sides' reference
+#: points: the coordinator waits from the applier's last *received*
+#: signal, while the primary's lease runs from its last *received* ack --
+#: one (possibly brownout-inflated) WAN flight later -- plus both sides'
+#: poll granularity.
+LEASE_MARGIN_MS = 750.0
+#: Budget for promotion recovery; exceeding it stamps ``stalled``.
+MAX_PROMOTION_MS = 20_000.0
 
 
 @dataclass
@@ -172,11 +168,9 @@ class GeoFailoverCoordinator:
         self,
         geo: "GeoCluster",
         monitor: "FailureDetector",
-        config: GeoFailoverConfig | None = None,
     ) -> None:
         self.geo = geo
         self.monitor = monitor
-        self.config = config if config is not None else GeoFailoverConfig()
         self.records: list[GeoFailoverRecord] = []
         self._active: GeoFailoverRecord | None = None
         self._returned: set[str] = set()
@@ -214,7 +208,6 @@ class GeoFailoverCoordinator:
 
     # ------------------------------------------------------------------
     def _promote(self, record: GeoFailoverRecord):
-        cfg = self.config
         geo = self.geo
         loop = geo.loop
         applier = geo.applier
@@ -228,8 +221,8 @@ class GeoFailoverCoordinator:
             while (
                 loop.now
                 < applier.last_primary_signal_at
-                + geo.lease_ms
-                + cfg.lease_margin_ms
+                + LEASE_MS
+                + LEASE_MARGIN_MS
             ):
                 if (
                     record.primary_id in self._returned
@@ -241,7 +234,7 @@ class GeoFailoverCoordinator:
                     geo.region_unavailable = False
                     self._finish(record, ROLLED_BACK)
                     return
-                yield cfg.poll_ms
+                yield POLL_MS
             # Point of no return: stop applying (a post-promotion frame
             # must never mutate the promoted volume) and snapshot the
             # replication frontier the RPO gate is judged against.
@@ -254,13 +247,13 @@ class GeoFailoverCoordinator:
                 geo.secondary.metadata.record_epochs(applier.primary_epochs)
             record.began_at = loop.now
             writer = geo.secondary.writer
-            deadline = record.confirmed_at + cfg.max_promotion_ms
+            deadline = record.confirmed_at + MAX_PROMOTION_MS
             opened = yield from recover_until_open(
-                writer, writer.recover(), record, deadline, cfg
+                writer, writer.recover(), record, deadline, POLL_MS
             )
             if not opened:
                 record.notes.append(
-                    f"promotion exceeded {cfg.max_promotion_ms:.0f}ms"
+                    f"promotion exceeded {MAX_PROMOTION_MS:.0f}ms"
                 )
                 self._finish(record, STALLED)
                 return

@@ -14,7 +14,7 @@ same physical redo stream its in-region replicas already consume.
   acknowledged only once the secondary's applied-VDL frontier (carried
   back on WAN acks) has passed its SCN, which is what makes region loss
   RPO-zero for acknowledged commits.  A WAN-silence *lease* self-fences
-  the writer: a primary that cannot hear the secondary for ``lease_ms``
+  the writer: a primary that cannot hear the secondary for ``LEASE_MS``
   steps down before the secondary's promotion wait elapses, so a
   cross-region split brain never yields two acking writers.
 
@@ -32,7 +32,7 @@ same physical redo stream its in-region replicas already consume.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.db.driver import StorageDriver
@@ -51,13 +51,27 @@ from repro.sim.wan import (
     WanHeartbeat,
     WanReceiver,
     WanSender,
-    WanSenderConfig,
 )
 from repro.storage.messages import RequestRejected, WriteAck
 
-#: Commit acknowledgement modes for the geo tier.
+#: Commit acknowledgement modes for the geo tier: ``"sync"`` gates commit
+#: acks on the secondary's applied frontier; ``"async"`` acks on local
+#: durability (RPO bounded by the lag).
 SYNC = "sync"
 ASYNC = "async"
+
+#: WAN-silence lease: an OPEN writer that has heard no ack for this long
+#: closes itself.  Must comfortably exceed any tolerated WAN brownout, and
+#: the promotion side waits it out (plus a margin) before recovering, so a
+#: partitioned stale primary is provably fenced before the secondary
+#: starts acking.
+LEASE_MS = 2_500.0
+#: Sync mode: longest a locally-durable commit may wait for the remote
+#: frontier before failing (retryably) with
+#: :class:`~repro.errors.ReplicationLagExceededError`.
+SYNC_LAG_BOUND_MS = 2_000.0
+#: Gate-expiry / lease check cadence.
+POLL_MS = 50.0
 
 
 @dataclass(frozen=True)
@@ -70,37 +84,6 @@ class GeoHeartbeatInfo:
     vdl: int
 
 
-@dataclass
-class GeoSenderConfig:
-    """Knobs for the primary-side replication endpoint (times in ms)."""
-
-    #: ``"sync"`` gates commit acks on the secondary's applied frontier;
-    #: ``"async"`` acks on local durability (RPO bounded by the lag).
-    ack_mode: str = ASYNC
-    wan_sender: WanSenderConfig = field(default_factory=WanSenderConfig)
-    #: WAN-silence lease: an OPEN writer that has heard no ack for this
-    #: long closes itself.  Must comfortably exceed any tolerated WAN
-    #: brownout, and the promotion side waits it out (plus a margin)
-    #: before recovering, so a partitioned stale primary is provably
-    #: fenced before the secondary starts acking.  ``0`` disables.
-    lease_ms: float = 2_500.0
-    #: Sync mode: longest a locally-durable commit may wait for the
-    #: remote frontier before failing (retryably) with
-    #: :class:`~repro.errors.ReplicationLagExceededError`.
-    sync_lag_bound_ms: float = 2_000.0
-    #: Gate-expiry / lease check cadence.
-    poll_ms: float = 50.0
-
-    def __post_init__(self) -> None:
-        if self.ack_mode not in (SYNC, ASYNC):
-            raise ConfigurationError(
-                f"ack_mode must be {SYNC!r} or {ASYNC!r}, "
-                f"got {self.ack_mode!r}"
-            )
-        if self.sync_lag_bound_ms <= 0:
-            raise ConfigurationError("sync_lag_bound_ms must be > 0")
-
-
 class GeoSender(Actor):
     """Primary-region endpoint: taps the writer's replication stream."""
 
@@ -109,12 +92,16 @@ class GeoSender(Actor):
         name: str,
         writer: WriterInstance,
         peer: str,
-        config: GeoSenderConfig | None = None,
+        ack_mode: str = ASYNC,
     ) -> None:
         super().__init__(name)
+        if ack_mode not in (SYNC, ASYNC):
+            raise ConfigurationError(
+                f"ack_mode must be {SYNC!r} or {ASYNC!r}, got {ack_mode!r}"
+            )
         self.writer = writer
         self.peer = peer
-        self.config = config if config is not None else GeoSenderConfig()
+        self.ack_mode = ack_mode
         self.wan: WanSender | None = None
         #: Highest secondary applied VDL reported on WAN acks.
         self.remote_applied_vdl = 0
@@ -139,12 +126,11 @@ class GeoSender(Actor):
         self.wan = WanSender(
             self.loop,
             transmit=lambda p: self.network.send(self.name, self.peer, p),
-            config=self.config.wan_sender,
             heartbeat_info=self._heartbeat_info,
             on_ack_info=self._on_ack_info,
         )
         self.writer.publisher.attach_replica(self.name)
-        if self.config.ack_mode == SYNC:
+        if self.ack_mode == SYNC:
             self.writer.commit_gate = self.gate_commit
         self._schedule_tick()
 
@@ -203,7 +189,7 @@ class GeoSender(Actor):
         fail: Callable[[BaseException], None],
     ) -> None:
         """``WriterInstance.commit_gate`` hook (sync ack mode only)."""
-        if self.config.ack_mode != SYNC or scn <= self.remote_applied_vdl:
+        if self.ack_mode != SYNC or scn <= self.remote_applied_vdl:
             release()
             return
         if self._stopped or self.stream_broken or self.wan.backpressured:
@@ -219,8 +205,7 @@ class GeoSender(Actor):
             return
         self.commits_gated += 1
         self._gated.append(
-            (scn, self.loop.now + self.config.sync_lag_bound_ms,
-             release, fail)
+            (scn, self.loop.now + SYNC_LAG_BOUND_MS, release, fail)
         )
 
     def _on_ack_info(self, info: Any) -> None:
@@ -252,7 +237,7 @@ class GeoSender(Actor):
         if self._tick_scheduled or self._stopped:
             return
         self._tick_scheduled = True
-        self.loop.schedule(self.config.poll_ms, self._tick)
+        self.loop.schedule(POLL_MS, self._tick)
 
     def _tick(self) -> None:
         self._tick_scheduled = False
@@ -267,14 +252,12 @@ class GeoSender(Actor):
                 ReplicationLagExceededError(
                     f"commit {scn} is locally durable but the secondary "
                     f"applied frontier ({self.remote_applied_vdl}) did not "
-                    f"reach it within {self.config.sync_lag_bound_ms:.0f} ms"
+                    f"reach it within {SYNC_LAG_BOUND_MS:.0f} ms"
                 )
             )
-        lease = self.config.lease_ms
         if (
-            lease > 0
-            and self.wan is not None
-            and now - self.wan.last_ack_at > lease
+            self.wan is not None
+            and now - self.wan.last_ack_at > LEASE_MS
             and self.writer.state is InstanceState.OPEN
         ):
             # Split-brain defence: we may merely be partitioned from the
@@ -283,7 +266,7 @@ class GeoSender(Actor):
             self.self_fenced_at = now
             self.writer.close(
                 reason=(
-                    f"geo replication lease expired ({lease:.0f} ms "
+                    f"geo replication lease expired ({LEASE_MS:.0f} ms "
                     "without a WAN ack)"
                 )
             )

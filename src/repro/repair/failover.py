@@ -59,17 +59,20 @@ PROMOTED = "promoted"  #: a replica was promoted and opened as the writer
 RESTARTED = "restarted"  #: no candidate; the incumbent was restarted in place
 
 
+#: Budget for the whole failover; exceeding it stamps ``stalled``.
+MAX_FAILOVER_MS = 20_000.0
+#: Pause between failed promotion-recovery attempts (a read quorum can be
+#: transiently unreachable mid-chaos); the region tier's promotion uses it
+#: too.
+RETRY_WAIT_MS = 250.0
+
+
 @dataclass
 class FailoverConfig:
     """Coordinator knobs (times in simulated ms)."""
 
     #: Poll slice while waiting on promotion recovery.
     poll_ms: float = 5.0
-    #: Budget for the whole failover; exceeding it stamps ``stalled``.
-    max_failover_ms: float = 20_000.0
-    #: Pause between failed promotion-recovery attempts (a read quorum
-    #: can be transiently unreachable mid-chaos).
-    retry_wait_ms: float = 250.0
 
 
 @dataclass
@@ -148,16 +151,19 @@ class FailoverSummary(OutcomeSummary):
     unavailability: LatencyStats = field(default_factory=LatencyStats)
 
 
-def recover_until_open(writer, process, record, deadline: float, cfg):
+def recover_until_open(
+    writer, process, record, deadline: float, poll_ms: float
+):
     """Drive ``writer``'s crash recovery -- ``process``, already started --
-    until it is open for business, counting attempts on ``record`` and
-    pacing by the coordinator config's ``poll_ms`` / ``retry_wait_ms``.
-    Returns (to ``yield from``) whether it opened before ``deadline``."""
+    until it is open for business, counting attempts on ``record``,
+    polling every ``poll_ms`` and pausing ``RETRY_WAIT_MS`` between
+    attempts.  Returns (to ``yield from``) whether it opened before
+    ``deadline``."""
     loop = writer.loop
     while True:
         record.promotion_attempts += 1
         while not process.finished and loop.now < deadline:
-            yield cfg.poll_ms
+            yield poll_ms
         if (
             process.finished
             and process.completion.exception() is None
@@ -169,7 +175,7 @@ def recover_until_open(writer, process, record, deadline: float, cfg):
         # Recovery failed (read quorum unreachable mid-chaos): wait for
         # faults to heal and retry on the same successor.
         writer.state = InstanceState.CRASHED
-        yield cfg.retry_wait_ms
+        yield RETRY_WAIT_MS
         process = writer.recover()
 
 
@@ -284,7 +290,7 @@ class FailoverCoordinator:
                 record.notes.append("incumbent returned before promotion")
                 self._finish(record, ROLLED_BACK)
                 return
-            deadline = record.confirmed_at + cfg.max_failover_ms
+            deadline = record.confirmed_at + MAX_FAILOVER_MS
             candidate = self._select_candidate(record.writer_id)
             if candidate is None:
                 yield from self._restart_in_place(record, deadline)
@@ -294,11 +300,11 @@ class FailoverCoordinator:
             candidate_vdl = cluster.replicas[candidate].applied_vdl
             new_writer, process = cluster.promote_replica(candidate)
             opened = yield from recover_until_open(
-                new_writer, process, record, deadline, cfg
+                new_writer, process, record, deadline, cfg.poll_ms
             )
             if not opened:
                 record.notes.append(
-                    f"promotion exceeded {cfg.max_failover_ms:.0f}ms"
+                    f"promotion exceeded {MAX_FAILOVER_MS:.0f}ms"
                 )
                 self._finish(record, STALLED)
                 return
@@ -339,7 +345,7 @@ class FailoverCoordinator:
             # resolves any in-flight commits as uncertain).
             writer.crash()
         opened = yield from recover_until_open(
-            writer, writer.recover(), record, deadline, cfg
+            writer, writer.recover(), record, deadline, cfg.poll_ms
         )
         if not opened:
             self._finish(record, STALLED)

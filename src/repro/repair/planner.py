@@ -67,23 +67,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.repair.detector import FailureDetector
 
 
+#: Hydration/rollback poll granularity (simulated ms, as all below).
+POLL_MS = 5.0
+#: Per-attempt baseline RPC timeout, and the retry backoff between
+#: attempts (jitter-free: a repair draws nothing from the seeded RNG).
+BASELINE_TIMEOUT_MS = 60.0
+BASELINE_RETRY = RetryPolicy(base_ms=20.0, cap_ms=160.0)
+#: Total budget per repair before parking it as ``stalled``.
+MAX_REPAIR_MS = 20_000.0
+
+
 @dataclass
 class RepairConfig:
     """Orchestration knobs (times in simulated ms)."""
 
-    #: Hydration/rollback poll granularity.
-    poll_ms: float = 5.0
-    #: Per-attempt baseline RPC timeout, and retry backoff bounds.
-    baseline_timeout_ms: float = 60.0
-    backoff_base_ms: float = 20.0
-    backoff_cap_ms: float = 160.0
-
-    def retry_policy(self) -> RetryPolicy:
-        """The shared exponential-backoff policy (:mod:`repro.core.retry`)
-        parameterized by this config's bounds."""
-        return RetryPolicy(
-            base_ms=self.backoff_base_ms, cap_ms=self.backoff_cap_ms
-        )
     #: Modeled bulk-copy time for the baseline snapshot.  The simulated
     #: baseline is a few records, but the thing it stands for is a ~10GB
     #: segment copy that dominates the paper's 10-second repair window;
@@ -91,8 +88,6 @@ class RepairConfig:
     #: spread (0 keeps the copy instantaneous).  The wait is sliced so a
     #: returning incumbent still triggers rollback mid-transfer.
     baseline_transfer_ms: float = 0.0
-    #: Total budget per repair before parking it as ``stalled``.
-    max_repair_ms: float = 20_000.0
 
 
 class RepairPlanner:
@@ -235,7 +230,7 @@ class RepairPlanner:
             self._finish(record, ABORTED)
             return
 
-        deadline = cluster.loop.now + cfg.max_repair_ms
+        deadline = cluster.loop.now + MAX_REPAIR_MS
         before = cluster.metadata.membership(pg_index)
 
         # -- Step 1: begin (epoch bump, dual quorum installed) ----------
@@ -263,14 +258,14 @@ class RepairPlanner:
                     if cluster.loop.now >= deadline:
                         self._finish(record, ABORTED)
                         return
-                    yield cfg.retry_policy().cap_ms
+                    yield BASELINE_RETRY.cap_ms
             after = cluster.metadata.membership(pg_index)
             self._notify_transition(pg_index, "begin", before, after)
         record.candidate_id = candidate_id
         record.began_at = cluster.loop.now
 
         # -- Step 2: hydrate (baseline + gossip catch-up) ---------------
-        backoff = Backoff(cfg.retry_policy())
+        backoff = Backoff(BASELINE_RETRY)
         baseline_done = False
         pending_baseline: BaselineResponse | None = None
         transfer_done_at = 0.0
@@ -294,9 +289,7 @@ class RepairPlanner:
                     pending_baseline = None
                     baseline_done = True
                 else:
-                    yield min(
-                        cfg.poll_ms, transfer_done_at - cluster.loop.now
-                    )
+                    yield min(POLL_MS, transfer_done_at - cluster.loop.now)
             elif not baseline_done:
                 record.hydration_attempts += 1
                 reply = yield from self._baseline_rpc(
@@ -314,7 +307,7 @@ class RepairPlanner:
                 else:
                     yield backoff.next_delay()
             else:
-                yield cfg.poll_ms
+                yield POLL_MS
 
         # -- Step 3: finalize (epoch bump, suspect dropped) -------------
         if segment_id in self._returned:
@@ -356,7 +349,6 @@ class RepairPlanner:
         not hang the repair (lost-message futures never resolve).
         """
         cluster = self.cluster
-        cfg = self.config
         sources = [
             p.segment_id
             for p in cluster.metadata.baseline_sources_of_pg(pg_index)
@@ -379,9 +371,9 @@ class RepairPlanner:
             ),
         )
         waited = 0.0
-        while not future.done and waited < cfg.baseline_timeout_ms:
-            yield cfg.poll_ms
-            waited += cfg.poll_ms
+        while not future.done and waited < BASELINE_TIMEOUT_MS:
+            yield POLL_MS
+            waited += POLL_MS
         if not future.done:
             record.notes.append(f"baseline from {source} timed out")
             return None

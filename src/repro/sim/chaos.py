@@ -84,6 +84,21 @@ class ChaosEvent:
         )
 
 
+#: Every fault heals after a duration drawn from these bounds (ms).  The
+#: storage detector's floors are tuned against the upper one: transient
+#: faults mostly come back inside suspect + confirm, so only extended
+#: outages graduate to DEAD (repair/detector.py ``Tier``).
+MIN_DURATION_MS = 40.0
+MAX_DURATION_MS = 350.0
+#: Slowdown bounds for SLOW_NODE / GREY_WRITER.
+MIN_SLOW_FACTOR = 3.0
+MAX_SLOW_FACTOR = 12.0
+#: Duration bounds for REGION_PARTITION (must comfortably exceed the geo
+#: lease so the stale primary provably self-fences mid-partition).
+MIN_REGION_PARTITION_MS = 5000.0
+MAX_REGION_PARTITION_MS = 9000.0
+
+
 @dataclass
 class ChaosConfig:
     """The default schedule: independent node crashes, whole-AZ outages
@@ -98,10 +113,6 @@ class ChaosConfig:
     az_outage_period_ms: float = 2500.0
     slow_period_ms: float = 900.0
     partition_period_ms: float = 1600.0
-    min_duration_ms: float = 40.0
-    max_duration_ms: float = 350.0
-    min_slow_factor: float = 3.0
-    max_slow_factor: float = 12.0
     #: Correlated AZ failure bursts: a whole-AZ outage plus simultaneous
     #: node crashes *outside* that AZ -- the paper's scary case, where an
     #: AZ failure lands on a fleet that already has degraded quorums.
@@ -129,10 +140,6 @@ class ChaosConfig:
     #: enough runway remains for detection, lease expiry, and promotion.
     region_loss_weight: float = 0.0
     region_partition_weight: float = 0.0
-    #: Duration bounds for REGION_PARTITION (must comfortably exceed the
-    #: geo lease so the stale primary provably self-fences mid-partition).
-    min_region_partition_ms: float = 5000.0
-    max_region_partition_ms: float = 9000.0
     #: Silent-corruption chaos (DESIGN.md §12).  Each kind is disabled at
     #: 0 and, like every kind added after v0, disabled kinds draw nothing
     #: from the RNG -- legacy seeded schedules replay byte-identically.
@@ -253,11 +260,11 @@ class ChaosSchedule:
                     break
 
         def duration() -> float:
-            return rng.uniform(cfg.min_duration_ms, cfg.max_duration_ms)
+            return rng.uniform(MIN_DURATION_MS, MAX_DURATION_MS)
 
         def start_time(d: float) -> float:
             # Leave a tail of one max duration so the run can settle.
-            latest = horizon_ms - d - cfg.max_duration_ms
+            latest = horizon_ms - d - MAX_DURATION_MS
             if latest <= 0:
                 return -1.0
             return rng.uniform(0.0, latest)
@@ -290,7 +297,7 @@ class ChaosSchedule:
             at = start_time(d)
             if at < 0:
                 return None
-            factor = rng.uniform(cfg.min_slow_factor, cfg.max_slow_factor)
+            factor = rng.uniform(MIN_SLOW_FACTOR, MAX_SLOW_FACTOR)
             return ChaosEvent(
                 at, d, SLOW_NODE, rng.choice(nodes), factor=round(factor, 1)
             )
@@ -335,18 +342,18 @@ class ChaosSchedule:
             # The "duration" of a kill is the exclusion window reserved on
             # the writer pseudo-target, spacing successive writer events
             # far enough apart for a failover to complete in between.
-            d = max(duration() * 4, cfg.max_duration_ms * 4)
+            d = max(duration() * 4, MAX_DURATION_MS * 4)
             at = start_time(d)
             if at < 0:
                 return None
             return ChaosEvent(at, d, KILL_WRITER, WRITER_TARGET)
 
         def pick_writer_grey() -> ChaosEvent | None:
-            d = max(duration() * 2, cfg.max_duration_ms)
+            d = max(duration() * 2, MAX_DURATION_MS)
             at = start_time(d)
             if at < 0:
                 return None
-            factor = rng.uniform(cfg.min_slow_factor, cfg.max_slow_factor)
+            factor = rng.uniform(MIN_SLOW_FACTOR, MAX_SLOW_FACTOR)
             return ChaosEvent(
                 at, d, GREY_WRITER, WRITER_TARGET, factor=round(factor, 1)
             )
@@ -406,8 +413,9 @@ class ChaosSchedule:
                     ChaosEvent(at, 0.0, REGION_LOSS, REGION_TARGET)
                 )
             else:
-                d = rng.uniform(cfg.min_region_partition_ms,
-                                cfg.max_region_partition_ms)
+                d = rng.uniform(
+                    MIN_REGION_PARTITION_MS, MAX_REGION_PARTITION_MS
+                )
                 events.append(
                     ChaosEvent(at, d, REGION_PARTITION, REGION_TARGET)
                 )

@@ -30,7 +30,7 @@ geo-replication transport:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.retry import Backoff, RetryPolicy
@@ -76,6 +76,10 @@ class WanHeartbeat:
 # ----------------------------------------------------------------------
 # The lossy link itself
 # ----------------------------------------------------------------------
+#: Extra delay applied to reordered messages (ms).
+REORDER_EXTRA_MS = 20.0
+
+
 @dataclass
 class WanConfig:
     """Shape of one wide-area link (times in simulated ms)."""
@@ -89,8 +93,6 @@ class WanConfig:
     bandwidth_per_ms: float | None = None
     #: Probability a delivered message is held back an extra beat.
     reorder_rate: float = 0.05
-    #: Extra delay applied to reordered messages.
-    reorder_extra_ms: float = 20.0
     #: Seed for the link's private RNG (keeps the owning simulation's
     #: random stream untouched).
     seed: int = 0
@@ -179,7 +181,7 @@ class WanLink:
             and self.rng.random() < self.config.reorder_rate
         ):
             self.stats.messages_reordered += 1
-            delay += self.config.reorder_extra_ms
+            delay += REORDER_EXTRA_MS
         self.stats.messages_passed += 1
         return delay
 
@@ -187,18 +189,16 @@ class WanLink:
 # ----------------------------------------------------------------------
 # Reliable framing over the lossy link
 # ----------------------------------------------------------------------
+#: Retransmission pacing (jittered so concurrent links decorrelate).
+RETRANSMIT = RetryPolicy(base_ms=120.0, cap_ms=960.0, jitter=0.2)
+#: Retransmission check cadence (ms).
+POLL_MS = 25.0
+
+
 @dataclass
 class WanSenderConfig:
     """Knobs for the sending half of the reliable layer."""
 
-    #: Retransmission pacing (jittered so concurrent links decorrelate).
-    retransmit: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            base_ms=120.0, cap_ms=960.0, jitter=0.2
-        )
-    )
-    #: Retransmission check cadence.
-    poll_ms: float = 25.0
     #: Oldest unacked frames re-sent per retransmission burst.
     retransmit_window: int = 32
     #: Hard bound on buffered (unacked + queued) frames; :meth:`offer`
@@ -235,7 +235,7 @@ class WanSender:
         self.heartbeat_info = heartbeat_info
         self.on_ack_info = on_ack_info
         self._rng = random.Random(self.config.seed)
-        self._backoff = Backoff(self.config.retransmit, rng=self._rng)
+        self._backoff = Backoff(RETRANSMIT, rng=self._rng)
         self._next_seq = 1
         #: Frames sent (or queued under a stall) and not yet cum-acked.
         self._unacked: list[WanFrame] = []
@@ -320,7 +320,7 @@ class WanSender:
         if self._tick_scheduled or self._stopped:
             return
         self._tick_scheduled = True
-        self.loop.schedule(self.config.poll_ms, self._tick)
+        self.loop.schedule(POLL_MS, self._tick)
 
     def _tick(self) -> None:
         self._tick_scheduled = False

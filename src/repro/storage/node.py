@@ -60,42 +60,41 @@ from repro.storage.metadata import StorageMetadataService
 from repro.storage.segment import Segment, SegmentKind
 
 
+#: Period of the redo-coalescing tick (times in ms).
+COALESCE_INTERVAL_MS = 10.0
+#: Records returned per gossip response (bounds message size).
+GOSSIP_BATCH_LIMIT = 512
+#: A gossip RPC unanswered after this long is reported to the health
+#: monitor (when one is attached) as negative evidence about the peer.
+GOSSIP_TIMEOUT_MS = 60.0
+#: Healthy blocks swept through the integrity vote per scrub round
+#: (rotating cursor); this is what catches valid-checksum corruption
+#: (misdirected / lost-but-acked writes).  DESIGN.md §12.
+SCRUB_VOTE_SAMPLE = 6
+#: Peers polled per integrity vote round (a read-quorum-sized sample).
+VOTE_FANOUT = 3
+#: A vote round tallies whatever replies arrived by this deadline.
+VOTE_TIMEOUT_MS = 120.0
+#: Pacing between vote rounds after one that produced no replies (peers
+#: crashed or partitioned); jitter-free so the node's random stream stays
+#: replayable.
+VOTE_RETRY = RetryPolicy(base_ms=100.0, cap_ms=1_600.0, multiplier=2.0)
+
+
 @dataclass
 class StorageNodeConfig:
     """Tunable behaviour of a storage node (times in ms)."""
 
     disk: LatencyModel | None = None
     gossip_interval: float = 20.0
-    coalesce_interval: float = 10.0
     backup_interval: float = 500.0
     gc_interval: float = 200.0
     scrub_interval: float = 2_000.0
-    #: Records returned per gossip response (bounds message size).
-    gossip_batch_limit: int = 512
-    #: A gossip RPC unanswered after this long is reported to the health
-    #: monitor (when one is attached) as negative evidence about the peer.
-    gossip_timeout_ms: float = 60.0
     enable_background: bool = True
-    #: Healthy blocks swept through the integrity vote per scrub round
-    #: (rotating cursor); this is what catches valid-checksum corruption
-    #: (misdirected / lost-but-acked writes).  DESIGN.md §12.
-    scrub_vote_sample: int = 6
-    #: Peers polled per integrity vote round (a read-quorum-sized sample).
-    vote_fanout: int = 3
-    #: A vote round tallies whatever replies arrived by this deadline.
-    vote_timeout_ms: float = 120.0
-    #: Pacing between vote rounds after one that produced no replies
-    #: (peers crashed or partitioned); jitter-free so the node's random
-    #: stream stays replayable.
-    vote_retry: RetryPolicy | None = None
 
     def __post_init__(self) -> None:
         if self.disk is None:
             self.disk = disk_service()
-        if self.vote_retry is None:
-            self.vote_retry = RetryPolicy(
-                base_ms=100.0, cap_ms=1_600.0, multiplier=2.0
-            )
 
 
 class StorageNode(Actor):
@@ -146,9 +145,9 @@ class StorageNode(Actor):
         #: Number of integrity vote rounds currently in flight (background
         #: scrub starts at most one; read-repair votes run concurrently).
         self._votes_inflight = 0
-        #: Backoff cursor over ``config.vote_retry`` for vote rounds that
-        #: drew no replies; resets on the first answered round.
-        self._vote_backoff = Backoff(self.config.vote_retry)
+        #: Backoff cursor over ``VOTE_RETRY`` for vote rounds that drew no
+        #: replies; resets on the first answered round.
+        self._vote_backoff = Backoff(VOTE_RETRY)
         self._vote_suppressed_until = 0.0
         #: Settled-with-replies vote rounds a corrupt hot-log record has
         #: survived unshipped; two strikes mean the fleet no longer holds
@@ -222,7 +221,7 @@ class StorageNode(Actor):
             return
         self._started = True
         self._arm_tick(self.config.gossip_interval, self._gossip_tick)
-        self._arm_tick(self.config.coalesce_interval, self._coalesce_tick)
+        self._arm_tick(COALESCE_INTERVAL_MS, self._coalesce_tick)
         self._arm_tick(self.config.backup_interval, self._backup_tick)
         self._arm_tick(self.config.gc_interval, self._gc_tick)
         self._arm_tick(self.config.scrub_interval, self._scrub_tick)
@@ -441,7 +440,7 @@ class StorageNode(Actor):
         future.add_done_callback(self._on_gossip_reply)
         if self.health_probe is not None:
             self.loop.schedule(
-                self.config.gossip_timeout_ms,
+                GOSSIP_TIMEOUT_MS,
                 self._report_gossip_timeout, peer, future,
             )
 
@@ -489,7 +488,7 @@ class StorageNode(Actor):
         if not self._check_epochs(message, query.epochs):
             return
         records = self.segment.records_after(
-            query.scl, limit=self.config.gossip_batch_limit
+            query.scl, limit=GOSSIP_BATCH_LIMIT
         )
         self.network.reply(
             message,
@@ -599,7 +598,7 @@ class StorageNode(Actor):
                 for block, lsn in version_failures
                 if lo < lsn <= hi
             }
-            | set(segment.scrub_sample_blocks(self.config.scrub_vote_sample))
+            | set(segment.scrub_sample_blocks(SCRUB_VOTE_SAMPLE))
         )
         if not blocks and not record_failures:
             return
@@ -646,7 +645,7 @@ class StorageNode(Actor):
             return False
         if not peers:
             return False
-        fanout = min(self.config.vote_fanout, len(peers))
+        fanout = min(VOTE_FANOUT, len(peers))
         chosen = (
             self.rng.sample(peers, fanout) if len(peers) > fanout else peers
         )
@@ -671,9 +670,7 @@ class StorageNode(Actor):
             future.add_done_callback(
                 lambda f, s=state: self._on_vote_reply(s, f)
             )
-        self.loop.schedule(
-            self.config.vote_timeout_ms, self._settle_vote, state
-        )
+        self.loop.schedule(VOTE_TIMEOUT_MS, self._settle_vote, state)
         return True
 
     def _on_vote_reply(self, state: dict, future) -> None:

@@ -35,6 +35,10 @@ class Operation:
     value: str | None = None
 
 
+#: Written values are padded to this many characters.
+VALUE_SIZE = 32
+
+
 @dataclass
 class WorkloadConfig:
     """Shape of the synthetic OLTP stream."""
@@ -47,7 +51,6 @@ class WorkloadConfig:
     #: Operations per transaction: uniform in [min_ops, max_ops].
     min_ops: int = 1
     max_ops: int = 4
-    value_size: int = 32
 
     def __post_init__(self) -> None:
         if not 0 <= self.write_fraction <= 1:
@@ -90,7 +93,7 @@ class WorkloadGenerator:
     def _value(self) -> str:
         self._txn_counter += 1
         payload = f"v{self._txn_counter}-"
-        return payload + "x" * max(0, self.config.value_size - len(payload))
+        return payload + "x" * max(0, VALUE_SIZE - len(payload))
 
     def next_transaction(self) -> list[Operation]:
         """One transaction's operation list."""

@@ -13,14 +13,9 @@ operation in flight through the :class:`~repro.db.proxy.ConnectionProxy`.
 With a mean think time of minutes and a horizon of seconds, 100k+
 sessions cost only their active operations.
 
-Two driving modes (both deterministic under one seed):
-
-- **closed loop** (default): each session re-arms itself ``think``
-  milliseconds after its previous operation completes, the classic
-  interactive-user model;
-- **open loop**: operations arrive by a Poisson process at
-  ``open_loop_rate_per_ms`` and are assigned to random sessions,
-  modelling bursty fan-in that does not slow down when the backend does.
+The loop is closed (and deterministic under one seed): each session
+re-arms itself ``think`` milliseconds after its previous operation
+completes, the classic interactive-user model.
 
 The workload doubles as the serving tier's correctness probe:
 
@@ -50,6 +45,17 @@ from repro.errors import (
 from repro.sim.process import Process
 
 
+#: Share of operations that write, and share that touch the shared key
+#: space (the rest use the session's private keys).
+WRITE_FRACTION = 0.4
+SHARED_FRACTION = 0.3
+SHARED_KEYS = 512
+#: Private keys per session (read-your-writes probes).
+PRIVATE_KEYS = 2
+#: Extra settle time after the horizon for in-flight ops to drain (ms).
+DRAIN_MS = 60_000.0
+
+
 @dataclass(frozen=True)
 class SessionScaleConfig:
     """Shape of a session-scale run.
@@ -64,30 +70,13 @@ class SessionScaleConfig:
     horizon_ms: float = 20_000.0
     #: Mean exponential think time between a session's operations.
     think_ms: float = 120_000.0
-    #: > 0 switches to open-loop: Poisson operation arrivals per ms,
-    #: assigned to uniformly random sessions.
-    open_loop_rate_per_ms: float = 0.0
-    write_fraction: float = 0.4
-    #: Fraction of operations touching the shared key space.
-    shared_fraction: float = 0.3
-    shared_keys: int = 512
-    #: Private keys per session (read-your-writes probes).
-    private_keys: int = 2
     seed: int = 0
-    #: Extra settle time after the horizon for in-flight ops to drain.
-    drain_ms: float = 60_000.0
 
     def __post_init__(self) -> None:
         if self.sessions < 1:
             raise ConfigurationError("sessions must be >= 1")
         if self.horizon_ms <= 0 or self.think_ms <= 0:
             raise ConfigurationError("horizon_ms and think_ms must be > 0")
-        if not 0.0 <= self.write_fraction <= 1.0:
-            raise ConfigurationError("write_fraction must be in [0, 1]")
-        if not 0.0 <= self.shared_fraction <= 1.0:
-            raise ConfigurationError("shared_fraction must be in [0, 1]")
-        if self.private_keys < 1 or self.shared_keys < 1:
-            raise ConfigurationError("key counts must be >= 1")
 
 
 @dataclass
@@ -132,11 +121,9 @@ class SessionScaleWorkload:
         #: (idx, key) pairs whose outcome is uncertain (op errored after
         #: possibly committing): excluded from exact-value checks.
         self._tainted: set = set()
-        #: (idx, key) pairs that ever had two writes in flight at once
-        #: (open-loop mode): the exact expected value is ambiguous.
+        #: (idx, key) pairs written again while an earlier write's outcome
+        #: was still uncertain: the exact expected value is ambiguous.
         self._racy: set = set()
-        #: Ops in flight per session (open loop can overlap a session).
-        self._inflight_by_session: dict[int, int] = {}
         #: Everything ever *submitted* for a shared key (recorded before
         #: the write starts, so any visible value is necessarily here).
         self._shared_history: dict[str, set] = {}
@@ -150,11 +137,11 @@ class SessionScaleWorkload:
     # Key helpers
     # ------------------------------------------------------------------
     def _private_key(self, idx: int) -> str:
-        slot = self.rng.randrange(self.config.private_keys)
+        slot = self.rng.randrange(PRIVATE_KEYS)
         return f"s{idx}:p{slot}"
 
     def _shared_key(self) -> str:
-        return f"shared:{self.rng.randrange(self.config.shared_keys)}"
+        return f"shared:{self.rng.randrange(SHARED_KEYS)}"
 
     def _violate(self, invariant: str, subject: str, detail: str) -> None:
         if self.flag is not None:
@@ -170,12 +157,6 @@ class SessionScaleWorkload:
     def _seed_initial_wakeups(self) -> None:
         cfg = self.config
         start = self.proxy.cluster.loop.now
-        if cfg.open_loop_rate_per_ms > 0:
-            # Open loop: one arrival stream; sessions are chosen at
-            # fire time.
-            due = start + self.rng.expovariate(cfg.open_loop_rate_per_ms)
-            self._push(due, -1)
-            return
         for idx in range(cfg.sessions):
             # Residual of an exponential think time is exponential, so
             # sampling the full distribution gives a stationary start.
@@ -184,22 +165,11 @@ class SessionScaleWorkload:
                 self._push(due, idx)
 
     def _scheduler(self):
-        cfg = self.config
         loop = self.proxy.cluster.loop
         while loop.now <= self._end:
             if self._heap and self._heap[0][0] <= loop.now:
                 _due, _seq, idx = heapq.heappop(self._heap)
-                if idx < 0:
-                    # Open-loop arrival: launch on a random session and
-                    # re-arm the arrival stream.
-                    self._launch(self.rng.randrange(cfg.sessions))
-                    nxt = loop.now + self.rng.expovariate(
-                        cfg.open_loop_rate_per_ms
-                    )
-                    if nxt <= self._end:
-                        self._push(nxt, -1)
-                else:
-                    self._launch(idx)
+                self._launch(idx)
                 continue
             next_due = self._heap[0][0] if self._heap else self._end + 1.0
             # Bounded slices: completions may re-arm sessions earlier
@@ -207,12 +177,12 @@ class SessionScaleWorkload:
             yield max(0.1, min(next_due - loop.now, 5.0))
 
     def _launch(self, idx: int) -> None:
-        cfg, rng = self.config, self.rng
+        rng = self.rng
         # Draw all of the operation's randomness here, at the single
         # deterministic scheduling point, so interleaving of in-flight
         # operations cannot perturb the random stream.
-        is_write = rng.random() < cfg.write_fraction
-        is_shared = rng.random() < cfg.shared_fraction
+        is_write = rng.random() < WRITE_FRACTION
+        is_shared = rng.random() < SHARED_FRACTION
         key = self._shared_key() if is_shared else self._private_key(idx)
         value = None
         if is_write:
@@ -222,16 +192,13 @@ class SessionScaleWorkload:
                 self._shared_history.setdefault(key, set()).add(value)
             else:
                 if (idx, key) in self._tainted:
-                    # A second write while one is still in flight: the
+                    # A second write while one is still uncertain: the
                     # "last acked" value is permanently ambiguous.
                     self._racy.add((idx, key))
                 # The outcome is uncertain until the ack arrives.
                 self._tainted.add((idx, key))
         self.stats.ops_started += 1
         self._active += 1
-        self._inflight_by_session[idx] = (
-            self._inflight_by_session.get(idx, 0) + 1
-        )
         process = Process(
             self.proxy.cluster.loop,
             self._one_op(idx, key, value, is_write, is_shared),
@@ -242,11 +209,6 @@ class SessionScaleWorkload:
 
     def _finish(self, idx: int, future) -> None:
         self._active -= 1
-        count = self._inflight_by_session.get(idx, 1) - 1
-        if count <= 0:
-            self._inflight_by_session.pop(idx, None)
-        else:
-            self._inflight_by_session[idx] = count
         exc = future.exception() if future.done else None
         if exc is None:
             self.stats.ops_completed += 1
@@ -256,8 +218,6 @@ class SessionScaleWorkload:
             self.stats.errors += 1
         else:  # pragma: no cover - genuine bug in the harness
             raise exc
-        if self.config.open_loop_rate_per_ms > 0:
-            return
         loop = self.proxy.cluster.loop
         due = loop.now + self.rng.expovariate(1.0 / self.config.think_ms)
         if due <= self._end:
@@ -289,10 +249,6 @@ class SessionScaleWorkload:
         if acked is None or acked[0] != key or (idx, key) in self._tainted:
             return
         if (idx, key) in self._racy:
-            return
-        if self._inflight_by_session.get(idx, 0) > 1:
-            # Open loop: a concurrent write to this session may have
-            # moved the floor mid-read; the exact value is ambiguous.
             return
         self.stats.ryw_checks += 1
         if observed != acked[1]:
@@ -326,7 +282,7 @@ class SessionScaleWorkload:
         self._end = loop.now + self.config.horizon_ms
         self._seed_initial_wakeups()
         scheduler = Process(loop, self._scheduler())
-        hard_stop = self._end + self.config.drain_ms
+        hard_stop = self._end + DRAIN_MS
         while not scheduler.completion.done or self._active > 0:
             if not loop.step():
                 raise SimulationError(
@@ -335,7 +291,7 @@ class SessionScaleWorkload:
             if loop.now > hard_stop:
                 raise SimulationError(
                     f"session-scale run stalled: {self._active} ops still "
-                    f"in flight {self.config.drain_ms} ms past the horizon"
+                    f"in flight {DRAIN_MS} ms past the horizon"
                 )
         return self.stats
 

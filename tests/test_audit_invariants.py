@@ -12,7 +12,7 @@ includes the seed, so a red run is reproducible with::
 import pytest
 
 from repro.audit import AuditRunConfig, run_audit
-from repro.sim.chaos import ChaosConfig, ChaosSchedule
+from repro.sim.chaos import MAX_DURATION_MS, MIN_DURATION_MS, ChaosSchedule
 
 #: 50 seeds for the sweep satellite; kept short per-seed so the whole
 #: file stays in tier-1 time budget.
@@ -98,10 +98,9 @@ class TestChaosScheduleDeterminism:
             assert e1 <= s2
 
     def test_bounded_durations_and_horizon(self):
-        cfg = ChaosConfig()
         schedule = self._gen(55)
         for event in schedule.events:
-            assert cfg.min_duration_ms <= event.duration <= cfg.max_duration_ms
+            assert MIN_DURATION_MS <= event.duration <= MAX_DURATION_MS
             assert 0 <= event.at
             assert event.at + event.duration < schedule.horizon_ms
 

@@ -25,11 +25,11 @@ from repro.audit.profiles import AtLeast, profiles_table
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GATES = (
     "audit", "audit-fleet", "audit-failover", "audit-geo", "audit-proxy",
-    "audit-integrity", "audit-adaptive",
+    "audit-integrity",
 )
 
-#: ``dataclasses.asdict(AuditRunConfig())`` at the parent commit, less the
-#: dead ``boxcar`` field.
+#: ``dataclasses.asdict(AuditRunConfig())`` at PR 18's parent commit, less
+#: the dead ``boxcar`` field and PR 21's ``group_commit``.
 HEAD_DEFAULTS = {
     "seed": 7, "steps": 1000, "replicas": 1, "keys": 24, "tail_size": 48,
     "op_timeout_ms": 2500.0, "writer_crash_every": 0,
@@ -40,7 +40,7 @@ HEAD_DEFAULTS = {
     "min_concurrent_repairs": 0, "repair_transfer_ms": 0.0,
     "failover": False, "writer_kill_period_ms": 0.0,
     "writer_grey_period_ms": 0.0, "failover_budget_ms": 30000.0,
-    "detailed_stats": False, "group_commit": "fixed", "geo": False,
+    "detailed_stats": False, "geo": False,
     "geo_ack_mode": "auto", "geo_rto_budget_ms": 30000.0, "proxy": False,
     "proxy_sessions": 100000, "proxy_pool": 128,
     "proxy_recovery_budget_ms": 5000.0, "proxy_lag_slo_ms": 10.0,
@@ -66,11 +66,10 @@ _QUIET = {
 _GEO = {**_QUIET, "replicas": 0, "geo": True}
 _PROXY = {**_QUIET, "replicas": 3, "failover": True, "proxy": True}
 _INTEGRITY = {**_QUIET, "writer_crash_every": 10**9, "integrity": True}
-_ADAPTIVE = {"group_commit": "adaptive"}
 
 #: arguments (less ``--seed 0``, ``--sweep N``, ``--jobs K``) -> the fields
 #: the parent built away from ``HEAD_DEFAULTS`` (``seed`` is 0 throughout).
-#: The first thirteen are every command ``make -n`` lists for the gates.
+#: The first seven are every command ``make -n`` lists for the gates.
 HEAD_CONFIGS = {
     "--steps 500": {"steps": 500},
     "--steps 500 --fleet": {"steps": 500, **_FLEET},
@@ -80,17 +79,6 @@ HEAD_CONFIGS = {
     "--steps 500 --integrity --backend aurora": {"steps": 500, **_INTEGRITY},
     "--steps 500 --integrity --backend taurus":
         {"steps": 500, **_INTEGRITY, "backend": "taurus"},
-    "--steps 500 --group-commit adaptive": {"steps": 500, **_ADAPTIVE},
-    "--steps 300 --fleet --group-commit adaptive":
-        {"steps": 300, **_FLEET, **_ADAPTIVE},
-    "--steps 500 --failover --group-commit adaptive":
-        {"steps": 500, **_WRITER_CHAOS, **_ADAPTIVE},
-    "--steps 400 --geo --group-commit adaptive":
-        {"steps": 400, **_GEO, **_ADAPTIVE},
-    "--steps 300 --proxy --proxy-sessions 20000 --group-commit adaptive":
-        {"steps": 300, **_PROXY, **_ADAPTIVE, "proxy_sessions": 20000},
-    "--steps 400 --integrity --backend aurora --group-commit adaptive":
-        {"steps": 400, **_INTEGRITY, **_ADAPTIVE},
     # Combinations no gate runs: switches stack in table order, floors
     # keep a larger request, ``--pgs`` overrides the profile.
     "--steps 300 --fleet --failover": {"steps": 300, **_FLEET},
@@ -107,13 +95,17 @@ HEAD_CONFIGS = {
         {"steps": 200, **_GEO, "pg_count": 2, "geo_ack_mode": "sync"},
     "--steps 200 --proxy --replicas 5 --proxy-pool 16":
         {"steps": 200, **_PROXY, "replicas": 5, "proxy_pool": 16},
+    # CI's proxy lane (the flag rode on an ``audit-adaptive`` row until
+    # that gate went).
+    "--steps 300 --proxy --proxy-sessions 20000":
+        {"steps": 300, **_PROXY, "proxy_sessions": 20000},
 }
 
-#: The flags ``audit-run --help`` listed at the parent (21, plus the
-#: ``--seed`` every subcommand shares).
+#: The flags ``audit-run --help`` listed at the parent, less
+#: ``--group-commit`` (20, plus the ``--seed`` every subcommand shares).
 HEAD_FLAGS = {
     "--backend", "--failover", "--fleet", "--geo", "--geo-ack",
-    "--group-commit", "--integrity", "--integrity-json", "--jobs", "--mttf",
+    "--integrity", "--integrity-json", "--jobs", "--mttf",
     "--mttr", "--no-background", "--no-heal", "--pgs", "--proxy",
     "--proxy-pool", "--proxy-sessions", "--replicas", "--steps", "--sweep",
     "--tail", "--seed",
@@ -154,8 +146,8 @@ class TestProfilesBuildTheParentsConfigs:
             for line in listed.splitlines()
             if "audit-run" in line
         ]
-        assert len(commands) == 13
-        assert [c.strip() for c in commands] == list(HEAD_CONFIGS)[:13]
+        assert len(commands) == 7
+        assert [c.strip() for c in commands] == list(HEAD_CONFIGS)[:7]
 
     def test_field_by_field(self):
         assert differences() == []

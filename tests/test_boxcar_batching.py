@@ -9,7 +9,7 @@ unbatched path would.
 """
 
 from repro import AuroraCluster, ClusterConfig
-from repro.db.driver import BoxcarMode
+from repro.db.driver import SUBMIT_DELAY_MS, BoxcarMode
 
 
 def burst(db, cluster, count, prefix="k"):
@@ -119,7 +119,7 @@ class TestTimeBoundFlushOnIdleDriver:
         delays = cluster.writer.driver.stats.boxcar_delays
         assert delays
         # No record ever waits past the submit window (+ float slack).
-        assert max(delays) <= config.instance.driver.submit_delay + 1e-9
+        assert max(delays) <= SUBMIT_DELAY_MS + 1e-9
 
     def test_max_records_cap_flushes_before_the_window(self, cluster):
         db = cluster.session()

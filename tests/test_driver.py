@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from repro import AuroraCluster, ClusterConfig
 from repro.core.membership import MembershipState
-from repro.db.driver import BoxcarMode, StorageDriver
+from repro.db.driver import (
+    QUORUM_DEADLINE_MS,
+    SUBMIT_DELAY_MS,
+    BoxcarMode,
+    StorageDriver,
+)
 from repro.sim.events import EventLoop
 from repro.storage.backend import AuroraBackend, TaurusBackend
 from repro.storage.metadata import SegmentPlacement, StorageMetadataService
@@ -21,13 +26,14 @@ def build(boxcar_mode=BoxcarMode.AURORA, seed=31, **driver_overrides):
     config = ClusterConfig(seed=seed)
     config.instance.driver.boxcar_mode = boxcar_mode
     for key, value in driver_overrides.items():
+        assert hasattr(config.instance.driver, key), key
         setattr(config.instance.driver, key, value)
     return AuroraCluster.build(config)
 
 
 class TestBoxcarModes:
     def test_aurora_mode_batches_without_waiting(self):
-        cluster = build(BoxcarMode.AURORA, submit_delay=0.05)
+        cluster = build(BoxcarMode.AURORA)
         db = cluster.session()
         txn = db.begin()
         for i in range(8):
@@ -36,7 +42,7 @@ class TestBoxcarModes:
         stats = cluster.writer.driver.stats
         # Every record waited at most the submit delay.
         assert stats.boxcar_delays
-        assert max(stats.boxcar_delays) <= 0.05 + 1e-9
+        assert max(stats.boxcar_delays) <= SUBMIT_DELAY_MS + 1e-9
 
     def test_timeout_mode_waits_under_low_load(self):
         cluster = build(
@@ -199,7 +205,7 @@ class TestHedgedReads:
 
     def test_a_read_nobody_answers_fails_diagnosed_at_the_deadline(self):
         """Every copy is unreachable: the replica's read walks the whole
-        plan, then fails ``quorum_deadline`` after its last request with an
+        plan, then fails ``QUORUM_DEADLINE_MS`` after its last request with an
         error naming what it tried -- and the read view is released, so the
         replica's PGMRPL (and storage GC behind it) is not pinned."""
         from repro.db.session import Session
@@ -218,7 +224,7 @@ class TestHedgedReads:
         assert "block " in message and "read point " in message
         for name in cluster.nodes:
             assert name in message
-        deadline = replica.driver.config.quorum_deadline
+        deadline = QUORUM_DEADLINE_MS
         assert deadline < cluster.loop.now - started < 2 * deadline
         cluster.run_for(5)
         assert replica.driver._outstanding_reads == []
@@ -242,7 +248,7 @@ class TestHedgedReads:
         now = cluster.loop.now
         for instance in (cluster.writer, *cluster.replicas.values()):
             driver = instance.driver
-            slack = 2 * driver.config.quorum_deadline
+            slack = 2 * QUORUM_DEADLINE_MS
             overdue = [
                 (r.block, r.read_point, r.segment, now - r.issued_at)
                 for r in driver._outstanding_reads

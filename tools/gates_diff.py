@@ -5,15 +5,13 @@
 A change that only speeds the simulator up, or only reshapes code, must
 leave every gate's report byte-identical for the same seeds (ROADMAP aim
 2).  This runs the ``audit-run`` commands behind ``make audit``,
-``audit-fleet``, ``audit-failover``, ``audit-geo``, ``audit-proxy``,
-``audit-integrity`` (both backends) and ``audit-adaptive`` -- read from this
-checkout's Makefile with ``make -n``, so the gates are defined in one place
+``audit-fleet``, ``audit-failover``, ``audit-geo``, ``audit-proxy`` and
+``audit-integrity`` (both backends) -- read from this checkout's Makefile with ``make -n``, so the gates are defined in one place
 -- in ``BASE`` (a revision, checked out into a temporary ``git worktree``,
 or a directory that already holds a checkout) and in this checkout, and
 compares what they print, seed by seed:
 
-- a command that sweeps gets ``--sweep SWEEP`` on both sides; one that runs
-  a single seed (``audit-adaptive``'s profiles) runs as the Makefile has it;
+- every command gets ``--sweep SWEEP`` on both sides;
 - both sides run under ``PYTHONHASHSEED=0``: a run whose event order leans
   on string-hash order (``audit-failover`` seed 16 did, until PR 18)
   otherwise differs between two processes of the *same* tree;
@@ -41,7 +39,7 @@ from ledger_pairs import REPO_ROOT, base_tree
 
 GATES = (
     "audit", "audit-fleet", "audit-failover", "audit-geo", "audit-proxy",
-    "audit-integrity", "audit-adaptive",
+    "audit-integrity",
 )
 SEED_HEADER = re.compile(r"^audit run: seed=(\d+) ")
 FOOTER = "footer"
@@ -64,14 +62,13 @@ def gate_commands(gate: str) -> list[list[str]]:
 
 
 def with_sweep(arguments: list[str], sweep: int, jobs: int) -> list[str]:
-    """``arguments`` sweeping ``sweep`` seeds (if it sweeps at all) over
-    ``jobs`` worker processes."""
+    """``arguments`` sweeping ``sweep`` seeds over ``jobs`` worker
+    processes."""
     out = list(arguments)
     if "--jobs" in out:
         at = out.index("--jobs")
         del out[at:at + 2]
-    if "--sweep" in out:
-        out[out.index("--sweep") + 1] = str(sweep)
+    out[out.index("--sweep") + 1] = str(sweep)
     return [*out, "--jobs", str(jobs)]
 
 
@@ -146,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", required=True,
                         help="revision (or checkout directory) to compare to")
     parser.add_argument("--sweep", type=int, default=20,
-                        help="seeds per sweeping gate command")
+                        help="seeds per gate command")
     parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--expect", default="",
                         help="comma-separated seeds that are allowed to differ")
