@@ -50,7 +50,8 @@ gates-diff:
 
 # Every *Config dataclass field under src/ with the number of sites that
 # set it in src/, bench/, benchmarks/, examples/ and tests/
-# (tools/knob_census.py): where a diet PR starts.  Print-only.
+# (tools/knob_census.py): where a diet PR starts.  Print-only; CI runs it
+# with `--max N` as a ratchet on the field total.
 knobs:
 	python3 tools/knob_census.py
 

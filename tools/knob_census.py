@@ -1,6 +1,6 @@
 """Every ``*Config`` dataclass field in ``src/``, and who sets it.
 
-``make knobs``
+``make knobs`` / ``python3 tools/knob_census.py --max N`` (the CI ratchet)
 
 For each field of each dataclass under ``src/`` whose name ends in
 ``Config`` this prints how many sites set it in ``src/``, ``bench/``,
@@ -22,18 +22,33 @@ A name shared by several classes, or with an unrelated parameter
 (``seed``, ``poll_ms``), is therefore counted for each: the overcount errs
 towards keeping a knob.  It does not see a field set through ``setattr``
 with a computed name (the CLI sets ``AuditRunConfig`` from its fields'
-metadata: every flagged field is settable there).  Print-only: it exits 0
-whatever it finds.
+metadata: every flagged field is settable there).
+
+Without ``--max`` it prints and exits 0 whatever it finds.  With ``--max
+N`` it exits 1 when the field total exceeds ``N`` (raise ``N`` in CI only
+with a caller that needs the new field) or when a field no site sets is
+not in ``NESTED``: such a field has one value everywhere and is a commented
+constant beside its use (DESIGN.md section 5).
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TREES = ("src", "bench", "benchmarks", "examples", "tests")
+
+#: Fields no site sets that stay: each holds a nested config object, which
+#: callers reach *through* (``config.instance.driver.boxcar_mode = mode``,
+#: booked to the inner field) and never replace whole.
+NESTED = {
+    ("ClusterConfig", "instance"): "the writer's InstanceConfig",
+    ("InstanceConfig", "driver"): "the writer's DriverConfig",
+    ("ReplicaConfig", "driver"): "a replica's DriverConfig",
+}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -125,11 +140,11 @@ def sites(tree: ast.AST, classes: dict[str, list[str]]) -> Counter:
     return found
 
 
-def census() -> tuple[dict[str, list[str]], dict[str, Counter]]:
+def census(root: Path) -> tuple[dict[str, list[str]], dict[str, Counter]]:
     parsed = {
         tree_name: {
             path: ast.parse(path.read_text(), filename=str(path))
-            for path in sorted((REPO_ROOT / tree_name).rglob("*.py"))
+            for path in sorted((root / tree_name).rglob("*.py"))
         }
         for tree_name in TREES
     }
@@ -141,8 +156,15 @@ def census() -> tuple[dict[str, list[str]], dict[str, Counter]]:
     return classes, counts
 
 
-def main() -> int:
-    classes, counts = census()
+def main(argv: list[str] | None = None, root: Path = REPO_ROOT) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--max", type=int, default=None, metavar="N",
+        help="fail when there are more than N fields, or a field no site "
+             "sets that is not a nested config object",
+    )
+    args = parser.parse_args(argv)
+    classes, counts = census(root)
     total = sum(len(fields) for fields in classes.values())
     print(
         f"knob census: {len(classes)} *Config dataclasses under src/, "
@@ -150,30 +172,43 @@ def main() -> int:
     )
     header = "".join(f"{name:>11}" for name in TREES)
     print(f"{'':<34}{header}")
-    nowhere_total = tests_only_total = 0
+    tests_only_total = 0
+    unset: list[tuple[str, str]] = []
     for name in sorted(classes):
         rows = [
             (field, [counts[tree][name, field] for tree in TREES])
             for field in classes[name]
         ]
-        nowhere = sum(1 for _f, row in rows if not any(row))
+        nowhere = [(name, field) for field, row in rows if not any(row)]
         tests_only = sum(
             1 for _f, row in rows if row[-1] and not any(row[:-1])
         )
-        nowhere_total += nowhere
+        unset += nowhere
         tests_only_total += tests_only
         print(
-            f"{name}: {len(rows)} fields, {nowhere} set nowhere, "
+            f"{name}: {len(rows)} fields, {len(nowhere)} set nowhere, "
             f"{tests_only} set in tests/ only"
         )
         for field, row in rows:
             cells = "".join(f"{n or '.':>11}" for n in row)
             print(f"  {field:<32}{cells}")
     print(
-        f"total: {total} fields, {nowhere_total} set nowhere, "
+        f"total: {total} fields, {len(unset)} set nowhere, "
         f"{tests_only_total} set in tests/ only"
     )
-    return 0
+    if args.max is None:
+        return 0
+    failures = [
+        f"{name}.{field} is set by no site: make it a commented constant "
+        "beside its use"
+        for name, field in unset
+        if (name, field) not in NESTED
+    ]
+    if total > args.max:
+        failures.append(f"{total} fields, the ratchet allows {args.max}")
+    for failure in failures:
+        print(f"knob census: {failure}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
