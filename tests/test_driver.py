@@ -2,6 +2,7 @@
 processing, hedged reads, and quorum RPC."""
 
 import random
+import statistics
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro import AuroraCluster, ClusterConfig
 from repro.core.membership import MembershipState
+from repro.db import driver as driver_module
 from repro.db.driver import (
     QUORUM_DEADLINE_MS,
     SUBMIT_DELAY_MS,
@@ -20,6 +22,8 @@ from repro.storage.backend import AuroraBackend, TaurusBackend
 from repro.storage.metadata import SegmentPlacement, StorageMetadataService
 from repro.storage.segment import SegmentKind
 from repro.storage.volume import VolumeGeometry
+
+from .conftest import BACKEND_NAMES
 
 
 def build(boxcar_mode=BoxcarMode.AURORA, seed=31, **driver_overrides):
@@ -94,6 +98,143 @@ class TestBoxcarModes:
         assert batches_for(BoxcarMode.AURORA) < batches_for(
             BoxcarMode.IMMEDIATE
         )
+
+
+#: The window the floor is computed with, held here as a literal on
+#: purpose: changing ``SUBMIT_DELAY_MS`` is a decision made on the ledger
+#: (docs/PERF.md "One flush policy"), and then this number moves with it.
+WINDOW_MS = 0.05
+
+
+def trickle_world(backend):
+    """About 1 500 one-put transactions arriving at 0.5 per simulated ms
+    (the ledger's ``commit_trickle`` in the small, ~0.5 s of host time):
+    ``(cluster, begin-to-ack latencies, the wait of every record sent,
+    boxcars sent)``."""
+    from repro.workloads import WorkloadGenerator, WorkloadRunner, profile
+
+    cluster = AuroraCluster.build(ClusterConfig(seed=2101, backend=backend))
+    runner = WorkloadRunner(
+        cluster, WorkloadGenerator(profile("trickle"), seed=2101)
+    )
+    stats = runner.run_open_loop(rate_per_ms=0.5, duration_ms=3000.0)
+    assert 1400 < stats.committed and stats.aborted < 5
+    sent = cluster.writer.driver.stats
+    fan_out = len(cluster.metadata.routes_of_pg(0).write_members)
+    return (
+        cluster,
+        stats.commit_latencies,
+        tuple(sent.boxcar_delays),
+        sent.batches_sent // fan_out,
+    )
+
+
+def commit_floor_ms(cluster, draws=20_000):
+    """Window + the median, over ``draws`` samples from the cluster's own
+    latency models (test-local RNG), of the moment the acks in hand first
+    satisfy PG 0's write quorum: per write member, link out +
+    ``disk_service`` + link back, intra- or cross-AZ as it is placed."""
+    network = cluster.network
+    writer_az = network.az_of(cluster.writer.name)
+    quorum = cluster.metadata.quorum_config(0)
+    legs = [
+        (
+            member,
+            network.intra_az
+            if network.az_of(member) == writer_az
+            else network.cross_az,
+            cluster.nodes[member].config.disk,
+        )
+        for member in cluster.metadata.routes_of_pg(0).write_members
+    ]
+    rng = random.Random(21)
+    quorum_at = []
+    for _ in range(draws):
+        acked = set()
+        for round_trip, member in sorted(
+            (link.sample(rng) + disk.sample(rng) + link.sample(rng), member)
+            for member, link, disk in legs
+        ):
+            acked.add(member)
+            if quorum.write_satisfied(acked):
+                quorum_at.append(round_trip)
+                break
+    return WINDOW_MS + statistics.median(quorum_at)
+
+
+def burst_delays(cluster):
+    """Three boxcars' worth of one-put commits submitted at one instant:
+    ``(cap, the wait of every record they sent)``."""
+    driver = cluster.writer.driver
+    cap = driver.config.boxcar_max_records
+    before = len(driver.stats.boxcar_delays)
+    db = cluster.session()
+    futures = []
+    for i in range(3 * cap):
+        txn = db.begin()
+        db.put(txn, f"burst{i:03d}", i)
+        futures.append(db.commit_async(txn))
+    for future in futures:
+        db.drive(future)
+    return cap, driver.stats.boxcar_delays[before:]
+
+
+class TestTheWindowIsAllACommitWaitsForBesideTheProtocol:
+    """Sections 2.2-2.3 in the small: a commit waits for the write quorum
+    ("the 4th of 6") and for nothing else -- "without boxcar latency or
+    jitter" -- except the one sub-millisecond submit window."""
+
+    @pytest.fixture(scope="class", params=BACKEND_NAMES)
+    def world(self, request):
+        return trickle_world(request.param)
+
+    def test_median_commit_latency_sits_on_the_quorum_floor(self, world):
+        """Runs on both backends because the floor is computed from the
+        backend's own write members and quorum expression: the 4th of 6
+        segments on Aurora, the 2nd of 3 log stores on Taurus."""
+        cluster, latencies, _delays, _boxcars = world
+        floor = commit_floor_ms(cluster)
+        assert statistics.median(latencies) == pytest.approx(floor, rel=0.02)
+
+    def test_no_record_waits_longer_than_the_window(self, world):
+        """A boxcar's first record arms the window and waits exactly that
+        long; one that joins an armed boxcar waits less; nothing waits
+        more, and at this load no boxcar fills."""
+        _cluster, _latencies, delays, boxcars = world
+        assert max(delays) == pytest.approx(SUBMIT_DELAY_MS, abs=1e-9)
+        on_the_window = sum(
+            1 for d in delays if d == pytest.approx(SUBMIT_DELAY_MS, abs=1e-9)
+        )
+        assert boxcars <= on_the_window and 0.95 * len(delays) < on_the_window
+        assert min(delays) > 0.0
+
+    def test_a_full_boxcar_leaves_at_once(self, world):
+        cap, delays = burst_delays(world[0])
+        full = len(delays) // cap * cap
+        assert full >= 2 * cap
+        assert sorted(delays)[:full] == [0.0] * full
+        assert max(delays) == pytest.approx(SUBMIT_DELAY_MS, abs=1e-9)
+
+    def test_a_tripled_window_is_caught_by_the_floor(self, monkeypatch):
+        monkeypatch.setattr(driver_module, "SUBMIT_DELAY_MS", 3 * WINDOW_MS)
+        cluster, latencies, _delays, _boxcars = trickle_world("aurora")
+        floor = commit_floor_ms(cluster, draws=4_000)
+        assert statistics.median(latencies) > 1.04 * floor
+
+    def test_a_flush_that_rearms_a_full_boxcar_is_caught(self, monkeypatch):
+        def rearming(driver, pg_index, buffer):
+            full = len(buffer) >= driver.config.boxcar_max_records
+            if full and buffer.flush_event is not None:
+                buffer.flush_event.cancel()
+                buffer.flush_event = None
+            if buffer.flush_event is None:
+                buffer.flush_event = driver.loop.schedule(
+                    SUBMIT_DELAY_MS, driver._flush, pg_index
+                )
+
+        monkeypatch.setattr(StorageDriver, "_arm_flush", rearming)
+        _cap, delays = burst_delays(build())
+        assert 0.0 not in delays
 
 
 class TestAckProcessing:
