@@ -321,12 +321,13 @@ class StorageDriver:
             # Time bound: the first record arms the send and the boxcar
             # keeps filling until it executes (AURORA), or waits out the
             # classic boxcar timer (TIMEOUT).
-            buffer.flush_event = self.loop.schedule(
+            window = (
                 SUBMIT_DELAY_MS
                 if mode is BoxcarMode.AURORA
-                else config.boxcar_timeout,
-                self._flush,
-                pg_index,
+                else config.boxcar_timeout
+            )
+            buffer.flush_event = self.loop.schedule(
+                window, self._flush, pg_index
             )
 
     def _flush(self, pg_index: int) -> None:

@@ -29,7 +29,7 @@ GATES = (
 )
 
 #: ``dataclasses.asdict(AuditRunConfig())`` at PR 18's parent commit, less
-#: the dead ``boxcar`` field and PR 21's ``group_commit``.
+#: the dead ``boxcar`` field and the flush-policy field PR 21 deleted.
 HEAD_DEFAULTS = {
     "seed": 7, "steps": 1000, "replicas": 1, "keys": 24, "tail_size": 48,
     "op_timeout_ms": 2500.0, "writer_crash_every": 0,
