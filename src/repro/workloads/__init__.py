@@ -12,6 +12,7 @@ from repro.workloads.generator import (
     WorkloadConfig,
     WorkloadGenerator,
     WorkloadRunner,
+    percentile,
 )
 from repro.workloads.profiles import PROFILES, profile
 from repro.workloads.sessions import (
@@ -30,5 +31,6 @@ __all__ = [
     "WorkloadConfig",
     "WorkloadGenerator",
     "WorkloadRunner",
+    "percentile",
     "profile",
 ]

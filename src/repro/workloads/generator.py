@@ -117,6 +117,16 @@ class WorkloadGenerator:
         return [self.next_transaction() for _ in range(count)]
 
 
+def percentile(series: list[float], q: float) -> float:
+    """The sample at rank ``int(q * n)`` (``q`` in [0, 1]); 0.0 for no
+    samples.  The rule behind every latency cell of ``repro claims``."""
+    if not series:
+        return 0.0
+    ordered = sorted(series)
+    index = min(len(ordered) - 1, int(q * len(ordered)))
+    return ordered[index]
+
+
 @dataclass
 class RunnerStats:
     """What a workload run measured."""
@@ -126,21 +136,14 @@ class RunnerStats:
     commit_latencies: list[float] = field(default_factory=list)
     read_latencies: list[float] = field(default_factory=list)
 
-    def percentile(self, series: list[float], q: float) -> float:
-        if not series:
-            return 0.0
-        ordered = sorted(series)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
-
     def summary(self) -> dict[str, float]:
         commits = self.commit_latencies
         return {
             "committed": float(self.committed),
             "aborted": float(self.aborted),
-            "p50_ms": self.percentile(commits, 0.50),
-            "p95_ms": self.percentile(commits, 0.95),
-            "p99_ms": self.percentile(commits, 0.99),
+            "p50_ms": percentile(commits, 0.50),
+            "p95_ms": percentile(commits, 0.95),
+            "p99_ms": percentile(commits, 0.99),
             "mean_ms": (sum(commits) / len(commits)) if commits else 0.0,
             "peak_to_average": (
                 max(commits) / (sum(commits) / len(commits))

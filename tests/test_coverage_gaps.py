@@ -147,10 +147,11 @@ class TestBaselineApplicationToTail:
 
 class TestWorkloadStatsEdges:
     def test_percentile_of_empty_series(self):
+        from repro.workloads import percentile
         from repro.workloads.generator import RunnerStats
 
         stats = RunnerStats()
-        assert stats.percentile([], 0.99) == 0.0
+        assert percentile([], 0.99) == 0.0
         assert stats.summary()["p50_ms"] == 0.0
         assert stats.summary()["peak_to_average"] == 0.0
 
