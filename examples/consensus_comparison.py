@@ -2,14 +2,15 @@
 """Why avoid distributed consensus?  A head-to-head demonstration.
 
 Runs the same commit workload through Aurora's quorum protocol and through
-the three classical alternatives the paper names -- 2PC, Multi-Paxos, and
-synchronous mirroring -- on identical simulated networks, then injects the
-failure each design fears most:
+the two classical alternatives the paper names -- 2PC and Multi-Paxos -- on
+identical simulated networks, then injects the failure each design fears
+most:
 
 - 2PC: a coordinator crash between votes and decision (participants BLOCK);
-- Paxos/Raft: leader loss (an election gap with no progress);
-- mirroring: one dead mirror (ALL writes stall);
 - Aurora: a dead segment + a whole-AZ outage (nothing stalls).
+
+The measured, asserted version of this comparison is row C1 of
+``python -m repro claims``.
 
 Run:  python examples/consensus_comparison.py
 """
@@ -17,21 +18,12 @@ Run:  python examples/consensus_comparison.py
 import random
 
 from repro import AuroraCluster
-from repro.baselines import (
-    MirroredCluster,
-    PaxosCluster,
-    RaftCluster,
-    TwoPhaseCommitCluster,
-)
+from repro.baselines import PaxosCluster, TwoPhaseCommitCluster
 from repro.sim.events import EventLoop
 from repro.sim.network import Network
+from repro.workloads import percentile as pct
 
 COMMITS = 60
-
-
-def pct(series, q):
-    ordered = sorted(series)
-    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 def main() -> None:
@@ -66,16 +58,6 @@ def main() -> None:
     lat = paxos.leader.commit_latencies
     print(f"multi-paxos p50={pct(lat, .5):6.2f}  p99={pct(lat, .99):6.2f}")
 
-    # Raft.
-    loop = EventLoop()
-    network = Network(loop, random.Random(44))
-    raft = RaftCluster(loop, network, random.Random(44))
-    leader = raft.elect_first_leader()
-    futures = [leader.propose(i) for i in range(COMMITS)]
-    loop.run(until=loop.now + 2_000)
-    lat = leader.commit_latencies
-    print(f"raft        p50={pct(lat, .5):6.2f}  p99={pct(lat, .99):6.2f}")
-
     # ------------------------------------------------------------------
     print("\n=== failure behaviour ===")
 
@@ -89,32 +71,6 @@ def main() -> None:
     loop.run(until=10_000)
     print(f"2PC, coordinator dies mid-commit: commit resolved={future.done}, "
           f"participants stuck holding locks={tpc.blocked_transaction_count()}")
-
-    # Raft leader crash: the election gap.
-    loop = EventLoop()
-    network = Network(loop, random.Random(46))
-    raft = RaftCluster(loop, network, random.Random(46))
-    leader = raft.elect_first_leader()
-    crash_at = loop.now
-    network.fail_node(leader.name)
-    new_leader = None
-    while new_leader is None and loop.now < crash_at + 30_000:
-        loop.run(until=loop.now + 50)
-        live = [n for n in raft.nodes
-                if n.role.value == "leader" and network.is_up(n.name)]
-        new_leader = live[0] if live else None
-    print(f"raft, leader dies: {new_leader.became_leader_at - crash_at:.0f}"
-          f" ms of unavailability before a new leader")
-
-    # Mirroring: one dead mirror stalls everything.
-    loop = EventLoop()
-    network = Network(loop, random.Random(47))
-    mirrored = MirroredCluster(loop, network, random.Random(47))
-    network.fail_node("mirror-0")
-    future = mirrored.write("k", "v")
-    loop.run(until=5_000)
-    print(f"mirroring (write-all), one mirror dead: write resolved="
-          f"{future.done} (stalled={mirrored.primary.stalled_writes})")
 
     # Aurora: a whole AZ down -- writes keep flowing (4/6 still met).
     cluster = AuroraCluster.build(seed=48)

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.baselines.paxos import PaxosCluster, PaxosLeader
-from repro.baselines.raft import RaftCluster, Role
 from repro.sim.events import EventLoop
 from repro.sim.network import Network
 
@@ -14,66 +13,6 @@ def make_env(seed):
     loop = EventLoop()
     rng = random.Random(seed)
     return loop, Network(loop, rng), rng
-
-
-class TestRaftLogRepair:
-    def test_lagging_follower_catches_up_via_backoff(self):
-        """A follower that missed entries is repaired through the
-        nextIndex backoff in AppendEntries."""
-        loop, network, rng = make_env(21)
-        raft = RaftCluster(loop, network, rng, node_count=5)
-        leader = raft.elect_first_leader()
-        laggard = next(n for n in raft.nodes if n is not leader)
-        network.fail_node(laggard.name)
-        futures = [leader.propose(f"v{i}") for i in range(8)]
-        loop.run(until=loop.now + 1_000)
-        assert all(f.done for f in futures)
-        assert len(laggard.log) == 0
-        network.restore_node(laggard.name)
-        loop.run(until=loop.now + 2_000)  # heartbeats repair the log
-        assert len(laggard.log) == len(leader.log)
-        assert laggard.commit_index >= 7
-
-    def test_old_leader_returning_steps_down(self):
-        loop, network, rng = make_env(22)
-        raft = RaftCluster(loop, network, rng, node_count=5)
-        old_leader = raft.elect_first_leader()
-        network.fail_node(old_leader.name)
-        # Wait for a new leader at a higher term.
-        new_leader = None
-        deadline = loop.now + 30_000
-        while new_leader is None and loop.now < deadline:
-            loop.run(until=loop.now + 50)
-            live = [
-                n for n in raft.nodes
-                if n.role is Role.LEADER and network.is_up(n.name)
-            ]
-            new_leader = live[0] if live else None
-        assert new_leader is not None
-        assert new_leader.term > old_leader.term
-        network.restore_node(old_leader.name)
-        loop.run(until=loop.now + 2_000)
-        assert old_leader.role is Role.FOLLOWER
-        assert old_leader.term >= new_leader.term
-
-    def test_committed_entries_survive_leader_change(self):
-        loop, network, rng = make_env(23)
-        raft = RaftCluster(loop, network, rng, node_count=5)
-        leader = raft.elect_first_leader()
-        futures = [leader.propose(f"durable{i}") for i in range(5)]
-        loop.run(until=loop.now + 1_000)
-        assert all(f.done for f in futures)
-        network.fail_node(leader.name)
-        new_leader = None
-        while new_leader is None:
-            loop.run(until=loop.now + 50)
-            live = [
-                n for n in raft.nodes
-                if n.role is Role.LEADER and network.is_up(n.name)
-            ]
-            new_leader = live[0] if live else None
-        values = [entry.value for entry in new_leader.log[:5]]
-        assert values == [f"durable{i}" for i in range(5)]
 
 
 class TestPaxosBallots:

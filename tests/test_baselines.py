@@ -7,12 +7,9 @@ import pytest
 from repro.baselines import (
     AriesRecoveryModel,
     LeaseFencing,
-    MirroredCluster,
     PaxosCluster,
-    RaftCluster,
     TwoPhaseCommitCluster,
 )
-from repro.baselines.raft import Role
 from repro.errors import ConfigurationError
 from repro.sim.events import EventLoop
 from repro.sim.network import Network
@@ -127,88 +124,6 @@ class TestPaxos:
         future = paxos.propose("stuck")
         loop.run(until=1_000.0)
         assert not future.done
-
-
-class TestRaft:
-    def test_elects_exactly_one_leader(self):
-        loop, network, rng = make_env(seed=11)
-        raft = RaftCluster(loop, network, rng, node_count=5)
-        leader = raft.elect_first_leader()
-        loop.run(until=loop.now + 500)
-        leaders = [n for n in raft.nodes if n.role is Role.LEADER]
-        assert len(leaders) == 1
-        assert leaders[0] is leader
-
-    def test_replicates_and_commits(self):
-        loop, network, rng = make_env(seed=12)
-        raft = RaftCluster(loop, network, rng, node_count=5)
-        leader = raft.elect_first_leader()
-        futures = [leader.propose(f"cmd{i}") for i in range(5)]
-        loop.run(until=loop.now + 1_000)
-        assert all(f.done for f in futures)
-        for node in raft.nodes:
-            assert node.commit_index >= 4 or node.role is Role.LEADER
-
-    def test_leader_crash_causes_election_gap_then_recovers(self):
-        """The availability stall Aurora's epochs avoid."""
-        loop, network, rng = make_env(seed=13)
-        raft = RaftCluster(loop, network, rng, node_count=5)
-        leader = raft.elect_first_leader()
-        future = leader.propose("before-crash")
-        loop.run(until=loop.now + 500)
-        assert future.done
-        crash_time = loop.now
-        network.fail_node(leader.name)
-        new_leader = None
-        while new_leader is None:
-            loop.run(until=loop.now + 50)
-            candidates = [
-                n for n in raft.nodes
-                if n.role is Role.LEADER and network.is_up(n.name)
-            ]
-            new_leader = candidates[0] if candidates else None
-            assert loop.now < crash_time + 30_000
-        gap = new_leader.became_leader_at - crash_time
-        assert gap >= 100.0  # at least an election timeout of dead air
-        future = new_leader.propose("after-failover")
-        loop.run(until=loop.now + 1_000)
-        assert future.done
-
-    def test_follower_rejects_stale_term(self):
-        loop, network, rng = make_env(seed=14)
-        raft = RaftCluster(loop, network, rng, node_count=3)
-        leader = raft.elect_first_leader()
-        follower = next(n for n in raft.nodes if n is not leader)
-        assert follower.term >= leader.term
-
-
-class TestMirrored:
-    def test_write_all_read_one(self):
-        loop, network, rng = make_env()
-        mirrored = MirroredCluster(loop, network, rng, mirror_count=2)
-        future = mirrored.write("k", "v")
-        loop.run_until_idle()
-        assert future.done
-        assert mirrored.primary.read("k") == "v"
-        assert all(m.data["k"] == "v" for m in mirrored.mirrors)
-
-    def test_single_dead_mirror_stalls_all_writes(self):
-        """The write-availability weakness of write-all replication."""
-        loop, network, rng = make_env()
-        mirrored = MirroredCluster(loop, network, rng, mirror_count=3)
-        network.fail_node("mirror-1")
-        future = mirrored.write("k", "v")
-        loop.run(until=5_000.0)
-        assert not future.done
-        assert mirrored.primary.stalled_writes == 1
-
-    def test_slow_mirror_sets_write_latency(self):
-        loop, network, rng = make_env()
-        mirrored = MirroredCluster(loop, network, rng, mirror_count=3)
-        network.set_latency_scale("mirror-2", 40.0)
-        future = mirrored.write("k", "v")
-        loop.run_until_idle()
-        assert mirrored.primary.write_latencies[0] > 10.0
 
 
 class TestAriesModel:
