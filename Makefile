@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # reports are byte-identical to a sequential run; see docs/PERF.md).
 JOBS ?= 4
 
-.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity gates-diff knobs bench-paper ledger ledger-smoke ledger-pairs ledger-events
+.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity gates-diff knobs ledger ledger-smoke ledger-pairs ledger-events
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -49,16 +49,11 @@ gates-diff:
 	python3 tools/gates_diff.py --base $(BASE) --sweep $(SWEEP) --jobs $(JOBS) $(if $(EXPECT),--expect $(EXPECT))
 
 # Every *Config dataclass field under src/ with the number of sites that
-# set it in src/, bench/, benchmarks/, examples/ and tests/
+# set it in src/, bench/, examples/ and tests/
 # (tools/knob_census.py): where a diet PR starts.  Print-only; CI runs it
 # with `--max N` as a ratchet on the field total.
 knobs:
 	python3 tools/knob_census.py
-
-# The paper-shaped latency benchmarks (C1 commit latency, C2 boxcar
-# jitter, ...) under pytest-benchmark.
-bench-paper:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # The repo benchmark (BENCHMARK.json, bench/README.md): four seeded
 # workloads, the end-to-end pass plus the traced per-layer pass; results

@@ -8,7 +8,10 @@ Commands:
   membership change, each with before/after consistency points;
 - ``report``    -- build a cluster, run brief traffic, dump the report;
 - ``audit-run`` -- seeded chaos schedule + runtime invariant auditor;
-  exits nonzero with a violation report if any safety invariant broke.
+  exits nonzero with a violation report if any safety invariant broke;
+- ``claims``    -- measure the paper's figures and quantified claims
+  (``repro.claims.CLAIMS``, DESIGN.md section 4) and print the tables;
+  exits nonzero if a measured shape is not the paper's.
 
 Every command is deterministic given ``--seed``.
 """
@@ -90,6 +93,19 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[seed_parent],
     )
     _add_audit_arguments(audit)
+
+    claims = sub.add_parser(
+        "claims",
+        help="measure the paper's figures and claims; print the tables",
+    )
+    claims.add_argument(
+        "--id", nargs="+", metavar="ID", default=None,
+        help="rows to measure (default: all of DESIGN.md section 4)",
+    )
+    claims.add_argument(
+        "--backend", choices=("aurora", "taurus"), default="aurora",
+        help="storage backend of every measured cluster",
+    )
     return parser
 
 
@@ -311,6 +327,43 @@ def _cmd_audit_run(args: argparse.Namespace) -> int:
     return 1 if clean < len(reports) else 0
 
 
+def _cmd_claims(args: argparse.Namespace) -> int:
+    # Imported here: the claims build every kind of world the repo has,
+    # and no other command (nor the repo benchmark) should pay for that.
+    import traceback
+
+    from repro.claims import CLAIMS
+
+    rows = {claim.id: claim for claim in CLAIMS}
+    unknown = [name for name in args.id or () if name not in rows]
+    if unknown:
+        print(f"repro claims: no row {', '.join(unknown)}; the rows are "
+              f"{' '.join(rows)}", file=sys.stderr)
+        return 2
+    failed = []
+    for name in args.id or rows:
+        claim = rows[name]
+        print(claim.heading())
+        try:
+            tables = claim.measure(args.backend)
+            for table in tables:
+                print(f"\n{table.markdown()}")
+            claim.check(tables)
+            print("\nshape: holds\n")
+        except Exception as error:  # noqa: BLE001 - report, try the next row
+            # A row whose world or shape does not exist on this backend
+            # (Taurus has no sixth segment to cut off) is a finding to
+            # print beside the rows that do hold, not a crash.
+            where = traceback.extract_tb(error.__traceback__)[-1]
+            print(f"\nshape: FAILS -- {type(error).__name__} at "
+                  f"{where.name}: `{where.line}`\n")
+            failed.append(name)
+    if failed:
+        print(f"rows whose shape failed on {args.backend}: "
+              f"{' '.join(failed)}")
+    return 1 if failed else 0
+
+
 _COMMANDS = {
     "demo": _cmd_demo,
     "workload": _cmd_workload,
@@ -318,6 +371,7 @@ _COMMANDS = {
     "multiwriter": _cmd_multiwriter,
     "report": _cmd_report,
     "audit-run": _cmd_audit_run,
+    "claims": _cmd_claims,
 }
 
 

@@ -119,6 +119,7 @@ class MultiWriterCluster:
         partition_count: int = 2,
         seed: int = 42,
         blocks_per_pg: int = 4096,
+        backend: object = "aurora",
     ) -> None:
         if partition_count < 1:
             raise ConfigurationError("partition_count must be >= 1")
@@ -127,6 +128,7 @@ class MultiWriterCluster:
                 seed=seed,
                 blocks_per_pg=blocks_per_pg,
                 name_prefix="part0:",
+                backend=backend,
             )
         )
         self.loop = base.loop
@@ -142,6 +144,7 @@ class MultiWriterCluster:
                         seed=seed + index,
                         blocks_per_pg=blocks_per_pg,
                         name_prefix=f"part{index}:",
+                        backend=backend,
                     ),
                     shared=shared,
                 )

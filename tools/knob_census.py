@@ -4,10 +4,10 @@
 
 For each field of each dataclass under ``src/`` whose name ends in
 ``Config`` this prints how many sites set it in ``src/``, ``bench/``,
-``benchmarks/``, ``examples/`` and ``tests/`` -- the table a diet PR starts
-from (ROADMAP "Census and diet": a knob that no caller outside ``tests/``
-sets has one value in use and is a constant; one no site sets at all has
-never been tried at another value).  A site is, read from the syntax tree:
+``examples/`` and ``tests/`` -- the table a diet PR starts from (ROADMAP
+"Census and diet": a knob that no caller outside ``tests/`` sets has one
+value in use and is a constant; one no site sets at all has never been
+tried at another value).  A site is, read from the syntax tree:
 
 - a keyword (or positional) argument of a call to the class by name,
   booked to that class;
@@ -39,7 +39,7 @@ from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-TREES = ("src", "bench", "benchmarks", "examples", "tests")
+TREES = ("src", "bench", "examples", "tests")
 
 #: Fields no site sets that stay: each holds a nested config object, which
 #: callers reach *through* (``config.instance.driver.boxcar_mode = mode``,
