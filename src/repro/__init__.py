@@ -15,11 +15,13 @@ The library builds, from scratch, every system the paper describes:
   WAL eviction invariant, MTR-atomic B-tree, MVCC snapshot isolation,
   asynchronous commits, read replicas, and failover,
 - the consensus baselines the paper positions itself against
-  (:mod:`repro.baselines`): 2PC, Multi-Paxos, Raft-style replication,
-  mirrored write-all/read-one, and lease-based fencing,
+  (:mod:`repro.baselines`): 2PC, Multi-Paxos, lease-based fencing, and an
+  ARIES redo-replay model,
 - analytic models (:mod:`repro.analysis`) for quorum availability,
-  durability windows, and storage cost amplification, and
-- workload generators (:mod:`repro.workloads`).
+  durability windows, and storage cost amplification,
+- workload generators (:mod:`repro.workloads`), and
+- the paper's figures and quantified claims as measured, checked rows
+  (:mod:`repro.claims`; ``python -m repro claims``).
 
 Quickstart::
 
