@@ -12,7 +12,7 @@ GEO_WRITES = 120
 LOSS_RATES = (0.0, 0.05, 0.2, 0.4)
 
 
-def geo_world(backend: str, loss_rate: float, ack_mode: str) -> GeoCluster:
+def _geo_world(backend: str, loss_rate: float, ack_mode: str) -> GeoCluster:
     return GeoCluster.build(
         GeoConfig(
             seed=GEO_SEED, backend=backend, ack_mode=ack_mode,
@@ -25,7 +25,7 @@ def geo_lag(backend: str) -> list[Table]:
     def at_loss(loss_rate: float) -> list:
         """The same seeded writes twice: async for the lag profile, sync
         for the commit latency a remote-gated commit pays."""
-        geo = geo_world(backend, loss_rate, ASYNC)
+        geo = _geo_world(backend, loss_rate, ASYNC)
         db = geo.session()
 
         def true_lag() -> int:
@@ -48,7 +48,7 @@ def geo_lag(backend: str) -> list[Table]:
         final_lag = true_lag()
         sender = geo.sender.wan
 
-        sync_geo = geo_world(backend, loss_rate, SYNC)
+        sync_geo = _geo_world(backend, loss_rate, SYNC)
         sync_db = sync_geo.session()
         commit_ms = []
         for i in range(GEO_WRITES // 4):

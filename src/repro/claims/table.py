@@ -14,6 +14,7 @@ from typing import Callable
 
 
 def markdown_table(headers: list[str], rows: list[list[str]]) -> str:
+    """A markdown table of already formatted cells (``|`` escaped)."""
     lines = [headers, ["---"] * len(headers), *rows]
     return "\n".join(
         "| " + " | ".join(c.replace("|", "\\|") for c in line) + " |"

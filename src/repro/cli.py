@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import traceback
 
 from repro import AuroraCluster, ClusterConfig
 from repro.audit import PROFILES as AUDIT_PROFILES
@@ -330,8 +331,6 @@ def _cmd_audit_run(args: argparse.Namespace) -> int:
 def _cmd_claims(args: argparse.Namespace) -> int:
     # Imported here: the claims build every kind of world the repo has,
     # and no other command (nor the repo benchmark) should pay for that.
-    import traceback
-
     from repro.claims import CLAIMS
 
     rows = {claim.id: claim for claim in CLAIMS}
