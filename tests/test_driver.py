@@ -686,7 +686,7 @@ def test_a_planted_routing_bug_is_caught(layout, planted):
     """The differential finds each mutant unaided (no shrinking: any
     counterexample will do)."""
     searched = settings(
-        max_examples=300, deadline=None, database=None,
+        max_examples=300, deadline=None, database=None, derandomize=True,
         phases=[Phase.generate], report_multiple_bugs=False,
     )(
         given(rng=st.randoms(use_true_random=False))(
