@@ -10,19 +10,11 @@ These reproduce the arithmetic behind the paper's design arguments:
   that break quorum, across fleets of tens of thousands of segments.
 - :mod:`repro.analysis.cost` -- storage amplification of the full/tail
   quorum set versus six full copies (section 4.2's ~3x result).
-- :mod:`repro.analysis.failover_availability` -- measured writer-failover
-  windows (detection, promotion, total write unavailability) against the
-  ~30 s managed-database failover budget.
-- :mod:`repro.analysis.rpo_rto` -- measured region-loss disaster
-  recovery: RPO (zero for sync-acked commits, lag-bounded for async)
-  and RTO against the cross-region recovery budget.
-- :mod:`repro.analysis.serving` -- the client edge: proxied session
-  recovery through failover, replica time-lag SLO, and read routing
-  mix against the published serving envelope.
-- :mod:`repro.analysis.integrity` -- silent-corruption handling: MTTD /
-  MTTR / exposure distributions, read-path interception, and the
-  zero-corrupt-reads gate, with measured exposure fed back into the C7
-  durability model.
+
+Models only: what a run *measured* against these -- the repair, failover,
+disaster-recovery, serving and integrity windows and their budgets -- is
+a :class:`repro.verdict.Section` next to the tier's records
+(docs/AUDIT.md "Budgets").
 """
 
 from repro.analysis.availability import (
@@ -34,58 +26,14 @@ from repro.analysis.cost import CostModel
 from repro.analysis.durability import (
     C7_WINDOW_S,
     DurabilityModel,
-    FleetDurabilityReport,
-    fleet_durability,
     model_from_observed_mttr,
-)
-from repro.analysis.failover_availability import (
-    FAILOVER_BUDGET_S,
-    FailoverAvailabilityReport,
-    failover_availability,
-)
-from repro.analysis.rpo_rto import (
-    GEO_RTO_BUDGET_S,
-    RpoRtoReport,
-    rpo_rto_from_records,
-    rpo_rto_report,
-)
-from repro.analysis.integrity import (
-    INTEGRITY_REPAIR_BUDGET_MS,
-    IntegrityReport,
-    integrity_report,
-    merge_integrity_reports,
-)
-from repro.analysis.serving import (
-    REPLICA_LAG_SLO_MS,
-    SESSION_RECOVERY_BUDGET_S,
-    ServingReport,
-    merge_serving_reports,
-    serving_report,
 )
 
 __all__ = [
     "C7_WINDOW_S",
     "CostModel",
     "DurabilityModel",
-    "FAILOVER_BUDGET_S",
-    "FailoverAvailabilityReport",
-    "FleetDurabilityReport",
-    "GEO_RTO_BUDGET_S",
-    "INTEGRITY_REPAIR_BUDGET_MS",
-    "IntegrityReport",
-    "REPLICA_LAG_SLO_MS",
-    "RpoRtoReport",
-    "SESSION_RECOVERY_BUDGET_S",
-    "ServingReport",
-    "failover_availability",
-    "fleet_durability",
-    "integrity_report",
-    "merge_integrity_reports",
-    "merge_serving_reports",
     "model_from_observed_mttr",
-    "serving_report",
-    "rpo_rto_from_records",
-    "rpo_rto_report",
     "az_failure_survival",
     "quorum_availability",
     "quorum_availability_under_az_failure",

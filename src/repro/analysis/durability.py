@@ -16,7 +16,6 @@ number of quorums will be degraded" remark describes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.storage.volume import COPIES_PER_PG, SEGMENT_SIZE_GB
@@ -255,122 +254,4 @@ def model_from_observed_mttr(
         segment_mttf_hours=segment_mttf_hours,
         repair_window_s=mean_mttr_ms / 1000.0,
         az_failures_per_year=az_failures_per_year,
-    )
-
-
-@dataclass
-class FleetDurabilityReport:
-    """Achieved durability versus the paper's C7 window, from *measured*
-    repair-window distributions.
-
-    Durability is a tail phenomenon: the quorum-loss exposure of a fleet
-    is set by its slowest repairs, not its average ones, so the report
-    evaluates the AZ+1 read-quorum-loss probability at the mean, p95, and
-    max of the observed distribution and compares each against the
-    probability the paper's assumed 10-second window would give.
-    """
-
-    samples: int
-    mean_ms: float
-    p50_ms: float
-    p95_ms: float
-    max_ms: float
-    #: P(read-quorum loss in one window) at each observed window size.
-    p_loss_mean: float
-    p_loss_p95: float
-    p_loss_max: float
-    #: The same probability under the paper's assumed C7 window.
-    p_loss_c7: float
-    #: Whether even the worst observed repair finished inside C7.
-    meets_c7: bool
-    detection: "LatencyPoint | None" = None
-
-    def render_lines(self) -> list[str]:
-        lines = [
-            f"  repair window:       mean={self.mean_ms:.0f}ms "
-            f"p50={self.p50_ms:.0f}ms p95={self.p95_ms:.0f}ms "
-            f"max={self.max_ms:.0f}ms (n={self.samples})",
-        ]
-        if self.detection is not None:
-            lines.append(
-                f"  detection latency:   mean={self.detection.mean_ms:.0f}ms "
-                f"p95={self.detection.p95_ms:.0f}ms "
-                f"max={self.detection.max_ms:.0f}ms"
-            )
-        lines += [
-            f"  AZ+1 read-quorum-loss probability per window:",
-            f"    at observed mean:  {self.p_loss_mean:.3e}",
-            f"    at observed p95:   {self.p_loss_p95:.3e}",
-            f"    at observed max:   {self.p_loss_max:.3e}",
-            f"    at paper C7 (10s): {self.p_loss_c7:.3e}",
-            f"  C7 window ({C7_WINDOW_S:.0f}s):     "
-            + (
-                "met by every observed repair"
-                if self.meets_c7
-                else "EXCEEDED by the observed tail"
-            ),
-        ]
-        return lines
-
-
-@dataclass
-class LatencyPoint:
-    """Detection-latency summary carried alongside the repair window."""
-
-    mean_ms: float
-    p95_ms: float
-    max_ms: float
-
-
-def fleet_durability(
-    mttr_samples_ms: list[float],
-    detection_samples_ms: list[float] = (),
-    segment_mttf_hours: float = 10_000.0,
-    az_failures_per_year: float = 0.5,
-) -> FleetDurabilityReport:
-    """Evaluate a fleet's measured repair windows against the C7 budget.
-
-    ``mttr_samples_ms`` should include *every* terminal repair (stalled
-    and rolled-back attempts too, see
-    :attr:`repro.repair.RepairRecord.resolution_ms`); feeding only
-    finalized repairs understates the tail.
-    """
-    from repro.repair.metrics import percentile
-
-    samples = [s for s in mttr_samples_ms if s > 0]
-    if not samples:
-        raise ConfigurationError(
-            "fleet_durability needs at least one positive repair window"
-        )
-
-    def p_loss(window_ms: float) -> float:
-        return DurabilityModel(
-            segment_mttf_hours=segment_mttf_hours,
-            repair_window_s=window_ms / 1000.0,
-            az_failures_per_year=az_failures_per_year,
-        ).p_read_quorum_loss()
-
-    mean_ms = sum(samples) / len(samples)
-    p95_ms = percentile(samples, 95)
-    max_ms = max(samples)
-    detection = None
-    detections = [s for s in detection_samples_ms if s >= 0]
-    if detections:
-        detection = LatencyPoint(
-            mean_ms=sum(detections) / len(detections),
-            p95_ms=percentile(detections, 95),
-            max_ms=max(detections),
-        )
-    return FleetDurabilityReport(
-        samples=len(samples),
-        mean_ms=mean_ms,
-        p50_ms=percentile(samples, 50),
-        p95_ms=p95_ms,
-        max_ms=max_ms,
-        p_loss_mean=p_loss(mean_ms),
-        p_loss_p95=p_loss(p95_ms),
-        p_loss_max=p_loss(max_ms),
-        p_loss_c7=p_loss(C7_WINDOW_S * 1000.0),
-        meets_c7=max_ms <= C7_WINDOW_S * 1000.0,
-        detection=detection,
     )

@@ -34,6 +34,7 @@ from repro.audit.profiles import PROFILES
 from repro.audit.runner import (
     AuditReport,
     AuditRunConfig,
+    merged_sections,
     profile_of,
     run_audit,
     run_audit_sweep,
@@ -45,6 +46,7 @@ __all__ = [
     "AuditViolation",
     "Auditor",
     "PROFILES",
+    "merged_sections",
     "profile_of",
     "run_audit",
     "run_audit_sweep",

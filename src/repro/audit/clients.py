@@ -711,12 +711,7 @@ class ProxyClient:
         self.cluster = cluster = run.world
         horizon_ms = run.horizon_ms
         self.proxy = ConnectionProxy(
-            cluster,
-            ProxyConfig(
-                pool_size=cfg.proxy_pool,
-                lag_slo_ms=cfg.proxy_lag_slo_ms,
-                recovery_budget_ms=cfg.proxy_recovery_budget_ms,
-            ),
+            cluster, ProxyConfig(pool_size=cfg.proxy_pool)
         )
         self.workload = SessionScaleWorkload(
             self.proxy,

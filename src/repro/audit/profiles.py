@@ -28,12 +28,13 @@ from repro.db.instance import InstanceState
 from repro.repair import RepairConfig
 from repro.repair.detector import Health
 from repro.repair.failover import FailoverSummary
-from repro.repair.metrics import ACTIVE, STALLED, RepairSummary, summarize
+from repro.repair.metrics import ACTIVE, RepairSummary
 from repro.sim.chaos import (
     ChaosConfig,
     geo_chaos_config,
     integrity_chaos_config,
 )
+from repro.sim.failures import EXPOSURE_WINDOW, IntegritySummary
 from repro.storage.node import StorageNodeConfig
 
 
@@ -198,7 +199,7 @@ def _settle_integrity(run: Run, client: ClusterClient) -> None:
     failures = cluster.failures
     ledger = failures.integrity
     _run_out_chaos(run)
-    if not ledger.by_kind():
+    if not ledger.records:
         # Non-vacuity backstop: a schedule whose draws all missed (no
         # eligible victim at fire time -- a caught-up fleet has nothing
         # above its GC floors) would let the gate pass without exercising
@@ -224,7 +225,7 @@ def _settle_integrity(run: Run, client: ClusterClient) -> None:
         cluster, lambda: ledger.open_count() == 0, keepalive=client.keepalive
     )
     client.settled()
-    ledger.audit_unrepaired(run.cfg.integrity_repair_budget_ms)
+    ledger.audit_unrepaired(EXPOSURE_WINDOW.limit_ms)
 
 
 def _settle_proxy(run: Run, client: ProxyClient) -> None:
@@ -245,7 +246,8 @@ def _settle_geo(run: Run, client: GeoClient) -> None:
 
 
 # ----------------------------------------------------------------------
-# Judge: each returns its section of the AuditReport
+# Judge: each returns the AuditReport's sections and gates (and the common
+# fields its client counts differently)
 # ----------------------------------------------------------------------
 def _judge_cluster(run: Run, client: ClusterClient) -> dict:
     """Zero violations; nothing confirmed dead left unrepaired; the
@@ -255,25 +257,19 @@ def _judge_cluster(run: Run, client: ClusterClient) -> dict:
     The sweep footer reports detection/MTTR and failover-window
     distributions and durability vs the paper's C7 window."""
     cfg, cluster = run.cfg, run.world
-    section = dict(
-        planted_rollback_ok=client.planted_rollback_ok,
-        fleet_kills=len(client.fleet_killed),
-        writer_kills=client.writer_kills,
-    )
-    if cfg.failover:
-        section["failovers"] = cluster.failover.summary()
-        section["failover_ok"] = all(
-            record.outcome not in (ACTIVE, STALLED)
-            and (record.unavailability_ms or 0.0) <= cfg.failover_budget_ms
-            for record in cluster.failover.records
-        )
+    sections = {}
+    gates = dict(planted_rollback=client.planted_rollback_ok)
     if cfg.heal:
-        repairs = section["repairs"] = cluster.healer.summary()
-        section["health_counters"] = dict(cluster.health.counters)
+        repairs = sections["repairs"] = cluster.healer.summary()
+        counters = cluster.health.counters
+        repairs.suspected = counters["suspected"]
+        repairs.confirmed_dead = counters["confirmed_dead"]
+        repairs.false_positives = counters["false_positives"]
+        repairs.storm_kills = len(client.fleet_killed)
         # Records still in flight, PGs parked in a dual membership, and
         # members the monitor still holds confirmed-dead.  (A ``stalled``
         # record alone does not count: its retry covers the same segment.)
-        section["unrepaired"] = (
+        repairs.unrepaired = (
             sum(1 for r in cluster.healer.records if r.outcome == ACTIVE)
             + sum(
                 1
@@ -282,11 +278,16 @@ def _judge_cluster(run: Run, client: ClusterClient) -> dict:
             )
             + _member_health(cluster).count(Health.DEAD)
         )
+        gates["repairs"] = repairs.ok
         if cfg.min_concurrent_repairs > 0:
-            section["concurrency_ok"] = (
+            gates["concurrency"] = (
                 repairs.peak_concurrent >= cfg.min_concurrent_repairs
             )
-    return section
+    if cfg.failover:
+        failovers = sections["failovers"] = cluster.failover.summary()
+        failovers.writer_kills = client.writer_kills
+        gates["failover"] = failovers.ok
+    return dict(sections=sections, gates=gates)
 
 
 def _judge_integrity(run: Run, client: ClusterClient) -> dict:
@@ -296,37 +297,24 @@ def _judge_integrity(run: Run, client: ClusterClient) -> dict:
     every corruption repaired inside the 12 s exposure budget; zero
     violations underneath.  The sweep footer merges MTTD/MTTR/exposure
     (`--integrity-json` writes it)."""
-    from repro.analysis.integrity import integrity_report
-
-    cfg, ledger = run.cfg, run.world.failures.integrity
     nodes = run.nodes.values()
-
-    def summed(counter: str) -> int:
-        return sum(n.counters[counter] for n in nodes)
-
-    report = integrity_report(
-        backend=cfg.backend,
-        by_kind=ledger.by_kind(),
-        mttd_samples_ms=ledger.mttd_samples(),
-        mttr_samples_ms=ledger.mttr_samples(),
-        exposure_samples_ms=ledger.exposure_samples(),
-        reads_intercepted=summed("reads_intercepted"),
-        versions_quarantined=sum(
-            n.segment.stats["versions_quarantined"] for n in nodes
-        ),
-        ingest_rejects=summed("ingest_rejects"),
-        vote_rounds=summed("vote_rounds"),
-        vote_repairs=summed("vote_repairs"),
-        scrub_runs=summed("scrub_runs"),
-        corrupt_reads_served=ledger.corrupt_reads_served,
-        repair_budget_ms=cfg.integrity_repair_budget_ms,
+    section = run.world.failures.integrity.summary()
+    section.backends = (run.cfg.backend,)
+    for counter in (
+        "reads_intercepted", "ingest_rejects", "vote_rounds", "vote_repairs",
+        "scrub_runs",
+    ):
+        setattr(section, counter, sum(n.counters[counter] for n in nodes))
+    section.versions_quarantined = sum(
+        n.segment.stats["versions_quarantined"] for n in nodes
     )
     return dict(
-        integrity=report,
-        backend=cfg.backend,
-        integrity_ok=report.ok
-        and report.injected >= 1
-        and not run.auditors[0].violations,
+        sections=dict(integrity=section),
+        gates=dict(
+            integrity=section.ok
+            and section.injected >= 1
+            and not run.auditors[0].violations
+        ),
     )
 
 
@@ -337,34 +325,26 @@ def _judge_proxy(run: Run, client: ProxyClient) -> dict:
     violations; every session outage inside the 5 s budget; steady-state
     replica time-lag p95 inside the 10 ms SLO.  The sweep footer merges
     the serving reports."""
-    from repro.analysis.serving import serving_report
-
-    cfg = run.cfg
-    stats, edge = client.workload.stats, client.proxy.stats
-    serving = serving_report(
-        sessions=cfg.proxy_sessions,
-        ops=stats.ops_completed,
-        recovery_samples_ms=edge.recovery_samples,
-        lag_samples_ms=client.proxy.lag.samples,
-        replica_reads=edge.replica_reads,
-        writer_reads=edge.writer_reads,
-        floor_exclusions=edge.floor_exclusions,
-        pool_waits=edge.pool_waits,
-        ryw_violations=stats.ryw_violations,
-        lost_acked_writes=stats.lost_acked_writes,
-        recovery_budget_s=cfg.proxy_recovery_budget_ms / 1000.0,
-        lag_slo_ms=cfg.proxy_lag_slo_ms,
-    )
+    stats = client.workload.stats
+    serving = client.proxy.summary()
+    serving.sessions = run.cfg.proxy_sessions
+    serving.ops = stats.ops_completed
+    serving.ryw_violations = stats.ryw_violations
+    serving.lost_acked_writes = stats.lost_acked_writes
+    # The failover telemetry covers the kill; serving adds the client-edge
+    # view of it.
+    failovers = run.world.failover.summary()
+    failovers.writer_kills = client.writer_kills
     return dict(
         chaos_events=client.writer_kills,
-        writer_kills=client.writer_kills,
-        failovers=run.world.failover.summary(),
-        serving=serving,
-        proxy_ok=serving.ok
-        and client.writer_kills == 1
-        and client.recoveries == 1
-        and len(edge.recovery_samples) > 0
-        and not run.auditors[0].violations,
+        sections=dict(failovers=failovers, serving=serving),
+        gates=dict(
+            proxy=serving.ok
+            and client.writer_kills == 1
+            and client.recoveries == 1
+            and bool(serving.recovery)
+            and not run.auditors[0].violations
+        ),
     )
 
 
@@ -375,110 +355,21 @@ def _judge_geo(run: Run, client: GeoClient) -> dict:
     sync-acked loss and async loss only beyond the applied frontier; the
     deposed primary provably fenced; zero violations on either volume.
     The sweep footer merges the RPO/RTO distributions."""
-    from repro.analysis.rpo_rto import rpo_rto_from_records
-    from repro.errors import ConfigurationError
-    from repro.geo import PROMOTED, GeoFailoverSummary
-
-    geo, budget_ms = run.world, run.cfg.geo_rto_budget_ms
-    records = geo.geo_failover.records
-    promoted = [r for r in records if r.outcome == PROMOTED]
-    try:
-        rpo_rto = rpo_rto_from_records(
-            records, rto_budget_s=budget_ms / 1000.0
-        )
-    except ConfigurationError:
-        rpo_rto = None  # nothing promoted; the gate is already False
+    geo = run.world
+    section = geo.geo_failover.summary()
+    section.ack_modes = (geo.config.ack_mode,)
     return dict(
-        writer_recoveries=sum(r.promotion_attempts for r in records),
-        geo_records=list(records),
-        geo_ack_mode=geo.config.ack_mode,
-        geo_rpo_rto=rpo_rto,
-        geo_ok=geo.promoted
-        and len(promoted) == 1
-        and all(r.outcome in GeoFailoverSummary.OUTCOMES for r in records)
-        and all(
-            r.rto_ms is not None and r.rto_ms <= budget_ms for r in promoted
-        )
-        and client.reconciled,
+        writer_recoveries=sum(
+            r.promotion_attempts for r in geo.geo_failover.records
+        ),
+        sections=dict(geo=section),
+        gates=dict(
+            geo=geo.promoted
+            and section.promoted == 1
+            and section.ok
+            and client.reconciled
+        ),
     )
-
-
-# ----------------------------------------------------------------------
-# Sweep footers: the per-seed telemetry merged across a sweep
-# ----------------------------------------------------------------------
-def _fail_stop_footer(reports: list) -> list[str]:
-    from repro.analysis import failover_availability, fleet_durability
-
-    lines = []
-    repairs, failovers = RepairSummary(), FailoverSummary()
-    for report in reports:
-        if report.repairs is not None:
-            repairs.merge(report.repairs)
-        if report.failovers is not None:
-            failovers.merge(report.failovers)
-    if repairs.resolution.count:
-        lines.append(
-            f"fleet repair telemetry across {len(reports)} seeds "
-            f"(peak {repairs.peak_concurrent} concurrent PG repairs):"
-        )
-        # Every terminal outcome counts: judging the window only by
-        # finalized repairs would be survivorship-biased.
-        lines += fleet_durability(
-            repairs.resolution.samples,
-            detection_samples_ms=repairs.detection.samples,
-        ).render_lines()
-    if failovers.unavailability.samples:
-        lines.append(
-            f"fleet failover telemetry across {len(reports)} seeds "
-            f"({failovers.confirmed} writer failovers):"
-        )
-        lines += failover_availability(
-            failovers.unavailability.samples,
-            detection_samples_ms=failovers.detection.samples,
-            promotion_samples_ms=failovers.promotion.samples,
-        ).render_lines()
-    return lines
-
-
-def _proxy_footer(reports: list) -> list[str]:
-    from repro.analysis import merge_serving_reports
-
-    merged = merge_serving_reports([r.serving for r in reports])
-    return [
-        *_fail_stop_footer(reports),
-        f"serving-tier telemetry across {len(reports)} seeds:",
-        *merged.render_lines(),
-    ]
-
-
-def _geo_footer(reports: list) -> list[str]:
-    from repro.analysis import rpo_rto_from_records
-    from repro.errors import ConfigurationError
-    from repro.geo import GeoFailoverSummary
-
-    records = [r for report in reports for r in report.geo_records]
-    if not records:
-        return []
-    try:
-        rpo_rto = rpo_rto_from_records(records).render_lines()
-    except ConfigurationError:
-        rpo_rto = ["  (no promoted recovery to report RPO/RTO on)"]
-    return [
-        f"geo disaster-recovery telemetry across {len(reports)} seeds:",
-        *summarize(records, GeoFailoverSummary).render_lines(),
-        *rpo_rto,
-    ]
-
-
-def _integrity_footer(reports: list) -> list[str]:
-    from repro.analysis import merge_integrity_reports
-
-    merged = merge_integrity_reports([r.integrity for r in reports])
-    return [
-        f"integrity telemetry across {len(reports)} seeds "
-        f"({merged.backend}):",
-        *merged.render_lines(),
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -514,9 +405,9 @@ class Profile:
     chaos_config: Callable | None = ChaosConfig
     client: Callable = ClusterClient
     settle: Callable = _settle_cluster
+    #: ``(run, client) -> AuditReport fields``: the ``sections`` (what a
+    #: seed's report and the sweep's footer print) and the ``gates``.
     judge: Callable = _judge_cluster
-    #: ``reports -> lines`` printed under a sweep's ``sweep:`` line.
-    footer: Callable = _fail_stop_footer
 
     def configure(self, cfg):
         """Apply this row's overrides to ``cfg`` (and return it)."""
@@ -601,7 +492,6 @@ PROFILES: dict[str, Profile] = {
             client=GeoClient,
             settle=_settle_geo,
             judge=_judge_geo,
-            footer=_geo_footer,
         ),
         # The single kill is the disaster under test; the replica fleet
         # and the failover coordinator are what the proxy rides on.
@@ -618,7 +508,6 @@ PROFILES: dict[str, Profile] = {
             client=ProxyClient,
             settle=_settle_proxy,
             judge=_judge_proxy,
-            footer=_proxy_footer,
         ),
         # Operator writer crash cycles are pushed out past the horizon so
         # torn-write restarts are the only instance churn; the scrub
@@ -637,7 +526,6 @@ PROFILES: dict[str, Profile] = {
             chaos_config=integrity_chaos_config,
             settle=_settle_integrity,
             judge=_judge_integrity,
-            footer=_integrity_footer,
         ),
     )
 }
@@ -661,4 +549,32 @@ def profiles_table() -> str:
                 for cell, shared in zip(cells, default)
             ]
         rows.append(" | ".join(["| " + name, *cells]) + " |")
+    return "\n".join(rows)
+
+
+def budgets_table() -> str:
+    """The "Budgets" table of docs/AUDIT.md, rendered from the rows."""
+    from repro.db.proxy import ServingSummary
+    from repro.geo import GeoFailoverSummary
+
+    rows = [
+        "| Line | Limit | Judged | Prints | Source |",
+        "|---|---|---|---|---|",
+    ]
+    for kind in (
+        RepairSummary, FailoverSummary, GeoFailoverSummary, ServingSummary,
+        IntegritySummary,
+    ):
+        for budget in kind.budgets():
+            label = budget.label.format(limit=budget.limit).strip(": ")
+            compare = "<" if budget.strict else "<="
+            met, exceeded = (
+                words.replace("{used:.1%}", "N%").replace("{worst:.0f}", "N")
+                for words in (budget.met, budget.exceeded)
+            )
+            rows.append(
+                f"| `{label}` | {budget.limit} | {budget.statistic} of "
+                f"`{kind.__name__}.{budget.judged}` {compare} limit "
+                f"| `{met}` / `{exceeded}` | {budget.source} |"
+            )
     return "\n".join(rows)

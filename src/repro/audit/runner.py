@@ -5,8 +5,10 @@ through the same five phases -- build the world, arm it (auditors, control
 planes, replicas, a seeded :class:`~repro.sim.chaos.ChaosSchedule`), drive
 the profile's client through the turbulence, settle, judge -- and returns
 an :class:`AuditReport`: zero violations means every safety invariant held
-on every state transition of the run, and the profile's own gates say
-whether its disaster was survived inside budget.
+on every state transition of the run, and the gates the profile's judge
+returns say whether its disaster was survived inside budget.  What each
+tier measured is a :class:`repro.verdict.Section` of the report; a sweep's
+footer (:func:`merged_sections`) is the merge of its seeds' sections.
 
 Everything is reproducible from the seed: the world, the chaos schedule,
 and the workload all derive their randomness from it.
@@ -21,9 +23,8 @@ from typing import Iterable
 
 from repro.audit.auditor import AuditViolation
 from repro.audit.profiles import PROFILES, Profile
-from repro.repair.failover import FailoverSummary
-from repro.repair.metrics import RepairSummary, summarize
 from repro.sim.chaos import ChaosSchedule, fleet_chaos_config
+from repro.verdict import Section
 
 
 def _flag(default, flag: str, help: str, **argument):
@@ -114,9 +115,6 @@ class AuditRunConfig:
     failover: bool = False
     writer_kill_period_ms: float = 0.0
     writer_grey_period_ms: float = 0.0
-    #: Write-unavailability budget per failover; any terminal failover
-    #: over it fails the run.
-    failover_budget_ms: float = 30_000.0
     #: Arm per-payload-type network accounting (a Counter update per
     #: simulated message; sweeps only need the aggregate counters).
     detailed_stats: bool = False
@@ -131,8 +129,6 @@ class AuditRunConfig:
         "covers both RPO regimes",
         choices=("auto", "sync", "async"),
     )
-    #: Region-loss recovery budget: detection + lease + promotion.
-    geo_rto_budget_ms: float = 30_000.0
     proxy_sessions: int = _flag(
         100_000, "--proxy-sessions",
         "concurrent logical sessions per seed behind the proxy",
@@ -142,20 +138,10 @@ class AuditRunConfig:
         128, "--proxy-pool", "the proxy's backend connection-pool size",
         metavar="N",
     )
-    #: Every session outage must resolve inside the budget; steady-state
-    #: replica time lag p95 must stay under the SLO.
-    proxy_recovery_budget_ms: float = 5_000.0
-    proxy_lag_slo_ms: float = 10.0
     backend: str = _flag(
         "aurora", "--backend", "storage backend every world is built on",
         choices=("aurora", "taurus"),
     )
-    #: Injection-to-repair budget per silent corruption.
-    integrity_repair_budget_ms: float = 12_000.0
-
-
-def _gate(label: str, ok: bool, what: str = "", note: str = "") -> str:
-    return f"  {label:<21}{what}{'ok' if ok else 'FAILED'}{note}"
 
 
 @dataclass
@@ -173,52 +159,33 @@ class AuditReport:
     protocol_events: int
     violations: list[AuditViolation] = field(default_factory=list)
     event_tail: list[str] = field(default_factory=list)
-    #: Self-healing telemetry (None when the healer was not armed).
-    repairs: RepairSummary | None = None
-    health_counters: dict = field(default_factory=dict)
-    #: Confirmed-dead segments left unrepaired at run end.
-    unrepaired: int = 0
-    #: The gates: None = not armed, else whether it held.  The planted
-    #: false positive rolled back; the storm reached the concurrency
-    #: floor; every failover resolved inside the budget; the region
-    #: promoted once inside the RTO; the serving tier and the integrity
-    #: machinery met theirs (docs/AUDIT.md "Profiles").
-    planted_rollback_ok: bool | None = None
-    concurrency_ok: bool | None = None
-    failover_ok: bool | None = None
-    geo_ok: bool | None = None
-    proxy_ok: bool | None = None
-    integrity_ok: bool | None = None
-    #: Segments permanently killed by the fleet storm; chaos writer kills.
-    fleet_kills: int = 0
-    writer_kills: int = 0
-    #: Failover telemetry (None when the coordinator was not armed).
-    failovers: FailoverSummary | None = None
-    #: Geo: the terminal region records, the ack mode this run used, and
-    #: the single-run :mod:`repro.analysis.rpo_rto` report.
-    geo_records: list = field(default_factory=list)
-    geo_ack_mode: str = ""
-    geo_rpo_rto: object | None = None
-    #: Proxy: the :class:`repro.analysis.serving.ServingReport`.
-    serving: object | None = None
-    #: Integrity: the :class:`repro.analysis.integrity.IntegrityReport`
-    #: and the storage backend audited.
-    integrity: object | None = None
-    backend: str = ""
     events_executed: int = 0
     wall_clock_s: float = 0.0
+    #: What each tier measured, by name, in print order.
+    sections: dict[str, Section] = field(default_factory=dict)
+    #: The profile's gates, by the name a section prints them under:
+    #: None = not armed, else whether it held (docs/AUDIT.md "Profiles").
+    gates: dict[str, bool | None] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        gates = (
-            self.planted_rollback_ok, self.concurrency_ok, self.failover_ok,
-            self.geo_ok, self.proxy_ok, self.integrity_ok,
-        )
-        return (
-            not self.violations
-            and self.unrepaired == 0
-            and False not in gates
-        )
+        return not self.violations and False not in self.gates.values()
+
+    # What the repo benchmark reads of a chaos run.
+    @property
+    def repairs(self):
+        """Self-healing telemetry (None when the healer was not armed)."""
+        return self.sections.get("repairs")
+
+    @property
+    def failovers(self):
+        """Failover telemetry (None when the coordinator was not armed)."""
+        return self.sections.get("failovers")
+
+    @property
+    def unrepaired(self) -> int:
+        """Confirmed-dead segments left unrepaired at run end."""
+        return self.repairs.unrepaired if self.repairs is not None else 0
 
     def render(self) -> str:
         lines = [
@@ -231,58 +198,8 @@ class AuditReport:
             f"  protocol events:     {self.protocol_events}",
             f"  violations:          {len(self.violations)}",
         ]
-        if self.repairs is not None:
-            counters = self.health_counters
-            lines += self.repairs.render_lines()
-            lines.append(
-                f"  health verdicts:     "
-                f"suspected={counters.get('suspected', 0)} "
-                f"confirmed={counters.get('confirmed_dead', 0)} "
-                f"false_pos={counters.get('false_positives', 0)}"
-            )
-            if self.unrepaired:
-                lines.append(f"  UNREPAIRED segments: {self.unrepaired}")
-            if self.planted_rollback_ok is not None:
-                lines.append(_gate(
-                    "planted false pos:", self.planted_rollback_ok,
-                    what="rollback ",
-                ))
-            if self.fleet_kills:
-                lines.append(
-                    f"  fleet storm:         {self.fleet_kills} segments "
-                    f"killed across distinct PGs"
-                )
-            if self.concurrency_ok is not None:
-                peak = f" (peak {self.repairs.peak_concurrent})"
-                lines.append(
-                    _gate("concurrency gate:", self.concurrency_ok, note=peak)
-                )
-        if self.failovers is not None:
-            lines.append(f"  writer kills:        {self.writer_kills}")
-            lines += self.failovers.render_lines()
-            if self.failover_ok is not None:
-                lines.append(_gate("failover gate:", self.failover_ok))
-        if self.geo_ok is not None:
-            from repro.geo import GeoFailoverSummary
-
-            lines.append(f"  geo ack mode:        {self.geo_ack_mode}")
-            lines += summarize(
-                self.geo_records, GeoFailoverSummary
-            ).render_lines()
-            if self.geo_rpo_rto is not None:
-                lines += self.geo_rpo_rto.render_lines()
-            lines.append(_gate("geo DR gate:", self.geo_ok))
-        if self.proxy_ok is not None:
-            # The failover telemetry above already covered the kill; add
-            # the client-edge view.
-            if self.serving is not None:
-                lines += self.serving.render_lines()
-            lines.append(_gate("proxy gate:", self.proxy_ok))
-        if self.integrity_ok is not None:
-            lines.append(f"  storage backend:     {self.backend}")
-            if self.integrity is not None:
-                lines += self.integrity.render_lines()
-            lines.append(_gate("integrity gate:", self.integrity_ok))
+        for section in self.sections.values():
+            lines += section.render_lines(self.gates)
         if self.violations:
             lines += ["", f"VIOLATIONS (reproduce with --seed {self.seed}):"]
             for violation in self.violations:
@@ -291,6 +208,16 @@ class AuditReport:
             lines += ["", "event log tail:"]
             lines += [f"  {event}" for event in self.event_tail]
         return "\n".join(lines)
+
+
+def merged_sections(reports: list[AuditReport]) -> dict[str, Section]:
+    """A sweep's sections: per name, the merge of the seeds' sections (its
+    footer is their ``footer_lines``)."""
+    merged: dict[str, Section] = {}
+    for report in reports:
+        for name, section in report.sections.items():
+            merged.setdefault(name, type(section)()).merge(section)
+    return merged
 
 
 def profile_of(cfg: AuditRunConfig) -> Profile:
@@ -354,7 +281,7 @@ def run_audit(config: AuditRunConfig | None = None) -> AuditReport:
 
     client.run()
     profile.settle(run, client)
-    section = profile.judge(run, client)
+    verdict = profile.judge(run, client)
 
     auditors = run.auditors
     common = dict(
@@ -371,7 +298,7 @@ def run_audit(config: AuditRunConfig | None = None) -> AuditReport:
         events_executed=world.loop.events_executed,
         wall_clock_s=time.perf_counter() - wall_start,
     )
-    return AuditReport(**{**common, **section})
+    return AuditReport(**{**common, **verdict})
 
 
 def run_audit_sweep(

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from repro.claims.table import Table
 from repro.geo import ASYNC, SYNC, GeoCluster, GeoConfig
-from repro.repair.metrics import percentile
 from repro.sim.wan import WanConfig
+from repro.verdict import percentile
 
 GEO_SEED = 7
 GEO_WRITES = 120

@@ -15,9 +15,9 @@ index.
 
 from __future__ import annotations
 
-from repro.analysis.serving import REPLICA_LAG_SLO_MS
 from repro.claims import analytic, baselines, cluster, geo
 from repro.claims.table import Claim, Table, markdown_table
+from repro.db.proxy import REPLICA_LAG
 
 
 # ----------------------------------------------------------------------
@@ -66,8 +66,8 @@ def _check_f3(tables: list[Table]) -> None:
     # Invariant shape: VCL caps at the smallest PG frontier; VDL <= VCL;
     # every PGCL is supported by >= 4 member SCLs.
     assert vdl <= vcl
-    assert vcl <= max(pgcl for _point, pgcl, _supporters in pgcls)
-    assert all(supporters >= 4 for _point, _pgcl, supporters in pgcls)
+    assert vcl <= max(pgcl for _name, pgcl, _supporters in pgcls)
+    assert all(supporters >= 4 for _name, _pgcl, supporters in pgcls)
     assert live.row("PGCL(PG1)")["LSN"] > 0  # traffic spanned both PGs
 
 
@@ -197,7 +197,7 @@ def _check_c4(tables: list[Table]) -> None:
     assert failover_ms < 100  # no lease to wait out, no redo to replay
     for tier in sessions.records():
         assert tier["ops"] > 0
-        assert tier["lag p95 ms"] < REPLICA_LAG_SLO_MS, (
+        assert tier["lag p95 ms"] < REPLICA_LAG.limit_ms, (
             f"{tier['sessions']} sessions broke the lag SLO"
         )
         assert tier["RYW violations"] == 0

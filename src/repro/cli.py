@@ -25,7 +25,7 @@ import traceback
 
 from repro import AuroraCluster, ClusterConfig
 from repro.audit import PROFILES as AUDIT_PROFILES
-from repro.audit import AuditRunConfig, profile_of, run_audit_sweep
+from repro.audit import AuditRunConfig, merged_sections, run_audit_sweep
 from repro.db.session import Session
 from repro.report import cluster_report, format_report
 from repro.workloads import PROFILES, WorkloadGenerator, WorkloadRunner, profile
@@ -294,6 +294,12 @@ def _audit_config(args: argparse.Namespace, seed: int) -> AuditRunConfig:
 
 
 def _cmd_audit_run(args: argparse.Namespace) -> int:
+    if args.integrity_json and not args.integrity:
+        # Before any seed runs: a CI lane that lost its --integrity would
+        # otherwise upload no artifact and stay green.
+        print("repro audit-run: --integrity-json writes the integrity "
+              "profile's report; it needs --integrity", file=sys.stderr)
+        return 2
     seeds = (
         range(args.seed, args.seed + args.sweep)
         if args.sweep > 0
@@ -307,18 +313,16 @@ def _cmd_audit_run(args: argparse.Namespace) -> int:
         if args.sweep > 0:
             print()
     clean = sum(report.ok for report in reports)
+    merged = merged_sections(reports)
     if args.sweep > 0:
         print(f"sweep: {clean}/{len(seeds)} seeds clean")
-        for line in profile_of(configs[0]).footer(reports):
-            print(line)
-    if args.integrity_json and reports[0].integrity is not None:
+        for section in merged.values():
+            for line in section.footer_lines(len(reports)):
+                print(line)
+    if args.integrity_json:
         import json
 
-        from repro.analysis import merge_integrity_reports
-
-        payload = merge_integrity_reports(
-            [report.integrity for report in reports]
-        ).to_json()
+        payload = merged["integrity"].to_json()
         payload["seeds"] = len(reports)
         payload["seeds_clean"] = clean
         with open(args.integrity_json, "w") as f:

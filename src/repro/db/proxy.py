@@ -24,7 +24,11 @@ tier for the simulator:
   distribution against the 5 s budget;
 - :class:`LagTracker` converts the replicas' LSN-denominated lag into
   *time* lag (how far behind the writer's redo frontier a replica's
-  applied VDL is, in milliseconds) for the sub-10 ms SLO gate.
+  applied VDL is, in milliseconds) for the sub-10 ms SLO gate;
+- :class:`ServingSummary` is what the client edge reports of a run:
+  session recovery and replica lag against that envelope, and where
+  reads actually went -- the observability a proxy operator needs to
+  size the fleet.
 
 Everything here is generator-native: proxy operations are driven as
 :class:`~repro.sim.process.Process` steps inside the event loop (they
@@ -47,6 +51,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.sim.events import Future
+from repro.verdict import Budget, Gate, LatencyStats, Line, Section
 
 
 #: Pacing of an operation's retry loop while the backend is away; jittered
@@ -62,16 +67,11 @@ class ProxyConfig:
 
     ``pool_size`` bounds concurrent backend operations (the multiplexing
     ratio is ``logical sessions / pool_size``); ``op_budget_ms`` bounds
-    each operation's retry loop; ``recovery_budget_ms`` and
-    ``lag_slo_ms`` are the published envelope the audit gates against.
+    each operation's retry loop.
     """
 
     pool_size: int = 256
     op_budget_ms: float = 30_000.0
-    #: Replica time-lag SLO (the "sub-10ms replica lag" envelope).
-    lag_slo_ms: float = 10.0
-    #: Session recovery budget (the "sub-5s application recovery" envelope).
-    recovery_budget_ms: float = 5_000.0
 
     def __post_init__(self) -> None:
         if self.pool_size < 1:
@@ -104,6 +104,91 @@ class ProxyStats:
     recovery_samples: list = field(default_factory=list)
     read_latencies: list = field(default_factory=list)
     write_latencies: list = field(default_factory=list)
+
+
+#: Through a writer (or region) failover every proxied session must be
+#: doing useful work again inside the budget; recovery is a tail
+#: phenomenon like failover availability, so the *worst* outage is judged.
+SESSION_RECOVERY = Budget(
+    judged="recovery",
+    statistic="max",
+    limit_ms=5_000.0,
+    label="  recovery budget ({limit}): ",
+    met="met; worst outage used {used:.1%} of budget",
+    exceeded="EXCEEDED: worst outage used {used:.1%} of budget",
+    source="the ~5 s application-recovery figure published for "
+    "proxy-fronted Aurora fleets",
+)
+
+#: Read routing only deserves its replica fan-out if replicas track the
+#: writer closely.  Judged at p95 of the time-denominated lag: transient
+#: spikes during promotion are expected, steady state is the claim.
+REPLICA_LAG = Budget(
+    judged="lag",
+    statistic="p95",
+    limit_ms=10.0,
+    label="  lag SLO (p95 < {limit}): ",
+    met="met",
+    exceeded="EXCEEDED",
+    source="the serving envelope's \"sub-10ms replica lag typical\" "
+    "(SNIPPETS.md snippet 1)",
+    strict=True,
+)
+
+
+@dataclass
+class ServingSummary(Section):
+    """Measured serving-tier behaviour versus the published envelope, for
+    one run (:meth:`ConnectionProxy.summary`) or -- merged -- a sweep."""
+
+    ZEROS = ("ryw_violations", "lost_acked_writes")
+    LINES = (
+        "  sessions:            {sessions} ({ops} ops)",
+        Line("  session recovery:    {recovery}", "recovery"),
+        SESSION_RECOVERY,
+        Line("  session recovery:    no session saw an outage", "undisturbed"),
+        Line("  replica time lag:    {lag}", "lag"),
+        REPLICA_LAG,
+        "  read routing:        {replica_reads} replica / "
+        "{writer_reads} writer ({replica_read_fraction:.1%} offloaded), "
+        "{floor_exclusions} RYW floor exclusions, {pool_waits} pool waits",
+        Line(
+            "  CONSISTENCY:         {ryw_violations} read-your-writes "
+            "violations, {lost_acked_writes} lost acked writes",
+            "inconsistent",
+        ),
+        Gate("proxy gate:", "proxy"),
+    )
+    FOOTER = ("serving-tier telemetry across {seeds} seeds:", *LINES)
+
+    #: The workload behind the proxy, and its correctness counters
+    #: (audited separately; echoed for the report).
+    sessions: int = 0
+    ops: int = 0
+    ryw_violations: int = 0
+    lost_acked_writes: int = 0
+    #: Outage windows of sessions that saw a fault (empty: no faults).
+    recovery: LatencyStats = field(default_factory=LatencyStats)
+    #: Steady-state replica time lag (ms).
+    lag: LatencyStats = field(default_factory=LatencyStats)
+    #: Read routing mix.
+    replica_reads: int = 0
+    writer_reads: int = 0
+    floor_exclusions: int = 0
+    pool_waits: int = 0
+
+    @property
+    def replica_read_fraction(self) -> float:
+        total = self.replica_reads + self.writer_reads
+        return self.replica_reads / total if total else 0.0
+
+    @property
+    def undisturbed(self) -> bool:
+        return not self.recovery
+
+    @property
+    def inconsistent(self) -> bool:
+        return bool(self.ryw_violations or self.lost_acked_writes)
 
 
 class LogicalSession:
@@ -316,6 +401,19 @@ class ConnectionProxy:
     def start(self) -> None:
         """Arm the background lag tracker."""
         self.lag.start()
+
+    def summary(self) -> ServingSummary:
+        """What the edge measured; the workload's own counters are its
+        driver's to add."""
+        stats = self.stats
+        return ServingSummary(
+            recovery=LatencyStats(list(stats.recovery_samples)),
+            lag=LatencyStats(list(self.lag.samples)),
+            replica_reads=stats.replica_reads,
+            writer_reads=stats.writer_reads,
+            floor_exclusions=stats.floor_exclusions,
+            pool_waits=stats.pool_waits,
+        )
 
     @property
     def in_flight(self) -> int:

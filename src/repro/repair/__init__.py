@@ -38,14 +38,13 @@ from repro.repair.metrics import (
     REPLACED,
     ROLLED_BACK,
     STALLED,
-    LatencyStats,
     OutcomeSummary,
     RepairRecord,
     RepairSummary,
-    percentile,
     summarize,
 )
 from repro.repair.planner import RepairConfig, RepairPlanner
+from repro.verdict import LatencyStats, percentile
 
 __all__ = [
     "ABORTED",

@@ -10,19 +10,29 @@ achieved -- detection latency (failure -> confirmed dead) and MTTR
 :class:`repro.analysis.durability.DurabilityModel`.
 
 Durability is a tail phenomenon, so the summary keeps full **distributions**
-(:class:`LatencyStats`: mean/p50/p95/max over the raw samples), not just
-means.  And because a fleet-wide MTTR estimate built only from finalized
-repairs is survivorship-biased -- the repairs that stalled or rolled back
-are exactly the ones that left the quorum exposed longest -- every
-*terminal* outcome (``replaced``, ``rolled_back``, ``aborted``,
-``stalled``) also lands in a separate resolution distribution.
+(:class:`~repro.verdict.LatencyStats`: mean/p50/p95/max over the raw
+samples), not just means.  And because a fleet-wide MTTR estimate built
+only from finalized repairs is survivorship-biased -- the repairs that
+stalled or rolled back are exactly the ones that left the quorum exposed
+longest -- every *terminal* outcome (``replaced``, ``rolled_back``,
+``aborted``, ``stalled``) also lands in a separate resolution
+distribution, and that one is what the C7 window is judged on.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import ClassVar
+
+from repro.analysis.durability import C7_WINDOW_S, DurabilityModel
+from repro.verdict import (
+    Budget,
+    Exceeded,
+    Gate,
+    LatencyStats,
+    Line,
+    Section,
+)
 
 
 #: Repair outcomes (``RepairRecord.outcome``).
@@ -31,57 +41,6 @@ REPLACED = "replaced"  #: Figure 5 ran to finalize; candidate is the member
 ROLLED_BACK = "rolled_back"  #: incumbent returned first; transition reversed
 ABORTED = "aborted"  #: preconditions vanished before begin (no transition)
 STALLED = "stalled"  #: budget exhausted mid-transition (dual quorum stays)
-
-
-def percentile(samples: list[float], q: float) -> float | None:
-    """Nearest-rank percentile of ``samples`` (q in [0, 100])."""
-    if not samples:
-        return None
-    ordered = sorted(samples)
-    rank = math.ceil((q / 100.0) * len(ordered)) - 1
-    return ordered[max(0, min(rank, len(ordered) - 1))]
-
-
-@dataclass
-class LatencyStats:
-    """A latency distribution: raw samples plus the summary points the
-    durability model consumes (means hide the tail that loses quorums)."""
-
-    samples: list[float] = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
-    def mean(self) -> float | None:
-        if not self.samples:
-            return None
-        return sum(self.samples) / len(self.samples)
-
-    @property
-    def p50(self) -> float | None:
-        return percentile(self.samples, 50)
-
-    @property
-    def p95(self) -> float | None:
-        return percentile(self.samples, 95)
-
-    @property
-    def max(self) -> float | None:
-        return max(self.samples) if self.samples else None
-
-    def merge(self, other: "LatencyStats") -> None:
-        """Fold another distribution in (sweep-level aggregation)."""
-        self.samples.extend(other.samples)
-
-    def describe(self) -> str:
-        if not self.samples:
-            return "no samples"
-        return (
-            f"mean={self.mean:.0f}ms p50={self.p50:.0f}ms "
-            f"p95={self.p95:.0f}ms max={self.max:.0f}ms (n={self.count})"
-        )
 
 
 @dataclass
@@ -142,33 +101,36 @@ class RepairRecord:
 
 
 @dataclass
-class OutcomeSummary:
+class OutcomeSummary(Section):
     """What one tier's acting half made of its confirmed verdicts, for one
     run or -- merged -- a sweep.
 
-    A tier is a row: the label of the headline, the terminal outcomes it
-    counts (each one a field named as the records spell it, in print
-    order), and one ``(line, field, record property)`` per latency
-    distribution, sampled from every record whose property is not None
-    and printed once it has a sample.  The labels are literal: a report
-    reads the same whichever tier renders it.
+    A tier is a row: the terminal outcomes it counts (each one a field
+    named as the records spell it, in print order), one ``(field, record
+    property)`` per latency distribution, sampled from every record whose
+    property is not None, and the section's lines.  The labels are
+    literal: a report reads the same whichever tier renders it.
     """
 
-    HEADLINE: ClassVar[str]
     OUTCOMES: ClassVar[tuple[str, ...]]
-    LATENCIES: ClassVar[tuple[tuple[str, str, str], ...]]
-    #: Label of the peak-concurrency line, for a tier that can have more
-    #: than one record in flight.
-    CONCURRENT: ClassVar[str | None] = None
+    SAMPLED: ClassVar[tuple[tuple[str, str], ...]]
 
     confirmed: int = 0
     active: int = 0
     #: Most records simultaneously in flight (for repairs: distinct PGs;
-    #: per-PG serialization keeps same-PG records from ever overlapping).
-    peak_concurrent: int = 0
+    #: per-PG serialization keeps same-PG records from ever overlapping);
+    #: a sweep's is the highest seen.
+    peak_concurrent: int = field(default=0, metadata={"merge": max})
     #: Last liveness signal -> confirmed dead: the detector's reaction
     #: time, which every tier measures (under its own label).
     detection: LatencyStats = field(default_factory=LatencyStats)
+
+    @property
+    def outcomes(self) -> str:
+        return " ".join(
+            f"{name}={getattr(self, name)}"
+            for name in (*self.OUTCOMES, ACTIVE)
+        )
 
     def add(self, record) -> None:
         self.confirmed += 1
@@ -176,49 +138,80 @@ class OutcomeSummary:
         if outcome not in self.OUTCOMES:
             outcome = ACTIVE
         setattr(self, outcome, getattr(self, outcome) + 1)
-        for _label, name, source in self.LATENCIES:
+        for name, source in self.SAMPLED:
             sample = getattr(record, source)
             if sample is not None:
                 getattr(self, name).samples.append(sample)
 
-    def merge(self, other: "OutcomeSummary") -> None:
-        """Fold another seed's summary in (sweep aggregation): counts add,
-        distributions pool their samples, the peak is the highest seen."""
-        peak = max(self.peak_concurrent, other.peak_concurrent)
-        for spec in fields(self):
-            mine, theirs = getattr(self, spec.name), getattr(other, spec.name)
-            if isinstance(mine, LatencyStats):
-                mine.merge(theirs)
-            else:
-                setattr(self, spec.name, mine + theirs)
-        self.peak_concurrent = peak
 
-    def render_lines(self) -> list[str]:
-        counts = " ".join(
-            f"{name}={getattr(self, name)}"
-            for name in (*self.OUTCOMES, ACTIVE)
-        )
-        lines = [f"{self.HEADLINE}{self.confirmed} ({counts})"]
-        if self.CONCURRENT and self.peak_concurrent:
-            lines.append(self.CONCURRENT.format(self.peak_concurrent))
-        for label, name, _source in self.LATENCIES:
-            stats = getattr(self, name)
-            if stats.count:
-                lines.append(label.format(stats.describe(), summary=self))
-        return lines
+#: The paper's assumed detect-and-repair window, judged on every terminal
+#: repair (stalled and rolled-back attempts too: judging only finalized
+#: repairs would be survivorship-biased).
+C7_WINDOW = Budget(
+    judged="resolution",
+    statistic="max",
+    limit_ms=C7_WINDOW_S * 1000.0,
+    label="  C7 window ({limit}):     ",
+    met="met by every observed repair",
+    exceeded="EXCEEDED by the observed tail",
+    source="the paper, section 2.1 (claim C7): \"Assuming a 10 second "
+    "window to detect and repair a segment failure ...\"; durability is a "
+    "tail phenomenon, so the slowest repair must fit",
+)
 
 
 @dataclass
 class RepairSummary(OutcomeSummary):
-    """Aggregated repair statistics for one run (or one sweep seed)."""
+    """Aggregated repair statistics for one run (or one sweep seed), and
+    -- from the audit's judge -- what the run left of the fleet."""
 
-    HEADLINE = "  repairs confirmed:   "
     OUTCOMES = (REPLACED, ROLLED_BACK, ABORTED, STALLED)
-    CONCURRENT = "  concurrent repairs:  {} peak (distinct PGs)"
-    LATENCIES = (
-        ("  detection latency:   {}", "detection", "detection_ms"),
-        ("  MTTR (replaced):     {}", "mttr", "mttr_ms"),
-        ("  resolution (all):    {}", "resolution", "resolution_ms"),
+    SAMPLED = (
+        ("detection", "detection_ms"),
+        ("mttr", "mttr_ms"),
+        ("resolution", "resolution_ms"),
+    )
+    ZEROS = ("unrepaired",)
+    LINES = (
+        "  repairs confirmed:   {confirmed} ({outcomes})",
+        Line(
+            "  concurrent repairs:  {peak_concurrent} peak (distinct PGs)",
+            "peak_concurrent",
+        ),
+        Line("  detection latency:   {detection}", "detection"),
+        Line("  MTTR (replaced):     {mttr}", "mttr"),
+        Line("  resolution (all):    {resolution}", "resolution"),
+        "  health verdicts:     suspected={suspected} "
+        "confirmed={confirmed_dead} false_pos={false_positives}",
+        Line("  UNREPAIRED segments: {unrepaired}", "unrepaired"),
+        Exceeded(C7_WINDOW),
+        Gate("planted false pos:", "planted_rollback", what="rollback "),
+        Line(
+            "  fleet storm:         {storm_kills} segments killed across "
+            "distinct PGs",
+            "storm_kills",
+        ),
+        Gate(
+            "concurrency gate:", "concurrency",
+            note=" (peak {peak_concurrent})",
+        ),
+    )
+    REPORTED_ON = "resolution"
+    FOOTER = (
+        "fleet repair telemetry across {seeds} seeds "
+        "(peak {peak_concurrent} concurrent PG repairs):",
+        "  repair window:       {resolution}",
+        Line(
+            "  detection latency:   mean={detection.mean:.0f}ms "
+            "p95={detection.p95:.0f}ms max={detection.max:.0f}ms",
+            "detection",
+        ),
+        "  AZ+1 read-quorum-loss probability per window:",
+        "    at observed mean:  {p_loss[mean]:.3e}",
+        "    at observed p95:   {p_loss[p95]:.3e}",
+        "    at observed max:   {p_loss[max]:.3e}",
+        f"    at paper C7 ({C7_WINDOW.limit}): " + "{p_loss[c7]:.3e}",
+        C7_WINDOW,
     )
 
     replaced: int = 0
@@ -229,6 +222,33 @@ class RepairSummary(OutcomeSummary):
     #: Failure -> terminal outcome for every resolved record, including
     #: stalled and rolled-back attempts (no survivorship bias).
     resolution: LatencyStats = field(default_factory=LatencyStats)
+    #: The storage detector's verdict counters.
+    suspected: int = 0
+    confirmed_dead: int = 0
+    false_positives: int = 0
+    #: Confirmed-dead segments left unrepaired at run end.
+    unrepaired: int = 0
+    #: Segments permanently killed by the audit's fleet storm.
+    storm_kills: int = 0
+
+    @property
+    def p_loss(self) -> dict[str, float]:
+        """AZ+1 read-quorum-loss probability per repair window, at the
+        mean, p95 and max of the observed resolution distribution and at
+        the window the paper assumes: the exposure of a fleet is set by
+        its slowest repairs, not its average ones."""
+        windows_ms = dict(
+            mean=self.resolution.mean,
+            p95=self.resolution.p95,
+            max=self.resolution.max,
+            c7=C7_WINDOW.limit_ms,
+        )
+        return {
+            name: DurabilityModel(
+                repair_window_s=window_ms / 1000.0
+            ).p_read_quorum_loss()
+            for name, window_ms in windows_ms.items()
+        }
 
 
 def _peak_concurrent(records: list) -> int:

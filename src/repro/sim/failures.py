@@ -42,12 +42,14 @@ as the node-side integrity probe and turns "a corrupt image was served" or
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 from repro.core.records import record_digest
 from repro.errors import ConfigurationError
 from repro.sim.events import EventLoop
 from repro.sim.network import Network
+from repro.verdict import Budget, Gate, LatencyStats, Line, Section
 
 #: Corruption kinds that damage (or remove) a materialized block version.
 VERSION_CORRUPTION_KINDS = frozenset(
@@ -82,6 +84,183 @@ class CorruptionRecord:
     @property
     def open(self) -> bool:
         return self.repaired_at is None
+
+    @property
+    def mttd_ms(self) -> float | None:
+        """Injection to detection."""
+        if self.detected_at is None:
+            return None
+        return self.detected_at - self.injected_at
+
+    @property
+    def mttr_ms(self) -> float | None:
+        """Detection to repair."""
+        if self.repaired_at is None or self.detected_at is None:
+            return None
+        return self.repaired_at - self.detected_at
+
+    @property
+    def exposure_ms(self) -> float | None:
+        """Injection to repair: how long one copy's redundancy was
+        silently degraded."""
+        if self.repaired_at is None:
+            return None
+        return self.repaired_at - self.injected_at
+
+
+#: Detection plus repair per injected corruption: half the scrub rotation
+#: must comfortably cover it.
+EXPOSURE_WINDOW = Budget(
+    judged="exposure",
+    statistic="max",
+    limit_ms=12_000.0,
+    label="  repair budget ({limit}):  ",
+    met="met",
+    exceeded="EXCEEDED: worst exposure {worst:.0f}ms",
+    source="well inside the ~30 s fail-stop budgets: a silent fault should "
+    "never linger longer than a loud one would (about two scrub rotations "
+    "of detection latency)",
+)
+
+#: What a seed's report and a sweep's footer both say of the corruptions.
+_HANDLING = (
+    "  corruption injected: {injected} (kind=inj/det/rep: {kinds})",
+    Line("  detection (MTTD):    {mttd}", "mttd"),
+    Line("  repair (MTTR):       {mttr}", "mttr"),
+    Line("  exposure window:     {exposure}", "exposure"),
+    EXPOSURE_WINDOW,
+    Line(
+        "  C7 @ measured exposure: read-quorum-loss "
+        "p={p_loss_at_exposure:.3e} per window (window = mean exposure)",
+        "exposure",
+    ),
+    "  read path:           {reads_intercepted} intercepted, "
+    "{versions_quarantined} quarantined, "
+    "{corrupt_reads_served} corrupt served",
+    "  repair path:         {vote_rounds} vote rounds, "
+    "{vote_repairs} vote repairs, {scrub_runs} scrub runs, "
+    "{ingest_rejects} ingest rejects",
+    Line(
+        "  UNREPAIRED:          {unrepaired} corruption(s) still open",
+        "unrepaired",
+    ),
+)
+
+
+@dataclass
+class IntegritySummary(Section):
+    """Measured corruption handling for one run
+    (:meth:`IntegrityLog.summary`) or -- merged -- a sweep: MTTD and MTTR
+    split from the exposure window, read-path interception, and the two
+    hard zeros (corrupt reads served, corruptions left unrepaired)."""
+
+    ZEROS = ("corrupt_reads_served", "unrepaired")
+    LINES = (
+        "  storage backend:     {backend}",
+        *_HANDLING,
+        Gate("integrity gate:", "integrity"),
+    )
+    FOOTER = (
+        "integrity telemetry across {seeds} seeds ({backend}):",
+        *_HANDLING,
+    )
+
+    #: Corruptions by kind, at each stage they reached.
+    injected_by: Counter = field(default_factory=Counter)
+    detected_by: Counter = field(default_factory=Counter)
+    repaired_by: Counter = field(default_factory=Counter)
+    mttd: LatencyStats = field(default_factory=LatencyStats)
+    mttr: LatencyStats = field(default_factory=LatencyStats)
+    exposure: LatencyStats = field(default_factory=LatencyStats)
+    corrupt_reads_served: int = 0
+    #: The storage fleet's summed counters.  Reads that hit a bad version
+    #: and were intercepted (vote + retry or reroute) instead of returning
+    #: the corrupt image; WriteBatch frames rejected at ingest
+    #: verification and resubmitted.
+    reads_intercepted: int = 0
+    versions_quarantined: int = 0
+    ingest_rejects: int = 0
+    vote_rounds: int = 0
+    vote_repairs: int = 0
+    scrub_runs: int = 0
+    #: The storage backend of each run summarised.
+    backends: tuple[str, ...] = ()
+
+    def add(self, record: CorruptionRecord) -> None:
+        kind = record.kind
+        self.injected_by[kind] += 1
+        if record.detected_at is not None:
+            self.detected_by[kind] += 1
+            self.mttd.samples.append(record.mttd_ms)
+        if record.repaired_at is not None:
+            self.repaired_by[kind] += 1
+            self.exposure.samples.append(record.exposure_ms)
+        if record.mttr_ms is not None:
+            self.mttr.samples.append(record.mttr_ms)
+
+    @property
+    def backend(self) -> str:
+        return "+".join(sorted(set(self.backends)))
+
+    @property
+    def injected(self) -> int:
+        return sum(self.injected_by.values())
+
+    @property
+    def unrepaired(self) -> int:
+        return self.injected - sum(self.repaired_by.values())
+
+    @property
+    def by_kind(self) -> dict[str, list[int]]:
+        """``kind -> [injected, detected, repaired]``."""
+        return {
+            kind: [injected, self.detected_by[kind], self.repaired_by[kind]]
+            for kind, injected in sorted(self.injected_by.items())
+        }
+
+    @property
+    def kinds(self) -> str:
+        return ", ".join(
+            f"{kind}={inj}/{det}/{rep}"
+            for kind, (inj, det, rep) in self.by_kind.items()
+        ) or "none"
+
+    @property
+    def p_loss_at_exposure(self) -> float:
+        """The C7 read-quorum-loss probability with the measured mean
+        exposure as the repair window: while a copy is silently corrupt it
+        is a failed copy the membership service cannot see, so exposure --
+        not the fail-stop MTTR -- bounds the quorum's real vulnerability."""
+        # Imported here: the model is built on the storage tier's
+        # geometry, which sits above the simulator.
+        from repro.analysis.durability import model_from_observed_mttr
+
+        return model_from_observed_mttr(
+            self.exposure.mean
+        ).p_read_quorum_loss()
+
+    def to_json(self) -> dict:
+        return {
+            "backend": self.backend,
+            "injected": self.injected,
+            "detected": sum(self.detected_by.values()),
+            "repaired": sum(self.repaired_by.values()),
+            "unrepaired": self.unrepaired,
+            "by_kind": self.by_kind,
+            "repair_budget_ms": EXPOSURE_WINDOW.limit_ms,
+            "meets_budget": EXPOSURE_WINDOW.holds(self),
+            "ok": self.ok,
+            "corrupt_reads_served": self.corrupt_reads_served,
+            "reads_intercepted": self.reads_intercepted,
+            "versions_quarantined": self.versions_quarantined,
+            "ingest_rejects": self.ingest_rejects,
+            "vote_rounds": self.vote_rounds,
+            "vote_repairs": self.vote_repairs,
+            "scrub_runs": self.scrub_runs,
+            "mttd_ms": self.mttd.samples,
+            "mttr_ms": self.mttr.samples,
+            "exposure_ms": self.exposure.samples,
+        }
 
 
 class IntegrityLog:
@@ -327,39 +506,15 @@ class IntegrityLog:
                 )
         return flagged
 
-    def mttd_samples(self) -> list[float]:
-        return [
-            r.detected_at - r.injected_at
-            for r in self.records
-            if r.detected_at is not None
-        ]
-
-    def mttr_samples(self) -> list[float]:
-        return [
-            r.repaired_at - r.detected_at
-            for r in self.records
-            if r.repaired_at is not None and r.detected_at is not None
-        ]
-
-    def exposure_samples(self) -> list[float]:
-        """Injection-to-repair windows: how long redundancy was degraded."""
-        return [
-            r.repaired_at - r.injected_at
-            for r in self.records
-            if r.repaired_at is not None
-        ]
-
-    def by_kind(self) -> dict[str, tuple[int, int, int]]:
-        """``kind -> (injected, detected, repaired)`` counts."""
-        out: dict[str, tuple[int, int, int]] = {}
-        for r in self.records:
-            injected, detected, repaired = out.get(r.kind, (0, 0, 0))
-            out[r.kind] = (
-                injected + 1,
-                detected + (r.detected_at is not None),
-                repaired + (r.repaired_at is not None),
-            )
-        return out
+    def summary(self) -> IntegritySummary:
+        """Every corruption injected so far, rolled up; the storage
+        fleet's counters are the caller's to add."""
+        summary = IntegritySummary(
+            corrupt_reads_served=self.corrupt_reads_served
+        )
+        for record in self.records:
+            summary.add(record)
+        return summary
 
 
 class FailureInjector:
@@ -689,22 +844,8 @@ class FailureInjector:
             return injected
         return None
 
-    # Scheduled and fire-time-random variants (the chaos schedule resolves
-    # its victim when the event fires, like KILL_WRITER does).
-    def bit_rot_at(self, time: float, name: str) -> None:
-        self.loop.schedule_at(time, self.bit_rot, name)
-
-    def torn_write_at(
-        self, time: float, name: str, duration: float = 150.0
-    ) -> None:
-        self.loop.schedule_at(time, self.torn_write, name, duration)
-
-    def lost_write_at(self, time: float, name: str) -> None:
-        self.loop.schedule_at(time, self.lost_write, name)
-
-    def misdirected_write_at(self, time: float, name: str) -> None:
-        self.loop.schedule_at(time, self.misdirected_write, name)
-
+    # Fire-time-random variants (the chaos schedule resolves its victim
+    # when the event fires, like KILL_WRITER does).
     def _shuffled_storage(self) -> list[str]:
         names = sorted(self._storage_nodes)
         self.rng.shuffle(names)

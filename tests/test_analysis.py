@@ -234,29 +234,44 @@ class TestCostModel:
 
 
 class TestFleetDurability:
-    def test_fast_repairs_meet_c7(self):
-        from repro.analysis import fleet_durability
+    """The C7 arithmetic over measured repair windows
+    (``RepairSummary``'s sweep footer; ``fleet_durability`` until PR 24)."""
 
-        report = fleet_durability([1200.0, 1500.0, 900.0], [550.0, 600.0])
-        assert report.meets_c7
-        assert report.samples == 3
-        assert report.max_ms == 1500.0
+    @staticmethod
+    def fleet(resolution, detection=()):
+        from repro.repair import LatencyStats, RepairSummary
+
+        return RepairSummary(
+            resolution=LatencyStats(list(resolution)),
+            detection=LatencyStats(list(detection)),
+        )
+
+    def test_fast_repairs_meet_c7(self):
+        from repro.repair.metrics import C7_WINDOW
+
+        fleet = self.fleet([1200.0, 1500.0, 900.0], [550.0, 600.0])
+        assert C7_WINDOW.holds(fleet) and fleet.ok
+        assert fleet.resolution.count == 3
+        assert fleet.resolution.max == 1500.0
         # A shorter observed window can only lower the loss probability.
-        assert report.p_loss_mean < report.p_loss_c7
-        assert report.p_loss_mean <= report.p_loss_p95 <= report.p_loss_max
-        assert report.detection is not None
-        assert report.detection.max_ms == 600.0
+        p_loss = fleet.p_loss
+        assert p_loss["mean"] < p_loss["c7"]
+        assert p_loss["mean"] <= p_loss["p95"] <= p_loss["max"]
+        assert fleet.detection.max == 600.0
+        assert "max=600ms" in fleet.footer_lines(1)[2]
 
     def test_tail_beyond_c7_flags_exceeded(self):
-        from repro.analysis import fleet_durability
-
-        report = fleet_durability([1000.0, 2000.0, 60_000.0])
-        assert not report.meets_c7
-        assert report.p_loss_max > report.p_loss_c7
-        assert "EXCEEDED" in "\n".join(report.render_lines())
+        fleet = self.fleet([1000.0, 2000.0, 60_000.0])
+        assert not fleet.ok
+        assert fleet.p_loss["max"] > fleet.p_loss["c7"]
+        assert "EXCEEDED" in fleet.footer_lines(1)[-1]
+        # A seed's report says why it failed; a met window prints nothing
+        # there.
+        assert "EXCEEDED" in "\n".join(fleet.render_lines())
+        assert "C7" not in "\n".join(self.fleet([1000.0]).render_lines())
 
     def test_needs_positive_samples(self):
-        from repro.analysis import fleet_durability
-
+        # Nothing is filtered out of a distribution; a window that is not
+        # positive is one the durability model refuses to evaluate.
         with pytest.raises(ConfigurationError):
-            fleet_durability([0.0, -5.0])
+            self.fleet([0.0, -5.0]).footer_lines(1)

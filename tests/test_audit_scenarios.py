@@ -10,6 +10,7 @@ the table is held to it, and planted mutants of the table must be caught.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import re
 import subprocess
@@ -19,8 +20,14 @@ from pathlib import Path
 import pytest
 
 from repro import cli
-from repro.audit import PROFILES, AuditRunConfig, profile_of, run_audit
-from repro.audit.profiles import AtLeast, profiles_table
+from repro.audit import (
+    PROFILES,
+    AuditRunConfig,
+    merged_sections,
+    profile_of,
+    run_audit,
+)
+from repro.audit.profiles import AtLeast, budgets_table, profiles_table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GATES = (
@@ -29,7 +36,9 @@ GATES = (
 )
 
 #: ``dataclasses.asdict(AuditRunConfig())`` at PR 18's parent commit, less
-#: the dead ``boxcar`` field and the flush-policy field PR 21 deleted.
+#: the dead ``boxcar`` field, the flush-policy field PR 21 deleted and the
+#: five one-valued budgets that are ``repro.verdict.Budget`` rows since
+#: PR 24.
 HEAD_DEFAULTS = {
     "seed": 7, "steps": 1000, "replicas": 1, "keys": 24, "tail_size": 48,
     "op_timeout_ms": 2500.0, "writer_crash_every": 0,
@@ -39,13 +48,11 @@ HEAD_DEFAULTS = {
     "fleet_double_fault": False, "az_bursts": False,
     "min_concurrent_repairs": 0, "repair_transfer_ms": 0.0,
     "failover": False, "writer_kill_period_ms": 0.0,
-    "writer_grey_period_ms": 0.0, "failover_budget_ms": 30000.0,
+    "writer_grey_period_ms": 0.0,
     "detailed_stats": False, "geo": False,
-    "geo_ack_mode": "auto", "geo_rto_budget_ms": 30000.0, "proxy": False,
+    "geo_ack_mode": "auto", "proxy": False,
     "proxy_sessions": 100000, "proxy_pool": 128,
-    "proxy_recovery_budget_ms": 5000.0, "proxy_lag_slo_ms": 10.0,
     "integrity": False, "backend": "aurora",
-    "integrity_repair_budget_ms": 12000.0,
 }
 
 # What the parent's ``_audit_config`` + ``as_fleet`` / ``as_geo`` /
@@ -200,6 +207,23 @@ class TestProfilesBuildTheParentsConfigs:
     def test_the_docs_table_is_the_rendered_one(self):
         assert profiles_table() in (REPO_ROOT / "docs/AUDIT.md").read_text()
 
+    def test_the_docs_budgets_table_is_the_rendered_one(self):
+        assert budgets_table() in (REPO_ROOT / "docs/AUDIT.md").read_text()
+
+    def test_integrity_json_without_integrity_is_an_error(
+        self, tmp_path, capsys
+    ):
+        """It used to write nothing and say nothing, so a CI lane that
+        lost its ``--integrity`` uploaded no artifact and stayed green."""
+        path = tmp_path / "integrity.json"
+        status = cli.main(
+            ["audit-run", "--steps", "50", "--integrity-json", str(path)]
+        )
+        captured = capsys.readouterr()
+        assert status == 2
+        assert "--integrity" in captured.err.replace("--integrity-json", "")
+        assert captured.out == "" and not path.exists()  # no seed ran
+
 
 #: ``audit-run --seed 3 --steps 150 <switch>`` at the parent (the proxy
 #: with ``--proxy-sessions 2000``), as printed.
@@ -313,15 +337,122 @@ audit run: seed=3 steps=150 sim_time=6259ms
 }
 
 
+#: What the same commands print under their ``sweep: 2/2 seeds clean``
+#: line with ``--sweep 2`` (seeds 3 and 4), recorded at PR 24's parent;
+#: ``integrity-taurus`` adds ``--backend taurus``.  The chaos profile
+#: finishes no repair at this scale, so its footer is empty.
+HEAD_FOOTERS = {
+    "chaos": "",
+    "fleet": """\
+fleet repair telemetry across 2 seeds (peak 9 concurrent PG repairs):
+  repair window:       mean=1226ms p50=1340ms p95=1782ms max=2082ms (n=27)
+  detection latency:   mean=489ms p95=619ms max=622ms
+  AZ+1 read-quorum-loss probability per window:
+    at observed mean:  4.061e-22
+    at observed p95:   1.246e-21
+    at observed max:   1.988e-21
+    at paper C7 (10s): 2.202e-19
+  C7 window (10s):     met by every observed repair
+fleet failover telemetry across 2 seeds (2 writer failovers):
+  detection latency:   mean=852ms p50=851ms p95=852ms max=852ms (n=2)
+  promotion time:      mean=578ms p50=105ms p95=1050ms max=1050ms (n=2)
+  write unavailability: mean=1434ms p50=962ms p95=1906ms max=1906ms (n=2)
+  budget (30s):         met; worst failover used 6.4% of budget""",
+    "failover": """\
+fleet repair telemetry across 2 seeds (peak 1 concurrent PG repairs):
+  repair window:       mean=614ms p50=579ms p95=649ms max=649ms (n=2)
+  detection latency:   mean=587ms p95=624ms max=624ms
+  AZ+1 read-quorum-loss probability per window:
+    at observed mean:  5.104e-23
+    at observed p95:   6.022e-23
+    at observed max:   6.022e-23
+    at paper C7 (10s): 2.202e-19
+  C7 window (10s):     met by every observed repair
+fleet failover telemetry across 2 seeds (2 writer failovers):
+  detection latency:   mean=873ms p50=871ms p95=875ms max=875ms (n=2)
+  promotion time:      mean=20ms p50=15ms p95=25ms max=25ms (n=2)
+  write unavailability: mean=898ms p50=891ms p95=905ms max=905ms (n=2)
+  budget (30s):         met; worst failover used 3.0% of budget""",
+    "geo": """\
+geo disaster-recovery telemetry across 2 seeds:
+  region failovers:    2 (promoted=2 rolled_back=0 stalled=0 active=0)
+  region detection:    mean=1182ms p50=860ms p95=1504ms max=1504ms (n=2)
+  promotion time:      mean=25ms p50=20ms p95=30ms max=30ms (n=2)
+  RTO:                 mean=3277ms p50=3274ms p95=3280ms max=3280ms (n=2)
+  RPO:                 mean=434ms p50=0ms p95=868ms max=868ms (n=2) (4 acked commit(s) lost, async mode)
+  region-loss detection: mean=1182ms p50=860ms p95=1504ms max=1504ms (n=2)
+  secondary promotion:   mean=25ms p50=20ms p95=30ms max=30ms (n=2)
+  RTO:                   mean=3277ms p50=3274ms p95=3280ms max=3280ms (n=2)
+  RTO budget (30s):       met; worst recovery used 10.9% of budget
+  RPO (sync, 1 runs):   zero acknowledged-commit loss
+  RPO (async, 1 runs, 4 commits): mean=868ms p50=868ms p95=868ms max=868ms (n=1)""",
+    "proxy": """\
+fleet failover telemetry across 2 seeds (2 writer failovers):
+  detection latency:   mean=879ms p50=876ms p95=883ms max=883ms (n=2)
+  promotion time:      mean=18ms p50=15ms p95=20ms max=20ms (n=2)
+  write unavailability: mean=902ms p50=896ms p95=908ms max=908ms (n=2)
+  budget (30s):         met; worst failover used 3.0% of budget
+serving-tier telemetry across 2 seeds:
+  sessions:            4000 (709 ops)
+  session recovery:    mean=422ms p50=400ms p95=835ms max=890ms (n=25)
+  recovery budget (5s): met; worst outage used 17.8% of budget
+  replica time lag:    mean=0ms p50=0ms p95=0ms max=5ms (n=13591)
+  lag SLO (p95 < 10ms): met
+  read routing:        626 replica / 0 writer (100.0% offloaded), 0 RYW floor exclusions, 0 pool waits""",
+    "integrity": """\
+integrity telemetry across 2 seeds (aurora):
+  corruption injected: 3 (kind=inj/det/rep: bit_rot=1/1/1, bit_rot_record=1/1/1, lost_write=1/1/1)
+  detection (MTTD):    mean=171ms p50=154ms p95=248ms max=248ms (n=3)
+  repair (MTTR):       mean=1ms p50=0ms p95=3ms max=3ms (n=3)
+  exposure window:     mean=172ms p50=154ms p95=248ms max=248ms (n=3)
+  repair budget (12s):  met
+  C7 @ measured exposure: read-quorum-loss p=1.127e-24 per window (window = mean exposure)
+  read path:           0 intercepted, 0 quarantined, 0 corrupt served
+  repair path:         183 vote rounds, 1 vote repairs, 183 scrub runs, 0 ingest rejects""",
+    "integrity-taurus": """\
+integrity telemetry across 2 seeds (taurus):
+  corruption injected: 2 (kind=inj/det/rep: bit_rot_record=2/2/2)
+  detection (MTTD):    mean=143ms p50=4ms p95=281ms max=281ms (n=2)
+  repair (MTTR):       mean=1ms p50=0ms p95=2ms max=2ms (n=2)
+  exposure window:     mean=144ms p50=4ms p95=283ms max=283ms (n=2)
+  repair budget (12s):  met
+  C7 @ measured exposure: read-quorum-loss p=6.524e-25 per window (window = mean exposure)
+  read path:           1 intercepted, 0 quarantined, 0 corrupt served
+  repair path:         154 vote rounds, 2 vote repairs, 153 scrub runs, 0 ingest rejects""",
+}
+
+
 def profile_config(name: str, **fields) -> AuditRunConfig:
     return PROFILES[name].configure(AuditRunConfig(**fields))
+
+
+@functools.lru_cache(maxsize=None)
+def head_scale_report(name: str, seed: int):
+    """The report of one seed at the scale the literals were recorded at
+    (run once per session: the report and the footer pins share seed 3)."""
+    name, _, backend = name.partition("-")
+    config = profile_config(
+        name, seed=seed, steps=150, proxy_sessions=2000,
+        backend=backend or "aurora",
+    )
+    return run_audit(config)
 
 
 class TestEveryProfileRunsThroughTheSpine:
     @pytest.mark.parametrize("name", list(HEAD_REPORTS))
     def test_report_is_the_parents(self, name):
-        config = profile_config(name, seed=3, steps=150, proxy_sessions=2000)
-        assert run_audit(config).render() == HEAD_REPORTS[name]
+        assert head_scale_report(name, 3).render() == HEAD_REPORTS[name]
+
+    @pytest.mark.parametrize("name", list(HEAD_FOOTERS))
+    def test_sweep_footer_is_the_parents(self, name):
+        reports = [head_scale_report(name, seed) for seed in (3, 4)]
+        assert all(report.ok for report in reports)
+        footer = [
+            line
+            for section in merged_sections(reports).values()
+            for line in section.footer_lines(len(reports))
+        ]
+        assert "\n".join(footer) == HEAD_FOOTERS[name]
 
     def test_fleet_and_failover_are_chaos_under_other_values(self):
         for name, row in PROFILES.items():
@@ -329,8 +460,8 @@ class TestEveryProfileRunsThroughTheSpine:
             assert ran.name == {"fleet": "chaos", "failover": "chaos"}.get(
                 name, name
             )
-            assert (ran.world, ran.client, ran.judge, ran.footer) == (
-                row.world, row.client, row.judge, row.footer
+            assert (ran.world, ran.client, ran.judge) == (
+                row.world, row.client, row.judge
             )
 
     def test_importing_the_package_loads_no_profile_specific_module(self):
@@ -340,7 +471,10 @@ class TestEveryProfileRunsThroughTheSpine:
             check=True, capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         ).stdout.split()
-        lazy = ("repro.geo", "repro.workloads.sessions", "repro.analysis")
+        # (``repro.analysis`` was lazy while it held the per-profile run
+        # reports; since PR 24 it is the paper's models only, and
+        # ``repro.repair`` imports the C7 window from it.)
+        lazy = ("repro.geo", "repro.workloads.sessions")
         assert [m for m in loaded if m.startswith(lazy)] == []
         assert "repro.audit.profiles" in loaded
 

@@ -20,6 +20,8 @@ Covers the database-tier failover plane end to end:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import AuroraCluster
@@ -33,7 +35,9 @@ from repro.errors import (
     SimulationError,
 )
 from repro.repair import PROMOTED, FailoverConfig, Health
+from repro.repair.failover import FAILOVER_WINDOW, FailoverSummary
 from repro.repair.metrics import ACTIVE, ROLLED_BACK
+from repro.verdict import LatencyStats
 
 
 # ----------------------------------------------------------------------
@@ -533,32 +537,31 @@ class TestWriterInvariants:
 # ----------------------------------------------------------------------
 class TestTelemetry:
     def test_failover_windows_feed_the_availability_report(self):
-        from repro.analysis import failover_availability
-
         cluster, _auditor, _committed = _build()
         _kill_writer(cluster)
         _await_promotion(cluster)
         summary = cluster.failover.summary()
         assert summary.promoted == 1
-        report = failover_availability(
-            summary.unavailability.samples,
-            detection_samples_ms=summary.detection.samples,
-            promotion_samples_ms=summary.promotion.samples,
-        )
-        assert report.meets_budget
-        assert 0 < report.worst_budget_fraction < 1
-        assert report.unavailability.samples == 1
-        assert any("budget" in line for line in report.render_lines())
+        assert summary.ok and FAILOVER_WINDOW.holds(summary)
+        assert 0 < FAILOVER_WINDOW.worst(summary) / FAILOVER_WINDOW.limit_ms < 1
+        assert summary.unavailability.count == 1
+        assert any("budget" in line for line in summary.footer_lines(1))
 
     def test_budget_breach_is_reported(self):
-        from repro.analysis import failover_availability
-
-        report = failover_availability([45_000.0], budget_s=30.0)
-        assert not report.meets_budget
-        assert report.worst_budget_fraction > 1
+        summary = FailoverSummary(
+            unavailability=LatencyStats([2_000.0, 45_000.0])
+        )
+        # Availability is a tail phenomenon: the worst failover is judged,
+        # not the average one.
+        assert summary.unavailability.mean < FAILOVER_WINDOW.limit_ms
+        assert not FAILOVER_WINDOW.holds(summary) and not summary.ok
+        assert FAILOVER_WINDOW.worst(summary) / FAILOVER_WINDOW.limit_ms > 1
+        assert "EXCEEDED" in summary.footer_lines(1)[-1]
 
     def test_budget_must_be_positive(self):
-        from repro.analysis import failover_availability
-
         with pytest.raises(ConfigurationError):
-            failover_availability([100.0], budget_s=0)
+            dataclasses.replace(FAILOVER_WINDOW, limit_ms=0)
+
+    def test_a_failover_that_never_resolved_fails_the_section(self):
+        for outcome in ("active", "stalled"):
+            assert not FailoverSummary(**{outcome: 1}).ok

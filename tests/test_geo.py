@@ -8,6 +8,7 @@ the geo chaos-schedule generator, the RPO/RTO analysis, and the audited
 gates of ``audit-run --geo``.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -19,13 +20,11 @@ from repro.errors import (
     RegionUnavailableError,
     ReplicationLagExceededError,
 )
-from repro.analysis.rpo_rto import (
-    rpo_rto_from_records,
-    rpo_rto_report,
-)
 from repro.geo import ASYNC, SYNC, GeoCluster, GeoConfig
 from repro.geo.failover import (
     PROMOTED,
+    REGION_RTO,
+    ROLLED_BACK,
     GeoFailoverRecord,
     GeoFailoverSummary,
 )
@@ -314,32 +313,42 @@ def _record(mode, failed_at, promoted_at, lost=0, rpo=0.0):
 
 
 def test_rpo_rto_report_requires_rto_samples():
+    """Without a promoted recovery there is nothing to judge: no RTO
+    verdict is printed, and the footer says so."""
+    stood_down = GeoFailoverRecord(
+        primary_id="writer-0", ack_mode=SYNC, failed_at=1.0, confirmed_at=2.0,
+        outcome=ROLLED_BACK,
+    )
+    for records in ([], [stood_down]):
+        summary = summarize(records, GeoFailoverSummary)
+        assert REGION_RTO.lines(summary) == [] and summary.ok
+    assert summary.footer_lines(1)[-1] == (
+        "  (no promoted recovery to report RPO/RTO on)"
+    )
     with pytest.raises(ConfigurationError):
-        rpo_rto_report(rto_samples_ms=[])
-    with pytest.raises(ConfigurationError):
-        rpo_rto_report(rto_samples_ms=[1000.0], rto_budget_s=0.0)
-    with pytest.raises(ConfigurationError):
-        rpo_rto_from_records([])  # no promoted records
+        dataclasses.replace(REGION_RTO, limit_ms=0.0)
 
 
 def test_rpo_rto_report_gates_on_worst_case():
-    report = rpo_rto_report(
-        rto_samples_ms=[3000.0, 6000.0],
-        sync_lost_commits=0,
-        sync_runs=2,
-        rto_budget_s=30.0,
+    summary = summarize(
+        [_record(SYNC, 10_000.0, 13_000.0), _record(SYNC, 20_000.0, 26_000.0)],
+        GeoFailoverSummary,
     )
-    assert report.meets_rto
-    assert report.worst_rto_fraction == pytest.approx(0.2)
-    assert report.sync_rpo_zero and report.ok
+    assert summary.sync_runs == 2 and summary.ok
+    assert REGION_RTO.worst(summary) / REGION_RTO.limit_ms == pytest.approx(0.2)
     # One sample over budget flips the gate: tails, not averages.
-    worse = rpo_rto_report(rto_samples_ms=[3000.0, 31_000.0])
-    assert not worse.meets_rto and not worse.ok
-    # Any sync-acked loss is a violation regardless of timing.
-    lossy = rpo_rto_report(
-        rto_samples_ms=[3000.0], sync_lost_commits=1, sync_runs=1
+    worse = summarize(
+        [_record(SYNC, 10_000.0, 13_000.0), _record(SYNC, 20_000.0, 51_000.0)],
+        GeoFailoverSummary,
     )
-    assert lossy.meets_rto and not lossy.ok
+    assert worse.rto.mean < REGION_RTO.limit_ms
+    assert not REGION_RTO.holds(worse) and not worse.ok
+    assert any("EXCEEDED" in line for line in worse.render_lines())
+    # Any sync-acked loss is a violation regardless of timing.
+    lossy = summarize(
+        [_record(SYNC, 10_000.0, 13_000.0, lost=1)], GeoFailoverSummary
+    )
+    assert REGION_RTO.holds(lossy) and not lossy.ok
     assert any("VIOLATED" in line for line in lossy.render_lines())
 
 
@@ -353,16 +362,19 @@ def test_rpo_rto_from_records_splits_modes():
             failed_at=1.0, confirmed_at=2.0,
         ),
     ]
-    report = rpo_rto_from_records(records)
-    assert report.sync_runs == 1 and report.async_runs == 1
-    assert report.sync_lost_commits == 0
-    assert report.async_lost_commits == 3
-    assert report.rto.max_ms == pytest.approx(5000.0)
-    assert report.rpo is not None
-    assert report.rpo.max_ms == pytest.approx(800.0)
-    assert report.ok
     summary = summarize(records, GeoFailoverSummary)
-    assert summary.confirmed == 3
+    assert summary.sync_runs == 1 and summary.async_runs == 1
+    assert summary.sync_lost_commits == 0
+    assert summary.async_lost_commits == 3
+    assert summary.rto.max == pytest.approx(5000.0)
+    assert summary.async_rpo.samples == [800.0]
+    assert summary.recovered_detection.count == 2
+    assert summary.detection.count == summary.confirmed == 3
+    # An async-acked loss is a statistic, not a violation; the record
+    # still in flight is what fails this summary.
+    assert summary.active == 1 and not summary.ok
+    summary.active = 0
+    assert summary.ok
 
 
 # ----------------------------------------------------------------------
@@ -373,11 +385,11 @@ def test_geo_audit_run_passes_dr_gates(seed):
     config = PROFILES["geo"].configure(AuditRunConfig(seed=seed, steps=150))
     report = run_audit(config)
     assert report.violations == []
-    assert report.geo_ok is True
+    assert report.gates == {"geo": True}
     assert report.ok
-    promoted = [r for r in report.geo_records if r.outcome == PROMOTED]
-    assert len(promoted) == 1
-    assert report.geo_ack_mode == (SYNC if seed % 2 == 0 else ASYNC)
-    assert report.geo_rpo_rto is not None and report.geo_rpo_rto.ok
+    section = report.sections["geo"]
+    assert section.promoted == 1
+    assert section.ack_mode == (SYNC if seed % 2 == 0 else ASYNC)
+    assert section.rto.count == 1 and section.ok
     # The human-readable report renders the geo section.
     assert any("geo DR gate" in line for line in report.render().splitlines())
