@@ -113,9 +113,8 @@ class ClusterClient(_ClientModel):
 
     def chaos_callbacks(self) -> dict:
         """Writer kills and grey failures resolve their target at fire
-        time (the writer's name changes across failovers)."""
-        if not self.cfg.failover:
-            return {}
+        time (the writer's name changes across failovers); a mix draws
+        them under `failover` only."""
         return {"writer_kill": self._kill_writer,
                 "writer_grey": self._grey_writer}
 

@@ -29,11 +29,7 @@ from repro.repair import RepairConfig
 from repro.repair.detector import Health
 from repro.repair.failover import FailoverSummary
 from repro.repair.metrics import ACTIVE, RepairSummary
-from repro.sim.chaos import (
-    ChaosConfig,
-    geo_chaos_config,
-    integrity_chaos_config,
-)
+from repro.sim.chaos import CHAOS, FLEET, GEO, INTEGRITY, WRITER_PERIODS, Mix
 from repro.sim.failures import EXPOSURE_WINDOW, IntegritySummary
 from repro.storage.node import StorageNodeConfig
 
@@ -206,16 +202,15 @@ def _settle_integrity(run: Run, client: ClusterClient) -> None:
         # anything.  Write fresh records, then land one corruption
         # deterministically before settling.
         injectors = (
-            failures.bit_rot_any,
-            failures.lost_write_any,
-            failures.misdirected_write_any,
+            failures.bit_rot, failures.lost_write, failures.misdirected_write,
         )
         for attempt in range(30):
             # Inject right after the write lands, before the next PGMRPL
             # update hoists the GC floor over the fresh records and
             # closes the eligibility window again.
             client.keepalive(attempt)
-            landed = injectors[attempt % len(injectors)]() is not None
+            inject = injectors[attempt % len(injectors)]
+            landed = failures.inject_anywhere(inject) is not None
             cluster.run_for(60.0)
             if landed:
                 break
@@ -399,10 +394,9 @@ class Profile:
     settle_ms: float = 10.0
     #: ``(floor ms, ms per step)``: how long the chaos schedule runs.
     horizon: tuple[float, float] = (4000.0, 4.0)
-    #: Makes the schedule's ``ChaosConfig`` (the config's ``az_bursts`` and
-    #: writer-chaos periods are applied on top); None: no schedule, the
-    #: client brings its own disaster.
-    chaos_config: Callable | None = ChaosConfig
+    #: The chaos mix its schedule draws (:meth:`chaos_mix`); None: no
+    #: schedule, the client brings its own disaster.
+    chaos: Mix | None = CHAOS
     client: Callable = ClusterClient
     settle: Callable = _settle_cluster
     #: ``(run, client) -> AuditReport fields``: the ``sections`` (what a
@@ -417,6 +411,14 @@ class Profile:
             setattr(cfg, name, value)
         return cfg
 
+    def chaos_mix(self, cfg) -> Mix | None:
+        """The mix a run of ``cfg`` draws: the row's, or the fleet mix
+        under `az_bursts`; the writer kinds join it under `failover`."""
+        if self.chaos is None:
+            return None
+        mix = FLEET if cfg.az_bursts else self.chaos
+        return mix.joined(WRITER_PERIODS) if cfg.failover else mix
+
     def describe(self) -> tuple[str, str, str, str]:
         """(overrides, what is armed, what the chaos and the client are,
         what is judged): the row's data, then its functions' own words."""
@@ -426,10 +428,10 @@ class Profile:
             for name, value in self.overrides.items()
         )
         chaos = ""
-        if self.chaos_config is not None:
+        if self.chaos is not None:
             floor_ms, ms_per_step = self.horizon
             chaos = (
-                self.chaos_config.__doc__.split("\n\n")[0]
+                self.chaos.about
                 + f" Over max({floor_ms / 1000:g} s, {ms_per_step:g} ms x"
                 " steps). "
             )
@@ -453,13 +455,8 @@ _QUIET = dict(
     fleet_double_fault=False,
     az_bursts=False,
 )
-#: The failover plane under a writer-kill / writer-grey cadence.
-_WRITER_CHAOS = dict(
-    failover=True,
-    replicas=AtLeast(2),
-    writer_kill_period_ms=AtLeast(6000.0),
-    writer_grey_period_ms=AtLeast(5000.0),
-)
+#: The failover plane, answering the writer kinds of the chaos mix.
+_WRITER_CHAOS = dict(failover=True, replicas=AtLeast(2))
 
 PROFILES: dict[str, Profile] = {
     profile.name: profile
@@ -488,7 +485,7 @@ PROFILES: dict[str, Profile] = {
             world=_geo_world,
             arm=_arm_geo,
             horizon=(24_000.0, 8.0),
-            chaos_config=geo_chaos_config,
+            chaos=GEO,
             client=GeoClient,
             settle=_settle_geo,
             judge=_judge_geo,
@@ -504,7 +501,7 @@ PROFILES: dict[str, Profile] = {
             ),
             settle_ms=200.0,  # replicas attach and catch up
             horizon=(12_000.0, 40.0),
-            chaos_config=None,
+            chaos=None,
             client=ProxyClient,
             settle=_settle_proxy,
             judge=_judge_proxy,
@@ -523,7 +520,7 @@ PROFILES: dict[str, Profile] = {
             node_settings={"scrub_interval": 400.0},
             arm=_arm_integrity,
             horizon=(6000.0, 4.0),
-            chaos_config=integrity_chaos_config,
+            chaos=INTEGRITY,
             settle=_settle_integrity,
             judge=_judge_integrity,
         ),

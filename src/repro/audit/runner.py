@@ -23,7 +23,7 @@ from typing import Iterable
 
 from repro.audit.auditor import AuditViolation
 from repro.audit.profiles import PROFILES, Profile
-from repro.sim.chaos import ChaosSchedule, fleet_chaos_config
+from repro.sim.chaos import ChaosSchedule
 from repro.verdict import Section
 
 
@@ -99,7 +99,8 @@ class AuditRunConfig:
     #: Also kill a second member of the first storm PG shortly after, so
     #: the sweep exercises same-PG queueing under fleet load.
     fleet_double_fault: bool = False
-    #: Correlated AZ bursts (:func:`repro.sim.chaos.fleet_chaos_config`).
+    #: Draw the fleet chaos mix: correlated AZ bursts
+    #: (:data:`repro.sim.chaos.FLEET`).
     az_bursts: bool = False
     #: Fail the run unless this many repairs were observed in flight at
     #: once (0 disables the gate).
@@ -110,11 +111,9 @@ class AuditRunConfig:
     repair_transfer_ms: float = 0.0
     #: Arm the database-tier failover plane, run the workload through a
     #: failover-aware session, and replace operator-driven writer recovery
-    #: with chaos writer kills / grey failures (periods in ms, 0 = none)
-    #: the coordinator must answer autonomously.
+    #: with chaos writer kills / grey failures (the chaos mix's writer
+    #: kinds) the coordinator must answer autonomously.
     failover: bool = False
-    writer_kill_period_ms: float = 0.0
-    writer_grey_period_ms: float = 0.0
     #: Arm per-payload-type network accounting (a Counter update per
     #: simulated message; sweeps only need the aggregate counters).
     detailed_stats: bool = False
@@ -254,20 +253,15 @@ def run_audit(config: AuditRunConfig | None = None) -> AuditReport:
     run.horizon_ms = max(floor_ms, cfg.steps * ms_per_step)
     run.chaos_end_ms = world.loop.now + run.horizon_ms
     client = profile.client(run)
-    if profile.chaos_config is not None:
-        chaos = (
-            fleet_chaos_config() if cfg.az_bursts else profile.chaos_config()
-        )
-        if cfg.failover:
-            chaos.writer_kill_period_ms = cfg.writer_kill_period_ms
-            chaos.writer_grey_period_ms = cfg.writer_grey_period_ms
+    mix = profile.chaos_mix(cfg)
+    if mix is not None:
         schedule = ChaosSchedule.generate(
             seed=cfg.seed,
             nodes=sorted(run.nodes),
             azs={az: world.failures.az_nodes(az)
                  for az in ("az1", "az2", "az3")},
             horizon_ms=run.horizon_ms,
-            config=chaos,
+            mix=mix,
         )
         schedule.install(world.failures, **client.chaos_callbacks())
         run.chaos_events = len(schedule)

@@ -11,10 +11,11 @@ an Availability Zone.  The injector therefore supports four granularities:
   the case the paper's read hedging and membership "suspect state" handle,
 - network partitions isolating a node from the rest of the fleet.
 
-Deterministic schedules (``crash_at``) serve the figure reproductions;
+Deterministic schedules (``crash_at``) serve scripted tests and scenarios;
 stochastic MTTF/MTTR background failure (``enable_background_failures``)
-serves the durability benchmarks; :class:`repro.sim.chaos.ChaosSchedule`
-composes all of them into seeded randomized scenarios.
+is the churn the audit gates' healer runs against;
+:class:`repro.sim.chaos.ChaosSchedule` composes the operations into seeded
+randomized scenarios, one table row per fault kind.
 
 **Manual intervention vs. background schedules.**  Background failures are
 pre-scheduled at enable time (keeping runs deterministic for a given seed),
@@ -844,40 +845,15 @@ class FailureInjector:
             return injected
         return None
 
-    # Fire-time-random variants (the chaos schedule resolves its victim
-    # when the event fires, like KILL_WRITER does).
-    def _shuffled_storage(self) -> list[str]:
+    def inject_anywhere(self, inject, *args) -> CorruptionRecord | None:
+        """``inject(name, *args)`` -- one of the operations above -- on
+        the attached storage nodes in a seeded random order, until one
+        has an eligible victim: the chaos schedule resolves its victim
+        when the event fires.  The record, or None if no node had one."""
         names = sorted(self._storage_nodes)
         self.rng.shuffle(names)
-        return names
-
-    def bit_rot_any(self) -> CorruptionRecord | None:
-        """Bit-rot a random attached storage node (first eligible one)."""
-        for name in self._shuffled_storage():
-            record = self.bit_rot(name)
-            if record is not None:
-                return record
-        return None
-
-    def torn_write_any(
-        self, duration: float = 150.0
-    ) -> CorruptionRecord | None:
-        for name in self._shuffled_storage():
-            record = self.torn_write(name, duration)
-            if record is not None:
-                return record
-        return None
-
-    def lost_write_any(self) -> CorruptionRecord | None:
-        for name in self._shuffled_storage():
-            record = self.lost_write(name)
-            if record is not None:
-                return record
-        return None
-
-    def misdirected_write_any(self) -> CorruptionRecord | None:
-        for name in self._shuffled_storage():
-            record = self.misdirected_write(name)
+        for name in names:
+            record = inject(name, *args)
             if record is not None:
                 return record
         return None

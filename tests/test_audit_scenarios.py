@@ -27,7 +27,10 @@ from repro.audit import (
     profile_of,
     run_audit,
 )
+from repro.audit import profiles
 from repro.audit.profiles import AtLeast, budgets_table, profiles_table
+from repro.sim.chaos import FLEET
+from tests.test_chaos import SCHEDULE_DIGESTS, schedule_digests
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GATES = (
@@ -35,10 +38,10 @@ GATES = (
     "audit-integrity",
 )
 
-#: ``dataclasses.asdict(AuditRunConfig())`` at PR 18's parent commit, less
-#: the dead ``boxcar`` field, the flush-policy field PR 21 deleted and the
-#: five one-valued budgets that are ``repro.verdict.Budget`` rows since
-#: PR 24.
+#: ``dataclasses.asdict(AuditRunConfig())`` before the profile table, less
+#: the fields deleted since: the dead ``boxcar``, the flush policy, the
+#: five one-valued budgets (``repro.verdict.Budget`` rows now) and the two
+#: writer-chaos periods (``repro.sim.chaos.WRITER_PERIODS`` now).
 HEAD_DEFAULTS = {
     "seed": 7, "steps": 1000, "replicas": 1, "keys": 24, "tail_size": 48,
     "op_timeout_ms": 2500.0, "writer_crash_every": 0,
@@ -47,9 +50,7 @@ HEAD_DEFAULTS = {
     "plant_false_positive": True, "pg_count": 1, "fleet_kills": 0,
     "fleet_double_fault": False, "az_bursts": False,
     "min_concurrent_repairs": 0, "repair_transfer_ms": 0.0,
-    "failover": False, "writer_kill_period_ms": 0.0,
-    "writer_grey_period_ms": 0.0,
-    "detailed_stats": False, "geo": False,
+    "failover": False, "detailed_stats": False, "geo": False,
     "geo_ack_mode": "auto", "proxy": False,
     "proxy_sessions": 100000, "proxy_pool": 128,
     "integrity": False, "backend": "aurora",
@@ -57,10 +58,7 @@ HEAD_DEFAULTS = {
 
 # What the parent's ``_audit_config`` + ``as_fleet`` / ``as_geo`` /
 # ``as_proxy`` / ``as_integrity`` set away from the defaults.
-_WRITER_CHAOS = {
-    "replicas": 2, "failover": True, "writer_kill_period_ms": 6000.0,
-    "writer_grey_period_ms": 5000.0,
-}
+_WRITER_CHAOS = {"replicas": 2, "failover": True}
 _FLEET = {
     **_WRITER_CHAOS, "pg_count": 10, "fleet_kills": 9,
     "fleet_double_fault": True, "az_bursts": True,
@@ -176,7 +174,7 @@ class TestProfilesBuildTheParentsConfigs:
         )
 
     @pytest.mark.parametrize("name, forgotten", [
-        ("fleet", "az_bursts"), ("fleet", "writer_grey_period_ms"),
+        ("fleet", "az_bursts"), ("fleet", "failover"),
         ("failover", "failover"), ("geo", "replicas"),
         ("geo", "plant_false_positive"), ("proxy", "heal"),
         ("integrity", "writer_crash_every"),
@@ -197,6 +195,25 @@ class TestProfilesBuildTheParentsConfigs:
         assert isinstance(floor, AtLeast)
         self.plant(monkeypatch, name, **{field: floor.floor})
         assert any(f" {field}=" in line for line in differences())
+
+    @pytest.mark.parametrize("name, mutant, moved", [
+        ("WRITER_PERIODS", {"kill_writer": 6000.0},
+         {"failover@4s", "failover@30s", "fleet@4s", "fleet@30s"}),
+        # Swapped periods draw one of each at 4 s either way.
+        ("WRITER_PERIODS", {"kill_writer": 5000.0, "grey_writer": 6000.0},
+         {"failover@30s", "fleet@30s"}),
+        ("FLEET", FLEET.joined({"az_burst": 1900.0}),
+         {"fleet@4s", "fleet@30s"}),
+    ])
+    def test_a_mix_mutant_is_caught(self, monkeypatch, name, mutant, moved):
+        """The mixes a row's run draws are data too: a planted mutant of
+        one moves the pinned schedules of exactly the profiles that draw
+        it (tests/test_chaos.py)."""
+        monkeypatch.setattr(profiles, name, mutant)
+        digests = schedule_digests()
+        assert {
+            key for key in digests if digests[key] != SCHEDULE_DIGESTS[key]
+        } == moved
 
     def test_help_lists_the_parents_flags(self, capsys):
         with pytest.raises(SystemExit):

@@ -525,10 +525,9 @@ class TestIntegrityContract:
     def _inject_one(self, cluster, db) -> None:
         """Land one corruption on a fresh mid-chain victim (a pinned read
         view keeps the GC floor below it; see tests/test_integrity.py)."""
+        failures = cluster.failures
         injectors = (
-            cluster.failures.bit_rot_any,
-            cluster.failures.lost_write_any,
-            cluster.failures.misdirected_write_any,
+            failures.bit_rot, failures.lost_write, failures.misdirected_write,
         )
         for attempt in range(20):
             view = cluster.writer.open_view()
@@ -538,7 +537,9 @@ class TestIntegrityContract:
                 for i in range(4):
                     db.write(f"victim{attempt}.{i}", f"w{attempt}.{i}")
                 cluster.run_for(30.0)
-                corruption = injectors[attempt % len(injectors)]()
+                corruption = failures.inject_anywhere(
+                    injectors[attempt % len(injectors)]
+                )
             finally:
                 cluster.writer.close_view(view)
             if corruption is not None:
