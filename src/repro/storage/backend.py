@@ -28,7 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.quorum import QuorumConfig, group_transition_config
+from repro.core.quorum import (
+    QuorumConfig,
+    full_tail_config,
+    group_transition_config,
+)
 from repro.errors import ConfigurationError
 from repro.storage.segment import SegmentKind
 
@@ -143,8 +147,7 @@ class AuroraBackend(StorageBackend):
     """The paper's 6-way symmetric quorum (default backend).
 
     ``full_tail=True`` selects the section-4.2 cost mix (3 full + 3 tail
-    segments); the quorum policy for that mix is installed by the cluster's
-    full/tail metadata service exactly as before this abstraction existed.
+    segments) and its quorum set (:meth:`membership_quorum_config`).
     """
 
     name = "aurora"
@@ -179,6 +182,17 @@ class AuroraBackend(StorageBackend):
     def membership_quorum_config(
         self, metadata, pg_index: int, state
     ) -> QuorumConfig:
+        """The uniform 4/6 config, or under ``full_tail`` the section-4.2
+        quorum set for a stable membership of 3 full + 3 tail members.
+        A membership transition falls back to the uniform 4/6-based
+        transition config (reads still route to full segments only, via
+        the placement kinds)."""
+        if self.full_tail and state.is_stable:
+            kinds = self._slot_kinds(metadata, state)
+            fulls = [m for m in state.members if kinds[m] is SegmentKind.FULL]
+            tails = [m for m in state.members if kinds[m] is SegmentKind.TAIL]
+            if len(fulls) == 3 and len(tails) == 3:
+                return full_tail_config(fulls, tails)
         return state.quorum_config()
 
 
