@@ -15,14 +15,13 @@ Three of the paper's secondary capabilities, composed into one scenario:
 Run:  python examples/disaster_recovery.py
 """
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.db.logical_replication import TransformingSubscriber
 
 
 def main() -> None:
-    config = ClusterConfig(seed=77)
-    config.node.backup_interval = 50.0  # brisk continuous backup
-    cluster = AuroraCluster.build(config)
+    # A brisk continuous backup.
+    cluster = AuroraCluster.build(seed=77, backup_interval=50.0)
     db = cluster.session()
 
     # -- 1. Logical CDC into a differently-shaped store --------------------

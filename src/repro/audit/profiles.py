@@ -23,7 +23,7 @@ from repro.audit.clients import (
     ProxyClient,
     spin_until,
 )
-from repro.db.cluster import AuroraCluster, ClusterConfig
+from repro.db.cluster import AuroraCluster
 from repro.db.instance import InstanceState
 from repro.repair import RepairConfig
 from repro.repair.detector import Health
@@ -31,7 +31,6 @@ from repro.repair.failover import FailoverSummary
 from repro.repair.metrics import ACTIVE, RepairSummary
 from repro.sim.chaos import CHAOS, FLEET, GEO, INTEGRITY, WRITER_PERIODS, Mix
 from repro.sim.failures import EXPOSURE_WINDOW, IntegritySummary
-from repro.storage.node import StorageNodeConfig
 
 
 @dataclass
@@ -56,13 +55,10 @@ class Run:
 # ----------------------------------------------------------------------
 def _cluster_world(cfg, profile: Profile) -> Run:
     """One cluster on the chosen `--backend`."""
-    cluster_cfg = ClusterConfig(
-        seed=cfg.seed,
-        pg_count=cfg.pg_count,
-        backend=cfg.backend,
-        node=StorageNodeConfig(**profile.node_settings),
+    cluster = AuroraCluster.build(
+        seed=cfg.seed, backend=cfg.backend, pg_count=cfg.pg_count,
+        **profile.node_settings,
     )
-    cluster = AuroraCluster.build(config=cluster_cfg, seed=cfg.seed)
     return Run(cfg, cluster, cluster.nodes)
 
 
@@ -76,12 +72,9 @@ def _geo_world(cfg, profile: Profile) -> Run:
     if ack_mode == "auto":
         ack_mode = SYNC if cfg.seed % 2 == 0 else "async"
     geo = GeoCluster.build(
-        GeoConfig(
-            seed=cfg.seed,
-            pg_count=cfg.pg_count,
-            backend=cfg.backend,
-            ack_mode=ack_mode,
-        )
+        GeoConfig(seed=cfg.seed, ack_mode=ack_mode),
+        backend=cfg.backend,
+        pg_count=cfg.pg_count,
     )
     return Run(cfg, geo, geo.primary.nodes)
 
@@ -386,7 +379,8 @@ class Profile:
     switch: str | None = None
     #: ``AuditRunConfig`` field -> value, or an :class:`AtLeast` floor.
     overrides: dict = field(default_factory=dict)
-    #: ``StorageNodeConfig`` fields the world is built with.
+    #: ``StorageNodeConfig`` fields the world is built with (overrides of
+    #: ``AuroraCluster.build``).
     node_settings: dict = field(default_factory=dict)
     world: Callable = _cluster_world
     arm: Callable = _arm_cluster
@@ -517,7 +511,7 @@ PROFILES: dict[str, Profile] = {
                 _QUIET, integrity=True, geo=False, proxy=False,
                 failover=False, writer_crash_every=10**9,
             ),
-            node_settings={"scrub_interval": 400.0},
+            node_settings=dict(scrub_interval=400.0),
             arm=_arm_integrity,
             horizon=(6000.0, 4.0),
             chaos=INTEGRITY,

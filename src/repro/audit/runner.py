@@ -24,6 +24,7 @@ from typing import Iterable
 from repro.audit.auditor import AuditViolation
 from repro.audit.profiles import PROFILES, Profile
 from repro.sim.chaos import ChaosSchedule
+from repro.storage.backend import AZS
 from repro.verdict import Section
 
 
@@ -238,9 +239,9 @@ def run_audit(config: AuditRunConfig | None = None) -> AuditReport:
     wall_start = time.perf_counter()
     profile = profile_of(cfg)
 
-    # Build the world: the one place a cluster config is made, so every
-    # cross-cutting option (backend, group commit, node settings, stats
-    # detail) is applied here and nowhere downstream.
+    # Build the world: the one place a gate's world is made, so every
+    # cross-cutting option (backend, node settings, stats detail) is
+    # applied here and nowhere downstream.
     run = profile.world(cfg, profile)
     world = run.world
     world.network.set_stats_detail(cfg.detailed_stats)
@@ -258,8 +259,7 @@ def run_audit(config: AuditRunConfig | None = None) -> AuditReport:
         schedule = ChaosSchedule.generate(
             seed=cfg.seed,
             nodes=sorted(run.nodes),
-            azs={az: world.failures.az_nodes(az)
-                 for az in ("az1", "az2", "az3")},
+            azs={az: world.failures.az_nodes(az) for az in AZS},
             horizon_ms=run.horizon_ms,
             mix=mix,
         )

@@ -8,8 +8,9 @@ from __future__ import annotations
 import random
 
 from repro.baselines import PaxosCluster, TwoPhaseCommitCluster
-from repro.claims.cluster import commit_stream, noisy, world
+from repro.claims.cluster import commit_stream, noisy
 from repro.claims.table import Table
+from repro.db.cluster import AuroraCluster
 from repro.db.driver import BoxcarMode
 from repro.multiwriter import MultiWriterCluster
 from repro.sim.events import EventLoop
@@ -48,7 +49,9 @@ def _two_phase_latencies(loop, network, rng, count: int,
 
 def c1_commit_latency(backend: str) -> list[Table]:
     def aurora(pipelined: bool) -> tuple[list[float], float]:
-        cluster = world(301, backend, **noisy(*C1_NOISE))
+        cluster = AuroraCluster.build(
+            seed=301, backend=backend, **noisy(*C1_NOISE)
+        )
         db = cluster.session()
         keys = [f"k{i:03d}" for i in range(C1_COMMITS)]
         if pipelined:
@@ -103,7 +106,9 @@ def c1_commit_latency(backend: str) -> list[Table]:
     )
 
     def burst(name: str, mode: BoxcarMode) -> list:
-        cluster = world(306, backend, **noisy(*C1_NOISE), boxcar_mode=mode)
+        cluster = AuroraCluster.build(
+            seed=306, backend=backend, **noisy(*C1_NOISE), boxcar_mode=mode
+        )
         db = cluster.session()
         # Concurrent open-loop burst: all workers enqueue at once, so
         # consecutive records share boxcar windows.
@@ -127,7 +132,9 @@ def c1_commit_latency(backend: str) -> list[Table]:
 
     # A degraded (not dead) participant: the write quorum (4/6, or 2/3 of
     # the Taurus log stores) ignores it; 2PC's unanimity must include it.
-    cluster = world(304, backend, **noisy(*C1_NOISE))
+    cluster = AuroraCluster.build(
+        seed=304, backend=backend, **noisy(*C1_NOISE)
+    )
     cluster.failures.slow_node("pg0-a", 25.0)
     db = cluster.session()
     futures, _acked = commit_stream(

@@ -1,5 +1,5 @@
-"""Measurements on one simulated cluster: :func:`world` builds it, the
-functions below drive it and return what they saw as tables."""
+"""Measurements on one simulated cluster: ``AuroraCluster.build`` makes
+it, the functions below drive it and return what they saw as tables."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.analysis.cost import (
 )
 from repro.baselines import AriesRecoveryModel, LeaseFencing
 from repro.claims.table import Table
-from repro.db.cluster import AuroraCluster, ClusterConfig
+from repro.db.cluster import AuroraCluster
 from repro.db.driver import BoxcarMode
 from repro.db.proxy import ConnectionProxy, ProxyConfig
 from repro.db.session import Session
@@ -29,34 +29,19 @@ from repro.workloads import (
 from repro.workloads.sessions import SessionScaleConfig, SessionScaleWorkload
 
 
-def world(seed: int, backend: str = "aurora", **overrides) -> AuroraCluster:
-    """The cluster a measurement runs on.  An override names a field of
-    ``ClusterConfig`` or of a config nested in it -- the storage nodes',
-    the writer's, the writer's driver's, looked up in that order (so
-    ``cache_capacity`` is the writer's pool, never a replica's)."""
-    config = ClusterConfig(seed=seed, backend=backend)
-    owners = (config, config.node, config.instance, config.instance.driver)
-    for name, value in overrides.items():
-        owner = next((o for o in owners if hasattr(o, name)), None)
-        if owner is None:
-            raise TypeError(f"world() has no config field {name!r}")
-        setattr(owner, name, value)
-    return AuroraCluster.build(config)
-
-
 def noisy(intra_tail_ms: float, cross_tail_ms: float, share: float) -> dict:
     """Latency models with occasional slow outliers (a busy node): that
     share of messages draws from a tail with the given median."""
-    return {
-        "intra_az_latency": CompositeLatency(
+    return dict(
+        intra_az_latency=CompositeLatency(
             LogNormalLatency(0.25, 0.35),
             LogNormalLatency(intra_tail_ms, 0.4), share,
         ),
-        "cross_az_latency": CompositeLatency(
+        cross_az_latency=CompositeLatency(
             LogNormalLatency(1.0, 0.40),
             LogNormalLatency(cross_tail_ms, 0.4), share,
         ),
-    }
+    )
 
 
 def fill(db, count: int, key: str = "key{:03d}") -> None:
@@ -103,7 +88,9 @@ def a1_gossip_repair(backend: str) -> list[Table]:
     def convergence_ms(gossip_interval_ms: float) -> float:
         """A segment down during a burst of writes, then restored: how
         long until gossip brings it back to the fleet SCL."""
-        cluster = world(810, backend, gossip_interval=gossip_interval_ms)
+        cluster = AuroraCluster.build(
+            seed=810, backend=backend, gossip_interval=gossip_interval_ms
+        )
         db = cluster.session()
         cluster.failures.crash_node("pg0-f")
         fill(db, 30, "key{:02d}")
@@ -127,7 +114,9 @@ def a1_gossip_repair(backend: str) -> list[Table]:
     # A segment that falls behind every peer's GC horizon cannot catch up
     # record by record; it must hydrate a materialized baseline (the
     # mechanism recovery and membership repair share).
-    cluster = world(811, backend, backup_interval=40.0, gc_interval=20.0)
+    cluster = AuroraCluster.build(
+        seed=811, backend=backend, backup_interval=40.0, gc_interval=20.0
+    )
     db = cluster.session()
     cluster.failures.crash_node("pg0-f")
     fill(db, 40, "key{:02d}")
@@ -162,7 +151,9 @@ def a1_gossip_repair(backend: str) -> list[Table]:
 
 def a2_scaleout(backend: str) -> list[Table]:
     def run_volume(pg_count: int) -> list:
-        cluster = world(820, backend, pg_count=pg_count, blocks_per_pg=512)
+        cluster = AuroraCluster.build(
+            seed=820, backend=backend, pg_count=pg_count, blocks_per_pg=512
+        )
         db = cluster.session()
 
         def write_path_messages() -> int:
@@ -185,7 +176,9 @@ def a2_scaleout(backend: str) -> list[Table]:
 
     # A transaction spanning N PGs sends N write-quorum streams: fill the
     # volume so the B-tree spans all four PGs.
-    cluster = world(821, backend, pg_count=4, blocks_per_pg=8)
+    cluster = AuroraCluster.build(
+        seed=821, backend=backend, pg_count=4, blocks_per_pg=8
+    )
     db = cluster.session()
     fill(db, 180)
     cluster.run_for(30)
@@ -215,8 +208,8 @@ BOXCAR_MODES = [BoxcarMode.AURORA, BoxcarMode.TIMEOUT, BoxcarMode.IMMEDIATE]
 
 def c2_boxcar_jitter(backend: str) -> list[Table]:
     def run_cell(mode: BoxcarMode, label: str, rate: float, seed: int) -> list:
-        cluster = world(
-            seed, backend, boxcar_mode=mode, boxcar_timeout=4.0,
+        cluster = AuroraCluster.build(
+            seed=seed, backend=backend, boxcar_mode=mode, boxcar_timeout=4.0,
             boxcar_max_records=16,
         )
         generator = WorkloadGenerator(profile("trickle"), seed=seed)
@@ -242,7 +235,9 @@ def c2_boxcar_jitter(backend: str) -> list[Table]:
 
     def buffer_delays(mode: BoxcarMode) -> list:
         """Time records spend waiting in the write buffer at low load."""
-        cluster = world(501, backend, boxcar_mode=mode, boxcar_timeout=4.0)
+        cluster = AuroraCluster.build(
+            seed=501, backend=backend, boxcar_mode=mode, boxcar_timeout=4.0
+        )
         db = cluster.session()
         for i in range(40):
             db.write(f"k{i}", i)
@@ -267,8 +262,8 @@ C3_KEYS = 240
 
 def _cold_cache_world(seed: int, backend: str, hedge: bool = True):
     overrides = {} if hedge else {"hedge_multiplier": 10_000.0}
-    cluster = world(
-        seed, backend, **noisy(6.0, 10.0, 0.03),
+    cluster = AuroraCluster.build(
+        seed=seed, backend=backend, **noisy(6.0, 10.0, 0.03),
         cache_capacity=8,  # force storage reads
         hedge_sweep_interval=0.5, **overrides,
     )
@@ -370,7 +365,7 @@ def c3_read_hedging(backend: str) -> list[Table]:
 # ----------------------------------------------------------------------
 def c4_replicas(backend: str) -> list[Table]:
     def with_replicas(replica_count: int) -> list:
-        cluster = world(700, backend)
+        cluster = AuroraCluster.build(seed=700, backend=backend)
         for i in range(replica_count):
             cluster.add_replica(f"r{i}")
         db = cluster.session()
@@ -393,7 +388,7 @@ def c4_replicas(backend: str) -> list[Table]:
         [with_replicas(count) for count in (0, 1, 3, 5)],
     )
 
-    cluster = world(701, backend)
+    cluster = AuroraCluster.build(seed=701, backend=backend)
     replica = cluster.add_replica("r1")
     db = cluster.session()
     commit_stream(cluster, db, [f"key{i:03d}" for i in range(150)], 0.5)
@@ -410,7 +405,7 @@ def c4_replicas(backend: str) -> list[Table]:
 
     # Attaching a replica moves no data -- durable state is shared -- and
     # its first read works at once, from shared storage.
-    cluster = world(702, backend)
+    cluster = AuroraCluster.build(seed=702, backend=backend)
     db = cluster.session()
     fill(db, 100)
     cluster.run_for(20)
@@ -423,7 +418,7 @@ def c4_replicas(backend: str) -> list[Table]:
         [[attach_messages, cluster.replica_session("late").get("key050")]],
     )
 
-    cluster = world(703, backend)
+    cluster = AuroraCluster.build(seed=703, backend=backend)
     cluster.add_replica("r1")
     db = cluster.session()
     _futures, acknowledged = commit_stream(
@@ -449,7 +444,7 @@ def c4_session_scaling(backend: str) -> list[Table]:
     def tier(sessions: int) -> list:
         """``sessions`` logical sessions through the proxy over two
         replicas, steady state, no chaos."""
-        cluster = world(704, backend)
+        cluster = AuroraCluster.build(seed=704, backend=backend)
         for i in range(2):
             cluster.add_replica(f"r{i}")
         cluster.run_for(100)
@@ -490,7 +485,7 @@ DETECTION_MS = 500.0  # failure-detector delay, charged to both designs
 def c5_fencing(backend: str) -> list[Table]:
     # Failover dead time: after the writer dies, how long until a
     # successor may safely write?  Under epochs it is one recovery.
-    cluster = world(710, backend)
+    cluster = AuroraCluster.build(seed=710, backend=backend)
     db = cluster.session()
     fill(db, 30, "k{}")
     cluster.run_for(20)
@@ -521,7 +516,7 @@ def c5_fencing(backend: str) -> list[Table]:
 
     # Epoch-fenced membership change: commits keep flowing.  A lease-
     # fenced change would stall them for the residual lease term.
-    cluster = world(711, backend)
+    cluster = AuroraCluster.build(seed=711, backend=backend)
     db = cluster.session()
     db.write("seed", 0)
     cluster.failures.crash_node("pg0-f")
@@ -559,7 +554,7 @@ def c5_fencing(backend: str) -> list[Table]:
 # ----------------------------------------------------------------------
 def c6_bytes(backend: str) -> list[Table]:
     def stored(name: str, on: str, **overrides) -> list:
-        cluster = world(720, on, **overrides)
+        cluster = AuroraCluster.build(seed=720, backend=on, **overrides)
         db = cluster.session()
         for i in range(80):
             db.write(f"key{i:03d}", "x" * 64)
@@ -585,7 +580,7 @@ def c6_bytes(backend: str) -> list[Table]:
     # config) cross-checked by counting WriteBatch messages for the same
     # commit stream.
     def write_path(name: str, on: str) -> list:
-        cluster = world(906, on)
+        cluster = AuroraCluster.build(seed=906, backend=on)
         db = cluster.session()
         for i in range(40):
             db.write(f"key{i:03d}", "x" * 32)
@@ -612,7 +607,9 @@ def c6_bytes(backend: str) -> list[Table]:
     # compressed wire bytes and the uncompressed logical bytes of every
     # WriteBatch copy it carries.
     def on_the_wire(name: str, compression: bool) -> list:
-        cluster = world(907, backend, wire_compression=compression)
+        cluster = AuroraCluster.build(
+            seed=907, backend=backend, wire_compression=compression
+        )
         cluster.network.set_stats_detail(True)
         db = cluster.session()
         # Self-overwriting transactions: the elision-friendly shape.
@@ -648,8 +645,9 @@ C8_HISTORY = (25, 100, 400)
 
 def c8_recovery(backend: str) -> list[Table]:
     def recovery_ms(txn_count: int) -> float:
-        cluster = world(
-            800 + txn_count, backend, backup_interval=50.0, gc_interval=25.0
+        cluster = AuroraCluster.build(
+            seed=800 + txn_count, backend=backend, backup_interval=50.0,
+            gc_interval=25.0,
         )
         db = cluster.session()
         fill(db, txn_count, "key{:05d}")
@@ -677,8 +675,8 @@ def c8_recovery(backend: str) -> list[Table]:
 # F2-F5: the figures that need a live cluster
 # ----------------------------------------------------------------------
 def f2_storage_pipeline(backend: str) -> list[Table]:
-    cluster = world(
-        202, backend, backup_interval=100.0, gc_interval=50.0,
+    cluster = AuroraCluster.build(
+        seed=202, backend=backend, backup_interval=100.0, gc_interval=50.0,
         scrub_interval=300.0,
     )
     db = cluster.session()
@@ -717,7 +715,9 @@ def f2_storage_pipeline(backend: str) -> list[Table]:
 
 
 def f3_live_cluster(backend: str) -> list[Table]:
-    cluster = world(203, backend, pg_count=2, blocks_per_pg=16)
+    cluster = AuroraCluster.build(
+        seed=203, backend=backend, pg_count=2, blocks_per_pg=16
+    )
     db = cluster.session()
     # Fill enough rows to spill block allocation into PG1 (block
     # allocation walks PG0 first); splits consume ~1 block per ~14 rows.
@@ -738,7 +738,7 @@ def f3_live_cluster(backend: str) -> list[Table]:
 
 
 def f4_crash_recovery(backend: str) -> list[Table]:
-    cluster = world(204, backend)
+    cluster = AuroraCluster.build(seed=204, backend=backend)
     db = cluster.session()
     # Slow two segments so the log has a ragged edge at crash time.
     cluster.failures.slow_node("pg0-e", 30.0)
@@ -772,7 +772,7 @@ def f4_crash_recovery(backend: str) -> list[Table]:
 
 
 def f5_membership_change(backend: str) -> list[Table]:
-    cluster = world(206, backend)
+    cluster = AuroraCluster.build(seed=206, backend=backend)
     db = cluster.session()
     phases = []
 
@@ -801,7 +801,7 @@ def f5_membership_change(backend: str) -> list[Table]:
     commit_burst("after finalize", "after")
 
     # "ensuring each transition is reversible": F comes back mid-change.
-    undone = world(207, backend)
+    undone = AuroraCluster.build(seed=207, backend=backend)
     db = undone.session()
     db.write("seed", 0)
     returned = undone.begin_segment_replacement(0, "pg0-f")

@@ -15,9 +15,10 @@ LOSS_RATES = (0.0, 0.05, 0.2, 0.4)
 def _geo_world(backend: str, loss_rate: float, ack_mode: str) -> GeoCluster:
     return GeoCluster.build(
         GeoConfig(
-            seed=GEO_SEED, backend=backend, ack_mode=ack_mode,
+            seed=GEO_SEED, ack_mode=ack_mode,
             wan=WanConfig(loss_rate=loss_rate),
-        )
+        ),
+        backend=backend,
     )
 
 

@@ -23,7 +23,7 @@ import dataclasses
 import sys
 import traceback
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.audit import PROFILES as AUDIT_PROFILES
 from repro.audit import AuditRunConfig, merged_sections, run_audit_sweep
 from repro.db.session import Session
@@ -126,8 +126,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
-    config = ClusterConfig(seed=args.seed, full_tail=args.full_tail)
-    cluster = AuroraCluster.build(config)
+    cluster = AuroraCluster.build(seed=args.seed, full_tail=args.full_tail)
     generator = WorkloadGenerator(profile(args.profile), seed=args.seed)
     runner = WorkloadRunner(cluster, generator)
     stats = runner.run_closed_loop(

@@ -31,10 +31,9 @@ transparently re-resolving to the promoted region.
 from __future__ import annotations
 
 import dataclasses
-import random
 from dataclasses import dataclass, field
 
-from repro.db.cluster import AuroraCluster, ClusterConfig
+from repro.db.cluster import AuroraCluster
 from repro.db.instance import InstanceState, WriterInstance
 from repro.db.session import ClusterSession
 from repro.geo.failover import GeoFailoverCoordinator
@@ -94,10 +93,6 @@ class GeoConfig:
     """Shape of the geo-replicated deployment."""
 
     seed: int = 42
-    pg_count: int = 1
-    #: Storage backend for BOTH regions (name or instance); the secondary
-    #: gets it wrapped in a :class:`RegionBackend`.
-    backend: object = "aurora"
     #: ``"sync"`` or ``"async"`` commit acknowledgement (see
     #: :mod:`repro.geo.replicator`).
     ack_mode: str = ASYNC
@@ -144,34 +139,27 @@ class GeoCluster:
     # ------------------------------------------------------------------
     @classmethod
     def build(
-        cls, config: GeoConfig | None = None, seed: int | None = None
+        cls, config: GeoConfig | None = None, seed: int | None = None,
+        **overrides,
     ) -> "GeoCluster":
+        """Both regions on one loop, network and injector: ``overrides``
+        reach :meth:`AuroraCluster.build` for each, the secondary's
+        ``backend`` wrapped in a :class:`RegionBackend`."""
         config = config if config is not None else GeoConfig()
         if seed is not None:
             config.seed = seed
-        rng = random.Random(config.seed)
-        loop = EventLoop()
-        network = Network(loop, rng)
-        failures = FailureInjector(loop, network, rng)
-        shared = (loop, network, failures, rng)
         primary = AuroraCluster.build(
-            ClusterConfig(
-                seed=config.seed,
-                pg_count=config.pg_count,
-                backend=config.backend,
-            ),
-            shared=shared,
-            bootstrap=False,
+            seed=config.seed, bootstrap=False, **overrides
+        )
+        overrides["backend"] = RegionBackend(
+            primary.config.backend, SECONDARY_REGION
         )
         secondary = AuroraCluster.build(
-            ClusterConfig(
-                seed=config.seed,
-                pg_count=config.pg_count,
-                backend=RegionBackend(config.backend, SECONDARY_REGION),
-                name_prefix=f"{SECONDARY_REGION}-",
-            ),
-            shared=shared,
+            seed=config.seed,
             bootstrap=False,
+            shared=primary,
+            name_prefix=f"{SECONDARY_REGION}-",
+            **overrides,
         )
         geo = cls(config, primary, secondary)
         geo._wire()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import zlib
 from typing import Hashable
 
-from repro.db.cluster import AZS, AuroraCluster, ClusterConfig
+from repro.db.cluster import AuroraCluster
 from repro.db.session import Session
 from repro.errors import ConfigurationError, LockConflictError
 from repro.multiwriter.journal import (
@@ -23,6 +23,7 @@ from repro.multiwriter.journal import (
     JournalSegment,
 )
 from repro.sim.process import Mutex, Process
+from repro.storage.backend import AZS
 
 #: Reserved row holding each partition's applied-GSN high-water mark.
 APPLIED_GSN_KEY = "__mw_applied_gsn__"
@@ -115,38 +116,28 @@ class MultiWriterCluster:
     """N single-writer partitions + one quorum-durable journal."""
 
     def __init__(
-        self,
-        partition_count: int = 2,
-        seed: int = 42,
-        blocks_per_pg: int = 4096,
-        backend: object = "aurora",
+        self, partition_count: int = 2, seed: int = 42, **overrides
     ) -> None:
+        """``overrides`` reach every partition's
+        :meth:`AuroraCluster.build` (partition ``i`` is seeded ``seed + i``
+        and shares partition 0's loop, network and injector)."""
         if partition_count < 1:
             raise ConfigurationError("partition_count must be >= 1")
         base = AuroraCluster.build(
-            ClusterConfig(
-                seed=seed,
-                blocks_per_pg=blocks_per_pg,
-                name_prefix="part0:",
-                backend=backend,
-            )
+            seed=seed, name_prefix="part0:", **overrides
         )
         self.loop = base.loop
         self.network = base.network
         self.failures = base.failures
         self.rng = base.rng
         self.partitions: list[AuroraCluster] = [base]
-        shared = (self.loop, self.network, self.failures, self.rng)
         for index in range(1, partition_count):
             self.partitions.append(
                 AuroraCluster.build(
-                    ClusterConfig(
-                        seed=seed + index,
-                        blocks_per_pg=blocks_per_pg,
-                        name_prefix=f"part{index}:",
-                        backend=backend,
-                    ),
-                    shared=shared,
+                    seed=seed + index,
+                    shared=base,
+                    name_prefix=f"part{index}:",
+                    **overrides,
                 )
             )
         # The journal's own 6-segment quorum, two per AZ.

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.sim.events import EventLoop
 from repro.sim.network import Network
 
@@ -24,7 +24,7 @@ def backend(request) -> str:
 @pytest.fixture
 def backend_cluster(backend: str) -> AuroraCluster:
     """A single-PG cluster built on the parametrized storage backend."""
-    return AuroraCluster.build(ClusterConfig(seed=99, backend=backend))
+    return AuroraCluster.build(seed=99, backend=backend)
 
 
 @pytest.fixture
@@ -67,15 +67,24 @@ def built_clusters(monkeypatch) -> list:
 @pytest.fixture
 def multi_pg_cluster() -> AuroraCluster:
     """Three protection groups, 16 blocks each (forces cross-PG spread)."""
-    config = ClusterConfig(pg_count=3, blocks_per_pg=16, seed=77)
-    return AuroraCluster.build(config)
+    return AuroraCluster.build(seed=77, pg_count=3, blocks_per_pg=16)
 
 
 @pytest.fixture
 def full_tail_cluster() -> AuroraCluster:
     """Single PG with the section-4.2 full/tail segment mix."""
-    config = ClusterConfig(full_tail=True, seed=55)
-    return AuroraCluster.build(config)
+    return AuroraCluster.build(seed=55, full_tail=True)
+
+
+def integrity_cluster(backend: str = "aurora", seed: int = 5):
+    """The ``--integrity`` gate's world: a fast scrub rotation and the
+    corruption ledger armed over every storage node."""
+    cluster = AuroraCluster.build(
+        seed=seed, backend=backend, scrub_interval=400.0
+    )
+    cluster.failures.attach_storage(cluster.nodes.values())
+    cluster.failures.start_integrity_reconcile()
+    return cluster
 
 
 def drive(cluster: AuroraCluster, awaitable):

@@ -3,7 +3,7 @@ quorum-model changes, and point-in-time restore."""
 
 import pytest
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.db.session import Session
 from repro.errors import ConfigurationError
 
@@ -111,9 +111,7 @@ class TestQuorumModelChange:
 
 class TestPointInTimeRestore:
     def _source(self, seed=930):
-        config = ClusterConfig(seed=seed)
-        config.node.backup_interval = 50.0
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(seed=seed, backup_interval=50.0)
         db = cluster.session()
         for i in range(25):
             db.write(f"key{i:02d}", i)
@@ -146,9 +144,7 @@ class TestPointInTimeRestore:
 
     def test_point_in_time_cut(self):
         """Restoring as-of an early timestamp excludes later writes."""
-        config = ClusterConfig(seed=933)
-        config.node.backup_interval = 40.0
-        source = AuroraCluster.build(config)
+        source = AuroraCluster.build(seed=933, backup_interval=40.0)
         db = source.session()
         for i in range(10):
             db.write(f"early{i}", i)

@@ -212,13 +212,11 @@ class TestCostModel:
 
     def test_measured_amplification_from_cluster(self):
         """Empirical cross-check on a real simulated cluster."""
-        from repro import AuroraCluster, ClusterConfig
+        from repro import AuroraCluster
         from repro.analysis.cost import measured_amplification_from_cluster
 
         def measure(full_tail):
-            cluster = AuroraCluster.build(
-                ClusterConfig(seed=9, full_tail=full_tail)
-            )
+            cluster = AuroraCluster.build(seed=9, full_tail=full_tail)
             db = cluster.session()
             for i in range(60):
                 db.write(f"key{i:03d}", "x" * 50)

@@ -500,25 +500,14 @@ class TestBackendReachesEveryWorld:
     """``--backend`` used to reach the integrity runner only and was
     dropped, silently, by the other five profiles."""
 
-    @pytest.fixture
-    def built_on(self, monkeypatch):
-        from repro.db.cluster import AuroraCluster
+    @staticmethod
+    def backends(clusters) -> list:
+        return [type(cluster.backend).__name__ for cluster in clusters]
 
-        backends = []
-        build = AuroraCluster.build.__func__
-
-        def capture(cls, config=None, **kwargs):
-            cluster = build(cls, config, **kwargs)
-            backends.append(type(cluster.backend).__name__)
-            return cluster
-
-        monkeypatch.setattr(AuroraCluster, "build", classmethod(capture))
-        return backends
-
-    def test_chaos_on_taurus(self, built_on):
+    def test_chaos_on_taurus(self, built_clusters):
         report = run_audit(AuditRunConfig(seed=1, steps=300, backend="taurus"))
         assert report.ok, report.render()
-        assert built_on == ["TaurusBackend"]
+        assert self.backends(built_clusters) == ["TaurusBackend"]
         assert report.repairs.replaced >= 1
 
     def test_every_switch_builds_the_config_with_the_backend(self):
@@ -526,7 +515,9 @@ class TestBackendReachesEveryWorld:
             built = built_config(f"{row.switch or ''} --backend taurus")
             assert built["backend"] == "taurus"
 
-    def test_geo_builds_both_regions_on_it(self, built_on):
+    def test_geo_builds_both_regions_on_it(self, built_clusters):
         config = profile_config("geo", seed=2, steps=60, backend="taurus")
         assert run_audit(config).violations == []
-        assert built_on == ["TaurusBackend", "RegionBackend"]
+        assert self.backends(built_clusters) == [
+            "TaurusBackend", "RegionBackend",
+        ]

@@ -18,20 +18,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.db.instance import InstanceState
-from repro.storage.node import StorageNodeConfig
 from repro.db.session import Session
 from repro.errors import CommitUncertainError, InstanceStateError
 from repro.storage.backend import BACKENDS, resolve_backend
 from repro.storage.segment import SegmentKind
 
-from .conftest import BACKEND_NAMES
-
-
-def build(backend: str, seed: int = 42, **overrides) -> AuroraCluster:
-    config = ClusterConfig(seed=seed, backend=backend, **overrides)
-    return AuroraCluster.build(config)
+from .conftest import BACKEND_NAMES, integrity_cluster
 
 
 def sync_members(cluster, pg_index: int = 0) -> list[str]:
@@ -49,7 +43,7 @@ def test_registry_covers_fixture():
 # ----------------------------------------------------------------------
 class TestDurabilityContract:
     def test_acked_commit_survives_writer_crash(self, backend):
-        cluster = build(backend)
+        cluster = AuroraCluster.build(backend=backend)
         db = Session(cluster.writer)
         for i in range(6):
             db.write(f"k{i}", f"v{i}")
@@ -63,7 +57,7 @@ class TestDurabilityContract:
         """Crash the backend's advertised worst-case number of sync-path
         segments, then crash-recover the writer: nothing acknowledged may
         be lost."""
-        cluster = build(backend)
+        cluster = AuroraCluster.build(backend=backend)
         db = Session(cluster.writer)
         for i in range(4):
             db.write(f"k{i}", f"v{i}")
@@ -78,7 +72,7 @@ class TestDurabilityContract:
             assert db.get(f"k{i}") == f"v{i}"
 
     def test_commits_proceed_with_tolerated_kills(self, backend):
-        cluster = build(backend)
+        cluster = AuroraCluster.build(backend=backend)
         db = Session(cluster.writer)
         kills = cluster.backend.max_tolerated_kills()
         for name in sync_members(cluster)[:kills]:
@@ -90,7 +84,7 @@ class TestDurabilityContract:
         """One kill beyond the tolerated count leaves the write quorum
         unreachable: the commit stays pending, and resolves as soon as a
         quorum member returns.  No backend may acknowledge early."""
-        cluster = build(backend)
+        cluster = AuroraCluster.build(backend=backend)
         db = Session(cluster.writer)
         members = sync_members(cluster)
         losses = cluster.backend.replication().write_loss_failures
@@ -149,7 +143,7 @@ class TestCommitVisibilityContract:
 # ----------------------------------------------------------------------
 class TestCrashRecoveryContract:
     def test_recovery_preserves_committed_prefix(self, backend):
-        cluster = build(backend)
+        cluster = AuroraCluster.build(backend=backend)
         db = Session(cluster.writer)
         expected = {}
         for i in range(8):
@@ -166,7 +160,7 @@ class TestCrashRecoveryContract:
     def test_inflight_commit_is_all_or_nothing(self, backend, grace_ms):
         """A multi-key transaction in flight at the crash is either fully
         replayed or fully annulled by recovery -- never half-applied."""
-        cluster = build(backend, seed=17)
+        cluster = AuroraCluster.build(seed=17, backend=backend)
         db = Session(cluster.writer)
         db.write("base", "b")
         writer = cluster.writer
@@ -192,7 +186,7 @@ class TestCrashRecoveryContract:
         assert db.get("base") == "b"
 
     def test_recovered_writer_accepts_new_writes(self, backend):
-        cluster = build(backend)
+        cluster = AuroraCluster.build(backend=backend)
         db = Session(cluster.writer)
         db.write("old", "1")
         cluster.crash_writer()
@@ -212,7 +206,7 @@ class TestTruncationContract:
         cannot have met quorum, recovery truncates it, and the recovered
         writer allocates fresh LSNs over the annulled range without the
         stale records ever resurfacing."""
-        cluster = build(backend, seed=23)
+        cluster = AuroraCluster.build(seed=23, backend=backend)
         db = Session(cluster.writer)
         db.write("stable", "s")
         for name in sync_members(cluster):
@@ -234,7 +228,7 @@ class TestTruncationContract:
         assert db.get("doomed") is None
 
     def test_btree_structure_survives_truncation(self, backend):
-        cluster = build(backend, seed=29)
+        cluster = AuroraCluster.build(seed=29, backend=backend)
         db = Session(cluster.writer)
         for i in range(20):
             db.write(f"key{i:02d}", f"v{i}")
@@ -250,7 +244,7 @@ class TestTruncationContract:
 # ----------------------------------------------------------------------
 class TestEpochFencingContract:
     def test_recovery_advances_the_volume_epoch(self, backend):
-        cluster = build(backend)
+        cluster = AuroraCluster.build(backend=backend)
         before = cluster.writer.driver.epochs.volume
         cluster.crash_writer()
         db = Session(cluster.writer)
@@ -260,7 +254,7 @@ class TestEpochFencingContract:
     def test_foreign_epoch_bump_closes_the_writer(self, backend):
         """Any volume-epoch advance the driver learns from a rejection
         means a successor exists: the writer must fence itself shut."""
-        cluster = build(backend)
+        cluster = AuroraCluster.build(backend=backend)
         writer = cluster.writer
         node = cluster.nodes[sorted(cluster.nodes)[0]]
         ahead = node.epochs.current.bump_volume()
@@ -315,7 +309,7 @@ def equivalence_traces(draw):
 
 def run_trace(backend: str, seed: int, steps) -> dict:
     """Run one trace; returns the committed state as read back."""
-    cluster = build(backend, seed=seed)
+    cluster = AuroraCluster.build(seed=seed, backend=backend)
     db = Session(cluster.writer)
     slot0 = sorted(cluster.metadata.membership(0).members)[0]
     slot0_down = False
@@ -387,17 +381,14 @@ class TestCrossBackendEquivalence:
 # Taurus failure edges (backend-specific, not part of the shared contract)
 # ----------------------------------------------------------------------
 class TestTaurusFailureEdges:
-    def _taurus(self, seed: int = 5) -> AuroraCluster:
-        return build("taurus", seed=seed)
-
     def test_layout_is_three_logs_two_pages(self):
-        cluster = self._taurus()
+        cluster = AuroraCluster.build(seed=5, backend="taurus")
         kinds = [p.kind for p in cluster.metadata.segments_of_pg(0)]
         assert kinds.count(SegmentKind.LOG) == 3
         assert kinds.count(SegmentKind.FULL) == 2
 
     def test_page_stores_hydrate_from_log_via_gossip(self):
-        cluster = self._taurus()
+        cluster = AuroraCluster.build(seed=5, backend="taurus")
         db = Session(cluster.writer)
         db.write("k", "v")
         pages = [
@@ -411,7 +402,7 @@ class TestTaurusFailureEdges:
             assert scls[name] == cluster.writer.vcl, scls
 
     def test_one_page_store_down_reads_still_served(self):
-        cluster = self._taurus()
+        cluster = AuroraCluster.build(seed=5, backend="taurus")
         db = Session(cluster.writer)
         db.write("k", "v")
         cluster.run_for(200.0)
@@ -426,7 +417,7 @@ class TestTaurusFailureEdges:
     def test_both_page_stores_down_reads_fall_back_to_log(self):
         """With no page store reachable, reads are forced back to the log
         tail: a log store materializes the block on demand."""
-        cluster = self._taurus()
+        cluster = AuroraCluster.build(seed=5, backend="taurus")
         db = Session(cluster.writer)
         for i in range(5):
             db.write(f"k{i}", f"v{i}")
@@ -447,7 +438,7 @@ class TestTaurusFailureEdges:
         """Replace a page store while a log store is down: the baseline
         must come from the surviving copies, writes keep committing on the
         2/3 log majority, and reads stay correct throughout."""
-        cluster = self._taurus(seed=15)
+        cluster = AuroraCluster.build(seed=15, backend="taurus")
         db = Session(cluster.writer)
         for i in range(5):
             db.write(f"k{i}", f"v{i}")
@@ -475,7 +466,7 @@ class TestTaurusFailureEdges:
     def test_log_store_replacement_keeps_quorum_safe(self):
         """Replacing a log store runs the epoch-fenced membership dance
         against the 2/3 quorum and must leave data intact."""
-        cluster = self._taurus(seed=31)
+        cluster = AuroraCluster.build(seed=31, backend="taurus")
         db = Session(cluster.writer)
         for i in range(4):
             db.write(f"k{i}", f"v{i}")
@@ -512,16 +503,6 @@ class TestIntegrityContract:
     scrub, quorum-vote repair, and the integrity ledger armed -- the same
     machinery the `--integrity` audit gates on."""
 
-    def _armed(self, backend: str) -> AuroraCluster:
-        cluster = build(
-            backend,
-            seed=7,
-            node=StorageNodeConfig(scrub_interval=400.0),
-        )
-        cluster.failures.attach_storage(cluster.nodes.values())
-        cluster.failures.start_integrity_reconcile()
-        return cluster
-
     def _inject_one(self, cluster, db) -> None:
         """Land one corruption on a fresh mid-chain victim (a pinned read
         view keeps the GC floor below it; see tests/test_integrity.py)."""
@@ -548,7 +529,7 @@ class TestIntegrityContract:
         raise AssertionError("injector found no eligible victim")
 
     def test_corruption_repaired_and_never_served(self, backend):
-        cluster = self._armed(backend)
+        cluster = integrity_cluster(backend, seed=7)
         db = Session(cluster.writer)
         expected = {}
         for i in range(10):

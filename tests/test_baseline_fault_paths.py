@@ -73,13 +73,12 @@ class TestPaxosBallots:
 
 class TestFullTailMultiPG:
     def test_multi_pg_full_tail_cluster_end_to_end(self):
-        from repro import AuroraCluster, ClusterConfig
+        from repro import AuroraCluster
         from repro.db.session import Session
 
-        config = ClusterConfig(
+        cluster = AuroraCluster.build(
             seed=26, pg_count=2, blocks_per_pg=16, full_tail=True
         )
-        cluster = AuroraCluster.build(config)
         db = cluster.session()
         for i in range(140):
             db.write(f"key{i:03d}", i)
@@ -94,11 +93,14 @@ class TestFullTailMultiPG:
         assert db.get("key123") == 123
 
     def test_replica_reads_on_full_tail_cluster(self):
-        from repro import AuroraCluster, ClusterConfig
+        from repro import AuroraCluster
+        from repro.db.replica import ReplicaConfig
 
-        config = ClusterConfig(seed=27, full_tail=True)
-        config.replica.cache_capacity = 8  # force storage reads
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(
+            seed=27,
+            full_tail=True,
+            replica=ReplicaConfig(cache_capacity=8),  # force storage reads
+        )
         db = cluster.session()
         for i in range(60):
             db.write(f"key{i:03d}", i)

@@ -8,7 +8,7 @@ the time-bound flush on an idle driver all have to behave exactly as the
 unbatched path would.
 """
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.db.driver import SUBMIT_DELAY_MS, BoxcarMode
 
 
@@ -90,10 +90,9 @@ class TestEpochRejectedBoxcarResubmission:
 
 class TestTimeBoundFlushOnIdleDriver:
     def test_timeout_mode_flushes_a_lone_record_at_the_bound(self):
-        config = ClusterConfig(seed=71)
-        config.instance.driver.boxcar_mode = BoxcarMode.TIMEOUT
-        config.instance.driver.boxcar_timeout = 6.0
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(
+            seed=71, boxcar_mode=BoxcarMode.TIMEOUT, boxcar_timeout=6.0
+        )
         db = cluster.session()
         sent_before = cluster.writer.driver.stats.batches_sent
         txn = db.begin()
@@ -111,9 +110,8 @@ class TestTimeBoundFlushOnIdleDriver:
         assert db.get("lonely") == 1
 
     def test_aurora_mode_bounds_the_wait_by_submit_delay(self):
-        config = ClusterConfig(seed=72)
-        assert config.instance.driver.boxcar_mode is BoxcarMode.AURORA
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(seed=72)
+        assert cluster.config.instance.driver.boxcar_mode is BoxcarMode.AURORA
         db = cluster.session()
         db.write("lonely", 1)
         delays = cluster.writer.driver.stats.boxcar_delays
@@ -279,11 +277,6 @@ class TestPayloadSizeMemo:
 
 
 class TestCompressedWireEndToEnd:
-    def _compressing_cluster(self, seed=73):
-        config = ClusterConfig(seed=seed)
-        assert config.instance.driver.wire_compression
-        return AuroraCluster.build(config)
-
     def multi_write_burst(self, db, count, writes_per_txn=3):
         """Transactions that overwrite their own row: elision fodder."""
         futures = []
@@ -296,7 +289,8 @@ class TestCompressedWireEndToEnd:
             db.drive(future)
 
     def test_elision_fires_and_reads_stay_correct(self):
-        cluster = self._compressing_cluster()
+        cluster = AuroraCluster.build(seed=73)
+        assert cluster.config.instance.driver.wire_compression
         db = cluster.session()
         self.multi_write_burst(db, 12)
         stats = cluster.writer.driver.stats
@@ -306,7 +300,7 @@ class TestCompressedWireEndToEnd:
         assert all(db.get(f"k{i:03d}") == 2 for i in range(12))
 
     def test_epoch_rejected_compressed_boxcars_resubmit_whole(self):
-        cluster = self._compressing_cluster(seed=74)
+        cluster = AuroraCluster.build(seed=74)
         db = cluster.session()
         db.write("seed", 0)
         for node in cluster.nodes.values():
@@ -325,7 +319,7 @@ class TestCompressedWireEndToEnd:
         assert len(set(cluster.segment_scls(0).values())) == 1
 
     def test_partial_batch_acks_under_crash_with_elision(self):
-        cluster = self._compressing_cluster(seed=75)
+        cluster = AuroraCluster.build(seed=75)
         db = cluster.session()
         db.write("seed", 0)
         cluster.failures.crash_node("pg0-e")

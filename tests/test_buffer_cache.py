@@ -18,8 +18,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.db.buffer_cache import AGING_PERIOD, PROTECTED_SHARE, BufferCache
+from repro.db.replica import ReplicaConfig
 from repro.errors import LockConflictError
 from repro.sim.process import Process
 
@@ -362,9 +363,9 @@ def test_point_reads_beside_splitting_writers_with_a_pool_under_the_index():
     its key; storage reads per point read stay under the bound (1.70 under
     LRU: most reads re-fetched an internal node); and the run leaves
     nothing behind."""
-    config = ClusterConfig(seed=7)
-    config.replica.cache_capacity = 8
-    cluster = AuroraCluster.build(config)
+    cluster = AuroraCluster.build(
+        seed=7, replica=ReplicaConfig(cache_capacity=8)
+    )
     replica = cluster.add_replica()
     writer = cluster.writer
     db = cluster.session()

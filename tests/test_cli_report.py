@@ -46,11 +46,12 @@ class TestClusterReport:
     def test_every_instance_reports_its_own_pool(self):
         """A replica whose pool is smaller than the index re-reads it from
         storage; that shows on the replica's line, not the writer's."""
-        from repro import AuroraCluster, ClusterConfig
+        from repro import AuroraCluster
+        from repro.db.replica import ReplicaConfig
 
-        config = ClusterConfig(seed=3)
-        config.replica.cache_capacity = 4
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(
+            seed=3, replica=ReplicaConfig(cache_capacity=4)
+        )
         cluster.add_replica("r1")
         db = cluster.session()
         db.write_many({f"key{i:03d}": i for i in range(120)})

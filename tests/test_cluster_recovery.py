@@ -7,7 +7,7 @@ segment failures within the design's fault budget.
 
 import pytest
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.db.session import Session
 
 
@@ -164,9 +164,7 @@ class TestDurabilityProperty:
     ):
         """Drive writes continuously, crash the writer cold at an arbitrary
         instant, recover, and verify every acknowledged commit."""
-        cluster = AuroraCluster.build(
-            ClusterConfig(seed=int(crash_after_ms * 100))
-        )
+        cluster = AuroraCluster.build(seed=int(crash_after_ms * 100))
         db = cluster.session()
         acknowledged: dict[str, int] = {}
         futures = []
@@ -192,7 +190,7 @@ class TestDurabilityProperty:
             )
 
     def test_durability_with_concurrent_segment_failure(self):
-        cluster = AuroraCluster.build(ClusterConfig(seed=404))
+        cluster = AuroraCluster.build(seed=404)
         cluster.failures.crash_at(3.0, "pg0-b")
         cluster.failures.crash_at(6.0, "pg0-d")
         db = cluster.session()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.core.consistency import PGConsistencyTracker
 from repro.core.quorum import aurora_v6_config
 from repro.errors import ConfigurationError
@@ -39,10 +39,11 @@ class TestDriverFlushAll:
     def test_flush_all_forces_pending_boxcars_out(self):
         from repro.db.driver import BoxcarMode
 
-        config = ClusterConfig(seed=101)
-        config.instance.driver.boxcar_mode = BoxcarMode.TIMEOUT
-        config.instance.driver.boxcar_timeout = 10_000.0  # never on its own
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(
+            seed=101,
+            boxcar_mode=BoxcarMode.TIMEOUT,
+            boxcar_timeout=10_000.0,  # never on its own
+        )
         # build() already settles the bootstrap via the long timer... so
         # measure batches before/after an explicit flush of new traffic.
         db = cluster.session()
@@ -129,7 +130,7 @@ class TestBaselineApplicationToTail:
         from repro.storage.messages import BaselineResponse
         from repro.storage.segment import SegmentKind
 
-        cluster = AuroraCluster.build(ClusterConfig(seed=102, full_tail=True))
+        cluster = AuroraCluster.build(seed=102, full_tail=True)
         db = cluster.session()
         db.write_many({f"k{i}": i for i in range(8)})
         cluster.run_for(20)
@@ -158,8 +159,7 @@ class TestWorkloadStatsEdges:
 
 class TestGrowVolumeGuards:
     def test_instance_refuses_addressing_beyond_geometry(self):
-        config = ClusterConfig(seed=103, blocks_per_pg=12)
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(seed=103, blocks_per_pg=12)
         db = cluster.session()
         from repro.errors import SimulationError, VolumeGeometryError
 
@@ -168,8 +168,7 @@ class TestGrowVolumeGuards:
                 db.write(f"key{i:04d}", i)
 
     def test_grow_then_fill_succeeds(self):
-        config = ClusterConfig(seed=104, blocks_per_pg=12)
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(seed=104, blocks_per_pg=12)
         db = cluster.session()
         cluster.grow_volume(3)
         for i in range(300):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.core.membership import MembershipState
 from repro.db import driver as driver_module
 from repro.db.driver import (
@@ -26,18 +26,9 @@ from repro.storage.volume import VolumeGeometry
 from .conftest import BACKEND_NAMES
 
 
-def build(boxcar_mode=BoxcarMode.AURORA, seed=31, **driver_overrides):
-    config = ClusterConfig(seed=seed)
-    config.instance.driver.boxcar_mode = boxcar_mode
-    for key, value in driver_overrides.items():
-        assert hasattr(config.instance.driver, key), key
-        setattr(config.instance.driver, key, value)
-    return AuroraCluster.build(config)
-
-
 class TestBoxcarModes:
     def test_aurora_mode_batches_without_waiting(self):
-        cluster = build(BoxcarMode.AURORA)
+        cluster = AuroraCluster.build(seed=31, boxcar_mode=BoxcarMode.AURORA)
         db = cluster.session()
         txn = db.begin()
         for i in range(8):
@@ -49,8 +40,9 @@ class TestBoxcarModes:
         assert max(stats.boxcar_delays) <= SUBMIT_DELAY_MS + 1e-9
 
     def test_timeout_mode_waits_under_low_load(self):
-        cluster = build(
-            BoxcarMode.TIMEOUT, boxcar_timeout=4.0, boxcar_max_records=32
+        cluster = AuroraCluster.build(
+            seed=31, boxcar_mode=BoxcarMode.TIMEOUT, boxcar_timeout=4.0,
+            boxcar_max_records=32,
         )
         db = cluster.session()
         db.write("lonely", 1)  # single record: must wait out the timer
@@ -58,8 +50,9 @@ class TestBoxcarModes:
         assert max(stats.boxcar_delays) >= 4.0
 
     def test_timeout_mode_flushes_when_full(self):
-        cluster = build(
-            BoxcarMode.TIMEOUT, boxcar_timeout=50.0, boxcar_max_records=4
+        cluster = AuroraCluster.build(
+            seed=31, boxcar_mode=BoxcarMode.TIMEOUT, boxcar_timeout=50.0,
+            boxcar_max_records=4,
         )
         db = cluster.session()
         txn = db.begin()
@@ -75,7 +68,9 @@ class TestBoxcarModes:
         assert max(stats.boxcar_delays) >= 50.0
 
     def test_immediate_mode_never_delays(self):
-        cluster = build(BoxcarMode.IMMEDIATE)
+        cluster = AuroraCluster.build(
+            seed=31, boxcar_mode=BoxcarMode.IMMEDIATE
+        )
         db = cluster.session()
         txn = db.begin()
         for i in range(5):
@@ -87,7 +82,7 @@ class TestBoxcarModes:
     def test_aurora_batches_more_than_immediate(self):
         """Same workload, fewer network operations under AURORA batching."""
         def batches_for(mode):
-            cluster = build(mode, seed=77)
+            cluster = AuroraCluster.build(seed=77, boxcar_mode=mode)
             db = cluster.session()
             txn = db.begin()
             for i in range(20):
@@ -113,7 +108,7 @@ def trickle_world(backend):
     boxcars sent)``."""
     from repro.workloads import WorkloadGenerator, WorkloadRunner, profile
 
-    cluster = AuroraCluster.build(ClusterConfig(seed=2101, backend=backend))
+    cluster = AuroraCluster.build(seed=2101, backend=backend)
     runner = WorkloadRunner(
         cluster, WorkloadGenerator(profile("trickle"), seed=2101)
     )
@@ -185,22 +180,22 @@ class TestTheWindowIsAllACommitWaitsForBesideTheProtocol:
     jitter" -- except the one sub-millisecond submit window."""
 
     @pytest.fixture(scope="class", params=BACKEND_NAMES)
-    def world(self, request):
+    def trickle(self, request):
         return trickle_world(request.param)
 
-    def test_median_commit_latency_sits_on_the_quorum_floor(self, world):
+    def test_median_commit_latency_sits_on_the_quorum_floor(self, trickle):
         """Runs on both backends because the floor is computed from the
         backend's own write members and quorum expression: the 4th of 6
         segments on Aurora, the 2nd of 3 log stores on Taurus."""
-        cluster, latencies, _delays, _boxcars = world
+        cluster, latencies, _delays, _boxcars = trickle
         floor = commit_floor_ms(cluster)
         assert statistics.median(latencies) == pytest.approx(floor, rel=0.02)
 
-    def test_no_record_waits_longer_than_the_window(self, world):
+    def test_no_record_waits_longer_than_the_window(self, trickle):
         """A boxcar's first record arms the window and waits exactly that
         long; one that joins an armed boxcar waits less; nothing waits
         more, and at this load no boxcar fills."""
-        _cluster, _latencies, delays, boxcars = world
+        _cluster, _latencies, delays, boxcars = trickle
         assert max(delays) == pytest.approx(SUBMIT_DELAY_MS, abs=1e-9)
         on_the_window = sum(
             1 for d in delays if d == pytest.approx(SUBMIT_DELAY_MS, abs=1e-9)
@@ -208,8 +203,8 @@ class TestTheWindowIsAllACommitWaitsForBesideTheProtocol:
         assert boxcars <= on_the_window and 0.95 * len(delays) < on_the_window
         assert min(delays) > 0.0
 
-    def test_a_full_boxcar_leaves_at_once(self, world):
-        cap, delays = burst_delays(world[0])
+    def test_a_full_boxcar_leaves_at_once(self, trickle):
+        cap, delays = burst_delays(trickle[0])
         full = len(delays) // cap * cap
         assert full >= 2 * cap
         assert sorted(delays)[:full] == [0.0] * full
@@ -233,7 +228,7 @@ class TestTheWindowIsAllACommitWaitsForBesideTheProtocol:
                 )
 
         monkeypatch.setattr(StorageDriver, "_arm_flush", rearming)
-        _cap, delays = burst_delays(build())
+        _cap, delays = burst_delays(AuroraCluster.build(seed=31))
         assert 0.0 not in delays
 
 
@@ -249,7 +244,7 @@ class TestAckProcessing:
 
     def test_commit_not_acked_without_quorum(self):
         """Kill three segments: 4/6 is unreachable, commits hang forever."""
-        cluster = AuroraCluster.build(ClusterConfig(seed=41))
+        cluster = AuroraCluster.build(seed=41)
         for name in ("pg0-d", "pg0-e", "pg0-f"):
             cluster.failures.crash_node(name)
         db = cluster.session()
@@ -260,7 +255,7 @@ class TestAckProcessing:
         assert not future.done  # correctly refuses to ack below quorum
 
     def test_commit_resumes_when_quorum_restored(self):
-        cluster = AuroraCluster.build(ClusterConfig(seed=42))
+        cluster = AuroraCluster.build(seed=42)
         for name in ("pg0-d", "pg0-e", "pg0-f"):
             cluster.failures.crash_node(name)
         db = cluster.session()
@@ -276,11 +271,9 @@ class TestAckProcessing:
 
 class TestHedgedReads:
     def _cold_cache_cluster(self, **driver_overrides):
-        config = ClusterConfig(seed=88)
-        config.instance.cache_capacity = 8
-        for key, value in driver_overrides.items():
-            setattr(config.instance.driver, key, value)
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(
+            seed=88, cache_capacity=8, **driver_overrides
+        )
         db = cluster.session()
         for i in range(200):
             db.write(f"key{i:03d}", i)
@@ -438,7 +431,7 @@ class TestWriteFanOut:
         objects, and the very next flush ships to whoever is a member then
         -- whether or not anybody told this driver (a superseded writer is
         never told)."""
-        cluster = build()
+        cluster = AuroraCluster.build(seed=31)
         db = cluster.session()
         db.write("before", 1)
         driver = cluster.writer.driver

@@ -24,7 +24,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.db.session import Session
 
 KEYS = [f"key{i:02d}" for i in range(12)]
@@ -69,7 +69,7 @@ def scripts(draw):
 
 
 def run_script(seed, steps, backend="aurora"):
-    cluster = AuroraCluster.build(ClusterConfig(seed=seed, backend=backend))
+    cluster = AuroraCluster.build(seed=seed, backend=backend)
     db = Session(cluster.writer)
     oracle: dict = {}
     #: key -> values an *unacknowledged but possibly complete* transaction
@@ -236,9 +236,7 @@ class TestEndToEndProperties:
         from repro.errors import CommitUncertainError
         from repro.repair import PROMOTED
 
-        cluster = AuroraCluster.build(
-            ClusterConfig(seed=seed, backend=backend)
-        )
+        cluster = AuroraCluster.build(seed=seed, backend=backend)
         for _ in range(2):
             cluster.add_replica()
         cluster.arm_failover()

@@ -24,7 +24,6 @@ import pytest
 
 from repro import AuroraCluster
 from repro.audit import Auditor
-from repro.db.cluster import ClusterConfig
 from repro.repair import (
     DB,
     REPLACED,
@@ -275,9 +274,7 @@ class TestResolutionDistributions:
 # ----------------------------------------------------------------------
 class TestFleetScaleRepairs:
     def test_concurrent_pg_repairs_with_same_pg_double_fault(self):
-        cluster = AuroraCluster.build(
-            config=ClusterConfig(seed=11, pg_count=10), seed=11
-        )
+        cluster = AuroraCluster.build(seed=11, pg_count=10)
         auditor = Auditor()
         cluster.arm_auditor(auditor)
         # A modeled bulk-copy time keeps each repair in flight long

@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 import pytest
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.audit import PROFILES, AuditRunConfig, run_audit
 from repro.core.lsn import LSNAllocator
 from repro.core.records import (
@@ -31,6 +31,7 @@ from repro.core.records import (
     seed_redo,
 )
 from repro.db.mtr import ChainState, MTRBuilder
+from repro.db.replica import ReplicaConfig
 from repro.storage import node as node_module
 from repro.storage.page import BlockVersion, BlockVersionChain
 from repro.storage.segment import Segment
@@ -221,7 +222,7 @@ class TestReconvergenceCannotMaskDivergence:
 
         if redo is not None:
             monkeypatch.setattr(page_module, "apply_redo", redo)
-        cluster = AuroraCluster.build(ClusterConfig(seed=11))
+        cluster = AuroraCluster.build(seed=11)
         # An open view pins the GC floor, so what follows stays inside the
         # window the cross-peer vote can arbitrate.
         cluster.writer.open_view()
@@ -390,10 +391,10 @@ class TestReadsCarryReferences:
 
         monkeypatch.setattr(StorageDriver, "read_block", recording)
 
-        config = ClusterConfig(seed=23)
-        config.replica.cache_capacity = 64
-        config.instance.driver.wire_compression = wire_compression
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(
+            seed=23, wire_compression=wire_compression,
+            replica=ReplicaConfig(cache_capacity=64),
+        )
         replicas = [cluster.add_replica(), cluster.add_replica()]
         segments = [node.segment for node in cluster.nodes.values()]
 
@@ -625,7 +626,7 @@ class TestSharingIsSafe:
         self.assert_wrapped(read_only_images, "baseline")
 
     def test_the_fixture_does_catch_an_in_place_edit(self, read_only_images):
-        cluster = AuroraCluster.build(ClusterConfig(seed=11))
+        cluster = AuroraCluster.build(seed=11)
         db = cluster.session()
         db.write("k", 1)
         cluster.run_for(50)
@@ -643,7 +644,7 @@ class TestDamageStaysOnOneCopy:
 
     @pytest.fixture
     def copies(self):
-        cluster = AuroraCluster.build(ClusterConfig(seed=11))
+        cluster = AuroraCluster.build(seed=11)
         db = cluster.session()
         for i in range(40):
             db.write(f"k{i % 8}", i)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.db.session import Session
 from repro.errors import (
     InstanceStateError,
@@ -203,9 +203,7 @@ class TestWALInvariant:
 
 class TestCacheMissReads:
     def test_read_after_eviction_goes_to_storage(self):
-        config = ClusterConfig(seed=21)
-        config.instance.cache_capacity = 8  # tiny pool
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(seed=21, cache_capacity=8)  # tiny pool
         db = cluster.session()
         for i in range(60):
             db.write(f"key{i:03d}", i)
@@ -216,9 +214,7 @@ class TestCacheMissReads:
         assert cluster.writer.driver.stats.reads_issued > reads_before
 
     def test_tiny_cache_still_correct_under_load(self):
-        config = ClusterConfig(seed=22)
-        config.instance.cache_capacity = 6
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(seed=22, cache_capacity=6)
         db = cluster.session()
         expected = {}
         for i in range(80):
@@ -238,9 +234,7 @@ class TestCacheMissReads:
         policy's order and that policy replaced the LRU (968 / 43 / 66 and
         LRU order before; the pool now also declines: a clean image read
         no more often than its victim goes to its reader uncached)."""
-        config = ClusterConfig(seed=41)
-        config.instance.cache_capacity = 12
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(seed=41, cache_capacity=12)
         db = cluster.session()
         keys = [f"key{i:03d}" for i in range(240)]
         for start in range(0, len(keys), 40):
@@ -267,9 +261,7 @@ class TestCacheMissReads:
         write-path read runs under no read view, so the PGMRPL on the next
         write batch let storage collect past it mid-flight ("no full
         segment durable through LSN")."""
-        config = ClusterConfig(seed=31)
-        config.instance.cache_capacity = 64
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(seed=31, cache_capacity=64)
         writer = cluster.writer
         rng = random.Random(31)
         keys = [f"key{i:04d}" for i in range(5_000)]
@@ -364,9 +356,7 @@ class TestVersionPurge:
         it was read, not whatever the cache still holds: a one-row delta on
         a fabricated empty base would drop the leaf's header and every row
         the purge did not touch from the writer's cache."""
-        config = ClusterConfig(seed=31)
-        config.instance.cache_capacity = 64
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(seed=31, cache_capacity=64)
         db = cluster.session()
         keys = [f"key{i:04d}" for i in range(3_000)]
         for start in range(0, len(keys), 250):

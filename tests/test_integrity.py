@@ -19,7 +19,6 @@ import random
 
 import pytest
 
-from repro import AuroraCluster, ClusterConfig
 from repro.core.epochs import EpochStamp
 from repro.core.records import BlockPut, LogRecord, RecordKind
 from repro.db.session import Session
@@ -42,6 +41,8 @@ from repro.storage.page import BlockVersionChain
 from repro.storage.segment import Segment, SegmentKind
 from repro.storage.volume import VolumeGeometry
 from repro.core.membership import MembershipState
+
+from .conftest import integrity_cluster
 
 
 # ----------------------------------------------------------------------
@@ -326,18 +327,6 @@ class TestRehydrationFallback:
 # ----------------------------------------------------------------------
 # Cluster-level: every injector kind repaired under a live workload
 # ----------------------------------------------------------------------
-def _integrity_cluster(backend: str = "aurora", seed: int = 5):
-    config = ClusterConfig(
-        seed=seed,
-        backend=backend,
-        node=StorageNodeConfig(scrub_interval=400.0),
-    )
-    cluster = AuroraCluster.build(config)
-    cluster.failures.attach_storage(cluster.nodes.values())
-    cluster.failures.start_integrity_reconcile()
-    return cluster
-
-
 def _inject_with_fresh_writes(cluster, db, inject, attempts=20):
     """Write fresh victims, then inject while a pinned read view holds
     the GC floor below them (the injectors refuse victims no instance
@@ -368,7 +357,7 @@ class TestClusterRepair:
         "kind", ["bit_rot", "lost_write", "misdirected_write", "torn_write"]
     )
     def test_injected_corruption_detected_and_repaired(self, kind):
-        cluster = _integrity_cluster()
+        cluster = integrity_cluster()
         db = Session(cluster.writer)
         expected = {}
         for i in range(12):
@@ -396,7 +385,7 @@ class TestClusterRepair:
         """GC can drop a rotted record (its redo was already applied)
         without any repair hook firing; the reconcile sweep must close
         the book entry instead of counting it unrepaired forever."""
-        cluster = _integrity_cluster()
+        cluster = integrity_cluster()
         db = Session(cluster.writer)
         for i in range(6):
             db.write(f"k{i}", f"v{i}")
@@ -442,7 +431,7 @@ class TestTaurusIntegrity:
         """A rotted redo record on a log store must not be shipped to the
         asynchronously-draining page stores, which would materialize it
         under a valid image checksum."""
-        cluster = _integrity_cluster(backend="taurus")
+        cluster = integrity_cluster(backend="taurus")
         db = Session(cluster.writer)
         logs, pages = self._log_and_page_stores(cluster)
         expected = {}
@@ -483,7 +472,7 @@ class TestTaurusIntegrity:
         """With only two page stores, a misdirected write on one creates
         a 1-1 structural tie; a log store's on-demand materialization of
         its tail must break it in favour of the clean copy."""
-        cluster = _integrity_cluster(backend="taurus")
+        cluster = integrity_cluster(backend="taurus")
         db = Session(cluster.writer)
         _logs, pages = self._log_and_page_stores(cluster)
         expected = {}

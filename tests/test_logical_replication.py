@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import AuroraCluster, ClusterConfig
 from repro.db.logical_replication import (
     ChangeKind,
     LogicalPublisher,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.errors import MembershipError
 
 
@@ -124,8 +124,7 @@ class TestMembershipGuards:
 
 class TestVolumeGrowth:
     def test_grow_adds_pgs_and_bumps_geometry_epoch(self):
-        config = ClusterConfig(pg_count=1, blocks_per_pg=16, seed=66)
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(seed=66, pg_count=1, blocks_per_pg=16)
         db = cluster.session()
         db.write("a", 1)
         epoch_before = cluster.writer.driver.epochs.geometry

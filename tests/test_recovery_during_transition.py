@@ -10,7 +10,7 @@ change itself must remain completable or reversible afterwards.
 
 import pytest
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.db.session import Session
 
 
@@ -24,7 +24,7 @@ def crash_and_recover(cluster):
 
 class TestRecoveryDuringTransition:
     def test_recovery_under_dual_membership_then_finalize(self):
-        cluster = AuroraCluster.build(ClusterConfig(seed=515))
+        cluster = AuroraCluster.build(seed=515)
         db = cluster.session()
         db.write_many({f"k{i}": i for i in range(12)})
         cluster.failures.crash_node("pg0-f")
@@ -48,7 +48,7 @@ class TestRecoveryDuringTransition:
         assert db.get("post-everything") == 2
 
     def test_recovery_under_dual_membership_then_rollback(self):
-        cluster = AuroraCluster.build(ClusterConfig(seed=516))
+        cluster = AuroraCluster.build(seed=516)
         db = cluster.session()
         db.write("seed", 0)
         candidate = cluster.begin_segment_replacement(0, "pg0-e")
@@ -66,7 +66,7 @@ class TestRecoveryDuringTransition:
     def test_durability_property_holds_mid_transition(self):
         """Acknowledged commits issued DURING the dual-quorum phase (which
         must meet BOTH groups' 4/6) survive a crash mid-transition."""
-        cluster = AuroraCluster.build(ClusterConfig(seed=517))
+        cluster = AuroraCluster.build(seed=517)
         db = cluster.session()
         db.write("pre", 0)
         cluster.failures.crash_node("pg0-f")
@@ -89,7 +89,7 @@ class TestRecoveryDuringTransition:
     def test_epoch_ordering_across_crash_and_transition(self):
         """Volume and membership epochs advance independently and
         monotonically through the interleaving."""
-        cluster = AuroraCluster.build(ClusterConfig(seed=518))
+        cluster = AuroraCluster.build(seed=518)
         db = cluster.session()
         db.write("a", 1)
         epochs_0 = cluster.writer.driver.epochs
@@ -128,7 +128,7 @@ class TestHealerAcrossWriterCrash:
         from repro.audit import Auditor
         from repro.repair.metrics import REPLACED
 
-        cluster = AuroraCluster.build(ClusterConfig(seed=519))
+        cluster = AuroraCluster.build(seed=519)
         auditor = Auditor()
         cluster.arm_auditor(auditor)
         monitor, planner = cluster.arm_healer()
@@ -164,7 +164,7 @@ class TestHealerAcrossWriterCrash:
         from repro.audit import Auditor
         from repro.repair.metrics import ACTIVE, ROLLED_BACK
 
-        cluster = AuroraCluster.build(ClusterConfig(seed=520))
+        cluster = AuroraCluster.build(seed=520)
         auditor = Auditor()
         cluster.arm_auditor(auditor)
         monitor, planner = cluster.arm_healer()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.db.session import Session
 from repro.errors import InstanceStateError
 
@@ -157,7 +157,7 @@ class TestReplicationStream:
         replication is asynchronous': commit latency with 3 replicas is
         within noise of commit latency with none."""
         def mean_commit(replica_count):
-            cluster = AuroraCluster.build(ClusterConfig(seed=303))
+            cluster = AuroraCluster.build(seed=303)
             for i in range(replica_count):
                 cluster.add_replica(f"r{i}")
             db = cluster.session()

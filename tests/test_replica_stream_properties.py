@@ -11,7 +11,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.db.replication import (
     CommitNotice,
     MTRChunk,
@@ -31,7 +31,7 @@ def _stream_items(payload):
 
 def captured_stream(txn_count, seed):
     """Run a writer with a replica attached; capture the raw stream."""
-    cluster = AuroraCluster.build(ClusterConfig(seed=seed))
+    cluster = AuroraCluster.build(seed=seed)
     replica = cluster.add_replica("capture")
     stream = []
     cluster.network.add_tap(

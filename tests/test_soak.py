@@ -5,17 +5,16 @@ of run that shakes out interaction bugs unit tests cannot see.  Kept to a
 few seconds of wall-clock.
 """
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.db.session import Session
 from repro.workloads import WorkloadGenerator, WorkloadRunner, profile
 
 
 class TestSoak:
     def test_long_run_with_background_failures(self):
-        config = ClusterConfig(seed=424)
-        config.node.backup_interval = 100.0
-        config.node.gc_interval = 50.0
-        cluster = AuroraCluster.build(config)
+        cluster = AuroraCluster.build(
+            seed=424, backup_interval=100.0, gc_interval=50.0
+        )
         cluster.add_replica("r1")
         # Background noise: every segment flaps occasionally, never more
         # than the fault budget at once (MTTF chosen so overlap of >2
@@ -72,7 +71,7 @@ class TestSoak:
         assert stats.recoveries == 1
 
     def test_sustained_mixed_workload_with_replica_reads(self):
-        cluster = AuroraCluster.build(ClusterConfig(seed=425))
+        cluster = AuroraCluster.build(seed=425)
         cluster.add_replica("r1")
         generator = WorkloadGenerator(profile("read_write"), seed=425)
         runner = WorkloadRunner(cluster, generator)

@@ -10,17 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.db.instance import TXNS_PER_PAGE, WriterInstance
 from repro.db.session import Session
 from repro.errors import TransactionError
-
-
-def build(backend: str = "aurora", seed: int = 7, **node) -> AuroraCluster:
-    config = ClusterConfig(seed=seed, backend=backend)
-    for name, value in node.items():
-        setattr(config.node, name, value)
-    return AuroraCluster.build(config)
 
 
 def commit_writes(db: Session, count: int, tag: str = "v") -> None:
@@ -68,7 +61,7 @@ class TestPagedLayout:
         self, backend
     ):
         # GC off: every materialized version is retained, the worst case.
-        cluster = build(backend, gc_interval=1e9)
+        cluster = AuroraCluster.build(seed=7, backend=backend, gc_interval=1e9)
         db = Session(cluster.writer)
         commits = 3 * TXNS_PER_PAGE + 5
         commit_writes(db, commits)
@@ -100,7 +93,7 @@ class TestPagedLayout:
     def test_retained_status_entries_grow_linearly(self):
         """Doubling the commits doubles what one segment retains for the
         status pages (GC off); the striped table quadrupled it."""
-        cluster = build(gc_interval=1e9)
+        cluster = AuroraCluster.build(seed=7, gc_interval=1e9)
         db = Session(cluster.writer)
         segment = cluster.nodes["pg0-a"].segment
         commit_writes(db, 3 * TXNS_PER_PAGE)
@@ -142,7 +135,7 @@ class TestPagedRecovery:
     def test_recovery_spanning_three_pages_restores_every_status(
         self, backend
     ):
-        cluster = build(backend)
+        cluster = AuroraCluster.build(seed=7, backend=backend)
         db = Session(cluster.writer)
         commits = 3 * TXNS_PER_PAGE + 10
         for i in range(20):
@@ -168,7 +161,7 @@ class TestPagedRecovery:
         assert writer.stats.orphan_versions_purged == 0
 
     def test_crash_between_page_allocation_and_first_commit(self, backend):
-        cluster = build(backend)
+        cluster = AuroraCluster.build(seed=7, backend=backend)
         db = Session(cluster.writer)
         writer = cluster.writer
         db.write("kept", 1)
@@ -215,12 +208,6 @@ class TestPagedRecovery:
 # base and *install* the result: the one image in the system no copy of the
 # volume held.
 # ----------------------------------------------------------------------
-def tiny_cache_cluster() -> AuroraCluster:
-    config = ClusterConfig(seed=7)
-    config.instance.cache_capacity = 8
-    return AuroraCluster.build(config)
-
-
 def assert_cache_matches_storage(cluster) -> int:
     """Every image in the writer's cache equals the storage image at its
     cached LSN; returns how many status pages were among them."""
@@ -258,7 +245,7 @@ def late_commit(cluster, db) -> None:
 
 
 def test_late_commit_on_an_evicted_status_page():
-    cluster = tiny_cache_cluster()
+    cluster = AuroraCluster.build(seed=7, cache_capacity=8)
     db = Session(cluster.writer)
     late_commit(cluster, db)
     assert_cache_matches_storage(cluster)
@@ -278,7 +265,7 @@ def test_late_commit_on_an_evicted_status_page():
 
 
 def test_late_commit_on_an_evicted_status_page_after_recovery():
-    cluster = tiny_cache_cluster()
+    cluster = AuroraCluster.build(seed=7, cache_capacity=8)
     db = Session(cluster.writer)
     commit_writes(db, 200)
     cluster.run_for(50)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import AuroraCluster, ClusterConfig
+from repro import AuroraCluster
 from repro.errors import ConfigurationError
 from repro.workloads import (
     OpKind,
@@ -77,7 +77,7 @@ class TestGenerator:
 
 class TestRunner:
     def test_closed_loop_commits_everything(self):
-        cluster = AuroraCluster.build(ClusterConfig(seed=61))
+        cluster = AuroraCluster.build(seed=61)
         generator = WorkloadGenerator(profile("read_write"), seed=61)
         runner = WorkloadRunner(cluster, generator)
         stats = runner.run_closed_loop(clients=3, transactions_per_client=15)
@@ -87,7 +87,7 @@ class TestRunner:
         assert summary["p99_ms"] >= summary["p50_ms"] > 0
 
     def test_open_loop_measures_latency_under_rate(self):
-        cluster = AuroraCluster.build(ClusterConfig(seed=62))
+        cluster = AuroraCluster.build(seed=62)
         generator = WorkloadGenerator(profile("trickle"), seed=62)
         runner = WorkloadRunner(cluster, generator)
         stats = runner.run_open_loop(rate_per_ms=0.2, duration_ms=200.0)
@@ -95,7 +95,7 @@ class TestRunner:
         assert stats.summary()["mean_ms"] > 0
 
     def test_hotspot_profile_generates_aborts(self):
-        cluster = AuroraCluster.build(ClusterConfig(seed=63))
+        cluster = AuroraCluster.build(seed=63)
         generator = WorkloadGenerator(profile("hotspot"), seed=63)
         runner = WorkloadRunner(cluster, generator)
         stats = runner.run_closed_loop(clients=6, transactions_per_client=20)
@@ -104,7 +104,7 @@ class TestRunner:
         assert stats.aborted > 0
 
     def test_runner_data_is_readable_afterwards(self):
-        cluster = AuroraCluster.build(ClusterConfig(seed=64))
+        cluster = AuroraCluster.build(seed=64)
         generator = WorkloadGenerator(profile("write_only"), seed=64)
         runner = WorkloadRunner(cluster, generator)
         runner.run_closed_loop(clients=2, transactions_per_client=10)
