@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # reports are byte-identical to a sequential run; see docs/PERF.md).
 JOBS ?= 4
 
-.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity gates-diff knobs ledger ledger-smoke ledger-pairs ledger-events
+.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity gates-diff knobs ledger ledger-smoke ledger-pairs ledger-events ledger-heap
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -87,3 +87,13 @@ ledger-pairs:
 ROUNDS ?= 2
 ledger-events:
 	python3 tools/event_mix.py --workload $(WORKLOAD) --seed $(SEED) --rounds $(ROUNDS)
+
+# What the heap holds, the memory counterpart of ledger-events: one round
+# of WORKLOAD in-process with tracemalloc started at the timed window; it
+# prints the traced peak, the heap live at the window's end, the top 15
+# allocation sites and the images only a redo memo holds
+# (tools/heap_sites.py).  For where to look; memory claims go through
+# ledger-pairs' peak_rss_mb.
+#   make ledger-heap WORKLOAD=commit_burst
+ledger-heap:
+	python3 tools/heap_sites.py --workload $(WORKLOAD) --seed $(SEED)

@@ -122,8 +122,8 @@ def measured_amplification_from_cluster(cluster) -> dict[str, float]:
     seen_user_blocks: set[int] = set()
     for node in cluster.nodes.values():
         segment = node.segment
-        for record in segment.hot_log.values():
-            log_bytes += sys.getsizeof(record.payload)
+        for lsn in segment.hot_log_lsns():
+            log_bytes += sys.getsizeof(segment.record_at(lsn).payload)
         for block, chain in segment.blocks.items():
             for version in chain.versions:
                 size = sum(

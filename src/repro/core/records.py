@@ -293,7 +293,8 @@ def apply_redo(record: LogRecord, base: Mapping[Any, Any]) -> Mapping[Any, Any]:
     by value, is the memoised object returned instead: a forked lineage (a
     stand-in shipped for the staged payload) re-converges at the next equal
     image, and an unequal result -- real divergence -- is kept and stamped.
-    The returned image is shared; callers must not mutate it.
+    The returned image is shared; callers must not mutate it.  The memo
+    lasts until :func:`release_redo`.
     """
     memo = getattr(record, "_applied", None)
     if memo is not None and memo[0] is base:
@@ -318,6 +319,20 @@ def seed_redo(
     and returned, so a hit still returns what the payload would have.
     """
     object.__setattr__(record, "_applied", (base, image))
+
+
+def release_redo(record: LogRecord) -> None:
+    """Drop :func:`apply_redo`'s memo on ``record``.
+
+    The memo holds its ``(base, image)`` pair by reference, so while it
+    lives the pair does too, long after the version chains have collected
+    both.  Segments release it once every copy that keeps up has applied
+    the record; a copy that applies it later runs the payload itself, which
+    is the reference path, and gets an equal image of its own.  Usually
+    another copy has released it first, so this tests before it deletes.
+    """
+    if getattr(record, "_applied", None) is not None:
+        object.__delattr__(record, "_applied")
 
 
 def _compute_record_digest(record: LogRecord) -> int:

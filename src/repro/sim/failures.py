@@ -425,7 +425,7 @@ class IntegrityLog:
                 continue
             seg = node.segment
             if record.kind in RECORD_CORRUPTION_KINDS:
-                if record.lsn not in seg.hot_log:
+                if seg.record_at(record.lsn) is None:
                     # GC, truncation, or a restore dropped the corrupt
                     # bytes; nothing is left to detect or serve.
                     self._close(record)
@@ -736,7 +736,7 @@ class FailureInjector:
         floor = max(seg.gc_horizon, seg.gc_floor)
         return [
             lsn
-            for lsn in sorted(seg.hot_log)
+            for lsn in seg.hot_log_lsns()
             if lsn > floor
             and lsn not in seg.corrupt_record_lsns
             and not open_recs.get((node.name, lsn))
@@ -789,10 +789,10 @@ class FailureInjector:
         seg = node.segment
         lo = max(seg.granular_floor, seg.gc_floor, seg.gc_horizon)
         eligible = []
-        for lsn in sorted(seg.hot_log):
+        for lsn in seg.hot_log_lsns():
             if lsn <= lo:
                 continue
-            chain = seg.blocks.get(seg.hot_log[lsn].block)
+            chain = seg.blocks.get(seg.record_at(lsn).block)
             if chain is not None and chain.latest_lsn > lsn:
                 eligible.append(lsn)
         if not eligible:

@@ -798,7 +798,7 @@ class StorageNode(Actor):
                 seen.add(record.lsn)
                 if (
                     record.lsn in corrupt_records
-                    or record.lsn not in segment.hot_log
+                    or segment.record_at(record.lsn) is None
                 ):
                     if segment.restore_record(record):
                         repairs += 1

@@ -126,7 +126,7 @@ class TestEpochFencing:
         )
         cluster.run_for(10)
         assert target.counters["rejections_sent"] == before + 1
-        assert zombie_lsn not in target.segment.hot_log
+        assert target.segment.record_at(zombie_lsn) is None
 
 
 class TestRecoveryUnderFailures:

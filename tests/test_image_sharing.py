@@ -10,6 +10,8 @@ nothing anywhere edits a shared image in place, and that damage or repair
 on one copy stays on that copy.
 """
 
+import importlib.util
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -40,6 +42,12 @@ PAYLOAD_TYPES = (
     BlockPut, BlockDelete, BlockReplace, CommitPayload, ControlPayload,
     ElidedPayload,
 )
+
+#: ``make ledger-heap``'s tool, for the count of images only a memo holds.
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "heap_sites.py"
+spec = importlib.util.spec_from_file_location("heap_sites", TOOL)
+heap_sites = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(heap_sites)
 
 
 class TestApplyRedoMemo:
@@ -206,6 +214,120 @@ class TestSharingIsOn:
             assert node.segment.coalesce() == 0  # the ticks got there first
             assert node.segment.stats["coalesce_applications"] >= 200
         assert built == []
+
+
+class TestMemoLifetime:
+    """A redo memo pins the image its record made and that image's base.
+    A segment's GC tick releases the memos of its hot-log records at or
+    below ``min(gc_floor, coalesced_upto)`` as it stood at the tick
+    before: by then every copy that keeps up has applied the record and
+    shared the image, and the version chains may have dropped both."""
+
+    @pytest.fixture(scope="class")
+    def burst(self):
+        """Six segments after a 1 200-transaction burst, settled, then two
+        GC ticks each with nothing in between."""
+        cluster = AuroraCluster.build(seed=99)
+        db = cluster.session()
+        for i in range(1200):
+            db.write(f"k{i % 64}", i)
+        cluster.run_for(50)
+        segments = [node.segment for node in cluster.nodes.values()]
+        for _tick in range(2):
+            for segment in segments:
+                segment.garbage_collect()
+        return segments
+
+    def test_no_memo_outlives_the_previous_ticks_bound(self, burst):
+        # Nothing moved between the two ticks, so the bound the first one
+        # saw is the one each segment shows now.
+        released = 0
+        for segment in burst:
+            bound = min(segment.gc_floor, segment.coalesced_upto)
+            for lsn in segment.hot_log_lsns():
+                if lsn <= bound:
+                    record = segment.record_at(lsn)
+                    assert getattr(record, "_applied", None) is None, (
+                        f"{segment.segment_id} still holds a memo at {lsn}"
+                    )
+                    released += 1
+        # Backups lag GC, so released records are still in the hot logs.
+        assert released > 100
+
+    def test_no_image_is_held_only_by_a_memo(self, burst):
+        records = [
+            segment.record_at(lsn)
+            for segment in burst for lsn in segment.hot_log_lsns()
+        ]
+        assert len(records) > 100
+        assert len(heap_sites.memo_only_images(records)) == 0
+
+    def test_a_copy_down_across_two_ticks_runs_the_payloads_itself(
+        self, monkeypatch
+    ):
+        """...and still ends equal to its peers: without the memo, the
+        late copy takes the reference path."""
+        inside, ran = [False], [0]
+
+        def counted(original):
+            def apply(payload, image):
+                ran[0] += inside[0]
+                return original(payload, image)
+            return apply
+
+        for payload_type in PAYLOAD_TYPES:
+            monkeypatch.setattr(
+                payload_type, "apply", counted(payload_type.apply)
+            )
+        # Rare backups keep the records the copy missed in its peers' hot
+        # logs, so it catches up by gossip, not from a baseline.
+        cluster = AuroraCluster.build(seed=99, backup_interval=10_000.0)
+        db = cluster.session()
+        for i in range(100):
+            db.write(f"k{i % 64}", i)
+        cluster.run_for(50)
+        name = "pg0-c"
+        victim = cluster.nodes[name].segment
+        peers = [
+            node.segment for other, node in cluster.nodes.items()
+            if other != name
+        ]
+        cluster.failures.crash_node(name)
+        for i in range(300):
+            db.write(f"k{i % 64}", f"v{i}")
+        cluster.run_for(600)  # at least two GC ticks on every peer
+
+        coalesce = victim.coalesce
+
+        def coalescing(upto=None):
+            inside[0] = True
+            try:
+                return coalesce(upto)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(victim, "coalesce", coalescing)
+        stats = victim.stats
+        before = dict(stats)
+        cluster.failures.restore_node(name)
+        cluster.run_for(500)
+        gossiped = stats["records_gossiped_in"] - before["records_gossiped_in"]
+        applied = (
+            stats["coalesce_applications"] - before["coalesce_applications"]
+        )
+        assert gossiped == applied >= 600
+        assert ran[0] == applied
+        assert victim.scrub() == [] and victim.scrub_records() == []
+
+        def latest(segment):
+            return {
+                block: dict(chain.latest_image())
+                for block, chain in segment.blocks.items()
+            }
+
+        for peer in peers:
+            assert victim.scl == peer.scl
+            assert latest(victim) == latest(peer)
 
 
 class TestReconvergenceCannotMaskDivergence:
@@ -706,11 +828,11 @@ class TestDamageStaysOnOneCopy:
         before = self.images(victim, hot)
         # A record this copy has not applied yet: the newest one.
         tail = victim._records[-1]
-        shared = segments[1].hot_log[tail.lsn]
+        shared = segments[1].record_at(tail.lsn)
         assert shared is tail
         victim.corrupt_record(tail.lsn)
         assert victim.scrub_records() == [tail.lsn]
-        assert segments[1].hot_log[tail.lsn] is shared
+        assert segments[1].record_at(tail.lsn) is shared
         self.assert_others_clean(segments, hot, before)
         assert victim.restore_record(shared)
         assert victim.scrub_records() == []
@@ -725,7 +847,7 @@ class TestDamageStaysOnOneCopy:
         assert lost not in [lsn for lsn, _image in self.images(victim, hot)]
         self.assert_others_clean(segments, hot, before)
         peer = segments[1]
-        assert victim.restore_record(peer.hot_log[lost])
+        assert victim.restore_record(peer.record_at(lost))
         assert victim.repair_version(
             hot, lost, peer.blocks[hot].version_at(lost).image
         )

@@ -203,7 +203,7 @@ class TestRecordIntegrity:
 
     def test_restore_record_clears_corruption_and_unstalls(self):
         seg = self._segment()
-        clean = seg.hot_log[2]
+        clean = seg.record_at(2)
         seg.corrupt_record(2)
         seg.coalesce()
         assert seg.coalesced_upto == 1
@@ -311,7 +311,7 @@ class TestRehydrationFallback:
             seg.mark_backed_up(3)
             seg.advance_gc_floor(3)
             seg.garbage_collect()
-            assert 2 not in seg.hot_log
+            assert seg.record_at(2) is None
         # The read floor has moved past the stall (as PGMRPL updates do
         # in a live cluster): the wedge is now exactly seed-shaped --
         # coalesce pinned below the rot, no peer able to restore it.
@@ -392,15 +392,14 @@ class TestClusterRepair:
         integrity = cluster.failures.integrity
         name, node = next(iter(sorted(cluster.nodes.items())))
         seg = node.segment
-        eligible = [lsn for lsn in sorted(seg.hot_log)
+        eligible = [lsn for lsn in seg.hot_log_lsns()
                     if lsn > seg.gc_horizon]
         assert eligible, "no hot-log records to corrupt"
         lsn = eligible[0]
-        block = seg.hot_log[lsn].block
+        block = seg.record_at(lsn).block
         seg.corrupt_record(lsn)
         record = integrity.inject("bit_rot_record", name, block, lsn)
         # Destroy the rotted bytes outside the repair path, as GC would.
-        seg.hot_log.pop(lsn)
         pos = seg._lsn_index.index(lsn)
         del seg._lsn_index[pos]
         del seg._records[pos]
@@ -438,7 +437,7 @@ class TestTaurusIntegrity:
 
         def rot_a_log_record():
             seg = cluster.nodes[logs[0]].segment
-            eligible = [lsn for lsn in sorted(seg.hot_log)
+            eligible = [lsn for lsn in seg.hot_log_lsns()
                         if lsn > max(seg.gc_horizon, seg.gc_floor)]
             if not eligible:
                 return None

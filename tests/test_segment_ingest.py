@@ -3,7 +3,8 @@
 The batch path appends chain-contiguous runs in bulk and lets the chain
 tracker take a run that attaches at the SCL in one step; everything else
 falls back to ``receive``.  Whatever the delivery order, the two must leave
-a segment in the same state.
+a segment in the same state -- the hot log's three sorted arrays included,
+as read back through ``hot_log_lsns`` and ``record_at``.
 """
 
 import random
@@ -55,7 +56,7 @@ def scenario(rng, recoveries=1):
     generations, a place or two out of order and a fifth of them twice,
     one recovery truncation between generations, late pre-recovery runs
     that start inside or below a range already annulled, gossip answers
-    with holes, coalesce ticks and one rebase."""
+    with holes, a lost write or two, coalesce ticks and one rebase."""
     timeline = []  # (when, operation)
     everything = []
     prev, first_lsn, start = 0, 1, 0.0
@@ -96,6 +97,9 @@ def scenario(rng, recoveries=1):
             r for r in everything if r.lsn > above and rng.random() < 0.8
         ]
         timeline.append((rng.uniform(0, end), ("gossip", held[:12])))
+    for _ in range(rng.randint(1, 2)):
+        lost = rng.choice(everything).lsn
+        timeline.append((rng.uniform(0, end), ("lose", lost)))
     for _ in range(rng.randint(1, 3)):
         timeline.append((rng.uniform(0, end), ("coalesce",)))
     baseline = rng.randint(1, everything[-1].lsn)
@@ -121,6 +125,8 @@ def play(segment, ops, ingest):
             results.append(segment.truncate(op[1], op[2]))
         elif op[0] == "rebase":
             results.append(segment.chain.rebase(op[1]))
+        elif op[0] == "lose":
+            results.append(segment.lose_record(op[1]))
         else:
             results.append(coalesce(segment))
     coalesce(segment)
@@ -139,10 +145,26 @@ def batched(segment, records, via_gossip):
     return segment.receive_batch(records, via_gossip)
 
 
-def state(segment):
+def touched(ops):
+    """Every LSN the operations name, ascending."""
+    lsns = set()
+    for op in ops:
+        if op[0] in ("batch", "gossip"):
+            lsns.update(record.lsn for record in op[1])
+        elif op[0] == "lose":
+            lsns.add(op[1])
+    return sorted(lsns)
+
+
+def hot_log(segment, lsns):
+    """The hot log as its callers see it."""
+    return segment.hot_log_lsns(), [segment.record_at(lsn) for lsn in lsns]
+
+
+def state(segment, lsns):
     chain = segment.chain
     return {
-        "hot_log": segment.hot_log,
+        "hot_log": hot_log(segment, lsns),
         "lsn_index": segment._lsn_index,
         "records": segment._records,
         "digests": segment._digests,
@@ -165,7 +187,28 @@ def assert_same_outcome(ops, kind, subject_class=Segment):
     reference = Segment("reference", 0, kind)
     subject = subject_class("subject", 0, kind)
     assert play(subject, ops, batched) == play(reference, ops, per_record)
-    assert state(subject) == state(reference)
+    lsns = touched(ops)
+    assert state(subject, lsns) == state(reference, lsns)
+
+
+def found_by_search(subject_class):
+    """Does the differential find ``subject_class`` out unaided?  (No
+    shrinking: any counterexample will do.)"""
+    searched = settings(
+        max_examples=200, deadline=None, database=None, derandomize=True,
+        phases=[Phase.generate], report_multiple_bugs=False,
+    )(
+        given(rng=st.randoms(use_true_random=False))(
+            lambda rng: assert_same_outcome(
+                scenario(rng, 3), SegmentKind.FULL, subject_class
+            )
+        )
+    )
+    try:
+        searched()
+    except AssertionError:
+        return True
+    return False
 
 
 @settings(max_examples=200, deadline=None)
@@ -200,20 +243,40 @@ def test_a_bulk_path_that_accepts_annulled_runs_is_caught():
     assert_same_outcome(ops, SegmentKind.FULL)
     with pytest.raises(AssertionError):
         assert_same_outcome(ops, SegmentKind.FULL, AcceptsAnnulledRuns)
-    # The differential finds it unaided, too (no shrinking: any
-    # counterexample will do).
-    searched = settings(
-        max_examples=200, deadline=None, database=None, derandomize=True,
-        phases=[Phase.generate], report_multiple_bugs=False,
-    )(
-        given(rng=st.randoms(use_true_random=False))(
-            lambda rng: assert_same_outcome(
-                scenario(rng, 3), SegmentKind.FULL, AcceptsAnnulledRuns
-            )
-        )
-    )
+    assert found_by_search(AcceptsAnnulledRuns)
+
+
+class LoseKeepsTheRecord(Segment):
+    """Planted bug: ``lose_record`` drops the LSN and its digest but leaves
+    the record in ``_records``, so the arrays no longer line up."""
+
+    def lose_record(self, lsn):
+        pos = self._find(lsn)
+        record = super().lose_record(lsn)
+        if record is not None:
+            self._records.insert(pos, record)
+        return record
+
+
+def test_a_lose_that_keeps_the_record_is_caught():
+    run = linked(1, 0, 6)
+    lost = run[2].lsn
+    ops = [("batch", run), ("lose", lost)]
+    assert_same_outcome(ops, SegmentKind.FULL)
     with pytest.raises(AssertionError):
-        searched()
+        assert_same_outcome(ops, SegmentKind.FULL, LoseKeepsTheRecord)
+    # The LSNs agree; what ``record_at`` answers does not.
+    lsns = touched(ops)
+    reference, mutant = Segment("r", 0), LoseKeepsTheRecord("m", 0)
+    play(reference, ops, batched)
+    play(mutant, ops, batched)
+    assert mutant.hot_log_lsns() == reference.hot_log_lsns()
+    assert reference.record_at(lost) is None
+    assert [reference.record_at(lsn) for lsn in lsns] == [
+        None if r.lsn == lost else r for r in run
+    ]
+    assert hot_log(mutant, lsns) != hot_log(reference, lsns)
+    assert found_by_search(LoseKeepsTheRecord)
 
 
 class CountingProbe:
