@@ -235,17 +235,21 @@ _AUDIT_FLAGS = [
 
 
 def _add_audit_arguments(audit: argparse.ArgumentParser) -> None:
-    """``audit-run``'s arguments, derived: one switch per profile row, one
-    flag per ``AuditRunConfig`` field that names one in its metadata, and
-    the three that shape the sweep rather than a run."""
+    """``audit-run``'s arguments, derived: one switch per profile row (at
+    most one may be given), one flag per ``AuditRunConfig`` field that
+    names one in its metadata, and the three that shape the sweep rather
+    than a run."""
+    switches = audit.add_mutually_exclusive_group()
     for profile in AUDIT_PROFILES.values():
         if profile.switch is not None:
             overrides, *_, judged = profile.describe()
-            audit.add_argument(
-                profile.switch, action="store_true", dest=profile.name,
+            switches.add_argument(
+                profile.switch, action="store_const", const=profile.name,
+                dest="profile",
                 help=f"run the {profile.name} profile (docs/AUDIT.md "
                      f"\"Profiles\"): {overrides}.  Judged: {judged}",
             )
+    audit.set_defaults(profile="chaos")
     for spec in _AUDIT_FLAGS:
         argument = dict(spec.metadata, dest=spec.name)
         flag = argument.pop("flag")
@@ -273,9 +277,9 @@ def _add_audit_arguments(audit: argparse.ArgumentParser) -> None:
 
 
 def _audit_config(args: argparse.Namespace, seed: int) -> AuditRunConfig:
-    """The AuditRunConfig for one sweep seed: the flags, then the rows of
-    the selected profiles in table order, then the flags that override a
-    profile (given only when nonzero)."""
+    """The AuditRunConfig for one sweep seed: the flags, then the selected
+    profile's row, then the flags that override a profile (given only when
+    nonzero)."""
     given = {spec.name: getattr(args, spec.name) for spec in _AUDIT_FLAGS}
     late = {
         spec.name: given.pop(spec.name)
@@ -283,9 +287,7 @@ def _audit_config(args: argparse.Namespace, seed: int) -> AuditRunConfig:
         if spec.metadata.get("over_profile")
     }
     config = AuditRunConfig(seed=seed, **given)
-    for profile in AUDIT_PROFILES.values():
-        if profile.switch and getattr(args, profile.name):
-            profile.configure(config)
+    AUDIT_PROFILES[args.profile].configure(config)
     for name, value in late.items():
         if value:
             setattr(config, name, value)
@@ -293,7 +295,7 @@ def _audit_config(args: argparse.Namespace, seed: int) -> AuditRunConfig:
 
 
 def _cmd_audit_run(args: argparse.Namespace) -> int:
-    if args.integrity_json and not args.integrity:
+    if args.integrity_json and args.profile != "integrity":
         # Before any seed runs: a CI lane that lost its --integrity would
         # otherwise upload no artifact and stay green.
         print("repro audit-run: --integrity-json writes the integrity "
