@@ -35,7 +35,6 @@ from repro.audit.runner import (
     AuditReport,
     AuditRunConfig,
     merged_sections,
-    profile_of,
     run_audit,
     run_audit_sweep,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "Auditor",
     "PROFILES",
     "merged_sections",
-    "profile_of",
     "run_audit",
     "run_audit_sweep",
 ]

@@ -16,6 +16,12 @@ from repro.db.instance import InstanceState
 from repro.errors import ReproError, SimulationError
 from repro.repair.metrics import ACTIVE, ROLLED_BACK
 
+#: The keyed clients' key space: ``k000`` .. ``k023``.
+KEYS = 24
+#: Simulated ms allowed per client operation before it is counted as an
+#: availability error (chaos makes timeouts normal, not fatal).
+OP_TIMEOUT_MS = 2500.0
+
 
 def spin_until(
     world, done, spins=4000, step_ms=25.0, keepalive=None, every=40
@@ -65,7 +71,7 @@ class _ClientModel:
         self.history: dict[str, set] = {}
 
     def _key(self) -> str:
-        return f"k{self.rng.randrange(self.cfg.keys):03d}"
+        return f"k{self.rng.randrange(KEYS):03d}"
 
     def _note_uncertain(self, writes: dict) -> None:
         """A write batch whose commit outcome is unknown: each value may or
@@ -91,12 +97,13 @@ class ClusterClient(_ClientModel):
 
     def __init__(self, run) -> None:
         super().__init__(run)
+        self.profile = run.profile
         self.cluster = cluster = run.world
         # In failover mode the writer identity changes under the client's
         # feet; the cluster session re-resolves it per operation.
         self.session = (
             cluster.cluster_session()
-            if self.cfg.failover
+            if self.profile.failover
             else cluster.session()
         )
         self.writer_kills = 0
@@ -119,32 +126,35 @@ class ClusterClient(_ClientModel):
                 "writer_grey": self._grey_writer}
 
     def run(self) -> None:
-        cfg = self.cfg
-        crash_every = cfg.writer_crash_every or max(150, cfg.steps // 4)
+        cfg, profile = self.cfg, self.profile
+        # In failover mode the chaos schedule kills the writer and the
+        # coordinator restores it; the operator-driven cadence would race
+        # the autonomous plane.
+        crash_every = (
+            max(150, cfg.steps // 4)
+            if profile.operator and not profile.failover
+            else 0
+        )
         # step -> what the operator (or the scenario) does before its op;
         # the membership change and the plant are skipped on tiny runs.
         plan: dict[int, list] = {}
-        if cfg.membership_change and cfg.steps >= 300:
+        if profile.operator and cfg.steps >= 300:
             plan.setdefault(cfg.steps // 2, []).append(self._membership_change)
-        if cfg.plant_false_positive and cfg.heal and cfg.steps >= 300:
-            plan.setdefault(cfg.steps // 3, []).append(
-                self._plant_false_positive
-            )
-        if cfg.fleet_kills > 0 and cfg.heal:
+            if cfg.heal:
+                plan.setdefault(cfg.steps // 3, []).append(
+                    self._plant_rollback
+                )
+        if profile.storm is not None and cfg.heal:
             # After the planted false positive resolves (it blocks until
             # the rollback lands), so the storm's candidate churn cannot
             # race the plant's candidate-name prediction.
             storm = cfg.steps * 3 // 5
             plan.setdefault(storm, []).append(self._fleet_storm)
-            if cfg.fleet_double_fault:
-                double = min(cfg.steps - 1, storm + max(20, cfg.steps // 10))
-                plan.setdefault(double, []).append(self._fleet_double_fault)
+            double = min(cfg.steps - 1, storm + max(20, cfg.steps // 10))
+            plan.setdefault(double, []).append(self._fleet_double_fault)
         for step in range(cfg.steps):
             self._harvest_pending()
-            # In failover mode the chaos schedule kills the writer and the
-            # coordinator restores it; the operator-driven cadence would
-            # race the autonomous plane.
-            if step > 0 and step % crash_every == 0 and not cfg.failover:
+            if crash_every and step > 0 and step % crash_every == 0:
                 self._crash_and_recover()
             for action in plan.get(step, ()):
                 action()
@@ -190,7 +200,7 @@ class ClusterClient(_ClientModel):
         write-unavailability window the failover report measures) for the
         coordinator to promote one, or, without it, do the operator's part
         and recover the crashed one."""
-        if not self.cfg.failover:
+        if not self.profile.failover:
             self._crash_and_recover()
             return
         try:
@@ -290,7 +300,7 @@ class ClusterClient(_ClientModel):
             self.availability_errors += 1
 
     def _drive(self, awaitable):
-        return self.session.drive(awaitable, max_ms=self.cfg.op_timeout_ms)
+        return self.session.drive(awaitable, max_ms=OP_TIMEOUT_MS)
 
     def _abandon(self, txn) -> None:
         """Best-effort rollback so a failed op does not pin locks forever
@@ -351,7 +361,7 @@ class ClusterClient(_ClientModel):
             session = self.cluster.replica_session(name)
             source = self.cluster.replicas[name]
         key = self._key()
-        value = session.drive(source.get(key), max_ms=self.cfg.op_timeout_ms)
+        value = session.drive(source.get(key), max_ms=OP_TIMEOUT_MS)
         self._check_read(key, value, replica)
 
     # ------------------------------------------------------------------
@@ -436,12 +446,12 @@ class ClusterClient(_ClientModel):
             self.fleet_killed.append(target)
 
     def _fleet_storm(self) -> None:
-        """Condemn one member in each of ``fleet_kills`` distinct PGs at
-        the same instant.  PG 0 is left out -- it already hosts the
+        """Condemn one member in each of the storm's ``kills`` distinct PGs
+        at the same instant.  PG 0 is left out -- it already hosts the
         mid-run membership change and the planted false positive."""
         metadata = self.cluster.metadata
         for pg_index in metadata.pg_indexes():
-            if len(self.fleet_killed) >= self.cfg.fleet_kills:
+            if len(self.fleet_killed) >= self.profile.storm.kills:
                 break
             state = metadata.membership(pg_index)
             # An unstable PG has a repair in flight already; next PG.
@@ -462,7 +472,7 @@ class ClusterClient(_ClientModel):
     # ------------------------------------------------------------------
     # Planted false positive (grey failure that comes back mid-repair)
     # ------------------------------------------------------------------
-    def _plant_false_positive(self) -> None:
+    def _plant_rollback(self) -> None:
         """Isolate a healthy segment until the healer starts replacing it,
         then let it return and require the transition to roll back.
 

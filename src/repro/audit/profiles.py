@@ -2,10 +2,12 @@
 
 A :class:`Profile` says what :func:`repro.audit.runner.run_audit` builds,
 arms, drives, settles and judges -- as field overrides on
-:class:`~repro.audit.runner.AuditRunConfig`, a few numbers, and references
-to the phase functions in this module.  Adding a scenario is adding a row.
-A phase never asks which profile it runs under: what differs between
+:class:`~repro.audit.runner.AuditRunConfig`, its own data (the planes and
+scenarios it arms, its chaos mix, a few numbers), and references to the
+phase functions in this module.  Adding a scenario is adding a row.  A
+phase never asks which profile it runs under: what differs between
 profiles is in the row, and what differs between runs is in the config.
+A value that only a row ever sets is the row's data, not a config field.
 The phase functions' docstrings are the profile's documentation: the
 "Profiles" table of docs/AUDIT.md and the switches' ``--help`` are
 rendered from them (:func:`profiles_table`, :meth:`Profile.describe`).
@@ -49,6 +51,11 @@ class Run:
     chaos_end_ms: float = 0.0
     chaos_events: int = 0
 
+    @property
+    def profile(self) -> Profile:
+        """The row the run is of (the config names it)."""
+        return PROFILES[self.cfg.profile]
+
 
 # ----------------------------------------------------------------------
 # Build world
@@ -84,20 +91,20 @@ def _geo_world(cfg, profile: Profile) -> Run:
 # ----------------------------------------------------------------------
 def _arm_cluster(run: Run) -> None:
     """One auditor on every protocol component; the self-healing plane
-    (`heal`), `replicas` read replicas and the database-tier failover
-    plane (`failover`) as the config asks."""
-    cfg, cluster = run.cfg, run.world
+    (`heal`) and `replicas` read replicas as the config asks, and the
+    database-tier failover plane as the row asks (`failover`)."""
+    cfg, storm, cluster = run.cfg, run.profile.storm, run.world
     run.auditors.append(Auditor(tail_size=cfg.tail_size))
     cluster.arm_auditor(run.auditors[0])
     if cfg.heal:
         cluster.arm_healer(
             repair_config=RepairConfig(
-                baseline_transfer_ms=cfg.repair_transfer_ms
+                baseline_transfer_ms=storm.transfer_ms if storm else 0.0
             )
         )
     for _ in range(cfg.replicas):
         cluster.add_replica()
-    if cfg.failover:
+    if run.profile.failover:
         cluster.arm_failover()
 
 
@@ -160,7 +167,7 @@ def _member_health(cluster) -> list:
 
 def _settle_cluster(run: Run, client: ClusterClient) -> None:
     cluster = run.world
-    if run.cfg.failover:
+    if run.profile.failover:
         _run_out_chaos(run)
         _await_failover_drained(cluster)
         client.settled()
@@ -241,10 +248,10 @@ def _judge_cluster(run: Run, client: ClusterClient) -> dict:
     """Zero violations; nothing confirmed dead left unrepaired; the
     planted transition rolled back; under `failover`, every failover
     resolved with its write-unavailability window inside the 30 s budget;
-    with `min_concurrent_repairs`, that many repairs in flight at once.
-    The sweep footer reports detection/MTTR and failover-window
-    distributions and durability vs the paper's C7 window."""
-    cfg, cluster = run.cfg, run.world
+    under a `storm`, its `min_concurrent` repairs in flight at once.  The
+    sweep footer reports detection/MTTR and failover-window distributions
+    and durability vs the paper's C7 window."""
+    cfg, profile, cluster = run.cfg, run.profile, run.world
     sections = {}
     gates = dict(planted_rollback=client.planted_rollback_ok)
     if cfg.heal:
@@ -267,11 +274,11 @@ def _judge_cluster(run: Run, client: ClusterClient) -> dict:
             + _member_health(cluster).count(Health.DEAD)
         )
         gates["repairs"] = repairs.ok
-        if cfg.min_concurrent_repairs > 0:
+        if profile.storm is not None:
             gates["concurrency"] = (
-                repairs.peak_concurrent >= cfg.min_concurrent_repairs
+                repairs.peak_concurrent >= profile.storm.min_concurrent
             )
-    if cfg.failover:
+    if profile.failover:
         failovers = sections["failovers"] = cluster.failover.summary()
         failovers.writer_kills = client.writer_kills
         gates["failover"] = failovers.ok
@@ -371,6 +378,21 @@ class AtLeast:
 
 
 @dataclass(frozen=True)
+class Storm:
+    """A fleet storm: mid-run, permanently kill one segment in each of
+    ``kills`` distinct PGs at once, then a second member of the first storm
+    PG (same-PG queueing under fleet load).  Each repair models a
+    ``transfer_ms`` bulk copy -- in the real system the ~10 GB segment copy
+    dominates the repair window, which is why simultaneous failures
+    overlap -- and the run fails unless ``min_concurrent`` repairs were in
+    flight at once."""
+
+    kills: int
+    min_concurrent: int
+    transfer_ms: float
+
+
+@dataclass(frozen=True)
 class Profile:
     """One row.  The phase defaults are the fail-stop scenario's."""
 
@@ -379,6 +401,15 @@ class Profile:
     switch: str | None = None
     #: ``AuditRunConfig`` field -> value, or an :class:`AtLeast` floor.
     overrides: dict = field(default_factory=dict)
+    #: Arm the database-tier failover plane: the client runs through a
+    #: failover-aware session, the writer kinds join the chaos mix, and a
+    #: killed writer is the coordinator's to bring back, not the operator's.
+    failover: bool = False
+    #: The cluster client's operator part: writer crash/recovery cycles,
+    #: the mid-run membership change and the planted false positive.
+    operator: bool = True
+    #: The fleet storm the cluster client raises (None: none).
+    storm: Storm | None = None
     #: ``StorageNodeConfig`` fields the world is built with (overrides of
     #: ``AuroraCluster.build``).
     node_settings: dict = field(default_factory=dict)
@@ -398,28 +429,38 @@ class Profile:
     judge: Callable = _judge_cluster
 
     def configure(self, cfg):
-        """Apply this row's overrides to ``cfg`` (and return it)."""
+        """Name this row in ``cfg`` and apply its overrides (and return
+        it)."""
+        cfg.profile = self.name
         for name, value in self.overrides.items():
             if isinstance(value, AtLeast):
                 value = max(getattr(cfg, name), value.floor)
             setattr(cfg, name, value)
         return cfg
 
-    def chaos_mix(self, cfg) -> Mix | None:
-        """The mix a run of ``cfg`` draws: the row's, or the fleet mix
-        under `az_bursts`; the writer kinds join it under `failover`."""
-        if self.chaos is None:
-            return None
-        mix = FLEET if cfg.az_bursts else self.chaos
-        return mix.joined(WRITER_PERIODS) if cfg.failover else mix
+    def chaos_mix(self) -> Mix | None:
+        """The mix a run draws: the row's, with the writer kinds joined
+        under `failover`."""
+        if self.chaos is None or not self.failover:
+            return self.chaos
+        return self.chaos.joined(WRITER_PERIODS)
 
     def describe(self) -> tuple[str, str, str, str]:
-        """(overrides, what is armed, what the chaos and the client are,
-        what is judged): the row's data, then its functions' own words."""
+        """(overrides and row data, what is armed, what the chaos and the
+        client are, what is judged): the row's data, then its functions'
+        own words."""
+        default = Profile(self.name)
         overrides = ", ".join(
-            f"{name}>={value.floor:g}" if isinstance(value, AtLeast)
-            else f"{name}={value}"
-            for name, value in self.overrides.items()
+            [
+                f"{name}>={value.floor:g}" if isinstance(value, AtLeast)
+                else f"{name}={value}"
+                for name, value in self.overrides.items()
+            ]
+            + [
+                f"{name}={getattr(self, name)}"
+                for name in ("failover", "operator", "storm")
+                if getattr(self, name) != getattr(default, name)
+            ]
         )
         chaos = ""
         if self.chaos is not None:
@@ -437,45 +478,35 @@ class Profile:
         )
 
 
-#: The fail-stop control planes, planted scenarios and storms stay off in
-#: the profiles that answer another kind of disaster: each has its own
-#: gate, and a profile judges one thing.
-_QUIET = dict(
-    heal=False,
-    membership_change=False,
-    plant_false_positive=False,
-    background_failures=False,
-    fleet_kills=0,
-    fleet_double_fault=False,
-    az_bursts=False,
-)
-#: The failover plane, answering the writer kinds of the chaos mix.
-_WRITER_CHAOS = dict(failover=True, replicas=AtLeast(2))
+#: The fail-stop control planes stay off in the profiles that answer
+#: another kind of disaster: each has its own gate, and a profile judges
+#: one thing.
+_QUIET = dict(heal=False, background_failures=False)
 
 PROFILES: dict[str, Profile] = {
     profile.name: profile
     for profile in (
         Profile("chaos"),
-        # A 10-PG volume, a 9-PG kill storm with a same-PG double fault,
-        # and a modeled bulk copy per repair so the repairs overlap.
+        # A 10-PG volume under correlated AZ bursts, a 9-PG kill storm
+        # with a same-PG double fault, and a modeled bulk copy per repair
+        # so the repairs overlap.
         Profile(
             "fleet",
             "--fleet",
-            overrides=dict(
-                pg_count=AtLeast(10),
-                fleet_kills=AtLeast(9),
-                fleet_double_fault=True,
-                az_bursts=True,
-                min_concurrent_repairs=AtLeast(8),
-                repair_transfer_ms=AtLeast(750.0),
-                **_WRITER_CHAOS,
-            ),
+            overrides=dict(pg_count=AtLeast(10), replicas=AtLeast(2)),
+            failover=True,
+            storm=Storm(kills=9, min_concurrent=8, transfer_ms=750.0),
+            chaos=FLEET,
         ),
-        Profile("failover", "--failover", overrides=_WRITER_CHAOS),
+        # Replicas for the failover plane to promote.
+        Profile(
+            "failover", "--failover", overrides=dict(replicas=AtLeast(2)),
+            failover=True,
+        ),
         Profile(
             "geo",
             "--geo",
-            overrides=dict(_QUIET, geo=True, failover=False, replicas=0),
+            overrides=_QUIET,
             world=_geo_world,
             arm=_arm_geo,
             horizon=(24_000.0, 8.0),
@@ -489,10 +520,8 @@ PROFILES: dict[str, Profile] = {
         Profile(
             "proxy",
             "--proxy",
-            overrides=dict(
-                _QUIET, proxy=True, geo=False, failover=True,
-                replicas=AtLeast(3),
-            ),
+            overrides=dict(_QUIET, replicas=AtLeast(3)),
+            failover=True,
             settle_ms=200.0,  # replicas attach and catch up
             horizon=(12_000.0, 40.0),
             chaos=None,
@@ -500,17 +529,15 @@ PROFILES: dict[str, Profile] = {
             settle=_settle_proxy,
             judge=_judge_proxy,
         ),
-        # Operator writer crash cycles are pushed out past the horizon so
-        # torn-write restarts are the only instance churn; the scrub
-        # rotation is fast because the horizon is seconds, not hours (the
-        # repair budget assumes about two rotations of detection latency).
+        # No operator writer crash cycles, so torn-write restarts are the
+        # only instance churn; the scrub rotation is fast because the
+        # horizon is seconds, not hours (the repair budget assumes about
+        # two rotations of detection latency).
         Profile(
             "integrity",
             "--integrity",
-            overrides=dict(
-                _QUIET, integrity=True, geo=False, proxy=False,
-                failover=False, writer_crash_every=10**9,
-            ),
+            overrides=_QUIET,
+            operator=False,
             node_settings=dict(scrub_interval=400.0),
             arm=_arm_integrity,
             horizon=(6000.0, 4.0),
@@ -525,7 +552,7 @@ PROFILES: dict[str, Profile] = {
 def profiles_table() -> str:
     """The "Profiles" table of docs/AUDIT.md, rendered from the rows."""
     rows = [
-        "| Profile | Overrides on `AuditRunConfig` | World and planes "
+        "| Profile | Overrides and row data | World and planes "
         "| Chaos | Judged |",
         "|---|---|---|---|---|",
     ]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.audit.auditor import AuditViolation
-from repro.audit.profiles import PROFILES, Profile
+from repro.audit.profiles import PROFILES
 from repro.sim.chaos import ChaosSchedule
 from repro.storage.backend import AZS
 from repro.verdict import Section
@@ -42,28 +42,18 @@ def _flag(default, flag: str, help: str, **argument):
 
 @dataclass
 class AuditRunConfig:
-    """Shape of one audit run (everything derives from ``seed``).  A
-    profile is a set of overrides on these fields: build one with
-    ``PROFILES[name].configure(AuditRunConfig(...))``."""
+    """What a caller varies in one audit run (everything derives from
+    ``seed``); what a profile is lives in its row.  Build a profile's run
+    with ``PROFILES[name].configure(AuditRunConfig(...))``."""
 
     seed: int = 7
     steps: int = _flag(
         1000, "--steps", "client operations per seed", cli_default=2000
     )
     replicas: int = _flag(1, "--replicas", "read replicas attached")
-    keys: int = 24
     tail_size: int = _flag(
         48, "--tail", "protocol events kept for the violation report tail"
     )
-    #: Simulated ms allowed per client operation before it is counted as
-    #: an availability error (chaos makes timeouts normal, not fatal).
-    op_timeout_ms: float = 2500.0
-    #: Crash + recover the writer every N steps (0 = derived from steps).
-    writer_crash_every: int = 0
-    #: Run a live segment replacement mid-run (skipped on tiny runs).
-    #: With healing on it is a *permanent* segment crash that the healer
-    #: must detect and repair; without, the operator replaces it.
-    membership_change: bool = True
     heal: bool = _flag(
         True, "--no-heal",
         "disable the self-healing control plane (health monitor + repair "
@@ -82,47 +72,18 @@ class AuditRunConfig:
         150.0, "--mttr", "background failure MTTR in simulated ms",
         metavar="MS",
     )
-    #: Plant a false-positive repair mid-run: isolate a healthy segment
-    #: until it is confirmed dead, then let it return mid-hydration and
-    #: require the planner to roll the transition back (skipped on tiny
-    #: runs or when healing is off).
-    plant_false_positive: bool = True
     pg_count: int = _flag(
         1, "--pgs",
         "override the protection-group count (default: 1, or the "
         "profile's)",
         cli_default=0, over_profile=True, metavar="N",
     )
-    #: Fleet storm: permanently kill one segment in each of this many
-    #: *distinct* non-zero PGs mid-run; the healer must repair them all
-    #: concurrently (per-PG serialization allows cross-PG concurrency).
-    fleet_kills: int = 0
-    #: Also kill a second member of the first storm PG shortly after, so
-    #: the sweep exercises same-PG queueing under fleet load.
-    fleet_double_fault: bool = False
-    #: Draw the fleet chaos mix: correlated AZ bursts
-    #: (:data:`repro.sim.chaos.FLEET`).
-    az_bursts: bool = False
-    #: Fail the run unless this many repairs were observed in flight at
-    #: once (0 disables the gate).
-    min_concurrent_repairs: int = 0
-    #: Modeled baseline bulk-copy time per repair: in the real system the
-    #: ~10GB segment copy dominates the repair window, which is why
-    #: simultaneous failures produce many overlapping repairs.
-    repair_transfer_ms: float = 0.0
-    #: Arm the database-tier failover plane, run the workload through a
-    #: failover-aware session, and replace operator-driven writer recovery
-    #: with chaos writer kills / grey failures (the chaos mix's writer
-    #: kinds) the coordinator must answer autonomously.
-    failover: bool = False
     #: Arm per-payload-type network accounting (a Counter update per
     #: simulated message; sweeps only need the aggregate counters).
     detailed_stats: bool = False
-    #: The profile markers: which world and client run (docs/AUDIT.md
-    #: "Profiles").  Read by :func:`profile_of` and nowhere else.
-    geo: bool = False
-    proxy: bool = False
-    integrity: bool = False
+    #: The row of :data:`~repro.audit.profiles.PROFILES` that runs
+    #: (:meth:`~repro.audit.profiles.Profile.configure` names it).
+    profile: str = "chaos"
     geo_ack_mode: str = _flag(
         "auto", "--geo-ack",
         "geo commit ack mode; 'auto' alternates by seed parity so a sweep "
@@ -220,24 +181,11 @@ def merged_sections(reports: list[AuditReport]) -> dict[str, Section]:
     return merged
 
 
-def profile_of(cfg: AuditRunConfig) -> Profile:
-    """The profile whose phases run ``cfg``.  ``fleet`` and ``failover``
-    are the ``chaos`` profile under other field values, so they need no
-    marker of their own."""
-    if cfg.geo:
-        return PROFILES["geo"]
-    if cfg.proxy:
-        return PROFILES["proxy"]
-    if cfg.integrity:
-        return PROFILES["integrity"]
-    return PROFILES["chaos"]
-
-
 def run_audit(config: AuditRunConfig | None = None) -> AuditReport:
     """Run one seeded scenario with the invariant auditor armed."""
     cfg = config if config is not None else AuditRunConfig()
     wall_start = time.perf_counter()
-    profile = profile_of(cfg)
+    profile = PROFILES[cfg.profile]
 
     # Build the world: the one place a gate's world is made, so every
     # cross-cutting option (backend, node settings, stats detail) is
@@ -254,7 +202,7 @@ def run_audit(config: AuditRunConfig | None = None) -> AuditReport:
     run.horizon_ms = max(floor_ms, cfg.steps * ms_per_step)
     run.chaos_end_ms = world.loop.now + run.horizon_ms
     client = profile.client(run)
-    mix = profile.chaos_mix(cfg)
+    mix = profile.chaos_mix()
     if mix is not None:
         schedule = ChaosSchedule.generate(
             seed=cfg.seed,
