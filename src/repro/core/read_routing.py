@@ -31,6 +31,14 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError, SegmentUnavailableError
 
 
+def ewma(average: float | None, sample: float, alpha: float) -> float:
+    """``average`` after one more ``sample`` weighted ``alpha`` (None: no
+    sample yet, so the first one is the average)."""
+    if average is None:
+        return sample
+    return alpha * sample + (1 - alpha) * average
+
+
 class LatencyTracker:
     """Exponentially-weighted moving average of per-segment read latency."""
 
@@ -43,13 +51,9 @@ class LatencyTracker:
         self._samples: dict[str, int] = {}
 
     def record(self, segment: str, latency: float) -> None:
-        previous = self._estimates.get(segment)
-        if previous is None:
-            self._estimates[segment] = latency
-        else:
-            self._estimates[segment] = (
-                self._alpha * latency + (1 - self._alpha) * previous
-            )
+        self._estimates[segment] = ewma(
+            self._estimates.get(segment), latency, self._alpha
+        )
         self._samples[segment] = self._samples.get(segment, 0) + 1
 
     def expected(self, segment: str) -> float:

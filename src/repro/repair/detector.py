@@ -93,6 +93,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
+from repro.core.read_routing import ewma
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.events import EventLoop
     from repro.storage.metadata import StorageMetadataService
@@ -168,13 +170,6 @@ def pg_groups(metadata: "StorageMetadataService") -> Groups:
             yield pg_index, metadata.membership(pg_index).members
 
     return groups
-
-
-def _ewma(average: float | None, gap: float) -> float:
-    """``average`` of the observed gaps after one more (None: the first)."""
-    if average is None:
-        return gap
-    return CADENCE_ALPHA * gap + (1.0 - CADENCE_ALPHA) * average
 
 
 @dataclass
@@ -325,12 +320,14 @@ class FailureDetector:
         now = self.loop.now
         # The cadence observation: the subject's own gap, then the
         # group's aggregate one.
-        entry.gap_ewma_ms = _ewma(entry.gap_ewma_ms, now - entry.last_heard)
+        entry.gap_ewma_ms = ewma(
+            entry.gap_ewma_ms, now - entry.last_heard, CADENCE_ALPHA
+        )
         entry.last_heard = now
         group = entry.group
         if group.last_signal_at is not None:
-            group.gap_ewma_ms = _ewma(
-                group.gap_ewma_ms, now - group.last_signal_at
+            group.gap_ewma_ms = ewma(
+                group.gap_ewma_ms, now - group.last_signal_at, CADENCE_ALPHA
             )
         group.last_signal_at = now
         if entry.state is Health.SUSPECT:
