@@ -82,7 +82,7 @@ key off them):
     A read never serves a block version for which an injected corruption
     is still open: read-time verification plus quarantine must intercept
     every corrupt image before it reaches a replica or client
-    (DESIGN.md §12; flagged by :class:`repro.sim.failures.IntegrityLog`).
+    (DESIGN.md §12; flagged by :class:`repro.audit.integrity.IntegrityLog`).
 ``integrity-repair-propagated-corruption``
     A quorum-vote repair never adopts an image whose checksum matches an
     open corruption's digest: a corrupt peer must not win the vote

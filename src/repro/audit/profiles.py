@@ -25,6 +25,11 @@ from repro.audit.clients import (
     ProxyClient,
     spin_until,
 )
+from repro.audit.integrity import (
+    EXPOSURE_WINDOW,
+    IntegrityLog,
+    IntegritySummary,
+)
 from repro.db.cluster import AuroraCluster
 from repro.db.instance import InstanceState
 from repro.repair import RepairConfig
@@ -32,7 +37,6 @@ from repro.repair.detector import Health
 from repro.repair.failover import FailoverSummary
 from repro.repair.metrics import ACTIVE, RepairSummary
 from repro.sim.chaos import CHAOS, FLEET, GEO, INTEGRITY, WRITER_PERIODS, Mix
-from repro.sim.failures import EXPOSURE_WINDOW, IntegritySummary
 
 
 @dataclass
@@ -112,13 +116,12 @@ def _arm_integrity(run: Run) -> None:
     """The cluster's planes, plus the corruption ledger that registers
     every injection the instant it lands, over a fast scrub rotation."""
     _arm_cluster(run)
-    failures = run.world.failures
-    failures.integrity.bind_auditor(run.auditors[0])
-    failures.attach_storage(run.nodes.values())
+    ledger = IntegrityLog(run.world.loop, run.auditors[0])
+    run.world.failures.attach_storage(run.nodes.values(), ledger)
     # GC, truncation, and restores can destroy corrupt bytes without the
     # repair hooks firing; the periodic reconcile closes those entries so
     # the unrepaired gate only counts damage that is actually still live.
-    failures.start_integrity_reconcile()
+    ledger.start_reconcile(run.nodes.values())
 
 
 def _arm_geo(run: Run) -> None:
@@ -193,7 +196,7 @@ def _settle_cluster(run: Run, client: ClusterClient) -> None:
 def _settle_integrity(run: Run, client: ClusterClient) -> None:
     cluster = run.world
     failures = cluster.failures
-    ledger = failures.integrity
+    ledger = failures.integrity_probe
     _run_out_chaos(run)
     if not ledger.records:
         # Non-vacuity backstop: a schedule whose draws all missed (no
@@ -293,7 +296,7 @@ def _judge_integrity(run: Run, client: ClusterClient) -> dict:
     violations underneath.  The sweep footer merges MTTD/MTTR/exposure
     (`--integrity-json` writes it)."""
     nodes = run.nodes.values()
-    section = run.world.failures.integrity.summary()
+    section = run.world.failures.integrity_probe.summary()
     section.backends = (run.cfg.backend,)
     for counter in (
         "reads_intercepted", "ingest_rejects", "vote_rounds", "vote_repairs",

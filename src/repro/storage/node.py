@@ -155,7 +155,7 @@ class StorageNode(Actor):
         #: an in-place baseline rehydration from a responding peer.
         self._record_strikes: dict[int, int] = {}
         self._rehydration_inflight = False
-        #: Optional :class:`repro.sim.failures.IntegrityLog` observer for
+        #: Optional :class:`repro.audit.integrity.IntegrityLog` observer for
         #: detection / repair / served-read events (no-op cost when unarmed,
         #: exactly like ``audit_probe``).
         self.integrity_probe = None
@@ -186,7 +186,7 @@ class StorageNode(Actor):
         probe.register_segment(self.name, self.segment.pg_index)
 
     def attach_integrity_probe(self, probe) -> None:
-        """Arm a :class:`repro.sim.failures.IntegrityLog`: every corruption
+        """Arm a :class:`repro.audit.integrity.IntegrityLog`: every corruption
         detection, repair, and served read is reported for MTTD/MTTR
         accounting and the ``integrity-*`` invariants."""
         self.integrity_probe = probe
@@ -303,8 +303,6 @@ class StorageNode(Actor):
             self._ingest_corruptions -= 1
             self.counters["ingest_rejects"] += 1
             self.counters["rejections_sent"] += 1
-            if self.integrity_probe is not None:
-                self.integrity_probe.on_ingest_reject(self.name)
             self.network.send(
                 self.name,
                 batch.instance_id,

@@ -826,6 +826,16 @@ class Segment:
         self._records[pos] = mangled
         return mangled
 
+    def intact_lsns_above(self, floor: int) -> list[int]:
+        """Injector API: the hot-log LSNs above ``floor``, ascending, whose
+        stored record still matches its ingest digest."""
+        index = self._lsn_index
+        return [
+            index[i]
+            for i in range(bisect_right(index, floor), len(index))
+            if record_digest(self._records[i]) == self._digests[i]
+        ]
+
     def lose_record(self, lsn: int) -> LogRecord | None:
         """Injector API: drop an acknowledged record -- and its
         materialized version -- as if the disk write never happened.

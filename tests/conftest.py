@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro import AuroraCluster
+from repro.audit.integrity import IntegrityLog
 from repro.sim.events import EventLoop
 from repro.sim.network import Network
 
@@ -78,12 +79,14 @@ def full_tail_cluster() -> AuroraCluster:
 
 def integrity_cluster(backend: str = "aurora", seed: int = 5):
     """The ``--integrity`` gate's world: a fast scrub rotation and the
-    corruption ledger armed over every storage node."""
+    corruption ledger (:class:`repro.audit.integrity.IntegrityLog`, the
+    injector's ``integrity_probe``) armed over every storage node."""
     cluster = AuroraCluster.build(
         seed=seed, backend=backend, scrub_interval=400.0
     )
-    cluster.failures.attach_storage(cluster.nodes.values())
-    cluster.failures.start_integrity_reconcile()
+    ledger = IntegrityLog(cluster.loop)
+    cluster.failures.attach_storage(cluster.nodes.values(), ledger)
+    ledger.start_reconcile(cluster.nodes.values())
     return cluster
 
 

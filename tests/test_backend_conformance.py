@@ -535,7 +535,7 @@ class TestIntegrityContract:
         for i in range(10):
             db.write(f"k{i}", f"v{i}")
             expected[f"k{i}"] = f"v{i}"
-        integrity = cluster.failures.integrity
+        integrity = cluster.failures.integrity_probe
         self._inject_one(cluster, db)
         assert integrity.open_count() >= 1
         for _ in range(60):

@@ -236,7 +236,7 @@ def misfires(seed: int, horizon_ms: float = 30_000.0) -> list[str]:
     call that did not happen as ``FIRES_AS`` says (and each extra one)."""
     injector = bare_injector()
     loop = injector.loop
-    injector.attach_storage(_StorageStub(name) for name in NODES)
+    injector.attach_storage((_StorageStub(name) for name in NODES), None)
     calls = []
 
     def recorder(name):

@@ -364,7 +364,7 @@ class TestClusterRepair:
             db.write(f"k{i}", f"v{i}")
             expected[f"k{i}"] = f"v{i}"
         failures = cluster.failures
-        integrity = failures.integrity
+        integrity = failures.integrity_probe
         _inject_with_fresh_writes(
             cluster, db,
             lambda: failures.inject_anywhere(getattr(failures, kind)),
@@ -389,7 +389,7 @@ class TestClusterRepair:
         db = Session(cluster.writer)
         for i in range(6):
             db.write(f"k{i}", f"v{i}")
-        integrity = cluster.failures.integrity
+        integrity = cluster.failures.integrity_probe
         name, node = next(iter(sorted(cluster.nodes.items())))
         seg = node.segment
         eligible = [lsn for lsn in seg.hot_log_lsns()
@@ -443,7 +443,7 @@ class TestTaurusIntegrity:
                 return None
             lsn = eligible[-1]
             mangled = seg.corrupt_record(lsn)
-            return cluster.failures.integrity.inject(
+            return cluster.failures.integrity_probe.inject(
                 "bit_rot_record", logs[0], mangled.block, lsn
             )
 
@@ -451,7 +451,7 @@ class TestTaurusIntegrity:
             db.write(f"k{i}", f"v{i}")
             expected[f"k{i}"] = f"v{i}"
         _inject_with_fresh_writes(cluster, db, rot_a_log_record)
-        integrity = cluster.failures.integrity
+        integrity = cluster.failures.integrity_probe
         for _ in range(40):
             if integrity.open_count() == 0:
                 break
@@ -479,7 +479,7 @@ class TestTaurusIntegrity:
             db.write(f"k{i}", f"v{i}")
             expected[f"k{i}"] = f"v{i}"
         cluster.run_for(600.0)  # let the page stores drain + coalesce
-        integrity = cluster.failures.integrity
+        integrity = cluster.failures.integrity_probe
         _inject_with_fresh_writes(
             cluster, db,
             lambda: cluster.failures.misdirected_write(pages[0]),

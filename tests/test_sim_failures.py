@@ -1,13 +1,22 @@
 """Unit tests for the failure injector."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro import AuroraCluster
+from repro.audit.integrity import IntegrityLog
+from repro.db.session import Session
 from repro.errors import ConfigurationError
 from repro.sim.events import EventLoop
 from repro.sim.failures import FailureInjector
 from repro.sim.network import Actor, Network
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class Dummy(Actor):
@@ -275,3 +284,96 @@ class TestCondemn:
         injector.condemn_node("n5")
         loop.run()
         assert not injector.network.is_up("n5")
+
+
+# ----------------------------------------------------------------------
+# The simulator holds ground truth; the judge lives in repro.audit
+# ----------------------------------------------------------------------
+def test_the_simulator_imports_no_judge():
+    """``repro.sim`` loads no verdict, audit or analysis module.  The
+    package ``__init__`` builds the whole library, so the subprocess
+    imports the simulator's modules without it: what is measured is the
+    simulator's own import graph."""
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import importlib.util, sys, types\n"
+         "package = types.ModuleType('repro')\n"
+         "package.__path__ = list("
+         "importlib.util.find_spec('repro').submodule_search_locations)\n"
+         "sys.modules['repro'] = package\n"
+         "import repro.sim, repro.sim.chaos, repro.sim.failures\n"
+         "print(*sorted(sys.modules))"],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    ).stdout.split()
+    assert "repro.sim.failures" in loaded
+    judges = ("repro.verdict", "repro.audit", "repro.analysis")
+    assert [m for m in loaded if m.startswith(judges)] == []
+
+
+CORRUPTIONS = ("bit_rot", "torn_write", "lost_write", "misdirected_write")
+
+
+def victims(primed: bool) -> list:
+    """Where a seeded run of every corruption kind lands, twice over,
+    against a fresh judge or one that already holds an open record-kind
+    corruption for every hot-log record of the fleet."""
+    cluster = AuroraCluster.build(seed=5, scrub_interval=400.0)
+    judge = IntegrityLog(cluster.loop)
+    failures = cluster.failures
+    failures.attach_storage(cluster.nodes.values(), judge)
+    db = Session(cluster.writer)
+    # An open view holds the GC floor below the fresh records, and each
+    # key written twice leaves a version mid-chain for lost and
+    # misdirected writes to take.
+    view = cluster.writer.open_view()
+    for i in range(8):
+        db.write(f"k{i % 4}", f"v{i}")
+    cluster.run_for(30.0)
+    if primed:
+        for name, node in sorted(cluster.nodes.items()):
+            seg = node.segment
+            for lsn in seg.hot_log_lsns():
+                judge.inject(
+                    "bit_rot_record", name, seg.record_at(lsn).block, lsn
+                )
+    landed = []
+    for kind in CORRUPTIONS * 2:
+        record = failures.inject_anywhere(getattr(failures, kind))
+        landed.append(
+            record and (record.kind, record.node, record.block, record.lsn)
+        )
+    cluster.writer.close_view(view)
+    return landed
+
+
+def test_victims_do_not_depend_on_what_the_judge_recorded():
+    fresh = victims(primed=False)
+    assert None not in fresh
+    assert {kind for kind, *_ in fresh} >= {
+        "bit_rot_record", "torn_write", "lost_write", "misdirected_write",
+    }
+    assert victims(primed=True) == fresh
+
+
+def test_a_victim_rule_that_reads_the_judge_is_caught(monkeypatch):
+    """The rule before the judge left ``repro.sim``: a hot-log record was
+    no victim while the judge held it open.  Planted, the victims move
+    with the judge's records and the test above fails."""
+
+    def reads_the_judge(self, node):
+        seg = node.segment
+        open_recs = self.integrity_probe._open_recs
+        floor = max(seg.gc_horizon, seg.gc_floor)
+        return [
+            lsn
+            for lsn in seg.hot_log_lsns()
+            if lsn > floor
+            and lsn not in seg.corrupt_record_lsns
+            and not open_recs.get((node.name, lsn))
+        ]
+
+    monkeypatch.setattr(
+        FailureInjector, "_record_rot_targets", reads_the_judge
+    )
+    assert victims(primed=True) != victims(primed=False)

@@ -21,6 +21,12 @@ from hypothesis import strategies as st
 
 from repro import cli
 from repro.audit import PROFILES, AuditReport, AuditRunConfig, run_audit
+from repro.audit.integrity import (
+    EXPOSURE_WINDOW,
+    CorruptionRecord,
+    IntegrityLog,
+    IntegritySummary,
+)
 from repro.audit.profiles import _judge_cluster
 from repro.db.proxy import (
     REPLICA_LAG,
@@ -44,12 +50,6 @@ from repro.repair import (
 )
 from repro.repair.failover import FAILOVER_WINDOW, FailoverCoordinator
 from repro.repair.metrics import C7_WINDOW
-from repro.sim.failures import (
-    EXPOSURE_WINDOW,
-    CorruptionRecord,
-    IntegrityLog,
-    IntegritySummary,
-)
 from repro.verdict import Budget, Gate, LatencyStats, Line, Section
 
 SECTIONS = (
