@@ -11,6 +11,13 @@ payload type and periodic storage-node ticks by the tick they run, because
 "``_deliver``: 40 %" names no code to look at and "``_deliver[WriteBatch]``:
 21.8 us x 3.66 per op" does.
 
+One more row, ``(cyclic collector)``, times CPython's cyclic garbage
+collections inside the windows through ``gc.callbacks`` (collections per
+operation, host microseconds per collection, share of the window; the
+full, generation-2 collections get a row of their own).  A collection runs
+inside whichever event's allocation triggered it, so its time is also in
+that event's row: the collector rows overlap the others, they do not add.
+
 This is the table a perf issue starts from: the traced pass of
 ``python3 -m bench run --trace 1`` says which *layer* the time is in; this
 says which *event* -- and so how many times per operation the fixed cost of
@@ -25,6 +32,7 @@ go through ``make ledger-pairs``.
 from __future__ import annotations
 
 import argparse
+import gc
 import heapq
 import json
 import sys
@@ -112,12 +120,39 @@ class EventMix:
         return step
 
 
+class CollectorClock:
+    """A ``gc.callbacks`` entry: the cyclic collections that start inside
+    a marked window, counted and timed, all and full (generation 2)."""
+
+    def __init__(self, marker: WindowMarker) -> None:
+        self.marker = marker
+        self.collections: Counter = Counter()
+        self.ns: Counter = Counter()
+        self._started = None
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = perf_counter_ns() if self.marker.open else None
+        elif self._started is not None:
+            spent = perf_counter_ns() - self._started
+            self._started = None
+            kinds = ["(cyclic collector)"]
+            if info["generation"] == 2:
+                kinds.append("(cyclic collector, full collections)")
+            for kind in kinds:
+                self.collections[kind] += 1
+                self.ns[kind] += spent
+
+
 def run(workload, seed: int, rounds: int, scale: float):
-    """(mix, operations, window seconds, check errors) over ``rounds``."""
+    """(mix, collector, operations, window seconds, check errors) over
+    ``rounds``."""
     marker = WindowMarker()
     mix = EventMix(marker)
+    collector = CollectorClock(marker)
     original = vars(EventLoop)["step"]
     EventLoop.step = mix.counting_step(original)
+    gc.callbacks.append(collector)
     ops, window_s, errors = 0, 0.0, []
     try:
         for i in range(rounds):
@@ -127,10 +162,11 @@ def run(workload, seed: int, rounds: int, scale: float):
             errors += result.check_errors
     finally:
         EventLoop.step = original
-    return mix, ops, window_s, errors
+        gc.callbacks.remove(collector)
+    return mix, collector, ops, window_s, errors
 
 
-def report(name, seed, rounds, scale, mix, ops, window_s) -> None:
+def report(name, seed, rounds, scale, mix, collector, ops, window_s) -> None:
     total_events = sum(mix.events.values())
     in_events_s = sum(mix.ns.values()) / 1e9
     print(
@@ -141,8 +177,12 @@ def report(name, seed, rounds, scale, mix, ops, window_s) -> None:
         f"({window_s * 1e6 / max(1, ops):.1f} us/op, counter included)"
     )
     print(f"{'event':<58}{'per op':>9}{'us/event':>10}{'share':>8}")
-    for kind, ns in mix.ns.most_common():
-        count = mix.events[kind]
+    rows = [(kind, mix.events[kind], ns) for kind, ns in mix.ns.most_common()]
+    rows += [
+        (kind, collector.collections[kind], ns)
+        for kind, ns in collector.ns.items()
+    ]
+    for kind, count, ns in rows:
         print(
             f"{kind:<58}{count / max(1, ops):>9.2f}"
             f"{ns / 1e3 / count:>10.1f}"
@@ -165,11 +205,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", type=float, default=1.0,
                         help="shrink each round (the smoke test uses 0.02)")
     args = parser.parse_args(argv)
-    mix, ops, window_s, errors = run(
+    mix, collector, ops, window_s, errors = run(
         WORKLOADS[args.workload], args.seed, args.rounds, args.scale
     )
     report(args.workload, args.seed, args.rounds, args.scale,
-           mix, ops, window_s)
+           mix, collector, ops, window_s)
     for error in errors:
         print(f"output check failed: {error}")
     if not mix.events:
