@@ -13,9 +13,11 @@ test:
 
 # The audit gate: the full tier-1 suite, then a 20-seed chaos sweep with
 # the runtime invariant auditor armed (see docs/AUDIT.md).  Exits nonzero
-# if any test fails or any seed reports an invariant violation.
+# if any test fails or any seed reports an invariant violation.  The sweep
+# runs under two string-hash seeds, and the two reports must be
+# byte-identical (tools/hashseeds.py).
 audit: test
-	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 20 --jobs $(JOBS)
+	python3 tools/hashseeds.py $(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 20 --jobs $(JOBS)
 
 # The other gates are the same command under another profile switch; what
 # each profile arms, injects and judges, and what its sweep footer

@@ -126,13 +126,6 @@ class DurabilityModel:
     # ------------------------------------------------------------------
     # Per-quorum events within one window
     # ------------------------------------------------------------------
-    def p_k_of_n_segments_fail(self, k: int, n: int | None = None) -> float:
-        """P(exactly k of n independent segments fail in one window)."""
-        if n is None:
-            n = self.copies_per_pg
-        p = self.p_segment_fails_in_window()
-        return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
-
     def _p_at_least(self, j: int, m: int) -> float:
         """P(>= j of m independent segments fail in one window)."""
         if j <= 0:

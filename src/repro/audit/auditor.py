@@ -97,7 +97,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.errors import QuorumError
 
@@ -629,7 +629,3 @@ class Auditor:
             f"<Auditor events={self.events_seen} "
             f"violations={len(self.violations)}>"
         )
-
-
-def format_violations(violations: Iterable[AuditViolation]) -> str:
-    return "\n".join(str(v) for v in violations)

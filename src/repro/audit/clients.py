@@ -1,11 +1,11 @@
 """The audit clients: what a profile drives its world with.
 
-Each client issues its seeded workload and keeps a client-side model of
-what it was told, so a read that returns a never-written value or loses
-an acknowledged one is flagged ``client-read-consistency`` -- section
-3.3's "no committed write lost", observed from the client's chair.  A
-client also owns the chaos callbacks that must know who the writer (or
-the primary region) currently is.
+Each client issues its seeded workload and records what it submitted,
+was told and read into a :class:`~repro.history.History`; it judges
+nothing.  The run's one checker (:func:`repro.history.check`) holds every
+read to section 3.3's "no committed write lost", observed from the
+client's chair.  A client also owns the chaos callbacks that must know
+who the writer (or the primary region) currently is.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import random
 
 from repro.db.instance import InstanceState
 from repro.errors import ReproError, SimulationError
+from repro.history import History
 from repro.repair.metrics import ACTIVE, ROLLED_BACK
 
 #: The keyed clients' key space: ``k000`` .. ``k023``.
@@ -58,36 +59,17 @@ def kill_writer(cluster) -> bool:
 class _ClientModel:
     """What every keyed client shares: the seeded key choice, the
     availability-error count (chaos makes timeouts normal, not fatal), and
-    the set of values each key may legitimately hold."""
+    the history of what it submitted, was told and read."""
 
     def __init__(self, run) -> None:
         self.cfg = run.cfg
-        self.auditor = run.auditors[0]
         self.rng = random.Random(run.cfg.seed * 7919 + 13)
         self.availability_errors = 0
         self.recoveries = 0
-        #: key -> every value that may be durable: acked commits, plus
-        #: writes whose commit outcome the client never saw.
-        self.history: dict[str, set] = {}
+        self.history = History(run.world.loop)
 
     def _key(self) -> str:
         return f"k{self.rng.randrange(KEYS):03d}"
-
-    def _note_uncertain(self, writes: dict) -> None:
-        """A write batch whose commit outcome is unknown: each value may or
-        may not be durable, so reads returning it are legitimate."""
-        for key, value in writes.items():
-            self.history.setdefault(key, set()).add(value)
-
-    def _flag_unwritten(self, key: str, value, where: str) -> None:
-        seen = self.history.get(key, ())
-        if value not in seen:
-            self.auditor.flag(
-                "client-read-consistency",
-                key,
-                f"{where} read returned {value!r}, which was never "
-                f"written ({len(seen)} known candidate values)",
-            )
 
 
 class ClusterClient(_ClientModel):
@@ -107,10 +89,6 @@ class ClusterClient(_ClientModel):
             else cluster.session()
         )
         self.writer_kills = 0
-        #: key -> last value whose commit was acknowledged.
-        self.committed: dict[str, str] = {}
-        #: keys a delete was ever attempted on (exempt from None-checks).
-        self.deleted: set[str] = set()
         #: unresolved commit futures: (future, {key: value}).
         self.pending: list[tuple[object, dict[str, str]]] = []
         #: Outcome of the planted false positive (None = never planted).
@@ -173,8 +151,8 @@ class ClusterClient(_ClientModel):
     # ------------------------------------------------------------------
     def _kill_writer(self) -> None:
         # The crash resolves every in-flight commit future with
-        # CommitUncertainError; _harvest_pending folds those into the
-        # uncertain set, never the acknowledged set.
+        # CommitUncertainError; _harvest_pending records those as failed
+        # (uncertain), never as acknowledged.
         self.writer_kills += kill_writer(self.cluster)
 
     def _grey_writer(self, factor: float, duration_ms: float) -> None:
@@ -224,7 +202,7 @@ class ClusterClient(_ClientModel):
             self.availability_errors += 1
 
     # ------------------------------------------------------------------
-    # Client-side model upkeep
+    # The history: acks are learned here, once per step
     # ------------------------------------------------------------------
     def _harvest_pending(self) -> None:
         still = []
@@ -239,33 +217,15 @@ class ClusterClient(_ClientModel):
                 # reached a write quorum first (an epoch bump from a
                 # concurrent repair can fail the future after the records
                 # landed): the values are uncertain, not absent.
-                self._note_uncertain(writes)
+                self._record(self.history.fail, writes)
                 continue
-            self.committed.update(writes)
-            self._note_uncertain(writes)
+            self._record(self.history.ack, writes)
         self.pending = still
 
-    def _check_read(self, key: str, value, replica: bool) -> None:
-        if key in self.deleted:
-            return
-        if value is None:
-            # Deliberately NOT harvesting first: a commit that resolved
-            # while this read was in flight postdates the read's snapshot,
-            # so a None result must be judged against the model as of the
-            # read's start.
-            if not replica and key in self.committed:
-                self.auditor.flag(
-                    "client-read-consistency",
-                    key,
-                    f"writer read returned None but commit of "
-                    f"{self.committed[key]!r} was acknowledged",
-                )
-            return
-        # The converse race: a pending commit may have resolved during the
-        # read's own drive, making its value legitimately visible before
-        # the per-step harvest recorded it.  Fold it in before judging.
-        self._harvest_pending()
-        self._flag_unwritten(key, value, "replica" if replica else "writer")
+    @staticmethod
+    def _record(event, writes: dict[str, str]) -> None:
+        for key, value in writes.items():
+            event(key, value)
 
     # ------------------------------------------------------------------
     # Operations
@@ -317,32 +277,33 @@ class ClusterClient(_ClientModel):
         writer = self.cluster.writer
         txn = writer.begin()
         if not commit:
-            self._note_uncertain(writes)
+            self._record(self.history.submit, writes)
         try:
             for key in sorted(writes):
                 self._drive(writer.put(txn, key, writes[key]))
         except ReproError:
             # The values may have reached storage buffers.
-            self._note_uncertain(writes)
+            self._record(self.history.fail, writes)
             self._abandon(txn)
             raise
         if not commit:
             self._drive(writer.rollback(txn))
             return
         future = self.cluster.writer.commit(txn)
+        self._record(self.history.submit, writes)
         self.pending.append((future, writes))
         try:
             self._drive(future)
         except ReproError:
             # Timed out under chaos (_harvest_pending resolves it later),
             # or rejected -- possibly after the redo reached a quorum.
-            self._note_uncertain(writes)
+            self._record(self.history.fail, writes)
             self.availability_errors += 1
 
     def _delete(self) -> None:
         writer = self.cluster.writer
         key = self._key()
-        self.deleted.add(key)
+        self.history.submit(key, None)
         txn = writer.begin()
         try:
             self._drive(writer.delete(txn, key))
@@ -362,7 +323,9 @@ class ClusterClient(_ClientModel):
             source = self.cluster.replicas[name]
         key = self._key()
         value = session.drive(source.get(key), max_ms=OP_TIMEOUT_MS)
-        self._check_read(key, value, replica)
+        # Held to the acks learned by the read's start: a commit that
+        # resolved while the read was in flight postdates its snapshot.
+        self.history.read(key, value, "replica" if replica else "writer")
 
     # ------------------------------------------------------------------
     # The operator's part: writer crash / recovery, membership change
@@ -372,10 +335,10 @@ class ClusterClient(_ClientModel):
         if cluster.writer.state is InstanceState.OPEN:
             cluster.crash_writer()
         # Commit futures from the dead generation never resolve; their
-        # values stay in `history` (recovery may still surface them if the
+        # outcomes stay uncertain (recovery may still surface them if the
         # commit record was durable before the crash).
         for _future, writes in self.pending:
-            self._note_uncertain(writes)
+            self._record(self.history.fail, writes)
         self.pending = []
         self.recoveries += 1
         process = cluster.recover_writer()
@@ -565,12 +528,6 @@ class GeoClient(_ClientModel):
         self.chaos_end_ms = run.chaos_end_ms
         self.db = self.geo.session()
         self.reconciled = False
-        #: key -> [(acked_at, scn, value)] for every acknowledged
-        #: auto-commit; value ``None`` records an acknowledged delete.
-        self.acked_log: dict[str, list[tuple[float, int, object]]] = {}
-        #: keys with an uncertain commit outcome (timeout mid-retry);
-        #: excluded from loss judgment -- their value set is ambiguous.
-        self.tainted: set[str] = set()
 
     def chaos_callbacks(self) -> dict:
         geo = self.geo
@@ -605,98 +562,45 @@ class GeoClient(_ClientModel):
     def _one_op(self, step: int) -> None:
         roll = self.rng.random()
         key = self._key()
+        history = self.history
         try:
             if roll < 0.55:
                 value = f"g{step}"
                 # Record before driving: the value may land even if the
                 # ack never arrives.
-                self._note_uncertain({key: value})
-                self._note_ack(key, self.db.write(key, value), value)
+                history.submit(key, value)
+                history.ack(key, value, scn=self.db.write(key, value))
             elif roll < 0.65:
-                self._note_ack(key, self.db.remove(key), None)
+                history.submit(key, None)
+                history.ack(key, None, scn=self.db.remove(key))
             else:
-                # ``None`` is never flagged here: after an async promotion
-                # a key's acked tail may be legitimately missing -- the
-                # reconciliation pass judges loss.
-                value = self.db.get(key)
-                if value is not None:
-                    self._flag_unwritten(key, value, "region")
+                history.read(key, self.db.get(key), "region")
         except ReproError:
-            self.tainted.add(key)
+            # Any failed operation leaves the key's value set ambiguous.
+            history.fail(key)
             self.availability_errors += 1
-
-    def _note_ack(self, key: str, scn: int, value) -> None:
-        self.acked_log.setdefault(key, []).append(
-            (self.geo.loop.now, scn, value)
-        )
 
     # ------------------------------------------------------------------
     def maybe_reconcile(self) -> None:
-        """At promotion, judge every pre-failure acknowledged commit
-        against the promoted region (once, before new writes muddy it)."""
-        from repro.geo import SYNC
-
+        """At promotion, read every pre-failure acknowledged commit back
+        from the promoted region (once, before new writes muddy it).  A
+        key acked again after promotion (a write that blocked across the
+        failover re-applied on the new region), or with an outcome never
+        learned, has no single expected value and is not read."""
         geo = self.geo
         if self.reconciled or not geo.promoted:
             return
         self.reconciled = True
         record = geo.promoted_record
-        lost: list[tuple[float, int, str]] = []
-        judged_acks: list[float] = []
-        #: Acks provably covered by the applied replication frontier.
-        #: Value-equality "survival" is NOT used for the recovery point:
-        #: a lost delete whose key is also absent from the promoted
-        #: region matches by coincidence and would understate the RPO.
-        covered_acks: list[float] = []
-        skipped = 0
-        for key in sorted(self.acked_log):
-            entries = self.acked_log[key]
-            pre = [e for e in entries if e[0] < record.promoted_at]
-            if not pre:
-                continue
-            if len(pre) != len(entries) or key in self.tainted:
-                # Rewritten post-promotion (a write that blocked across
-                # the failover re-applied on the new region), or an
-                # uncertain outcome muddied the expected value set.
-                skipped += 1
-                continue
-            acked_at, scn, value = pre[-1]
+        kind = f"promoted-{geo.ack_mode}"
+        for ack in self.history.unsettled(kind, before=record.promoted_at):
             try:
-                current = self.db.get(key)
+                value = self.db.get(ack.key)
             except ReproError:
-                skipped += 1
                 continue
-            judged_acks.append(acked_at)
-            if scn <= record.applied_vdl:
-                covered_acks.append(acked_at)
-            if current == value:
-                continue
-            lost.append((acked_at, scn, key))
-            if geo.ack_mode == SYNC:
-                self.auditor.flag(
-                    "geo-sync-commit-loss",
-                    key,
-                    f"sync-acked commit scn={scn} (acked at "
-                    f"{acked_at:.1f}ms) missing after promotion: "
-                    f"expected {value!r}, promoted region has {current!r}",
-                )
-            elif scn <= record.applied_vdl:
-                self.auditor.flag(
-                    "geo-rpo-exceeds-lag",
-                    key,
-                    f"async loss of scn={scn} inside the applied "
-                    f"replication frontier {record.applied_vdl}: "
-                    f"expected {value!r}, promoted region has {current!r}",
-                )
-        record.lost_commits = len(lost)
-        if lost:
-            last_ack = max(judged_acks)
-            recovery_point = max(covered_acks) if covered_acks else 0.0
-            record.rpo_ms = max(0.0, last_ack - recovery_point)
-        record.notes.append(
-            f"reconciled {len(judged_acks)} key(s), skipped {skipped}, "
-            f"lost {len(lost)}"
-        )
+            self.history.read(
+                ack.key, value, kind, frontier=record.applied_vdl
+            )
 
 
 class ProxyClient:
@@ -730,8 +634,8 @@ class ProxyClient:
                 think_ms=max(60_000.0, horizon_ms * 6.0),
                 seed=cfg.seed,
             ),
-            flag=run.auditors[0].flag,
         )
+        self.history = self.workload.history
         self.run = self.workload.run
         self.writer_kills = 0
         rng = random.Random(cfg.seed * 104_729 + 7)

@@ -32,6 +32,7 @@ from repro.audit.integrity import (
 )
 from repro.db.cluster import AuroraCluster
 from repro.db.instance import InstanceState
+from repro.history import Judgement
 from repro.repair import RepairConfig
 from repro.repair.detector import Health
 from repro.repair.failover import FailoverSummary
@@ -54,6 +55,8 @@ class Run:
     #: Absolute sim time the chaos horizon ends at.
     chaos_end_ms: float = 0.0
     chaos_events: int = 0
+    #: The client's history, judged once the run settles.
+    judgement: Judgement | None = None
 
     @property
     def profile(self) -> Profile:
@@ -327,8 +330,8 @@ def _judge_proxy(run: Run, client: ProxyClient) -> dict:
     serving = client.proxy.summary()
     serving.sessions = run.cfg.proxy_sessions
     serving.ops = stats.ops_completed
-    serving.ryw_violations = stats.ryw_violations
-    serving.lost_acked_writes = stats.lost_acked_writes
+    serving.ryw_violations = run.judgement.count("private")
+    serving.lost_acked_writes = len(run.judgement.lost)
     # The failover telemetry covers the kill; serving adds the client-edge
     # view of it.
     failovers = run.world.failover.summary()
@@ -354,6 +357,19 @@ def _judge_geo(run: Run, client: GeoClient) -> dict:
     deposed primary provably fenced; zero violations on either volume.
     The sweep footer merges the RPO/RTO distributions."""
     geo = run.world
+    if client.reconciled:
+        # The recovery point is the last ack the applied frontier
+        # provably covered, not value equality: a lost delete whose key is
+        # also absent from the promoted region matches by coincidence.
+        record, judged = geo.promoted_record, run.judgement
+        record.lost_commits = len(judged.lost)
+        if judged.lost:
+            recovery_point = max(judged.covered, default=0.0)
+            record.rpo_ms = max(0.0, max(judged.reconciled) - recovery_point)
+        record.notes.append(
+            f"reconciled {len(judged.reconciled)} key(s), "
+            f"lost {len(judged.lost)}"
+        )
     section = geo.geo_failover.summary()
     section.ack_modes = (geo.config.ack_mode,)
     return dict(

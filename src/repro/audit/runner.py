@@ -23,6 +23,7 @@ from typing import Iterable
 
 from repro.audit.auditor import AuditViolation
 from repro.audit.profiles import PROFILES
+from repro.history import check
 from repro.sim.chaos import ChaosSchedule
 from repro.storage.backend import AZS
 from repro.verdict import Section
@@ -223,6 +224,7 @@ def run_audit(config: AuditRunConfig | None = None) -> AuditReport:
 
     client.run()
     profile.settle(run, client)
+    run.judgement = check(client.history, run.auditors[0].flag)
     verdict = profile.judge(run, client)
 
     auditors = run.auditors

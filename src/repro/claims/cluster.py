@@ -16,6 +16,7 @@ from repro.db.cluster import AuroraCluster
 from repro.db.driver import BoxcarMode
 from repro.db.proxy import ConnectionProxy, ProxyConfig
 from repro.db.session import Session
+from repro.history import check
 from repro.sim.events import Future
 from repro.sim.latency import CompositeLatency, LogNormalLatency
 from repro.storage.backend import resolve_backend
@@ -457,14 +458,15 @@ def c4_session_scaling(backend: str) -> list[Table]:
             ),
         )
         workload.run()
+        judged = check(workload.history)
         lag = proxy.lag.samples
         return [
             sessions, workload.stats.ops_completed,
             percentile(lag, 0.95) if lag else 0.0,
             max(lag) if lag else 0.0,
             proxy.stats.replica_reads, proxy.stats.writer_reads,
-            proxy.stats.pool_waits, workload.stats.ryw_violations,
-            workload.stats.shared_check_violations,
+            proxy.stats.pool_waits, judged.count("private"),
+            judged.count("shared"),
         ]
 
     return [Table(

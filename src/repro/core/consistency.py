@@ -486,10 +486,6 @@ class PGFrontierHistory:
         self._history = {vdl: dict(frontiers)}
         self._last_vdl = vdl
 
-    @property
-    def snapshot_count(self) -> int:
-        return len(self._history)
-
 
 class MinReadPointTracker:
     """PGMRPL bookkeeping: the lowest active read point on one instance.

@@ -808,6 +808,3 @@ class AuroraCluster:
         return {
             node.name: node.segment.scl for node in self.nodes_of_pg(pg_index)
         }
-
-    def message_stats(self) -> dict[str, int]:
-        return dict(self.network.stats.by_type)

@@ -111,7 +111,6 @@ class DriverStats:
     records_sent: int = 0
     acks_received: int = 0
     rejections_seen: int = 0
-    corrupt_rejections_seen: int = 0
     batches_resubmitted: int = 0
     reads_issued: int = 0
     reads_completed: int = 0
@@ -427,7 +426,6 @@ class StorageDriver:
             # The segment's ingest verification caught the payload damaged
             # in flight; the retained copy here is clean, so resubmit it
             # even though no epoch advanced (DESIGN.md §12).
-            self.stats.corrupt_rejections_seen += 1
             self._resubmit_segment(rejection.segment_id)
             return
         if self.epochs == before:

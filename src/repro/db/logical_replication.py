@@ -72,10 +72,6 @@ class LogicalPublisher:
     ) -> None:
         self._subscribers.remove(subscriber)
 
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._subscribers)
-
     # ------------------------------------------------------------------
     # Writer integration
     # ------------------------------------------------------------------

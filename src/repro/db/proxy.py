@@ -84,7 +84,6 @@ class ProxyConfig:
 class ProxyStats:
     """Counters and distributions the serving analysis consumes."""
 
-    connects: int = 0
     reads: int = 0
     writes: int = 0
     #: Read routing mix.
@@ -395,7 +394,6 @@ class ConnectionProxy:
         """Open a logical session (no backend resources are held)."""
         session = LogicalSession(self._session_seq)
         self._session_seq += 1
-        self.stats.connects += 1
         return session
 
     def start(self) -> None:

@@ -66,7 +66,6 @@ class ReplicaConfig:
 
 @dataclass
 class ReplicaStats:
-    chunks_received: int = 0
     chunks_applied: int = 0
     records_applied: int = 0
     records_discarded: int = 0
@@ -216,7 +215,6 @@ class ReplicaInstance(Actor, BlockIO):
             self._on_commit_notice(item)
 
     def _on_chunk(self, chunk: MTRChunk) -> None:
-        self.stats.chunks_received += 1
         first_lsn = chunk.records[0].lsn
         if first_lsn < self._next_expected_lsn:
             return  # duplicate / pre-attach history

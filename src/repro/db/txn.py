@@ -129,9 +129,6 @@ class TransactionManager:
         self._active.pop(txn.txn_id, None)
         self.aborted += 1
 
-    def active_transactions(self) -> list[Transaction]:
-        return list(self._active.values())
-
     def seed_above(self, txn_id: int) -> None:
         """Ensure future ids exceed ``txn_id`` (recovery)."""
         self._next_txn_id = max(self._next_txn_id, txn_id + 1)

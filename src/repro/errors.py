@@ -91,17 +91,6 @@ class FailoverInProgressError(InstanceStateError):
     """
 
 
-class WriterFencedError(InstanceStateError):
-    """This writer was fenced by a volume-epoch bump from its successor.
-
-    Per the paper's section 6, recovery "changes the locks on the door":
-    a promoted replica bumps the volume epoch, after which every request
-    the old writer issues is epoch-rejected.  The fenced instance must
-    stop issuing I/O; any state it has not already heard acknowledged is
-    the successor's to decide.
-    """
-
-
 class CommitUncertainError(TransactionError):
     """The outcome of an in-flight commit is unknown after a writer failure.
 

@@ -347,7 +347,7 @@ class FailoverCoordinator:
                 self._finish(record, STALLED)
                 return
             record.promoted_at = loop.now
-            self._check_read_view(record, new_writer, candidate_vdl)
+            self._audit_read_view(record, new_writer, candidate_vdl)
             if self.cluster.db_health is not None:
                 self.cluster.db_health.track(new_writer.name)
             cluster.reattach_replicas()
@@ -393,7 +393,7 @@ class FailoverCoordinator:
             cluster.reattach_replicas()
         self._finish(record, RESTARTED)
 
-    def _check_read_view(
+    def _audit_read_view(
         self, record: FailoverRecord, new_writer, candidate_vdl: int
     ) -> None:
         """Audited invariant: the promoted replica's established read

@@ -244,9 +244,6 @@ class Network:
         self._wan_links[self._pair(a, b)] = wan
         self._drop_routes()
 
-    def wan_link_between(self, a: str, b: str) -> Any | None:
-        return self._wan_links.get(self._pair(a, b))
-
     # ------------------------------------------------------------------
     # Failure state
     # ------------------------------------------------------------------

@@ -108,7 +108,6 @@ class WanConfig:
 
 @dataclass
 class WanStats:
-    messages_passed: int = 0
     messages_lost: int = 0
     messages_reordered: int = 0
     #: Cumulative serialization wait imposed by the bandwidth cap.
@@ -182,7 +181,6 @@ class WanLink:
         ):
             self.stats.messages_reordered += 1
             delay += REORDER_EXTRA_MS
-        self.stats.messages_passed += 1
         return delay
 
 
@@ -370,10 +368,6 @@ class WanReceiver:
         self.delivered = 0
         self.duplicates = 0
         self.last_signal_at = loop.now
-
-    @property
-    def next_expected(self) -> int:
-        return self._next_seq
 
     @property
     def cumulative(self) -> int:

@@ -196,21 +196,6 @@ class StorageNode(Actor):
         damaged and must fail ingest verification."""
         self._ingest_corruptions += count
 
-    def stats_snapshot(self) -> dict:
-        """One flat, audit-facing view of this node's health counters
-        merged with its segment's activity stats (scrub/integrity counters
-        included, instead of leaving them buried in ``counters``)."""
-        snapshot = {
-            "node": self.name,
-            "pg_index": self.segment.pg_index,
-            "kind": self.segment.kind.value,
-            "scl": self.segment.scl,
-        }
-        snapshot.update(self.counters)
-        for key, value in self.segment.stats.items():
-            snapshot[f"segment_{key}"] = value
-        return snapshot
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

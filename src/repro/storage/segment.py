@@ -369,14 +369,6 @@ class Segment:
         self.stats["reads_served"] += 1
         return version
 
-    def block_version_lsn(self, block: int, read_point: int) -> int:
-        """LSN of the version that :meth:`read_block` would serve."""
-        chain = self.blocks.get(block)
-        if chain is None:
-            return NULL_LSN
-        version = chain.version_at(read_point)
-        return version.lsn if version is not None else NULL_LSN
-
     # ------------------------------------------------------------------
     # Gossip support
     # ------------------------------------------------------------------

@@ -17,24 +17,22 @@ The loop is closed (and deterministic under one seed): each session
 re-arms itself ``think`` milliseconds after its previous operation
 completes, the classic interactive-user model.
 
-The workload doubles as the serving tier's correctness probe:
-
-- every session owns private keys nobody else writes, so a read of a
-  private key must return the session's last acknowledged write -- the
-  *read-your-writes* invariant the proxy's floor routing promises
-  (violations are flagged as ``proxy-read-your-writes``);
-- shared-key reads must observe only values some session actually wrote
-  (``proxy-read-consistency``);
-- :meth:`SessionScaleWorkload.reconcile` re-reads every session's last
-  acknowledged private write after the run settles, flagging any loss as
-  ``proxy-acked-write-loss`` -- the zero acked-commit-loss gate.
+The workload doubles as the serving tier's correctness probe.  It records
+every submission, ack, failed write and read into one
+:class:`~repro.history.History`, and :func:`repro.history.check` judges
+it: every session owns private keys nobody else writes, so a read of one
+must return the session's last acknowledged write (the *read-your-writes*
+promise of the proxy's floor routing); shared-key reads must observe only
+values some session submitted; and :meth:`SessionScaleWorkload.reconcile`
+re-reads every session's last acknowledged private write after the run
+settles -- the zero acked-commit-loss gate.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import (
     ConfigurationError,
@@ -42,6 +40,7 @@ from repro.errors import (
     ReproError,
     SimulationError,
 )
+from repro.history import History
 from repro.sim.process import Process
 
 
@@ -83,50 +82,23 @@ class SessionScaleConfig:
 class SessionScaleStats:
     """What happened, for the serving report and the audit gates."""
 
-    sessions: int = 0
-    ops_started: int = 0
     ops_completed: int = 0
-    reads: int = 0
-    writes: int = 0
-    #: Lock conflicts on shared keys (expected, not a failure).
-    aborts: int = 0
-    #: Operations that exhausted the proxy's retry budget.
+    #: Operations that exhausted the proxy's retry budget (a lock conflict
+    #: on a shared key is expected, not one of them).
     errors: int = 0
-    ryw_checks: int = 0
-    ryw_violations: int = 0
-    shared_check_violations: int = 0
-    #: Reconciliation: sessions whose last acked private write survived /
-    #: was lost.
-    reconciled: int = 0
-    lost_acked_writes: int = 0
 
 
 class SessionScaleWorkload:
-    """Drive ``config.sessions`` logical sessions through a proxy.
+    """Drive ``config.sessions`` logical sessions through a proxy,
+    recording them into ``history``."""
 
-    ``flag(invariant, subject, detail)`` -- typically
-    :meth:`repro.audit.auditor.Auditor.flag` -- receives every
-    correctness violation; when ``None`` violations are only counted.
-    """
-
-    def __init__(self, proxy, config: SessionScaleConfig, flag=None) -> None:
+    def __init__(self, proxy, config: SessionScaleConfig) -> None:
         self.proxy = proxy
         self.config = config
-        self.flag = flag
-        self.stats = SessionScaleStats(sessions=config.sessions)
+        self.stats = SessionScaleStats()
         self.rng = random.Random(config.seed * 9_176_501 + 11)
         self.sessions = [proxy.connect() for _ in range(config.sessions)]
-        #: session idx -> (private key, last acked value) for RYW checks.
-        self._acked: dict[int, tuple[str, int]] = {}
-        #: (idx, key) pairs whose outcome is uncertain (op errored after
-        #: possibly committing): excluded from exact-value checks.
-        self._tainted: set = set()
-        #: (idx, key) pairs written again while an earlier write's outcome
-        #: was still uncertain: the exact expected value is ambiguous.
-        self._racy: set = set()
-        #: Everything ever *submitted* for a shared key (recorded before
-        #: the write starts, so any visible value is necessarily here).
-        self._shared_history: dict[str, set] = {}
+        self.history = History(proxy.cluster.loop)
         self._heap: list = []
         self._active = 0
         self._seq = 0
@@ -142,10 +114,6 @@ class SessionScaleWorkload:
 
     def _shared_key(self) -> str:
         return f"shared:{self.rng.randrange(SHARED_KEYS)}"
-
-    def _violate(self, invariant: str, subject: str, detail: str) -> None:
-        if self.flag is not None:
-            self.flag(invariant, subject, detail)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -184,24 +152,19 @@ class SessionScaleWorkload:
         is_write = rng.random() < WRITE_FRACTION
         is_shared = rng.random() < SHARED_FRACTION
         key = self._shared_key() if is_shared else self._private_key(idx)
+        # Shared keys are judged per key, so their operations are the
+        # fleet's (no reader); a private key's are its session's.
+        who = None if is_shared else idx
         value = None
         if is_write:
             self._value_seq += 1
             value = self._value_seq
-            if is_shared:
-                self._shared_history.setdefault(key, set()).add(value)
-            else:
-                if (idx, key) in self._tainted:
-                    # A second write while one is still uncertain: the
-                    # "last acked" value is permanently ambiguous.
-                    self._racy.add((idx, key))
-                # The outcome is uncertain until the ack arrives.
-                self._tainted.add((idx, key))
-        self.stats.ops_started += 1
+            # Recorded before the write starts, so any visible value is
+            # necessarily in the history.
+            self.history.submit(key, value, who)
         self._active += 1
         process = Process(
-            self.proxy.cluster.loop,
-            self._one_op(idx, key, value, is_write, is_shared),
+            self.proxy.cluster.loop, self._one_op(idx, who, key, value)
         )
         process.completion.add_done_callback(
             lambda future, idx=idx: self._finish(idx, future)
@@ -213,7 +176,7 @@ class SessionScaleWorkload:
         if exc is None:
             self.stats.ops_completed += 1
         elif isinstance(exc, LockConflictError):
-            self.stats.aborts += 1
+            pass  # a shared key's conflict: expected, not an error
         elif isinstance(exc, (ReproError, SimulationError)):
             self.stats.errors += 1
         else:  # pragma: no cover - genuine bug in the harness
@@ -226,50 +189,21 @@ class SessionScaleWorkload:
     # ------------------------------------------------------------------
     # One operation (runs as a simulator process)
     # ------------------------------------------------------------------
-    def _one_op(self, idx: int, key, value, is_write: bool, is_shared: bool):
-        proxy = self.proxy
+    def _one_op(self, idx: int, who, key, value):
+        proxy, history = self.proxy, self.history
         session = self.sessions[idx]
-        if is_write:
-            yield from proxy.write(session, key, value)
-            self.stats.writes += 1
-            if not is_shared:
-                # Acked: this is now the value RYW reads must observe.
-                self._acked[idx] = (key, value)
-                self._tainted.discard((idx, key))
-        else:
+        if value is None:
             observed = yield from proxy.read(session, key)
-            self.stats.reads += 1
-            if is_shared:
-                self._check_shared(key, observed)
-            else:
-                self._check_private(idx, key, observed)
-
-    def _check_private(self, idx: int, key: str, observed) -> None:
-        acked = self._acked.get(idx)
-        if acked is None or acked[0] != key or (idx, key) in self._tainted:
+            kind = "shared" if who is None else "private"
+            history.read(key, observed, kind, who, session.last_commit_scn)
             return
-        if (idx, key) in self._racy:
-            return
-        self.stats.ryw_checks += 1
-        if observed != acked[1]:
-            self.stats.ryw_violations += 1
-            self._violate(
-                "proxy-read-your-writes",
-                f"session-{idx}",
-                f"read {key!r} -> {observed!r} after ack of {acked[1]!r} "
-                f"(floor scn {self.sessions[idx].last_commit_scn})",
-            )
-
-    def _check_shared(self, key: str, observed) -> None:
-        if observed is None:
-            return  # never written, or writes still in flight
-        if observed not in self._shared_history.get(key, ()):
-            self.stats.shared_check_violations += 1
-            self._violate(
-                "proxy-read-consistency",
-                key,
-                f"observed {observed!r}, never submitted for this key",
-            )
+        try:
+            yield from proxy.write(session, key, value)
+        except ReproError:
+            # The outcome is never learned: the write may have committed.
+            history.fail(key, who=who)
+            raise
+        history.ack(key, value, who)
 
     # ------------------------------------------------------------------
     # Driving
@@ -295,23 +229,9 @@ class SessionScaleWorkload:
                 )
         return self.stats
 
-    def reconcile(self) -> int:
+    def reconcile(self) -> None:
         """Re-read every session's last acked private write through the
-        proxy; flag and count losses.  Returns the number lost."""
-        lost = 0
-        for idx in sorted(self._acked):
-            key, value = self._acked[idx]
-            if (idx, key) in self._tainted or (idx, key) in self._racy:
-                continue
-            observed = self.proxy.execute_read(self.sessions[idx], key)
-            self.stats.reconciled += 1
-            if observed != value:
-                lost += 1
-                self._violate(
-                    "proxy-acked-write-loss",
-                    f"session-{idx}",
-                    f"acked write {key!r}={value!r} reads back "
-                    f"{observed!r} after settle",
-                )
-        self.stats.lost_acked_writes = lost
-        return lost
+        proxy, after the run settles."""
+        for ack in self.history.unsettled("settle"):
+            observed = self.proxy.execute_read(self.sessions[ack.who], ack.key)
+            self.history.read(ack.key, observed, "settle", ack.who)
