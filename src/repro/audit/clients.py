@@ -487,7 +487,7 @@ class ClusterClient(_ClientModel):
                 (
                     r
                     for r in healer.records
-                    if r.segment_id == target
+                    if r.subject == target
                     and r.outcome == ACTIVE
                     and r.candidate_id is not None
                 ),

@@ -374,7 +374,7 @@ def _judge_geo(run: Run, client: GeoClient) -> dict:
     section.ack_modes = (geo.config.ack_mode,)
     return dict(
         writer_recoveries=sum(
-            r.promotion_attempts for r in geo.geo_failover.records
+            r.attempts for r in geo.geo_failover.records
         ),
         sections=dict(geo=section),
         gates=dict(

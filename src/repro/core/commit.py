@@ -35,7 +35,6 @@ class _PendingCommit:
 class CommitStats:
     """Aggregate commit-pipeline statistics."""
 
-    enqueued: int = 0
     acknowledged: int = 0
     max_queue_depth: int = 0
     total_wait: float = 0.0
@@ -80,7 +79,6 @@ class CommitQueue:
         """
         if scn <= 0:
             raise ConfigurationError(f"SCN must be positive, got {scn}")
-        self.stats.enqueued += 1
         if scn <= self._last_vcl:
             self.stats.acknowledged += 1
             if self.audit_probe is not None:

@@ -323,7 +323,7 @@ class AuroraCluster:
     # ------------------------------------------------------------------
     # Database-tier failover (autonomous writer promotion)
     # ------------------------------------------------------------------
-    def arm_failover(self, failover_config=None) -> tuple:
+    def arm_failover(self) -> tuple:
         """Attach the database-tier failover plane.
 
         Wires the database tier's :class:`repro.repair.FailureDetector` as
@@ -353,7 +353,7 @@ class AuroraCluster:
         if self.writer is not None:
             monitor.track(self.writer.name)
         monitor.start()
-        self.failover = FailoverCoordinator(self, monitor, failover_config)
+        self.failover = FailoverCoordinator(self, monitor)
         return monitor, self.failover
 
     # ------------------------------------------------------------------

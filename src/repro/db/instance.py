@@ -112,7 +112,6 @@ class InstanceStats:
     commits_requested: int = 0
     commits_acknowledged: int = 0
     commit_latencies: list[float] = field(default_factory=list)
-    rollbacks: int = 0
     reads: int = 0
     writes: int = 0
     recoveries: int = 0
@@ -657,7 +656,6 @@ class WriterInstance(Actor, BlockIO):
         """Generator: undo every write of ``txn`` with compensating MTRs."""
         self._require(InstanceState.OPEN)
         txn.require_active()
-        self.stats.rollbacks += 1
         if txn.undo_log:
             yield self._write_mutex.acquire()
             try:

@@ -97,12 +97,9 @@ class ProxyStats:
     pool_waits: int = 0
     peak_in_flight: int = 0
     peak_queue_depth: int = 0
-    #: Retryable faults absorbed inside the proxy's retry loop.
-    retries: int = 0
     #: Per-session outage windows (first fault to next success), ms.
     recovery_samples: list = field(default_factory=list)
     read_latencies: list = field(default_factory=list)
-    write_latencies: list = field(default_factory=list)
 
 
 #: Through a writer (or region) failover every proxied session must be
@@ -497,7 +494,6 @@ class ConnectionProxy:
             yield min(5.0, max(0.1, deadline - loop.now))
 
     def _fault(self, session: LogicalSession) -> None:
-        self.stats.retries += 1
         if session.outage_started_at is None:
             session.outage_started_at = self.cluster.loop.now
 
@@ -567,8 +563,7 @@ class ConnectionProxy:
 
     def _write_op(self, session: LogicalSession, key, value):
         loop = self.cluster.loop
-        started = loop.now
-        deadline = started + self.config.op_budget_ms
+        deadline = loop.now + self.config.op_budget_ms
         backoff = Backoff(RETRY, rng=self._rng)
         while True:
             try:
@@ -602,7 +597,6 @@ class ConnectionProxy:
             session.ops += 1
             session.writes += 1
             self.stats.writes += 1
-            self.stats.write_latencies.append(loop.now - started)
             return scn
 
     # ------------------------------------------------------------------

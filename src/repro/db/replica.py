@@ -74,7 +74,6 @@ class ReplicaStats:
     stale_installs_declined: int = 0
     #: B-tree reads re-run because a split was applied underneath them.
     traversals_retried: int = 0
-    commit_notices: int = 0
     reads: int = 0
     #: Samples of (writer_vdl_seen - applied_vdl) at each VDL update.
     lag_samples: list[int] = field(default_factory=list)
@@ -229,7 +228,6 @@ class ReplicaInstance(Actor, BlockIO):
         self.stats.lag_samples.append(self.replica_lag)
 
     def _on_commit_notice(self, notice: CommitNotice) -> None:
-        self.stats.commit_notices += 1
         if self.registry.commit_scn(notice.txn_id) is None:
             self.registry.record_commit(notice.txn_id, notice.scn)
 

@@ -41,10 +41,10 @@ from repro.repair.metrics import (
     ACTIVE,
     ROLLED_BACK,
     STALLED,
+    Coordinator,
     OutcomeSummary,
-    summarize,
+    Record,
 )
-from repro.sim.process import Process
 from repro.verdict import Budget, Gate, LatencyStats, Line
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,18 +70,10 @@ MAX_PROMOTION_MS = 20_000.0
 
 
 @dataclass
-class GeoFailoverRecord:
-    """One region-loss event's journey through disaster recovery."""
+class GeoFailoverRecord(Record):
+    """A region-loss record: the shared phases plus the RPO facts."""
 
-    primary_id: str
-    ack_mode: str
-    failed_at: float
-    confirmed_at: float
-    began_at: float | None = None
-    promoted_at: float | None = None
-    finished_at: float | None = None
-    outcome: str = ACTIVE
-    promotion_attempts: int = 0
+    ack_mode: str = field(kw_only=True)
     #: The replication lag frontier at promotion (secondary applied VDL).
     applied_vdl: int = 0
     #: Highest primary durable VDL the applier ever observed.
@@ -93,27 +85,6 @@ class GeoFailoverRecord:
     #: promoted region does not serve, and the data-loss window they span.
     lost_commits: int = 0
     rpo_ms: float = 0.0
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def detection_ms(self) -> float:
-        """Region failure to confirmed-silent."""
-        return self.confirmed_at - self.failed_at
-
-    @property
-    def promotion_ms(self) -> float | None:
-        """Promotion start (post lease wait) to secondary writer open."""
-        if self.promoted_at is None or self.began_at is None:
-            return None
-        return self.promoted_at - self.began_at
-
-    @property
-    def rto_ms(self) -> float | None:
-        """Recovery Time Objective: last primary liveness signal to the
-        promoted writer accepting commits."""
-        if self.promoted_at is None:
-            return None
-        return self.promoted_at - self.failed_at
 
     @property
     def promoted_rpo_ms(self) -> float | None:
@@ -131,14 +102,6 @@ class GeoFailoverRecord:
     def recovered_detection_ms(self) -> float | None:
         """Detection latency as a term of a recovery that happened."""
         return self.detection_ms if self.promoted_at is not None else None
-
-    def __str__(self) -> str:
-        rto = f" rto={self.rto_ms:.0f}ms" if self.rto_ms is not None else ""
-        return (
-            f"geo-failover {self.primary_id} [{self.outcome}]"
-            f" mode={self.ack_mode} detect={self.detection_ms:.0f}ms{rto}"
-            f" rpo={self.rpo_ms:.0f}ms lost={self.lost_commits}"
-        )
 
 
 #: Region loss is the stronger disaster: the volume itself is gone and
@@ -195,7 +158,7 @@ class GeoFailoverSummary(OutcomeSummary):
     SAMPLED = (
         ("detection", "detection_ms"),
         ("promotion", "promotion_ms"),
-        ("rto", "rto_ms"),
+        ("rto", "outage_ms"),
         ("rpo", "promoted_rpo_ms"),
         ("recovered_detection", "recovered_detection_ms"),
         ("async_rpo", "async_rpo_ms"),
@@ -264,8 +227,11 @@ class GeoFailoverSummary(OutcomeSummary):
         return not self.rto
 
 
-class GeoFailoverCoordinator:
-    """Promotes the secondary region when the primary falls silent."""
+class GeoFailoverCoordinator(Coordinator):
+    """Promotes the secondary region when the primary falls silent; a
+    verdict while a promotion is in flight is dropped."""
+
+    SUMMARY = GeoFailoverSummary
 
     def __init__(
         self,
@@ -273,43 +239,15 @@ class GeoFailoverCoordinator:
         monitor: "FailureDetector",
     ) -> None:
         self.geo = geo
-        self.monitor = monitor
-        self.records: list[GeoFailoverRecord] = []
-        self._active: GeoFailoverRecord | None = None
-        self._returned: set[str] = set()
-        monitor.on_confirmed_dead.append(self._on_confirmed_dead)
-        monitor.on_recovered.append(self._on_recovered)
+        super().__init__(geo.loop, monitor)
 
-    @property
-    def idle(self) -> bool:
-        return self._active is None
-
-    def summary(self) -> GeoFailoverSummary:
-        return summarize(self.records, GeoFailoverSummary)
-
-    # ------------------------------------------------------------------
-    def _on_confirmed_dead(
-        self, instance_id: str, failed_at: float, confirmed_at: float
-    ) -> None:
-        if instance_id != self.geo.primary_writer_id:
-            return
-        if self._active is not None or self.geo.promoted:
-            return
-        self._returned.discard(instance_id)
-        record = GeoFailoverRecord(
-            primary_id=instance_id,
-            ack_mode=self.geo.ack_mode,
-            failed_at=failed_at,
-            confirmed_at=confirmed_at,
+    def _open(self, instance_id, failed_at, confirmed_at):
+        if instance_id != self.geo.primary_writer_id or self.geo.promoted:
+            return None
+        return GeoFailoverRecord(
+            instance_id, failed_at, confirmed_at, ack_mode=self.geo.ack_mode
         )
-        self.records.append(record)
-        self._active = record
-        Process(self.geo.loop, self._promote(record))
 
-    def _on_recovered(self, instance_id: str) -> None:
-        self._returned.add(instance_id)
-
-    # ------------------------------------------------------------------
     def _promote(self, record: GeoFailoverRecord):
         geo = self.geo
         loop = geo.loop
@@ -328,7 +266,7 @@ class GeoFailoverCoordinator:
                 + LEASE_MARGIN_MS
             ):
                 if (
-                    record.primary_id in self._returned
+                    record.subject in self._returned
                     and not geo.primary_lost
                 ):
                     record.notes.append(
@@ -367,8 +305,8 @@ class GeoFailoverCoordinator:
             self._finish(record, PROMOTED)
         finally:
             geo.failover_in_progress = False
-            if self._active is record:
-                self._active = None
+
+    _act = _promote
 
     def _check_epoch_dominance(self, record: GeoFailoverRecord, writer):
         """Audited invariant: the promoted region's volume epoch strictly
@@ -391,7 +329,3 @@ class GeoFailoverCoordinator:
                     f"promoted with volume epoch {promoted.volume} <= "
                     f"last known primary volume epoch {known.volume}",
                 )
-
-    def _finish(self, record: GeoFailoverRecord, outcome: str) -> None:
-        record.outcome = outcome
-        record.finished_at = self.geo.loop.now

@@ -37,12 +37,7 @@ from typing import Any, Callable
 
 from repro.db.driver import StorageDriver
 from repro.db.instance import InstanceState, WriterInstance
-from repro.db.replication import (
-    CommitNotice,
-    MTRChunk,
-    ReplicationFrame,
-    VDLUpdate,
-)
+from repro.db.replication import MTRChunk, ReplicationFrame, VDLUpdate
 from repro.errors import ConfigurationError, ReplicationLagExceededError
 from repro.sim.network import Actor, Message
 from repro.sim.wan import (
@@ -291,10 +286,7 @@ class GeoApplier(Actor):
         #: promotion merges it so the promoted epoch strictly dominates.
         self.primary_epochs = None
         self.last_primary_signal_at = 0.0
-        self.commit_notices = 0
-        self.last_commit_scn = 0
         self.chunks_applied = 0
-        self.records_applied = 0
         #: Redo chunks received in order but beyond ``primary_vdl``.
         self._pending: deque = deque()
         #: Liveness hook: called on every primary signal (the region
@@ -367,11 +359,7 @@ class GeoApplier(Actor):
             if item.vdl > self.primary_vdl:
                 self.primary_vdl = item.vdl
                 self._flush()
-        elif isinstance(item, CommitNotice):
-            # Commit records ride MTR chunks; notices are bookkeeping.
-            self.commit_notices += 1
-            if item.scn > self.last_commit_scn:
-                self.last_commit_scn = item.scn
+        # A CommitNotice needs nothing: commit records ride MTR chunks.
 
 
     def _on_heartbeat(self, info: Any) -> None:
@@ -398,7 +386,6 @@ class GeoApplier(Actor):
             records = self._pending.popleft()
             self.driver.submit(list(records))
             self.chunks_applied += 1
-            self.records_applied += len(records)
 
     def _on_applied_advance(self, vdl: int) -> None:
         if self.audit_probe is not None and vdl > self.primary_vdl:

@@ -12,8 +12,10 @@ change the protocol makes reversible or safe -- the :class:`RepairPlanner`
 drives the Figure 5 flow, including the rollback path when a suspect turns
 out to have been merely slow; the :class:`FailoverCoordinator` answers a
 confirmed writer death with a fenced replica promotion (section 6's
-"changing the locks on the door", driven autonomously).  What they did is
-recorded per verdict and rolled up by one :func:`summarize`.
+"changing the locks on the door", driven autonomously).  The acting
+halves are one :class:`Coordinator` lifecycle around a per-tier act: each
+verdict is stamped into one :class:`Record` and rolled up by one
+:func:`summarize`.
 """
 
 from repro.repair.detector import (
@@ -27,9 +29,7 @@ from repro.repair.detector import (
 from repro.repair.failover import (
     PROMOTED,
     RESTARTED,
-    FailoverConfig,
     FailoverCoordinator,
-    FailoverRecord,
     FailoverSummary,
 )
 from repro.repair.metrics import (
@@ -38,7 +38,9 @@ from repro.repair.metrics import (
     REPLACED,
     ROLLED_BACK,
     STALLED,
+    Coordinator,
     OutcomeSummary,
+    Record,
     RepairRecord,
     RepairSummary,
     summarize,
@@ -56,15 +58,15 @@ __all__ = [
     "ROLLED_BACK",
     "STALLED",
     "STORAGE",
-    "FailoverConfig",
+    "Coordinator",
     "FailoverCoordinator",
-    "FailoverRecord",
     "FailoverSummary",
     "FailureDetector",
     "Health",
     "LatencyStats",
     "OutcomeSummary",
     "RepairConfig",
+    "Record",
     "RepairPlanner",
     "RepairRecord",
     "RepairSummary",

@@ -23,11 +23,11 @@ storage segments:
   ``rolled_back``) and nothing changed -- a false positive costs one
   backoff doubling in the monitor, not a writer generation.
 
-Every failover is stamped into a :class:`FailoverRecord` so runs can
-report the distributions the availability story cares about: detection
-latency (failure -> confirmed dead), promotion time (promotion start ->
-new writer open), and the total write-unavailability window (failure ->
-new writer open), judged against the ~30 s budget
+Every failover is stamped into a :class:`~repro.repair.metrics.Record`
+so runs can report the distributions the availability story cares
+about: detection latency (failure -> confirmed dead), promotion time
+(promotion start -> new writer open), and the total write-unavailability
+window (failure -> new writer open), judged against the ~30 s budget
 (:data:`FAILOVER_WINDOW`).
 """
 
@@ -43,10 +43,10 @@ from repro.repair.metrics import (
     ACTIVE,
     ROLLED_BACK,
     STALLED,
+    Coordinator,
     OutcomeSummary,
-    summarize,
+    Record,
 )
-from repro.sim.process import Process
 from repro.verdict import Budget, Gate, LatencyStats, Line
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,75 +59,14 @@ PROMOTED = "promoted"  #: a replica was promoted and opened as the writer
 RESTARTED = "restarted"  #: no candidate; the incumbent was restarted in place
 
 
+#: Poll slice while waiting on promotion recovery (simulated ms).
+POLL_MS = 5.0
 #: Budget for the whole failover; exceeding it stamps ``stalled``.
 MAX_FAILOVER_MS = 20_000.0
 #: Pause between failed promotion-recovery attempts (a read quorum can be
 #: transiently unreachable mid-chaos); the region tier's promotion uses it
 #: too.
 RETRY_WAIT_MS = 250.0
-
-
-@dataclass
-class FailoverConfig:
-    """Coordinator knobs (times in simulated ms)."""
-
-    #: Poll slice while waiting on promotion recovery.
-    poll_ms: float = 5.0
-
-
-@dataclass
-class FailoverRecord:
-    """One confirmed writer death's journey through failover.
-
-    ``failed_at`` is the writer's last provable liveness signal, so
-    ``unavailability_ms`` measures the full window during which no writer
-    could acknowledge a commit -- the number the availability budget is
-    judged against.
-    """
-
-    writer_id: str
-    failed_at: float
-    confirmed_at: float
-    candidate_id: str | None = None
-    began_at: float | None = None
-    promoted_at: float | None = None
-    finished_at: float | None = None
-    outcome: str = ACTIVE
-    promotion_attempts: int = 0
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def detection_ms(self) -> float:
-        """Failure to confirmed-dead (the monitor's reaction time)."""
-        return self.confirmed_at - self.failed_at
-
-    @property
-    def promotion_ms(self) -> float | None:
-        """Promotion start to new-writer-open (None unless promoted or
-        restarted)."""
-        if self.promoted_at is None or self.began_at is None:
-            return None
-        return self.promoted_at - self.began_at
-
-    @property
-    def unavailability_ms(self) -> float | None:
-        """Total write-unavailability window: last liveness signal of the
-        old writer to the successor opening."""
-        if self.promoted_at is None:
-            return None
-        return self.promoted_at - self.failed_at
-
-    def __str__(self) -> str:
-        window = (
-            f" unavail={self.unavailability_ms:.0f}ms"
-            if self.unavailability_ms is not None
-            else ""
-        )
-        return (
-            f"failover {self.writer_id}"
-            f" -> {self.candidate_id or '?'} [{self.outcome}]"
-            f" detect={self.detection_ms:.0f}ms{window}"
-        )
 
 
 #: The volume survives the writer ("the database instance is stateless
@@ -157,7 +96,7 @@ class FailoverSummary(OutcomeSummary):
     SAMPLED = (
         ("detection", "detection_ms"),
         ("promotion", "promotion_ms"),
-        ("unavailability", "unavailability_ms"),
+        ("unavailability", "outage_ms"),
     )
     ZEROS = (ACTIVE, STALLED)
     LINES = (
@@ -199,7 +138,7 @@ def recover_until_open(
     ``deadline``."""
     loop = writer.loop
     while True:
-        record.promotion_attempts += 1
+        record.attempts += 1
         while not process.finished and loop.now < deadline:
             yield poll_ms
         if (
@@ -217,66 +156,33 @@ def recover_until_open(
         process = writer.recover()
 
 
-class FailoverCoordinator:
+class FailoverCoordinator(Coordinator):
     """Reacts to confirmed writer deaths with a fenced promotion.
 
-    One failover runs at a time (there is only one writer); replica
-    deaths are recorded by the monitor but trigger nothing here.  The
-    coordinator is control-plane only: correctness never depends on its
-    verdicts, because the volume-epoch fence makes even a wrong promotion
-    safe against the incumbent.
+    One failover runs at a time (there is only one writer): a verdict
+    while one is in flight is dropped; replica deaths are recorded by the
+    monitor but trigger nothing here.  The coordinator is control-plane
+    only: correctness never depends on its verdicts, because the
+    volume-epoch fence makes even a wrong promotion safe against the
+    incumbent.
     """
 
+    SUMMARY = FailoverSummary
+
     def __init__(
-        self,
-        cluster: "AuroraCluster",
-        monitor: "FailureDetector",
-        config: FailoverConfig | None = None,
+        self, cluster: "AuroraCluster", monitor: "FailureDetector"
     ) -> None:
         self.cluster = cluster
-        self.monitor = monitor
-        self.config = config if config is not None else FailoverConfig()
-        self.records: list[FailoverRecord] = []
-        self._active: FailoverRecord | None = None
-        #: Instances the monitor revived after confirming dead (the
-        #: false-positive path: roll back instead of promoting).
-        self._returned: set[str] = set()
         self._replenished = 0
-        monitor.on_confirmed_dead.append(self._on_confirmed_dead)
-        monitor.on_recovered.append(self._on_recovered)
+        super().__init__(cluster.loop, monitor)
 
-    @property
-    def idle(self) -> bool:
-        return self._active is None
-
-    def summary(self) -> FailoverSummary:
-        return summarize(self.records, FailoverSummary)
-
-    # ------------------------------------------------------------------
-    # Monitor callbacks
-    # ------------------------------------------------------------------
-    def _on_confirmed_dead(
-        self, instance_id: str, failed_at: float, confirmed_at: float
-    ) -> None:
+    def _open(self, instance_id, failed_at, confirmed_at):
         writer = self.cluster.writer
         if writer is None or writer.name != instance_id:
             # A dead replica (read capacity lost, not availability), or a
             # stale verdict about an already-replaced writer.
-            return
-        if self._active is not None:
-            return  # a failover is already in flight
-        self._returned.discard(instance_id)
-        record = FailoverRecord(
-            writer_id=instance_id,
-            failed_at=failed_at,
-            confirmed_at=confirmed_at,
-        )
-        self.records.append(record)
-        self._active = record
-        Process(self.cluster.loop, self._failover(record))
-
-    def _on_recovered(self, instance_id: str) -> None:
-        self._returned.add(instance_id)
+            return None
+        return Record(instance_id, failed_at, confirmed_at)
 
     # ------------------------------------------------------------------
     # Candidate selection
@@ -309,27 +215,26 @@ class FailoverCoordinator:
     # ------------------------------------------------------------------
     # The failover process
     # ------------------------------------------------------------------
-    def _failover(self, record: FailoverRecord):
-        cfg = self.config
+    def _failover(self, record: Record):
         cluster = self.cluster
         loop = cluster.loop
         cluster.failover_in_progress = True
         try:
             # One poll slice between confirmation and action: the cheapest
             # possible chance for an in-flight liveness signal to land.
-            yield cfg.poll_ms
+            yield POLL_MS
             incumbent = cluster.writer
             if (
-                record.writer_id in self._returned
+                record.subject in self._returned
                 and incumbent is not None
-                and incumbent.name == record.writer_id
+                and incumbent.name == record.subject
                 and incumbent.state is InstanceState.OPEN
             ):
                 record.notes.append("incumbent returned before promotion")
                 self._finish(record, ROLLED_BACK)
                 return
             deadline = record.confirmed_at + MAX_FAILOVER_MS
-            candidate = self._select_candidate(record.writer_id)
+            candidate = self._select_candidate(record.subject)
             if candidate is None:
                 yield from self._restart_in_place(record, deadline)
                 return
@@ -338,7 +243,7 @@ class FailoverCoordinator:
             candidate_vdl = cluster.replicas[candidate].applied_vdl
             new_writer, process = cluster.promote_replica(candidate)
             opened = yield from recover_until_open(
-                new_writer, process, record, deadline, cfg.poll_ms
+                new_writer, process, record, deadline, POLL_MS
             )
             if not opened:
                 record.notes.append(
@@ -358,14 +263,13 @@ class FailoverCoordinator:
             self._finish(record, PROMOTED)
         finally:
             cluster.failover_in_progress = False
-            if self._active is record:
-                self._active = None
 
-    def _restart_in_place(self, record: FailoverRecord, deadline: float):
+    _act = _failover
+
+    def _restart_in_place(self, record: Record, deadline: float):
         """No promotable replica: the only path back is restarting the
         incumbent once its host returns (single-instance clusters, or a
         multi-failure that took every replica too)."""
-        cfg = self.config
         cluster = self.cluster
         loop = cluster.loop
         writer = cluster.writer
@@ -375,7 +279,7 @@ class FailoverCoordinator:
             if loop.now >= deadline:
                 self._finish(record, STALLED)
                 return
-            yield cfg.poll_ms
+            yield POLL_MS
         record.began_at = loop.now
         if writer.state is InstanceState.OPEN:
             # The host returned with the instance process still running; a
@@ -383,7 +287,7 @@ class FailoverCoordinator:
             # resolves any in-flight commits as uncertain).
             writer.crash()
         opened = yield from recover_until_open(
-            writer, writer.recover(), record, deadline, cfg.poll_ms
+            writer, writer.recover(), record, deadline, POLL_MS
         )
         if not opened:
             self._finish(record, STALLED)
@@ -394,7 +298,7 @@ class FailoverCoordinator:
         self._finish(record, RESTARTED)
 
     def _audit_read_view(
-        self, record: FailoverRecord, new_writer, candidate_vdl: int
+        self, record: Record, new_writer, candidate_vdl: int
     ) -> None:
         """Audited invariant: the promoted replica's established read
         views never regress -- the VDL it opens with as writer must cover
@@ -413,7 +317,3 @@ class FailoverCoordinator:
                     f"below the VDL {candidate_vdl} it had applied (and "
                     f"served reads at) as a replica",
                 )
-
-    def _finish(self, record: FailoverRecord, outcome: str) -> None:
-        record.outcome = outcome
-        record.finished_at = self.cluster.loop.now

@@ -1,13 +1,20 @@
-"""Repair telemetry: per-repair records and MTTR aggregation.
+"""The act half every tier shares: one record, one lifecycle, one summary.
+
+A confirmed-dead verdict is answered the same way in every tier -- a
+Figure 5 segment replacement, a fenced writer promotion, a region
+promotion -- so the shape around the answer is written once: a
+:class:`Record` stamps each phase of one act, a :class:`Coordinator`
+subscribes to the tier's detector and runs the tier's act generator
+through one lifecycle, and :func:`summarize` rolls the records up into
+the tier's :class:`OutcomeSummary`.
 
 The paper's AZ+1 durability argument hinges on a *window*: "Assuming a 10
 second window to detect and repair a segment failure, it would require two
 independent segment failures as well as an AZ failure in the same 10 second
-period to lose the ability to repair a quorum."  The planner stamps every
-phase of every repair so runs can report the windows they actually
-achieved -- detection latency (failure -> confirmed dead) and MTTR
-(failure -> quorum fully re-replicated) -- and feed them back into
-:class:`repro.analysis.durability.DurabilityModel`.
+period to lose the ability to repair a quorum."  The records let runs
+report the windows they actually achieved -- detection latency (failure
+-> confirmed dead) and MTTR (failure -> quorum fully re-replicated) --
+and feed them back into :class:`repro.analysis.durability.DurabilityModel`.
 
 Durability is a tail phenomenon, so the summary keeps full **distributions**
 (:class:`~repro.verdict.LatencyStats`: mean/p50/p95/max over the raw
@@ -21,10 +28,12 @@ distribution, and that one is what the C7 window is judged on.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar, Hashable
 
 from repro.analysis.durability import C7_WINDOW_S, DurabilityModel
+from repro.sim.process import Process
 from repro.verdict import (
     Budget,
     Exceeded,
@@ -34,40 +43,62 @@ from repro.verdict import (
     Section,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.repair.detector import FailureDetector
 
-#: Repair outcomes (``RepairRecord.outcome``).
+
+#: Outcomes every tier's records share (``Record.outcome``).
 ACTIVE = "active"  #: orchestration still in flight
 REPLACED = "replaced"  #: Figure 5 ran to finalize; candidate is the member
-ROLLED_BACK = "rolled_back"  #: incumbent returned first; transition reversed
+ROLLED_BACK = "rolled_back"  #: subject returned first; the act was reversed
 ABORTED = "aborted"  #: preconditions vanished before begin (no transition)
-STALLED = "stalled"  #: budget exhausted mid-transition (dual quorum stays)
+STALLED = "stalled"  #: budget exhausted mid-act (a repair's dual quorum stays)
 
 
 @dataclass
-class RepairRecord:
-    """One confirmed-dead segment's journey through the repair pipeline.
+class Record:
+    """One confirmed-dead subject's journey through a tier's act half.
 
     All timestamps are simulated milliseconds.  ``failed_at`` is the last
-    moment the segment was provably alive (the monitor's last liveness
-    signal), so ``mttr_ms`` measures the full exposure window the
-    durability model cares about, not just orchestration time.
+    moment the subject was provably alive (the monitor's last liveness
+    signal), so every window below measures the full exposure the
+    durability and availability budgets care about, not just
+    orchestration time.  ``began_at`` is when the act installed its change
+    (a repair's dual quorum, a promotion's recovery); ``promoted_at`` when
+    a successor opened (promotions only); ``attempts`` counts a repair's
+    baseline fetches or a promotion's recovery runs.
     """
 
-    pg_index: int
-    segment_id: str
+    subject: str
     failed_at: float
     confirmed_at: float
     candidate_id: str | None = None
     began_at: float | None = None
+    promoted_at: float | None = None
     finished_at: float | None = None
     outcome: str = ACTIVE
-    hydration_attempts: int = 0
+    attempts: int = 0
     notes: list[str] = field(default_factory=list)
 
     @property
     def detection_ms(self) -> float:
         """Failure to confirmed-dead (the monitor's reaction time)."""
         return self.confirmed_at - self.failed_at
+
+    @property
+    def promotion_ms(self) -> float | None:
+        """Promotion start to successor open (None unless one opened)."""
+        if self.promoted_at is None or self.began_at is None:
+            return None
+        return self.promoted_at - self.began_at
+
+    @property
+    def outage_ms(self) -> float | None:
+        """Last liveness signal to the successor opening: the writer
+        tier's write unavailability, the region tier's RTO."""
+        if self.promoted_at is None:
+            return None
+        return self.promoted_at - self.failed_at
 
     @property
     def mttr_ms(self) -> float | None:
@@ -89,15 +120,12 @@ class RepairRecord:
             return None
         return self.finished_at - self.failed_at
 
-    def __str__(self) -> str:
-        window = (
-            f" mttr={self.mttr_ms:.0f}ms" if self.mttr_ms is not None else ""
-        )
-        return (
-            f"repair pg{self.pg_index} {self.segment_id}"
-            f" -> {self.candidate_id or '?'} [{self.outcome}]"
-            f" detect={self.detection_ms:.0f}ms{window}"
-        )
+
+@dataclass
+class RepairRecord(Record):
+    """A segment repair's record: the protection group it serializes on."""
+
+    pg_index: int = field(kw_only=True)
 
 
 @dataclass
@@ -281,3 +309,108 @@ def summarize(records: list, kind: type[OutcomeSummary]):
         summary.add(record)
     summary.peak_concurrent = _peak_concurrent(records)
     return summary
+
+
+class Coordinator:
+    """The act half every tier shares: one lifecycle around a per-tier act.
+
+    Subscribed to one :class:`~repro.repair.detector.FailureDetector`, it
+    opens a :class:`Record` per confirmed-dead verdict the tier acts on,
+    serializes the acts on a key, runs the tier's act generator as a
+    process and closes the record in :meth:`_finish`.  What differs between
+    tiers is row data, never a branch here: ``SUMMARY`` (the section the
+    records roll up into), ``QUEUES`` (whether a verdict for a busy key
+    waits its turn or is dropped) and ``RETRIED`` (the outcomes after which
+    a subject still owed the act is queued again), plus the hooks below.
+    """
+
+    SUMMARY: ClassVar[type[OutcomeSummary]]
+    QUEUES: ClassVar[bool] = False
+    RETRIED: ClassVar[tuple[str, ...]] = ()
+
+    def __init__(self, loop, monitor: "FailureDetector") -> None:
+        self.loop = loop
+        self.monitor = monitor
+        #: Every record ever opened, in confirmation order.
+        self.records: list[Record] = []
+        self._active: dict[Hashable, Record] = {}
+        self._queued: dict[Hashable, deque[Record]] = {}
+        #: DEAD subjects the monitor heard from again (rollback triggers).
+        self._returned: set[str] = set()
+        monitor.on_confirmed_dead.append(self._on_confirmed_dead)
+        monitor.on_recovered.append(self._on_recovered)
+
+    # -- the tier's hooks ----------------------------------------------
+    def _open(
+        self, subject: str, failed_at: float, confirmed_at: float
+    ) -> Record | None:
+        """The record for a verdict, or None when the tier does not act
+        on this subject."""
+        raise NotImplementedError
+
+    def _key(self, record: Record) -> Hashable:
+        """What acts serialize on: by default one act at a time."""
+        return None
+
+    def _act(self, record: Record):
+        """The tier's act generator; it ends by calling :meth:`_finish`."""
+        raise NotImplementedError
+
+    def _owed(self, subject: str) -> bool:
+        """Whether a subject still needs the act (``RETRIED`` tiers)."""
+        return False
+
+    # -- the lifecycle ---------------------------------------------------
+    @property
+    def idle(self) -> bool:
+        return not self._active and not any(self._queued.values())
+
+    def summary(self) -> OutcomeSummary:
+        return summarize(self.records, self.SUMMARY)
+
+    def _on_confirmed_dead(
+        self, subject: str, failed_at: float, confirmed_at: float
+    ) -> None:
+        record = self._open(subject, failed_at, confirmed_at)
+        if record is None:
+            return
+        key = self._key(record)
+        if key in self._active and not self.QUEUES:
+            return  # an act is already in flight for this key
+        self.records.append(record)
+        if key in self._active:
+            # One act at a time per key (a PG: the dual quorum already in
+            # flight tolerates this second failure); act on it next.
+            record.notes.append("queued behind active repair")
+            self._queued.setdefault(key, deque()).append(record)
+            return
+        self._start(record)
+
+    def _on_recovered(self, subject: str) -> None:
+        self._returned.add(subject)
+
+    def _start(self, record: Record) -> None:
+        self._active[self._key(record)] = record
+        self._returned.discard(record.subject)
+        Process(self.loop, self._act(record))
+
+    def _finish(self, record: Record, outcome: str) -> None:
+        record.outcome = outcome
+        record.finished_at = self.loop.now
+        self._returned.discard(record.subject)
+        key = self._key(record)
+        self._active.pop(key, None)
+        if outcome in self.RETRIED and self._owed(record.subject):
+            # The monitor only fires on the SUSPECT -> DEAD edge, so a
+            # subject whose act ran out of budget (or could not begin)
+            # would otherwise stay dead forever.  Requeue it; a retry
+            # resumes any in-flight dual membership.
+            retry = self._open(
+                record.subject, record.failed_at, record.confirmed_at
+            )
+            retry.notes.append("retry after stalled attempt")
+            self.records.append(retry)
+            self._queued.setdefault(key, deque()).append(retry)
+        queue = self._queued.get(key)
+        if queue:
+            self._start(queue.popleft())

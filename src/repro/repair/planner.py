@@ -34,28 +34,27 @@ Design points that keep this safe under further chaos:
   blocking on the future (a lost message would otherwise hang the repair
   forever); the whole repair has a budget, after which it parks as
   ``stalled`` with the dual quorum still installed -- safe, merely
-  unfinished, and retried when the monitor confirms the segment again.
+  unfinished, and queued again while the segment stays a confirmed-dead
+  member.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.retry import Backoff, RetryPolicy
-from repro.errors import MembershipError
+from repro.errors import ConfigurationError, MembershipError
 from repro.repair.detector import Health
 from repro.repair.metrics import (
     ABORTED,
     REPLACED,
     ROLLED_BACK,
     STALLED,
+    Coordinator,
     RepairRecord,
     RepairSummary,
-    summarize,
 )
-from repro.sim.process import Process
 from repro.storage.messages import (
     BaselineRequest,
     BaselineResponse,
@@ -90,8 +89,17 @@ class RepairConfig:
     baseline_transfer_ms: float = 0.0
 
 
-class RepairPlanner:
-    """Subscribes to the storage detector and drives Figure 5 repairs."""
+class RepairPlanner(Coordinator):
+    """Subscribes to the storage detector and drives Figure 5 repairs.
+
+    Repairs serialize per PG: a second verdict for a PG under repair
+    queues behind it, and a stalled or aborted repair of a segment that is
+    still a confirmed-dead member is queued again.
+    """
+
+    SUMMARY = RepairSummary
+    QUEUES = True
+    RETRIED = (STALLED, ABORTED)
 
     def __init__(
         self,
@@ -100,108 +108,32 @@ class RepairPlanner:
         config: RepairConfig | None = None,
     ) -> None:
         self.cluster = cluster
-        self.monitor = monitor
         self.config = config if config is not None else RepairConfig()
-        #: Every repair ever confirmed, in confirmation order.
-        self.records: list[RepairRecord] = []
-        self.counters = {
-            "started": 0,
-            "replaced": 0,
-            "rolled_back": 0,
-            "aborted": 0,
-            "stalled": 0,
-        }
-        self._active: dict[int, RepairRecord] = {}
-        self._queued: dict[int, deque[RepairRecord]] = {}
-        #: DEAD segments the monitor heard from again (rollback triggers).
-        self._returned: set[str] = set()
         #: Highest durable PGCL ever observed per PG (survives writer
         #: crashes, which reset the live trackers).
         self._floor: dict[int, int] = {}
-        monitor.on_confirmed_dead.append(self._on_confirmed_dead)
-        monitor.on_recovered.append(self._on_recovered)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def idle(self) -> bool:
-        return not self._active and not any(self._queued.values())
+        super().__init__(cluster.loop, monitor)
 
     def active_repair(self, pg_index: int) -> RepairRecord | None:
         return self._active.get(pg_index)
 
-    def summary(self) -> RepairSummary:
-        return summarize(self.records, RepairSummary)
-
-    # ------------------------------------------------------------------
-    # Monitor callbacks
-    # ------------------------------------------------------------------
-    def _on_confirmed_dead(
-        self, segment_id: str, failed_at: float, confirmed_at: float
-    ) -> None:
+    def _open(self, segment_id, failed_at, confirmed_at):
         try:
             pg_index = self.cluster.metadata.pg_of(segment_id)
-        except Exception:
-            return
-        record = RepairRecord(
-            pg_index=pg_index,
-            segment_id=segment_id,
-            failed_at=failed_at,
-            confirmed_at=confirmed_at,
+        except ConfigurationError:
+            return None  # not a placed segment
+        return RepairRecord(
+            segment_id, failed_at, confirmed_at, pg_index=pg_index
         )
-        self.records.append(record)
-        if pg_index in self._active:
-            # One transition at a time per PG: the dual quorum already in
-            # flight tolerates this second failure; repair it next.
-            record.notes.append("queued behind active repair")
-            self._queued.setdefault(pg_index, deque()).append(record)
-            return
-        self._start(record)
 
-    def _on_recovered(self, segment_id: str) -> None:
-        self._returned.add(segment_id)
+    def _key(self, record: RepairRecord) -> int:
+        return record.pg_index
 
-    # ------------------------------------------------------------------
-    # Orchestration
-    # ------------------------------------------------------------------
-    def _start(self, record: RepairRecord) -> None:
-        self._active[record.pg_index] = record
-        self._returned.discard(record.segment_id)
-        self.counters["started"] += 1
-        Process(self.cluster.loop, self._repair(record))
-
-    def _finish(self, record: RepairRecord, outcome: str) -> None:
-        record.outcome = outcome
-        record.finished_at = self.cluster.loop.now
-        self.counters[outcome] = self.counters.get(outcome, 0) + 1
-        self._returned.discard(record.segment_id)
-        self._active.pop(record.pg_index, None)
-        if outcome in (STALLED, ABORTED):
-            # The monitor only fires on the SUSPECT -> DEAD edge, so a
-            # segment whose repair ran out of budget (or could not begin)
-            # would otherwise stay dead forever.  Requeue it while it is
-            # still a confirmed-dead member; a retry resumes any
-            # in-flight dual membership.
-            if self.monitor.state_of(
-                record.segment_id
-            ) is Health.DEAD and self.cluster.metadata.is_current_member(
-                record.segment_id
-            ):
-                retry = RepairRecord(
-                    pg_index=record.pg_index,
-                    segment_id=record.segment_id,
-                    failed_at=record.failed_at,
-                    confirmed_at=record.confirmed_at,
-                )
-                retry.notes.append("retry after stalled attempt")
-                self.records.append(retry)
-                self._queued.setdefault(record.pg_index, deque()).append(
-                    retry
-                )
-        queue = self._queued.get(record.pg_index)
-        if queue and record.pg_index not in self._active:
-            self._start(queue.popleft())
+    def _owed(self, segment_id: str) -> bool:
+        """Still a confirmed-dead member: a retry has work to do."""
+        return self.monitor.state_of(segment_id) is Health.DEAD and (
+            self.cluster.metadata.is_current_member(segment_id)
+        )
 
     def _update_floor(self, pg_index: int) -> int:
         writer = self.cluster.writer
@@ -216,7 +148,7 @@ class RepairPlanner:
         cluster = self.cluster
         cfg = self.config
         pg_index = record.pg_index
-        segment_id = record.segment_id
+        segment_id = record.subject
 
         # Preconditions may have vanished between confirmation and start
         # (a queued record's subject can recover, or another flow may
@@ -271,7 +203,7 @@ class RepairPlanner:
         transfer_done_at = 0.0
         while True:
             if segment_id in self._returned:
-                yield from self._rollback(record, after)
+                self._rollback(record, after)
                 return
             if cluster.loop.now >= deadline:
                 record.notes.append("budget exhausted mid-hydration")
@@ -291,7 +223,7 @@ class RepairPlanner:
                 else:
                     yield min(POLL_MS, transfer_done_at - cluster.loop.now)
             elif not baseline_done:
-                record.hydration_attempts += 1
+                record.attempts += 1
                 reply = yield from self._baseline_rpc(
                     pg_index, candidate_id, record
                 )
@@ -311,7 +243,7 @@ class RepairPlanner:
 
         # -- Step 3: finalize (epoch bump, suspect dropped) -------------
         if segment_id in self._returned:
-            yield from self._rollback(record, after)
+            self._rollback(record, after)
             return
         pre_final = cluster.metadata.membership(pg_index)
         cluster.finalize_segment_replacement(pg_index, segment_id)
@@ -322,12 +254,14 @@ class RepairPlanner:
         )
         self._finish(record, REPLACED)
 
-    def _rollback(self, record: RepairRecord, transitional) -> object:
+    _act = _repair
+
+    def _rollback(self, record: RepairRecord, transitional) -> None:
         """The incumbent returned first: reverse the transition."""
         cluster = self.cluster
         pg_index = record.pg_index
         current = cluster.metadata.membership(pg_index)
-        cluster.rollback_segment_replacement(pg_index, record.segment_id)
+        cluster.rollback_segment_replacement(pg_index, record.subject)
         restored = cluster.metadata.membership(pg_index)
         self._notify_transition(pg_index, "rollback", current, restored)
         auditor = cluster.auditor
@@ -339,8 +273,6 @@ class RepairPlanner:
             cluster.network.fail_node(record.candidate_id)
         record.notes.append("incumbent returned; transition reversed")
         self._finish(record, ROLLED_BACK)
-        return
-        yield  # pragma: no cover - makes this a generator for yield-from
 
     def _baseline_rpc(self, pg_index: int, candidate_id: str, record):
         """One baseline attempt against the first healthy full source.
@@ -353,7 +285,7 @@ class RepairPlanner:
             p.segment_id
             for p in cluster.metadata.baseline_sources_of_pg(pg_index)
             if p.segment_id != candidate_id
-            and p.segment_id != record.segment_id
+            and p.segment_id != record.subject
             and cluster.network.is_up(p.segment_id)
         ]
         if not sources:

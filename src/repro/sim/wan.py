@@ -109,7 +109,6 @@ class WanConfig:
 @dataclass
 class WanStats:
     messages_lost: int = 0
-    messages_reordered: int = 0
     #: Cumulative serialization wait imposed by the bandwidth cap.
     queueing_ms: float = 0.0
 
@@ -179,7 +178,6 @@ class WanLink:
             self.config.reorder_rate > 0.0
             and self.rng.random() < self.config.reorder_rate
         ):
-            self.stats.messages_reordered += 1
             delay += REORDER_EXTRA_MS
         return delay
 

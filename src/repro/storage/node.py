@@ -915,11 +915,6 @@ class StorageNode(Actor):
             ),
         )
 
-    def register_peer_directory(self, directory: dict[str, "StorageNode"]) -> None:
-        """Deprecated no-op, kept for API compatibility: scrub repair is
-        now routed through the simulated network via the metadata service's
-        placement directory, not an in-process object registry."""
-
     # ------------------------------------------------------------------
     # Recovery + control plane
     # ------------------------------------------------------------------

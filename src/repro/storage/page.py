@@ -351,10 +351,6 @@ class BlockVersionChain:
             victim.checksum = image_checksum(new_image)
         return victim.lsn
 
-    def corrupt_latest(self) -> None:
-        """Back-compat shim for :meth:`corrupt_version` (newest, bit-rot)."""
-        self.corrupt_version()
-
     def scrub(self) -> list[int]:
         """Return the LSNs of versions whose checksum no longer matches."""
         return [

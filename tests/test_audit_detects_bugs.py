@@ -166,7 +166,6 @@ class BuggyCommitQueue(CommitQueue):
     """Bug: acknowledges immediately, ignoring the VCL gate (section 2.3)."""
 
     def enqueue(self, scn, ack, now=0.0, tag=None):
-        self.stats.enqueued += 1
         self.stats.acknowledged += 1
         if self.audit_probe is not None:
             self.audit_probe.on_commit_ack(self.audit_owner, scn, self._last_vcl)

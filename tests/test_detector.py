@@ -503,7 +503,7 @@ def test_last_heard_census_after_an_audit_run(built_clusters):
     assert report.ok, report.render()
     (cluster,) = built_clusters
     replaced = [
-        r.segment_id for r in cluster.healer.records if r.outcome == REPLACED
+        r.subject for r in cluster.healer.records if r.outcome == REPLACED
     ]
     assert replaced
     cluster.run_for(50.0)  # one more sweep: tracking follows membership

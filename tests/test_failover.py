@@ -34,7 +34,8 @@ from repro.errors import (
     InstanceStateError,
     SimulationError,
 )
-from repro.repair import PROMOTED, FailoverConfig, Health
+from repro.repair import PROMOTED, Health
+from repro.repair import failover as failover_module
 from repro.repair.failover import FAILOVER_WINDOW, FailoverSummary
 from repro.repair.metrics import ACTIVE, ROLLED_BACK
 from repro.verdict import LatencyStats
@@ -43,7 +44,7 @@ from repro.verdict import LatencyStats
 # ----------------------------------------------------------------------
 # Shared scaffolding
 # ----------------------------------------------------------------------
-def _build(seed=7, replicas=2, failover_config=None, audit=True):
+def _build(seed=7, replicas=2, audit=True):
     """A cluster with the failover plane armed and some acked data."""
     cluster = AuroraCluster.build(seed=seed)
     auditor = None
@@ -52,7 +53,7 @@ def _build(seed=7, replicas=2, failover_config=None, audit=True):
         cluster.arm_auditor(auditor)
     for _ in range(replicas):
         cluster.add_replica()
-    cluster.arm_failover(failover_config=failover_config)
+    cluster.arm_failover()
     cluster.run_for(100.0)
     db = cluster.session()
     committed = {}
@@ -135,8 +136,8 @@ class TestDbHealthDetection:
         _await_promotion(cluster)
         record = cluster.failover.records[0]
         assert record.detection_ms > 0
-        assert record.unavailability_ms is not None
-        assert record.unavailability_ms >= record.detection_ms
+        assert record.outage_ms is not None
+        assert record.outage_ms >= record.detection_ms
 
 
 # ----------------------------------------------------------------------
@@ -201,12 +202,13 @@ class TestPromotion:
             n.startswith("failover-replica-") for n in cluster.replicas
         )
 
-    def test_rollback_when_incumbent_returns_after_confirmation(self):
+    def test_rollback_when_incumbent_returns_after_confirmation(
+        self, monkeypatch
+    ):
         # A wide poll slice gives the returning incumbent's signals time
         # to land between confirmation and the promotion decision.
-        cluster, _auditor, committed = _build(
-            failover_config=FailoverConfig(poll_ms=300.0)
-        )
+        monkeypatch.setattr(failover_module, "POLL_MS", 300.0)
+        cluster, _auditor, committed = _build()
         name = cluster.writer.name
         cluster.network.fail_node(name)  # partition; the process lives on
         assert _spin_until(cluster, lambda: bool(cluster.failover.records))

@@ -197,8 +197,7 @@ class TestBoundedBurstHistory:
 class TestResolutionDistributions:
     def _record(self, segment, outcome, finished_at):
         record = RepairRecord(
-            pg_index=0, segment_id=segment, failed_at=100.0,
-            confirmed_at=600.0,
+            segment, failed_at=100.0, confirmed_at=600.0, pg_index=0
         )
         record.began_at = 610.0
         record.finished_at = finished_at
@@ -224,8 +223,7 @@ class TestResolutionDistributions:
 
     def test_active_records_have_no_resolution(self):
         active = RepairRecord(
-            pg_index=0, segment_id="pg0-a", failed_at=100.0,
-            confirmed_at=600.0,
+            "pg0-a", failed_at=100.0, confirmed_at=600.0, pg_index=0
         )
         assert active.resolution_ms is None
         summary = summarize([active], RepairSummary)
@@ -324,7 +322,7 @@ class TestFleetScaleRepairs:
         assert len(replaced) >= len(killed), (
             f"storm not fully repaired: {summary.render_lines()}"
         )
-        assert {r.segment_id for r in replaced} >= set(killed)
+        assert {r.subject for r in replaced} >= set(killed)
 
         # The concurrency the fleet gate demands: >= 8 distinct-PG
         # repairs genuinely in flight at once.

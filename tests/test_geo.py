@@ -80,9 +80,9 @@ def test_region_loss_promotes_secondary_with_session_continuity(mode):
     record = geo.promoted_record
     assert record.outcome == PROMOTED
     assert record.ack_mode == mode
-    assert record.promotion_attempts >= 1
+    assert record.attempts >= 1
     assert record.applied_vdl > 0
-    assert record.rto_ms is not None and record.rto_ms < 30_000.0
+    assert record.outage_ms is not None and record.outage_ms < 30_000.0
     assert record.detection_ms > 0
     if mode == SYNC:
         # RPO zero: every sync-acked commit survives on the promoted
@@ -285,7 +285,7 @@ def test_install_requires_geo_callbacks():
 # ----------------------------------------------------------------------
 def _record(mode, failed_at, promoted_at, lost=0, rpo=0.0):
     return GeoFailoverRecord(
-        primary_id="writer-0",
+        "writer-0",
         ack_mode=mode,
         failed_at=failed_at,
         confirmed_at=failed_at + 900.0,
@@ -293,7 +293,7 @@ def _record(mode, failed_at, promoted_at, lost=0, rpo=0.0):
         promoted_at=promoted_at,
         finished_at=promoted_at,
         outcome=PROMOTED,
-        promotion_attempts=1,
+        attempts=1,
         applied_vdl=200,
         primary_vdl_seen=220,
         recovered_vdl=1_000_200,
@@ -306,7 +306,7 @@ def test_rpo_rto_report_requires_rto_samples():
     """Without a promoted recovery there is nothing to judge: no RTO
     verdict is printed, and the footer says so."""
     stood_down = GeoFailoverRecord(
-        primary_id="writer-0", ack_mode=SYNC, failed_at=1.0, confirmed_at=2.0,
+        "writer-0", ack_mode=SYNC, failed_at=1.0, confirmed_at=2.0,
         outcome=ROLLED_BACK,
     )
     for records in ([], [stood_down]):
@@ -348,8 +348,7 @@ def test_rpo_rto_from_records_splits_modes():
         _record(ASYNC, 20_000.0, 25_000.0, lost=3, rpo=800.0),
         # Unpromoted (rolled back) records are excluded.
         GeoFailoverRecord(
-            primary_id="writer-0", ack_mode=SYNC,
-            failed_at=1.0, confirmed_at=2.0,
+            "writer-0", ack_mode=SYNC, failed_at=1.0, confirmed_at=2.0,
         ),
     ]
     summary = summarize(records, GeoFailoverSummary)

@@ -50,7 +50,6 @@ def build_fleet(seed):
         )
         nodes[name] = node
     for node in nodes.values():
-        node.register_peer_directory(nodes)
         node.start()
 
     from repro.sim.network import Actor

@@ -92,7 +92,7 @@ class TestBlockVersionChain:
         chain.append(1, {"a": 1})
         chain.append(2, {"a": 2})
         assert chain.scrub() == []
-        chain.corrupt_latest()
+        chain.corrupt_version()
         assert chain.scrub() == [2]
 
 

@@ -252,7 +252,7 @@ class TestScrub:
             fill(segment, 3)
             segment.coalesce()
         assert a.scrub() == []
-        a.blocks[0].corrupt_latest()
+        a.blocks[0].corrupt_version()
         failures = a.scrub()
         assert failures == [(0, 3)]
         repaired = a.repair_scrub_failures(b, failures)

@@ -73,7 +73,6 @@ def build_fleet(node_count=6, background=False):
         )
         nodes[name] = node
     for node in nodes.values():
-        node.register_peer_directory(nodes)
         node.start()
     instance = FakeInstance()
     network.attach(instance, az="az1")
@@ -374,7 +373,7 @@ class TestBackgroundMaintenance:
         loop.run(until=100.0)
         node = nodes["seg0"]
         node.segment.coalesce()
-        node.segment.blocks[0].corrupt_latest()
+        node.segment.blocks[0].corrupt_version()
         loop.run(until=6_000.0)
         assert node.counters["scrub_repairs"] >= 1
         assert node.segment.scrub() == []

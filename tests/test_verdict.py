@@ -42,8 +42,11 @@ from repro.geo.failover import (
     GeoFailoverSummary,
 )
 from repro.repair import (
-    FailoverRecord,
+    ACTIVE,
+    PROMOTED,
+    RESTARTED,
     FailoverSummary,
+    Record,
     RepairPlanner,
     RepairRecord,
     RepairSummary,
@@ -106,49 +109,20 @@ def _maybe(strategy):
 
 
 @st.composite
-def repair_records(draw):
+def act_records(draw, summary, opened=(), kind=Record, **facts):
+    """One record of ``summary``'s tier: the shared phases, a successor
+    open for the ``opened`` outcomes, and the tier's own ``facts``."""
     failed_at = draw(MS)
-    outcome = draw(st.sampled_from(
-        ("active", "replaced", "rolled_back", "aborted", "stalled")
-    ))
+    outcome = draw(st.sampled_from((ACTIVE, *summary.OUTCOMES)))
     confirmed_at = failed_at + draw(MS)
-    return RepairRecord(
-        pg_index=0, segment_id="pg0-a", failed_at=failed_at,
-        confirmed_at=confirmed_at, outcome=outcome,
-        finished_at=None if outcome == "active" else confirmed_at + draw(MS),
-    )
-
-
-@st.composite
-def failover_records(draw):
-    failed_at = draw(MS)
-    outcome = draw(st.sampled_from((
-        "active", "promoted", "restarted", "rolled_back", "aborted", "stalled",
-    )))
-    began_at = failed_at + draw(MS)
-    opened = outcome in ("promoted", "restarted")
-    return FailoverRecord(
-        writer_id="writer-0", failed_at=failed_at,
-        confirmed_at=failed_at + draw(MS), began_at=began_at,
-        promoted_at=began_at + draw(MS) if opened else None, outcome=outcome,
-    )
-
-
-@st.composite
-def geo_records(draw):
-    failed_at = draw(MS)
-    outcome = draw(st.sampled_from(
-        ("active", "promoted", "rolled_back", "stalled")
-    ))
-    began_at = failed_at + draw(MS)
-    promoted = outcome == "promoted"
-    return GeoFailoverRecord(
-        primary_id="writer-0", ack_mode=draw(st.sampled_from(("sync", "async"))),
-        failed_at=failed_at, confirmed_at=failed_at + draw(MS),
-        began_at=began_at, promoted_at=began_at + draw(MS) if promoted else None,
+    began_at = confirmed_at + draw(MS)
+    promoted_at = began_at + draw(MS) if outcome in opened else None
+    return kind(
+        "pg0-a", failed_at, confirmed_at, began_at=began_at,
+        promoted_at=promoted_at,
+        finished_at=None if outcome == ACTIVE else began_at + draw(MS),
         outcome=outcome,
-        lost_commits=draw(st.integers(0, 3)) if promoted else 0,
-        rpo_ms=draw(MS) if promoted else 0.0,
+        **{name: draw(fact) for name, fact in facts.items()},
     )
 
 
@@ -173,9 +147,22 @@ def _edge_sample(section, sample) -> None:
 
 #: kind -> (what one "record" is, how it lands in the section).
 RECORDS = {
-    RepairSummary: (repair_records(), RepairSummary.add),
-    FailoverSummary: (failover_records(), FailoverSummary.add),
-    GeoFailoverSummary: (geo_records(), GeoFailoverSummary.add),
+    RepairSummary: (
+        act_records(RepairSummary, kind=RepairRecord, pg_index=st.just(0)),
+        RepairSummary.add,
+    ),
+    FailoverSummary: (
+        act_records(FailoverSummary, (PROMOTED, RESTARTED)),
+        FailoverSummary.add,
+    ),
+    GeoFailoverSummary: (
+        act_records(
+            GeoFailoverSummary, (PROMOTED,), GeoFailoverRecord,
+            ack_mode=st.sampled_from(("sync", "async")),
+            lost_commits=st.integers(0, 3), rpo_ms=MS,
+        ),
+        GeoFailoverSummary.add,
+    ),
     ServingSummary: (
         st.tuples(st.sampled_from(("recovery", "lag")), MS), _edge_sample
     ),
