@@ -7,7 +7,8 @@ order operations that span multiple database instances and multiple
 storage nodes."
 
 Three writers, each owning a key partition backed by its own volume; a
-quorum-durable journal sequences cross-partition transactions.  The demo
+journal -- the writer of a fourth, one-PG volume -- sequences
+cross-partition transactions.  The demo
 shows the single-partition fast path (identical to single-writer Aurora),
 a cross-partition transaction, and the decisive failure case: a
 participant dying between the journal commit point and its local apply --

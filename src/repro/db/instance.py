@@ -824,6 +824,10 @@ class WriterInstance(Actor, BlockIO):
         # 1. Reach a read quorum (and every reachable segment) per PG.
         responses_by_pg: dict[int, list[SegmentRecoveryResponse]] = {}
         pg_configs = {}
+        # The allocation ceiling starts above every truncation range a
+        # responder installed: an earlier recovery's range may reach past
+        # every record it kept, and LSNs inside it are refused for good.
+        highest_seen = NULL_LSN
         for pg_index in pg_indexes:
             replies: dict[str, RecoveryScanResponse] = (
                 yield self.driver.scan_pg(pg_index)
@@ -839,17 +843,14 @@ class WriterInstance(Actor, BlockIO):
                 for reply in replies.values()
             ]
             pg_configs[pg_index] = self.metadata.quorum_config(pg_index)
+            for reply in replies.values():
+                highest_seen = max(
+                    highest_seen,
+                    reply.annulled_upto,
+                    max((d.lsn for d in reply.digests), default=NULL_LSN),
+                )
 
         # 2. Locally re-compute PGCLs, VCL, VDL, and the truncation range.
-        highest_seen = max(
-            (
-                digest.lsn
-                for responses in responses_by_pg.values()
-                for response in responses
-                for digest in response.digests
-            ),
-            default=NULL_LSN,
-        )
         result = recover_volume_state(
             pg_configs=pg_configs,
             responses_by_pg=responses_by_pg,

@@ -12,9 +12,10 @@ This package builds that sentence out:
   single-partition behaviour is exactly the single-writer protocol;
 - **a journal to order cross-instance operations**: cross-partition
   transactions are sequenced by :class:`~repro.multiwriter.journal.Journal`
-  -- a single sequencer whose entries (carrying the full write set) are
-  made durable on a 4/6 quorum of journal segments before the client is
-  acknowledged.  The journal entry IS the commit decision; participants
+  -- the single writer of a one-PG volume of its own, whose committed
+  rows are the entries (each carrying its full write set), so the
+  journal's durability, fencing and recovery are the single-writer
+  protocol's.  The journal entry IS the commit decision; participants
   apply it locally (idempotently, in GSN order), and a recovering
   participant replays any durable journal entries it has not applied --
   so cross-partition atomicity needs no 2PC and survives any single

@@ -16,14 +16,8 @@ from typing import Hashable
 from repro.db.cluster import AuroraCluster
 from repro.db.session import Session
 from repro.errors import ConfigurationError, LockConflictError
-from repro.multiwriter.journal import (
-    JOURNAL_COPIES,
-    Journal,
-    JournalEntry,
-    JournalSegment,
-)
+from repro.multiwriter.journal import Journal, JournalEntry
 from repro.sim.process import Mutex, Process
-from repro.storage.backend import AZS
 
 #: Reserved row holding each partition's applied-GSN high-water mark.
 APPLIED_GSN_KEY = "__mw_applied_gsn__"
@@ -49,15 +43,12 @@ class PartitionApplier:
         self._mutex = Mutex(cluster.loop)
         self.applied_entries = 0
 
-    def ensure_applied(
-        self, gsn: int, hint: "JournalEntry | None" = None
-    ) -> Process:
-        """Apply durable entries up to ``gsn``; ``hint`` (the entry the
-        caller just sequenced) lets the common case skip the journal
-        scan entirely."""
-        return Process(self.cluster.loop, self._ensure_applied(gsn, hint))
+    def ensure_applied(self, gsn: int) -> Process:
+        """Apply durable entries up to ``gsn``, read from the journal
+        writer's B-tree."""
+        return Process(self.cluster.loop, self._ensure_applied(gsn))
 
-    def _ensure_applied(self, gsn: int, hint: "JournalEntry | None" = None):
+    def _ensure_applied(self, gsn: int):
         yield self._mutex.acquire()
         try:
             writer = self.cluster.partitions[self.index].writer
@@ -65,13 +56,7 @@ class PartitionApplier:
             applied = applied or 0
             if applied >= gsn:
                 return applied
-            if hint is not None and hint.gsn == applied + 1 == gsn:
-                # Fast path: the caller's own entry is the only gap.
-                yield from self._apply_entry(writer, hint)
-                return hint.gsn
-            entries: list[JournalEntry] = yield self.cluster.journal.scan_from(
-                applied
-            )
+            entries = yield from self.cluster.journal.scan_from(applied)
             for entry in entries:
                 if entry.gsn > gsn:
                     break
@@ -113,23 +98,21 @@ class PartitionApplier:
 
 
 class MultiWriterCluster:
-    """N single-writer partitions + one quorum-durable journal."""
+    """N single-writer partitions + a journal volume ordering them."""
 
     def __init__(
         self, partition_count: int = 2, seed: int = 42, **overrides
     ) -> None:
-        """``overrides`` reach every partition's
-        :meth:`AuroraCluster.build` (partition ``i`` is seeded ``seed + i``
-        and shares partition 0's loop, network and injector)."""
+        """``overrides`` reach every partition's and the journal's
+        :meth:`AuroraCluster.build` (partition ``i`` is seeded ``seed + i``;
+        all share partition 0's loop, network and injector)."""
         if partition_count < 1:
             raise ConfigurationError("partition_count must be >= 1")
         base = AuroraCluster.build(
             seed=seed, name_prefix="part0:", **overrides
         )
         self.loop = base.loop
-        self.network = base.network
         self.failures = base.failures
-        self.rng = base.rng
         self.partitions: list[AuroraCluster] = [base]
         for index in range(1, partition_count):
             self.partitions.append(
@@ -140,13 +123,12 @@ class MultiWriterCluster:
                     **overrides,
                 )
             )
-        # The journal's own 6-segment quorum, two per AZ.
-        segment_names = [f"journal-seg{i}" for i in range(JOURNAL_COPIES)]
-        for i, name in enumerate(segment_names):
-            segment = JournalSegment(name, self.rng)
-            self.network.attach(segment, az=AZS[i % 3])
-        self.journal = Journal("journal", segment_names)
-        self.network.attach(self.journal, az=AZS[0])
+        # The journal is a one-PG single-writer volume of its own.
+        self.journal = Journal(
+            AuroraCluster.build(
+                shared=base, name_prefix="journal:", **overrides
+            )
+        )
         self.appliers = [
             PartitionApplier(self, index)
             for index in range(partition_count)

@@ -1,15 +1,16 @@
 """The journal: a quorum-durable sequencer for cross-partition operations.
 
-The journal mirrors the single-writer design in miniature:
+The journal *is* a single-writer volume of its own (one protection group,
+on the partitions' backend), and an entry is one committed row keyed by
+its **GSN** (global sequence number):
 
-- one sequencer allocates a monotonically increasing **GSN** (global
-  sequence number) per cross-partition transaction -- the multi-writer
-  analogue of the writer-allocated LSN space;
-- entries stream to six journal segments and are durable at a 4/6 quorum
-  of one-way acknowledgements -- no consensus round;
-- the sequencer's completion bookkeeping is local and ephemeral, and is
-  re-established after a sequencer crash by a read-quorum scan of the
-  journal segments (max contiguous GSN), exactly like VCL recovery.
+- the volume's writer is the one sequencer; it allocates the GSNs and
+  commits each entry's row, so an entry is durable exactly when its
+  commit is acknowledged -- a write quorum of one-way acks (4/6 on the
+  Aurora backend), no consensus;
+- a sequencer crash is the writer's crash, and its recovery the writer's
+  (fence, read-quorum scan, truncation range, epoch bump): the storage
+  segments refuse a stale sequencer's appends.
 
 Entries carry the transaction's full write set, so a participant that
 crashed before applying an entry can replay it from the journal -- the
@@ -19,19 +20,12 @@ unnecessary.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Any, Hashable
 
-from repro.errors import RecoveryError
-from repro.sim.events import Future
-from repro.sim.latency import LatencyModel, disk_service
-from repro.sim.network import Actor, Message
-
-#: Journal quorum shape (mirrors the data plane's V=6, Vw=4, Vr=3).
-JOURNAL_COPIES = 6
-JOURNAL_WRITE_QUORUM = 4
-JOURNAL_READ_QUORUM = 3
+from repro.db.cluster import AuroraCluster
+from repro.sim.process import Mutex, Process
 
 
 @dataclass(frozen=True)
@@ -43,9 +37,6 @@ class JournalEntry:
     #: partition index -> ((key, value_or_None-for-delete), ...)
     writes: tuple[tuple[int, tuple[tuple[Hashable, Any], ...]], ...]
 
-    def partitions(self) -> list[int]:
-        return [partition for partition, _writes in self.writes]
-
     def writes_for(self, partition: int) -> tuple[tuple[Hashable, Any], ...]:
         for candidate, writes in self.writes:
             if candidate == partition:
@@ -53,83 +44,16 @@ class JournalEntry:
         return ()
 
 
-@dataclass(frozen=True)
-class JournalAppend:
-    entry: JournalEntry
+class Journal:
+    """The sequencer: the writer of ``cluster``'s volume."""
 
-
-@dataclass(frozen=True)
-class JournalAppendAck:
-    segment: str
-    gsn: int
-
-
-@dataclass(frozen=True)
-class JournalScanRequest:
-    """Sequencer recovery / participant catch-up read."""
-
-    from_gsn: int
-
-
-@dataclass(frozen=True)
-class JournalScanResponse:
-    segment: str
-    entries: tuple[JournalEntry, ...]
-
-
-class JournalSegment(Actor):
-    """One durable copy of the journal (a trivial storage node)."""
-
-    def __init__(
-        self,
-        name: str,
-        rng: random.Random,
-        disk: LatencyModel | None = None,
-    ) -> None:
-        super().__init__(name)
-        self.rng = rng
-        self.disk = disk if disk is not None else disk_service()
-        self.entries: dict[int, JournalEntry] = {}
-
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
-        if isinstance(payload, JournalAppend):
-            self.entries[payload.entry.gsn] = payload.entry
-            delay = self.disk.sample(self.rng)
-            self.loop.schedule(
-                delay,
-                lambda: self.network.send(
-                    self.name,
-                    message.src,
-                    JournalAppendAck(self.name, payload.entry.gsn),
-                ),
-            )
-        elif isinstance(payload, JournalScanRequest):
-            selected = tuple(
-                self.entries[gsn]
-                for gsn in sorted(self.entries)
-                if gsn > payload.from_gsn
-            )
-            self.network.reply(
-                message, JournalScanResponse(self.name, selected)
-            )
-
-
-@dataclass
-class _PendingAppend:
-    entry: JournalEntry
-    acks: set[str] = field(default_factory=set)
-    future: Future | None = None
-
-
-class Journal(Actor):
-    """The sequencer."""
-
-    def __init__(self, name: str, segments: list[str]) -> None:
-        super().__init__(name)
-        self.segments = list(segments)
+    def __init__(self, cluster: AuroraCluster) -> None:
+        self.cluster = cluster
+        self.loop = cluster.loop
+        #: Held from GSN allocation to the commit's SCN allocation, so SCN
+        #: order is GSN order and the commit queue acks in GSN order.
+        self._mutex = Mutex(self.loop)
         self._next_gsn = 1
-        self._pending: dict[int, _PendingAppend] = {}
         #: Highest GSN known durable with all predecessors durable (the
         #: journal's VCL analogue).
         self.durable_gsn = 0
@@ -139,133 +63,83 @@ class Journal(Actor):
         self,
         txn_uid: str,
         writes: dict[int, list[tuple[Hashable, Any]]],
-    ) -> Future:
+    ) -> Process:
         """Sequence a cross-partition transaction.
 
         Resolves with the :class:`JournalEntry` once the entry -- and every
         entry before it -- is durable on a write quorum of journal
         segments (the in-order rule that makes GSN replay gap-free).
         """
-        entry = JournalEntry(
-            gsn=self._next_gsn,
-            txn_uid=txn_uid,
-            writes=tuple(
-                (partition, tuple(write_list))
-                for partition, write_list in sorted(writes.items())
-            ),
-        )
-        self._next_gsn += 1
-        self.appends += 1
-        pending = _PendingAppend(entry=entry, future=Future(self.loop))
-        self._pending[entry.gsn] = pending
-        for segment in self.segments:
-            self.network.send(self.name, segment, JournalAppend(entry))
-        return pending.future
+        return Process(self.loop, self._append(txn_uid, writes))
 
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
-        if isinstance(payload, JournalAppendAck):
-            pending = self._pending.get(payload.gsn)
-            if pending is None:
-                return
-            pending.acks.add(payload.segment)
-            self._advance_durability()
-
-    def _advance_durability(self) -> None:
-        """Resolve appends in GSN order as their quorums complete."""
-        while True:
-            next_gsn = self.durable_gsn + 1
-            pending = self._pending.get(next_gsn)
-            if pending is None or len(pending.acks) < JOURNAL_WRITE_QUORUM:
-                return
-            self.durable_gsn = next_gsn
-            del self._pending[next_gsn]
-            if pending.future is not None and not pending.future.done:
-                pending.future.set_result(pending.entry)
+    def _append(self, txn_uid, writes):
+        writer, mutex = self.cluster.writer, self._mutex
+        yield mutex.acquire()
+        try:
+            entry = JournalEntry(
+                gsn=self._next_gsn,
+                txn_uid=txn_uid,
+                writes=tuple(
+                    (partition, tuple(write_list))
+                    for partition, write_list in sorted(writes.items())
+                ),
+            )
+            txn = writer.begin()
+            yield from writer.put(txn, entry.gsn, entry)
+            acked = writer.commit(txn)
+            self._next_gsn = entry.gsn + 1
+            self.appends += 1
+        finally:
+            mutex.release()
+        yield acked
+        self.durable_gsn = max(self.durable_gsn, entry.gsn)
+        return entry
 
     # ------------------------------------------------------------------
-    # Sequencer crash recovery (the VCL-recovery analogue)
+    # Sequencer crash recovery: the writer's own
     # ------------------------------------------------------------------
     def crash(self) -> None:
-        """Lose ephemeral sequencer state (pending appends are dropped;
-        unacknowledged cross-partition commits are lost, never half
-        applied -- their entries may exist on a minority only and are
-        superseded by re-sequencing)."""
-        self._pending.clear()
+        """Kill the sequencer: in-flight appends resolve as uncertain, and
+        the GSN counters are lost with the writer's other state."""
+        self.cluster.crash_writer()
+        # An append stalled inside the dead writer never releases its lock.
+        self._mutex = Mutex(self.loop)
+        self._next_gsn = 1
+        self.durable_gsn = 0
 
-    def recover(self) -> Future:
-        """Re-establish ``durable_gsn`` and ``_next_gsn`` from a read
-        quorum of journal segments.  Resolves with the recovered
-        durable GSN."""
-        future = Future(self.loop)
-        responses: dict[str, JournalScanResponse] = {}
+    def recover(self) -> Process:
+        """Run the writer's crash recovery, then re-establish the GSN
+        counters from the highest recovered entry.  Resolves with the
+        recovered durable GSN."""
+        return Process(self.loop, self._recover())
 
-        def _on_reply(f: Future, segment: str) -> None:
-            reply = f.result()
-            if isinstance(reply, JournalScanResponse):
-                responses[segment] = reply
-            if len(responses) >= JOURNAL_READ_QUORUM and not future.done:
-                self.loop.schedule(2.0, _finish)
+    def _recover(self):
+        mutex = self._mutex
+        yield mutex.acquire()
+        try:
+            yield self.cluster.recover_writer().completion
+            writer = self.cluster.writer
+            rows = yield from writer.scan(1, math.inf)
+            top = 0
+            if rows:
+                # Recovery keeps a ragged edge one segment may hold alone.
+                # Re-commit the top entry under the new generation: by the
+                # chain rule its ack means a write quorum holds everything
+                # below it, so no later recovery can lose the kept entries.
+                top, entry = rows[-1]
+                txn = writer.begin()
+                yield from writer.put(txn, top, entry)
+                yield writer.commit(txn)
+            self._next_gsn = top + 1
+            self.durable_gsn = top
+            return top
+        finally:
+            mutex.release()
 
-        def _finish() -> None:
-            if future.done:
-                return
-            if len(responses) < JOURNAL_READ_QUORUM:
-                future.set_exception(
-                    RecoveryError("journal read quorum unavailable")
-                )
-                return
-            union: dict[int, JournalEntry] = {}
-            for reply in responses.values():
-                for entry in reply.entries:
-                    union[entry.gsn] = entry
-            durable = 0
-            while durable + 1 in union:
-                durable += 1
-            self.durable_gsn = durable
-            self._next_gsn = max(union, default=0) + 1
-            future.set_result(durable)
-
-        for segment in self.segments:
-            rpc = self.network.rpc(
-                self.name, segment, JournalScanRequest(from_gsn=0)
-            )
-            rpc.add_done_callback(
-                lambda f, segment=segment: _on_reply(f, segment)
-            )
-        self.loop.schedule(100.0, _finish)
-        return future
-
-    def scan_from(self, from_gsn: int) -> Future:
-        """Fetch durable entries above ``from_gsn`` (participant catch-up).
-
-        Reads a read quorum and returns the union, capped at the
-        sequencer's durable point.
-        """
-        future = Future(self.loop)
-        responses: dict[str, JournalScanResponse] = {}
-
-        def _on_reply(f: Future, segment: str) -> None:
-            reply = f.result()
-            if isinstance(reply, JournalScanResponse):
-                responses[segment] = reply
-            if len(responses) >= JOURNAL_READ_QUORUM and not future.done:
-                union: dict[int, JournalEntry] = {}
-                for resp in responses.values():
-                    for entry in resp.entries:
-                        union[entry.gsn] = entry
-                entries = [
-                    union[gsn]
-                    for gsn in sorted(union)
-                    if gsn <= self.durable_gsn
-                ]
-                future.set_result(entries)
-
-        for segment in self.segments:
-            rpc = self.network.rpc(
-                self.name, segment, JournalScanRequest(from_gsn=from_gsn)
-            )
-            rpc.add_done_callback(
-                lambda f, segment=segment: _on_reply(f, segment)
-            )
-        return future
+    def scan_from(self, from_gsn: int):
+        """Generator: the durable entries above ``from_gsn``, in GSN order
+        (participant catch-up)."""
+        rows = yield from self.cluster.writer.scan(
+            from_gsn + 1, self.durable_gsn
+        )
+        return [entry for _gsn, entry in rows]

@@ -16,8 +16,6 @@ from typing import Any, Hashable
 from repro.db.session import Session
 from repro.errors import SimulationError, TransactionError
 from repro.multiwriter.cluster import MultiWriterCluster
-from repro.sim.events import Future
-from repro.sim.process import Process
 
 
 @dataclass
@@ -27,7 +25,6 @@ class MWTransaction:
     uid: str
     #: key -> value (None = delete); later writes supersede earlier ones.
     staged: dict[Hashable, Any] = field(default_factory=dict)
-    deletes: set[Hashable] = field(default_factory=set)
     finished: bool = False
 
     def require_open(self) -> None:
@@ -47,12 +44,9 @@ class MultiWriterSession:
     # Driving
     # ------------------------------------------------------------------
     def drive(self, awaitable, max_ms: float = 60_000.0) -> Any:
-        session = Session(self.cluster.partitions[0].writer)
-        if isinstance(awaitable, Process):
-            return session.drive(awaitable, max_ms=max_ms)
-        if isinstance(awaitable, Future):
-            return session.drive(awaitable, max_ms=max_ms)
-        return session.drive(awaitable, max_ms=max_ms)
+        return Session(self.cluster.partitions[0].writer).drive(
+            awaitable, max_ms=max_ms
+        )
 
     # ------------------------------------------------------------------
     # Transactions
@@ -67,12 +61,10 @@ class MultiWriterSession:
                 "None is reserved as the delete marker; store a sentinel"
             )
         txn.staged[key] = value
-        txn.deletes.discard(key)
 
     def delete(self, txn: MWTransaction, key: Hashable) -> None:
         txn.require_open()
         txn.staged[key] = None
-        txn.deletes.add(key)
 
     def get(self, key: Hashable, txn: MWTransaction | None = None) -> Any:
         """Read through: staged writes first, then the owning partition."""
@@ -125,8 +117,8 @@ class MultiWriterSession:
     ) -> dict[str, Any]:
         """Cross-partition: journal-sequenced commit.
 
-        1. The journal entry (carrying the full write set) becomes durable
-           on a 4/6 quorum of journal segments -- THE commit point.
+        1. The journal entry (carrying the full write set) commits on
+           the journal volume -- THE commit point.
         2. Each participant applies entries up to this GSN in order; the
            session waits so the caller reads its own writes.
         """
@@ -137,7 +129,7 @@ class MultiWriterSession:
         # purely for read-your-writes (the journal append above was the
         # commit point).
         applies = [
-            self.cluster.appliers[index].ensure_applied(entry.gsn, hint=entry)
+            self.cluster.appliers[index].ensure_applied(entry.gsn)
             for index in sorted(by_partition)
         ]
         for process in applies:

@@ -150,6 +150,9 @@ class RecoveryScanResponse:
     #: Records at or below this point may be GC'd from the hot log; they
     #: are known volume-complete (see repro.core.recovery).
     gc_horizon: int = 0
+    #: Highest ``last`` of the truncation ranges this segment installed:
+    #: the next recovery allocates above it even when no digest does.
+    annulled_upto: int = 0
 
 
 @dataclass(frozen=True, slots=True)

@@ -931,6 +931,7 @@ class StorageNode(Actor):
                 scl=self.segment.scl,
                 digests=self.segment.chain_digests(),
                 gc_horizon=self.segment.gc_horizon,
+                annulled_upto=self.segment.annulled_upto,
             ),
         )
 

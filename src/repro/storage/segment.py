@@ -115,7 +115,7 @@ class Segment:
         #: annulled.  A post-recovery writer allocates above every range it
         #: installed (``LSNAllocator.apply_truncation``), so live ingest
         #: compares against this scalar and never walks the ranges.
-        self._annulled_upto = NULL_LSN
+        self.annulled_upto = NULL_LSN
         #: Hot-log LSNs whose stored record failed digest verification;
         #: coalescing stops below the lowest one until peer repair replaces
         #: the record.
@@ -163,7 +163,7 @@ class Segment:
                 f"{self.segment_id} of PG {self.pg_index}"
             )
         lsn = record.lsn
-        if lsn <= self._annulled_upto and any(
+        if lsn <= self.annulled_upto and any(
             t.contains(lsn) for t in self.truncations
         ):
             self.stats["annulled_refused"] += 1
@@ -237,7 +237,7 @@ class Segment:
         index = self._lsn_index
         if (
             first.lsn <= self.chain.scl
-            or first.lsn <= self._annulled_upto
+            or first.lsn <= self.annulled_upto
             or (index and first.lsn <= index[-1])
         ):
             return None
@@ -421,7 +421,7 @@ class Segment:
         chain is clamped there so post-recovery records re-link cleanly.
         """
         self.truncations.append(truncation)
-        self._annulled_upto = max(self._annulled_upto, truncation.last)
+        self.annulled_upto = max(self.annulled_upto, truncation.last)
         # Annul only the window (pg_point, truncation.last].  LSNs above the
         # range belong to post-recovery writer generations (the allocator
         # jumps above it): a TruncateRequest delivered late, to a segment

@@ -227,6 +227,39 @@ class TestTruncationContract:
         assert db.get("fresh") == "f"
         assert db.get("doomed") is None
 
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_second_recovery_allocates_above_the_first_range(
+        self, backend, seed
+    ):
+        """Recovery 1 keeps an unacked write held by one segment only and
+        installs its truncation range everywhere.  Recovery 2 no longer
+        sees that segment, so no scanned record reaches the range: the
+        writer must still allocate above it, or every segment refuses
+        its LSNs and no later commit is ever acknowledged."""
+        cluster = AuroraCluster.build(seed=seed, backend=backend)
+        db = Session(cluster.writer)
+        db.write("k", "v1")
+        holder = sync_members(cluster)[0]
+        others = [name for name in cluster.nodes if name != holder]
+        for name in others:
+            cluster.failures.crash_node(name)
+        writer = cluster.writer
+        txn = writer.begin()
+        db.drive(writer.put(txn, "k", "unacked"))
+        writer.commit(txn)
+        cluster.run_for(50.0)
+        cluster.crash_writer()
+        for name in others:
+            cluster.failures.restore_node(name)
+        db = Session(cluster.writer)
+        db.drive(cluster.recover_writer())
+        cluster.failures.crash_node(holder)
+        cluster.crash_writer()
+        db = Session(cluster.writer)
+        db.drive(cluster.recover_writer())
+        db.write("after", "x")
+        assert db.get("after") == "x"
+
     def test_btree_structure_survives_truncation(self, backend):
         cluster = AuroraCluster.build(seed=29, backend=backend)
         db = Session(cluster.writer)

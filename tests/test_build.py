@@ -73,4 +73,4 @@ def test_a_world_built_by_a_captured_alias_goes_unseen(
 
 def test_each_multiwriter_partition_is_one_build(built_clusters):
     mw = MultiWriterCluster(partition_count=3, seed=1)
-    assert built_clusters == mw.partitions
+    assert built_clusters == [*mw.partitions, mw.journal.cluster]

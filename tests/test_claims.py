@@ -22,8 +22,9 @@ from repro.cli import main  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ROWS = {claim.id: claim for claim in CLAIMS}
-#: What CI's Taurus lane and the benches' --backend flag used to cover.
-TAURUS_ROWS = ("C1", "C6", "C7")
+#: What CI's Taurus lane and the benches' --backend flag used to cover,
+#: plus E1, whose journal runs on the backend's own storage.
+TAURUS_ROWS = ("C1", "C6", "C7", "E1")
 
 
 @functools.cache

@@ -7,11 +7,6 @@ from repro.db.session import Session
 from repro.errors import TransactionError
 from repro.multiwriter import MultiWriterCluster
 from repro.multiwriter.cluster import APPLIED_GSN_KEY, partition_of
-from repro.multiwriter.journal import (
-    JOURNAL_WRITE_QUORUM,
-    Journal,
-    JournalEntry,
-)
 
 
 @pytest.fixture
@@ -227,8 +222,6 @@ class TestJournalRecovery:
             s.commit(txn)
         assert mw.journal.durable_gsn == 3
         mw.journal.crash()
-        mw.journal.durable_gsn = 0  # simulate total state loss
-        mw.journal._next_gsn = 1
         recovered = s.drive(mw.journal.recover())
         assert recovered == 3
         assert mw.journal._next_gsn == 4
@@ -241,8 +234,8 @@ class TestJournalRecovery:
     def test_journal_tolerates_two_segment_failures(self, mw):
         s = mw.session()
         k0, k1, _ = keys_on_distinct_partitions(mw, 3)
-        mw.failures.crash_node("journal-seg0")
-        mw.failures.crash_node("journal-seg1")
+        mw.failures.crash_node(mw.journal.cluster.segment_name(0, 0))
+        mw.failures.crash_node(mw.journal.cluster.segment_name(0, 1))
         txn = s.begin()
         s.put(txn, k0, 1)
         s.put(txn, k1, 1)
@@ -254,12 +247,70 @@ class TestJournalRecovery:
         s = mw.session()
         k0, k1, _ = keys_on_distinct_partitions(mw, 3)
         for i in range(3):
-            mw.failures.crash_node(f"journal-seg{i}")
+            mw.failures.crash_node(mw.journal.cluster.segment_name(0, i))
         txn = s.begin()
         s.put(txn, k0, 1)
         s.put(txn, k1, 1)
         with pytest.raises(SimulationError):
             s.commit(txn)
+
+
+class TestJournalRaggedEdge:
+    """An append that reached one journal segment, and a sequencer crash."""
+
+    @staticmethod
+    def recover_past_lone_append(mw, s, k0, k1):
+        """Commit GSN 1, then leave GSN 2's append on segment 0 alone
+        (never acked), crash the sequencer and recover it."""
+        txn = s.begin()
+        s.put(txn, k0, "a1")
+        s.put(txn, k1, "b1")
+        assert s.commit(txn)["gsn"] == 1
+        others = [mw.journal.cluster.segment_name(0, i) for i in range(1, 6)]
+        for name in others:
+            mw.failures.crash_node(name)
+        mw.journal.append(
+            "lone", {mw.partition_of(k0): [(k0, "lone")],
+                     mw.partition_of(k1): [(k1, "lone")]}
+        )
+        mw.run_for(50.0)
+        mw.journal.crash()
+        for name in others:
+            mw.failures.restore_node(name)
+        return s.drive(mw.journal.recover())
+
+    def test_a_kept_entry_is_never_half_applied(self):
+        mw = MultiWriterCluster(partition_count=2, seed=61)
+        s = mw.session()
+        k0, k1 = keys_on_distinct_partitions(mw, 2)
+        assert self.recover_past_lone_append(mw, s, k0, k1) == 2
+        # One participant replays the kept entry; then its holder dies.
+        s.drive(mw.appliers[mw.partition_of(k0)].ensure_applied(2))
+        mw.failures.crash_node(mw.journal.cluster.segment_name(0, 0))
+        mw.journal.crash()
+        assert s.drive(mw.journal.recover()) == 2
+        txn = s.begin()
+        s.put(txn, k0, "a2")
+        s.put(txn, k1, "b2")
+        assert s.commit(txn)["gsn"] == 3
+        for applier in mw.appliers:
+            s.drive(applier.ensure_applied(mw.journal.durable_gsn))
+        assert (s.get(k0), s.get(k1)) == ("a2", "b2")
+
+    def test_recovery_makes_a_kept_entry_quorum_durable(self):
+        """Losing the kept entry's only original holder right after
+        recovery loses nothing: the next GSN stays above it."""
+        mw = MultiWriterCluster(partition_count=2, seed=61)
+        s = mw.session()
+        k0, k1 = keys_on_distinct_partitions(mw, 2)
+        assert self.recover_past_lone_append(mw, s, k0, k1) == 2
+        mw.failures.crash_node(mw.journal.cluster.segment_name(0, 0))
+        mw.journal.crash()
+        assert s.drive(mw.journal.recover()) == 2
+        txn = s.begin()
+        s.put(txn, k0, "a2")
+        s.put(txn, k1, "b2")
+        assert s.commit(txn)["gsn"] == 3
 
 
 class TestInterplayWithLocalTraffic:

@@ -33,18 +33,41 @@ def catch_up_all(mw, session):
         session.drive(applier.ensure_applied(mw.journal.durable_gsn))
 
 
+def transfer_writes(mw, session, src, dst, amount):
+    """A transfer's write set, by partition, from the current balances."""
+    writes = {}
+    for account, delta in ((src, -amount), (dst, amount)):
+        writes.setdefault(mw.partition_of(account), []).append(
+            (account, session.get(account) + delta)
+        )
+    return writes
+
+
 @st.composite
 def transfer_scripts(draw):
     steps = []
     for _ in range(draw(st.integers(2, 10))):
-        kind = draw(st.sampled_from(["transfer", "transfer", "crash"]))
+        kind = draw(
+            st.sampled_from(["transfer", "transfer", "crash", "journal-crash"])
+        )
         if kind == "transfer":
             src = draw(st.sampled_from(ACCOUNTS))
             dst = draw(st.sampled_from(ACCOUNTS))
             amount = draw(st.integers(1, 30))
             steps.append(("transfer", src, dst, amount))
-        else:
+        elif kind == "crash":
             steps.append(("crash", draw(st.integers(0, 2))))
+        else:
+            # The transfer in flight, how long it flies, and the AZ whose
+            # two journal segments are down from then on (None: all up).
+            steps.append((
+                "journal-crash",
+                draw(st.sampled_from(ACCOUNTS)),
+                draw(st.sampled_from(ACCOUNTS)),
+                draw(st.integers(1, 30)),
+                draw(st.sampled_from([0.05, 0.25, 0.5, 1.0])),
+                draw(st.sampled_from([None, 0, 1, 2])),
+            ))
     return draw(st.integers(0, 10_000)), steps
 
 
@@ -60,8 +83,29 @@ class TestConservation:
         mw, session = setup_bank(seed)
         expected_total = len(ACCOUNTS) * INITIAL
         crashed: set[int] = set()
+        journal_down: list[str] = []
+        gsns: list[int] = []
         for step in steps:
-            if step[0] == "transfer":
+            if step[0] == "journal-crash":
+                _tag, src, dst, amount, grace_ms, az = step
+                if src != dst:
+                    mw.journal.append(
+                        "in-flight",
+                        transfer_writes(mw, session, src, dst, amount),
+                    )
+                mw.run_for(grace_ms)
+                for name in journal_down:
+                    mw.failures.restore_node(name)
+                journal_down = [] if az is None else [
+                    mw.journal.cluster.segment_name(0, slot)
+                    for slot in (az, az + 3)  # Aurora's slot -> AZ map
+                ]
+                for name in journal_down:
+                    mw.failures.crash_node(name)
+                mw.journal.crash()
+                session.drive(mw.journal.recover())
+                catch_up_all(mw, session)
+            elif step[0] == "transfer":
                 _tag, src, dst, amount = step
                 involved = {mw.partition_of(src), mw.partition_of(dst)}
                 if involved & crashed:
@@ -73,7 +117,9 @@ class TestConservation:
                     continue
                 session.put(txn, src, src_balance - amount)
                 session.put(txn, dst, dst_balance + amount)
-                session.commit(txn)
+                result = session.commit(txn)
+                if result["path"] == "journal":
+                    gsns.append(result["gsn"])
             else:
                 index = step[1] % mw.partition_count
                 if index not in crashed and len(crashed) == 0:
@@ -83,6 +129,8 @@ class TestConservation:
                     crashed.discard(index)
         catch_up_all(mw, session)
         assert total_balance(session) == expected_total
+        # No GSN names two entries.
+        assert gsns == sorted(set(gsns))
 
     def test_transfer_is_atomic_across_partitions(self):
         mw, session = setup_bank(777)

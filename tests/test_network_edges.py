@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import RecoveryError, SimulationError
+from repro.errors import SegmentUnavailableError, SimulationError
 from repro.multiwriter import MultiWriterCluster
 from repro.sim.events import EventLoop
 from repro.sim.network import Actor, Message, Network
@@ -75,10 +75,11 @@ class TestJournalFaultEdges:
         mw = MultiWriterCluster(partition_count=2, seed=86)
         session = mw.session()
         for i in range(4):
-            mw.failures.crash_node(f"journal-seg{i}")
+            mw.failures.crash_node(mw.journal.cluster.segment_name(0, i))
         mw.journal.crash()
         future = mw.journal.recover()
-        with pytest.raises((RecoveryError, SimulationError)):
+        # The writer's recovery fences first, on a write quorum.
+        with pytest.raises(SegmentUnavailableError):
             session.drive(future, max_ms=5_000)
 
     def test_journal_entries_survive_sequencer_amnesia(self):
@@ -95,11 +96,9 @@ class TestJournalFaultEdges:
         session.put(txn, k_b, "pre-amnesia")
         gsn = session.commit(txn)["gsn"]
         # Total sequencer amnesia + two journal segments dead.
-        mw.failures.crash_node("journal-seg0")
-        mw.failures.crash_node("journal-seg3")
+        mw.failures.crash_node(mw.journal.cluster.segment_name(0, 0))
+        mw.failures.crash_node(mw.journal.cluster.segment_name(0, 3))
         mw.journal.crash()
-        mw.journal.durable_gsn = 0
-        mw.journal._next_gsn = 1
         recovered = session.drive(mw.journal.recover())
         assert recovered == gsn
         # Replay still works from the surviving read quorum.

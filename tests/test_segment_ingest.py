@@ -179,7 +179,7 @@ def state(segment, lsns):
         },
         "stats": segment.stats,
         "truncations": segment.truncations,
-        "annulled_upto": segment._annulled_upto,
+        "annulled_upto": segment.annulled_upto,
     }
 
 
@@ -225,11 +225,11 @@ class AcceptsAnnulledRuns(Segment):
     """Planted bug: the bulk path forgets the installed truncations."""
 
     def _appendable_run(self, records):
-        upto, self._annulled_upto = self._annulled_upto, 0
+        upto, self.annulled_upto = self.annulled_upto, 0
         try:
             return super()._appendable_run(records)
         finally:
-            self._annulled_upto = upto
+            self.annulled_upto = upto
 
 
 def test_a_bulk_path_that_accepts_annulled_runs_is_caught():
