@@ -14,7 +14,7 @@ test:
 # The audit gate: the full tier-1 suite, then a 20-seed chaos sweep with
 # the runtime invariant auditor armed (see docs/AUDIT.md).  Exits nonzero
 # if any test fails or any seed reports an invariant violation.  The sweep
-# runs under two string-hash seeds, and the two reports must be
+# runs under three string-hash seeds, and the reports must be
 # byte-identical (tools/hashseeds.py).
 audit: test
 	python3 tools/hashseeds.py $(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 20 --jobs $(JOBS)

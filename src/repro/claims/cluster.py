@@ -181,7 +181,7 @@ def a2_scaleout(backend: str) -> list[Table]:
         seed=821, backend=backend, pg_count=4, blocks_per_pg=8
     )
     db = cluster.session()
-    fill(db, 180)
+    fill(db, 300)
     cluster.run_for(30)
     used_pgs = {
         node.segment.pg_index
@@ -722,8 +722,9 @@ def f3_live_cluster(backend: str) -> list[Table]:
     )
     db = cluster.session()
     # Fill enough rows to spill block allocation into PG1 (block
-    # allocation walks PG0 first); splits consume ~1 block per ~14 rows.
-    fill(db, 170)
+    # allocation walks PG0 first); an ascending fill leaves its leaves
+    # full, so splits consume ~1 block per 16 rows.
+    fill(db, 240)
     cluster.run_for(50)
     driver = cluster.writer.driver
     rows = []

@@ -17,6 +17,13 @@ Layout (all images are plain dicts, the storage block format):
   -- one image entry per row, keyed by a ``("k", key)`` tuple, holding that
   row's MVCC version chain (oldest first).  Row updates therefore log a
   one-entry :class:`~repro.core.records.BlockPut` delta, not a page image.
+- **splits**: a node that overflows splits at the middle, except an append
+  at the right edge.  When the node is the rightmost on its level (every
+  step of the descent took the last child) and the new entry landed at its
+  end, the new right sibling takes only that entry -- a leaf's new row, or
+  an internal node's last separator and the two children beside it -- and
+  the left node stays full.  An ascending load therefore fills its pages
+  instead of leaving each half empty.
 
 Keys within one tree must be mutually comparable (all ints, or all strs).
 
@@ -257,7 +264,9 @@ class BTree:
             mtr, leaf, image, BlockPut(entries=((row_key(key), new_versions),))
         )
         if leaf_row_count(new_image) > self.max_leaf_rows:
-            yield from self._split_leaf(mtr, meta, path, leaf, new_image)
+            yield from self._split_leaf(
+                mtr, meta, path, leaf, new_image, key
+            )
         return prior
 
     def replace_versions(
@@ -344,9 +353,14 @@ class BTree:
     # ------------------------------------------------------------------
     # Splits
     # ------------------------------------------------------------------
-    def _split_leaf(self, mtr, meta, path, leaf_block, image):
+    def _split_leaf(self, mtr, meta, path, leaf_block, image, key):
         rows = leaf_rows(image)
-        mid = len(rows) // 2
+        if key == rows[-1][0] and _at_right_edge(path):
+            # An append to the last leaf: the left leaf stays full and
+            # the new sibling starts with the new row alone.
+            mid = len(rows) - 1
+        else:
+            mid = len(rows) // 2
         left_rows, right_rows = rows[:mid], rows[mid:]
         separator = right_rows[0][0]
         right_block = yield from self.io.allocate_block(mtr)
@@ -393,8 +407,14 @@ class BTree:
                 ),
             )
             return
-        # Split this internal node; the middle key moves up.
-        mid = len(keys) // 2
+        # Split this internal node; the key at the split point moves up.
+        if _at_right_edge(path):
+            # The separator landed at the end of the last node on its
+            # level: the new sibling takes only it and the two children
+            # beside it, the left node keeps the rest.
+            mid = len(keys) - 2
+        else:
+            mid = len(keys) // 2
         promoted = keys[mid]
         right_node = yield from self.io.allocate_block(mtr)
         self.io.stage_change(
@@ -457,13 +477,51 @@ class BTree:
     def check_structure(self):
         """Verify ordering and fanout invariants; returns leaf count.
 
-        Used by integration tests and the failure-injection suites to
-        assert the tree survived splits, crashes, and recovery intact.
+        Every internal node holds at least one separator and one child
+        more than separators, its separators ascend, and every key below
+        child ``i`` lies inside that child's separators
+        (``keys[i - 1] <= key < keys[i]``).  The descent reaches the leaf
+        chain's leaves, in its order; no leaf overflows, and keys ascend
+        along the chain.  Used by integration tests and the
+        failure-injection suites to assert the tree survived splits,
+        crashes, and recovery intact.
         """
         meta = yield from self.io.read_image(self.meta_block)
+        level = [(meta["root"], None, None)]  # (block, low, high)
+        for _depth in range(meta["height"]):
+            below = []
+            for block, low, high in level:
+                image = yield from self.io.read_image(block)
+                keys, children = image.get("keys"), image.get("children")
+                if (
+                    image.get("type") != "internal"
+                    or not keys
+                    or len(children or ()) != len(keys) + 1
+                ):
+                    raise ConfigurationError(
+                        f"malformed internal node {block}: {image!r}"
+                    )
+                bounds = (low, *keys, high)
+                for i, child in enumerate(children):
+                    child_low, child_high = bounds[i], bounds[i + 1]
+                    if (
+                        child_low is not None
+                        and child_high is not None
+                        and not child_low < child_high
+                    ):
+                        raise ConfigurationError(
+                            f"separators out of order in node {block}: "
+                            f"{child_low!r} before {child_high!r}"
+                        )
+                    below.append((child, child_low, child_high))
+            level = below
         leaves = yield from self.iterate_leaves()
+        if [block for block, _low, _high in level] != [
+            block for block, _image in leaves
+        ]:
+            raise ConfigurationError("leaf chain differs from the descent")
         previous_key = None
-        for _block, image in leaves:
+        for (block, low, high), (_block, image) in zip(level, leaves):
             rows = leaf_rows(image)
             if len(rows) > self.max_leaf_rows:
                 raise ConfigurationError(
@@ -474,9 +532,24 @@ class BTree:
                     raise ConfigurationError(
                         f"key order violated: {key!r} after {previous_key!r}"
                     )
+                if (low is not None and key < low) or (
+                    high is not None and not key < high
+                ):
+                    raise ConfigurationError(
+                        f"key {key!r} in leaf {block} outside its "
+                        f"separators [{low!r}, {high!r})"
+                    )
                 previous_key = key
-        del meta
         return len(leaves)
+
+
+def _at_right_edge(path) -> bool:
+    """Whether every step of a traversal ``path`` took the last child:
+    the node it reached is the rightmost on its level."""
+    return all(
+        child_index == len(image["keys"])
+        for _block, image, child_index in path
+    )
 
 
 def visible_rows(

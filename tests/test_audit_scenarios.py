@@ -313,7 +313,9 @@ class TestProfilesBuildTheParentsConfigs:
 
 
 #: ``audit-run --seed 3 --steps 150 <switch>`` at the parent (the proxy
-#: with ``--proxy-sessions 2000``), as printed.
+#: with ``--proxy-sessions 2000``), as printed.  ``geo`` was re-recorded
+#: when an append at the B-tree's right edge began to split at the insert
+#: point: its run makes one such split, and its simulated time moved.
 HEAD_REPORTS = {
     "chaos": """\
 audit run: seed=3 steps=150 sim_time=1132ms
@@ -364,7 +366,7 @@ audit run: seed=3 steps=150 sim_time=4436ms
   write unavailability: mean=891ms p50=891ms p95=891ms max=891ms (n=1)
   failover gate:       ok""",
     "geo": """\
-audit run: seed=3 steps=150 sim_time=26350ms
+audit run: seed=3 steps=150 sim_time=26348ms
   chaos events:        18
   commit acks:         94
   writer recoveries:   1
@@ -427,7 +429,9 @@ audit run: seed=3 steps=150 sim_time=6259ms
 #: What the same commands print under their ``sweep: 2/2 seeds clean``
 #: line with ``--sweep 2`` (seeds 3 and 4), recorded at PR 24's parent;
 #: ``integrity-taurus`` adds ``--backend taurus``.  The chaos profile
-#: finishes no repair at this scale, so its footer is empty.
+#: finishes no repair at this scale, so its footer is empty.  ``proxy``
+#: was re-recorded with ``geo`` above: its seed 4 makes one split at the
+#: insert point.
 HEAD_FOOTERS = {
     "chaos": "",
     "fleet": """\
@@ -475,17 +479,17 @@ geo disaster-recovery telemetry across 2 seeds:
   RPO (async, 1 runs, 4 commits): mean=868ms p50=868ms p95=868ms max=868ms (n=1)""",
     "proxy": """\
 fleet failover telemetry across 2 seeds (2 writer failovers):
-  detection latency:   mean=879ms p50=876ms p95=883ms max=883ms (n=2)
+  detection latency:   mean=889ms p50=876ms p95=902ms max=902ms (n=2)
   promotion time:      mean=18ms p50=15ms p95=20ms max=20ms (n=2)
-  write unavailability: mean=902ms p50=896ms p95=908ms max=908ms (n=2)
-  budget (30s):         met; worst failover used 3.0% of budget
+  write unavailability: mean=912ms p50=896ms p95=927ms max=927ms (n=2)
+  budget (30s):         met; worst failover used 3.1% of budget
 serving-tier telemetry across 2 seeds:
-  sessions:            4000 (709 ops)
-  session recovery:    mean=422ms p50=400ms p95=835ms max=890ms (n=25)
+  sessions:            4000 (710 ops)
+  session recovery:    mean=440ms p50=405ms p95=865ms max=890ms (n=25)
   recovery budget (5s): met; worst outage used 17.8% of budget
   replica time lag:    mean=0ms p50=0ms p95=0ms max=5ms (n=13591)
   lag SLO (p95 < 10ms): met
-  read routing:        626 replica / 0 writer (100.0% offloaded), 0 RYW floor exclusions, 0 pool waits""",
+  read routing:        627 replica / 0 writer (100.0% offloaded), 0 RYW floor exclusions, 0 pool waits""",
     "integrity": """\
 integrity telemetry across 2 seeds (aurora):
   corruption injected: 3 (kind=inj/det/rep: bit_rot=1/1/1, bit_rot_record=1/1/1, lost_write=1/1/1)

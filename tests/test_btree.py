@@ -182,6 +182,53 @@ class TestSplits:
         assert [k for k, _ in results] == list(range(50))
 
 
+class TestSplitPoint:
+    def leaf_keys(self, btree):
+        return [
+            [key for key, _versions in leaf_rows(image)]
+            for _block, image in run(btree.iterate_leaves())
+        ]
+
+    def test_an_ascending_load_fills_every_leaf_but_the_last(self):
+        io = MemoryIO()
+        registry = TransactionStatusRegistry()
+        registry.record_commit(1, 1)
+        btree = BTree(io, registry, meta_block=0)
+        mtr = MTRBuilder()
+        btree.bootstrap(mtr, root_block=1, first_free_block=2)
+        io.apply(mtr)
+        for key in range(5000):
+            put(io, btree, key, key)
+        assert run(btree.check_structure()) == 313
+        leaves = self.leaf_keys(btree)
+        assert all(len(keys) == btree.max_leaf_rows for keys in leaves[:-1])
+        assert leaves[-1] == list(range(312 * btree.max_leaf_rows, 5000))
+        internal = [
+            image for image in io.blocks.values()
+            if image.get("type") == "internal"
+        ]
+        assert (io.blocks[0]["height"], len(internal)) == (3, 23)
+
+    def test_an_overflow_off_the_right_edge_splits_at_the_middle(
+        self, tree
+    ):
+        io, btree, _ = tree
+        for key in (0, 10, 20, 30, 40):
+            put(io, btree, key, key)
+        # The append split at the insert point: the left leaf stays full.
+        assert self.leaf_keys(btree) == [[0, 10, 20, 30], [40]]
+        # The end of a leaf that is not the rightmost: the middle.
+        put(io, btree, 35, 35)
+        assert self.leaf_keys(btree) == [[0, 10], [20, 30, 35], [40]]
+        # The rightmost leaf, but not at its end: the middle.
+        for key in (45, 50, 55, 42):
+            put(io, btree, key, key)
+        assert self.leaf_keys(btree) == [
+            [0, 10], [20, 30, 35], [40, 42], [45, 50, 55],
+        ]
+        run(btree.check_structure())
+
+
 class TestMaintenance:
     def test_iterate_leaves_left_to_right(self, tree):
         io, btree, _ = tree
@@ -229,19 +276,57 @@ class TestMaintenance:
         with pytest.raises(ConfigurationError):
             run(btree.check_structure())
 
+    @pytest.mark.parametrize("damage", ["empty", "disorder", "stray"])
+    def test_check_structure_checks_internal_nodes(self, tree, damage):
+        io, btree, _ = tree
+        for key in range(40):
+            put(io, btree, key, key)
+        run(btree.check_structure())
+        root = io.blocks[io.blocks[0]["root"]]
+        keys, children = list(root["keys"]), list(root["children"])
+        if damage == "empty":  # one child, no separator
+            keys, children = [], children[:1]
+        elif damage == "disorder":  # separators descend
+            keys.reverse()
+        else:  # a separator past the keys of the child below it
+            keys[0] = keys[1] - 1
+        io.blocks[io.blocks[0]["root"]] = {
+            **root, "keys": tuple(keys), "children": tuple(children),
+        }
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError):
+            run(btree.check_structure())
+
+
+#: One run of puts: random keys, or an ascending or descending key range.
+RUNS = st.one_of(
+    st.lists(
+        st.tuples(st.integers(0, 500), st.integers(0, 10**6)),
+        min_size=1,
+        max_size=40,
+    ),
+    st.builds(
+        lambda start, count: [(key, key) for key in range(start, start + count)],
+        st.integers(0, 500), st.integers(1, 60),
+    ),
+    st.builds(
+        lambda start, count: [
+            (key, -key) for key in range(start + count - 1, start - 1, -1)
+        ],
+        st.integers(0, 500), st.integers(1, 60),
+    ),
+)
+
 
 class TestBTreeProperties:
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 500), st.integers(0, 10**6)),
-            min_size=1,
-            max_size=120,
-        )
-    )
+    @given(st.lists(RUNS, min_size=1, max_size=6))
     @settings(max_examples=40, deadline=None)
-    def test_matches_dict_model(self, operations):
+    def test_matches_dict_model(self, runs):
         """Property: a B-tree with committed single-version writes behaves
-        exactly like a dict, across any interleaving of puts."""
+        exactly like a dict, across any interleaving of puts -- random,
+        ascending and descending runs -- and keeps its structure after
+        every run."""
         io = MemoryIO()
         registry = TransactionStatusRegistry()
         registry.record_commit(1, 1)
@@ -251,15 +336,16 @@ class TestBTreeProperties:
         btree.bootstrap(mtr, root_block=1, first_free_block=2)
         io.apply(mtr)
         model: dict[int, int] = {}
-        for key, value in operations:
-            put(io, btree, key, value)
-            model[key] = value
+        for operations in runs:
+            for key, value in operations:
+                put(io, btree, key, value)
+                model[key] = value
+            run(btree.check_structure())
         for key, value in model.items():
             view = ReadView(view_id=1, read_point=10**9)
             found, got = run(btree.get(view, key))
             # Several versions may exist; the newest committed wins.
             assert found and got == value
-        run(btree.check_structure())
         view = ReadView(view_id=1, read_point=10**9)
-        scan = run(btree.scan(view, 0, 500))
+        scan = run(btree.scan(view, 0, 10**6))
         assert [k for k, _ in scan] == sorted(model)

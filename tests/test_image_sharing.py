@@ -11,6 +11,7 @@ on one copy stays on that copy.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 from types import MappingProxyType
 
@@ -414,8 +415,6 @@ class TestReadsCarryReferences:
     KEYS = [f"key{i:04d}" for i in range(800)]
 
     def run(self, monkeypatch, wire_compression):
-        from collections import Counter
-
         from repro.db import driver as driver_module
         from repro.db.driver import StorageDriver
         from repro.db.instance import WriterInstance
@@ -634,11 +633,15 @@ class TestReadsCarryReferences:
         assert run["ran"]["writer"] == len(run["sealed"])
         # Outside the writer a payload ran only on a record that rode in a
         # batch behind a stand-in for its block (the fork ends with the
-        # batch) -- in this run no more often than once per stand-in and
-        # once per covering record.
+        # batch).  The segments hold the forked lineage, the replicas the
+        # writer's, and a record's redo memo keeps one (base, image) pair:
+        # the segments run a forked record's payload once, and every
+        # replica that applies it in between takes the memo over, so it
+        # runs once for that replica and once more for the segments.
         assert run["outside"]
         assert set(run["outside"]) <= run["forked"]
-        assert len(run["outside"]) <= 2 * elided
+        runs_per_record = Counter(run["outside"])
+        assert max(runs_per_record.values()) <= 1 + 2 * len(run["replicas"])
 
 
 def read_only(image):

@@ -132,8 +132,9 @@ class TestVolumeGrowth:
         assert cluster.metadata.geometry.pg_count == 3
         assert cluster.writer.driver.epochs.geometry == epoch_before + 1
         assert len(cluster.nodes) == 18
-        # New PGs accept traffic: fill past the first PG's 16 blocks.
-        for i in range(120):
+        # New PGs accept traffic: fill past the first PG's 16 blocks (an
+        # ascending fill leaves its leaves full: ~16 rows per block).
+        for i in range(240):
             db.write(f"grown{i:03d}", i)
         assert db.get("grown110") == 110
         used_pgs = {

@@ -1,12 +1,13 @@
-"""Run a command under two string-hash seeds; its output must not move.
+"""Run a command under three string-hash seeds; its output must not move.
 
 ``python3 tools/hashseeds.py <command ...>`` runs the command with
-``PYTHONHASHSEED=0`` and again with ``PYTHONHASHSEED=3``, prints the first
-run's output and exits with its status -- or with 1 when the two runs
-print different bytes or exit differently.  ``make audit`` and CI's
-``audit``, ``audit-geo`` and ``audit-proxy`` lanes wrap their sweep in it:
-``audit-run`` prints no wall-clock time, so a report that moves between
-the two runs leans on string-hash order.
+``PYTHONHASHSEED=0``, again with ``3`` and again with ``7``, prints the
+first run's output and exits with its status -- or with 1 when another run
+prints different bytes or exits differently.  ``make audit`` and every
+gate lane of CI (``audit``, ``audit-fleet``, ``audit-failover``,
+``audit-geo``, ``audit-proxy``, ``audit-integrity``) wrap their sweep in
+it: ``audit-run`` prints no wall-clock time, so a report that moves
+between the runs leans on string-hash order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import subprocess
 import sys
 
-SEEDS = ("0", "3")
+SEEDS = ("0", "3", "7")
 
 
 def main(command: list[str]) -> int:
@@ -29,7 +30,7 @@ def main(command: list[str]) -> int:
     sys.stdout.buffer.write(first.stdout)
     sys.stdout.flush()
     sys.stderr.buffer.write(first.stderr)
-    seeds = " and ".join(SEEDS)
+    seeds = ", ".join(SEEDS)
     if any(
         (run.stdout, run.returncode) != (first.stdout, first.returncode)
         for run in others
