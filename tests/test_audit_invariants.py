@@ -13,7 +13,6 @@ from collections import Counter
 
 import pytest
 
-from repro.audit import AuditRunConfig, run_audit
 from repro.sim.chaos import (
     CHAOS,
     FLEET,
@@ -25,6 +24,8 @@ from repro.sim.chaos import (
     WRITER_PERIODS,
     ChaosSchedule,
 )
+
+from .conftest import audit_report
 
 #: 50 seeds for the sweep satellite; kept short per-seed so the whole
 #: file stays in tier-1 time budget.
@@ -45,7 +46,7 @@ def _assert_clean(report):
 
 @pytest.mark.parametrize("seed", SWEEP_SEEDS)
 def test_chaos_sweep_no_violations(seed):
-    report = run_audit(AuditRunConfig(seed=seed, steps=60, replicas=1))
+    report = audit_report("chaos", seed=seed, steps=60, replicas=1)
     _assert_clean(report)
     assert report.protocol_events > 0
     assert report.commit_acks > 0
@@ -53,14 +54,14 @@ def test_chaos_sweep_no_violations(seed):
 
 @pytest.mark.parametrize("seed", DEEP_SEEDS)
 def test_deep_runs_with_recovery_and_membership_change(seed):
-    report = run_audit(AuditRunConfig(seed=seed, steps=320, replicas=1))
+    report = audit_report("chaos", seed=seed, steps=320, replicas=1)
     _assert_clean(report)
     assert report.writer_recoveries >= 1
     assert report.chaos_events > 0
 
 
 def test_report_render_mentions_seed():
-    report = run_audit(AuditRunConfig(seed=3, steps=30, replicas=0))
+    report = audit_report("chaos", seed=3, steps=30, replicas=0)
     _assert_clean(report)
     assert "seed=3" in report.render()
     assert report.ok

@@ -10,7 +10,6 @@ the table is held to it, and planted mutants of the table must be caught.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import os
 import re
 import subprocess
@@ -24,6 +23,7 @@ from repro.audit import PROFILES, AuditRunConfig, merged_sections, run_audit
 from repro.audit import clients, profiles
 from repro.audit.profiles import AtLeast, budgets_table, profiles_table
 from repro.sim.chaos import CHAOS, FLEET
+from tests.conftest import audit_report
 from tests.test_chaos import SCHEDULE_DIGESTS, schedule_digests
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -513,20 +513,14 @@ integrity telemetry across 2 seeds (taurus):
 }
 
 
-def profile_config(name: str, **fields) -> AuditRunConfig:
-    return PROFILES[name].configure(AuditRunConfig(**fields))
-
-
-@functools.lru_cache(maxsize=None)
 def head_scale_report(name: str, seed: int):
     """The report of one seed at the scale the literals were recorded at
-    (run once per session: the report and the footer pins share seed 3)."""
+    (the report and the footer pins share seed 3)."""
     name, _, backend = name.partition("-")
-    config = profile_config(
+    return audit_report(
         name, seed=seed, steps=150, proxy_sessions=2000,
         backend=backend or "aurora",
     )
-    return run_audit(config)
 
 
 #: ``UNREAD`` as what holds each field now: ``(row, knob, the parent's
@@ -538,7 +532,6 @@ UNREAD_KNOBS = sorted({
 })
 
 
-@functools.lru_cache(maxsize=None)
 def rendered(name: str, steps: int, knob: str = "", value=None) -> str:
     """The seed-3 report of row ``name`` with ``knob`` (a config field or
     the row's ``operator``) at ``value``."""
@@ -549,7 +542,7 @@ def rendered(name: str, steps: int, knob: str = "", value=None) -> str:
     elif knob:
         fields[knob] = value
     try:
-        return run_audit(profile_config(name, **fields)).render()
+        return audit_report(name, **fields).render()
     finally:
         PROFILES[name] = row
 
@@ -650,7 +643,9 @@ class TestBackendReachesEveryWorld:
             assert built.backend == "taurus"
 
     def test_geo_builds_both_regions_on_it(self, built_clusters):
-        config = profile_config("geo", seed=2, steps=60, backend="taurus")
+        config = PROFILES["geo"].configure(
+            AuditRunConfig(seed=2, steps=60, backend="taurus")
+        )
         assert run_audit(config).violations == []
         assert self.backends(built_clusters) == [
             "TaurusBackend", "RegionBackend",

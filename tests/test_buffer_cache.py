@@ -15,7 +15,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import AuroraCluster
@@ -23,6 +23,8 @@ from repro.db.buffer_cache import AGING_PERIOD, PROTECTED_SHARE, BufferCache
 from repro.db.replica import ReplicaConfig
 from repro.errors import LockConflictError
 from repro.sim.process import Process
+
+from .conftest import SEEDS, found_by_search
 
 IMAGE = {"type": "leaf"}
 
@@ -187,9 +189,6 @@ def replay(ops, capacity, factory=BufferCache):
     return pool
 
 
-SEEDS = st.integers(min_value=0, max_value=1 << 32)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     seed=SEEDS,
@@ -336,20 +335,14 @@ def test_each_planted_mutant_is_caught(mutant):
     replay(ops, capacity)
     with pytest.raises(AssertionError):
         replay(ops, capacity, mutant)
-    # The differential finds it unaided, too (no shrinking: any
-    # counterexample will do).
-    searched = settings(
-        max_examples=200, deadline=None, database=None, derandomize=True,
-        phases=[Phase.generate], report_multiple_bugs=False,
-    )(
-        given(seed=SEEDS, capacity=st.integers(min_value=2, max_value=8))(
-            lambda seed, capacity: replay(
-                script(seed, capacity), capacity, mutant
-            )
-        )
+    # The differential finds it unaided, too.
+    assert found_by_search(
+        lambda seed, capacity: replay(
+            script(seed, capacity), capacity, mutant
+        ),
+        200,
+        capacity=st.integers(min_value=2, max_value=8),
     )
-    with pytest.raises(AssertionError):
-        searched()
 
 
 # ----------------------------------------------------------------------

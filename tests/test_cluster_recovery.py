@@ -10,13 +10,7 @@ import pytest
 from repro import AuroraCluster
 from repro.db.session import Session
 
-
-def crash_and_recover(cluster):
-    cluster.crash_writer()
-    process = cluster.recover_writer()
-    session = Session(cluster.writer)
-    session.drive(process)
-    return session
+from .conftest import crash_and_recover
 
 
 class TestBasicRecovery:

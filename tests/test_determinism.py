@@ -127,7 +127,7 @@ class TestDeterminism:
 
         assert run() == run()
 
-    def test_audit_run_is_pinned_to_recorded_values(self):
+    def test_audit_run_is_pinned_to_recorded_values(self, built_clusters):
         """A change that only makes the simulator cheaper to run must leave
         the simulated universe alone.  Recorded at commit a529a73 (PR 14),
         before the write round trip's per-message derivations were replaced
@@ -137,21 +137,12 @@ class TestDeterminism:
         hook calls, and a post-recovery boxcar appended in bulk reports its
         SCL advance once instead of once per record (2363 before)."""
         import hashlib
-        from unittest import mock
 
         from repro.audit import AuditRunConfig, run_audit
 
-        clusters = []
-        build = AuroraCluster.build
-
-        def capture(*args, **kwargs):
-            clusters.append(build(*args, **kwargs))
-            return clusters[-1]
-
-        with mock.patch.object(AuroraCluster, "build", capture):
-            report = run_audit(AuditRunConfig(seed=7, steps=300))
+        report = run_audit(AuditRunConfig(seed=7, steps=300))
         assert report.events_executed == 9944
-        (cluster,) = clusters
+        (cluster,) = built_clusters
         latencies = list(cluster.writer.stats.commit_latencies)
         assert len(latencies) == 142
         assert latencies[:3] == [

@@ -15,102 +15,17 @@ Covers the DESIGN.md section 12 machinery at three levels:
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.core.epochs import EpochStamp
-from repro.core.records import BlockPut, LogRecord, RecordKind
 from repro.db.session import Session
 from repro.errors import CorruptVersionError
 from repro.sim.chaos import CHAOS, INTEGRITY, STORAGE_TARGET, ChaosSchedule
-from repro.sim.events import EventLoop
-from repro.sim.latency import FixedLatency
-from repro.sim.network import Actor, Network
-from repro.storage.backup import SimulatedS3
-from repro.storage.messages import (
-    ReadBlockRequest,
-    ReadBlockResponse,
-    RequestRejected,
-    WriteAck,
-    WriteBatch,
-)
-from repro.storage.metadata import SegmentPlacement, StorageMetadataService
-from repro.storage.node import StorageNode, StorageNodeConfig
+from repro.storage.messages import ReadBlockRequest, ReadBlockResponse
 from repro.storage.page import BlockVersionChain
 from repro.storage.segment import Segment, SegmentKind
-from repro.storage.volume import VolumeGeometry
-from repro.core.membership import MembershipState
 
-from .conftest import integrity_cluster
-
-
-# ----------------------------------------------------------------------
-# Local fleet helpers (mirrors test_storage_node.py's idiom)
-# ----------------------------------------------------------------------
-class FakeInstance(Actor):
-    def __init__(self, name="db"):
-        super().__init__(name)
-        self.acks = []
-        self.reads = []
-        self.rejections = []
-
-    def on_message(self, message):
-        payload = message.payload
-        if isinstance(payload, WriteAck):
-            self.acks.append(payload)
-        elif isinstance(payload, ReadBlockResponse):
-            self.reads.append(payload)
-        elif isinstance(payload, RequestRejected):
-            self.rejections.append(payload)
-
-
-def build_fleet(node_count=6, background=False, scrub_interval=500.0):
-    loop = EventLoop()
-    rng = random.Random(17)
-    network = Network(
-        loop, rng, intra_az=FixedLatency(0.2), cross_az=FixedLatency(0.8)
-    )
-    geometry = VolumeGeometry(blocks_per_pg=64, pg_count=1)
-    metadata = StorageMetadataService(geometry)
-    s3 = SimulatedS3()
-    names = [f"seg{i}" for i in range(node_count)]
-    metadata.set_membership(0, MembershipState.initial(names))
-    nodes = {}
-    config = StorageNodeConfig(
-        disk=FixedLatency(0.05),
-        enable_background=background,
-        scrub_interval=scrub_interval,
-    )
-    for i, name in enumerate(names):
-        segment = Segment(name, 0)
-        node = StorageNode(segment, metadata, s3, rng, config)
-        network.attach(node, az=f"az{i % 3 + 1}")
-        metadata.place_segment(
-            SegmentPlacement(name, 0, name, f"az{i % 3 + 1}",
-                             SegmentKind.FULL)
-        )
-        nodes[name] = node
-    for node in nodes.values():
-        node.start()
-    instance = FakeInstance()
-    network.attach(instance, az="az1")
-    return loop, network, metadata, nodes, instance
-
-
-def make_record(lsn, prev_pg, block=0):
-    return LogRecord(
-        lsn=lsn, prev_volume_lsn=lsn - 1, prev_pg_lsn=prev_pg,
-        prev_block_lsn=0, block=block, pg_index=0, kind=RecordKind.DATA,
-        payload=BlockPut(entries=(("k", lsn),)),
-    )
-
-
-def batch(records, epochs=None, pgmrpl=0):
-    return WriteBatch(
-        instance_id="db", pg_index=0, records=tuple(records),
-        epochs=epochs or EpochStamp(), pgmrpl=pgmrpl,
-    )
+from .conftest import batch, build_fleet, integrity_cluster, make_record
 
 
 def feed_all(network, nodes, records, pgmrpl=0):

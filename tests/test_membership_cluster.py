@@ -5,6 +5,8 @@ import pytest
 from repro import AuroraCluster
 from repro.errors import MembershipError
 
+from .conftest import pump_until
+
 
 class TestFigure5Flow:
     def test_full_replacement_under_load(self, cluster):
@@ -150,15 +152,6 @@ class TestFalsePositiveRepair:
     a suspect that returns mid-hydration must be rolled back to, with no
     acknowledged commit lost (satellite of the self-healing tentpole)."""
 
-    def _pump(self, cluster, db, predicate, max_steps=800):
-        for step in range(max_steps):
-            if predicate():
-                return True
-            if step % 10 == 0:
-                db.write(f"fp-pump{step:04d}", step)
-            cluster.run_for(10.0)
-        return predicate()
-
     def test_suspect_returns_mid_hydration_rolls_back(self):
         from repro.audit import Auditor
         from repro.repair.metrics import ACTIVE, ROLLED_BACK
@@ -186,11 +179,12 @@ class TestFalsePositiveRepair:
         cluster.failures.partition_node(predicted, others)
         cluster.failures.partition_node(target, others - {predicted})
 
-        assert self._pump(
+        assert pump_until(
             cluster,
             db,
             lambda: planner.active_repair(0) is not None
             and planner.active_repair(0).candidate_id is not None,
+            prefix="fp-pump",
         ), "monitor never confirmed the partitioned segment dead"
         record = planner.active_repair(0)
         assert not cluster.metadata.membership(0).is_stable
@@ -202,7 +196,9 @@ class TestFalsePositiveRepair:
             acked[f"dual{i}"] = i
 
         cluster.failures.heal_node_partition(target, others - {predicted})
-        assert self._pump(cluster, db, lambda: record.outcome != ACTIVE)
+        assert pump_until(
+            cluster, db, lambda: record.outcome != ACTIVE, prefix="fp-pump"
+        )
 
         assert record.outcome == ROLLED_BACK
         final = cluster.metadata.membership(0)

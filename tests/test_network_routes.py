@@ -14,11 +14,12 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.sim.events import EventLoop
 from repro.sim.latency import FixedLatency, UniformLatency
 from repro.sim.network import Actor, Message, Network
+
+from .conftest import SEEDS
 
 NAMES = ("n0", "n1", "n2", "n3", "n4")
 AZS = {"n0": "az1", "n1": "az1", "n2": "az2", "n3": None, "n4": "az2"}
@@ -267,9 +268,9 @@ def scenario(rng):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rng=st.randoms(use_true_random=False))
-def test_route_table_matches_per_message_evaluation(rng):
-    ops = scenario(rng)
+@given(seed=SEEDS)
+def test_route_table_matches_per_message_evaluation(seed):
+    ops = scenario(random.Random(seed))
     assert play(Network, ops) == play(PerMessageNetwork, ops)
 
 

@@ -8,18 +8,9 @@ truncate on the transition's write quorum (AND of the groups' 4/6), and the
 change itself must remain completable or reversible afterwards.
 """
 
-import pytest
-
 from repro import AuroraCluster
-from repro.db.session import Session
 
-
-def crash_and_recover(cluster):
-    cluster.crash_writer()
-    process = cluster.recover_writer()
-    session = Session(cluster.writer)
-    session.drive(process)
-    return session
+from .conftest import crash_and_recover, pump_until
 
 
 class TestRecoveryDuringTransition:
@@ -112,15 +103,6 @@ class TestRecoveryDuringTransition:
 class TestHealerAcrossWriterCrash:
     """The autonomous repair pipeline interleaved with writer recovery."""
 
-    def _pump(self, cluster, db, predicate, max_steps=800):
-        for step in range(max_steps):
-            if predicate():
-                return True
-            if step % 10 == 0:
-                db.write(f"hpump{step:04d}", step)
-            cluster.run_for(10.0)
-        return predicate()
-
     def test_repair_survives_writer_crash_mid_hydration(self):
         """The planner's watermark floor is monotonic: a writer crash
         resets the live PGCL trackers, but the repair must still finalize
@@ -138,18 +120,20 @@ class TestHealerAcrossWriterCrash:
             db.write(key, value)
 
         cluster.failures.crash_node("pg0-f")
-        assert self._pump(
-            cluster, db, lambda: planner.active_repair(0) is not None
+        assert pump_until(
+            cluster, db, lambda: planner.active_repair(0) is not None,
+            prefix="hpump",
         ), "repair never started"
 
         # Writer dies with the repair somewhere in flight (dual quorum or
         # hydration); recovery must not break the transition.
         db = crash_and_recover(cluster)
 
-        assert self._pump(
+        assert pump_until(
             cluster,
             db,
             lambda: any(r.outcome == REPLACED for r in planner.records),
+            prefix="hpump",
         ), f"repair never finalized after recovery: {planner.records}"
         final = cluster.metadata.membership(0)
         assert final.is_stable
@@ -183,15 +167,18 @@ class TestHealerAcrossWriterCrash:
         )
         cluster.failures.partition_node(predicted, others)
         cluster.failures.partition_node(target, others - {predicted})
-        assert self._pump(
+        assert pump_until(
             cluster,
             db,
             lambda: planner.active_repair(0) is not None
             and planner.active_repair(0).candidate_id is not None,
+            prefix="hpump",
         )
         record = planner.active_repair(0)
         cluster.failures.heal_node_partition(target, others - {predicted})
-        assert self._pump(cluster, db, lambda: record.outcome != ACTIVE)
+        assert pump_until(
+            cluster, db, lambda: record.outcome != ACTIVE, prefix="hpump"
+        )
         assert record.outcome == ROLLED_BACK
         cluster.failures.heal_node_partition(predicted, others)
 

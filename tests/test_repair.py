@@ -34,6 +34,8 @@ from repro.repair import detector as detector_module
 from repro.repair.metrics import ACTIVE, RepairRecord
 from repro.sim.events import EventLoop
 
+from .conftest import pump_until
+
 MEMBERS = [f"pg0-{c}" for c in "abcdef"]
 #: The verdict machine is one class; every behaviour below holds on each
 #: tier row (tests/test_detector.py pins the exact transitions per row).
@@ -169,17 +171,6 @@ def _pump(cluster, session, steps, step_ms=10.0, prefix="pump"):
         cluster.run_for(step_ms)
 
 
-def _pump_until(cluster, session, predicate, max_steps=800, step_ms=10.0,
-                prefix="wait"):
-    for step in range(max_steps):
-        if predicate():
-            return True
-        if step % 10 == 0:
-            session.write(f"{prefix}{step:04d}", step)
-        cluster.run_for(step_ms)
-    return predicate()
-
-
 class TestSelfHealing:
     def test_crashed_segment_is_replaced(self):
         cluster, auditor, monitor, planner = _armed_cluster()
@@ -188,7 +179,7 @@ class TestSelfHealing:
             session.write(f"row{i:02d}", i)
 
         cluster.failures.crash_node("pg0-f")
-        assert _pump_until(
+        assert pump_until(
             cluster,
             session,
             lambda: any(r.outcome == REPLACED for r in planner.records),
@@ -229,7 +220,7 @@ class TestSelfHealing:
         cluster.failures.partition_node(predicted, others)
         cluster.failures.partition_node(target, others - {predicted})
 
-        assert _pump_until(
+        assert pump_until(
             cluster,
             session,
             lambda: planner.active_repair(0) is not None
@@ -242,7 +233,7 @@ class TestSelfHealing:
         # The incumbent returns: heal its partition; gossip and write
         # traffic revive it in the monitor, which must trigger rollback.
         cluster.failures.heal_node_partition(target, others - {predicted})
-        assert _pump_until(
+        assert pump_until(
             cluster, session, lambda: record.outcome != ACTIVE
         ), "repair never resolved after the incumbent returned"
 
@@ -267,7 +258,7 @@ class TestSelfHealing:
         cluster.failures.crash_node("pg0-e")
         cluster.failures.crash_node("pg0-f")
 
-        assert _pump_until(
+        assert pump_until(
             cluster,
             session,
             lambda: sum(

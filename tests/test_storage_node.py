@@ -1,16 +1,8 @@
 """Integration tests for storage-node actors on the simulated network."""
 
-import random
-
-import pytest
-
 from repro.core.epochs import EpochStamp
 from repro.core.lsn import TruncationRange
-from repro.core.records import EMPTY_IMAGE, BlockPut, LogRecord, RecordKind
-from repro.sim.events import EventLoop
-from repro.sim.latency import FixedLatency
-from repro.sim.network import Actor, Network
-from repro.storage.backup import SimulatedS3
+from repro.core.records import EMPTY_IMAGE
 from repro.storage.messages import (
     BaselineRequest,
     BaselineResponse,
@@ -25,73 +17,9 @@ from repro.storage.messages import (
     RecoveryScanResponse,
     RequestRejected,
     TruncateRequest,
-    WriteAck,
-    WriteBatch,
 )
-from repro.storage.metadata import SegmentPlacement, StorageMetadataService
-from repro.storage.node import StorageNode, StorageNodeConfig
-from repro.storage.segment import Segment, SegmentKind
-from repro.storage.volume import VolumeGeometry
-from repro.core.membership import MembershipState
 
-
-class FakeInstance(Actor):
-    def __init__(self, name="db"):
-        super().__init__(name)
-        self.acks = []
-        self.rejections = []
-
-    def on_message(self, message):
-        if isinstance(message.payload, WriteAck):
-            self.acks.append(message.payload)
-        elif isinstance(message.payload, RequestRejected):
-            self.rejections.append(message.payload)
-
-
-def build_fleet(node_count=6, background=False):
-    loop = EventLoop()
-    rng = random.Random(17)
-    network = Network(
-        loop, rng, intra_az=FixedLatency(0.2), cross_az=FixedLatency(0.8)
-    )
-    geometry = VolumeGeometry(blocks_per_pg=64, pg_count=1)
-    metadata = StorageMetadataService(geometry)
-    s3 = SimulatedS3()
-    names = [f"seg{i}" for i in range(node_count)]
-    metadata.set_membership(0, MembershipState.initial(names))
-    nodes = {}
-    config = StorageNodeConfig(
-        disk=FixedLatency(0.05), enable_background=background
-    )
-    for i, name in enumerate(names):
-        segment = Segment(name, 0)
-        node = StorageNode(segment, metadata, s3, rng, config)
-        network.attach(node, az=f"az{i % 3 + 1}")
-        metadata.place_segment(
-            SegmentPlacement(name, 0, name, f"az{i % 3 + 1}",
-                             SegmentKind.FULL)
-        )
-        nodes[name] = node
-    for node in nodes.values():
-        node.start()
-    instance = FakeInstance()
-    network.attach(instance, az="az1")
-    return loop, network, metadata, nodes, instance
-
-
-def make_record(lsn, prev_pg, block=0):
-    return LogRecord(
-        lsn=lsn, prev_volume_lsn=lsn - 1, prev_pg_lsn=prev_pg,
-        prev_block_lsn=0, block=block, pg_index=0, kind=RecordKind.DATA,
-        payload=BlockPut(entries=(("k", lsn),)),
-    )
-
-
-def batch(records, epochs=None, pgmrpl=0):
-    return WriteBatch(
-        instance_id="db", pg_index=0, records=tuple(records),
-        epochs=epochs or EpochStamp(), pgmrpl=pgmrpl,
-    )
+from .conftest import batch, build_fleet, make_record
 
 
 class TestWritePath:

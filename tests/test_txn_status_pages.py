@@ -15,6 +15,8 @@ from repro.db.instance import TXNS_PER_PAGE, WriterInstance
 from repro.db.session import Session
 from repro.errors import TransactionError
 
+from .conftest import crash_and_recover
+
 
 def commit_writes(db: Session, count: int, tag: str = "v") -> None:
     """``count`` writing transactions, one commit each, churning 50 keys."""
@@ -26,13 +28,6 @@ def durable_directory(cluster) -> tuple[int, ...]:
     """The page directory as META records it in the writer's cache."""
     meta = cluster.writer.cache.peek(WriterInstance.META_BLOCK).image
     return meta.get("txn_pages", ())
-
-
-def crash_and_recover(cluster) -> Session:
-    cluster.crash_writer()
-    db = Session(cluster.writer)
-    db.drive(cluster.recover_writer())
-    return db
 
 
 def retained_status_entries(segment, pages) -> int:

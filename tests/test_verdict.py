@@ -55,6 +55,8 @@ from repro.repair.failover import FAILOVER_WINDOW, FailoverCoordinator
 from repro.repair.metrics import C7_WINDOW
 from repro.verdict import Budget, Gate, LatencyStats, Line, Section
 
+from .conftest import audit_report
+
 SECTIONS = (
     RepairSummary, FailoverSummary, GeoFailoverSummary, ServingSummary,
     IntegritySummary,
@@ -373,7 +375,5 @@ def test_a_new_gate_is_a_section_and_a_line_in_a_judge(monkeypatch, capsys):
 
 
 def test_reports_stay_picklable():
-    report = run_audit(PROFILES["failover"].configure(
-        AuditRunConfig(seed=3, steps=150)
-    ))
+    report = audit_report("failover", seed=3, steps=150, proxy_sessions=2000)
     assert pickle.loads(pickle.dumps(report)).render() == report.render()
