@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from repro.core.membership import MembershipState, verify_transition_safety
 from repro.core.quorum import QuorumConfig, QuorumLeaf
 from repro.db.instance import InstanceConfig, WriterInstance
-from repro.db.replica import ReplicaConfig, ReplicaInstance
+from repro.db.replica import ReplicaInstance
 from repro.db.session import ClusterSession, Session
 from repro.errors import (
     ConfigurationError,
@@ -64,7 +64,7 @@ class ClusterConfig:
     #: :class:`repro.storage.backend.StorageBackend` instance.
     backend: object = "aurora"
     instance: InstanceConfig = field(default_factory=InstanceConfig)
-    replica: ReplicaConfig = field(default_factory=ReplicaConfig)
+    replica: InstanceConfig = field(default_factory=InstanceConfig)
     node: StorageNodeConfig = field(default_factory=StorageNodeConfig)
     #: Optional network latency model overrides (defaults: see repro.sim).
     intra_az_latency: object = None
@@ -144,7 +144,7 @@ class AuroraCluster:
         nested in it -- the cluster's, the storage nodes', the writer's,
         the writer's driver's, looked up in that order (so
         ``cache_capacity`` is the writer's pool, never a replica's; a
-        replica's settings are given whole, as ``replica=ReplicaConfig()``).
+        replica's settings are given whole, as ``replica=InstanceConfig()``).
 
         Pass ``shared=<cluster>`` to place this volume on that cluster's
         simulated infrastructure -- its loop, network, failure injector
@@ -492,8 +492,6 @@ class AuroraCluster:
         writer = self.writer
         for name, replica in self.replicas.items():
             replica.detach()
-            replica.cache.drop_all()
-            replica.views.clear()
             replica.attach(
                 next_expected_lsn=writer.allocator.next_lsn,
                 vdl=writer.vdl,

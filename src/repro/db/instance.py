@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.consistency import MinReadPointTracker, PGFrontierHistory
-from repro.core.epochs import EpochStamp
 from repro.core.lsn import NULL_LSN, LSNAllocator, TruncationRange
 from repro.core.records import (
     EMPTY_IMAGE,
@@ -74,7 +73,6 @@ from repro.storage.messages import (
     WriteAck,
 )
 from repro.storage.metadata import StorageMetadataService
-from repro.storage.volume import VolumeGeometry
 
 
 #: Transactions per transaction-status page.  Transaction ``t``'s commit
@@ -112,9 +110,6 @@ class InstanceStats:
     commits_requested: int = 0
     commits_acknowledged: int = 0
     commit_latencies: list[float] = field(default_factory=list)
-    reads: int = 0
-    writes: int = 0
-    recoveries: int = 0
     recovery_durations: list[float] = field(default_factory=list)
     orphan_versions_purged: int = 0
     #: B-tree reads re-run because a split was absorbed underneath them.
@@ -125,15 +120,26 @@ class InstanceStats:
     last_commit_ack_at: float | None = None
 
 
-class WriterInstance(Actor, BlockIO):
-    """The writer: SQL endpoint, transaction engine, and storage client."""
+class Instance(Actor, BlockIO):
+    """A database engine attached to the shared volume, in one of two
+    roles (sections 3.2 - 3.4): the writer (:class:`WriterInstance`) or a
+    read replica (:class:`repro.db.replica.ReplicaInstance`).
 
-    #: Block 0 holds the B-tree meta and the transaction-status page
-    #: directory (``"txn_pages": (block0, block1, ...)``); block 1 is the
-    #: root leaf.  Data blocks and status pages follow, both handed out by
-    #: the ordinary block allocator.
+    Both roles hold the same read half -- buffer pool, transaction-status
+    registry, read views anchored at VDL points, the per-PG frontier
+    history that maps those points to storage, and the B-tree over them --
+    and hold back storage GC through the same PGMRPL advertisement.  What
+    differs is four role hooks: whether reads are served now
+    (:meth:`_require_readable`), the durable point a view anchors at
+    (:meth:`_view_anchor`), and whether the GC-floor tick is still alive
+    (:meth:`_tick_alive`) and may advertise now (:meth:`_may_advertise`).
+    """
+
     META_BLOCK = 0
-    root_leaf_block = 1
+    #: Whether the driver may read any full segment and let the storage
+    #: node's read-window rejection find a current one: a role outside the
+    #: acknowledgement path cannot know which segments are durable.
+    optimistic_reads = False
 
     def __init__(
         self,
@@ -146,6 +152,178 @@ class WriterInstance(Actor, BlockIO):
         self.metadata = metadata
         self.rng = rng
         self.config = config if config is not None else InstanceConfig()
+        self.cache = BufferCache(self.config.cache_capacity)
+        self.registry = TransactionStatusRegistry()
+        self.views = ReadViewManager()
+        self.min_read = MinReadPointTracker()
+        self.frontiers = PGFrontierHistory()
+        self.driver: StorageDriver | None = None
+        self.btree: BTree | None = None
+        self._gc_floor_tick_scheduled = False
+        #: Optional :class:`repro.audit.Auditor` observer (zero-cost when
+        #: unattached).
+        self.audit_probe = None
+
+    def start(self) -> None:
+        """Wire the driver, the B-tree and the GC-floor tick (after network
+        attach)."""
+        self.driver = StorageDriver(
+            instance_id=self.name,
+            loop=self.loop,
+            send=lambda dst, payload: self.network.send(self.name, dst, payload),
+            rpc=lambda dst, payload: self.network.rpc(self.name, dst, payload),
+            metadata=self.metadata,
+            rng=self.rng,
+            config=self.config.driver,
+            optimistic_reads=self.optimistic_reads,
+        )
+        self.driver.configure_all_pgs()
+        self.btree = BTree(
+            io=self,
+            registry=self.registry,
+            meta_block=self.META_BLOCK,
+            max_leaf_rows=self.config.max_leaf_rows,
+            max_internal_keys=self.config.max_internal_keys,
+        )
+        self._schedule_gc_floor_tick()
+
+    def pg_of_block(self, block: int) -> int:
+        return self.metadata.geometry.pg_of_block(block)
+
+    # ------------------------------------------------------------------
+    # Role hooks
+    # ------------------------------------------------------------------
+    def _require_readable(self) -> None:
+        """Raise :class:`InstanceStateError` unless reads are served now."""
+        raise NotImplementedError
+
+    def _view_anchor(self) -> int:
+        """The durable point a new read view anchors at."""
+        raise NotImplementedError
+
+    def _tick_alive(self) -> bool:
+        """Whether the GC-floor tick re-arms."""
+        return True
+
+    def _may_advertise(self) -> bool:
+        """Whether the GC-floor tick advertises this time."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Read views and reads
+    # ------------------------------------------------------------------
+    def open_view(self, txn_id: int = 0) -> ReadView:
+        """Anchor a snapshot at the role's durable point (section 3.1)."""
+        view = self.views.open(read_point=self._view_anchor(), txn_id=txn_id)
+        self.min_read.register(view.read_point)
+        return view
+
+    def close_view(self, view: ReadView) -> None:
+        if not self.views.is_open(view):
+            # The view was already discarded wholesale (a crash or a
+            # re-attach cleared the manager while this read was in
+            # flight); there is nothing left to release.
+            return
+        self.views.close(view)
+        self.min_read.release(view.read_point)
+
+    def _view_for(self, txn: Transaction | None):
+        """(view, owned) -- reuse a transaction's view or open a statement
+        view the caller must close."""
+        if txn is None:
+            return self.open_view(), True
+        if txn.read_view is None:
+            txn.read_view = self.open_view(txn_id=txn.txn_id)
+        return txn.read_view, False
+
+    def get(self, key, txn: Transaction | None = None):
+        """Generator: visible value of ``key`` (None if absent)."""
+        self._require_readable()
+        view, owned = self._view_for(txn)
+        try:
+            # Reads are not serialised against structural changes, and a
+            # cache miss waits on storage: a split made visible meanwhile
+            # must not be half-seen.
+            found, value = yield from self._structurally_stable(
+                lambda: self.btree.get(view, key)
+            )
+        finally:
+            if owned:
+                self.close_view(view)
+        return value if found else None
+
+    def scan(self, low, high, txn: Transaction | None = None):
+        """Generator: visible (key, value) pairs in [low, high]."""
+        self._require_readable()
+        view, owned = self._view_for(txn)
+        try:
+            results = yield from self._structurally_stable(
+                lambda: self.btree.scan(view, low, high)
+            )
+        finally:
+            if owned:
+                self.close_view(view)
+        return results
+
+    # ------------------------------------------------------------------
+    # Background: GC-floor (PGMRPL) advertisement
+    # ------------------------------------------------------------------
+    def _schedule_gc_floor_tick(self) -> None:
+        if self._gc_floor_tick_scheduled:
+            return
+        self._gc_floor_tick_scheduled = True
+
+        def _tick() -> None:
+            self._gc_floor_tick_scheduled = False
+            if not self._tick_alive():
+                return
+            if self._may_advertise():
+                self._advertise_gc_floor()
+            self._schedule_gc_floor_tick()
+
+        self.loop.schedule(self.config.gc_floor_interval, _tick)
+
+    def _advertise_gc_floor(self) -> None:
+        pgmrpl = self.min_read.current()
+        if pgmrpl == NULL_LSN or not self.frontiers.knows(pgmrpl):
+            # A replica view opened before a writer failover can still be
+            # draining; its anchor belongs to the previous stream
+            # generation, whose history the re-attach reset.  Holding the
+            # advertisement back is safe (GC merely waits); advertising a
+            # floor from the wrong generation would not be.
+            return
+        frontier = self.frontiers.frontier_at(pgmrpl)
+        for pg_index in self.metadata.pg_indexes():
+            pg_floor = frontier.get(pg_index, NULL_LSN)
+            if pg_floor == NULL_LSN:
+                continue
+            update = GCFloorUpdate(
+                instance_id=self.name,
+                pg_index=pg_index,
+                pgmrpl=pg_floor,
+                epochs=self.driver.epochs,
+            )
+            for member in self.driver.members_of(pg_index):
+                self.network.send(self.name, member, update)
+
+
+class WriterInstance(Instance):
+    """The writer: SQL endpoint, transaction engine, and storage client."""
+
+    #: Block 0 (``META_BLOCK``) holds the B-tree meta and the
+    #: transaction-status page directory (``"txn_pages": (block0, block1,
+    #: ...)``); block 1 is the root leaf.  Data blocks and status pages
+    #: follow, both handed out by the ordinary block allocator.
+    root_leaf_block = 1
+
+    def __init__(
+        self,
+        name: str,
+        metadata: StorageMetadataService,
+        rng: random.Random,
+        config: InstanceConfig | None = None,
+    ) -> None:
+        super().__init__(name, metadata, rng, config)
         self.state = InstanceState.NEW
         #: False from a recovery's open until it has seeded the transaction
         #: ids above the durable ones (see :meth:`begin`).
@@ -154,18 +332,11 @@ class WriterInstance(Actor, BlockIO):
         # Protocol state (all ephemeral; rebuilt by recovery).
         self.allocator = LSNAllocator()
         self.chains = ChainState()
-        self.cache = BufferCache(self.config.cache_capacity)
         self.locks = LockManager()
-        self.registry = TransactionStatusRegistry()
         self.txns = TransactionManager()
-        self.views = ReadViewManager()
-        self.min_read = MinReadPointTracker()
-        self.frontiers = PGFrontierHistory()
-        self.driver: StorageDriver | None = None
         self.publisher: ReplicationPublisher | None = None
         #: Logical (row-level) change stream for non-Aurora subscribers.
         self.logical = LogicalPublisher()
-        self.btree: BTree | None = None
         self._write_mutex: Mutex | None = None
         #: In-memory mirror of META's ``"txn_pages"`` directory (ephemeral;
         #: recovery reloads it).  Grown only under the write mutex, after
@@ -175,7 +346,6 @@ class WriterInstance(Actor, BlockIO):
         #: Status pages this generation allocated and has not committed to
         #: yet: the only uncached pages whose image (empty) is known here.
         self._unwritten_txn_pages: set[int] = set()
-        self._gc_floor_tick_scheduled = False
         #: Commit futures not yet resolved, by txn id.  On crash, fence, or
         #: close these resolve with :class:`CommitUncertainError` -- the
         #: outcome is unknown, never falsely acknowledged.
@@ -205,25 +375,10 @@ class WriterInstance(Actor, BlockIO):
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    @property
-    def geometry(self) -> VolumeGeometry:
-        return self.metadata.geometry
-
-    def pg_of_block(self, block: int) -> int:
-        return self.geometry.pg_of_block(block)
-
     def start(self) -> None:
-        """Wire the driver and background ticks (after network attach)."""
-        self.driver = StorageDriver(
-            instance_id=self.name,
-            loop=self.loop,
-            send=lambda dst, payload: self.network.send(self.name, dst, payload),
-            rpc=lambda dst, payload: self.network.rpc(self.name, dst, payload),
-            metadata=self.metadata,
-            rng=self.rng,
-            config=self.config.driver,
-        )
-        self.driver.configure_all_pgs()
+        """Wire the shared half, then the writer's own: replication
+        publisher, write mutex and the driver's VDL and fencing callbacks."""
+        super().start()
         self.driver.pgmrpl_provider = self.current_pgmrpl
         self.driver.on_vdl_advance.append(self._on_vdl_advance)
         self.publisher = ReplicationPublisher(
@@ -238,16 +393,8 @@ class WriterInstance(Actor, BlockIO):
             ),
             frame_window=SUBMIT_DELAY_MS,
         )
-        self.btree = BTree(
-            io=self,
-            registry=self.registry,
-            meta_block=self.META_BLOCK,
-            max_leaf_rows=self.config.max_leaf_rows,
-            max_internal_keys=self.config.max_internal_keys,
-        )
         self._write_mutex = Mutex(self.loop)
         self.driver.on_fenced.append(self._on_fenced)
-        self._schedule_gc_floor_tick()
 
     def bootstrap(self) -> None:
         """Create an empty database (fresh volume only)."""
@@ -268,6 +415,21 @@ class WriterInstance(Actor, BlockIO):
                 f"instance {self.name} is {self.state.value}; "
                 f"operation requires {[s.value for s in states]}"
             )
+
+    def _require_readable(self) -> None:
+        self._require(InstanceState.OPEN)
+
+    def _view_anchor(self) -> int:
+        return self.vdl
+
+    def _tick_alive(self) -> bool:
+        # A dead instance must fall silent: its heartbeat would otherwise
+        # keep the health monitor fooled, and a retired writer must never
+        # speak again.  Recovery restarts the tick explicitly.
+        return self.state not in (InstanceState.CRASHED, InstanceState.CLOSED)
+
+    def _may_advertise(self) -> bool:
+        return self.state is InstanceState.OPEN
 
     # ------------------------------------------------------------------
     # Consistency-point accessors
@@ -358,7 +520,7 @@ class WriterInstance(Actor, BlockIO):
         # groups (storage nodes and a geometry-epoch bump) -- an operation
         # the cluster performs (see AuroraCluster.grow_volume); the
         # instance itself refuses to address beyond the volume.
-        self.geometry.pg_of_block(new_block)  # raises if out of range
+        self.pg_of_block(new_block)  # raises if out of range
         self.stage_change(
             mtr,
             self.META_BLOCK,
@@ -407,28 +569,6 @@ class WriterInstance(Actor, BlockIO):
             self.cache.apply_change(record.block, image, record.lsn)
 
     # ------------------------------------------------------------------
-    # Read views
-    # ------------------------------------------------------------------
-    def open_view(self, txn_id: int = 0) -> ReadView:
-        """Anchor a snapshot at the current VDL (section 3.1)."""
-        view = self.views.open(read_point=self.vdl, txn_id=txn_id)
-        self.min_read.register(view.read_point)
-        return view
-
-    def close_view(self, view: ReadView) -> None:
-        self.views.close(view)
-        self.min_read.release(view.read_point)
-
-    def _view_for(self, txn: Transaction | None):
-        """(view, owned) -- reuse a transaction's view or open a statement
-        view the caller must close."""
-        if txn is None:
-            return self.open_view(), True
-        if txn.read_view is None:
-            txn.read_view = self.open_view(txn_id=txn.txn_id)
-        return txn.read_view, False
-
-    # ------------------------------------------------------------------
     # Transactions
     # ------------------------------------------------------------------
     def begin(self) -> Transaction:
@@ -442,36 +582,6 @@ class WriterInstance(Actor, BlockIO):
                 "transaction statuses; retry once recovery completes"
             )
         return self.txns.begin(now=self.loop.now)
-
-    def get(self, key, txn: Transaction | None = None):
-        """Generator: visible value of ``key`` (None if absent)."""
-        self._require(InstanceState.OPEN)
-        self.stats.reads += 1
-        view, owned = self._view_for(txn)
-        try:
-            # Reads take no write mutex, and a cache miss waits on storage:
-            # a split absorbed meanwhile must not be half-seen.
-            found, value = yield from self._structurally_stable(
-                lambda: self.btree.get(view, key)
-            )
-        finally:
-            if owned:
-                self.close_view(view)
-        return value if found else None
-
-    def scan(self, low, high, txn: Transaction | None = None):
-        """Generator: visible (key, value) pairs in [low, high]."""
-        self._require(InstanceState.OPEN)
-        self.stats.reads += 1
-        view, owned = self._view_for(txn)
-        try:
-            results = yield from self._structurally_stable(
-                lambda: self.btree.scan(view, low, high)
-            )
-        finally:
-            if owned:
-                self.close_view(view)
-        return results
 
     def put(self, txn: Transaction, key, value):
         """Generator: write ``key`` within ``txn``."""
@@ -488,7 +598,6 @@ class WriterInstance(Actor, BlockIO):
         yield self._write_mutex.acquire()
         try:
             txn.require_active()
-            self.stats.writes += 1
             mtr = MTRBuilder(txn_id=txn.txn_id)
             pages = self._txn_pages
             if txn.txn_id // TXNS_PER_PAGE >= len(pages):
@@ -688,46 +797,6 @@ class WriterInstance(Actor, BlockIO):
             self.driver.on_rejection(payload)
 
     # ------------------------------------------------------------------
-    # Background: GC-floor advertisement
-    # ------------------------------------------------------------------
-    def _schedule_gc_floor_tick(self) -> None:
-        if self._gc_floor_tick_scheduled:
-            return
-        self._gc_floor_tick_scheduled = True
-
-        def _tick() -> None:
-            self._gc_floor_tick_scheduled = False
-            if self.state in (InstanceState.CRASHED, InstanceState.CLOSED):
-                # A dead instance must fall silent: its heartbeat would
-                # otherwise keep the health monitor fooled, and a retired
-                # writer must never speak again.  Recovery restarts the
-                # tick explicitly.
-                return
-            if self.state is InstanceState.OPEN:
-                self._advertise_gc_floor()
-            self._schedule_gc_floor_tick()
-
-        self.loop.schedule(self.config.gc_floor_interval, _tick)
-
-    def _advertise_gc_floor(self) -> None:
-        pgmrpl = self.current_pgmrpl()
-        if pgmrpl == NULL_LSN:
-            return
-        frontier = self.frontiers.frontier_at(pgmrpl)
-        for pg_index in self.metadata.pg_indexes():
-            pg_floor = frontier.get(pg_index, NULL_LSN)
-            if pg_floor == NULL_LSN:
-                continue
-            update = GCFloorUpdate(
-                instance_id=self.name,
-                pg_index=pg_index,
-                pgmrpl=pg_floor,
-                epochs=self.driver.epochs,
-            )
-            for member in self.driver.members_of(pg_index):
-                self.network.send(self.name, member, update)
-
-    # ------------------------------------------------------------------
     # Crash and recovery (section 2.4)
     # ------------------------------------------------------------------
     def crash(self) -> None:
@@ -804,7 +873,6 @@ class WriterInstance(Actor, BlockIO):
         self._require(InstanceState.CRASHED, InstanceState.NEW)
         self.state = InstanceState.RECOVERING
         started = self.loop.now
-        self.stats.recoveries += 1
         self.driver.refresh_epochs()
         self.driver.configure_all_pgs()
         pg_indexes = self.metadata.pg_indexes()

@@ -35,14 +35,10 @@ import heapq
 import random
 from dataclasses import dataclass, field
 
-from repro.core.consistency import MinReadPointTracker, PGFrontierHistory
 from repro.core.lsn import NULL_LSN
 from repro.core.records import EMPTY_IMAGE, LogRecord, apply_redo
-from repro.db.btree import BlockIO, BTree
-from repro.db.buffer_cache import BufferCache
-from repro.db.driver import DriverConfig, StorageDriver
+from repro.db.instance import Instance, InstanceConfig
 from repro.db.mtr import MTRBuilder
-from repro.db.mvcc import ReadView, ReadViewManager, TransactionStatusRegistry
 from repro.db.replication import (
     CommitNotice,
     MTRChunk,
@@ -50,18 +46,9 @@ from repro.db.replication import (
     VDLUpdate,
 )
 from repro.errors import InstanceStateError
-from repro.sim.network import Actor, Message
-from repro.storage.messages import GCFloorUpdate, RequestRejected
+from repro.sim.network import Message
+from repro.storage.messages import RequestRejected
 from repro.storage.metadata import StorageMetadataService
-
-
-@dataclass
-class ReplicaConfig:
-    cache_capacity: int = 100_000
-    max_leaf_rows: int = 16
-    max_internal_keys: int = 16
-    driver: DriverConfig = field(default_factory=DriverConfig)
-    gc_floor_interval: float = 50.0
 
 
 @dataclass
@@ -74,35 +61,24 @@ class ReplicaStats:
     stale_installs_declined: int = 0
     #: B-tree reads re-run because a split was applied underneath them.
     traversals_retried: int = 0
-    reads: int = 0
     #: Samples of (writer_vdl_seen - applied_vdl) at each VDL update.
     lag_samples: list[int] = field(default_factory=list)
 
 
-class ReplicaInstance(Actor, BlockIO):
+class ReplicaInstance(Instance):
     """A read replica attached to the shared storage volume."""
 
-    META_BLOCK = 0
+    optimistic_reads = True
 
     def __init__(
         self,
         name: str,
         metadata: StorageMetadataService,
         rng: random.Random,
-        config: ReplicaConfig | None = None,
+        config: InstanceConfig | None = None,
     ) -> None:
-        Actor.__init__(self, name=name)
-        self.metadata = metadata
-        self.rng = rng
-        self.config = config if config is not None else ReplicaConfig()
+        super().__init__(name, metadata, rng, config)
         self.stats = ReplicaStats()
-        self.cache = BufferCache(self.config.cache_capacity)
-        self.registry = TransactionStatusRegistry()
-        self.views = ReadViewManager()
-        self.min_read = MinReadPointTracker()
-        self.frontiers = PGFrontierHistory()
-        self.driver: StorageDriver | None = None
-        self.btree: BTree | None = None
         #: Chunks sequenced by first LSN, waiting for order or durability.
         self._pending_chunks: list[tuple[int, MTRChunk]] = []
         #: Highest redo LSN discarded per uncached block.  A storage read
@@ -115,38 +91,10 @@ class ReplicaInstance(Actor, BlockIO):
         self._writer_vdl_seen = NULL_LSN
         self._applied_vdl = NULL_LSN
         self.online = False
-        self._gc_tick_scheduled = False
-        #: Optional :class:`repro.audit.Auditor` observer (zero-cost when
-        #: unattached).
-        self.audit_probe = None
         #: Optional database-tier :class:`repro.repair.FailureDetector`: the
         #: ``writer_id`` on every replication message this replica hears
         #: is writer-liveness evidence.
         self.db_health_probe = None
-
-    # ------------------------------------------------------------------
-    # Wiring / attach
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        self.driver = StorageDriver(
-            instance_id=self.name,
-            loop=self.loop,
-            send=lambda dst, payload: self.network.send(self.name, dst, payload),
-            rpc=lambda dst, payload: self.network.rpc(self.name, dst, payload),
-            metadata=self.metadata,
-            rng=self.rng,
-            config=self.config.driver,
-            optimistic_reads=True,
-        )
-        self.driver.configure_all_pgs()
-        self.btree = BTree(
-            io=self,
-            registry=self.registry,
-            meta_block=self.META_BLOCK,
-            max_leaf_rows=self.config.max_leaf_rows,
-            max_internal_keys=self.config.max_internal_keys,
-        )
-        self._schedule_gc_tick()
 
     def attach(
         self,
@@ -160,8 +108,12 @@ class ReplicaInstance(Actor, BlockIO):
         "This approach allows Aurora customers to quickly set up and tear
         down replicas in response to sharp demand spikes, since durable
         state is shared" -- attaching needs only the stream cursor and the
-        commit history, never a data copy.
+        commit history, never a data copy.  A re-attach (to a promoted
+        writer's stream) drops the pool and the views of the previous
+        stream generation first.
         """
+        self.cache.drop_all()
+        self.views.clear()
         self._next_expected_lsn = next_expected_lsn
         self._writer_vdl_seen = vdl
         self._applied_vdl = vdl
@@ -180,9 +132,6 @@ class ReplicaInstance(Actor, BlockIO):
     def replica_lag(self) -> int:
         """LSN distance between the writer's durable point and ours."""
         return max(0, self._writer_vdl_seen - self._applied_vdl)
-
-    def pg_of_block(self, block: int) -> int:
-        return self.metadata.geometry.pg_of_block(block)
 
     # ------------------------------------------------------------------
     # Replication stream intake
@@ -328,93 +277,23 @@ class ReplicaInstance(Actor, BlockIO):
         raise InstanceStateError("replicas are read-only")
 
     # ------------------------------------------------------------------
-    # Reads
+    # Role hooks (see Instance)
     # ------------------------------------------------------------------
-    def open_view(self) -> ReadView:
-        """Anchor a snapshot at the latest applied VDL (invariant 3)."""
-        view = self.views.open(read_point=self._applied_vdl)
+    def _require_readable(self) -> None:
+        if not self.online:
+            raise InstanceStateError(f"replica {self.name} is not attached")
+
+    def _view_anchor(self) -> int:
+        """The latest applied VDL (invariant 3), shown to the auditor."""
         if self.audit_probe is not None:
             self.audit_probe.on_replica_view(
-                self.name, view.read_point, self._writer_vdl_seen
+                self.name, self._applied_vdl, self._writer_vdl_seen
             )
-        self.min_read.register(view.read_point)
-        return view
+        return self._applied_vdl
 
-    def close_view(self, view: ReadView) -> None:
-        if not self.views.is_open(view):
-            # The view was already discarded wholesale (a crash cleared
-            # the manager while this read was in flight); there is nothing
-            # left to release.
-            return
-        self.views.close(view)
-        self.min_read.release(view.read_point)
-
-    def get(self, key):
-        """Generator: visible value of ``key`` at this replica's snapshot."""
-        if not self.online:
-            raise InstanceStateError(f"replica {self.name} is not attached")
-        self.stats.reads += 1
-        view = self.open_view()
-        try:
-            found, value = yield from self._structurally_stable(
-                lambda: self.btree.get(view, key)
-            )
-        finally:
-            self.close_view(view)
-        return value if found else None
-
-    def scan(self, low, high):
-        """Generator: visible (key, value) pairs in [low, high]."""
-        if not self.online:
-            raise InstanceStateError(f"replica {self.name} is not attached")
-        self.stats.reads += 1
-        view = self.open_view()
-        try:
-            results = yield from self._structurally_stable(
-                lambda: self.btree.scan(view, low, high)
-            )
-        finally:
-            self.close_view(view)
-        return results
-
-    # ------------------------------------------------------------------
-    # Background: GC-floor advertisement (replicas hold back GC too)
-    # ------------------------------------------------------------------
-    def _schedule_gc_tick(self) -> None:
-        if self._gc_tick_scheduled:
-            return
-        self._gc_tick_scheduled = True
-
-        def _tick() -> None:
-            self._gc_tick_scheduled = False
-            if self.online:
-                self._advertise_gc_floor()
-            self._schedule_gc_tick()
-
-        self.loop.schedule(self.config.gc_floor_interval, _tick)
-
-    def _advertise_gc_floor(self) -> None:
-        pgmrpl = self.min_read.current()
-        if pgmrpl == NULL_LSN or not self.frontiers.knows(pgmrpl):
-            # A view opened before a writer failover can still be draining;
-            # its anchor belongs to the previous stream generation, whose
-            # history :meth:`attach` reset.  Holding the advertisement back
-            # is safe (GC merely waits); advertising a floor from the wrong
-            # generation would not be.
-            return
-        frontier = self.frontiers.frontier_at(pgmrpl)
-        for pg_index in self.metadata.pg_indexes():
-            pg_floor = frontier.get(pg_index, NULL_LSN)
-            if pg_floor == NULL_LSN:
-                continue
-            update = GCFloorUpdate(
-                instance_id=self.name,
-                pg_index=pg_index,
-                pgmrpl=pg_floor,
-                epochs=self.driver.epochs,
-            )
-            for member in self.driver.members_of(pg_index):
-                self.network.send(self.name, member, update)
+    def _may_advertise(self) -> bool:
+        # A detached replica's tick stays armed, silent until it attaches.
+        return self.online
 
     # ------------------------------------------------------------------
     # Detach / crash

@@ -102,8 +102,6 @@ class ReplicationPublisher:
         self._frame_items: list[object] = []
         self._flush_event = None
         self.chunks_published = 0
-        self.vdl_updates_published = 0
-        self.commit_notices_published = 0
         self.frames_published = 0
 
     @property
@@ -130,7 +128,6 @@ class ReplicationPublisher:
             return
         update = VDLUpdate(writer_id=self.writer_id, vdl=vdl)
         self._enqueue(update)
-        self.vdl_updates_published += 1
 
     def publish_commit(self, txn_id: int, scn: int) -> None:
         if not self._replicas:
@@ -139,7 +136,6 @@ class ReplicationPublisher:
             writer_id=self.writer_id, txn_id=txn_id, scn=scn
         )
         self._enqueue(notice)
-        self.commit_notices_published += 1
 
     # ------------------------------------------------------------------
     # Framing

@@ -14,8 +14,7 @@ import random
 from typing import Any, Generator
 
 from repro.core.retry import Backoff, RetryPolicy
-from repro.db.instance import InstanceState, WriterInstance
-from repro.db.replica import ReplicaInstance
+from repro.db.instance import Instance, InstanceState, WriterInstance
 from repro.db.txn import Transaction
 from repro.errors import (
     CommitUncertainError,
@@ -32,7 +31,7 @@ from repro.sim.process import Process
 class Session:
     """A client connection to a writer or replica instance."""
 
-    def __init__(self, instance: WriterInstance | ReplicaInstance) -> None:
+    def __init__(self, instance: Instance) -> None:
         self.instance = instance
 
     @property
@@ -118,14 +117,10 @@ class Session:
     # Reads (writer or replica)
     # ------------------------------------------------------------------
     def get(self, key, txn: Transaction | None = None) -> Any:
-        if isinstance(self.instance, WriterInstance):
-            return self.drive(self.instance.get(key, txn))
-        return self.drive(self.instance.get(key))
+        return self.drive(self.instance.get(key, txn))
 
     def scan(self, low, high, txn: Transaction | None = None) -> list:
-        if isinstance(self.instance, WriterInstance):
-            return self.drive(self.instance.scan(low, high, txn))
-        return self.drive(self.instance.scan(low, high))
+        return self.drive(self.instance.scan(low, high, txn))
 
     # ------------------------------------------------------------------
     # One-shot convenience (auto-commit)

@@ -94,12 +94,12 @@ class TestFullTailMultiPG:
 
     def test_replica_reads_on_full_tail_cluster(self):
         from repro import AuroraCluster
-        from repro.db.replica import ReplicaConfig
+        from repro.db.instance import InstanceConfig
 
         cluster = AuroraCluster.build(
             seed=27,
             full_tail=True,
-            replica=ReplicaConfig(cache_capacity=8),  # force storage reads
+            replica=InstanceConfig(cache_capacity=8),  # force storage reads
         )
         db = cluster.session()
         for i in range(60):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro import AuroraCluster
 from repro.db.buffer_cache import AGING_PERIOD, PROTECTED_SHARE, BufferCache
-from repro.db.replica import ReplicaConfig
+from repro.db.instance import InstanceConfig
 from repro.errors import LockConflictError
 from repro.sim.process import Process
 
@@ -359,7 +359,7 @@ def test_point_reads_beside_splitting_writers_with_a_pool_under_the_index():
     takes 1 400 keys (600 while a split always went to the middle) for the
     internal levels to outgrow the pool."""
     cluster = AuroraCluster.build(
-        seed=7, replica=ReplicaConfig(cache_capacity=8)
+        seed=7, replica=InstanceConfig(cache_capacity=8)
     )
     replica = cluster.add_replica()
     writer = cluster.writer

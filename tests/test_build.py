@@ -10,7 +10,7 @@ import pytest
 from repro import AuroraCluster, ClusterConfig
 from repro.audit import PROFILES, AuditRunConfig, run_audit
 from repro.audit.profiles import Run
-from repro.db.replica import ReplicaConfig
+from repro.db.instance import InstanceConfig
 from repro.multiwriter import MultiWriterCluster
 
 #: What a module-level alias of ``build`` holds: the constructor at import.
@@ -25,12 +25,12 @@ def test_an_override_names_a_field_the_writers_first():
     )
     assert cluster.writer.cache.capacity == 8
     assert cluster.config.instance.driver.wire_compression is False
-    assert cluster.config.replica == ReplicaConfig()
+    assert cluster.config.replica == InstanceConfig()
 
 
 def test_a_replicas_settings_are_given_whole():
     cluster = AuroraCluster.build(
-        seed=1, replica=ReplicaConfig(cache_capacity=64)
+        seed=1, replica=InstanceConfig(cache_capacity=64)
     )
     assert cluster.add_replica().cache.capacity == 64
 

@@ -47,10 +47,10 @@ class TestClusterReport:
         """A replica whose pool is smaller than the index re-reads it from
         storage; that shows on the replica's line, not the writer's."""
         from repro import AuroraCluster
-        from repro.db.replica import ReplicaConfig
+        from repro.db.instance import InstanceConfig
 
         cluster = AuroraCluster.build(
-            seed=3, replica=ReplicaConfig(cache_capacity=4)
+            seed=3, replica=InstanceConfig(cache_capacity=4)
         )
         cluster.add_replica("r1")
         db = cluster.session()

@@ -33,8 +33,8 @@ from repro.core.records import (
     apply_redo,
     seed_redo,
 )
+from repro.db.instance import InstanceConfig
 from repro.db.mtr import ChainState, MTRBuilder
-from repro.db.replica import ReplicaConfig
 from repro.storage import node as node_module
 from repro.storage.page import BlockVersion, BlockVersionChain
 from repro.storage.segment import Segment
@@ -514,7 +514,7 @@ class TestReadsCarryReferences:
 
         cluster = AuroraCluster.build(
             seed=23, wire_compression=wire_compression,
-            replica=ReplicaConfig(cache_capacity=64),
+            replica=InstanceConfig(cache_capacity=64),
         )
         replicas = [cluster.add_replica(), cluster.add_replica()]
         segments = [node.segment for node in cluster.nodes.values()]

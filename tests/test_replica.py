@@ -5,6 +5,7 @@ import pytest
 from repro import AuroraCluster
 from repro.db.session import Session
 from repro.errors import InstanceStateError
+from repro.storage.messages import GCFloorUpdate
 
 
 @pytest.fixture
@@ -205,6 +206,80 @@ class TestSnapshotAnchoring:
         cluster.run_for(200)  # several gc-floor ticks
         node = cluster.nodes["pg0-a"]
         assert "r1" in node._instance_read_floors
+
+
+def _crash(cluster, instance):
+    cluster.crash_writer()
+
+
+def _close(cluster, instance):
+    instance.close()
+
+
+def _detach(cluster, instance):
+    instance.detach()
+
+
+def _reattach_under_an_old_view(cluster, instance):
+    """Re-attach while a read view of the previous generation is open."""
+    instance.open_view()
+    cluster.session().write("b", 2)
+    cluster.reattach_replicas()
+
+
+def _recover(cluster, instance):
+    Session(instance).drive(cluster.recover_writer())
+
+
+def _attach(cluster, instance):
+    cluster.reattach_replicas()
+
+
+@pytest.mark.parametrize(
+    "role, silence, rearms, wake",
+    [
+        ("writer", _crash, False, _recover),
+        ("writer", _close, False, None),
+        ("replica", _detach, True, _attach),
+        ("replica", _reattach_under_an_old_view, True, None),
+    ],
+    ids=["writer-crashed", "writer-closed", "replica-detached",
+         "replica-old-view"],
+)
+def test_the_gc_floor_tick_per_role(
+    cluster, monkeypatch, role, silence, rearms, wake
+):
+    """One GC-floor tick for both roles: a dead writer falls silent and
+    stops re-arming until recovery restarts it; a replica that serves no
+    reads stays silent but keeps the tick armed; an anchor the frontier
+    history no longer knows holds the advertisement back."""
+    instance = (
+        cluster.add_replica("r1") if role == "replica" else cluster.writer
+    )
+    senders = []
+    send = cluster.network.send
+
+    def spy(src, dst, payload):
+        if isinstance(payload, GCFloorUpdate):
+            senders.append(src)
+        send(src, dst, payload)
+
+    monkeypatch.setattr(cluster.network, "send", spy)
+
+    def advertises() -> bool:
+        senders.clear()
+        cluster.run_for(200)  # four ticks
+        return instance.name in senders
+
+    cluster.session().write("a", 1)
+    assert advertises()
+    silence(cluster, instance)
+    assert not advertises()
+    assert instance._gc_floor_tick_scheduled is rearms
+    if wake is not None:
+        wake(cluster, instance)
+        assert advertises()
+        assert instance._gc_floor_tick_scheduled
 
 
 class TestPromotion:

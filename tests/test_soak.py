@@ -67,8 +67,7 @@ class TestSoak:
         # recoveries, and a membership change structurally intact.
         leaves = db.drive(new_writer.btree.check_structure())
         assert leaves >= 2
-        stats = new_writer.stats
-        assert stats.recoveries == 1
+        assert len(new_writer.stats.recovery_durations) == 1
 
     def test_sustained_mixed_workload_with_replica_reads(self):
         cluster = AuroraCluster.build(seed=425)

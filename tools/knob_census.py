@@ -46,8 +46,7 @@ TREES = ("src", "bench", "examples", "tests")
 #: booked to the inner field) and never replace whole.
 NESTED = {
     ("ClusterConfig", "instance"): "the writer's InstanceConfig",
-    ("InstanceConfig", "driver"): "the writer's DriverConfig",
-    ("ReplicaConfig", "driver"): "a replica's DriverConfig",
+    ("InstanceConfig", "driver"): "an instance's DriverConfig",
 }
 
 
