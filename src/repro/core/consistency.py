@@ -524,8 +524,8 @@ class MinReadPointTracker:
         self._floor = max(self._floor, lsn)
 
     def clear_active(self) -> None:
-        """Crash: every open view died with the instance; the floor (a
-        durable fact) survives."""
+        """Crash or re-attach: every open view died with the instance's
+        old generation; the floor (a durable fact) survives."""
         self._active.clear()
 
     def current(self) -> int:

@@ -110,7 +110,7 @@ class ReplicaInstance(Instance):
         state is shared" -- attaching needs only the stream cursor and the
         commit history, never a data copy.  A re-attach (to a promoted
         writer's stream) drops the pool and the views of the previous
-        stream generation first.
+        stream generation first, with their read points.
         """
         self.cache.drop_all()
         self.views.clear()
@@ -119,6 +119,9 @@ class ReplicaInstance(Instance):
         self._applied_vdl = vdl
         self._discard_frontier.clear()
         self.frontiers.reset(vdl, pg_frontiers)
+        # A view of the previous generation is gone with ``views``; its
+        # read point must go too, or it pins the GC floor for good.
+        self.min_read.clear_active()
         self.min_read.advance_floor(vdl)
         for txn_id, scn in commit_history.items():
             self.registry.record_commit(txn_id, scn)

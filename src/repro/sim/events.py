@@ -27,9 +27,10 @@ class Event:
     """Handle to a scheduled callback.  Cancellable until it has fired.
 
     A thin view over the loop's flat tables: the callback itself lives in
-    the loop, keyed by ``seq``, so the hot scheduling path never builds a
-    Python object per event -- handles exist only for callers that keep one
-    (timers they may cancel).
+    the loop, keyed by ``seq``, and the heap holds plain ``(time, seq)``
+    tuples, so the loop never keeps a handle.  ``schedule_at`` and
+    ``call_soon`` still build one per call and return it; a caller that
+    does not keep it (anything but a timer it may cancel) drops it at once.
     """
 
     __slots__ = ("time", "seq", "_loop")

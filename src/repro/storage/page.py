@@ -10,15 +10,21 @@ garbage collection drops versions strictly below the PGMRPL floor (always
 retaining the newest version at or below the floor, which future reads at or
 above the floor may still need).
 
-Each version carries a checksum so the scrubber (Figure 2, activity 8) can
+Each version can be verified so the scrubber (Figure 2, activity 8) can
 "periodically scrub data to ensure checksums continue to match the data on
-disk"; tests inject corruption to exercise it.
+disk"; tests inject corruption to exercise it.  Images are immutable and
+shared, so a stored image changes only when repair or an injector
+*replaces* it, and the checksum is captured when the image is replaced:
+the image setter records the outgoing image's checksum first.  A version
+whose image was never replaced holds the image it was created with and
+verifies without hashing.  This is the rule ``record_digest`` follows for
+hot-log records, where corruption replaces the record object.
 
 The chain is struct-of-arrays: two parallel lists (LSNs, images) hold the
 versions, and the per-copy verification state lives in sparse maps keyed by
-LSN that only reads, votes, the scrubber and the corruption injectors ever
-populate.  Materializing a version is two list appends; lookups and
-trimming are ``bisect`` plus slices.  A :class:`BlockVersion` is a
+LSN, made on first use, that only replacement, votes and the integrity
+probe ever populate.  Materializing a version is two list appends; lookups
+and trimming are ``bisect`` plus slices.  A :class:`BlockVersion` is a
 short-lived ``(chain, lsn)`` handle made on demand for the code that
 inspects or repairs one version.
 """
@@ -61,12 +67,15 @@ class BlockVersion:
     verification: it must never be served or vouched for in a repair vote
     until overwritten with a verified peer image (DESIGN.md §12).
 
-    The checksum is captured lazily: the vast majority of versions written
-    during a simulation are never individually read, voted on, or scrubbed,
-    so the checksum of the just-applied image is only recorded on first
-    access.  Corruption injectors force-capture it *before* swapping in the
-    damaged image (bit-rot damages data under an already-recorded
-    checksum), which keeps detection semantics identical to eager capture.
+    Verification state is created only when something damages the version
+    or asks for its checksum.  The image setter is the one place a
+    retained version's image is replaced (repair, scrub repair, the
+    injectors), and it records the outgoing image's checksum first unless
+    one is already recorded, so bit rot damages data under the checksum of
+    the image it replaced.  A version with no recorded checksum still holds
+    the image it was created with and verifies without hashing;
+    :attr:`checksum` is captured lazily for the votes and the integrity
+    probe that ask for it.
     """
 
     __slots__ = ("chain", "lsn")
@@ -83,35 +92,44 @@ class BlockVersion:
 
     @image.setter
     def image(self, image: Mapping[str, Any]) -> None:
-        """Swap this copy's image for another object (repair, injectors)."""
+        """Swap this copy's image for another object (repair, injectors),
+        recording the outgoing image's checksum first if none is."""
         chain = self.chain
-        chain._images[chain._index_of(self.lsn)] = image
+        index = chain._index_of(self.lsn)
+        chain._capture(self.lsn, chain._images[index])
+        chain._images[index] = image
 
     @property
     def checksum(self) -> int:
         """Recorded checksum, captured from the image on first access."""
-        checksums = self.chain._checksums
-        checksum = checksums.get(self.lsn)
-        if checksum is None:
-            checksum = checksums[self.lsn] = image_checksum(self.image)
-        return checksum
+        return self.chain._capture(self.lsn, self.image)
 
     @checksum.setter
     def checksum(self, value: int) -> None:
-        self.chain._index_of(self.lsn)
-        self.chain._checksums[self.lsn] = value
+        chain = self.chain
+        chain._index_of(self.lsn)
+        if chain._checksums is None:
+            chain._checksums = {}
+        chain._checksums[self.lsn] = value
 
     @property
     def quarantined(self) -> bool:
-        return self.lsn in self.chain._quarantined
+        return self.lsn in (self.chain._quarantined or ())
 
     @quarantined.setter
     def quarantined(self, value: bool) -> None:
-        self.chain._index_of(self.lsn)
+        chain = self.chain
         if value:
-            self.chain._quarantined.add(self.lsn)
+            # A quarantined version always has a recorded checksum, so
+            # the checksum map alone says which versions carry state.
+            chain._capture(self.lsn, self.image)
+            if chain._quarantined is None:
+                chain._quarantined = set()
+            chain._quarantined.add(self.lsn)
         else:
-            self.chain._quarantined.discard(self.lsn)
+            chain._index_of(self.lsn)
+            if chain._quarantined:
+                chain._quarantined.discard(self.lsn)
 
     def verify(self) -> bool:
         return self.chain._verify(self.lsn, self.image)
@@ -121,7 +139,13 @@ class BlockVersion:
 
 
 class BlockVersionChain:
-    """All retained versions of one block, ordered by ascending LSN."""
+    """All retained versions of one block, ordered by ascending LSN.
+
+    Verification state exists only for versions whose image was replaced
+    or whose checksum was asked for (see :class:`BlockVersion`); a chain
+    with none carries no container for it, and :meth:`scrub` visits only
+    the versions that have some.
+    """
 
     __slots__ = (
         "block", "_lsns", "_images", "_checksums", "_quarantined",
@@ -135,11 +159,13 @@ class BlockVersionChain:
         #: ``_images[i]`` is the image of the version at ``_lsns[i]``.
         self._lsns: list[int] = []
         self._images: list[Mapping[str, Any]] = []
-        #: Verification state of this copy, by LSN; an entry exists only
-        #: for a version something has looked at (see :class:`BlockVersion`)
-        #: and goes when the version does.
-        self._checksums: dict[int, int] = {}
-        self._quarantined: set[int] = set()
+        #: Verification state of this copy, by LSN, made on first use: the
+        #: recorded checksums and the quarantined LSNs (each of which has a
+        #: recorded checksum).  An entry exists only for a version that was
+        #: replaced, voted on or probed (see :class:`BlockVersion`) and
+        #: goes when the version does.
+        self._checksums: dict[int, int] | None = None
+        self._quarantined: set[int] | None = None
         #: The owning segment's set of blocks whose chains hold more than
         #: one retained version -- the only chains garbage collection can
         #: shrink.  Every growth path reports here, so the segment's GC
@@ -161,21 +187,34 @@ class BlockVersionChain:
     def _forget(self, lo: int, hi: int) -> None:
         """Drop the verification state of the versions at ``[lo:hi]``,
         which are about to leave the chain."""
-        if self._checksums or self._quarantined:
+        checksums = self._checksums
+        if checksums:
+            quarantined = self._quarantined
             for lsn in self._lsns[lo:hi]:
-                self._checksums.pop(lsn, None)
-                self._quarantined.discard(lsn)
+                if checksums.pop(lsn, None) is not None and quarantined:
+                    quarantined.discard(lsn)
+
+    def _capture(self, lsn: int, image: Mapping[str, Any]) -> int:
+        """The recorded checksum of the version at ``lsn``; records
+        ``image``'s, the version's current one, if none is."""
+        checksums = self._checksums
+        if checksums is None:
+            checksums = self._checksums = {}
+        checksum = checksums.get(lsn)
+        if checksum is None:
+            checksum = checksums[lsn] = image_checksum(image)
+        return checksum
 
     def _verify(self, lsn: int, image: Mapping[str, Any]) -> bool:
         """Does the retained version ``(lsn, image)`` pass verification?"""
-        if lsn in self._quarantined:
-            return False
-        recorded = self._checksums.get(lsn)
+        checksums = self._checksums
+        recorded = checksums.get(lsn) if checksums else None
         if recorded is None:
-            # First look at this version: what is stored is what gets
-            # recorded, so it verifies by construction.
-            self._checksums[lsn] = image_checksum(image)
+            # Never replaced: the stored image is the one the version was
+            # created with, so it verifies by construction.
             return True
+        if self._quarantined and lsn in self._quarantined:
+            return False
         return recorded == image_checksum(image)
 
     @property
@@ -339,10 +378,6 @@ class BlockVersionChain:
         victim = self.version(self._lsns[-1] if lsn is None else lsn)
         if victim is None:
             return None
-        # Capture the checksum of the *good* image before damaging it: bit
-        # rot mutates data under an already-recorded checksum.  (With lazy
-        # capture this is the injection point's responsibility.)
-        victim.checksum
         new_image = dict(image) if image is not None else dict(victim.image)
         if image is None:
             new_image["__corrupted__"] = True
@@ -352,11 +387,17 @@ class BlockVersionChain:
         return victim.lsn
 
     def scrub(self) -> list[int]:
-        """Return the LSNs of versions whose checksum no longer matches."""
+        """Return the LSNs of versions whose checksum no longer matches,
+        ascending.  Only versions with recorded state can fail, so only
+        those are visited."""
+        checksums = self._checksums
+        if not checksums:
+            return []
+        images = self._images
         return [
             lsn
-            for lsn, image in zip(self._lsns, self._images)
-            if not self._verify(lsn, image)
+            for lsn in sorted(checksums)
+            if not self._verify(lsn, images[self._index_of(lsn)])
         ]
 
     def __len__(self) -> int:

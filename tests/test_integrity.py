@@ -10,17 +10,24 @@ Covers the DESIGN.md section 12 machinery at three levels:
 - whole clusters: each injector kind is detected and repaired under a
   live workload on both storage backends, the corruption bookkeeping
   reconciles entries destroyed by GC, and the integrity chaos mix draws
-  all four corruption kinds.
+  all four corruption kinds;
+- verification by construction: a stored image is hashed only once it
+  was replaced, and damage to a version nothing has looked at is caught.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import AuroraCluster
+from repro.audit import integrity as integrity_module
 from repro.core.epochs import EpochStamp
+from repro.db.instance import InstanceConfig
 from repro.db.session import Session
 from repro.errors import CorruptVersionError
 from repro.sim.chaos import CHAOS, INTEGRITY, STORAGE_TARGET, ChaosSchedule
+from repro.storage import page as page_module
+from repro.storage import segment as segment_module
 from repro.storage.messages import ReadBlockRequest, ReadBlockResponse
 from repro.storage.page import BlockVersionChain
 from repro.storage.segment import Segment, SegmentKind
@@ -315,6 +322,114 @@ class TestClusterRepair:
         assert closed == 1
         assert not record.open
         assert integrity.open_count() == 0
+
+
+# ----------------------------------------------------------------------
+# Verification by construction: an image is hashed only once replaced
+# ----------------------------------------------------------------------
+def _count_image_hashes(monkeypatch) -> list:
+    """Every ``image_checksum`` call from here on, counted."""
+    calls = []
+    real = page_module.image_checksum
+
+    def counted(image):
+        calls.append(None)
+        return real(image)
+
+    for module in (page_module, segment_module, integrity_module):
+        monkeypatch.setattr(module, "image_checksum", counted)
+    return calls
+
+
+def _stated(node) -> set[tuple[int, int]]:
+    """The ``(block, lsn)`` versions of ``node`` with verification state."""
+    return {
+        (block, lsn)
+        for block, chain in node.segment.blocks.items()
+        for lsn in chain._checksums or ()
+    }
+
+
+class TestVerificationByConstruction:
+    @pytest.mark.parametrize("backend", ["aurora", "taurus"])
+    def test_steady_state_reads_and_scrubs_hash_no_image(
+        self, backend, monkeypatch
+    ):
+        """A replica whose pool is too small for its index reads from
+        storage, and the scrubber runs three passes: no stored image was
+        replaced, so nothing is hashed."""
+        cluster = AuroraCluster.build(
+            seed=1, backend=backend, replica=InstanceConfig(cache_capacity=8)
+        )
+        replica = cluster.add_replica()
+        db = cluster.session()
+        keys = [f"key{i:05d}" for i in range(300)]
+        for low in range(0, len(keys), 50):
+            txn = db.begin()
+            for key in keys[low:low + 50]:
+                db.put(txn, key, f"v-{key}")
+            db.commit(txn)
+        cluster.run_for(100.0)
+        nodes = cluster.nodes.values()
+        answered = sum(n.counters["reads_answered"] for n in nodes)
+        scrubs = {n.name: n.counters["scrub_runs"] for n in nodes}
+        calls = _count_image_hashes(monkeypatch)
+        reader = Session(replica)
+        for key in keys:
+            assert reader.get(key) == f"v-{key}"
+        while min(n.counters["scrub_runs"] - scrubs[n.name] for n in nodes) < 3:
+            cluster.run_for(100.0)
+        assert sum(n.counters["reads_answered"] for n in nodes) > answered
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("backend", ["aurora", "taurus"])
+    @pytest.mark.parametrize(
+        "kind", ["bit_rot", "torn_write", "lost_write", "misdirected_write"]
+    )
+    def test_damage_to_a_version_nothing_looked_at_is_caught(
+        self, kind, backend
+    ):
+        """Each corruption kind lands on a version that has no
+        verification state yet and is still caught: bit rot by local
+        verification (the image setter recorded the clean checksum), the
+        others by the record digests or the vote, and nothing corrupt is
+        served on the way to the repair."""
+        cluster = integrity_cluster(backend)
+        db = Session(cluster.writer)
+        for i in range(12):
+            db.write(f"k{i}", f"v{i}")
+        failures = cluster.failures
+        integrity = failures.integrity_probe
+        unseen = {}
+
+        def inject(name):
+            node = cluster.nodes[name]
+            before = _stated(node)
+            if kind == "bit_rot":  # the block-version flavour
+                corruption = failures._rot_version(node)
+            else:
+                corruption = getattr(failures, kind)(name)
+            if corruption is not None:
+                unseen[name] = (corruption.block, corruption.lsn) not in before
+            return corruption
+
+        corruption = _inject_with_fresh_writes(
+            cluster, db, lambda: failures.inject_anywhere(inject)
+        )
+        assert unseen[corruption.node]
+        if kind == "bit_rot":
+            chain = cluster.nodes[corruption.node].segment.blocks[
+                corruption.block
+            ]
+            assert not chain.version(corruption.lsn).verify()
+            assert corruption.lsn in chain.scrub()
+        for _ in range(40):
+            if integrity.open_count() == 0:
+                break
+            cluster.run_for(500.0)
+        assert integrity.open_count() == 0, integrity.open_records()
+        assert corruption.detected_at is not None
+        assert integrity.corrupt_reads_served == 0
 
 
 # ----------------------------------------------------------------------

@@ -236,23 +236,24 @@ def _attach(cluster, instance):
 
 
 @pytest.mark.parametrize(
-    "role, silence, rearms, wake",
+    "role, disturb, silent, rearms, wake",
     [
-        ("writer", _crash, False, _recover),
-        ("writer", _close, False, None),
-        ("replica", _detach, True, _attach),
-        ("replica", _reattach_under_an_old_view, True, None),
+        ("writer", _crash, True, False, _recover),
+        ("writer", _close, True, False, None),
+        ("replica", _detach, True, True, _attach),
+        ("replica", _reattach_under_an_old_view, False, True, None),
     ],
     ids=["writer-crashed", "writer-closed", "replica-detached",
          "replica-old-view"],
 )
 def test_the_gc_floor_tick_per_role(
-    cluster, monkeypatch, role, silence, rearms, wake
+    cluster, monkeypatch, role, disturb, silent, rearms, wake
 ):
     """One GC-floor tick for both roles: a dead writer falls silent and
     stops re-arming until recovery restarts it; a replica that serves no
-    reads stays silent but keeps the tick armed; an anchor the frontier
-    history no longer knows holds the advertisement back."""
+    reads stays silent but keeps the tick armed; a re-attach drops the
+    read points of the previous generation's views, so a view open across
+    it does not hold the advertisement back."""
     instance = (
         cluster.add_replica("r1") if role == "replica" else cluster.writer
     )
@@ -273,13 +274,31 @@ def test_the_gc_floor_tick_per_role(
 
     cluster.session().write("a", 1)
     assert advertises()
-    silence(cluster, instance)
-    assert not advertises()
+    disturb(cluster, instance)
+    assert advertises() is not silent
+    assert instance.min_read.active_count == 0
     assert instance._gc_floor_tick_scheduled is rearms
     if wake is not None:
         wake(cluster, instance)
         assert advertises()
         assert instance._gc_floor_tick_scheduled
+
+
+def test_a_view_open_across_a_reattach_pins_no_gc_floor(cluster):
+    """A read in flight across ``reattach_replicas`` closes on a view the
+    re-attach already discarded; its read point went with it, so the
+    replica's floor on storage keeps advancing with the new stream."""
+    replica = cluster.add_replica("r1")
+    view = replica.open_view()
+    db = cluster.session()
+    db.write("a", 1)
+    cluster.reattach_replicas()
+    replica.close_view(view)
+    for i in range(20):
+        db.write(f"k{i}", i)
+    cluster.run_for(200)  # several gc-floor ticks
+    assert replica.min_read.active_count == 0
+    assert cluster.nodes["pg0-a"]._instance_read_floors["r1"] > 6
 
 
 class TestPromotion:

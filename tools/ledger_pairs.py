@@ -29,12 +29,18 @@ one command.
 
 ``BASE`` may also be a directory that already holds a checkout (a clone
 made elsewhere); it is then used as it is and left alone.
+
+Every run compiles the program from source, as a fresh checkout does: the
+child gets ``PYTHONDONTWRITEBYTECODE=1`` and a ``PYTHONPYCACHEPREFIX`` of
+its own, new and empty, so a ``__pycache__`` one tree has from earlier use
+cannot make its ``setup_s`` look shorter than the other's.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -68,14 +74,21 @@ def base_tree(base: str):
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """One end-to-end run in ``tree``; the contract line's metric values."""
-    done = subprocess.run(
-        [
-            sys.executable, "-m", "bench", "run", "--workload", workload,
-            "--seed", str(seed), "--trace", "0",
-        ],
-        cwd=tree, capture_output=True, text=True,
-    )
+    """One end-to-end run in ``tree``, compiling from source (no bytecode
+    cache read or written); the contract line's metric values."""
+    with tempfile.TemporaryDirectory(prefix="pycache-") as cache:
+        env = {
+            **os.environ,
+            "PYTHONDONTWRITEBYTECODE": "1",
+            "PYTHONPYCACHEPREFIX": cache,
+        }
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "bench", "run", "--workload", workload,
+                "--seed", str(seed), "--trace", "0",
+            ],
+            cwd=tree, capture_output=True, text=True, env=env,
+        )
     if done.returncode != 0:
         raise SystemExit(
             f"bench run failed in {tree} (exit {done.returncode}):\n"
