@@ -6,38 +6,24 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # reports are byte-identical to a sequential run; see docs/PERF.md).
 JOBS ?= 4
 
-.PHONY: test audit audit-fleet audit-failover audit-geo audit-proxy audit-integrity gates-diff knobs ledger ledger-smoke ledger-pairs ledger-events ledger-heap
+.PHONY: test audit gates-diff knobs ledger ledger-smoke ledger-pairs ledger-events ledger-heap
 
 test:
 	$(PYTHON) -m pytest -x -q
 
-# The audit gate: the full tier-1 suite, then a 20-seed chaos sweep with
-# the runtime invariant auditor armed (see docs/AUDIT.md).  Exits nonzero
-# if any test fails or any seed reports an invariant violation.  The sweep
-# runs under three string-hash seeds, and the reports must be
-# byte-identical (tools/hashseeds.py).
+# The audit gates: each row of repro.audit.PROFILES is one -- `audit` for
+# the default chaos row, `audit-<row>` for the others (audit-fleet,
+# audit-failover, audit-geo, audit-proxy, audit-integrity) -- and the row
+# sizes its sweep; what it arms, injects and judges is the "Profiles"
+# table of docs/AUDIT.md.  Each exits nonzero on an invariant violation or
+# a failed gate.  `make audit` runs the full tier-1 suite first, and its
+# sweep under three string-hash seeds whose reports must be byte-identical
+# (tools/hashseeds.py).
 audit: test
-	python3 tools/hashseeds.py $(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 20 --jobs $(JOBS)
+	python3 tools/hashseeds.py $(PYTHON) -m repro gates audit --jobs $(JOBS)
 
-# The other gates are the same command under another profile switch; what
-# each profile arms, injects and judges, and what its sweep footer
-# reports, is the "Profiles" table of docs/AUDIT.md (rendered from
-# repro.audit.PROFILES).  audit-integrity runs both storage backends.
-audit-fleet:
-	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 20 --fleet --jobs $(JOBS)
-
-audit-failover:
-	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 3 --failover --jobs $(JOBS)
-
-audit-geo:
-	$(PYTHON) -m repro audit-run --seed 0 --steps 400 --sweep 20 --geo --jobs $(JOBS)
-
-audit-proxy:
-	$(PYTHON) -m repro audit-run --seed 0 --steps 400 --sweep 20 --proxy --jobs $(JOBS)
-
-audit-integrity:
-	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 20 --integrity --backend aurora --jobs $(JOBS)
-	$(PYTHON) -m repro audit-run --seed 0 --steps 500 --sweep 20 --integrity --backend taurus --jobs $(JOBS)
+audit-%:
+	$(PYTHON) -m repro gates $@ --jobs $(JOBS)
 
 # Behaviour-preservation check: every gate above rendered in BASE (a rev,
 # checked out into a temporary git worktree, or a checkout directory) and

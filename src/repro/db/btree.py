@@ -35,7 +35,7 @@ reads transparently hit the buffer cache or go to storage.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from typing import Any, Generator, Hashable, Iterable, Mapping
+from typing import Any, Generator, Hashable, Mapping
 
 from repro.core.records import (
     EMPTY_IMAGE,
@@ -552,20 +552,6 @@ def _at_right_edge(path) -> bool:
     )
 
 
-def visible_rows(
-    rows: Iterable[tuple[Hashable, tuple[Version, ...]]],
-    view: ReadView,
-    registry: TransactionStatusRegistry,
-) -> list[tuple[Hashable, Any]]:
-    """Filter raw leaf rows down to what a view can see (helper)."""
-    visible = []
-    for key, versions in rows:
-        found, value = visible_value(versions, view, registry)
-        if found:
-            visible.append((key, value))
-    return visible
-
-
 # Re-export for convenience so callers can use insort-based key batching
 # without importing bisect themselves.
 __all__ = [
@@ -575,5 +561,4 @@ __all__ = [
     "insort",
     "leaf_rows",
     "row_key",
-    "visible_rows",
 ]

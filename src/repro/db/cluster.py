@@ -390,17 +390,6 @@ class AuroraCluster:
         """Advance simulated time (lets background activity run)."""
         self.loop.run(until=self.loop.now + duration_ms)
 
-    def settle(self) -> None:
-        """Drain every scheduled event except self-rescheduling ticks.
-
-        Background ticks reschedule forever, so we advance in bounded
-        slices until the volume is fully durable (VCL caught up).
-        """
-        for _ in range(200):
-            if self.writer.driver.volume.lag == 0:
-                return
-            self.run_for(5.0)
-
     # ------------------------------------------------------------------
     # Replicas (section 3.2)
     # ------------------------------------------------------------------

@@ -238,20 +238,6 @@ class GeoCluster:
         """A region-failover-aware client session."""
         return ClusterSession(self)
 
-    def settle(self) -> None:
-        """Drain until the active region's volume is fully durable."""
-        for _ in range(200):
-            writer = (
-                self.secondary.writer if self.promoted
-                else self.primary.writer
-            )
-            if (
-                writer.state is not InstanceState.OPEN
-                or writer.driver.volume.lag == 0
-            ):
-                return
-            self.run_for(5.0)
-
     # ------------------------------------------------------------------
     # Auditing and the DR plane
     # ------------------------------------------------------------------

@@ -736,9 +736,10 @@ class StorageNode(Actor):
             chain = segment.blocks.get(block)
             mine = chain.version(lsn) if chain is not None else None
             total = len(votes) + 1
+            mine_ok = mine is not None and mine.verify()
             if mine is None:
                 votes.append(absent)
-            elif mine.verify():
+            elif mine_ok:
                 votes.append(mine.checksum)
             else:
                 total = len(votes)  # a corrupt copy casts no ballot
@@ -756,10 +757,7 @@ class StorageNode(Actor):
                             self.name, block, lsn
                         )
                 continue
-            mine_matches = (
-                mine is not None and mine.verify() and mine.checksum == winner
-            )
-            if mine_matches:
+            if mine_ok and mine.checksum == winner:
                 continue
             image = images.get(winner)
             if image is None:

@@ -21,16 +21,18 @@ import pytest
 from repro import cli
 from repro.audit import PROFILES, AuditRunConfig, merged_sections, run_audit
 from repro.audit import clients, profiles
-from repro.audit.profiles import AtLeast, budgets_table, profiles_table
+from repro.audit.profiles import (
+    AtLeast,
+    Cut,
+    Profile,
+    budgets_table,
+    profiles_table,
+)
 from repro.sim.chaos import CHAOS, FLEET
 from tests.conftest import audit_report
 from tests.test_chaos import SCHEDULE_DIGESTS, schedule_digests
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-GATES = (
-    "audit", "audit-fleet", "audit-failover", "audit-geo", "audit-proxy",
-    "audit-integrity",
-)
 
 #: ``dataclasses.asdict(AuditRunConfig())`` before the profile table, less
 #: the fields deleted since: the dead ``boxcar``, the flush policy, the
@@ -68,7 +70,7 @@ _INTEGRITY = {**_QUIET, "writer_crash_every": 10**9, "integrity": True}
 
 #: arguments (less ``--seed 0``, ``--sweep N``, ``--jobs K``) -> the fields
 #: the parent built away from ``HEAD_DEFAULTS`` (``seed`` is 0 throughout).
-#: The first seven are every command ``make -n`` lists for the gates.
+#: The first seven are the gates' full-sweep commands, row by row.
 HEAD_CONFIGS = {
     "--steps 500": {"steps": 500},
     "--steps 500 --fleet": {"steps": 500, **_FLEET},
@@ -184,19 +186,35 @@ def differences() -> list[str]:
     return out
 
 
+def one_table_findings() -> list[str]:
+    """Where the CI file's gate lanes and the rows part: a row's gate with
+    no lane or without both cuts, a lane with no row.  The CI file is read
+    as text (no YAML parser in the dependencies)."""
+    ci = (REPO_ROOT / ".github/workflows/ci.yml").read_text()
+    job = ci[ci.index("\n  audit-gates:"):]
+    lanes = re.search(r"(?m)^ +gate: \[(.*)\]$", job).group(1)
+    lanes = [lane.strip() for lane in lanes.split(",")]
+    gates = [row.gate for row in PROFILES.values()]
+    return (
+        [f"{gate}: no CI lane" for gate in gates if gate not in lanes]
+        + [f"{lane}: no row" for lane in lanes if lane not in gates]
+        + [
+            f"{row.gate}: no {cut} cut"
+            for row in PROFILES.values()
+            for cut in ("full", "ci")
+            if getattr(row, cut) is None
+        ]
+    )
+
+
 class TestProfilesBuildTheParentsConfigs:
     def test_every_gate_command_is_recorded(self):
-        listed = subprocess.run(
-            ["make", "-n", "--no-print-directory", *GATES],
-            cwd=REPO_ROOT, check=True, capture_output=True, text=True,
-        ).stdout
         commands = [
-            re.sub(r" --(seed|sweep|jobs) \d+", "", line.split("audit-run")[1])
-            for line in listed.splitlines()
-            if "audit-run" in line
+            re.sub(r" ?--(seed|sweep) \d+", "", " ".join(arguments)).strip()
+            for row in PROFILES.values()
+            for arguments in row.gate_commands()
         ]
-        assert len(commands) == 7
-        assert [c.strip() for c in commands] == list(HEAD_CONFIGS)[:7]
+        assert commands == list(HEAD_CONFIGS)[:7]
 
     def test_field_by_field(self):
         assert differences() == []
@@ -283,6 +301,43 @@ class TestProfilesBuildTheParentsConfigs:
             cli.main(["audit-run", "--help"])
         listed = set(re.findall(r"(?m)^  (--[a-z-]+)", capsys.readouterr().out))
         assert listed == HEAD_FLAGS
+
+    def test_every_row_is_a_gate_with_a_ci_lane(self):
+        assert one_table_findings() == []
+
+    @pytest.mark.parametrize("planted, found", [
+        (Profile("pressure", "--pressure", full=Cut(500, 20),
+                 ci=Cut(500, 5)), "audit-pressure: no CI lane"),
+        (dataclasses.replace(PROFILES["geo"], ci=None),
+         "audit-geo: no ci cut"),
+    ])
+    def test_a_row_the_gates_miss_is_caught(
+        self, monkeypatch, planted, found
+    ):
+        monkeypatch.setitem(PROFILES, planted.name, planted)
+        assert found in one_table_findings()
+
+    def test_gates_runs_each_rows_commands(self, monkeypatch, capsys):
+        """``repro gates`` is the rows' ``audit-run`` commands and the
+        worst exit status; an unknown name exits 2 before any runs."""
+        ran = []
+
+        def audit_run(args):
+            ran.append((args.profile, args.sweep, args.jobs, args.backend,
+                        args.integrity_json))
+            return len(ran) % 2  # the first command finds something
+
+        monkeypatch.setitem(cli._COMMANDS, "audit-run", audit_run)
+        assert cli.main(["gates", "audit-nope", "audit"]) == 2
+        assert ran == [] and "audit-nope" in capsys.readouterr().err
+        assert cli.main(
+            ["gates", "audit-integrity", "audit-proxy", "--ci", "--jobs", "2"]
+        ) == 1
+        assert ran == [
+            ("integrity", 5, 2, "aurora", "integrity-aurora.json"),
+            ("integrity", 5, 2, "taurus", "integrity-taurus.json"),
+            ("proxy", 2, 2, "aurora", ""),
+        ]
 
     def test_the_docs_table_is_the_rendered_one(self):
         assert profiles_table() in (REPO_ROOT / "docs/AUDIT.md").read_text()

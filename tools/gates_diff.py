@@ -4,12 +4,11 @@
 
 A change that only speeds the simulator up, or only reshapes code, must
 leave every gate's report byte-identical for the same seeds (ROADMAP aim
-2).  This runs the ``audit-run`` commands behind ``make audit``,
-``audit-fleet``, ``audit-failover``, ``audit-geo``, ``audit-proxy`` and
-``audit-integrity`` (both backends) -- read from this checkout's Makefile with ``make -n``, so the gates are defined in one place
--- in ``BASE`` (a revision, checked out into a temporary ``git worktree``,
-or a directory that already holds a checkout) and in this checkout, and
-compares what they print, seed by seed:
+2).  This runs the ``audit-run`` commands of every gate -- each row of this
+checkout's ``repro.audit.PROFILES`` at its full sweep, as ``python -m
+repro gates`` runs it -- in ``BASE`` (a revision, checked out into a
+temporary ``git worktree``, or a directory that already holds a checkout)
+and in this checkout, and compares what they print, seed by seed:
 
 - every command gets ``--sweep SWEEP`` on both sides;
 - both sides run under ``PYTHONHASHSEED=0``: a run whose event order leans
@@ -37,37 +36,18 @@ from pathlib import Path
 
 from ledger_pairs import REPO_ROOT, base_tree
 
-GATES = (
-    "audit", "audit-fleet", "audit-failover", "audit-geo", "audit-proxy",
-    "audit-integrity",
-)
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.audit import PROFILES  # noqa: E402 - needs src/ on sys.path
+
 SEED_HEADER = re.compile(r"^audit run: seed=(\d+) ")
 FOOTER = "footer"
-
-
-def gate_commands(gate: str) -> list[list[str]]:
-    """The ``audit-run`` argument lists ``make <gate>`` would execute."""
-    listed = subprocess.run(
-        ["make", "-n", "--no-print-directory", gate],
-        cwd=REPO_ROOT, check=True, capture_output=True, text=True,
-    ).stdout
-    commands = []
-    for line in listed.splitlines():
-        words = line.split()
-        if "audit-run" in words:
-            commands.append(words[words.index("audit-run") + 1:])
-    if not commands:
-        raise SystemExit(f"make -n {gate} lists no audit-run command")
-    return commands
 
 
 def with_sweep(arguments: list[str], sweep: int, jobs: int) -> list[str]:
     """``arguments`` sweeping ``sweep`` seeds over ``jobs`` worker
     processes."""
     out = list(arguments)
-    if "--jobs" in out:
-        at = out.index("--jobs")
-        del out[at:at + 2]
     out[out.index("--sweep") + 1] = str(sweep)
     return [*out, "--jobs", str(jobs)]
 
@@ -152,11 +132,11 @@ def main(argv: list[str] | None = None) -> int:
     with base_tree(args.base) as tree:
         unexpected = sum(
             compare(
-                tree, gate, with_sweep(arguments, args.sweep, args.jobs),
+                tree, row.gate, with_sweep(arguments, args.sweep, args.jobs),
                 expected,
             )
-            for gate in GATES
-            for arguments in gate_commands(gate)
+            for row in PROFILES.values()
+            for arguments in row.gate_commands()
         )
     if unexpected:
         print(f"\n{unexpected} unexpected difference(s) against {args.base}")

@@ -4,9 +4,8 @@
 ``PYTHONHASHSEED=0``, again with ``3`` and again with ``7``, prints the
 first run's output and exits with its status -- or with 1 when another run
 prints different bytes or exits differently.  ``make audit`` and every
-gate lane of CI (``audit``, ``audit-fleet``, ``audit-failover``,
-``audit-geo``, ``audit-proxy``, ``audit-integrity``) wrap their sweep in
-it: ``audit-run`` prints no wall-clock time, so a report that moves
+gate lane of CI (``python -m repro gates <gate> --ci``) wrap their sweep
+in it: ``audit-run`` prints no wall-clock time, so a report that moves
 between the runs leans on string-hash order.
 """
 
