@@ -40,8 +40,16 @@ class SimulatedS3:
         taken_at: float,
         payload: dict,
     ) -> BackupObject:
-        """Archive a segment snapshot; newer snapshots shadow older ones."""
+        """Archive a segment snapshot; newer snapshots shadow older ones.
+
+        A snapshot at an SCL already archived holds the same state, so
+        the object keeps the time that state was first archived: a
+        point-in-time restore to any moment since then may use it.
+        """
         key = f"{segment_id}/{scl}"
+        prior = self.objects.get(key)
+        if prior is not None:
+            taken_at = prior.taken_at
         obj = BackupObject(
             key=key,
             segment_id=segment_id,

@@ -24,6 +24,15 @@ class TestSimulatedS3:
         assert latest.scl == 9
         assert len(s3) == 2
 
+    def test_a_snapshot_at_an_archived_scl_keeps_its_first_time(self):
+        """The state at an SCL was restorable from its first snapshot on;
+        a later backup tick at the same SCL does not move that later."""
+        s3 = SimulatedS3()
+        s3.put_snapshot("seg0", 0, scl=5, taken_at=1.0, payload={})
+        s3.put_snapshot("seg0", 0, scl=5, taken_at=3.0, payload={})
+        assert s3.latest_snapshot("seg0").taken_at == 1.0
+        assert len(s3) == 1
+
     def test_latest_of_unknown_segment(self):
         assert SimulatedS3().latest_snapshot("ghost") is None
 
