@@ -346,7 +346,7 @@ class FailureInjector:
             block_b = self.rng.choice(targets)
             chain_a = seg.blocks[block_a]
             bogus = seg.blocks[block_b].insert(
-                lsn, dict(chain_a.version(lsn).image)
+                lsn, dict(chain_a.version(lsn).image.items())
             )
             chain_a.remove_version(lsn)
             self.log.append((self.loop.now, "misdirected_write", name))

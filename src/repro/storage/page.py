@@ -378,7 +378,7 @@ class BlockVersionChain:
         victim = self.version(self._lsns[-1] if lsn is None else lsn)
         if victim is None:
             return None
-        new_image = dict(image) if image is not None else dict(victim.image)
+        new_image = dict((victim.image if image is None else image).items())
         if image is None:
             new_image["__corrupted__"] = True
         victim.image = new_image
