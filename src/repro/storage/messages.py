@@ -11,9 +11,9 @@ buggy actor cannot mutate another's state through a shared reference.  They
 are also slotted -- write-path payloads are allocated once per wire message
 on the simulator's hottest loop.
 
-A block image travels **by reference**: a read reply, a baseline, a scrub
-repair and a vote answer carry the very ``Mapping`` the sender's version
-chain holds, for the receiver to keep (immutable: DESIGN.md section 8).
+A block image travels **by reference**: a read reply, a baseline and a
+vote answer carry the very ``Mapping`` the sender's version chain holds,
+for the receiver to keep (immutable: DESIGN.md section 8).
 """
 
 from __future__ import annotations
@@ -204,37 +204,14 @@ class GCFloorUpdate:
 
 
 # ----------------------------------------------------------------------
-# Scrub repair (RPC between peer segments, section 2.3's "peer-to-peer
-# repair of damaged blocks" running over the same network as everything
-# else -- it experiences latency, partitions, and crashes like any flow)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class ScrubRepairRequest:
-    """A scrubbing segment asks a peer for clean copies of corrupt
-    ``(block, version_lsn)`` pairs."""
-
-    from_segment: str
-    pg_index: int
-    failures: tuple[tuple[int, int], ...]
-    epochs: EpochStamp
-
-
-@dataclass(frozen=True, slots=True)
-class ScrubRepairResponse:
-    """Clean ``(block, version_lsn, image)`` triples; only versions the
-    responder holds *and* that verify against their own checksum."""
-
-    segment_id: str
-    pg_index: int
-    versions: tuple[tuple[int, int, Mapping[Any, Any]], ...]
-
-
-# ----------------------------------------------------------------------
-# Quorum-vote integrity repair (RPC between peer segments, DESIGN.md §12).
-# Replaces trust-one-random-peer scrub repair: the scrubbing segment polls
-# a read-quorum-sized peer sample for content digests, and only adopts an
-# image the majority agrees on -- so a misdirected write (valid checksum,
-# wrong content) is caught and a single corrupt peer can never propagate.
+# Quorum-vote integrity repair (RPC between peer segments, DESIGN.md §12):
+# section 2.3's "peer-to-peer repair of damaged blocks", and the only one.
+# The scrubbing segment polls a read-quorum-sized peer sample for content
+# digests, and only adopts an image the majority agrees on -- so a
+# misdirected write (valid checksum, wrong content) is caught and a single
+# corrupt peer can never propagate.  Inside the vote window a ballot is per
+# version LSN; at the window floor it is the content at the floor's read
+# point (the floor ballot), where condensed history leaves no LSN to match.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
 class IntegrityVoteRequest:
@@ -246,7 +223,8 @@ class IntegrityVoteRequest:
     pg_index: int
     #: (block, window_lo, window_hi, ((version_lsn, checksum), ...)).
     #: A checksum of 0 with an LSN present means "I hold this version but
-    #: cannot vouch for it" (quarantined / locally corrupt).
+    #: cannot vouch for it" (quarantined / locally corrupt); a leading
+    #: ``(window_lo, 0)`` asks for the content at read point ``window_lo``.
     blocks: tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]
     record_lsns: tuple[int, ...]
     epochs: EpochStamp
@@ -262,7 +240,8 @@ class IntegrityVoteResponse:
     segment_id: str
     pg_index: int
     #: (block, cover_lo, cover_hi,
-    #:  ((version_lsn, checksum, image-or-None), ...)).
+    #:  ((version_lsn, checksum, image-or-None), ...)); a floor ballot
+    #: leads as ``(window_lo, checksum, image)``.
     blocks: tuple[
         tuple[int, int, int, tuple[tuple[int, int, object], ...]], ...
     ]

@@ -69,10 +69,10 @@ class BlockVersion:
 
     Verification state is created only when something damages the version
     or asks for its checksum.  The image setter is the one place a
-    retained version's image is replaced (repair, scrub repair, the
-    injectors), and it records the outgoing image's checksum first unless
-    one is already recorded, so bit rot damages data under the checksum of
-    the image it replaced.  A version with no recorded checksum still holds
+    retained version's image is replaced (vote repair, the injectors),
+    and it records the outgoing image's checksum first unless one is
+    already recorded, so bit rot damages data under the checksum of the
+    image it replaced.  A version with no recorded checksum still holds
     the image it was created with and verifies without hashing;
     :attr:`checksum` is captured lazily for the votes and the integrity
     probe that ask for it.

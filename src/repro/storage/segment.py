@@ -377,7 +377,7 @@ class Segment:
 
         Verified on the way out: a record whose stored bytes no longer
         match the ingest digest is withheld (and remembered as corrupt for
-        scrub repair) rather than shipped.  This matters most for lagging
+        vote repair) rather than shipped.  This matters most for lagging
         copies -- a Taurus page store draining the log, or a hydrating
         replacement -- which would otherwise ingest the rotted bytes as
         authentic and materialize them under a *valid* image checksum.
@@ -563,53 +563,6 @@ class Segment:
         self.stats["scrub_failures"] += len(failures)
         return failures
 
-    def collect_scrub_versions(
-        self, failures: Iterable[tuple[int, int]]
-    ) -> tuple[tuple[int, int, Mapping], ...]:
-        """Clean copies of the requested ``(block, lsn)`` versions, for a
-        peer's :class:`~repro.storage.messages.ScrubRepairResponse`.
-
-        Versions this segment holds corrupt (or not at all) are omitted --
-        never propagate a bad image to the requester.
-        """
-        out = []
-        for block, lsn in failures:
-            chain = self.blocks.get(block)
-            if chain is None:
-                continue
-            version = chain.version(lsn)
-            if version is None or not version.verify():
-                continue
-            out.append((block, lsn, version.image))
-        return tuple(out)
-
-    def apply_scrub_versions(
-        self, versions: Iterable[tuple[int, int, Mapping]]
-    ) -> int:
-        """Replace local corrupt versions' images with a peer's clean ones
-        (the peer's objects themselves); returns the number repaired."""
-        repaired = 0
-        for block, lsn, image in versions:
-            chain = self.blocks.get(block)
-            version = chain.version(lsn) if chain is not None else None
-            if version is not None:
-                version.image = image
-                version.checksum = image_checksum(image)
-                repaired += 1
-        return repaired
-
-    def repair_scrub_failures(
-        self, authoritative: "Segment", failures: Iterable[tuple[int, int]]
-    ) -> int:
-        """Re-fetch corrupted versions from a healthy peer; returns count.
-
-        In-process convenience (tests, offline tooling); the storage node's
-        scrub tick uses the same collect/apply pair over the network.
-        """
-        return self.apply_scrub_versions(
-            authoritative.collect_scrub_versions(failures)
-        )
-
     # ------------------------------------------------------------------
     # Integrity: record scrub + quorum-vote repair (DESIGN.md §12)
     # ------------------------------------------------------------------
@@ -675,6 +628,13 @@ class Segment:
         ``(version_lsn, checksum)`` pairs inside it.  A checksum of 0 marks
         a version held but unvouchable (quarantined or locally corrupt) so
         a responder knows to attach its image.
+
+        A leading pair ``(lo, 0)`` is the *floor ballot*: the version
+        visible at read point ``lo`` fails verification, so the peers are
+        asked for their content at that point.  It is asked only on damage
+        (a clean floor costs no hashing) and only while ``lo <= hi``: a
+        copy whose GC floor passed its coalesce point has no content at
+        ``lo`` to repair.
         """
         lo, hi = self.vote_window()
         out = []
@@ -682,6 +642,9 @@ class Segment:
             chain = self.blocks.get(block)
             pairs = []
             if chain is not None:
+                floor = chain.version_at(lo) if lo <= hi else None
+                if floor is not None and not floor.verify():
+                    pairs.append((lo, 0))
                 for version in chain.versions_in(lo, hi):
                     pairs.append(
                         (
@@ -709,6 +672,13 @@ class Segment:
         different.  Clean hot-log records are attached for probed LSNs and
         for every differing version (so a lost write's record is restored
         together with its image).
+
+        A floor ballot (a leading pair at the requested ``lo``) is answered
+        first, as ``(lo, checksum, image)`` of our version visible at read
+        point ``lo``, when our own window covers that point
+        (``lo_own <= lo <= hi_own``) and that version verifies.  Every
+        correct copy sees the same content at one read point, whatever its
+        version LSNs, so the ballot carries the point, not an LSN.
         """
         self.stats["votes_answered"] += 1
         blocks = tuple(blocks)
@@ -729,12 +699,23 @@ class Segment:
         for block, req_lo, req_hi, pairs in blocks:
             cover_lo = max(lo_own, req_lo)
             cover_hi = min(hi_own, req_hi)
-            if self.kind is SegmentKind.TAIL or cover_lo >= cover_hi:
-                reply_blocks.append((block, cover_lo, cover_lo, ()))
-                continue
-            theirs = dict(pairs)
             chain = self.blocks.get(block)
             entries = []
+            if (
+                chain is not None
+                and pairs
+                and pairs[0][0] == req_lo
+                and lo_own <= req_lo <= hi_own
+            ):
+                floor = chain.version_at(req_lo)
+                if floor is not None and floor.verify():
+                    entries.append((req_lo, floor.checksum, floor.image))
+            if self.kind is SegmentKind.TAIL or cover_lo >= cover_hi:
+                reply_blocks.append(
+                    (block, cover_lo, cover_lo, tuple(entries))
+                )
+                continue
+            theirs = dict(pairs)
             if chain is not None:
                 for version in chain.versions_in(cover_lo, cover_hi):
                     if not version.verify():

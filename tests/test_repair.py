@@ -432,16 +432,10 @@ class TestScrubOverNetwork:
         # Let at least two scrub intervals elapse: detect + repair.
         cluster.run_for(2 * node.config.scrub_interval + 500.0)
         by_type = cluster.network.stats.by_type
-        # Repair is message-borne either way: the quorum content vote
-        # (preferred, DESIGN.md section 12) or the direct scrub repair
-        # fallback when fewer than two voters are reachable.
-        voted = by_type.get("IntegrityVoteRequest", 0)
-        direct = by_type.get("ScrubRepairRequest", 0)
-        assert voted >= 1 or direct >= 1
-        if voted:
-            assert by_type.get("IntegrityVoteResponse", 0) >= 1
-        else:
-            assert by_type.get("ScrubRepairResponse", 0) >= 1
-        assert node.counters["scrub_repairs"] >= 1
+        # Repair is message-borne: the quorum content vote (DESIGN.md
+        # section 12), the only repair there is.
+        assert by_type.get("IntegrityVoteRequest", 0) >= 1
+        assert by_type.get("IntegrityVoteResponse", 0) >= 1
+        assert node.counters["vote_repairs"] >= 1
         # The corrupted block reads clean again.
         assert all(session.get(f"row{i:02d}") == i for i in range(8))
