@@ -233,7 +233,7 @@ class IntegrityVoteRequest:
 @dataclass(frozen=True, slots=True)
 class IntegrityVoteResponse:
     """Per block: the responder's coverage overlap with the requested
-    window and its verified versions inside it.  An image is attached only
+    window and its versions inside it.  An image is attached only
     where the requester's checksum was absent or different (the ballot
     itself is just ``(lsn, checksum)``)."""
 
@@ -241,7 +241,8 @@ class IntegrityVoteResponse:
     pg_index: int
     #: (block, cover_lo, cover_hi,
     #:  ((version_lsn, checksum, image-or-None), ...)); a floor ballot
-    #: leads as ``(window_lo, checksum, image)``.
+    #: leads as ``(window_lo, checksum, image)``, and a version the
+    #: responder holds but cannot verify abstains as ``(lsn, None, None)``.
     blocks: tuple[
         tuple[int, int, int, tuple[tuple[int, int, object], ...]], ...
     ]

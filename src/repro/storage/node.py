@@ -678,7 +678,8 @@ class StorageNode(Actor):
         per floor ballot.
 
         Each voter covering an LSN casts its verified checksum, or ABSENT
-        when it holds no version there.  This copy votes too (unless its
+        when it holds no version there; a voter holding the version
+        without verifying it abstains.  This copy votes too (unless its
         version is corrupt, which casts no content ballot).  Only a strict
         majority overrules local state: adopt the winning image, or drop a
         version the majority does not have (a misdirected write's
@@ -722,6 +723,8 @@ class StorageNode(Actor):
                     )
                     if entry is None:
                         votes.append(absent)
+                    elif entry[1] is None:
+                        continue  # present but unverified: abstains
                     else:
                         votes.append(entry[1])
                         if entry[2] is not None:

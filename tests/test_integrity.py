@@ -331,7 +331,9 @@ class TestJudgeCatchesBrokenRepair:
         version 3 has rotted the same way, so each peer ships its corrupt
         image under the clean recorded checksum; the requester adopts it,
         and the judge, which hashes the adopted image, flags it.  Honest
-        voters vouch for no corrupt image, so none is adopted."""
+        voters vouch for no corrupt image, so none is adopted; nor do they
+        count as lacking version 3, so it is not dropped either, and a
+        read at its point refuses rather than serve version 2."""
         loop, network, _m, nodes, _instance = build_fleet()
         feed_all(network, nodes, [make_record(i, i - 1) for i in range(1, 4)])
         loop.run(until=50.0)
@@ -365,6 +367,10 @@ class TestJudgeCatchesBrokenRepair:
             assert invariants == {"integrity-repair-propagated-corruption"}
         else:
             assert invariants == set()
+            assert victim.counters["vote_repairs"] == 0
+            assert victim.segment.blocks[0].version(3) is not None
+            with pytest.raises(CorruptVersionError):
+                victim.segment.read_block(0, 3)
 
 
 # ----------------------------------------------------------------------
