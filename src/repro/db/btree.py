@@ -7,7 +7,9 @@ so a split that touches a leaf, a new sibling, a parent, and the tree meta
 block occupies one contiguous LSN batch with a single ``mtr_end`` -- the
 atomicity unit replicas and the VDL respect.
 
-Layout (all images are plain dicts, the storage block format):
+Layout (the storage block format; a version one row write made is an
+:class:`~repro.core.records.Overlay` on the version before, which reads
+as the same dict):
 
 - **meta block**: ``{"root": b, "height": h, "next_block": n}``.
 - **internal node**: ``{"type": "internal", "keys": (...), "children": (...)}``
@@ -216,9 +218,9 @@ class BTree:
         meta = cached_image(self.meta_block, mtr)
         if meta is None:
             meta = yield from fetch_image(self.meta_block)
-        if "root" not in meta:
+        node = meta.get("root")
+        if node is None:
             raise ConfigurationError("B-tree is not bootstrapped")
-        node = meta["root"]
         path: list[tuple[int, Mapping, int]] = []
         for _level in range(meta["height"]):
             image = cached_image(node, mtr)

@@ -118,6 +118,19 @@ class StorageBackend:
         """Segment crashes per PG the write quorum provably survives."""
         return self.replication().write_loss_failures - 1
 
+    def _config_once(self, state, kinds, build) -> QuorumConfig:
+        """The config ``build()`` makes for ``state`` under the slot
+        ``kinds``, built and proved once per (state, kinds): the state is
+        frozen and the proof is a 2^n sweep, as for the uniform config
+        :meth:`MembershipState.quorum_config` memoises.  Kept on the state,
+        so it goes when a membership change replaces the state."""
+        memo = state.__dict__.setdefault("_backend_configs", {})
+        key = (self, tuple(kinds.items()))
+        config = memo.get(key)
+        if config is None:
+            config = memo[key] = build()
+        return config
+
     def _slot_kinds(self, metadata, state) -> dict[str, SegmentKind]:
         """Kind per member, inferred from placements slot-by-slot.
 
@@ -192,7 +205,9 @@ class AuroraBackend(StorageBackend):
             fulls = [m for m in state.members if kinds[m] is SegmentKind.FULL]
             tails = [m for m in state.members if kinds[m] is SegmentKind.TAIL]
             if len(fulls) == 3 and len(tails) == 3:
-                return full_tail_config(fulls, tails)
+                return self._config_once(
+                    state, kinds, lambda: full_tail_config(fulls, tails)
+                )
         return state.quorum_config()
 
 
@@ -250,18 +265,22 @@ class TaurusBackend(StorageBackend):
         the durability quorum.
         """
         kinds = self._slot_kinds(metadata, state)
-        log_groups = []
-        for group in state.member_groups():
-            logs = frozenset(
-                m for m in group if kinds[m] is SegmentKind.LOG
-            )
-            if not logs:
-                raise ConfigurationError(
-                    f"PG {pg_index} membership has no log stores"
+
+        def build() -> QuorumConfig:
+            log_groups = []
+            for group in state.member_groups():
+                logs = frozenset(
+                    m for m in group if kinds[m] is SegmentKind.LOG
                 )
-            if logs not in log_groups:
-                log_groups.append(logs)
-        return group_transition_config(log_groups)
+                if not logs:
+                    raise ConfigurationError(
+                        f"PG {pg_index} membership has no log stores"
+                    )
+                if logs not in log_groups:
+                    log_groups.append(logs)
+            return group_transition_config(log_groups)
+
+        return self._config_once(state, kinds, build)
 
     def write_targets(self, metadata, pg_index: int):
         state = metadata.membership(pg_index)

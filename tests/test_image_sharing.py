@@ -29,6 +29,7 @@ from repro.core.records import (
     ControlPayload,
     ElidedPayload,
     LogRecord,
+    Overlay,
     RecordKind,
     apply_redo,
     seed_redo,
@@ -51,6 +52,40 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "heap_sites.py"
 spec = importlib.util.spec_from_file_location("heap_sites", TOOL)
 heap_sites = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(heap_sites)
+
+
+class TestHeapTable:
+    """The tool's live image bytes by block kind: a block is classified by
+    its number (META, the status-page directory) or its image's
+    ``"type"``, and every overlay node of an image's chain is an object."""
+
+    @pytest.mark.parametrize("backend", ["aurora", "taurus"])
+    def test_images_and_objects_per_kind_on_a_small_world(self, backend):
+        totals = {}
+        for gc_interval in (1e9, 200.0):
+            cluster = AuroraCluster.build(
+                seed=3, backend=backend, gc_interval=gc_interval
+            )
+            db = cluster.session()
+            for i in range(30):
+                db.write(f"r{i % 5}", i)
+            cluster.run_for(1_000)
+            for node in cluster.nodes.values():
+                node.segment.coalesce()
+            totals[gc_interval] = heap_sites.image_bytes_by_kind([cluster])
+        kept, collected = totals[1e9], totals[200.0]
+        # GC off: every copy shares one version per change.  A commit
+        # version is a node, over EMPTY_IMAGE; the leaf's are its
+        # bootstrap dict and a node or (once flattened) a dict per write.
+        assert [kept[kind][:2] for kind in heap_sites.BLOCK_KINDS] == [
+            [30, 31], [31, 31], [0, 0], [3, 3],
+        ]
+        # GC on: one version each is left, and it holds its chain.
+        assert [collected[kind][:2] for kind in heap_sites.BLOCK_KINDS] == [
+            [1, 31], [1, 7], [0, 0], [1, 3],
+        ]
+        assert collected["status page"][2] == kept["status page"][2]
+        assert 0 < collected["leaf"][2] < kept["leaf"][2]
 
 
 class TestApplyRedoMemo:
@@ -646,8 +681,13 @@ class TestReadsCarryReferences:
         assert max(runs_per_record.values()) <= 1 + 2 * len(run["replicas"])
 
 
+#: The read-only image types: an overlay node has no ``__setitem__``, and
+#: under the fixture below its root is wrapped like every other image.
+READ_ONLY = (MappingProxyType, Overlay)
+
+
 def read_only(image):
-    return image if type(image) is MappingProxyType else MappingProxyType(image)
+    return image if type(image) in READ_ONLY else MappingProxyType(image)
 
 
 #: The replies that carry images, and the field that holds them.
@@ -660,7 +700,7 @@ IMAGE_REPLIES = {
 
 @pytest.fixture
 def read_only_images(monkeypatch):
-    """Every image that can end up shared is a ``MappingProxyType``: what a
+    """Every image that can end up shared is read-only (``READ_ONLY``): what a
     payload returns (so everything staged in an MTR, cached, or coalesced),
     what a storage node puts into a read reply, a baseline or a vote
     answer (the hand-off by reference: from there it reaches a cache or
@@ -679,7 +719,7 @@ def read_only_images(monkeypatch):
                 wrapped[source] += 1
                 return read_only(original(*args))
             args = list(args)
-            if type(args[image_arg]) is not MappingProxyType:
+            if type(args[image_arg]) not in READ_ONLY:
                 wrapped[source] += 1
                 args[image_arg] = MappingProxyType(args[image_arg])
             return original(*args)
@@ -695,7 +735,7 @@ def read_only_images(monkeypatch):
         wrapped (anything that is not a tuple or an image stays)."""
         if isinstance(value, tuple):
             return tuple(images_read_only(v, source) for v in value)
-        if isinstance(value, (dict, MappingProxyType)):
+        if isinstance(value, (dict, *READ_ONLY)):
             wrapped[source] += 1
             return read_only(value)
         return value
@@ -778,7 +818,7 @@ class TestSharingIsSafe:
             if chain.version(lsn).verify():
                 break
         assert chain.version(lsn).verify()
-        assert type(chain.version(lsn).image) is MappingProxyType
+        assert type(chain.version(lsn).image) in READ_ONLY
         assert all(db.get(f"k{i:02d}") == i for i in range(30))
         assert read_only_images["vote"] and read_only_images["floor"]
 

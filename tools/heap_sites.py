@@ -38,7 +38,7 @@ import bench  # noqa: E402 - needs the repo root on sys.path
 bench.ensure_repro_importable()
 
 from bench.workloads import WORKLOADS  # noqa: E402
-from repro.core.records import LogRecord, StatusPage  # noqa: E402
+from repro.core.records import LogRecord, Overlay  # noqa: E402
 from repro.db.cluster import AuroraCluster  # noqa: E402
 from repro.db.instance import WriterInstance  # noqa: E402
 
@@ -84,9 +84,11 @@ BLOCK_KINDS = ("status page", "leaf", "internal", "META")
 
 
 def block_kind(block: int, image, status_pages) -> str:
+    """The kind of ``block``: META, a page of the status-page directory
+    ``status_pages``, or what the image's ``"type"`` says."""
     if block == WriterInstance.META_BLOCK:
         return "META"
-    if block in status_pages or type(image) is StatusPage:
+    if block in status_pages:
         return "status page"
     return "internal" if image.get("type") == "internal" else "leaf"
 
@@ -94,8 +96,9 @@ def block_kind(block: int, image, status_pages) -> str:
 def image_bytes_by_kind(clusters) -> dict[str, list[int]]:
     """``[images, objects, bytes]`` per block kind over the writer caches
     and the segment chains of ``clusters``.  Each object is counted once
-    (by ``id``) at its shallow size: a dict image, or each node of a
-    status page's chain and the mapping at its root."""
+    (by ``id``) at its shallow size: every :class:`Overlay` node of an
+    image's chain and the mapping at its root, so where versions share
+    their predecessors a kind shows more objects than images."""
     totals = {kind: [0, 0, 0] for kind in BLOCK_KINDS}
     images: set[int] = set()
     seen: set[int] = set()
@@ -119,7 +122,7 @@ def image_bytes_by_kind(clusters) -> dict[str, list[int]]:
                 seen.add(id(image))
                 total[1] += 1
                 total[2] += sys.getsizeof(image)
-                if type(image) is not StatusPage:
+                if type(image) is not Overlay:
                     break
                 image = image.base
     return totals
