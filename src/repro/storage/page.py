@@ -35,7 +35,7 @@ from bisect import bisect_left, bisect_right
 from typing import Any, Mapping
 
 from repro.core.lsn import NULL_LSN
-from repro.core.records import EMPTY_IMAGE, LogRecord, apply_redo
+from repro.core.records import EMPTY_IMAGE, LogRecord, Overlay, apply_redo
 from repro.errors import ReadPointError
 
 
@@ -48,7 +48,21 @@ def image_checksum(image: Mapping[str, Any]) -> int:
     strings), which hash directly; only images carrying unhashable values
     fall back to ``repr``.  Equal images always take the same path, so the
     checksum stays a pure content function either way.
+
+    An :class:`Overlay` node keeps its checksum once computed: it is
+    immutable and every copy of the protection group holds the same node,
+    and hashing one flattens its chain.
     """
+    if type(image) is Overlay:
+        checksum = image.checksum
+        if checksum is None:
+            checksum = _content_checksum(image.flat())
+            image.keep_checksum(checksum)
+        return checksum
+    return _content_checksum(image)
+
+
+def _content_checksum(image: Mapping[str, Any]) -> int:
     try:
         return hash(frozenset(image.items()))
     except TypeError:
