@@ -13,7 +13,7 @@ from repro.audit import PROFILES, AuditRunConfig, run_audit
 from repro.audit.integrity import IntegrityLog
 from repro.core.epochs import EpochStamp
 from repro.core.membership import MembershipState
-from repro.core.records import BlockPut, LogRecord, RecordKind
+from repro.core.records import BlockPut, LogRecord, Overlay, RecordKind
 from repro.db.session import Session
 from repro.sim.events import EventLoop
 from repro.sim.latency import FixedLatency
@@ -27,8 +27,49 @@ from repro.storage.messages import (
 )
 from repro.storage.metadata import SegmentPlacement, StorageMetadataService
 from repro.storage.node import StorageNode, StorageNodeConfig
+from repro.storage.page import image_checksum
 from repro.storage.segment import Segment, SegmentKind
 from repro.storage.volume import VolumeGeometry
+
+
+def assert_reads_as(image, reference: dict, absent) -> None:
+    """``image`` is ``reference`` to every read a block image serves;
+    ``absent`` are keys it does not hold."""
+    assert list(image.items()) == list(reference.items())
+    assert list(image) == list(reference)
+    assert list(image.keys()) == list(reference.keys())
+    assert list(image.values()) == list(reference.values())
+    assert len(image) == len(reference)
+    assert image == reference and reference == image
+    assert image_checksum(image) == image_checksum(reference)
+    for key, value in reference.items():
+        assert key in image and image[key] == value
+        assert image.get(key) == value
+    for key in absent:
+        if key not in reference:
+            assert key not in image and image.get(key, "-") == "-"
+            with pytest.raises(KeyError):
+                image[key]
+
+
+def held_entries(segment, blocks) -> int:
+    """Entries the retained versions of ``blocks`` physically hold: each
+    distinct object reachable from them counted once, a dict for its
+    length and an :class:`Overlay` node for its one entry."""
+    seen: set[int] = set()
+    held = 0
+    for block in blocks:
+        chain = segment.blocks.get(block)
+        for version in chain.versions if chain is not None else ():
+            image = version.image
+            while id(image) not in seen:
+                seen.add(id(image))
+                if type(image) is not Overlay:
+                    held += len(image)
+                    break
+                held += 1
+                image = image.base
+    return held
 
 
 #: Storage backends every conformance-parametrized test must pass on.

@@ -1,8 +1,11 @@
 """Unit tests for log records and redo payloads."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.records import (
+    EMPTY_IMAGE,
     NO_BLOCK,
     BlockDelete,
     BlockPut,
@@ -10,10 +13,14 @@ from repro.core.records import (
     ChainDigest,
     CommitPayload,
     ControlPayload,
+    ElidedPayload,
     LogRecord,
     RecordBatch,
     RecordKind,
+    apply_redo,
+    record_digest,
 )
+from repro.db.wire import payload_bytes
 
 
 def make_record(lsn=5, **overrides):
@@ -105,6 +112,26 @@ class TestLogRecord:
         record = make_record()
         with pytest.raises(AttributeError):
             record.lsn = 99
+
+    def test_records_and_payloads_are_slotted_and_replace_drops_memos(self):
+        """No record or payload carries an instance dict; the memos live in
+        declared slots, and ``dataclasses.replace`` makes an object
+        without them."""
+        record = make_record()
+        record_digest(record)
+        apply_redo(record, EMPTY_IMAGE)
+        payload_bytes(record.payload)
+        for obj in (record, record.payload, ControlPayload("n"),
+                    ElidedPayload(covered_by=3), BlockDelete(keys=("a",)),
+                    BlockReplace.of({"a": 1}), CommitPayload(1, 2)):
+            assert not hasattr(obj, "__dict__")
+        fresh = replace(record, payload=replace(record.payload))
+        assert fresh == record
+        for obj, memo in ((fresh, "_digest"), (fresh, "_applied"),
+                          (fresh.payload, "_wire_size")):
+            assert getattr(obj, memo, None) is None
+        assert getattr(record, "_digest") is not None
+        assert getattr(record.payload, "_wire_size") is not None
 
     def test_no_block_constant(self):
         record = make_record(block=NO_BLOCK, kind=RecordKind.CONTROL,
