@@ -93,6 +93,11 @@ def payload_bytes(payload: object) -> int:
     """
     if isinstance(payload, ElidedPayload):
         return ELIDED_PAYLOAD_BYTES
+    if not isinstance(payload, (BlockPut, BlockDelete, BlockReplace)):
+        # Commit / control / foreign payloads: a fixed frame plus any
+        # obvious attributes is close enough for a model.  Foreign types
+        # may be slotted, so do not attempt to cache on them.
+        return 16
     size = getattr(payload, "_wire_size", None)
     if size is not None:
         return size
@@ -102,15 +107,10 @@ def payload_bytes(payload: object) -> int:
         )
     elif isinstance(payload, BlockDelete):
         size = 4 + sum(value_bytes(k) for k in payload.keys)
-    elif isinstance(payload, BlockReplace):
+    else:
         size = 4 + sum(
             value_bytes(k) + value_bytes(v) for k, v in payload.image
         )
-    else:
-        # Commit / control / foreign payloads: a fixed frame plus any
-        # obvious attributes is close enough for a model.  Foreign types
-        # may be slotted, so do not attempt to cache on them.
-        return 16
     object.__setattr__(payload, "_wire_size", size)
     return size
 
